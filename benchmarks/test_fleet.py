@@ -53,7 +53,8 @@ def test_fleet_throughput_and_waste_vs_single_broker():
     )
 
     single_pubs = single.service.n_processed["pub"]
-    single_rate = single_pubs / single.wall_seconds
+    # service-loop seconds, like the fleet's per-shard rates below
+    single_rate = single_pubs / single.shards[0].seconds
     shard_rates = [
         s.service.n_processed["pub"] / s.seconds for s in fleet.shards
     ]

@@ -4,7 +4,7 @@ A fleet splits the *event space* — not the subscriber population —
 across broker shards: every grid cell has exactly one owner shard, and a
 publication is matched only at the shard owning the cell it lands in.
 Subscriptions register wherever their rectangle overlaps owned cells
-(see :mod:`repro.fleet.runtime` for the replicate-vs-forward policy),
+(see :mod:`repro.online.service` for the replicate-vs-forward policy),
 so delivery stays complete while per-shard matching touches only the
 local subscription set.
 

@@ -1,22 +1,22 @@
-"""Sharded fleet soak: one seeded stream across N broker shards.
+"""The runtime driver: one seeded stream across N broker shards.
 
-:func:`run_fleet` replays the *same* seeded churn+publication stream as
-:func:`repro.online.soak.run_soak`, but partitioned: a
+:func:`run_fleet` is the only runtime driver; ``sim serve``
+(:func:`repro.online.soak.run_soak`) is its one-shard case.  A
 :class:`~repro.fleet.sharding.ShardMap` assigns every grid cell to one
 shard, publications route to the owner of their landing cell, and
 subscriptions register at every shard their rectangle overlaps (full
 members under ``replicate``, match-only outside home under ``forward``
-— see :mod:`repro.fleet.runtime`).
+— see :mod:`repro.online.service`).
 
-**Leave resolution happens globally, before dispatch.**  The
-single-broker stream's :class:`~repro.online.service.ChurnLeave`
-carries a positional index into the service's live list; a shard only
-sees part of the population, so the fleet driver replays churn in
-arrival order against a global registry (seeded with the initial
-subscriptions, exactly like ``BrokerService.live_handles``) and resolves
-each leave to a concrete fleet-wide subscription id.  With one shard
-this reproduces the single-broker resolution decision for decision, so
-``shards=1`` is byte-identical to :func:`run_soak`.
+**Leave resolution happens globally, before dispatch.**  The seeded
+stream's :class:`~repro.online.service.ChurnLeave` carries a positional
+index into the live subscription list; a shard only sees part of the
+population, so the driver replays churn in arrival order against a
+global registry (seeded with the initial subscriptions) and resolves
+each leave to a concrete fleet-wide subscription id.  The resolution
+ignores admission: a leave aimed at a join that is later shed is a
+no-op at the shard, and a shed leave still retires its subscription
+from the registry.
 
 **Epochs are coordination barriers.**  The stream splits into
 ``epochs`` contiguous slices; within a slice shards run independently
@@ -41,12 +41,12 @@ import multiprocessing
 import os
 import time
 from concurrent.futures import ProcessPoolExecutor
-from dataclasses import dataclass, field, replace
+from dataclasses import asdict, dataclass, field, replace
 from typing import Dict, List, Optional, Sequence, Tuple
 
 import numpy as np
 
-from ..broker import BrokerConfig, ContentBroker
+from ..broker import ContentBroker
 from ..obs import (
     FlightRecorder,
     bench_stamp,
@@ -56,10 +56,14 @@ from ..obs import (
     reset_worker_state,
     set_flight_recorder,
 )
-from ..online.queues import POLICIES, QueueConfig
+from ..online.maintainer import ClusterMaintainer
+from ..online.queues import QueueConfig
 from ..online.service import (
+    BrokerService,
     ChurnJoin,
     ChurnLeave,
+    FleetJoin,
+    FleetLeave,
     Publish,
     ServiceConfig,
     ServiceResult,
@@ -67,20 +71,12 @@ from ..online.service import (
 )
 from ..online.soak import (
     SoakConfig,
-    SoakResult,
     finalize_equivalence,
     generate_stream,
 )
 from ..sim.scenario import build_preliminary_scenario
 from .coordinator import FleetCoordinator
-from .runtime import (
-    FLEET_POLICIES,
-    FleetJoin,
-    FleetLeave,
-    ShardMaintainer,
-    ShardService,
-)
-from .sharding import STRATEGIES, ShardMap
+from .sharding import ShardMap
 
 __all__ = [
     "FleetConfig",
@@ -88,82 +84,15 @@ __all__ = [
     "ShardSummary",
     "route_fleet_stream",
     "run_fleet",
+    "run_shard_task",
 ]
 
 
-@dataclass(frozen=True)
-class FleetConfig:
-    """One fleet soak: the single-broker knobs plus the fleet's own."""
+#: the runtime configuration (one class: a fleet of one shard is `serve`)
+FleetConfig = SoakConfig
 
-    # single-broker soak surface (see repro.online.soak.SoakConfig)
-    n_events: int = 20000
-    seed: int = 7
-    rate: float = 800.0
-    service_rate: float = 1000.0
-    churn_fraction: float = 0.1
-    n_nodes: int = 100
-    n_subscriptions: int = 300
-    n_groups: int = 30
-    max_cells: Optional[int] = 600
-    drift_threshold: float = 1.25
-    queue_capacity: int = 256
-    policy: str = "block"
-    queue_rate: Optional[float] = None
-    scheme: str = "dense"
-    aggregate: bool = False
-    # fleet surface
-    shards: int = 4
-    sharding: str = "hash"
-    fleet_policy: str = "replicate"
-    epochs: int = 1
-    workers: int = 1
-    #: misalignment ratio past which the coordinator resplits K
-    rebalance_threshold: float = 1.25
-    checkpoint_dir: Optional[str] = None
-
-    def __post_init__(self) -> None:
-        if self.shards < 1:
-            raise ValueError("shards must be at least 1")
-        if self.epochs < 1:
-            raise ValueError("epochs must be at least 1")
-        if self.workers < 1:
-            raise ValueError("workers must be at least 1")
-        if self.sharding not in STRATEGIES:
-            raise ValueError(f"sharding must be one of {STRATEGIES}")
-        if self.fleet_policy not in FLEET_POLICIES:
-            raise ValueError(
-                f"fleet_policy must be one of {FLEET_POLICIES}"
-            )
-        if self.policy not in POLICIES:
-            raise ValueError(f"policy must be one of {POLICIES}")
-        from ..delivery import SCHEMES
-
-        if self.scheme not in SCHEMES:
-            raise ValueError(f"scheme must be one of {SCHEMES}")
-        if self.n_groups < self.shards:
-            raise ValueError(
-                "the global group budget must cover one group per shard"
-            )
-
-    def soak_config(self) -> SoakConfig:
-        """The equivalent single-broker configuration (stream seed)."""
-        return SoakConfig(
-            n_events=self.n_events,
-            seed=self.seed,
-            rate=self.rate,
-            service_rate=self.service_rate,
-            churn_fraction=self.churn_fraction,
-            n_nodes=self.n_nodes,
-            n_subscriptions=self.n_subscriptions,
-            n_groups=self.n_groups,
-            max_cells=self.max_cells,
-            drift_threshold=self.drift_threshold,
-            queue_capacity=self.queue_capacity,
-            policy=self.policy,
-            queue_rate=self.queue_rate,
-            scheme=self.scheme,
-            aggregate=self.aggregate,
-        )
+#: denominator floor for the warm/cold waste ratio
+_WASTE_FLOOR = 1e-9
 
 
 # ----------------------------------------------------------------------
@@ -200,6 +129,9 @@ class FleetPlan:
 def _route_registration(
     gid: int, node: int, rectangle, scenario, shard_map: ShardMap
 ) -> _Registration:
+    if shard_map.n_shards == 1:
+        # one shard owns every cell: no footprint to rasterise
+        return _Registration(gid, node, rectangle, (0,), 0)
     covered = scenario.space.cells_in_rectangle(rectangle)
     shards = tuple(
         int(s) for s in shard_map.shards_of_cells(covered)
@@ -218,11 +150,10 @@ def route_fleet_stream(
     """Resolve leaves globally and route every event to its shard(s).
 
     Churn is replayed in arrival order against a registry seeded with
-    the initial subscription ids — the same order and the same
-    ``index % len(live)`` resolution the single-broker service applies,
-    so the degenerate one-shard plan reproduces its decisions exactly.
+    the initial subscription ids, resolving each leave's positional
+    index as ``index % len(live)``.
     """
-    events = generate_stream(config.soak_config(), scenario)
+    events = generate_stream(config, scenario)
     ordered = sorted(events, key=lambda e: (e.time, e.stream != "churn"))
     n_shards = shard_map.n_shards
     replicate = config.fleet_policy == "replicate"
@@ -280,8 +211,8 @@ def route_fleet_stream(
                     )
             elif isinstance(payload, ChurnLeave):
                 if not registry:
-                    # the single-broker service would no-op this leave;
-                    # shard 0 carries the noop so event counts conserve
+                    # nothing to retire; shard 0 carries the noop so
+                    # event counts conserve
                     plan.n_noop_leaves += 1
                     shard_events[0].append(
                         StreamEvent(event.time, "churn", FleetLeave(-1))
@@ -295,7 +226,11 @@ def route_fleet_stream(
                         StreamEvent(event.time, "churn", FleetLeave(gid))
                     )
             elif isinstance(payload, Publish):
-                owner = shard_map.shard_of_point(payload.point)
+                owner = (
+                    shard_map.shard_of_point(payload.point)
+                    if n_shards > 1
+                    else 0
+                )
                 shard_events[owner].append(event)
             else:
                 raise TypeError(
@@ -315,7 +250,6 @@ class ShardTask:
     shard: int
     epoch: int
     k: int
-    fleet_policy: str
     scenario_kwargs: Tuple[Tuple[str, object], ...]
     config: FleetConfig
     #: (gid, node, rectangle, member) live at epoch start, gid ascending
@@ -365,23 +299,6 @@ class ShardOutcome:
     flight_records: List[Dict] = field(default_factory=list)
 
 
-def _shard_broker_config(config: FleetConfig, k: int) -> BrokerConfig:
-    """Per-shard broker tuning: the soak's knobs with a split budget."""
-    return BrokerConfig(
-        n_groups=k,
-        max_cells=config.max_cells,
-        scheme=config.scheme,
-        algorithm="forgy",
-        adaptive=True,
-        warm_start=True,
-        max_warm_iters=25,
-        rebalance_after=10**9,
-        drift_threshold=config.drift_threshold,
-        delta_cells=True,
-        aggregate=config.aggregate,
-    )
-
-
 def run_shard_task(task: ShardTask) -> ShardOutcome:
     """Build one shard from its registrations and replay its slice."""
     config = task.config
@@ -393,14 +310,14 @@ def run_shard_task(task: ShardTask) -> ShardOutcome:
         scenario.routing,
         scenario.space,
         cell_pmf,
-        config=_shard_broker_config(config, task.k),
+        config=config.broker_config(task.k),
     )
     handles = [
         broker.subscribe(node, rectangle)
         for _, node, rectangle, _ in task.registrations
     ]
     broker.rebuild()
-    maintainer = ShardMaintainer(broker)
+    maintainer = ClusterMaintainer(broker)
     slo = None
     if task.slo_spec:
         from ..obs import SloEngine, load_slo_spec
@@ -413,7 +330,7 @@ def run_shard_task(task: ShardTask) -> ShardOutcome:
         policy=config.policy,
         rate=config.queue_rate,
     )
-    service = ShardService(
+    service = BrokerService(
         broker,
         maintainer,
         ServiceConfig(
@@ -424,18 +341,12 @@ def run_shard_task(task: ShardTask) -> ShardOutcome:
         ),
         slo=slo,
         shard_id=task.shard,
-        policy=task.fleet_policy,
     )
     for (gid, _, _, member), handle in zip(task.registrations, handles):
         service.register_initial(gid, handle, member=member)
-    service.live_handles = [
-        handle
-        for (_, _, _, member), handle in zip(task.registrations, handles)
-        if member
-    ]
     if maintainer.forward_handles:
         # re-base the drift baseline with the match-only columns
-        # scrubbed out of the initial fit (see ShardMaintainer.capture)
+        # scrubbed out of the initial fit (see ClusterMaintainer.capture)
         maintainer.capture()
     # resume the virtual clock and the exact admission state where the
     # previous epoch's barrier stopped them
@@ -487,10 +398,9 @@ def run_shard_task(task: ShardTask) -> ShardOutcome:
 
         save_shard_checkpoint(
             task.checkpoint_path,
-            shard=task.shard,
+            service,
             k=task.k,
-            maintainer=maintainer,
-            service=service,
+            policy=config.fleet_policy,
         )
     return result
 
@@ -615,7 +525,7 @@ def _fold_service(parts: Sequence[ServiceResult]) -> ServiceResult:
 
 @dataclass
 class FleetResult:
-    """A finished fleet soak."""
+    """A finished run of the runtime (one shard: a ``serve`` run)."""
 
     config: FleetConfig
     scenario_name: str
@@ -624,10 +534,26 @@ class FleetResult:
     #: the K split used in each epoch
     splits: List[List[int]]
     rebalances: int = 0
+    #: end to end: scenario build, routing, shard set-up, service loops
+    #: and the finalize refits
     wall_seconds: float = 0.0
     flight_records: List[Dict] = field(default_factory=list)
 
     # ------------------------------------------------------------------
+    @property
+    def single_broker(self) -> bool:
+        """One shard, one epoch: the single-broker ``serve`` run."""
+        return self.config.shards == 1 and self.config.epochs == 1
+
+    @property
+    def service(self) -> ServiceResult:
+        """The one shard's service result (one-shard runs only)."""
+        if len(self.shards) != 1:
+            raise AttributeError(
+                "a multi-shard run has one service per shard; see .shards"
+            )
+        return self.shards[0].service
+
     @property
     def total_waste(self) -> float:
         return sum(s.current_waste for s in self.shards)
@@ -644,34 +570,34 @@ class FleetResult:
     def horizon(self) -> float:
         return max(s.service.horizon for s in self.shards)
 
-    def _degenerate_soak(self) -> SoakResult:
-        """The single-shard fleet *is* the single-broker soak."""
-        shard = self.shards[0]
-        return SoakResult(
-            config=self.config.soak_config(),
-            scenario_name=self.scenario_name,
-            service=shard.service,
-            warm_waste=shard.warm_waste,
-            cold_waste=shard.cold_waste,
-            wall_seconds=self.wall_seconds,
-            flight_records=self.flight_records,
-        )
+    @property
+    def warm_waste(self) -> Optional[float]:
+        """Summed warm-refit waste (None unless every shard finalized)."""
+        if any(s.warm_waste is None for s in self.shards):
+            return None
+        return sum(s.warm_waste for s in self.shards)
+
+    @property
+    def cold_waste(self) -> Optional[float]:
+        """Summed cold-refit waste (None unless every shard finalized)."""
+        if any(s.cold_waste is None for s in self.shards):
+            return None
+        return sum(s.cold_waste for s in self.shards)
 
     @property
     def waste_ratio(self) -> Optional[float]:
-        """Warm-over-cold refit ratio of the degenerate (1-shard) case."""
-        if self.config.shards == 1 and self.config.epochs == 1:
-            return self._degenerate_soak().waste_ratio
-        return None
+        """Warm-over-cold refit ratio of a finalized single broker."""
+        if not self.single_broker or self.warm_waste is None:
+            return None
+        return self.warm_waste / max(self.cold_waste, _WASTE_FLOOR)
 
     def deterministic_report(self) -> str:
         """Virtual-clock summary, byte-identical across runs/workers.
 
-        One shard, one epoch prints the *single-broker soak report
-        verbatim* — the fleet CLI is a drop-in for ``serve`` there.
+        One shard, one epoch prints the single-broker report (``serve``).
         """
-        if self.config.shards == 1 and self.config.epochs == 1:
-            return self._degenerate_soak().deterministic_report()
+        if self.single_broker:
+            return self._broker_report()
         config = self.config
         lines = [
             "fleet             "
@@ -709,15 +635,9 @@ class FleetResult:
                 f"horizon           {self.horizon:.9f}",
             ]
         )
-        warm = [s.warm_waste for s in self.shards]
-        cold = [s.cold_waste for s in self.shards]
-        if all(w is not None for w in warm) and any(
-            c is not None for c in cold
-        ):
-            total_warm = sum(w for w in warm if w is not None)
-            total_cold = sum(c for c in cold if c is not None)
-            lines.append(f"warm waste        {total_warm:.9f}")
-            lines.append(f"cold waste        {total_cold:.9f}")
+        if self.warm_waste is not None:
+            lines.append(f"warm waste        {self.warm_waste:.9f}")
+            lines.append(f"cold waste        {self.cold_waste:.9f}")
         slo_breaches = sum(
             len(s.service.slo_breaches) for s in self.shards
         )
@@ -725,12 +645,63 @@ class FleetResult:
             lines.append(f"slo breaches      {slo_breaches}")
         return "\n".join(lines) + "\n"
 
+    def _broker_report(self) -> str:
+        svc = self.service
+        pct = svc.latency_percentiles()
+        lines = [
+            f"scenario          {self.scenario_name}",
+            f"seed              {self.config.seed}",
+            f"events            {svc.n_events}",
+            "processed         "
+            + " ".join(
+                f"{name}={svc.n_processed.get(name, 0)}"
+                for name in ("fault", "churn", "pub")
+            ),
+            "shed              "
+            + " ".join(
+                f"{name}={svc.n_shed.get(name, 0)}"
+                for name in ("fault", "churn", "pub")
+            ),
+            "queue depth peak  "
+            + " ".join(
+                f"{name}={svc.queue_depth_peaks.get(name, 0)}"
+                for name in ("fault", "churn", "pub")
+            ),
+            f"latency p50       {pct['p50']:.9f}",
+            f"latency p95       {pct['p95']:.9f}",
+            f"latency p99       {pct['p99']:.9f}",
+            f"joins             {svc.joins}",
+            f"leaves            {svc.leaves}",
+            f"unassigned joins  {svc.unassigned_joins}",
+            f"rebuilds          {svc.n_rebuilds}",
+            f"fits              {svc.n_fits}",
+            f"fit waste         {svc.fit_waste:.9f}",
+            f"final waste       {svc.final_waste:.9f}",
+            f"final inflation   {svc.final_inflation:.9f}",
+            f"total cost        {svc.total_cost:.6f}",
+            f"horizon           {svc.horizon:.9f}",
+        ]
+        if self.waste_ratio is not None:
+            lines.append(f"warm waste        {self.warm_waste:.9f}")
+            lines.append(f"cold waste        {self.cold_waste:.9f}")
+            lines.append(f"waste ratio       {self.waste_ratio:.9f}")
+        # SLO lines appear only when an engine ran, so reports with and
+        # without flight recording stay byte-comparable
+        if svc.slo_summary:
+            lines.append(f"slo breaches      {len(svc.slo_breaches)}")
+            for breach in svc.slo_breaches:
+                lines.append(
+                    "  breach          "
+                    f"{breach['objective']} t={breach['time']:.9f} "
+                    f"{breach['stat']}={breach['value']:.9f} "
+                    f"> {breach['threshold']:g}"
+                )
+        return "\n".join(lines) + "\n"
+
     def bench_record(self) -> Dict:
-        """The ``BENCH_fleet.json`` payload."""
+        """The bench payload (``--bench``), one schema for any shard count."""
         config = self.config
-        pubs = sum(
-            s.service.n_processed.get("pub", 0) for s in self.shards
-        )
+        fleet = _fold_service([s.service for s in self.shards])
         record = {
             "benchmark": "fleet_soak",
             "scenario": self.scenario_name,
@@ -745,7 +716,14 @@ class FleetResult:
             "splits": [list(split) for split in self.splits],
             "rebalances": self.rebalances,
             "n_events": config.n_events,
-            "pubs_processed": pubs,
+            "pubs_processed": fleet.n_processed.get("pub", 0),
+            "processed": dict(fleet.n_processed),
+            "shed": dict(fleet.n_shed),
+            "latency_virtual_seconds": fleet.latency_percentiles(),
+            "joins": fleet.joins,
+            "leaves": fleet.leaves,
+            "fits": fleet.n_fits,
+            "rebuilds": fleet.n_rebuilds,
             "cross_shard_subscriptions": self.plan.n_cross_shard,
             "fleet_waste": self.total_waste,
             "fleet_cost": self.total_cost,
@@ -770,8 +748,14 @@ class FleetResult:
                 }
                 for s in self.shards
             ],
+            "config": asdict(config),
             "stamp": bench_stamp(),
         }
+        if self.warm_waste is not None:
+            record["warm_waste"] = self.warm_waste
+            record["cold_waste"] = self.cold_waste
+        if self.waste_ratio is not None:
+            record["waste_ratio"] = self.waste_ratio
         return record
 
     def write_bench(self, path: str) -> None:
@@ -850,7 +834,6 @@ def run_fleet(
                     shard=shard,
                     epoch=epoch,
                     k=coordinator.split[shard],
-                    fleet_policy=config.fleet_policy,
                     scenario_kwargs=scenario_kwargs,
                     config=replace(config, checkpoint_dir=None),
                     registrations=registrations,

@@ -13,8 +13,9 @@ while the subscription set changes under us".  Three layers:
   admission queues (block / shed-oldest / shed-lowest-priority, token
   bucket rate limits) in front of a single consumer; per-event latency,
   depth and shed metrics via :mod:`repro.obs`.
-* :mod:`repro.online.soak` — the seeded end-to-end driver behind
-  ``sim serve`` and ``BENCH_online.json``.
+* :mod:`repro.online.soak` — the runtime configuration, the seeded
+  stream and ``sim serve``, which is the one-shard case of
+  :func:`repro.fleet.run_fleet`.
 """
 
 from .maintainer import ClusterMaintainer, MaintainerConfig
@@ -24,6 +25,8 @@ from .service import (
     ChurnJoin,
     ChurnLeave,
     FaultEvent,
+    FleetJoin,
+    FleetLeave,
     Publish,
     ServiceConfig,
     ServiceResult,
@@ -31,7 +34,6 @@ from .service import (
 )
 from .soak import (
     SoakConfig,
-    SoakResult,
     finalize_equivalence,
     generate_stream,
     run_rebuild_per_churn_baseline,
@@ -50,10 +52,11 @@ __all__ = [
     "StreamEvent",
     "ChurnJoin",
     "ChurnLeave",
+    "FleetJoin",
+    "FleetLeave",
     "Publish",
     "FaultEvent",
     "SoakConfig",
-    "SoakResult",
     "generate_stream",
     "run_soak",
     "finalize_equivalence",

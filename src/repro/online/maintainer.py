@@ -27,12 +27,18 @@ fit per change.  :class:`ClusterMaintainer` keeps the broker's grouping
   feeds the broker's :class:`~repro.broker.RebuildScheduler`, whose
   ``drift_threshold`` turns sustained degradation into one bounded,
   warm-started refit instead of a refit per event.
+
+Under the fleet's ``forward`` policy some registrations are match-only
+(``forward_handles``): a refit over *all* live columns would silently
+promote them into groups, so :meth:`capture` scrubs their memberships
+before every baseline capture.  With no forward registrations (every
+single broker, every ``replicate`` shard) the scrub is a no-op.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import Dict, Optional
+from typing import Dict, Optional, Set
 
 import numpy as np
 
@@ -90,6 +96,9 @@ class ClusterMaintainer:
     captures: int = 0
 
     def __post_init__(self) -> None:
+        #: broker handles (not internal ids — rebuilds renumber those) of
+        #: match-only registrations, kept out of every group
+        self.forward_handles: Set[int] = set()
         self._cell_group: Optional[np.ndarray] = None
         self._group_mass: Optional[np.ndarray] = None
         # sentinel-extended group map (unclustered cells -> bucket
@@ -127,6 +136,7 @@ class ClusterMaintainer:
         clustering = self.broker.clustering
         if clustering is None:
             raise RuntimeError("broker has no clustering to capture")
+        self._scrub_forward(clustering)
         cells = clustering.cells
         hyper = cells.hypercell_of_cell.astype(np.int64)
         cell_group = np.where(
@@ -150,6 +160,22 @@ class ClusterMaintainer:
         self.current_waste = self.fit_waste
         self.captures += 1
         self._drift_gauge.set(1.0)
+
+    def _scrub_forward(self, clustering) -> None:
+        """Strip match-only subscribers' group memberships, so the
+        captured fit waste never charges for members served by unicast."""
+        dispatcher = self.broker._dispatcher
+        for handle in sorted(self.forward_handles):
+            internal = self.broker.internal_id(handle)
+            groups = clustering.groups_of_subscriber(internal)
+            if not len(groups):
+                continue
+            if dispatcher is not None:
+                for group in groups:
+                    dispatcher.invalidate_members(
+                        clustering.subscribers_of_group(int(group))
+                    )
+            clustering.remove_member(internal)
 
     @property
     def inflation(self) -> float:
@@ -234,7 +260,7 @@ class ClusterMaintainer:
         return False
 
     # ------------------------------------------------------------------
-    # checkpointing (see repro.persistence.save_online_state)
+    # checkpointing (see repro.persistence.save_shard_checkpoint)
     # ------------------------------------------------------------------
     def state_arrays(self) -> Dict[str, np.ndarray]:
         """The captured per-cell group map and per-group mass vectors."""

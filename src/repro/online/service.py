@@ -24,6 +24,24 @@ single-server multi-queue simulation:
 Churn flows through the maintainer (incremental join/leave, exact drift
 accounting); the drift trigger inside the broker's rebuild scheduler
 turns sustained waste inflation into bounded warm refits.
+
+The service consumes *routed* churn: every :class:`FleetJoin` and
+:class:`FleetLeave` names its subscription by a fleet-wide id (gid).
+The seeded stream's positional :class:`ChurnLeave` indices are resolved
+to gids once, in arrival order, by
+:func:`repro.fleet.soak.route_fleet_stream`; a single broker is the
+one-shard fleet.
+
+Cross-shard subscriptions follow one of two :data:`FLEET_POLICIES`:
+
+* ``replicate`` — the subscription is a *full member* at every
+  overlapped shard: it joins the waste-minimising multicast group
+  locally, exactly as a home registration.
+* ``forward`` — the subscription joins a group only at its *home* shard
+  (the one owning most of its publication mass); other overlapped
+  shards register it match-only (``member=False``: subscribe + attach,
+  no group), where the matcher's unicast top-up serves it.  Deliveries
+  to match-only registrations are counted as forwards.
 """
 
 from __future__ import annotations
@@ -43,8 +61,11 @@ from .maintainer import ClusterMaintainer
 from .queues import BoundedQueue, QueueConfig
 
 __all__ = [
+    "FLEET_POLICIES",
     "ChurnJoin",
     "ChurnLeave",
+    "FleetJoin",
+    "FleetLeave",
     "Publish",
     "FaultEvent",
     "StreamEvent",
@@ -59,6 +80,9 @@ _STREAM_RANK = {"fault": 0, "churn": 1, "pub": 2}
 #: shed-lowest-priority longer)
 _STREAM_PRIORITY = {"fault": 2, "churn": 1, "pub": 0}
 
+#: how a subscription overlapping several shards registers at each
+FLEET_POLICIES = ("replicate", "forward")
+
 
 @dataclass(frozen=True)
 class ChurnJoin:
@@ -68,9 +92,31 @@ class ChurnJoin:
 
 @dataclass(frozen=True)
 class ChurnLeave:
-    #: index into the service's live-handle list (mod its length), so a
-    #: pregenerated stream never references a dead handle
+    #: index into the live subscription list (mod its length), so a
+    #: pregenerated stream never references a dead subscription
     index: int
+
+
+@dataclass(frozen=True)
+class FleetJoin:
+    """A join routed to one shard, identified fleet-wide by ``gid``.
+
+    ``member`` distinguishes a full (group-joining) registration from a
+    ``forward``-policy match-only registration at a non-home shard.
+    """
+
+    gid: int
+    node: int
+    rectangle: Rectangle
+    member: bool = True
+
+
+@dataclass(frozen=True)
+class FleetLeave:
+    """A leave routed to every shard holding ``gid`` (-1 = fleet noop:
+    the global live set was empty when the leave was resolved)."""
+
+    gid: int
 
 
 @dataclass(frozen=True)
@@ -161,7 +207,7 @@ class ServiceResult:
 
 
 class BrokerService:
-    """Single-consumer replay of bounded-queue event streams."""
+    """Single-consumer replay of one shard's bounded-queue streams."""
 
     def __init__(
         self,
@@ -169,6 +215,7 @@ class BrokerService:
         maintainer: ClusterMaintainer,
         config: Optional[ServiceConfig] = None,
         slo: Optional[SloEngine] = None,
+        shard_id: int = 0,
     ) -> None:
         if maintainer.broker is not broker:
             raise ValueError("maintainer must wrap the same broker")
@@ -176,6 +223,15 @@ class BrokerService:
         self.maintainer = maintainer
         self.config = config or ServiceConfig()
         self.slo = slo
+        self.shard_id = int(shard_id)
+        #: fleet-wide subscription id -> this shard's broker handle
+        self.handle_of_gid: Dict[int, int] = {}
+        #: match-only registrations admitted / retired on this shard
+        self.forward_joins = 0
+        self.forward_leaves = 0
+        #: deliveries this shard served for match-only registrations
+        #: (the cross-shard forwarding cost, in deliveries)
+        self.forwards = 0
         if (
             slo is not None
             and slo.drift_sink is None
@@ -201,7 +257,6 @@ class BrokerService:
         self._stalled = {name: [] for name in self._queues}
         self.busy_until = 0.0
         self._service_time = 1.0 / self.config.service_rate
-        self.live_handles: List[int] = []
         self._latency_hist = get_registry().histogram(
             "online_latency_seconds",
             "virtual queueing+service latency per event",
@@ -215,6 +270,14 @@ class BrokerService:
         self._flight = get_flight_recorder()
 
     # ------------------------------------------------------------------
+    def register_initial(
+        self, gid: int, handle: int, member: bool = True
+    ) -> None:
+        """Record one epoch-start registration (already subscribed)."""
+        self.handle_of_gid[gid] = handle
+        if not member:
+            self.maintainer.forward_handles.add(handle)
+
     def run(self, events: Sequence[StreamEvent]) -> ServiceResult:
         """Replay ``events`` (any order; sorted internally) to the end."""
         result = ServiceResult(n_events=len(events))
@@ -453,30 +516,58 @@ class BrokerService:
     def _process(self, event: StreamEvent, now: float) -> str:
         """Apply one event; returns its outcome classification."""
         payload = event.payload
-        if isinstance(payload, ChurnJoin):
-            handle = self.maintainer.join(payload.node, payload.rectangle, now)
-            self.live_handles.append(handle)
-            self._sample_inflation(now)
-            self.maintainer.maybe_rebuild(now)
+        maintainer = self.maintainer
+        broker = self.broker
+        if isinstance(payload, FleetJoin):
+            if payload.member:
+                # group-assigned through the maintainer, drift sampled,
+                # rebuild gated
+                handle = maintainer.join(payload.node, payload.rectangle, now)
+                self._sample_inflation(now)
+                maintainer.maybe_rebuild(now)
+            else:
+                # forward policy, non-home shard: match-only — the
+                # unicast top-up serves it, no group membership, no
+                # drift contribution
+                handle = broker.subscribe(payload.node, payload.rectangle)
+                broker.attach(handle)
+                maintainer.forward_handles.add(handle)
+                self.forward_joins += 1
+            self.handle_of_gid[payload.gid] = handle
             return "joined"
-        if isinstance(payload, ChurnLeave):
-            if not self.live_handles:
+        if isinstance(payload, FleetLeave):
+            handle = self.handle_of_gid.pop(payload.gid, None)
+            if handle is None:
                 return "noop"
-            index = payload.index % len(self.live_handles)
-            handle = self.live_handles.pop(index)
-            self.maintainer.leave(handle, now)
-            self._sample_inflation(now)
-            self.maintainer.maybe_rebuild(now)
+            if handle in maintainer.forward_handles:
+                maintainer.forward_handles.discard(handle)
+                broker.apply_leave(handle)
+                broker.unsubscribe(handle)
+                self.forward_leaves += 1
+            else:
+                maintainer.leave(handle, now)
+                self._sample_inflation(now)
+                maintainer.maybe_rebuild(now)
             return "left"
         if isinstance(payload, Publish):
-            self.maintainer.maybe_rebuild(now)
-            receipt = self.broker.publish(payload.point, payload.publisher)
+            maintainer.maybe_rebuild(now)
+            receipt = broker.publish(payload.point, payload.publisher)
             self._result.total_cost += float(receipt.cost)
             if self.slo is not None:
                 self.slo.observe(
                     "lost_rate", now,
                     receipt.lost_deliveries / max(1, receipt.n_interested),
                     stream=event.stream,
+                )
+            forward_handles = maintainer.forward_handles
+            if forward_handles:
+                # cross-shard cost accounting: the broker exposes the
+                # interested set it just matched, so no second match runs
+                external_of = broker._external_of
+                self.forwards += sum(
+                    1
+                    for internal in broker.last_interested
+                    if external_of[internal] in forward_handles
                 )
             return receipt.outcome
         if isinstance(payload, FaultEvent):

@@ -1,14 +1,18 @@
-"""Seeded soak driver: replay a churn+publication stream at rate.
+"""The runtime configuration, the seeded stream and the ``serve`` entry.
 
-:func:`run_soak` builds a scenario, seeds an interleaved event stream
-(Poisson arrivals, a configurable churn fraction split evenly between
-joins and leaves) and replays it through the backpressured
-:class:`~repro.online.service.BrokerService` over an incrementally
-maintained broker.  Because the whole pipeline runs on a virtual clock,
-:meth:`SoakResult.deterministic_report` is **byte-identical across
-runs** of the same seed; :meth:`SoakResult.bench_record` additionally
-carries wall-clock numbers for the benchmark artefact
-(``BENCH_online.json``).
+:class:`SoakConfig` is the one configuration of the runtime: the seeded
+churn+publication stream (Poisson arrivals, a configurable churn
+fraction split evenly between joins and leaves), the broker and its
+bounded queues, and the fleet around them (shards, sharding, the
+cross-shard policy, epochs, workers).  ``repro.fleet.FleetConfig`` is
+the same class.
+
+:func:`run_soak` is ``sim serve``: the one-shard case of
+:func:`repro.fleet.run_fleet`, which replays the stream through the
+backpressured :class:`~repro.online.service.BrokerService` over an
+incrementally maintained broker.  Everything runs on a virtual clock,
+so the run's ``deterministic_report()`` is byte-identical across runs
+of the same seed.
 
 Two companion entry points back the acceptance gates:
 
@@ -24,222 +28,132 @@ Two companion entry points back the acceptance gates:
 
 from __future__ import annotations
 
-import json
 import time
-from dataclasses import dataclass, field
-from typing import Dict, List, Optional, Tuple
+from dataclasses import dataclass, replace
+from typing import Dict, List, Optional, Sequence, Tuple
 
 import numpy as np
 
 from ..broker import BrokerConfig, ContentBroker
 from ..geometry import Rectangle
-from ..obs import (
-    FlightRecorder,
-    bench_stamp,
-    get_flight_recorder,
-    set_flight_recorder,
-)
-from ..obs.slo import SloEngine
+from ..network import TransitStubParams
 from ..sim.scenario import build_preliminary_scenario
-from .maintainer import ClusterMaintainer, MaintainerConfig
-from .queues import POLICIES, QueueConfig
+from .queues import POLICIES
 from .service import (
-    BrokerService,
+    FLEET_POLICIES,
     ChurnJoin,
     ChurnLeave,
     Publish,
-    ServiceConfig,
-    ServiceResult,
     StreamEvent,
 )
 
 __all__ = [
     "SoakConfig",
-    "SoakResult",
     "generate_stream",
     "run_soak",
     "finalize_equivalence",
     "run_rebuild_per_churn_baseline",
 ]
 
-#: denominator floor for the warm/cold waste ratio
-_WASTE_FLOOR = 1e-9
-
 
 @dataclass(frozen=True)
 class SoakConfig:
-    """Everything a soak run depends on (all of it seeds the stream)."""
+    """Everything one runtime run depends on (serve and fleet alike)."""
 
     n_events: int = 20000
     seed: int = 7
     #: mean arrival rate of the merged stream, events per virtual second
     rate: float = 800.0
-    #: consumer capacity, events per virtual second
+    #: per-shard consumer capacity, events per virtual second
     service_rate: float = 1000.0
     #: fraction of events that are churn (joins/leaves, split evenly)
     churn_fraction: float = 0.1
     n_nodes: int = 100
     n_subscriptions: int = 300
+    #: the global multicast-group budget K, split across shards
     n_groups: int = 30
     max_cells: Optional[int] = 600
-    drift_threshold: float = 1.25
+    drift_threshold: Optional[float] = 1.25
     queue_capacity: int = 256
     policy: str = "block"
     queue_rate: Optional[float] = None
     #: multicast delivery scheme priced by the broker's dispatcher
     #: (one of :data:`repro.delivery.SCHEMES`)
     scheme: str = "dense"
-    #: single-consumer service; kept explicit so the CLI surface matches
-    #: the parallel sweep engine's, but only 1 is implemented
-    workers: int = 1
     #: refit on subscription aggregates (identical rectangles collapsed
     #: to weighted columns); byte-identical reports, cheaper fits
     aggregate: bool = False
+    # fleet surface: one shard is the single broker (`sim serve`)
+    shards: int = 1
+    sharding: str = "hash"
+    fleet_policy: str = "replicate"
+    epochs: int = 1
+    #: shard-task worker processes (results never depend on it)
+    workers: int = 1
+    #: misalignment ratio past which the coordinator resplits K
+    rebalance_threshold: float = 1.25
+    checkpoint_dir: Optional[str] = None
 
     def __post_init__(self) -> None:
+        from ..delivery import SCHEMES
+        from ..fleet.sharding import STRATEGIES
+
         if self.n_events < 1:
             raise ValueError("n_events must be positive")
         if not self.rate > 0 or not self.service_rate > 0:
             raise ValueError("rates must be positive")
         if not 0.0 <= self.churn_fraction <= 1.0:
             raise ValueError("churn_fraction must be a proportion")
+        # only the paper's section 3 topology sizes have parameters
+        TransitStubParams.preliminary(self.n_nodes)
+        for name in ("n_subscriptions", "n_groups", "queue_capacity"):
+            if getattr(self, name) < 1:
+                raise ValueError(f"{name} must be at least 1")
+        if self.max_cells is not None and self.max_cells < 1:
+            raise ValueError("max_cells must be at least 1")
         if self.policy not in POLICIES:
             raise ValueError(f"policy must be one of {POLICIES}")
-        from ..delivery import SCHEMES
-
         if self.scheme not in SCHEMES:
             raise ValueError(f"scheme must be one of {SCHEMES}")
-        if self.workers != 1:
+        if self.shards < 1:
+            raise ValueError("shards must be at least 1")
+        if self.epochs < 1:
+            raise ValueError("epochs must be at least 1")
+        if self.workers < 1:
+            raise ValueError("workers must be at least 1")
+        if self.sharding not in STRATEGIES:
+            raise ValueError(f"sharding must be one of {STRATEGIES}")
+        if self.fleet_policy not in FLEET_POLICIES:
             raise ValueError(
-                "the online service is single-consumer; workers must be 1"
+                f"fleet_policy must be one of {FLEET_POLICIES}"
+            )
+        if not self.rebalance_threshold >= 1.0:
+            raise ValueError("rebalance_threshold must be at least 1")
+        if self.n_groups < self.shards:
+            raise ValueError(
+                "the global group budget must cover one group per shard"
             )
 
-
-@dataclass
-class SoakResult:
-    """A finished soak: deterministic virtual stats + wall-clock extras."""
-
-    config: SoakConfig
-    scenario_name: str
-    service: ServiceResult
-    #: warm-refit waste vs cold-refit waste on the end-state subscription
-    #: set (both on identical hyper-cells); None until finalized
-    warm_waste: Optional[float] = None
-    cold_waste: Optional[float] = None
-    wall_seconds: float = 0.0
-    #: flight-recorder stage records (empty unless recording was on)
-    flight_records: List[Dict] = field(default_factory=list)
-
-    @property
-    def waste_ratio(self) -> Optional[float]:
-        if self.warm_waste is None or self.cold_waste is None:
-            return None
-        return self.warm_waste / max(self.cold_waste, _WASTE_FLOOR)
-
-    # ------------------------------------------------------------------
-    def deterministic_report(self) -> str:
-        """Virtual-clock summary, byte-identical across same-seed runs."""
-        svc = self.service
-        pct = svc.latency_percentiles()
-        lines = [
-            f"scenario          {self.scenario_name}",
-            f"seed              {self.config.seed}",
-            f"events            {svc.n_events}",
-            "processed         "
-            + " ".join(
-                f"{name}={svc.n_processed.get(name, 0)}"
-                for name in ("fault", "churn", "pub")
-            ),
-            "shed              "
-            + " ".join(
-                f"{name}={svc.n_shed.get(name, 0)}"
-                for name in ("fault", "churn", "pub")
-            ),
-            "queue depth peak  "
-            + " ".join(
-                f"{name}={svc.queue_depth_peaks.get(name, 0)}"
-                for name in ("fault", "churn", "pub")
-            ),
-            f"latency p50       {pct['p50']:.9f}",
-            f"latency p95       {pct['p95']:.9f}",
-            f"latency p99       {pct['p99']:.9f}",
-            f"joins             {svc.joins}",
-            f"leaves            {svc.leaves}",
-            f"unassigned joins  {svc.unassigned_joins}",
-            f"rebuilds          {svc.n_rebuilds}",
-            f"fits              {svc.n_fits}",
-            f"fit waste         {svc.fit_waste:.9f}",
-            f"final waste       {svc.final_waste:.9f}",
-            f"final inflation   {svc.final_inflation:.9f}",
-            f"total cost        {svc.total_cost:.6f}",
-            f"horizon           {svc.horizon:.9f}",
-        ]
-        if self.waste_ratio is not None:
-            lines.append(f"warm waste        {self.warm_waste:.9f}")
-            lines.append(f"cold waste        {self.cold_waste:.9f}")
-            lines.append(f"waste ratio       {self.waste_ratio:.9f}")
-        # SLO lines appear only when an engine ran, so reports with and
-        # without flight recording stay byte-comparable
-        if svc.slo_summary:
-            lines.append(f"slo breaches      {len(svc.slo_breaches)}")
-            for breach in svc.slo_breaches:
-                lines.append(
-                    "  breach          "
-                    f"{breach['objective']} t={breach['time']:.9f} "
-                    f"{breach['stat']}={breach['value']:.9f} "
-                    f"> {breach['threshold']:g}"
-                )
-        return "\n".join(lines) + "\n"
-
-    def bench_record(self) -> Dict:
-        """The ``BENCH_online.json`` payload (adds wall-clock numbers)."""
-        svc = self.service
-        pct = svc.latency_percentiles()
-        record = {
-            "benchmark": "online_soak",
-            "scenario": self.scenario_name,
-            "seed": self.config.seed,
-            "n_events": svc.n_events,
-            "processed": dict(svc.n_processed),
-            "shed": dict(svc.n_shed),
-            "queue_depth_peaks": dict(svc.queue_depth_peaks),
-            "latency_virtual_seconds": pct,
-            "joins": svc.joins,
-            "leaves": svc.leaves,
-            "unassigned_joins": svc.unassigned_joins,
-            "rebuilds": svc.n_rebuilds,
-            "fits": svc.n_fits,
-            "fit_waste": svc.fit_waste,
-            "final_waste": svc.final_waste,
-            "final_inflation": svc.final_inflation,
-            "total_cost": svc.total_cost,
-            "virtual_horizon": svc.horizon,
-            "wall_seconds": self.wall_seconds,
-            "events_per_wall_second": (
-                svc.n_events / self.wall_seconds if self.wall_seconds else 0.0
-            ),
-            "config": {
-                "rate": self.config.rate,
-                "service_rate": self.config.service_rate,
-                "churn_fraction": self.config.churn_fraction,
-                "queue_capacity": self.config.queue_capacity,
-                "policy": self.config.policy,
-                "scheme": self.config.scheme,
-                "drift_threshold": self.config.drift_threshold,
-                "aggregate": self.config.aggregate,
-            },
-        }
-        if self.waste_ratio is not None:
-            record["warm_waste"] = self.warm_waste
-            record["cold_waste"] = self.cold_waste
-            record["waste_ratio"] = self.waste_ratio
-        record["stamp"] = bench_stamp()
-        return record
-
-    def write_bench(self, path: str) -> None:
-        with open(path, "w", encoding="utf-8") as fh:
-            json.dump(self.bench_record(), fh, indent=2, sort_keys=True)
-            fh.write("\n")
+    def broker_config(self, k: int) -> BrokerConfig:
+        """One shard's broker tuning: these knobs with a budget of ``k``."""
+        return BrokerConfig(
+            n_groups=k,
+            max_cells=self.max_cells,
+            scheme=self.scheme,
+            algorithm="forgy",
+            adaptive=True,
+            warm_start=True,
+            # the equivalence gate compares the warm refit against a
+            # cold one; a slightly deeper iteration budget closes most
+            # of the warm-start gap at negligible cost
+            max_warm_iters=25,
+            # the maintainer owns freshness: count-based rebalance is
+            # off, rebuilds come from the drift trigger only
+            rebalance_after=10**9,
+            drift_threshold=self.drift_threshold,
+            delta_cells=True,
+            aggregate=self.aggregate,
+        )
 
 
 # ----------------------------------------------------------------------
@@ -295,103 +209,21 @@ def generate_stream(
     return events
 
 
-def _build_broker(config: SoakConfig, scenario) -> ContentBroker:
-    broker_config = BrokerConfig(
-        n_groups=config.n_groups,
-        max_cells=config.max_cells,
-        scheme=config.scheme,
-        algorithm="forgy",
-        adaptive=True,
-        warm_start=True,
-        # the equivalence gate compares the warm refit against a cold
-        # one; a slightly deeper iteration budget closes most of the
-        # warm-start gap at negligible cost
-        max_warm_iters=25,
-        # the maintainer owns freshness: count-based rebalance is off,
-        # rebuilds come from the drift trigger only
-        rebalance_after=10**9,
-        drift_threshold=config.drift_threshold,
-        delta_cells=True,
-        aggregate=config.aggregate,
-    )
-    broker = ContentBroker(
-        scenario.routing,
-        scenario.space,
-        scenario.cell_pmf,
-        config=broker_config,
-    )
-    subs = scenario.subscriptions
-    nodes = subs.subscriber_nodes
-    for subscriber, rectangle in enumerate(subs.rectangles()):
-        broker.subscribe(int(nodes[subscriber]), rectangle)
-    broker.rebuild()
-    return broker
-
-
 def run_soak(
     config: SoakConfig,
     finalize: bool = True,
     flight: bool = False,
-    slo: Optional[SloEngine] = None,
-) -> SoakResult:
-    """Build, stream, replay; optionally finalize the equivalence refits.
+    slo_spec: Optional[Sequence[Dict]] = None,
+):
+    """``sim serve``: :func:`repro.fleet.run_fleet` with one shard."""
+    from ..fleet import run_fleet
 
-    ``flight`` swaps in a private enabled :class:`FlightRecorder` for the
-    duration of the replay (restored afterwards) and returns its records
-    on the result; ``slo`` evaluates objectives during the replay — the
-    breach/summary records land on ``result.service``.
-    """
-    scenario = build_preliminary_scenario(
-        n_nodes=config.n_nodes,
-        n_subscriptions=config.n_subscriptions,
-        seed=config.seed,
+    return run_fleet(
+        replace(config, shards=1),
+        finalize=finalize,
+        flight=flight,
+        slo_spec=slo_spec,
     )
-    broker = _build_broker(config, scenario)
-    maintainer = ClusterMaintainer(broker, MaintainerConfig())
-    queue = QueueConfig(
-        capacity=config.queue_capacity,
-        policy=config.policy,
-        rate=config.queue_rate,
-    )
-    service = BrokerService(
-        broker,
-        maintainer,
-        ServiceConfig(
-            service_rate=config.service_rate,
-            churn_queue=queue,
-            pub_queue=queue,
-            fault_queue=QueueConfig(capacity=config.queue_capacity),
-        ),
-        slo=slo,
-    )
-    service.live_handles = broker.handles()
-    events = generate_stream(config, scenario)
-    recorder: Optional[FlightRecorder] = None
-    previous_recorder = None
-    if flight:
-        recorder = FlightRecorder(enabled=True)
-        previous_recorder = get_flight_recorder()
-        set_flight_recorder(recorder)
-    start = time.perf_counter()
-    try:
-        outcome = service.run(events)
-    finally:
-        if flight:
-            set_flight_recorder(previous_recorder)
-    wall = time.perf_counter() - start
-    # breach materialisation replays alert-only objectives — post-run
-    # bookkeeping, kept outside the wall-clock window like as_dicts()
-    service.collect_slo(outcome)
-    result = SoakResult(
-        config=config,
-        scenario_name=scenario.name,
-        service=outcome,
-        wall_seconds=wall,
-        flight_records=recorder.as_dicts() if recorder is not None else [],
-    )
-    if finalize:
-        result.warm_waste, result.cold_waste = finalize_equivalence(broker)
-    return result
 
 
 def finalize_equivalence(broker: ContentBroker) -> Tuple[float, float]:
@@ -423,8 +255,20 @@ def run_rebuild_per_churn_baseline(config: SoakConfig) -> Dict:
         n_subscriptions=config.n_subscriptions,
         seed=config.seed,
     )
-    broker = _build_broker(config, scenario)
-    live_handles = broker.handles()
+    broker = ContentBroker(
+        scenario.routing,
+        scenario.space,
+        scenario.cell_pmf,
+        config=config.broker_config(config.n_groups),
+    )
+    subs = scenario.subscriptions
+    live_handles = [
+        broker.subscribe(int(node), rectangle)
+        for node, rectangle in zip(
+            subs.subscriber_nodes, subs.rectangles()
+        )
+    ]
+    broker.rebuild()
     leave_rng_fallback = 0  # keep flake-free symmetry with the service
     fits = 1  # the initial build
     events = generate_stream(config, scenario)

@@ -1,18 +1,16 @@
 """Save/load for the pipeline's expensive artefacts (.npz format):
 topologies, subscription sets, subscription aggregates, hyper-cell
-sets, clusterings, No-Loss region lists and online-runtime
+sets, clusterings, No-Loss region lists and runtime (shard + fleet)
 checkpoints."""
 
 from .io import (
     FleetState,
-    OnlineState,
     ShardState,
     load_aggregates,
     load_cell_set,
     load_clustering,
     load_fleet_state,
     load_noloss_result,
-    load_online_state,
     load_shard_checkpoint,
     load_subscriptions,
     load_topology,
@@ -21,7 +19,6 @@ from .io import (
     save_clustering,
     save_fleet_state,
     save_noloss_result,
-    save_online_state,
     save_shard_checkpoint,
     save_subscriptions,
     save_topology,
@@ -29,14 +26,12 @@ from .io import (
 
 __all__ = [
     "FleetState",
-    "OnlineState",
     "ShardState",
     "load_aggregates",
     "load_cell_set",
     "load_clustering",
     "load_fleet_state",
     "load_noloss_result",
-    "load_online_state",
     "load_shard_checkpoint",
     "load_subscriptions",
     "load_topology",
@@ -45,7 +40,6 @@ __all__ = [
     "save_clustering",
     "save_fleet_state",
     "save_noloss_result",
-    "save_online_state",
     "save_shard_checkpoint",
     "save_subscriptions",
     "save_topology",

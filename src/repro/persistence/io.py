@@ -22,7 +22,6 @@ from ..clustering import Clustering, NoLossResult
 from ..geometry import Dimension, EventSpace, Rectangle
 from ..grid import CellSet
 from ..network import Graph, Topology
-from ..online.queues import QueueConfig
 from ..workload import Subscription, SubscriptionSet
 
 __all__ = [
@@ -38,9 +37,6 @@ __all__ = [
     "load_clustering",
     "save_noloss_result",
     "load_noloss_result",
-    "OnlineState",
-    "save_online_state",
-    "load_online_state",
     "ShardState",
     "save_shard_checkpoint",
     "load_shard_checkpoint",
@@ -403,114 +399,19 @@ def save_noloss_result(result: NoLossResult, path) -> None:
 
 
 # ----------------------------------------------------------------------
-# online runtime checkpoints
-# ----------------------------------------------------------------------
-class OnlineState:
-    """A restored online-runtime checkpoint.
-
-    Carries the maintainer's drift-accounting vectors and counters plus
-    the service's queue configurations; :meth:`apply` resumes a
-    :class:`~repro.online.maintainer.ClusterMaintainer` whose broker
-    already holds the matching clustering and subscription set (saved
-    separately via :func:`save_clustering` / :func:`save_subscriptions`).
-    """
-
-    def __init__(
-        self,
-        cell_group: np.ndarray,
-        group_mass: np.ndarray,
-        fit_waste: float,
-        current_waste: float,
-        counters: Dict[str, int],
-        queues: Dict[str, QueueConfig],
-    ) -> None:
-        self.cell_group = cell_group
-        self.group_mass = group_mass
-        self.fit_waste = fit_waste
-        self.current_waste = current_waste
-        self.counters = counters
-        self.queues = queues
-
-    def apply(self, maintainer) -> None:
-        """Resume ``maintainer`` from this checkpoint."""
-        maintainer.restore(
-            self.cell_group,
-            self.group_mass,
-            self.fit_waste,
-            self.current_waste,
-            **self.counters,
-        )
-
-
-def save_online_state(maintainer, path, queues=None) -> None:
-    """Persist a maintainer's drift state (+ optional queue configs).
-
-    ``queues`` maps stream names to
-    :class:`~repro.online.queues.QueueConfig`; pass the service's
-    configuration so a restart reproduces its admission behaviour.
-    """
-    arrays = maintainer.state_arrays()
-    queue_meta = {
-        name: {
-            "capacity": cfg.capacity,
-            "policy": cfg.policy,
-            "rate": cfg.rate,
-            "burst": cfg.burst,
-        }
-        for name, cfg in (queues or {}).items()
-    }
-    _save(
-        path,
-        {
-            "kind": "online",
-            "fit_waste": maintainer.fit_waste,
-            "current_waste": maintainer.current_waste,
-            "counters": {
-                "joins": maintainer.joins,
-                "leaves": maintainer.leaves,
-                "unassigned_joins": maintainer.unassigned_joins,
-                "captures": maintainer.captures,
-            },
-            "queues": queue_meta,
-        },
-        cell_group=np.asarray(arrays["cell_group"], dtype=np.int64),
-        group_mass=np.asarray(arrays["group_mass"], dtype=np.float64),
-    )
-
-
-def load_online_state(path) -> OnlineState:
-    meta, arrays = _load(path)
-    _check_kind(meta, "online")
-    queues = {
-        name: QueueConfig(
-            capacity=int(entry["capacity"]),
-            policy=str(entry["policy"]),
-            rate=entry["rate"],
-            burst=entry["burst"],
-        )
-        for name, entry in meta.get("queues", {}).items()
-    }
-    return OnlineState(
-        cell_group=arrays["cell_group"],
-        group_mass=arrays["group_mass"],
-        fit_waste=float(meta["fit_waste"]),
-        current_waste=float(meta["current_waste"]),
-        counters={k: int(v) for k, v in meta["counters"].items()},
-        queues=queues,
-    )
-
-
-# ----------------------------------------------------------------------
-# fleet checkpoints
+# runtime checkpoints
 # ----------------------------------------------------------------------
 class ShardState:
-    """A restored fleet-shard checkpoint.
+    """A restored shard checkpoint: the runtime's one checkpoint format.
 
-    Extends the single-broker :class:`OnlineState` surface with the
-    shard's fleet identity: its budget slice ``k``, its cross-shard
+    Carries the maintainer's drift-accounting vectors and counters plus
+    the shard's identity: its budget slice ``k``, its cross-shard
     policy, the fleet-wide gid → local-handle registry, the match-only
     (forward) gid set, the exact token-bucket states and the virtual
-    clock — everything a restarted shard needs to resume mid-fleet.
+    clock.  :meth:`apply` resumes a
+    :class:`~repro.online.service.BrokerService` whose broker already
+    holds the matching clustering and subscription set (saved
+    separately via :func:`save_clustering` / :func:`save_subscriptions`).
     """
 
     def __init__(
@@ -518,7 +419,11 @@ class ShardState:
         shard: int,
         k: int,
         policy: str,
-        online: OnlineState,
+        cell_group: np.ndarray,
+        group_mass: np.ndarray,
+        fit_waste: float,
+        current_waste: float,
+        counters: Dict[str, int],
         busy_until: float,
         token_states: Tuple[
             Tuple[str, Tuple[int, int], Tuple[int, int]], ...
@@ -529,22 +434,31 @@ class ShardState:
         self.shard = shard
         self.k = k
         self.policy = policy
-        self.online = online
+        self.cell_group = cell_group
+        self.group_mass = group_mass
+        self.fit_waste = fit_waste
+        self.current_waste = current_waste
+        self.counters = counters
         self.busy_until = busy_until
         self.token_states = token_states
         self.handle_of_gid = handle_of_gid
         self.forward_gids = forward_gids
 
     def apply(self, service) -> None:
-        """Resume a :class:`~repro.fleet.runtime.ShardService`."""
-        self.online.apply(service.maintainer)
+        """Resume ``service`` (and its maintainer) from this checkpoint."""
+        maintainer = service.maintainer
+        maintainer.restore(
+            self.cell_group,
+            self.group_mass,
+            self.fit_waste,
+            self.current_waste,
+            **self.counters,
+        )
         service.busy_until = float(self.busy_until)
         service.handle_of_gid = dict(self.handle_of_gid)
-        service.forward_gids = set(self.forward_gids)
-        for handle in (
-            self.handle_of_gid[gid] for gid in sorted(self.forward_gids)
-        ):
-            service._track_forward(handle)
+        maintainer.forward_handles = {
+            self.handle_of_gid[gid] for gid in self.forward_gids
+        }
         for name, tokens, last_refill in self.token_states:
             if name in service._queues:
                 service._queues[name].restore_token_state(
@@ -552,17 +466,23 @@ class ShardState:
                 )
 
 
-def save_shard_checkpoint(path, shard, k, maintainer, service) -> None:
-    """Persist one fleet shard's end state (single ``.npz``).
+def save_shard_checkpoint(path, service, k, policy) -> None:
+    """Persist one shard's end state (single ``.npz``).
 
     Token-bucket numerators/denominators are exact integers (JSON keeps
     arbitrary precision), so a restore resumes admission byte-exactly.
     """
+    maintainer = service.maintainer
     arrays = maintainer.state_arrays()
     gids = np.asarray(sorted(service.handle_of_gid), dtype=np.int64)
     handles = np.asarray(
         [service.handle_of_gid[int(g)] for g in gids], dtype=np.int64
     )
+    forward_gids = [
+        int(g)
+        for g, h in zip(gids, handles)
+        if int(h) in maintainer.forward_handles
+    ]
     token_meta = [
         {
             "queue": name,
@@ -575,9 +495,9 @@ def save_shard_checkpoint(path, shard, k, maintainer, service) -> None:
         path,
         {
             "kind": "fleet-shard",
-            "shard": int(shard),
+            "shard": service.shard_id,
             "k": int(k),
-            "policy": service.policy,
+            "policy": policy,
             "fit_waste": maintainer.fit_waste,
             "current_waste": maintainer.current_waste,
             "counters": {
@@ -598,23 +518,13 @@ def save_shard_checkpoint(path, shard, k, maintainer, service) -> None:
         group_mass=np.asarray(arrays["group_mass"], dtype=np.float64),
         gids=gids,
         handles=handles,
-        forward_gids=np.asarray(
-            sorted(service.forward_gids), dtype=np.int64
-        ),
+        forward_gids=np.asarray(forward_gids, dtype=np.int64),
     )
 
 
 def load_shard_checkpoint(path) -> ShardState:
     meta, arrays = _load(path)
     _check_kind(meta, "fleet-shard")
-    online = OnlineState(
-        cell_group=arrays["cell_group"],
-        group_mass=arrays["group_mass"],
-        fit_waste=float(meta["fit_waste"]),
-        current_waste=float(meta["current_waste"]),
-        counters={k: int(v) for k, v in meta["counters"].items()},
-        queues={},
-    )
     token_states = tuple(
         (
             str(entry["queue"]),
@@ -627,7 +537,11 @@ def load_shard_checkpoint(path) -> ShardState:
         shard=int(meta["shard"]),
         k=int(meta["k"]),
         policy=str(meta["policy"]),
-        online=online,
+        cell_group=arrays["cell_group"],
+        group_mass=arrays["group_mass"],
+        fit_waste=float(meta["fit_waste"]),
+        current_waste=float(meta["current_waste"]),
+        counters={k: int(v) for k, v in meta["counters"].items()},
         busy_until=float(meta["busy_until"]),
         token_states=token_states,
         handle_of_gid={

@@ -9,12 +9,14 @@ Usage::
     python -m repro.sim.cli sweep  [--workers N] [--algorithms ...] ...
     python -m repro.sim.cli chaos  [--workers N] ...
     python -m repro.sim.cli serve  [--events N] [--seed S] [--rate R] ...
+    python -m repro.sim.cli fleet  [--shards N] [--workers N] ...
 
-``serve`` replays a seeded churn+publication stream through the online
-streaming runtime (bounded admission queues, incremental cluster
-maintenance, drift-triggered warm refits) and prints a virtual-clock
-report that is byte-identical across runs of the same seed; ``--bench``
-writes ``BENCH_online.json`` with wall-clock extras.
+``fleet`` replays a seeded churn+publication stream through the runtime
+(bounded admission queues, incremental cluster maintenance,
+drift-triggered warm refits) across sharded brokers and prints a
+virtual-clock report that is byte-identical across runs of the same
+seed; ``serve`` is ``fleet --shards 1``.  ``--bench`` writes a JSON
+record with end-to-end wall-clock extras.
 
 ``sweep`` is the parallel sweep engine's front end: cells (one per
 algorithm × group count) fan across ``--workers`` processes with
@@ -168,6 +170,41 @@ def build_parser() -> argparse.ArgumentParser:
         "(1 = serial, 0 = all cores); results are byte-identical "
         "for any worker count",
     )
+    # stream, broker and queue flags shared by the runtime sub-commands
+    runtime = argparse.ArgumentParser(add_help=False)
+    runtime.add_argument(
+        "--flight",
+        action="store_true",
+        help="record per-event causal stage chains and print the "
+        "per-stage latency waterfall",
+    )
+    runtime.add_argument("--events", type=int, default=20000)
+    runtime.add_argument("--seed", type=int, default=7)
+    runtime.add_argument("--nodes", type=int, default=100)
+    runtime.add_argument("--subs", type=int, default=300)
+    runtime.add_argument("--groups", type=int, default=30,
+                         help="the global multicast-group budget K, split "
+                         "across shards by the coordinator")
+    runtime.add_argument("--max-cells", type=int, default=600)
+    runtime.add_argument("--rate", type=float, default=800.0,
+                         help="mean arrival rate, events per virtual second")
+    runtime.add_argument("--service-rate", type=float, default=1000.0,
+                         help="per-shard consumer capacity, events per "
+                         "virtual second")
+    runtime.add_argument("--churn", type=float, default=0.1, metavar="FRAC",
+                         help="fraction of events that are joins/leaves")
+    runtime.add_argument("--queue-capacity", type=int, default=256)
+    runtime.add_argument(
+        "--policy", default="block",
+        choices=("block", "shed-oldest", "shed-lowest-priority"),
+        help="backpressure policy of the churn and publication queues",
+    )
+    runtime.add_argument("--queue-rate", type=float, default=None,
+                         help="per-queue token-bucket rate limit (events "
+                         "per virtual second; default unlimited)")
+    runtime.add_argument("--drift-threshold", type=float, default=1.25,
+                         help="waste-inflation ratio that triggers a warm "
+                         "refit")
     sub = parser.add_subparsers(dest="command", required=True)
 
     for table in ("table1", "table2"):
@@ -179,7 +216,7 @@ def build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser(
         "fig7",
-        help="improvement % vs number of groups",
+        help="improvement %% vs number of groups",
         parents=[obs, pool, agg_flags, backend_flags],
     )
     p.add_argument("--modes", type=int, choices=(1, 4, 9), default=1)
@@ -253,39 +290,10 @@ def build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser(
         "serve",
-        help="replay a churn+publication stream through the online "
-        "streaming runtime",
-        parents=[obs, pool, slo_flags, agg_flags, backend_flags],
+        help="replay a churn+publication stream through one broker "
+        "(fleet --shards 1)",
+        parents=[obs, runtime, slo_flags, agg_flags, backend_flags],
     )
-    p.add_argument(
-        "--flight",
-        action="store_true",
-        help="record per-event causal stage chains and print the "
-        "per-stage latency waterfall",
-    )
-    p.add_argument("--events", type=int, default=20000)
-    p.add_argument("--seed", type=int, default=7)
-    p.add_argument("--nodes", type=int, default=100)
-    p.add_argument("--subs", type=int, default=300)
-    p.add_argument("--groups", type=int, default=30)
-    p.add_argument("--max-cells", type=int, default=600)
-    p.add_argument("--rate", type=float, default=800.0,
-                   help="mean arrival rate, events per virtual second")
-    p.add_argument("--service-rate", type=float, default=1000.0,
-                   help="consumer capacity, events per virtual second")
-    p.add_argument("--churn", type=float, default=0.1, metavar="FRAC",
-                   help="fraction of events that are joins/leaves")
-    p.add_argument("--queue-capacity", type=int, default=256)
-    p.add_argument(
-        "--policy", default="block",
-        choices=("block", "shed-oldest", "shed-lowest-priority"),
-        help="backpressure policy of the churn and publication queues",
-    )
-    p.add_argument("--queue-rate", type=float, default=None,
-                   help="per-queue token-bucket rate limit (events per "
-                   "virtual second; default unlimited)")
-    p.add_argument("--drift-threshold", type=float, default=1.25,
-                   help="waste-inflation ratio that triggers a warm refit")
     p.add_argument(
         "--bench", metavar="PATH", nargs="?", const="BENCH_online.json",
         help="write a JSON bench record (default BENCH_online.json)",
@@ -295,40 +303,8 @@ def build_parser() -> argparse.ArgumentParser:
         "fleet",
         help="replay one churn+publication stream across a sharded "
         "multi-broker fleet with a coordinator-split group budget",
-        parents=[obs, pool, slo_flags, agg_flags, backend_flags],
+        parents=[obs, pool, runtime, slo_flags, agg_flags, backend_flags],
     )
-    p.add_argument(
-        "--flight",
-        action="store_true",
-        help="record per-event causal stage chains and print the "
-        "per-stage latency waterfall",
-    )
-    p.add_argument("--events", type=int, default=20000)
-    p.add_argument("--seed", type=int, default=7)
-    p.add_argument("--nodes", type=int, default=100)
-    p.add_argument("--subs", type=int, default=300)
-    p.add_argument("--groups", type=int, default=30,
-                   help="the GLOBAL multicast-group budget K, split "
-                   "across shards by the coordinator")
-    p.add_argument("--max-cells", type=int, default=600)
-    p.add_argument("--rate", type=float, default=800.0,
-                   help="mean arrival rate, events per virtual second")
-    p.add_argument("--service-rate", type=float, default=1000.0,
-                   help="per-shard consumer capacity, events per "
-                   "virtual second")
-    p.add_argument("--churn", type=float, default=0.1, metavar="FRAC",
-                   help="fraction of events that are joins/leaves")
-    p.add_argument("--queue-capacity", type=int, default=256)
-    p.add_argument(
-        "--policy", default="block",
-        choices=("block", "shed-oldest", "shed-lowest-priority"),
-        help="backpressure policy of the churn and publication queues",
-    )
-    p.add_argument("--queue-rate", type=float, default=None,
-                   help="per-queue token-bucket rate limit (events per "
-                   "virtual second; default unlimited)")
-    p.add_argument("--drift-threshold", type=float, default=1.25,
-                   help="waste-inflation ratio that triggers a warm refit")
     p.add_argument("--shards", type=int, default=4,
                    help="number of broker shards (1 = the single-broker "
                    "soak, byte-identical to `serve`)")
@@ -431,7 +407,8 @@ def build_parser() -> argparse.ArgumentParser:
 
 
 def main(argv: Optional[Sequence[str]] = None) -> int:
-    args = build_parser().parse_args(argv)
+    parser = build_parser()
+    args = parser.parse_args(argv)
     if getattr(args, "backend", None):
         from ..kernels import set_backend
 
@@ -443,7 +420,7 @@ def main(argv: Optional[Sequence[str]] = None) -> int:
     start = time.perf_counter()
     try:
         with get_tracer().span(f"cli.{args.command}"):
-            _run_command(args)
+            _run_command(args, parser)
     finally:
         wall_seconds = time.perf_counter() - start
         if profiling:
@@ -502,7 +479,9 @@ def _report_profile(
         print(f"({n_records} trace records written to {args.trace})")
 
 
-def _run_command(args: argparse.Namespace) -> None:
+def _run_command(
+    args: argparse.Namespace, parser: argparse.ArgumentParser
+) -> None:
     if args.command == "table1":
         rows = run_table(
             TABLE1_ROWS, regionalism=0.4, n_events=args.events, seed=args.seed
@@ -573,132 +552,69 @@ def _run_command(args: argparse.Namespace) -> None:
             )
     elif args.command == "sweep":
         _run_sweep(args)
-    elif args.command == "serve":
-        _run_serve(args)
-    elif args.command == "fleet":
-        _run_fleet(args)
+    elif args.command in ("serve", "fleet"):
+        _run_runtime(args, parser)
     elif args.command == "chaos":
         _run_chaos(args)
 
 
-def _load_slo_engine(spec):
-    """Build an SLO engine from ``--slo`` (path or inline JSON)."""
-    from ..obs import SloEngine, load_slo_spec
-
-    return SloEngine(load_slo_spec(spec))
-
-
-def _run_serve(args: argparse.Namespace) -> None:
-    from ..online import SoakConfig, run_soak
-    from .report import slo_table, stage_waterfall
-
-    slo_engine = _load_slo_engine(args.slo) if args.slo else None
-    config = SoakConfig(
-        n_events=args.events,
-        seed=args.seed,
-        rate=args.rate,
-        service_rate=args.service_rate,
-        churn_fraction=args.churn,
-        n_nodes=args.nodes,
-        n_subscriptions=args.subs,
-        n_groups=args.groups,
-        max_cells=args.max_cells,
-        drift_threshold=args.drift_threshold,
-        queue_capacity=args.queue_capacity,
-        policy=args.policy,
-        queue_rate=args.queue_rate,
-        scheme=args.multicast_backend or "dense",
-        workers=args.workers,
-        aggregate=args.aggregate,
-    )
-    result = run_soak(config, flight=args.flight, slo=slo_engine)
-    # the report carries virtual-clock numbers only: byte-identical
-    # across runs of the same seed (wall-clock goes to --bench);
-    # the SLO table and stage waterfall run on the virtual clock too,
-    # so the full output stays byte-comparable
-    print(result.deterministic_report(), end="")
-    if slo_engine is not None:
-        print()
-        print(slo_table(
-            result.service.slo_summary, result.service.slo_breaches
-        ))
-    if args.flight:
-        print()
-        print(stage_waterfall(result.flight_records))
-        print(f"({len(result.flight_records)} flight records)")
-    if result.waste_ratio is not None and result.waste_ratio > 1.1:
-        raise SystemExit(
-            f"incremental maintenance drifted {result.waste_ratio:.3f}x "
-            "past the batch refit (gate: 1.1x)"
-        )
-    if args.bench:
-        result.write_bench(args.bench)
-        print(f"(bench record written to {args.bench})")
-
-
-def _load_slo_dicts(spec) -> List[dict]:
-    """Parse ``--slo`` (path or inline JSON) into raw objective dicts.
-
-    The fleet ships the spec to every shard by value (each shard runs a
-    private engine over its own virtual signals), so the CLI keeps the
-    parsed dictionaries instead of constructing one engine up front.
-    """
-    import json
-
-    text = str(spec)
-    if text.lstrip().startswith(("{", "[")):
-        data = json.loads(text)
-    else:
-        with open(text, "r", encoding="utf-8") as handle:
-            data = json.load(handle)
-    if isinstance(data, dict):
-        data = data.get("objectives", [])
-    if not isinstance(data, list):
-        raise ValueError("SLO spec must be a list of objectives")
-    return data
-
-
-def _run_fleet(args: argparse.Namespace) -> None:
+def _run_runtime(
+    args: argparse.Namespace, parser: argparse.ArgumentParser
+) -> None:
+    """``fleet``, and ``serve`` as its one-shard case."""
     import os
 
     from ..fleet import FleetConfig, run_fleet
+    from ..obs import load_slo_spec
     from .report import slo_table, stage_waterfall
 
-    slo_dicts = _load_slo_dicts(args.slo) if args.slo else None
-    if slo_dicts is not None:
-        # validate eagerly so a bad spec fails before the run
-        _load_slo_engine(slo_dicts)
-    if args.checkpoint_dir:
-        os.makedirs(args.checkpoint_dir, exist_ok=True)
-    config = FleetConfig(
-        n_events=args.events,
-        seed=args.seed,
-        rate=args.rate,
-        service_rate=args.service_rate,
-        churn_fraction=args.churn,
-        n_nodes=args.nodes,
-        n_subscriptions=args.subs,
-        n_groups=args.groups,
-        max_cells=args.max_cells,
-        drift_threshold=args.drift_threshold,
-        queue_capacity=args.queue_capacity,
-        policy=args.policy,
-        queue_rate=args.queue_rate,
-        scheme=args.multicast_backend or "dense",
-        aggregate=args.aggregate,
-        shards=args.shards,
-        sharding=args.sharding,
-        fleet_policy=args.fleet_policy,
-        epochs=args.epochs,
-        workers=default_workers(args.workers),
-        rebalance_threshold=args.rebalance_threshold,
-        checkpoint_dir=args.checkpoint_dir,
+    fleet = args.command == "fleet"
+    # every shard runs a private engine, so the spec travels as dicts
+    slo_spec = (
+        [objective.as_dict() for objective in load_slo_spec(args.slo)]
+        if args.slo
+        else None
     )
-    result = run_fleet(config, flight=args.flight, slo_spec=slo_dicts)
+    fleet_kwargs = {}
+    if fleet:
+        fleet_kwargs = dict(
+            shards=args.shards,
+            sharding=args.sharding,
+            fleet_policy=args.fleet_policy,
+            epochs=args.epochs,
+            workers=default_workers(args.workers),
+            rebalance_threshold=args.rebalance_threshold,
+            checkpoint_dir=args.checkpoint_dir,
+        )
+    try:
+        config = FleetConfig(
+            n_events=args.events,
+            seed=args.seed,
+            rate=args.rate,
+            service_rate=args.service_rate,
+            churn_fraction=args.churn,
+            n_nodes=args.nodes,
+            n_subscriptions=args.subs,
+            n_groups=args.groups,
+            max_cells=args.max_cells,
+            drift_threshold=args.drift_threshold,
+            queue_capacity=args.queue_capacity,
+            policy=args.policy,
+            queue_rate=args.queue_rate,
+            scheme=args.multicast_backend or "dense",
+            aggregate=args.aggregate,
+            **fleet_kwargs,
+        )
+    except ValueError as exc:
+        parser.error(f"{args.command}: {exc}")
+    if config.checkpoint_dir:
+        os.makedirs(config.checkpoint_dir, exist_ok=True)
+    result = run_fleet(config, flight=args.flight, slo_spec=slo_spec)
     # virtual-clock numbers only, byte-identical across runs and worker
-    # counts; with one shard and one epoch this is `serve`'s report
+    # counts (wall-clock goes to --bench); the SLO table and the stage
+    # waterfall run on the virtual clock too
     print(result.deterministic_report(), end="")
-    if slo_dicts is not None:
+    if slo_spec is not None:
         for summary in result.shards:
             svc = summary.service
             if not svc.slo_summary:
@@ -706,7 +622,11 @@ def _run_fleet(args: argparse.Namespace) -> None:
             print()
             print(slo_table(
                 svc.slo_summary, svc.slo_breaches,
-                title=f"SLO objectives (shard {summary.shard})",
+                title=(
+                    f"SLO objectives (shard {summary.shard})"
+                    if fleet
+                    else "SLO objectives"
+                ),
             ))
     if args.flight:
         print()
@@ -718,8 +638,8 @@ def _run_fleet(args: argparse.Namespace) -> None:
             f"incremental maintenance drifted {ratio:.3f}x "
             "past the batch refit (gate: 1.1x)"
         )
-    if args.checkpoint_dir:
-        print(f"(checkpoints written under {args.checkpoint_dir})")
+    if config.checkpoint_dir:
+        print(f"(checkpoints written under {config.checkpoint_dir})")
     if args.bench:
         result.write_bench(args.bench)
         print(f"(bench record written to {args.bench})")
@@ -736,9 +656,10 @@ def _run_sweep(args: argparse.Namespace) -> None:
         # sweeps are offline — no online signals to observe — but the
         # spec is validated and its objectives echoed, so a pipeline can
         # share one spec file across serve/chaos/sweep invocations
+        from ..obs import SloEngine, load_slo_spec
         from .report import slo_table
 
-        engine = _load_slo_engine(args.slo)
+        engine = SloEngine(load_slo_spec(args.slo))
         print(slo_table(engine.summary(), title="SLO objectives (spec)"))
         print()
     algorithms = tuple(a for a in args.algorithms.split(",") if a)

@@ -80,6 +80,26 @@ class TestParser:
             assert name in err
 
 
+def _subcommands():
+    import argparse
+
+    parser = build_parser()
+    (action,) = [
+        a for a in parser._actions
+        if isinstance(a, argparse._SubParsersAction)
+    ]
+    return sorted(action.choices)
+
+
+class TestHelp:
+    @pytest.mark.parametrize("argv", [[]] + [[c] for c in _subcommands()])
+    def test_help_exits_zero(self, argv, capsys):
+        with pytest.raises(SystemExit) as excinfo:
+            build_parser().parse_args(argv + ["--help"])
+        assert excinfo.value.code == 0
+        assert "usage:" in capsys.readouterr().out
+
+
 class TestMain:
     """Smoke-run each command at minimal scale and check the output."""
 
@@ -293,6 +313,34 @@ class TestServeCommand:
         record = json.loads(bench_path.read_text())
         assert record["n_events"] == 600
         assert "p99" in record["latency_virtual_seconds"]
+
+    def test_no_workers_flag(self):
+        # one broker is one shard: worker processes are a fleet option
+        with pytest.raises(SystemExit):
+            build_parser().parse_args(["serve", "--workers", "2"])
+
+    @pytest.mark.parametrize(
+        "argv, message",
+        [
+            (["serve", "--nodes", "30"], "30 nodes"),
+            (["serve", "--subs", "0"], "n_subscriptions"),
+            (["serve", "--groups", "0"], "n_groups"),
+            (["serve", "--max-cells", "0"], "max_cells"),
+            (["serve", "--queue-capacity", "0"], "queue_capacity"),
+            (["fleet", "--nodes", "30"], "30 nodes"),
+            (["fleet", "--rebalance-threshold", "0.5"], "rebalance"),
+            (["fleet", "--shards", "8", "--groups", "4"], "budget"),
+        ],
+    )
+    def test_bad_config_is_a_usage_error(self, argv, message, capsys):
+        """Invalid runtime configs fail at the boundary: exit 2 with the
+        config's message, no traceback, before any scenario is built."""
+        with pytest.raises(SystemExit) as excinfo:
+            main(argv + ["--events", "10"])
+        assert excinfo.value.code == 2
+        err = capsys.readouterr().err
+        assert message in err
+        assert "Traceback" not in err
 
     def test_smoke_is_deterministic(self, capsys):
         argv = ["serve", "--events", "600", "--subs", "120",

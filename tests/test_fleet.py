@@ -2,7 +2,8 @@
 
 The load-bearing claims under test:
 
-* one shard, one epoch is the single-broker soak — report bytes and all;
+* one shard, one epoch is the single-broker soak — report bytes and all,
+  with the fleet's arrival-order leave resolution even when churn sheds;
 * worker count never changes a byte of any fleet report;
 * the replicate and forward policies register the same subscriptions at
   the same shards (deliveries identical), differing only in the member
@@ -172,7 +173,7 @@ class TestRouting:
     def test_event_conservation(self, scenario):
         """Every stream event routes somewhere; pubs route exactly once."""
         config, _, plan = _plan(scenario)
-        events = generate_stream(config.soak_config(), scenario)
+        events = generate_stream(config, scenario)
         n_pubs = sum(
             1 for e in events if isinstance(e.payload, Publish)
         )
@@ -192,12 +193,11 @@ class TestRouting:
         )
 
     def test_leave_resolution_matches_single_broker_order(self, scenario):
-        """The global registry replays churn the way the one-broker
-        service pops ``live_handles`` — same index arithmetic, same
-        arrival order."""
+        """The global registry replays churn in arrival order with the
+        stream's ``index % len(live)`` arithmetic."""
         config, _, plan = _plan(scenario, shards=1)
         events = sorted(
-            generate_stream(config.soak_config(), scenario),
+            generate_stream(config, scenario),
             key=lambda e: (e.time, e.stream != "churn"),
         )
         live = list(range(config.n_subscriptions))
@@ -257,11 +257,24 @@ class TestRouting:
 # ----------------------------------------------------------------------
 class TestFleetDeterminism:
     def test_single_shard_matches_single_broker_soak(self):
-        fleet = run_fleet(FleetConfig(shards=1, **SMALL))
-        soak = run_soak(SoakConfig(**SMALL))
-        assert (
-            fleet.deterministic_report() == soak.deterministic_report()
+        shedding = dict(
+            queue_capacity=2, service_rate=200, churn_fraction=0.6
         )
+        for kw in (
+            {},
+            dict(shedding, policy="shed-oldest"),
+            dict(shedding, policy="shed-lowest-priority"),
+        ):
+            fleet = run_fleet(FleetConfig(shards=1, **SMALL, **kw))
+            soak = run_soak(SoakConfig(**SMALL, **kw))
+            assert (
+                fleet.deterministic_report() == soak.deterministic_report()
+            )
+            if kw:
+                # leaves resolve in arrival order at routing time, so a
+                # leave aimed at a shed join is a no-op at the broker
+                assert soak.service.n_shed["churn"] > 0
+                assert soak.service.leaves < soak.plan.n_leaves
 
     def test_worker_count_never_changes_a_byte(self):
         config = FleetConfig(shards=4, workers=1, **SMALL)
@@ -367,11 +380,9 @@ class TestReshardingProperties:
 
         # ground truth from the unrouted stream: the live gid set and
         # rectangle per gid at every publication, replayed the way the
-        # single-broker service resolves churn
+        # router resolves churn (arrival order, positional index)
         stream = sorted(
-            generate_stream(
-                FleetConfig(shards=1, **kw).soak_config(), scenario
-            ),
+            generate_stream(FleetConfig(shards=1, **kw), scenario),
             key=lambda e: (e.time, e.stream != "churn"),
         )
         rects = {
@@ -497,9 +508,12 @@ class TestFleetPersistence:
             n_nodes=100, n_subscriptions=120, seed=7
         )
         from repro.broker import BrokerConfig, ContentBroker
-        from repro.fleet import ShardMaintainer, ShardService
-        from repro.online.queues import QueueConfig
-        from repro.online.service import ServiceConfig
+        from repro.online import (
+            BrokerService,
+            ClusterMaintainer,
+            QueueConfig,
+            ServiceConfig,
+        )
 
         broker = ContentBroker(
             scenario.routing, scenario.space, scenario.cell_pmf,
@@ -511,15 +525,14 @@ class TestFleetPersistence:
         ):
             handles[gid] = broker.subscribe(0, rectangle)
         broker.rebuild()
-        maintainer = ShardMaintainer(broker)
-        service = ShardService(
+        maintainer = ClusterMaintainer(broker)
+        service = BrokerService(
             broker, maintainer,
             ServiceConfig(
                 churn_queue=QueueConfig(rate=900.0),
                 pub_queue=QueueConfig(rate=900.0),
             ),
             shard_id=state.shard,
-            policy=state.policy,
         )
         state.apply(service)
         assert service.busy_until == state.busy_until

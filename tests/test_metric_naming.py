@@ -14,7 +14,7 @@ Two layers:
 import re
 from pathlib import Path
 
-from repro.obs import SloEngine, get_registry, load_slo_spec
+from repro.obs import get_registry
 from repro.online import SoakConfig, run_soak
 
 SRC = Path(__file__).resolve().parent.parent / "src"
@@ -100,7 +100,7 @@ class TestRuntimeLabels:
             {"name": "latency-p95", "signal": "latency", "stat": "p95",
              "threshold": 10.0, "window": 5.0},
         ]
-        run_soak(config, flight=True, slo=SloEngine(load_slo_spec(spec)))
+        run_soak(config, flight=True, slo_spec=spec)
         records = get_registry().snapshot()
         assert records, "soak produced no metric records"
         used = set()

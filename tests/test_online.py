@@ -13,9 +13,9 @@ from repro.network import RoutingTables
 from repro.online import (
     BoundedQueue,
     BrokerService,
-    ChurnJoin,
-    ChurnLeave,
     ClusterMaintainer,
+    FleetJoin,
+    FleetLeave,
     MaintainerConfig,
     Publish,
     QueueConfig,
@@ -561,10 +561,6 @@ class TestSoak:
         for pct in ("p50", "p95", "p99"):
             assert record["latency_virtual_seconds"][pct] >= 0.0
 
-    def test_workers_must_be_one(self):
-        with pytest.raises(ValueError, match="workers"):
-            SoakConfig(workers=2)
-
 
 class TestServiceBackpressure:
     def _run(self, policy, online_env, rng, **queue_kwargs):
@@ -577,7 +573,6 @@ class TestServiceBackpressure:
                 service_rate=10.0, churn_queue=queue, pub_queue=queue,
             ),
         )
-        service.live_handles = broker.handles()
         space = online_env["space"]
         point = tuple(
             int((dim.lo + dim.hi) / 2) for dim in space.dimensions
@@ -609,15 +604,21 @@ class TestServiceBackpressure:
         broker = make_online_broker(online_env, rng)
         maintainer = ClusterMaintainer(broker)
         service = BrokerService(broker, maintainer, ServiceConfig())
-        service.live_handles = broker.handles()
+        for gid, handle in enumerate(broker.handles()):
+            service.register_initial(gid, handle)
         events = [
             StreamEvent(
                 0.1, "churn",
-                ChurnJoin(0, _rect(online_env["space"], rng)),
+                FleetJoin(100, 0, _rect(online_env["space"], rng)),
             ),
-            StreamEvent(0.2, "churn", ChurnLeave(index=0)),
+            StreamEvent(0.2, "churn", FleetLeave(0)),
+            # a leave whose join never reached this broker is a no-op
+            StreamEvent(0.3, "churn", FleetLeave(999)),
         ]
         result = service.run(events)
         assert result.joins == 1
         assert result.leaves == 1
+        assert result.n_processed["churn"] == 3
         assert len(result.inflation_trajectory) == 2
+        assert 0 not in service.handle_of_gid
+        assert 100 in service.handle_of_gid

@@ -395,7 +395,7 @@ class TestWeightedCellSetRoundTrip:
             load_aggregates(path)
 
 
-class TestOnlineStateRoundTrip:
+class TestShardCheckpointRoundTrip:
     @pytest.fixture()
     def online(self, small_topology):
         from repro.broker import BrokerConfig, ContentBroker
@@ -434,23 +434,45 @@ class TestOnlineStateRoundTrip:
         broker.rebuild()
         return broker, ClusterMaintainer(broker), space, rng
 
+    @staticmethod
+    def _service(broker, maintainer, shard_id=0):
+        from repro.online import BrokerService, QueueConfig, ServiceConfig
+
+        queue = QueueConfig(
+            capacity=64, policy="shed-oldest", rate=500.0, burst=8
+        )
+        return BrokerService(
+            broker, maintainer,
+            ServiceConfig(churn_queue=queue, pub_queue=queue),
+            shard_id=shard_id,
+        )
+
     def test_round_trip(self, online, path):
         from repro.geometry import Rectangle
-        from repro.online import ClusterMaintainer, QueueConfig
-        from repro.persistence import load_online_state, save_online_state
+        from repro.online import ClusterMaintainer, FleetJoin, StreamEvent
+        from repro.persistence import (
+            load_shard_checkpoint,
+            save_shard_checkpoint,
+        )
 
         broker, maintainer, space, rng = online
+        service = self._service(broker, maintainer, shard_id=3)
+        handles = broker.handles()
+        for gid, handle in enumerate(handles):
+            # the last registration is match-only (forward policy)
+            service.register_initial(
+                gid, handle, member=gid < len(handles) - 1
+            )
         los = [dim.lo for dim in space.dimensions]
         his = [dim.hi for dim in space.dimensions]
-        maintainer.join(0, Rectangle.from_bounds(los, his), now=0.0)
-        queues = {
-            "pub": QueueConfig(
-                capacity=64, policy="shed-oldest", rate=500.0, burst=8
+        service.run([
+            StreamEvent(
+                0.5, "churn",
+                FleetJoin(100, 0, Rectangle.from_bounds(los, his)),
             ),
-            "churn": QueueConfig(capacity=32),
-        }
-        save_online_state(maintainer, path, queues=queues)
-        state = load_online_state(path)
+        ])
+        save_shard_checkpoint(path, service, k=6, policy="forward")
+        state = load_shard_checkpoint(path)
         arrays = maintainer.state_arrays()
         np.testing.assert_array_equal(state.cell_group, arrays["cell_group"])
         np.testing.assert_allclose(state.group_mass, arrays["group_mass"])
@@ -458,19 +480,34 @@ class TestOnlineStateRoundTrip:
         assert state.current_waste == pytest.approx(maintainer.current_waste)
         assert state.counters["joins"] == 1
         assert state.counters["captures"] == 1
-        assert state.queues == queues
+        assert (state.shard, state.k, state.policy) == (3, 6, "forward")
+        assert state.handle_of_gid == service.handle_of_gid
+        assert state.forward_gids == {len(handles) - 1}
+        assert state.busy_until == service.busy_until > 0.0
 
         saved_inflation = maintainer.inflation
         broker.rebuild()
-        resumed = ClusterMaintainer(broker)
+        resumed = self._service(broker, ClusterMaintainer(broker))
         state.apply(resumed)
-        assert resumed.inflation == pytest.approx(saved_inflation)
-        assert resumed.joins == 1
-        assert resumed.unassigned_joins == maintainer.unassigned_joins
+        assert resumed.maintainer.inflation == pytest.approx(saved_inflation)
+        assert resumed.maintainer.joins == 1
+        assert (
+            resumed.maintainer.unassigned_joins
+            == maintainer.unassigned_joins
+        )
+        assert resumed.maintainer.forward_handles == (
+            maintainer.forward_handles
+        )
+        assert resumed.busy_until == service.busy_until
+        for name in ("churn", "pub"):
+            assert (
+                resumed._queues[name].token_state()
+                == service._queues[name].token_state()
+            )
 
     def test_kind_guard(self, online, path, small_topology):
-        from repro.persistence import load_online_state
+        from repro.persistence import load_shard_checkpoint
 
         save_topology(small_topology, path)
         with pytest.raises(ValueError):
-            load_online_state(path)
+            load_shard_checkpoint(path)
