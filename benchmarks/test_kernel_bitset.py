@@ -14,7 +14,7 @@ join, not approximately-equal ones.  Results go to
 ``BENCH_kernels_bitset.json`` (uploaded as a CI artifact) with
 per-backend timings, so the speedup trajectory survives across PRs.
 
-With a compiled backend (native or numba) the gate is >= 10x on both
+With the compiled native backend the gate is >= 10x on both
 paths; in a numpy-only environment the floors drop (the pure-numpy
 backend is a portability fallback, not the speed claim) but the records
 are still written.

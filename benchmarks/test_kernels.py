@@ -70,19 +70,6 @@ def test_dijkstra_600_nodes(benchmark):
     assert sp.reachable(topo.n_nodes - 1)
 
 
-def test_stree_stab(benchmark, eval_ctx):
-    """The S-tree alternative index (section 4.6, reference [1])."""
-    from repro.matching import STree
-
-    subs = eval_ctx.scenario.subscriptions
-    tree = STree(subs.rectangles())
-    point = eval_ctx.events[0].point
-
-    hits = benchmark(tree.stab, point)
-    expected = subs.matching_subscriptions(point)
-    np.testing.assert_array_equal(hits, expected)
-
-
 def test_expected_waste_scalar_path(benchmark, membership):
     """Hot-path guard: the scalar distance call and its counter handle.
 

@@ -2,8 +2,8 @@
 
 "Matching must be done efficiently, since the delay caused by the
 matching algorithm directly affects the maximum throughput of the
-system."  This benchmark measures events/second for the three stabbing
-strategies — vectorised brute force, the R-tree and the S-tree — as the
+system."  This benchmark measures events/second for the two stabbing
+strategies — vectorised brute force and the R-tree — as the
 subscription population grows, plus the full grid-matcher pipeline.
 """
 
@@ -14,7 +14,7 @@ from pathlib import Path
 import numpy as np
 import pytest
 
-from repro.matching import RTree, STree
+from repro.matching import RTree
 from repro.obs import bench_stamp
 from repro.sim import build_evaluation_scenario
 from repro.workload import EvaluationSubscriptionModel
@@ -56,34 +56,26 @@ def test_stabbing_throughput(benchmark):
         for k in POPULATIONS:
             subs = model.generate(np.random.default_rng(2), k)
             rtree = RTree(subs.rectangles())
-            stree = STree(subs.rectangles())
             rows.append(
                 {
                     "k": k,
                     "brute": _measure(subs.matching_subscriptions, points),
                     "rtree": _measure(rtree.stab, points),
-                    "stree": _measure(stree.stab, points),
                 }
             )
         return rows
 
     rows = benchmark.pedantic(run, rounds=1, iterations=1)
     print_banner("Matching throughput (events/second) vs subscriptions")
-    print(f"{'subs':>7} {'brute':>10} {'rtree':>10} {'stree':>10}")
+    print(f"{'subs':>7} {'brute':>10} {'rtree':>10}")
     for row in rows:
-        print(f"{row['k']:>7} {row['brute']:>10.0f} {row['rtree']:>10.0f} "
-              f"{row['stree']:>10.0f}")
+        print(f"{row['k']:>7} {row['brute']:>10.0f} {row['rtree']:>10.0f}")
 
-    # findings worth pinning down: the vectorised scan wins at these
-    # populations (one numpy pass beats Python-level tree traversal),
-    # and the S-tree handles the wildcard-heavy workload far better
-    # than the R-tree, whose MBRs degenerate under unbounded sides.
+    # the vectorised scan wins at these populations (one numpy pass
+    # beats Python-level tree traversal) and sustains real-time rates
     for row in rows:
         assert row["brute"] > 500
-        assert row["stree"] > row["rtree"]
-    # the paper-scale population sustains real-time rates on every path
     assert rows[0]["brute"] > 1000
-    assert rows[0]["stree"] > 1000
 
 
 def test_grid_matcher_throughput(benchmark, eval_ctx):

@@ -39,7 +39,6 @@ from . import (
     matching,
     network,
     obs,
-    overlay,
     persistence,
     sim,
     workload,
@@ -54,7 +53,6 @@ __all__ = [
     "matching",
     "network",
     "obs",
-    "overlay",
     "persistence",
     "sim",
     "workload",

@@ -205,7 +205,7 @@ class ChaosRunner:
                         recorder.take_chain(pub_index)
                     pub_index += 1
                 else:
-                    self._apply_fault(
+                    self._inject(
                         broker, routing, payload, now, down_nodes, down_links
                     )
         finally:
@@ -291,7 +291,7 @@ class ChaosRunner:
         return timeline
 
     # ------------------------------------------------------------------
-    def _apply_fault(
+    def _inject(
         self, broker, routing, event, now, down_nodes, down_links
     ) -> None:
         if event.kind == "node_down":

@@ -172,6 +172,11 @@ class FaultSchedule:
         """
         if horizon <= 0:
             raise ValueError("horizon must be positive")
+        if node_fraction < 0 or n_link_faults < 0 or n_churn < 0:
+            raise ValueError(
+                "node_fraction, n_link_faults and n_churn must be "
+                "non-negative"
+            )
         rng = np.random.default_rng(seed)
         events: List[FaultEvent] = []
         protected = set(int(p) for p in protect)

@@ -5,13 +5,12 @@ touch" — are the data every clustering hot path crunches: pairwise
 merging, expected-waste scoring and online join placement all reduce to
 overlap/union/popcount algebra over them.  This package packs the
 boolean matrices into uint64 words (:mod:`repro.kernels.bitset`) and
-dispatches the algebra to one of three interchangeable, byte-identical
-backends (:mod:`repro.kernels.backends`): pure numpy (always available),
-a gcc-compiled native library loaded through ctypes, or numba-jitted
-kernels when numba is installed.
+dispatches the algebra to one of two interchangeable, byte-identical
+backends (:mod:`repro.kernels.backends`): pure numpy (always available)
+or a gcc-compiled native library loaded through ctypes.
 
-Select with ``REPRO_KERNEL_BACKEND`` (``auto``/``numpy``/``native``/
-``numba``), the CLI's ``--backend`` flag, or :func:`set_backend`.
+Select with ``REPRO_KERNEL_BACKEND`` (``auto``/``numpy``/``native``),
+the CLI's ``--backend`` flag, or :func:`set_backend`.
 """
 
 from .backends import (

@@ -1,24 +1,21 @@
 """Kernel backend selection and the always-available numpy backend.
 
-Three interchangeable backends implement the hot-path membership
+Two interchangeable backends implement the hot-path membership
 kernels over packed bitsets (:mod:`repro.kernels.bitset`):
 
 ``numpy``
     Pure numpy: ``np.bitwise_count`` over uint64 words.  Always
-    available; the reference the other two are tested byte-identical
-    against.
+    available; the reference the native backend is tested
+    byte-identical against.
 ``native``
     A small C file shipped with the package, compiled on demand with the
     system C compiler and called through ctypes
     (:mod:`repro.kernels.native`).  Provides the fused agglomerative
     ``pairwise_fit`` kernel.
-``numba``
-    Jitted kernels (:mod:`repro.kernels.numba_backend`); available only
-    when numba is installed.
 
 Selection happens lazily at first use: ``REPRO_KERNEL_BACKEND`` names a
-backend or ``auto`` (the default), which prefers ``numba``, then
-``native``, then ``numpy``.  :func:`set_backend` overrides at runtime
+backend or ``auto`` (the default), which prefers ``native``, then
+``numpy``.  :func:`set_backend` overrides at runtime
 (the CLI's ``--backend`` flag routes here).  Requesting an unavailable
 backend degrades to numpy with a warning rather than failing — results
 are identical by construction, only speed differs.
@@ -45,10 +42,10 @@ __all__ = [
 
 KERNEL_BACKEND_ENV = "REPRO_KERNEL_BACKEND"
 
-_BACKEND_NAMES = ("numpy", "native", "numba")
+_BACKEND_NAMES = ("numpy", "native")
 
 #: preference order of ``auto`` (first available wins, numpy always is)
-_AUTO_ORDER = ("numba", "native", "numpy")
+_AUTO_ORDER = ("native", "numpy")
 
 
 class NumpyBackend:
@@ -168,10 +165,6 @@ def _probe(name: str):
             from .native import load_native_backend
 
             backend = load_native_backend()
-        elif name == "numba":
-            from .numba_backend import load_numba_backend
-
-            backend = load_numba_backend()
     except Exception:  # unavailable backends must never break callers
         backend = None
     _cache[name] = backend
@@ -233,7 +226,7 @@ def set_backend(name: str):
 
 
 def backend_name() -> str:
-    """Name of the active backend (``numpy`` / ``native`` / ``numba``)."""
+    """Name of the active backend (``numpy`` / ``native``)."""
     return get_backend().name
 
 

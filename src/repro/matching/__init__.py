@@ -2,18 +2,14 @@
 grid-based matcher (Figure 5), the no-loss matcher (Figure 6) and the
 brute-force oracle."""
 
-from .directory import DirectoryMatcher
 from .matchers import BruteForceMatcher, GridMatcher, NoLossMatcher
 from .plan import DeliveryPlan
 from .rtree import RTree
-from .stree import STree
 
 __all__ = [
     "BruteForceMatcher",
-    "DirectoryMatcher",
     "GridMatcher",
     "NoLossMatcher",
     "DeliveryPlan",
     "RTree",
-    "STree",
 ]

@@ -70,16 +70,16 @@ def threshold_plan(
     group_members: Sequence[np.ndarray],
     group_sizes: np.ndarray,
     threshold: float,
-    group_masks: Optional[np.ndarray] = None,
+    group_masks: np.ndarray,
 ) -> DeliveryPlan:
     """Assemble one Figure-5 delivery plan from precomputed group state.
 
     ``group`` is the multicast group of the event's grid cell (or ``-1``);
     ``group_members``/``group_sizes`` are the per-group sorted subscriber
-    arrays and their lengths.  ``group_masks`` may supply the boolean
-    group-membership matrix, turning both set operations into a single
-    gather over the interested ids.  Shared by :class:`GridMatcher` and
-    :class:`~repro.matching.DirectoryMatcher`, per event and in batch.
+    arrays and their lengths, and ``group_masks`` is the boolean
+    group-membership matrix, which turns both set operations into a
+    single gather over the interested ids.  Used by :class:`GridMatcher`
+    per event and in batch.
     """
     if group < 0:
         return DeliveryPlan(
@@ -87,27 +87,18 @@ def threshold_plan(
         )
     members = group_members[group]
     size = int(group_sizes[group])
-    if group_masks is not None:
-        in_group = group_masks[group][interested]
-        n_interested_members = int(in_group.sum())
-    else:
-        n_interested_members = len(
-            np.intersect1d(interested, members, assume_unique=True)
-        )
+    in_group = group_masks[group][interested]
+    n_interested_members = int(in_group.sum())
     proportion = n_interested_members / size if size else 0.0
     if n_interested_members == 0 or proportion <= threshold:
         return DeliveryPlan(
             interested=interested, unicast_subscribers=interested
         )
-    if group_masks is not None:
-        uncovered = interested[~in_group]
-    else:
-        uncovered = np.setdiff1d(interested, members, assume_unique=True)
     return DeliveryPlan(
         interested=interested,
         group_ids=[int(group)],
         group_members=[members],
-        unicast_subscribers=uncovered,
+        unicast_subscribers=interested[~in_group],
     )
 
 
@@ -200,7 +191,7 @@ class GridMatcher:
             self._group_members,
             self._group_sizes,
             self.threshold,
-            group_masks=self.clustering.group_membership,
+            self.clustering.group_membership,
         )
         _record_match_metrics(
             "grid",
@@ -235,7 +226,7 @@ class GridMatcher:
                     self._group_members,
                     self._group_sizes,
                     self.threshold,
-                    group_masks=masks,
+                    masks,
                 )
                 for ids, group in zip(interested, groups)
             ]

@@ -68,7 +68,6 @@ STAGE_ORDER = (
     "deliver",
     "unicast",
     "outcome",
-    "fault",
 )
 
 

@@ -24,7 +24,6 @@ from .service import (
     BrokerService,
     ChurnJoin,
     ChurnLeave,
-    FaultEvent,
     FleetJoin,
     FleetLeave,
     Publish,
@@ -55,7 +54,6 @@ __all__ = [
     "FleetJoin",
     "FleetLeave",
     "Publish",
-    "FaultEvent",
     "SoakConfig",
     "generate_stream",
     "run_soak",

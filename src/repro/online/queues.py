@@ -1,7 +1,7 @@
 """Bounded admission queues with backpressure for the broker service.
 
-The online service consumes interleaved event streams (churn,
-publications, faults) through one bounded queue per stream.  Admission
+The online service consumes interleaved event streams (churn and
+publications) through one bounded queue per stream.  Admission
 control happens on the *virtual* clock, so a seeded run is exactly
 reproducible:
 

@@ -1,9 +1,9 @@
 """The backpressured broker service: one consumer, bounded queues.
 
 :class:`BrokerService` replays interleaved, timestamped event streams —
-subscription churn, publications and (optionally) network faults —
-through one bounded :class:`~repro.online.queues.BoundedQueue` per
-stream into a single consumer that applies them to a
+subscription churn and publications — through one bounded
+:class:`~repro.online.queues.BoundedQueue` per stream into a single
+consumer that applies them to a
 :class:`~repro.broker.ContentBroker` via the incremental
 :class:`~repro.online.maintainer.ClusterMaintainer`.
 
@@ -16,7 +16,7 @@ single-server multi-queue simulation:
 * arrivals are admitted through their stream's queue (token bucket,
   capacity policy) at their timestamps;
 * the consumer serves admitted entries in admission order (ties broken
-  by stream rank: faults before churn before publications) at
+  by stream rank: churn before publications) at
   ``service_rate`` events per virtual second;
 * per-event latency is ``completion - arrival``, recorded in
   :mod:`repro.obs` histograms and returned raw for percentiles.
@@ -67,7 +67,6 @@ __all__ = [
     "FleetJoin",
     "FleetLeave",
     "Publish",
-    "FaultEvent",
     "StreamEvent",
     "ServiceConfig",
     "ServiceResult",
@@ -75,10 +74,10 @@ __all__ = [
 ]
 
 #: consumer tie-break order between streams (lower serves first)
-_STREAM_RANK = {"fault": 0, "churn": 1, "pub": 2}
+_STREAM_RANK = {"churn": 1, "pub": 2}
 #: default admission priority per stream (higher survives
 #: shed-lowest-priority longer)
-_STREAM_PRIORITY = {"fault": 2, "churn": 1, "pub": 0}
+_STREAM_PRIORITY = {"churn": 1, "pub": 0}
 
 #: how a subscription overlapping several shards registers at each
 FLEET_POLICIES = ("replicate", "forward")
@@ -126,18 +125,11 @@ class Publish:
 
 
 @dataclass(frozen=True)
-class FaultEvent:
-    kind: str  # node_down | node_up | link_down | link_up
-    node: Optional[int] = None
-    link: Optional[Tuple[int, int]] = None
-
-
-@dataclass(frozen=True)
 class StreamEvent:
     """One timestamped arrival on a named stream."""
 
     time: float
-    stream: str  # "churn" | "pub" | "fault"
+    stream: str  # "churn" | "pub"
     payload: object
 
     def __post_init__(self) -> None:
@@ -155,7 +147,6 @@ class ServiceConfig:
     service_rate: float = 1000.0
     churn_queue: QueueConfig = field(default_factory=QueueConfig)
     pub_queue: QueueConfig = field(default_factory=QueueConfig)
-    fault_queue: QueueConfig = field(default_factory=QueueConfig)
 
     def __post_init__(self) -> None:
         if not (math.isfinite(self.service_rate) and self.service_rate > 0):
@@ -247,7 +238,6 @@ class BrokerService:
                     lambda breach: broker.note_drift(breach.time, threshold)
                 )
         self._queues: Dict[str, BoundedQueue] = {
-            "fault": BoundedQueue("fault", self.config.fault_queue),
             "churn": BoundedQueue("churn", self.config.churn_queue),
             "pub": BoundedQueue("pub", self.config.pub_queue),
         }
@@ -265,8 +255,6 @@ class BrokerService:
                 1.0, 5.0,
             ),
         )
-        self._down_nodes: set = set()
-        self._down_links: set = set()
         self._flight = get_flight_recorder()
 
     # ------------------------------------------------------------------
@@ -570,9 +558,6 @@ class BrokerService:
                     if external_of[internal] in forward_handles
                 )
             return receipt.outcome
-        if isinstance(payload, FaultEvent):
-            self._apply_fault(payload, now)
-            return "fault"
         raise TypeError(f"unknown payload {type(payload).__name__}")
 
     def _sample_inflation(self, now: float) -> None:
@@ -580,31 +565,3 @@ class BrokerService:
         self._result.inflation_trajectory.append((now, inflation))
         if self.slo is not None:
             self.slo.observe("waste_inflation", now, inflation)
-
-    def _apply_fault(self, fault: FaultEvent, now: float) -> None:
-        if self._flight.active:
-            self._flight.stage(
-                "fault", kind=fault.kind, node=fault.node,
-                link=list(fault.link) if fault.link else None,
-            )
-        routing = self.broker.routing
-        broker = self.broker
-        if fault.kind == "node_down" and fault.node not in self._down_nodes:
-            weight = broker.subscribers_at(fault.node)
-            routing.fail_node(fault.node)
-            self._down_nodes.add(fault.node)
-            broker.notify_change(now, weight=max(1, weight))
-        elif fault.kind == "node_up" and fault.node in self._down_nodes:
-            routing.heal_node(fault.node)
-            self._down_nodes.discard(fault.node)
-            broker.notify_change(
-                now, weight=max(1, broker.subscribers_at(fault.node))
-            )
-        elif fault.kind == "link_down" and fault.link not in self._down_links:
-            routing.fail_link(*fault.link)
-            self._down_links.add(fault.link)
-            broker.notify_change(now, weight=1)
-        elif fault.kind == "link_up" and fault.link in self._down_links:
-            routing.heal_link(*fault.link)
-            self._down_links.discard(fault.link)
-            broker.notify_change(now, weight=1)

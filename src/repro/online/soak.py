@@ -38,7 +38,7 @@ from ..broker import BrokerConfig, ContentBroker
 from ..geometry import Rectangle
 from ..network import TransitStubParams
 from ..sim.scenario import build_preliminary_scenario
-from .queues import POLICIES
+from .queues import POLICIES, QueueConfig
 from .service import (
     FLEET_POLICIES,
     ChurnJoin,
@@ -133,6 +133,17 @@ class SoakConfig:
             raise ValueError(
                 "the global group budget must cover one group per shard"
             )
+        # queue_rate and drift_threshold are checked where they are used
+        self.queue_config()
+        self.broker_config(self.n_groups)
+
+    def queue_config(self) -> QueueConfig:
+        """The admission queue of each stream (churn and publications)."""
+        return QueueConfig(
+            capacity=self.queue_capacity,
+            policy=self.policy,
+            rate=self.queue_rate,
+        )
 
     def broker_config(self, k: int) -> BrokerConfig:
         """One shard's broker tuning: these knobs with a budget of ``k``."""

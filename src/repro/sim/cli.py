@@ -85,6 +85,24 @@ def _int_list(text: str) -> List[int]:
         ) from None
 
 
+def _positive_int(text: str) -> int:
+    """An integer count that must be at least 1 (e.g. ``--events``)."""
+    value = int(text)
+    if value < 1:
+        raise argparse.ArgumentTypeError(f"must be at least 1, got {value}")
+    return value
+
+
+def _slo_objectives(spec: str, parser: argparse.ArgumentParser) -> list:
+    """Parse ``--slo``; a malformed or missing spec is a usage error."""
+    from ..obs import load_slo_spec
+
+    try:
+        return load_slo_spec(spec)
+    except (OSError, TypeError, ValueError) as exc:
+        parser.error(f"--slo: {exc}")
+
+
 def _backend_scheme(text: str) -> str:
     """Resolve a ``--multicast-backend`` name to its delivery scheme.
 
@@ -113,7 +131,7 @@ def build_parser() -> argparse.ArgumentParser:
     )
     obs.add_argument(
         "--backend",
-        choices=("auto", "numpy", "native", "numba"),
+        choices=("auto", "numpy", "native"),
         default=None,
         help="membership kernel backend (default: REPRO_KERNEL_BACKEND "
         "or auto); unavailable backends fall back to numpy",
@@ -211,7 +229,7 @@ def build_parser() -> argparse.ArgumentParser:
         p = sub.add_parser(
             table, help=f"run {table} (section 3 costs)", parents=[obs]
         )
-        p.add_argument("--events", type=int, default=60)
+        p.add_argument("--events", type=_positive_int, default=60)
         p.add_argument("--seed", type=int, default=0)
 
     p = sub.add_parser(
@@ -226,7 +244,7 @@ def build_parser() -> argparse.ArgumentParser:
         default="kmeans,forgy,mst,pairs",
         help="comma-separated algorithm names",
     )
-    p.add_argument("--events", type=int, default=150)
+    p.add_argument("--events", type=_positive_int, default=150)
     p.add_argument("--seed", type=int, default=0)
     p.add_argument("--no-noloss", action="store_true")
     p.add_argument("--csv", metavar="PATH", help="also export rows as CSV")
@@ -238,7 +256,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--keeps", type=_int_list, default=[250, 500, 1000, 2000])
     p.add_argument("--iters", type=_int_list, default=[0, 1, 2, 4, 8])
     p.add_argument("--groups", type=int, default=60)
-    p.add_argument("--events", type=int, default=150)
+    p.add_argument("--events", type=_positive_int, default=150)
     p.add_argument("--seed", type=int, default=0)
 
     p = sub.add_parser(
@@ -246,7 +264,7 @@ def build_parser() -> argparse.ArgumentParser:
     )
     p.add_argument("--seeds", type=_int_list, default=[0, 1])
     p.add_argument("--groups", type=_int_list, default=[10, 40, 100])
-    p.add_argument("--events", type=int, default=150)
+    p.add_argument("--events", type=_positive_int, default=150)
 
     for fig in ("fig10", "fig11"):
         p = sub.add_parser(
@@ -256,7 +274,7 @@ def build_parser() -> argparse.ArgumentParser:
             "--cells", type=_int_list, default=[250, 500, 1000, 2000]
         )
         p.add_argument("--groups", type=int, default=60)
-        p.add_argument("--events", type=int, default=150)
+        p.add_argument("--events", type=_positive_int, default=150)
         p.add_argument("--seed", type=int, default=0)
 
     p = sub.add_parser(
@@ -278,7 +296,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--max-cells", type=int, default=None,
                    help="hyper-cell budget for every algorithm "
                    "(default: the paper's per-algorithm budgets)")
-    p.add_argument("--events", type=int, default=150)
+    p.add_argument("--events", type=_positive_int, default=150)
     p.add_argument("--seed", type=int, default=0)
     p.add_argument("--noloss", action="store_true",
                    help="also run the No-Loss algorithm per group count")
@@ -551,11 +569,11 @@ def _run_command(
                 f"{row['improvement_pct']:>9.1f} {row['fit_seconds']:>8.3f}"
             )
     elif args.command == "sweep":
-        _run_sweep(args)
+        _run_sweep(args, parser)
     elif args.command in ("serve", "fleet"):
         _run_runtime(args, parser)
     elif args.command == "chaos":
-        _run_chaos(args)
+        _run_chaos(args, parser)
 
 
 def _run_runtime(
@@ -565,13 +583,12 @@ def _run_runtime(
     import os
 
     from ..fleet import FleetConfig, run_fleet
-    from ..obs import load_slo_spec
     from .report import slo_table, stage_waterfall
 
     fleet = args.command == "fleet"
     # every shard runs a private engine, so the spec travels as dicts
     slo_spec = (
-        [objective.as_dict() for objective in load_slo_spec(args.slo)]
+        [o.as_dict() for o in _slo_objectives(args.slo, parser)]
         if args.slo
         else None
     )
@@ -645,7 +662,9 @@ def _run_runtime(
         print(f"(bench record written to {args.bench})")
 
 
-def _run_sweep(args: argparse.Namespace) -> None:
+def _run_sweep(
+    args: argparse.Namespace, parser: argparse.ArgumentParser
+) -> None:
     from .experiment import ExperimentContext
     from .figures import PAPER_CELL_BUDGETS
     from .parallel import ContextFactory, plan_cells, run_cells
@@ -656,10 +675,10 @@ def _run_sweep(args: argparse.Namespace) -> None:
         # sweeps are offline — no online signals to observe — but the
         # spec is validated and its objectives echoed, so a pipeline can
         # share one spec file across serve/chaos/sweep invocations
-        from ..obs import SloEngine, load_slo_spec
+        from ..obs import SloEngine
         from .report import slo_table
 
-        engine = SloEngine(load_slo_spec(args.slo))
+        engine = SloEngine(_slo_objectives(args.slo, parser))
         print(slo_table(engine.summary(), title="SLO objectives (spec)"))
         print()
     algorithms = tuple(a for a in args.algorithms.split(",") if a)
@@ -732,29 +751,41 @@ def _run_sweep(args: argparse.Namespace) -> None:
         print(f"(bench record written to {args.bench})")
 
 
-def _run_chaos(args: argparse.Namespace) -> None:
+def _run_chaos(
+    args: argparse.Namespace, parser: argparse.ArgumentParser
+) -> None:
     from ..faults import FaultSchedule
     from ..obs import RunManifest
     from .parallel import ChaosCell, run_chaos_cells
     from .scenario import build_preliminary_scenario
 
+    # parsed before the scenario build, so a bad spec fails fast
+    slo_spec: tuple = ()
+    if args.slo:
+        slo_spec = tuple(
+            tuple(sorted(objective.as_dict().items()))
+            for objective in _slo_objectives(args.slo, parser)
+        )
     scenario_kwargs = dict(
         n_nodes=args.nodes,
         n_subscriptions=args.subs,
         seed=args.seed,
     )
-    if args.schedule:
-        schedule = FaultSchedule.from_json(args.schedule)
-    else:
-        schedule = FaultSchedule.generate(
-            build_preliminary_scenario(**scenario_kwargs).topology,
-            horizon=args.horizon,
-            seed=args.seed,
-            node_fraction=args.node_fail,
-            n_link_faults=args.link_faults,
-            n_churn=args.churn,
-            n_subscribers=args.subs,
-        )
+    try:
+        if args.schedule:
+            schedule = FaultSchedule.from_json(args.schedule)
+        else:
+            schedule = FaultSchedule.generate(
+                build_preliminary_scenario(**scenario_kwargs).topology,
+                horizon=args.horizon,
+                seed=args.seed,
+                node_fraction=args.node_fail,
+                n_link_faults=args.link_faults,
+                n_churn=args.churn,
+                n_subscribers=args.subs,
+            )
+    except (OSError, ValueError) as exc:
+        parser.error(f"chaos: {exc}")
     if args.save_schedule:
         schedule.to_json(args.save_schedule)
         print(f"(schedule written to {args.save_schedule})")
@@ -772,14 +803,6 @@ def _run_chaos(args: argparse.Namespace) -> None:
     # serial path constructs through the identical code, so reports are
     # byte-identical for any --workers value; flight cause chains and
     # SLO breaches travel inside the picklable report, preserving that
-    slo_spec: tuple = ()
-    if args.slo:
-        from ..obs import load_slo_spec
-
-        slo_spec = tuple(
-            tuple(sorted(objective.as_dict().items()))
-            for objective in load_slo_spec(args.slo)
-        )
     cells = [
         ChaosCell(
             index=0,

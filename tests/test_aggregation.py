@@ -26,12 +26,7 @@ from repro.broker import BrokerConfig, ContentBroker
 from repro.clustering import Clustering, NoLossAlgorithm
 from repro.geometry import Dimension, EventSpace, Interval, Rectangle
 from repro.grid import build_cell_set
-from repro.matching import (
-    BruteForceMatcher,
-    DirectoryMatcher,
-    GridMatcher,
-    NoLossMatcher,
-)
+from repro.matching import BruteForceMatcher, GridMatcher, NoLossMatcher
 from repro.network import RoutingTables
 from repro.obs import get_registry
 from repro.sim import ExperimentContext, Scenario, plan_cells, run_cells
@@ -399,13 +394,6 @@ class TestMatcherEquivalence:
         for pa, pb in zip(a, b):
             self.assert_plans_equal(pa, pb)
             pa.validate_complete()
-
-    def test_directory_matcher(self, clusterings, dup_subs, probe_points):
-        via_agg, direct = clusterings
-        a = DirectoryMatcher(via_agg, dup_subs).match_batch(probe_points)
-        b = DirectoryMatcher(direct, dup_subs).match_batch(probe_points)
-        for pa, pb in zip(a, b):
-            self.assert_plans_equal(pa, pb)
 
     def test_noloss_matcher(self, dup_subs, uniform_pmf, probe_points):
         result = NoLossAlgorithm(n_keep=100, iterations=2).fit(

@@ -6,7 +6,7 @@ is checked against the unaggregated ground truth:
 
 * multiplicities always sum to the number of live subscriptions;
 * expanded interest/match sets equal the unaggregated ones across all
-  four matchers (brute-force, grid, directory, no-loss);
+  three matchers (brute-force, grid, no-loss);
 * aggregate → ``expand_rows`` de-aggregation is the identity on the
   stored bounds, including departed rows;
 * under arbitrary online add/deactivate churn the incrementally
@@ -28,12 +28,7 @@ from repro.aggregation import (
 from repro.clustering import Clustering, NoLossAlgorithm
 from repro.geometry import Dimension, EventSpace, Interval, Rectangle
 from repro.grid import build_cell_set
-from repro.matching import (
-    BruteForceMatcher,
-    DirectoryMatcher,
-    GridMatcher,
-    NoLossMatcher,
-)
+from repro.matching import BruteForceMatcher, GridMatcher, NoLossMatcher
 from repro.sim.experiment import make_grid_algorithm
 from repro.workload import Subscription, SubscriptionSet
 
@@ -95,8 +90,7 @@ def probe_point_lists(draw):
         )
     )
     # always include every lattice cell centre: lattice-aligned events
-    # are the paper's discretised workload and the directory matcher's
-    # fast path
+    # are the paper's discretised workload
     return pts + [SPACE.cell_value(c) for c in range(SPACE.n_cells)]
 
 
@@ -209,7 +203,7 @@ class TestMatcherProperties:
         ):
             assert_plans_equal(pa, pb)
 
-        # grid + directory: clusterings fitted on weighted aggregate
+        # grid: clusterings fitted on weighted aggregate
         # columns vs subscriber columns must produce identical plans
         n_groups = min(3, expanded.n_subscribers)
         direct_fit = make_grid_algorithm("kmeans").fit(
@@ -225,11 +219,6 @@ class TestMatcherProperties:
         for pa, pb in zip(
             GridMatcher(via_agg, subs).match_batch(points),
             GridMatcher(direct_fit, subs).match_batch(points),
-        ):
-            assert_plans_equal(pa, pb)
-        for pa, pb in zip(
-            DirectoryMatcher(via_agg, subs).match_batch(points),
-            DirectoryMatcher(direct_fit, subs).match_batch(points),
         ):
             assert_plans_equal(pa, pb)
 

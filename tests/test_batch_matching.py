@@ -10,12 +10,7 @@ import pytest
 
 from repro.clustering import ForgyKMeansClustering, NoLossAlgorithm
 from repro.grid import build_cell_set
-from repro.matching import (
-    BruteForceMatcher,
-    DirectoryMatcher,
-    GridMatcher,
-    NoLossMatcher,
-)
+from repro.matching import BruteForceMatcher, GridMatcher, NoLossMatcher
 from repro.sim import build_evaluation_scenario
 
 
@@ -70,16 +65,6 @@ class TestBatchEquivalence:
     @pytest.mark.parametrize("threshold", [0.0, 0.3])
     def test_grid(self, scenario, points, clustering, threshold):
         matcher = GridMatcher(
-            clustering, scenario.subscriptions, threshold=threshold
-        )
-        assert_same_plans(
-            matcher.match_batch(points),
-            [matcher.match(p) for p in points],
-        )
-
-    @pytest.mark.parametrize("threshold", [0.0, 0.3])
-    def test_directory(self, scenario, points, clustering, threshold):
-        matcher = DirectoryMatcher(
             clustering, scenario.subscriptions, threshold=threshold
         )
         assert_same_plans(

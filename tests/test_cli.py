@@ -330,6 +330,8 @@ class TestServeCommand:
             (["fleet", "--nodes", "30"], "30 nodes"),
             (["fleet", "--rebalance-threshold", "0.5"], "rebalance"),
             (["fleet", "--shards", "8", "--groups", "4"], "budget"),
+            (["serve", "--queue-rate", "-1"], "positive finite rate"),
+            (["serve", "--drift-threshold", "-1"], "drift_threshold"),
         ],
     )
     def test_bad_config_is_a_usage_error(self, argv, message, capsys):
@@ -351,3 +353,22 @@ class TestServeCommand:
         assert main(argv) == 0
         second = capsys.readouterr().out
         assert first == second
+
+
+@pytest.mark.parametrize(
+    "argv, message",
+    [
+        (["chaos", "--link-faults", "-2", "--events", "5"], "non-negative"),
+        (["fig7", "--events", "0"], "--events"),
+        (["serve", "--slo", "{bad", "--events", "10"], "--slo"),
+        (["sweep", "--slo", "{bad"], "--slo"),
+        (["chaos", "--slo", "{bad"], "--slo"),
+    ],
+)
+def test_malformed_input_exits_2_without_traceback(argv, message, capsys):
+    with pytest.raises(SystemExit) as excinfo:
+        main(argv)
+    assert excinfo.value.code == 2
+    err = capsys.readouterr().err
+    assert message in err
+    assert "Traceback" not in err
