@@ -247,7 +247,7 @@ class ContentBroker:
         :func:`build_cell_set`; the cold path rebuilds from scratch."""
         if self.config.delta_cells and self._cell_buf is not None:
             slots = [self._slot_of[h] for h in self._external_of]
-            membership = self._cell_buf[:, slots]
+            membership = self._cell_buf.take(slots, axis=1)
             with get_tracer().span(
                 "broker.delta_cells", n_subscriptions=len(slots)
             ):
@@ -271,9 +271,7 @@ class ContentBroker:
         """
         if self.config.delta_cells and self._cell_buf is not None:
             rep_slots = [self._slot_of[h] for h in snap.reps]
-            membership = np.ascontiguousarray(
-                self._cell_buf[:, rep_slots]
-            )
+            membership = self._cell_buf.take(rep_slots, axis=1)
         else:
             membership = np.zeros(
                 (self.space.n_cells, snap.n_aggregates), dtype=bool
@@ -575,14 +573,17 @@ class ContentBroker:
         covers; territory the old clustering never saw joins group 0 and
         is repaired by the warm iterations.
         """
-        assignment = np.zeros(len(cells), dtype=np.int64)
-        for h, cell_ids in enumerate(cells.cell_ids):
-            votes = np.array(
-                [old_clustering.group_of_grid_cell(int(c)) for c in cell_ids]
-            )
-            votes = votes[votes >= 0]
-            if len(votes):
-                assignment[h] = np.bincount(votes).argmax()
+        n_old = old_clustering.n_groups
+        covered = np.flatnonzero(cells.hypercell_of_cell >= 0)
+        votes = old_clustering.groups_of_grid_cells(covered)
+        voted = votes >= 0
+        hyper = cells.hypercell_of_cell[covered[voted]].astype(np.int64)
+        tally = np.bincount(
+            hyper * n_old + votes[voted],
+            minlength=len(cells) * n_old,
+        ).reshape(len(cells), n_old)
+        # rows without votes stay 0; ties go to the lowest group
+        assignment = tally.argmax(axis=1)
         limit = min(self.config.n_groups, len(cells))
         assignment = np.minimum(assignment, limit - 1)
         return assignment

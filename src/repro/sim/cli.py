@@ -93,6 +93,17 @@ def _positive_int(text: str) -> int:
     return value
 
 
+def _positive_int_list(text: str) -> List[int]:
+    """Comma-separated counts, each at least 1 (e.g. ``--groups``)."""
+    values = _int_list(text)
+    for value in values:
+        if value < 1:
+            raise argparse.ArgumentTypeError(
+                f"every entry must be at least 1, got {value}"
+            )
+    return values
+
+
 def _slo_objectives(spec: str, parser: argparse.ArgumentParser) -> list:
     """Parse ``--slo``; a malformed or missing spec is a usage error."""
     from ..obs import load_slo_spec
@@ -238,7 +249,7 @@ def build_parser() -> argparse.ArgumentParser:
         parents=[obs, pool, agg_flags, backend_flags],
     )
     p.add_argument("--modes", type=int, choices=(1, 4, 9), default=1)
-    p.add_argument("--groups", type=_int_list, default=[10, 40, 100])
+    p.add_argument("--groups", type=_positive_int_list, default=[10, 40, 100])
     p.add_argument(
         "--algorithms",
         default="kmeans,forgy,mst,pairs",
@@ -253,9 +264,11 @@ def build_parser() -> argparse.ArgumentParser:
     )
 
     p = sub.add_parser("fig8", help="no-loss parameter sweeps", parents=[obs])
-    p.add_argument("--keeps", type=_int_list, default=[250, 500, 1000, 2000])
+    p.add_argument(
+        "--keeps", type=_positive_int_list, default=[250, 500, 1000, 2000]
+    )
     p.add_argument("--iters", type=_int_list, default=[0, 1, 2, 4, 8])
-    p.add_argument("--groups", type=int, default=60)
+    p.add_argument("--groups", type=_positive_int, default=60)
     p.add_argument("--events", type=_positive_int, default=150)
     p.add_argument("--seed", type=int, default=0)
 
@@ -263,7 +276,7 @@ def build_parser() -> argparse.ArgumentParser:
         "fig9", help="robustness across topology seeds", parents=[obs]
     )
     p.add_argument("--seeds", type=_int_list, default=[0, 1])
-    p.add_argument("--groups", type=_int_list, default=[10, 40, 100])
+    p.add_argument("--groups", type=_positive_int_list, default=[10, 40, 100])
     p.add_argument("--events", type=_positive_int, default=150)
 
     for fig in ("fig10", "fig11"):
@@ -271,9 +284,10 @@ def build_parser() -> argparse.ArgumentParser:
             fig, help="quality/time vs cell budget", parents=[obs]
         )
         p.add_argument(
-            "--cells", type=_int_list, default=[250, 500, 1000, 2000]
+            "--cells", type=_positive_int_list,
+            default=[250, 500, 1000, 2000],
         )
-        p.add_argument("--groups", type=int, default=60)
+        p.add_argument("--groups", type=_positive_int, default=60)
         p.add_argument("--events", type=_positive_int, default=150)
         p.add_argument("--seed", type=int, default=0)
 
@@ -285,7 +299,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--modes", type=int, choices=(1, 4, 9), default=1)
     p.add_argument("--subs", type=int, default=1000,
                    help="number of subscriptions in the scenario")
-    p.add_argument("--groups", type=_int_list, default=[10, 40, 100])
+    p.add_argument("--groups", type=_positive_int_list, default=[10, 40, 100])
     p.add_argument(
         "--algorithms",
         default="kmeans,forgy,mst,pairs",
@@ -293,7 +307,7 @@ def build_parser() -> argparse.ArgumentParser:
     )
     p.add_argument("--schemes", default="dense",
                    help="comma-separated delivery schemes")
-    p.add_argument("--max-cells", type=int, default=None,
+    p.add_argument("--max-cells", type=_positive_int, default=None,
                    help="hyper-cell budget for every algorithm "
                    "(default: the paper's per-algorithm budgets)")
     p.add_argument("--events", type=_positive_int, default=150)
@@ -371,7 +385,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--subs", type=int, default=500)
     p.add_argument("--events", type=int, default=150)
     p.add_argument("--seed", type=int, default=0)
-    p.add_argument("--groups", type=int, default=20)
+    p.add_argument("--groups", type=_positive_int, default=20)
     p.add_argument("--horizon", type=float, default=100.0)
     p.add_argument(
         "--node-fail",

@@ -169,6 +169,55 @@ class TestPublishing:
         assert broker.stats.n_rebuilds >= 2
         assert broker.n_groups > 0
 
+    def test_inherited_assignment_is_the_cell_majority(
+        self, broker_env, monkeypatch
+    ):
+        """Warm refits seed each new hyper-cell with the most common old
+        group of its grid cells (ties to the lowest group, unvoted
+        hyper-cells to group 0), as a per-cell vote loop computes it."""
+        calls = []
+        inherit = ContentBroker._inherit_assignment
+
+        def spy(self, old_clustering, cells):
+            got = inherit(self, old_clustering, cells)
+            calls.append((old_clustering, cells, got, self.config.n_groups))
+            return got
+
+        monkeypatch.setattr(ContentBroker, "_inherit_assignment", spy)
+        rng = np.random.default_rng(21)
+        broker = make_broker(broker_env, rebalance_after=3, warm_start=True)
+        stub_nodes = broker_env["topology"].stub_nodes()
+        handles = [
+            broker.subscribe(
+                int(rng.choice(stub_nodes)), random_rectangle(broker_env, rng)
+            )
+            for _ in range(30)
+        ]
+        for round_ in range(4):
+            for event in broker_env["publications"].sample(rng, 3):
+                broker.publish(event.point, event.publisher)
+            for handle in handles[3 * round_:3 * round_ + 3]:
+                broker.unsubscribe(handle)
+            for _ in range(3):
+                broker.subscribe(
+                    int(rng.choice(stub_nodes)),
+                    random_rectangle(broker_env, rng),
+                )
+        broker.publish((0, 5, 5, 5), publisher=0)
+        assert calls
+        for old_clustering, cells, got, n_groups in calls:
+            expected = np.zeros(len(cells), dtype=np.int64)
+            for h, cell_ids in enumerate(cells.cell_ids):
+                votes = np.array(
+                    [old_clustering.group_of_grid_cell(int(c))
+                     for c in cell_ids]
+                )
+                votes = votes[votes >= 0]
+                if len(votes):
+                    expected[h] = np.bincount(votes).argmax()
+            expected = np.minimum(expected, min(n_groups, len(cells)) - 1)
+            np.testing.assert_array_equal(got, expected)
+
     def test_interested_handles_roundtrip(self, broker_env):
         broker = make_broker(broker_env)
         space = broker_env["space"]

@@ -4,9 +4,16 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from repro.geometry import Dimension, EventSpace
-from repro.grid import CellSet, build_cell_set, build_membership_matrix
+from repro.grid import (
+    CellSet,
+    build_cell_set,
+    build_membership_matrix,
+    cell_set_from_membership,
+)
 
 from tests.helpers import make_subscription_set
 
@@ -165,4 +172,121 @@ class TestCellSetValidation:
                 probs=cells.probs[:-1],
                 cell_ids=cells.cell_ids,
                 hypercell_of_cell=cells.hypercell_of_cell,
+            )
+
+
+def _reference_cell_set(space, membership, cell_pmf, max_cells, weights):
+    """The hyper-cell build as first written: ``np.unique`` over the
+    bit-packed rows, per-cell lists for every hyper-cell, then
+    :meth:`CellSet.top_by_popularity`."""
+    nonempty = np.nonzero(membership.any(axis=1))[0]
+    packed = np.packbits(membership[nonempty], axis=1)
+    _, first_idx, inverse = np.unique(
+        packed, axis=0, return_index=True, return_inverse=True
+    )
+    inverse = inverse.reshape(-1)
+    probs = np.zeros(len(first_idx), dtype=np.float64)
+    np.add.at(probs, inverse, cell_pmf[nonempty])
+    order = np.argsort(inverse, kind="stable")
+    boundaries = np.flatnonzero(np.diff(inverse[order])) + 1
+    cell_ids = np.split(nonempty[order], boundaries)
+    mapping = np.full(space.n_cells, -1, dtype=np.int32)
+    for h, ids in enumerate(cell_ids):
+        mapping[ids] = h
+    cells = CellSet(
+        space=space,
+        membership=membership[nonempty[first_idx]],
+        probs=probs,
+        cell_ids=cell_ids,
+        hypercell_of_cell=mapping,
+        weights=weights,
+    )
+    if max_cells is not None:
+        cells = cells.top_by_popularity(max_cells)
+    return cells
+
+
+@st.composite
+def _membership_inputs(draw):
+    """A grid, a membership matrix with repeated, empty and (sometimes)
+    a single non-empty row, a pmf that may force popularity ties, and
+    optional column weights."""
+    n_cols = draw(st.sampled_from([1, 7, 8, 63, 64, 65, 300]))
+    nx, ny = draw(st.integers(1, 12)), draw(st.integers(1, 12))
+    space = EventSpace([Dimension("x", 0, nx - 1), Dimension("y", 0, ny - 1)])
+    rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
+    n_cells = space.n_cells
+    if draw(st.booleans()):
+        # few distinct patterns, so many rows repeat
+        patterns = rng.random((draw(st.integers(1, 6)), n_cols)) < 0.5
+        membership = patterns[rng.integers(len(patterns), size=n_cells)]
+    else:
+        membership = rng.random((n_cells, n_cols)) < draw(
+            st.sampled_from([0.02, 0.2, 0.5])
+        )
+    membership &= rng.random((n_cells, 1)) < draw(
+        st.sampled_from([0.0, 0.5, 1.0])
+    )
+    if not membership.any():
+        # the only non-empty row
+        membership[rng.integers(n_cells), rng.integers(n_cols)] = True
+    pmf_kind = draw(st.sampled_from(["uniform", "coarse", "random"]))
+    if pmf_kind == "uniform":
+        cell_pmf = np.full(n_cells, 1.0 / n_cells)
+    elif pmf_kind == "coarse":
+        cell_pmf = rng.choice([0.0, 0.25, 0.5], size=n_cells)
+    else:
+        cell_pmf = rng.random(n_cells)
+    weights = (
+        rng.integers(1, 4, size=n_cols) if draw(st.booleans()) else None
+    )
+    return space, membership, cell_pmf, weights, draw(st.integers(0, 10**6))
+
+
+class TestHyperCellOracle:
+    """``cell_set_from_membership`` equals the ``np.unique`` build plus
+    ``top_by_popularity``, field by field and bit for bit."""
+
+    @settings(max_examples=150, deadline=None)
+    @given(
+        _membership_inputs(),
+        st.sampled_from(["none", "below", "at", "above"]),
+    )
+    def test_matches_unique_reference(self, inputs, budget):
+        space, membership, cell_pmf, weights, pick = inputs
+        uncut = _reference_cell_set(space, membership, cell_pmf, None, None)
+        n_hyper = len(uncut)
+        max_cells = {
+            "none": None,
+            "below": 1 + pick % max(1, n_hyper - 1),
+            "at": n_hyper,
+            "above": n_hyper + 1 + pick % 5,
+        }[budget]
+        expected = _reference_cell_set(
+            space, membership, cell_pmf, max_cells, weights
+        )
+        got = cell_set_from_membership(
+            space, membership, cell_pmf, max_cells=max_cells, weights=weights
+        )
+        assert got.membership.dtype == expected.membership.dtype
+        np.testing.assert_array_equal(got.membership, expected.membership)
+        assert got.probs.tobytes() == expected.probs.tobytes()
+        assert len(got.cell_ids) == len(expected.cell_ids)
+        for ids, want in zip(got.cell_ids, expected.cell_ids):
+            assert ids.dtype == want.dtype
+            np.testing.assert_array_equal(ids, want)
+        assert got.hypercell_of_cell.dtype == np.int32
+        np.testing.assert_array_equal(
+            got.hypercell_of_cell, expected.hypercell_of_cell
+        )
+        if weights is None:
+            assert got.weights is None
+        else:
+            np.testing.assert_array_equal(got.weights, expected.weights)
+
+    def test_zero_budget_rejected(self, space, subs, uniform_pmf):
+        membership = build_membership_matrix(space, subs)
+        with pytest.raises(ValueError, match="max_cells must be at least 1"):
+            cell_set_from_membership(
+                space, membership, uniform_pmf, max_cells=0
             )

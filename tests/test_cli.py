@@ -363,6 +363,11 @@ class TestServeCommand:
         (["serve", "--slo", "{bad", "--events", "10"], "--slo"),
         (["sweep", "--slo", "{bad"], "--slo"),
         (["chaos", "--slo", "{bad"], "--slo"),
+        (["sweep", "--max-cells", "0"], "--max-cells"),
+        (["fig10", "--cells", "0"], "--cells"),
+        (["sweep", "--groups", "0"], "--groups"),
+        (["fig7", "--groups", "10,0"], "--groups"),
+        (["chaos", "--groups", "0"], "--groups"),
     ],
 )
 def test_malformed_input_exits_2_without_traceback(argv, message, capsys):
