@@ -3,96 +3,21 @@
 Not a table or figure of the paper — these measure the claims the paper
 makes in prose:
 
-* **Common vs similar interest** (§4.1): membership-vector clustering
-  with the expected-waste distance vs K-means on cell coordinates.
 * **Hyper-cell merging** (§4.1 implementation notes): with vs without
   merging identical membership vectors.
-* **Outlier removal** (§4.1 / §5.2 future work): the OutlierFilter's
-  effect on solution quality.
 * **The Figure 5 threshold rule**: multicast only when enough group
   members are interested.
 * **Dense vs sparse vs application-level multicast** (§5.1): the same
   clustering priced under all three frameworks.
 """
 
-import numpy as np
-import pytest
-
-from repro.clustering import (
-    CoordinateKMeansClustering,
-    ForgyKMeansClustering,
-    OutlierFilter,
-)
+from repro.clustering import ForgyKMeansClustering
 from repro.matching import GridMatcher
 
 from conftest import print_banner
 
 K = 60
 CELLS = 2000
-
-
-def test_common_vs_similar_interest(benchmark, eval_ctx):
-    """The paper: coordinates 'would lead to poorer solutions'."""
-
-    def run():
-        cells = eval_ctx.cells(CELLS)
-        waste = ForgyKMeansClustering().fit(cells, K)
-        coord = CoordinateKMeansClustering().fit(
-            cells, K, rng=np.random.default_rng(3)
-        )
-        results = {}
-        for name, clustering in (("expected-waste", waste), ("coordinate", coord)):
-            matcher = GridMatcher(clustering, eval_ctx.scenario.subscriptions)
-            summary = eval_ctx.evaluate_matcher(matcher, "dense")
-            results[name] = (summary.improvement, clustering.total_expected_waste())
-        return results
-
-    results = benchmark.pedantic(run, rounds=1, iterations=1)
-    print_banner("Ablation: common vs similar interest (K=60, 2000 cells)")
-    for name, (improvement, waste) in results.items():
-        print(f"  {name:>15}: improvement={improvement:6.1f}%  "
-              f"objective waste={waste:.4f}")
-    assert (
-        results["expected-waste"][0] >= results["coordinate"][0] - 1.0
-    )
-    # the clustering objective itself must favour the expected-waste
-    # algorithm decisively
-    assert results["expected-waste"][1] < results["coordinate"][1]
-
-
-def test_outlier_removal(benchmark, eval_ctx):
-    """Filtering no-merge-partner cells must not hurt, and shrinks the
-    clustering input."""
-
-    def run():
-        cells = eval_ctx.cells(CELLS)
-        raw = ForgyKMeansClustering().fit(cells, K)
-        filtered_cells, outliers = OutlierFilter(fraction=0.1).split(cells)
-        filtered = ForgyKMeansClustering().fit(filtered_cells, K)
-        raw_summary = eval_ctx.evaluate_matcher(
-            GridMatcher(raw, eval_ctx.scenario.subscriptions), "dense"
-        )
-        filtered_summary = eval_ctx.evaluate_matcher(
-            GridMatcher(filtered, eval_ctx.scenario.subscriptions), "dense"
-        )
-        return {
-            "n_outliers": len(outliers),
-            "raw": (raw_summary.improvement, raw_summary.wasted_deliveries),
-            "filtered": (
-                filtered_summary.improvement,
-                filtered_summary.wasted_deliveries,
-            ),
-        }
-
-    results = benchmark.pedantic(run, rounds=1, iterations=1)
-    print_banner("Ablation: outlier removal (K=60, 2000 cells)")
-    print(f"  outliers removed: {results['n_outliers']}")
-    for name in ("raw", "filtered"):
-        improvement, wasted = results[name]
-        print(f"  {name:>9}: improvement={improvement:6.1f}%  "
-              f"wasted deliveries/event={wasted:.1f}")
-    # filtering reduces per-event waste (outliers no longer pollute groups)
-    assert results["filtered"][1] <= results["raw"][1] + 1.0
 
 
 def test_threshold_rule(benchmark, eval_ctx):

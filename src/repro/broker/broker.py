@@ -777,9 +777,19 @@ class ContentBroker:
         unicast = self._dispatcher.unicast_reference(
             publisher, reachable_int, nodes=reach_nodes
         )
-        ideal = self._dispatcher.ideal_reference(
-            publisher, reachable_int, nodes=reach_nodes
+        # a sparse-mode group reaches its members through the shared
+        # core: with the core down or cut off, no shared tree exists, so
+        # every group (and the ideal) falls back to per-member unicast
+        core_down = (
+            self._dispatcher.scheme == "sparse"
+            and not ok_node[self._dispatcher.core]
         )
+        if core_down:
+            ideal = unicast
+        else:
+            ideal = self._dispatcher.ideal_reference(
+                publisher, reachable_int, nodes=reach_nodes
+            )
 
         total = 0.0
         fallback_cost = 0.0
@@ -790,7 +800,7 @@ class ContentBroker:
             members = np.asarray(members, dtype=np.int64)
             group_nodes = self._dispatcher.group_nodes(members)
             live = ok_node[group_nodes]
-            if live.all():
+            if live.all() and not core_down:
                 leg = self._dispatcher.group_cost(publisher, group_nodes)
                 total += leg
                 covered_nodes.append(group_nodes)

@@ -6,7 +6,6 @@ expected-waste distance.  Rectangle family: the No-Loss algorithm.
 """
 
 from .base import Clustering, GridClusteringAlgorithm
-from .coordinate import CoordinateKMeansClustering
 from .distance import (
     expected_waste,
     pairwise_waste_matrix,
@@ -16,15 +15,11 @@ from .distance import (
 from .kmeans import ForgyKMeansClustering, KMeansClustering
 from .mst import MSTClustering
 from .noloss import LatticeBlockMass, NoLossAlgorithm, NoLossResult
-from .outliers import OutlierFilter, nearest_neighbor_waste
 from .pairwise import ApproximatePairwiseClustering, PairwiseGroupingClustering
 
 __all__ = [
     "Clustering",
     "GridClusteringAlgorithm",
-    "CoordinateKMeansClustering",
-    "OutlierFilter",
-    "nearest_neighbor_waste",
     "expected_waste",
     "pairwise_waste_matrix",
     "squared_euclidean_matrix",

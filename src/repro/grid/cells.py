@@ -40,14 +40,7 @@ def build_membership_matrix(
     Because every subscription rectangle overlaps a *contiguous block* of
     cells in each dimension, the matrix is filled with one numpy block
     assignment per subscription.
-
-    Subscription sources that are not rectangle-based (the predicate
-    sets of :mod:`repro.workload.predicates`) provide their own
-    ``membership_matrix`` rasterisation, which takes precedence.
     """
-    own = getattr(subscriptions, "membership_matrix", None)
-    if own is not None:
-        return own(space)
     n_subs = subscriptions.n_subscribers
     shaped = np.zeros(space.shape + (n_subs,), dtype=bool)
     for sub in subscriptions.subscriptions:

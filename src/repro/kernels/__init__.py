@@ -24,12 +24,8 @@ from .backends import (
 from .bitset import (
     PackedBits,
     intersect_count_rows,
-    or_reduce_rows,
     pack_rows,
     popcount_rows,
-    popcount_words,
-    symmetric_difference_count_rows,
-    union_count_rows,
     unpack_rows,
     words_for,
 )
@@ -42,13 +38,9 @@ __all__ = [
     "backend_name",
     "get_backend",
     "intersect_count_rows",
-    "or_reduce_rows",
     "pack_rows",
     "popcount_rows",
-    "popcount_words",
     "set_backend",
-    "symmetric_difference_count_rows",
-    "union_count_rows",
     "unpack_rows",
     "words_for",
 ]

@@ -30,11 +30,7 @@ __all__ = [
     "pack_rows",
     "unpack_rows",
     "popcount_rows",
-    "popcount_words",
     "intersect_count_rows",
-    "union_count_rows",
-    "symmetric_difference_count_rows",
-    "or_reduce_rows",
 ]
 
 WORD_BITS = 64
@@ -126,11 +122,6 @@ def unpack_rows(words: np.ndarray, n_bits: int) -> np.ndarray:
     return bits.astype(bool)
 
 
-def popcount_words(words: np.ndarray) -> np.ndarray:
-    """Per-word popcounts, widened to int64 (``np.bitwise_count`` is u8)."""
-    return np.bitwise_count(words).astype(np.int64)
-
-
 def popcount_rows(words: np.ndarray) -> np.ndarray:
     """``|row|`` per row: total set bits in each packed row."""
     words = _as_words(words)
@@ -142,27 +133,3 @@ def intersect_count_rows(words: np.ndarray, row: np.ndarray) -> np.ndarray:
     words = _as_words(words)
     row = np.ascontiguousarray(row, dtype=np.uint64)
     return np.bitwise_count(words & row[None, :]).sum(axis=1, dtype=np.int64)
-
-
-def union_count_rows(words: np.ndarray, row: np.ndarray) -> np.ndarray:
-    """``|rows[k] ∪ row|`` for every row."""
-    words = _as_words(words)
-    row = np.ascontiguousarray(row, dtype=np.uint64)
-    return np.bitwise_count(words | row[None, :]).sum(axis=1, dtype=np.int64)
-
-
-def symmetric_difference_count_rows(
-    words: np.ndarray, row: np.ndarray
-) -> np.ndarray:
-    """``|rows[k] Δ row|`` for every row (squared-Euclidean distance)."""
-    words = _as_words(words)
-    row = np.ascontiguousarray(row, dtype=np.uint64)
-    return np.bitwise_count(words ^ row[None, :]).sum(axis=1, dtype=np.int64)
-
-
-def or_reduce_rows(words: np.ndarray) -> np.ndarray:
-    """Union of a stack of packed rows: one ``(W,)`` word vector."""
-    words = _as_words(words)
-    if words.shape[0] == 0:
-        return np.zeros(words.shape[1], dtype=np.uint64)
-    return np.bitwise_or.reduce(words, axis=0)

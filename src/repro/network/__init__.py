@@ -11,7 +11,6 @@ from .multicast import (
     overlay_multicast_cost,
     select_core,
     sparse_multicast_cost,
-    split_reachable,
     unicast_cost,
 )
 from .routing import RoutingTables
@@ -33,5 +32,4 @@ __all__ = [
     "overlay_multicast_cost",
     "sparse_multicast_cost",
     "select_core",
-    "split_reachable",
 ]

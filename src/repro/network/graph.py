@@ -381,32 +381,6 @@ class Graph:
                     stack.append(v)
         return count == self._n
 
-    def minimum_spanning_tree_cost(self) -> float:
-        """Cost of an MST of a connected graph (Prim's algorithm)."""
-        tree_edges = self.minimum_spanning_tree()
-        return sum(cost for _, _, cost in tree_edges)
-
-    def minimum_spanning_tree(self) -> List[Tuple[int, int, float]]:
-        """Edges of an MST (Prim's algorithm).  Requires connectivity."""
-        in_tree = [False] * self._n
-        best: List[Tuple[float, int, int]] = [(0.0, 0, -1)]
-        edges: List[Tuple[int, int, float]] = []
-        added = 0
-        while best and added < self._n:
-            cost, u, parent = heapq.heappop(best)
-            if in_tree[u]:
-                continue
-            in_tree[u] = True
-            added += 1
-            if parent >= 0:
-                edges.append((parent, u, cost))
-            for v, c in self._adj[u].items():
-                if not in_tree[v]:
-                    heapq.heappush(best, (c, v, u))
-        if added != self._n:
-            raise ValueError("graph is not connected; no spanning tree exists")
-        return edges
-
     # ------------------------------------------------------------------
     # helpers
     # ------------------------------------------------------------------

@@ -33,28 +33,7 @@ __all__ = [
     "ideal_multicast_cost",
     "application_multicast_cost",
     "overlay_multicast_cost",
-    "split_reachable",
 ]
-
-
-def split_reachable(
-    routing: RoutingTables, publisher: int, targets: Iterable[int]
-) -> "tuple[np.ndarray, np.ndarray]":
-    """Partition target nodes into ``(reachable, unreachable)``.
-
-    Fault injection can disconnect the network; the cost helpers above
-    raise on unreachable targets, so degraded-delivery paths split the
-    target set first and count the unreachable part as lost.
-    """
-    nodes = np.asarray(
-        targets if isinstance(targets, np.ndarray) else list(targets),
-        dtype=np.int64,
-    )
-    if nodes.size == 0:
-        return nodes, nodes.copy()
-    dist, _ = routing.shortest_paths(publisher).arrays()
-    ok = np.isfinite(dist[nodes])
-    return nodes[ok], nodes[~ok]
 
 
 def _unique_nodes(nodes: Iterable[int]) -> List[int]:

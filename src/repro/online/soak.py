@@ -244,9 +244,12 @@ def finalize_equivalence(broker: ContentBroker) -> Tuple[float, float]:
     online path's answer); the cold refit re-clusters from scratch (the
     batch answer).  Both run on the same hyper-cells, so the ratio is
     exactly the price of staying incremental.  Leaves the broker on the
-    cold fit.
+    cold fit.  An empty end state (churn removed every subscription)
+    has no clustering and finalizes as ``(0.0, 0.0)``.
     """
     broker.rebuild(full=False)
+    if broker.clustering is None:
+        return 0.0, 0.0
     warm = broker.clustering.total_expected_waste()
     broker.rebuild(full=True)
     cold = broker.clustering.total_expected_waste()

@@ -1,13 +1,10 @@
-"""Persistence for the expensive artefacts of the pipeline.
+"""Persistence for the pipeline's state: subscription sets, clusterings
+(with their hyper-cell sets) and the runtime's shard and fleet
+checkpoints.
 
-Topologies, subscription sets, hyper-cell sets and clusterings all take
-non-trivial time to build at paper scale; a production deployment wants
-to compute them once and reload them across runs (and ship a clustering
-from the offline preprocessing stage to the online brokers).  Everything
-is stored in a single ``.npz`` file: numpy arrays for the bulk data plus
-one JSON-encoded metadata entry.  Ragged structures (stub membership,
-hyper-cell id lists, no-loss member sets) are stored flattened with
-offset arrays.
+Each artefact is stored in a single ``.npz`` file: numpy arrays for the
+bulk data plus one JSON-encoded metadata entry.  Ragged structures
+(hyper-cell id lists) are stored flattened with offset arrays.
 """
 
 from __future__ import annotations
@@ -17,26 +14,16 @@ from typing import Dict, List, Optional, Tuple
 
 import numpy as np
 
-from ..aggregation import AggregateSet
-from ..clustering import Clustering, NoLossResult
+from ..clustering import Clustering
 from ..geometry import Dimension, EventSpace, Rectangle
 from ..grid import CellSet
-from ..network import Graph, Topology
 from ..workload import Subscription, SubscriptionSet
 
 __all__ = [
-    "save_topology",
-    "load_topology",
     "save_subscriptions",
     "load_subscriptions",
-    "save_aggregates",
-    "load_aggregates",
-    "save_cell_set",
-    "load_cell_set",
     "save_clustering",
     "load_clustering",
-    "save_noloss_result",
-    "load_noloss_result",
     "ShardState",
     "save_shard_checkpoint",
     "load_shard_checkpoint",
@@ -103,53 +90,6 @@ def _load(path) -> Tuple[Dict, Dict[str, np.ndarray]]:
 
 
 # ----------------------------------------------------------------------
-# topology
-# ----------------------------------------------------------------------
-def save_topology(topology: Topology, path) -> None:
-    """Persist a transit-stub topology (graph + role annotations)."""
-    edges = np.array(
-        [(u, v, c) for u, v, c in topology.graph.edges()], dtype=np.float64
-    ).reshape(-1, 3)
-    stub_flat, stub_offsets = _pack_ragged(
-        [np.asarray(s, dtype=np.int64) for s in topology.stubs]
-    )
-    _save(
-        path,
-        {"kind": "topology", "n_nodes": topology.n_nodes},
-        edges=edges,
-        transit_block=np.asarray(topology.transit_block, dtype=np.int64),
-        stub_of=np.asarray(topology.stub_of, dtype=np.int64),
-        stub_flat=stub_flat,
-        stub_offsets=stub_offsets,
-        stub_block=np.asarray(topology.stub_block, dtype=np.int64),
-        transit_nodes=np.asarray(topology.transit_nodes, dtype=np.int64),
-    )
-
-
-def load_topology(path) -> Topology:
-    meta, arrays = _load(path)
-    _check_kind(meta, "topology")
-    graph = Graph(int(meta["n_nodes"]))
-    for u, v, cost in arrays["edges"]:
-        graph.add_edge(int(u), int(v), float(cost))
-    topology = Topology(
-        graph=graph,
-        transit_block=arrays["transit_block"].tolist(),
-        stub_of=arrays["stub_of"].tolist(),
-        stubs=[
-            s.tolist()
-            for s in _unpack_ragged(
-                arrays["stub_flat"], arrays["stub_offsets"]
-            )
-        ],
-        stub_block=arrays["stub_block"].tolist(),
-        transit_nodes=arrays["transit_nodes"].tolist(),
-    )
-    topology.validate()
-    return topology
-
-
-# ----------------------------------------------------------------------
 # subscriptions
 # ----------------------------------------------------------------------
 def save_subscriptions(
@@ -205,101 +145,6 @@ def load_subscriptions(path) -> SubscriptionSet:
         )
     ]
     return SubscriptionSet(space, subscriptions)
-
-
-# ----------------------------------------------------------------------
-# subscription aggregates
-# ----------------------------------------------------------------------
-def save_aggregates(aggregates: AggregateSet, path) -> None:
-    """Persist a subscription aggregate structure (checkpointing the
-    offline aggregation pass so online brokers can restore it without
-    re-running the containment analysis)."""
-    member_flat, member_offsets = _pack_ragged(list(aggregates.members))
-    owner_flat, owner_offsets = _pack_ragged(list(aggregates.owners))
-    _save(
-        path,
-        {
-            "kind": "aggregates",
-            "n_subscriptions": aggregates.n_subscriptions,
-        },
-        los=aggregates.los,
-        his=aggregates.his,
-        member_flat=member_flat,
-        member_offsets=member_offsets,
-        owner_flat=owner_flat,
-        owner_offsets=owner_offsets,
-        agg_of_row=aggregates.agg_of_row,
-        multiplicity=aggregates.multiplicity,
-        parent=aggregates.parent,
-    )
-
-
-def load_aggregates(path) -> AggregateSet:
-    meta, arrays = _load(path)
-    _check_kind(meta, "aggregates")
-    return AggregateSet(
-        los=arrays["los"],
-        his=arrays["his"],
-        members=tuple(
-            _unpack_ragged(arrays["member_flat"], arrays["member_offsets"])
-        ),
-        owners=tuple(
-            _unpack_ragged(arrays["owner_flat"], arrays["owner_offsets"])
-        ),
-        agg_of_row=arrays["agg_of_row"],
-        multiplicity=arrays["multiplicity"],
-        parent=arrays["parent"],
-        n_subscriptions=int(meta["n_subscriptions"]),
-    )
-
-
-# ----------------------------------------------------------------------
-# cell sets
-# ----------------------------------------------------------------------
-def save_cell_set(cells: CellSet, path) -> None:
-    """Persist a hyper-cell set (membership bit-packed).
-
-    Aggregate-level sets (column ``weights`` set) persist the weights
-    alongside and restore as weighted sets.
-    """
-    flat, offsets = _pack_ragged(cells.cell_ids)
-    extra = {}
-    if cells.weights is not None:
-        extra["weights"] = np.asarray(cells.weights, dtype=np.int64)
-    _save(
-        path,
-        {
-            "kind": "cells",
-            "space": _space_meta(cells.space),
-            "n_subscribers": cells.n_subscribers,
-        },
-        membership=np.packbits(cells.membership, axis=1),
-        probs=cells.probs,
-        cell_flat=flat,
-        cell_offsets=offsets,
-        hypercell_of_cell=cells.hypercell_of_cell,
-        **extra,
-    )
-
-
-def load_cell_set(path) -> CellSet:
-    meta, arrays = _load(path)
-    _check_kind(meta, "cells")
-    space = _space_from_meta(meta["space"])
-    n_subscribers = int(meta["n_subscribers"])
-    membership = np.unpackbits(
-        arrays["membership"], axis=1, count=n_subscribers
-    ).astype(bool)
-    return CellSet(
-        space=space,
-        membership=membership,
-        probs=arrays["probs"],
-        cell_ids=_unpack_ragged(
-            arrays["cell_flat"], arrays["cell_offsets"]
-        ),
-        hypercell_of_cell=arrays["hypercell_of_cell"],
-        weights=arrays.get("weights"),
-    )
 
 
 # ----------------------------------------------------------------------
@@ -375,27 +220,6 @@ def load_clustering(path) -> Clustering:
         weights=arrays.get("weights"),
     )
     return Clustering(cells, arrays["assignment"])
-
-
-# ----------------------------------------------------------------------
-# no-loss results
-# ----------------------------------------------------------------------
-def save_noloss_result(result: NoLossResult, path) -> None:
-    """Persist a No-Loss region list with its group index."""
-    member_flat, member_offsets = _pack_ragged(result.members)
-    group_flat, group_offsets = _pack_ragged(result.group_members)
-    _save(
-        path,
-        {"kind": "noloss", "space": _space_meta(result.space)},
-        los=result.los,
-        his=result.his,
-        weights=result.weights,
-        member_flat=member_flat,
-        member_offsets=member_offsets,
-        group_of=result.group_of,
-        group_flat=group_flat,
-        group_offsets=group_offsets,
-    )
 
 
 # ----------------------------------------------------------------------
@@ -609,22 +433,4 @@ def load_fleet_state(path) -> FleetState:
         rebalances=int(meta["rebalances"]),
         epochs=int(meta["epochs"]),
         cell_to_shard=arrays["cell_to_shard"],
-    )
-
-
-def load_noloss_result(path) -> NoLossResult:
-    meta, arrays = _load(path)
-    _check_kind(meta, "noloss")
-    return NoLossResult(
-        space=_space_from_meta(meta["space"]),
-        los=arrays["los"],
-        his=arrays["his"],
-        weights=arrays["weights"],
-        members=_unpack_ragged(
-            arrays["member_flat"], arrays["member_offsets"]
-        ),
-        group_of=arrays["group_of"],
-        group_members=_unpack_ragged(
-            arrays["group_flat"], arrays["group_offsets"]
-        ),
     )

@@ -39,7 +39,6 @@ from .report import (
     stage_waterfall,
     worker_table,
 )
-from .stats import SummaryStatistics, replicate, summarize
 from .scenario import (
     Scenario,
     build_evaluation_scenario,
@@ -86,9 +85,6 @@ __all__ = [
     "slo_table",
     "stage_waterfall",
     "worker_table",
-    "SummaryStatistics",
-    "replicate",
-    "summarize",
     "Scenario",
     "build_evaluation_scenario",
     "build_preliminary_scenario",

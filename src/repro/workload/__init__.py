@@ -1,7 +1,6 @@
 """Workload models: subscription and publication generators (sections 3
 and 5.1 of the paper), plus the distributions they are built from."""
 
-from .decompose import MultiRangeSubscription, decompose, decompose_all
 from .distributions import (
     GaussianMixture1D,
     IntervalDistribution,
@@ -19,17 +18,7 @@ from .publications import (
     nine_mode_mixture,
     single_mode_mixture,
 )
-from .predicates import (
-    Predicate,
-    PredicateSubscription,
-    PredicateSubscriptionSet,
-    ball_predicate,
-    rectangle_predicate,
-    union_predicate,
-)
 from .spaces import evaluation_space, preliminary_space
-from .synthetic import SyntheticConfig, SyntheticWorkload, generate_synthetic
-from .trades import TradeStreamConfig, TradeStreamGenerator
 from .subscriptions import (
     EvaluationSubscriptionModel,
     PreliminarySubscriptionModel,
@@ -38,9 +27,6 @@ from .subscriptions import (
 )
 
 __all__ = [
-    "MultiRangeSubscription",
-    "decompose",
-    "decompose_all",
     "GaussianMixture1D",
     "IntervalDistribution",
     "ParetoLength",
@@ -54,19 +40,8 @@ __all__ = [
     "four_mode_mixture",
     "nine_mode_mixture",
     "single_mode_mixture",
-    "Predicate",
-    "PredicateSubscription",
-    "PredicateSubscriptionSet",
-    "ball_predicate",
-    "rectangle_predicate",
-    "union_predicate",
     "evaluation_space",
     "preliminary_space",
-    "TradeStreamConfig",
-    "TradeStreamGenerator",
-    "SyntheticConfig",
-    "SyntheticWorkload",
-    "generate_synthetic",
     "EvaluationSubscriptionModel",
     "PreliminarySubscriptionModel",
     "Subscription",

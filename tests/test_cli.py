@@ -377,3 +377,40 @@ def test_malformed_input_exits_2_without_traceback(argv, message, capsys):
     err = capsys.readouterr().err
     assert message in err
     assert "Traceback" not in err
+
+
+@pytest.mark.parametrize(
+    "argv",
+    [
+        ["serve", "--events", "200", "--subs", "5", "--groups", "1",
+         "--max-cells", "300"],
+        ["fleet", "--events", "200", "--subs", "6", "--groups", "4",
+         "--shards", "4", "--max-cells", "300", "--sharding", "region"],
+    ],
+    ids=["serve", "fleet"],
+)
+def test_end_state_emptied_by_churn_finalizes_at_zero(argv, capsys):
+    """Churn that removes every subscription leaves no clustering; the
+    warm-vs-cold check then reads 0.0 for both fits."""
+    assert main(argv) == 0
+    out = capsys.readouterr().out
+    assert "warm waste        0.000000000" in out
+    assert "cold waste        0.000000000" in out
+
+
+def test_sparse_chaos_with_unreachable_core_degrades(capsys):
+    """A sparse group whose shared core is failed or cut off from the
+    publisher falls back to per-member unicast instead of raising."""
+    argv = ["chaos", "--subs", "100", "--events", "300", "--groups", "6",
+            "--multicast-backend", "sparse", "--no-baseline"]
+    assert main(argv) == 0
+    rows = {}
+    for line in capsys.readouterr().out.splitlines():
+        name, _, value = line.strip().rpartition(" ")
+        rows[name.strip()] = value
+    assert int(rows["degraded"]) > 0
+    assert int(rows["silently lost"]) == 0
+    assert (
+        int(rows["delivered"]) + int(rows["degraded"]) + int(rows["lost"])
+        == int(rows["publications"])
+    )

@@ -31,12 +31,6 @@ class TestExamples:
         assert "network:" in out
         assert "groups:" in out
 
-    def test_nonrectangular(self, capsys):
-        run_example("nonrectangular.py")
-        out = capsys.readouterr().out
-        assert "predicate subscriptions" in out
-        assert "multicast" in out
-
     def test_dynamic_subscriptions(self, capsys):
         run_example("dynamic_subscriptions.py")
         out = capsys.readouterr().out
@@ -53,11 +47,6 @@ class TestExamples:
         run_example("stock_market.py", argv=["--fast"])
         out = capsys.readouterr().out
         assert "best configuration" in out
-
-    def test_trade_stream(self, capsys):
-        run_example("trade_stream.py")
-        out = capsys.readouterr().out
-        assert "stream-estimated" in out
 
     def test_last_mile(self, capsys):
         run_example("last_mile.py")

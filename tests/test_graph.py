@@ -190,23 +190,6 @@ class TestShortestPaths:
         assert sp.tree_cost(targets) <= sum(sp.dist[t] for t in targets) + 1e-9
 
 
-class TestMST:
-    def test_against_networkx(self, rng):
-        g, nxg = random_connected_graph(rng)
-        expected = nx.minimum_spanning_tree(nxg).size(weight="weight")
-        assert g.minimum_spanning_tree_cost() == pytest.approx(expected)
-
-    def test_tree_has_n_minus_1_edges(self, rng):
-        g, _ = random_connected_graph(rng)
-        assert len(g.minimum_spanning_tree()) == g.n_nodes - 1
-
-    def test_disconnected_raises(self):
-        g = Graph(3)
-        g.add_edge(0, 1, 1.0)
-        with pytest.raises(ValueError):
-            g.minimum_spanning_tree()
-
-
 class TestMetricClosureMST:
     def test_matches_networkx_on_metric_closure(self, rng):
         g, nxg = random_connected_graph(rng)

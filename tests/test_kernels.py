@@ -27,13 +27,9 @@ from repro.kernels import (
     backend_name,
     get_backend,
     intersect_count_rows,
-    or_reduce_rows,
     pack_rows,
     popcount_rows,
-    popcount_words,
     set_backend,
-    symmetric_difference_count_rows,
-    union_count_rows,
     unpack_rows,
     words_for,
 )
@@ -102,9 +98,6 @@ class TestBitsetPrimitives:
         counts = popcount_rows(packed.words)
         assert counts.dtype == np.int64
         assert np.array_equal(counts, expected)
-        assert np.array_equal(
-            popcount_words(packed.words).sum(axis=1), expected
-        )
 
     @settings(max_examples=60, deadline=None)
     @given(matrix_and_row())
@@ -115,27 +108,6 @@ class TestBitsetPrimitives:
         assert np.array_equal(
             intersect_count_rows(words, packed_row),
             (matrix & row).sum(axis=1, dtype=np.int64),
-        )
-        assert np.array_equal(
-            union_count_rows(words, packed_row),
-            (matrix | row).sum(axis=1, dtype=np.int64),
-        )
-        assert np.array_equal(
-            symmetric_difference_count_rows(words, packed_row),
-            (matrix ^ row).sum(axis=1, dtype=np.int64),
-        )
-
-    @settings(max_examples=60, deadline=None)
-    @given(membership_matrices())
-    def test_or_reduce_matches_any(self, matrix):
-        union = or_reduce_rows(pack_rows(matrix).words)
-        expected = (
-            matrix.any(axis=0)
-            if len(matrix)
-            else np.zeros(matrix.shape[1], dtype=bool)
-        )
-        assert np.array_equal(
-            unpack_rows(union.reshape(1, -1), matrix.shape[1])[0], expected
         )
 
     def test_ragged_tail_padding_stays_zero(self):

@@ -3,51 +3,19 @@
 import numpy as np
 import pytest
 
-from repro.clustering import ForgyKMeansClustering, NoLossAlgorithm
+from repro.clustering import ForgyKMeansClustering
 from repro.grid import build_cell_set
 from repro.persistence import (
-    load_cell_set,
     load_clustering,
-    load_noloss_result,
     load_subscriptions,
-    load_topology,
-    save_cell_set,
     save_clustering,
-    save_noloss_result,
     save_subscriptions,
-    save_topology,
 )
 
 
 @pytest.fixture()
 def path(tmp_path):
     return tmp_path / "artefact.npz"
-
-
-class TestTopologyRoundTrip:
-    def test_graph_identical(self, small_topology, path):
-        save_topology(small_topology, path)
-        loaded = load_topology(path)
-        assert loaded.n_nodes == small_topology.n_nodes
-        assert sorted(loaded.graph.edges()) == sorted(
-            small_topology.graph.edges()
-        )
-
-    def test_roles_identical(self, small_topology, path):
-        save_topology(small_topology, path)
-        loaded = load_topology(path)
-        assert loaded.transit_block == small_topology.transit_block
-        assert loaded.stub_of == small_topology.stub_of
-        assert loaded.stubs == small_topology.stubs
-        assert loaded.stub_block == small_topology.stub_block
-        assert loaded.transit_nodes == small_topology.transit_nodes
-
-    def test_routing_equivalent(self, small_topology, path):
-        save_topology(small_topology, path)
-        loaded = load_topology(path)
-        sp_a = small_topology.graph.shortest_paths(0)
-        sp_b = loaded.graph.shortest_paths(0)
-        np.testing.assert_allclose(sp_a.dist, sp_b.dist)
 
 
 class TestSubscriptionRoundTrip:
@@ -94,8 +62,9 @@ class TestCellSetAndClusteringRoundTrip:
         )
 
     def test_cell_set(self, cells, path):
-        save_cell_set(cells, path)
-        loaded = load_cell_set(path)
+        """A clustering file carries its hyper-cell set."""
+        save_clustering(ForgyKMeansClustering().fit(cells, 6), path)
+        loaded = load_clustering(path).cells
         np.testing.assert_array_equal(loaded.membership, cells.membership)
         np.testing.assert_allclose(loaded.probs, cells.probs)
         np.testing.assert_array_equal(
@@ -141,35 +110,15 @@ class TestCellSetAndClusteringRoundTrip:
             )
 
 
-class TestNoLossRoundTrip:
-    def test_identical(self, small_subscriptions, small_publications, path):
-        algo = NoLossAlgorithm(n_keep=100, iterations=2)
-        result = algo.fit(
-            small_subscriptions,
-            small_publications.cell_pmf(),
-            8,
-            rng=np.random.default_rng(0),
-        )
-        save_noloss_result(result, path)
-        loaded = load_noloss_result(path)
-        np.testing.assert_array_equal(loaded.los, result.los)
-        np.testing.assert_array_equal(loaded.his, result.his)
-        np.testing.assert_allclose(loaded.weights, result.weights)
-        assert loaded.n_groups == result.n_groups
-        np.testing.assert_array_equal(loaded.group_of, result.group_of)
-        for a, b in zip(loaded.group_members, result.group_members):
-            np.testing.assert_array_equal(a, b)
-
-
 class TestFormatSafety:
-    def test_kind_mismatch_detected(self, small_topology, path):
-        save_topology(small_topology, path)
+    def test_kind_mismatch_detected(self, small_subscriptions, path):
+        save_subscriptions(small_subscriptions, path)
         with pytest.raises(ValueError):
-            load_subscriptions(path)
+            load_clustering(path)
 
     def test_missing_file(self, tmp_path):
         with pytest.raises(FileNotFoundError):
-            load_topology(tmp_path / "nope.npz")
+            load_subscriptions(tmp_path / "nope.npz")
 
 
 class TestSubscriptionChurnRoundTrip:
@@ -339,8 +288,11 @@ class TestWeightedCellSetRoundTrip:
     def test_weights_round_trip(self, weighted, path):
         _, agg_cells = weighted
         assert agg_cells.weights is not None
-        save_cell_set(agg_cells, path)
-        loaded = load_cell_set(path)
+        clustering = ForgyKMeansClustering().fit(
+            agg_cells, 2, rng=np.random.default_rng(0)
+        )
+        save_clustering(clustering, path)
+        loaded = load_clustering(path).cells
         np.testing.assert_array_equal(loaded.weights, agg_cells.weights)
         np.testing.assert_array_equal(loaded.sizes, agg_cells.sizes)
 
@@ -368,32 +320,6 @@ class TestWeightedCellSetRoundTrip:
         mapping = np.arange(agg_cells.n_subscribers, dtype=np.int64)
         with pytest.raises(ValueError, match="weighted"):
             save_clustering(clustering, path, subscriber_mapping=mapping)
-
-    def test_aggregates_round_trip(self, weighted, path):
-        from repro.persistence import load_aggregates, save_aggregates
-
-        agg, _ = weighted
-        save_aggregates(agg, path)
-        loaded = load_aggregates(path)
-        np.testing.assert_array_equal(loaded.los, agg.los)
-        np.testing.assert_array_equal(loaded.his, agg.his)
-        np.testing.assert_array_equal(loaded.multiplicity, agg.multiplicity)
-        np.testing.assert_array_equal(loaded.parent, agg.parent)
-        np.testing.assert_array_equal(loaded.agg_of_row, agg.agg_of_row)
-        assert loaded.n_subscriptions == agg.n_subscriptions
-        assert len(loaded.members) == len(agg.members)
-        for a, b in zip(loaded.members, agg.members):
-            np.testing.assert_array_equal(a, b)
-        for a, b in zip(loaded.owners, agg.owners):
-            np.testing.assert_array_equal(a, b)
-
-    def test_aggregates_kind_guard(self, small_topology, path):
-        from repro.persistence import load_aggregates
-
-        save_topology(small_topology, path)
-        with pytest.raises(ValueError):
-            load_aggregates(path)
-
 
 class TestShardCheckpointRoundTrip:
     @pytest.fixture()
@@ -505,9 +431,9 @@ class TestShardCheckpointRoundTrip:
                 == service._queues[name].token_state()
             )
 
-    def test_kind_guard(self, online, path, small_topology):
+    def test_kind_guard(self, online, path, small_subscriptions):
         from repro.persistence import load_shard_checkpoint
 
-        save_topology(small_topology, path)
+        save_subscriptions(small_subscriptions, path)
         with pytest.raises(ValueError):
             load_shard_checkpoint(path)
