@@ -79,6 +79,12 @@ def invocations(tmp: str) -> list:
          "--multicast-backend", "alm"],
         ["serve", "--events", "200", "--subs", "5", "--groups", "1",
          "--max-cells", "300"],
+        # no churn: one run of publications, split at the batch cap
+        ["serve", *small_serve[:-2], "--churn", "0"],
+        # forward policy under the flight recorder: publications are
+        # published one at a time, with forwards counted per event
+        ["fleet", *small_serve, "--shards", "3", "--fleet-policy",
+         "forward", "--flight", "--workers", "1"],
         ["fleet", *small_serve, "--shards", "3", "--fleet-policy",
          "forward", "--sharding", "region", "--epochs", "2",
          "--checkpoint-dir", out("ckpt"), "--workers", "1",

@@ -34,6 +34,9 @@ from .stats import DeliveryStats
 
 __all__ = ["BrokerConfig", "DeliveryReceipt", "ContentBroker"]
 
+#: the interested set of an event published to an empty broker
+_NO_INTEREST = np.empty(0, dtype=np.int64)
+
 
 @dataclass(frozen=True)
 class BrokerConfig:
@@ -150,9 +153,10 @@ class ContentBroker:
         self._clustering = None
         self._internal_of: Dict[int, int] = {}
         self._external_of: List[int] = []
-        #: internal ids matched by the most recent publish() — lets
-        #: callers account per-subscriber outcomes without re-matching
-        self.last_interested: List[int] = []
+        #: per event of the most recent publish_batch(), the internal
+        #: ids it matched — lets callers account per-subscriber outcomes
+        #: without re-matching
+        self.last_interested: List[np.ndarray] = []
         self._policy: Optional[AdaptiveDeliveryPolicy] = None
         self._scheduler = RebuildScheduler(
             debounce=self.config.rebuild_debounce,
@@ -398,6 +402,11 @@ class ContentBroker:
         """Report the live waste-inflation ratio (online maintainer)."""
         self._scheduler.note_drift(now, inflation)
 
+    def rebuild_due(self, now: float) -> bool:
+        """True when :meth:`tick` at ``now`` would rebuild (no side
+        effects)."""
+        return self._scheduler.due(now)
+
     def tick(self, now: float) -> bool:
         """Rebuild if the debounced, backed-off policy says it is due.
 
@@ -603,65 +612,101 @@ class ContentBroker:
         publisher: int,
         now: Optional[float] = None,
     ) -> DeliveryReceipt:
-        """Match, deliver and price one event.
+        """Match, deliver and price one event: a one-event batch.
 
         ``now`` is the virtual-clock timestamp under fault injection; it
-        drives the debounced rebuild policy.  When the network currently
-        has failed nodes or links, delivery degrades gracefully: groups
-        whose multicast tree traverses a failed element fall back to
-        per-subscriber unicast, and subscribers on down or partitioned
-        nodes are counted lost — never silently dropped.
+        drives the debounced rebuild policy before the event is served.
         """
         if now is not None:
             self.tick(now)
+        return self.publish_batch([point], [publisher])[0]
+
+    def publish_batch(
+        self,
+        points: Sequence[Sequence[float]],
+        publishers: Sequence[int],
+    ) -> List[DeliveryReceipt]:
+        """Match, deliver and price a run of events on a fixed state.
+
+        The run must see no subscription change, rebuild or topology
+        change between its events; then one ``match_batch`` answers all
+        of them and each event is priced exactly as alone.  Receipts
+        come back and :attr:`stats` folds them in event order, so every
+        running float sum is the one a per-event loop would produce.
+        ``last_interested`` holds each event's interested internal ids.
+
+        When the network currently has failed nodes or links, delivery
+        degrades gracefully: groups whose multicast tree traverses a
+        failed element fall back to per-subscriber unicast, and
+        subscribers on down or partitioned nodes are counted lost —
+        never silently dropped.  Flight stages land on the recorder's
+        current event, so a caller recording per-event chains passes
+        one event at a time.
+        """
+        if len(points) != len(publishers):
+            raise ValueError("points / publishers length mismatch")
         if not self._active:
-            self.last_interested = []
-            receipt = DeliveryReceipt(0, False, 0.0, 0.0, 0.0, 0)
-            self.stats.record(0.0, 0.0, 0.0, False, 0, 0)
-            return receipt
+            self.last_interested = [_NO_INTEREST] * len(points)
+            receipts = []
+            for _ in points:
+                receipts.append(DeliveryReceipt(0, False, 0.0, 0.0, 0.0, 0))
+                self.stats.record(0.0, 0.0, 0.0, False, 0, 0)
+            return receipts
         self._ensure_fresh()
-        if self.routing.failed_nodes or self.routing.down_links:
-            return self._publish_degraded(point, publisher)
-        plan = self._matcher.match(point)
-        plan.validate_complete()
-        self.last_interested = list(plan.interested)
+        plans = self._matcher.match_batch(points)
+        self.last_interested = [plan.interested for plan in plans]
+        deliver = (
+            self._deliver_degraded
+            if self.routing.failed_nodes or self.routing.down_links
+            else self._deliver
+        )
         flight = get_flight_recorder()
-        recording = flight.active
-        if recording:
-            # healthy path runs per publication: use the recorder's
-            # raw-append protocol (see FlightRecorder.buf)
-            eid = flight.current_event
-            t_now = flight.now
-            buf = flight.buf
-            buf.append((
-                eid, "match", t_now,
-                {
-                    "interested": len(plan.interested),
-                    "groups": len(plan.group_members),
-                    "unicast_legs": len(plan.unicast_subscribers),
-                },
-            ))
-        unicast = self._dispatcher.unicast_reference(publisher, plan.interested)
-        ideal = self._dispatcher.ideal_reference(publisher, plan.interested)
+        receipts = []
+        for plan, publisher in zip(plans, publishers):
+            if flight.active:
+                # raw-append protocol: see FlightRecorder.buf
+                flight.buf.append((
+                    flight.current_event, "match", flight.now,
+                    {
+                        "interested": len(plan.interested),
+                        "groups": len(plan.group_members),
+                        "unicast_legs": len(plan.unicast_subscribers),
+                    },
+                ))
+            receipts.append(deliver(plan, int(publisher)))
+        return receipts
+
+    def _deliver(self, plan: DeliveryPlan, publisher: int) -> DeliveryReceipt:
+        """Price one matched event over an intact network.
+
+        The event's node set is resolved once and shared by the unicast
+        and ideal references and the adaptive decision.
+        """
+        wasted = plan.audit()
+        interested = plan.interested
+        n_interested = len(interested)
+        dispatcher = self._dispatcher
+        nodes = self._subscriptions.nodes_of_subscribers(interested)
+        unicast = dispatcher.unicast_reference(publisher, interested, nodes)
+        ideal = dispatcher.ideal_reference(publisher, interested, nodes)
         if self._policy is not None:
-            decision = self._policy.decide(publisher, plan)
+            decision = self._policy.decide(publisher, plan, unicast=unicast)
             cost = decision.cost
             mode = decision.mode
             used_multicast = mode == "multicast"
             if mode == "broadcast":
-                wasted = self._subscriptions.n_active_subscribers - len(
-                    plan.interested
-                )
+                wasted = self._subscriptions.n_active_subscribers - n_interested
             elif mode == "unicast":
                 wasted = 0
-            else:
-                wasted = plan.wasted_deliveries()
         else:
-            cost = self._dispatcher.plan_cost(publisher, plan)
+            cost = dispatcher.plan_cost(publisher, plan)
             mode = "plan"
             used_multicast = plan.uses_multicast
-            wasted = plan.wasted_deliveries()
-        if recording:
+        flight = get_flight_recorder()
+        if flight.active:
+            eid = flight.current_event
+            t_now = flight.now
+            buf = flight.buf
             buf.append((
                 eid, "dispatch", t_now,
                 {
@@ -687,8 +732,11 @@ class ContentBroker:
                         "fallback": False,
                     },
                 ))
-        receipt = DeliveryReceipt(
-            n_interested=len(plan.interested),
+        self.stats.record(
+            cost, unicast, ideal, used_multicast, n_interested, wasted,
+        )
+        return DeliveryReceipt(
+            n_interested=n_interested,
             used_multicast=used_multicast,
             cost=cost,
             unicast_cost=unicast,
@@ -696,14 +744,9 @@ class ContentBroker:
             wasted_deliveries=wasted,
             mode=mode,
         )
-        self.stats.record(
-            cost, unicast, ideal, used_multicast, len(plan.interested),
-            wasted,
-        )
-        return receipt
 
-    def _publish_degraded(
-        self, point: Sequence[float], publisher: int
+    def _deliver_degraded(
+        self, plan: DeliveryPlan, publisher: int
     ) -> DeliveryReceipt:
         """Deliver one event over a network with active faults.
 
@@ -714,17 +757,8 @@ class ContentBroker:
         tree and are served by unicast to their reachable members until
         the next rebuild re-clusters around the damage.
         """
-        plan = self._matcher.match(point)
-        plan.validate_complete()
-        self.last_interested = list(plan.interested)
+        plan.audit()
         flight = get_flight_recorder()
-        if flight.active:
-            flight.stage(
-                "match",
-                interested=len(plan.interested),
-                groups=len(plan.group_members),
-                unicast_legs=len(plan.unicast_subscribers),
-            )
         failed = self.routing.failed_nodes
         all_nodes = self._subscriptions.subscriber_nodes
         interested = np.asarray(plan.interested, dtype=np.int64)

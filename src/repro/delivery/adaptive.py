@@ -87,12 +87,23 @@ class AdaptiveDeliveryPolicy:
         ).labels()
 
     # ------------------------------------------------------------------
-    def decide(self, publisher: int, plan: DeliveryPlan) -> AdaptiveDecision:
-        """Pick the cheapest of {unicast, plan-multicast, broadcast}."""
+    def decide(
+        self,
+        publisher: int,
+        plan: DeliveryPlan,
+        unicast: Optional[float] = None,
+    ) -> AdaptiveDecision:
+        """Pick the cheapest of {unicast, plan-multicast, broadcast}.
+
+        ``unicast`` may supply the event's already priced unicast
+        reference (the broker prices it once per event).
+        """
         candidates: Dict[str, float] = {}
-        candidates["unicast"] = self.dispatcher.unicast_reference(
-            publisher, plan.interested
-        )
+        if unicast is None:
+            unicast = self.dispatcher.unicast_reference(
+                publisher, plan.interested
+            )
+        candidates["unicast"] = unicast
         if plan.uses_multicast:
             candidates["multicast"] = self.dispatcher.plan_cost(
                 publisher, plan

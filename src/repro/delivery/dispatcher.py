@@ -270,16 +270,16 @@ class Dispatcher:
         unicast_nodes = self.subscriptions.nodes_of_subscribers(
             plan.unicast_subscribers
         )
-        if covered_nodes:
-            already = (
-                covered_nodes[0]
-                if len(covered_nodes) == 1
-                else np.unique(np.concatenate(covered_nodes))
-            )
-            unicast_nodes = np.setdiff1d(
-                unicast_nodes, already, assume_unique=True
-            )
-        total += unicast_cost(self.routing, publisher, unicast_nodes)
+        if covered_nodes and len(unicast_nodes):
+            # drop nodes a group already reaches (a boolean scatter
+            # keeps the sorted order a set difference would give)
+            covered = np.zeros(self.routing.graph.n_nodes, dtype=bool)
+            for nodes in covered_nodes:
+                covered[nodes] = True
+            unicast_nodes = unicast_nodes[~covered[unicast_nodes]]
+        total += unicast_cost(
+            self.routing, publisher, unicast_nodes, assume_unique=True
+        )
         return total
 
     def plan_costs(
@@ -440,12 +440,13 @@ class Dispatcher:
         """Pure unicast to every interested subscriber's node.
 
         ``nodes`` may supply the precomputed node set of ``interested``
-        (the experiment context resolves each event's nodes once and
-        reuses them across all three reference costs and schemes).
+        as a sorted unique array (the experiment context and the broker
+        resolve each event's nodes once and reuse them across the
+        reference costs and schemes).
         """
         if nodes is None:
             nodes = self.subscriptions.nodes_of_subscribers(interested)
-        return unicast_cost(self.routing, publisher, nodes)
+        return unicast_cost(self.routing, publisher, nodes, assume_unique=True)
 
     def broadcast_reference(self, publisher: int) -> float:
         """Flooding every network node."""
@@ -462,7 +463,7 @@ class Dispatcher:
         Under the ``alm`` scheme the ideal group still communicates over
         an overlay MST, mirroring how the achievable optimum differs
         between the two frameworks.  ``nodes`` may supply the precomputed
-        node set of ``interested``.
+        sorted unique node set of ``interested``.
         """
         if nodes is None:
             nodes = self.subscriptions.nodes_of_subscribers(interested)

@@ -89,6 +89,9 @@ class ShortestPaths:
     _full_tree_cost: Optional[float] = field(
         default=None, init=False, repr=False, compare=False
     )
+    _edge_np: Optional["np.ndarray"] = field(
+        default=None, init=False, repr=False, compare=False
+    )
 
     def arrays(self) -> Tuple["np.ndarray", "np.ndarray"]:
         """``(dist, pred)`` as numpy arrays (built once, then cached)."""
@@ -98,6 +101,22 @@ class ShortestPaths:
             self._dist_np = np.asarray(self.dist, dtype=np.float64)
             self._pred_np = np.asarray(self.pred, dtype=np.int64)
         return self._dist_np, self._pred_np
+
+    def _edge_costs(self) -> "np.ndarray":
+        """Cost of the tree edge into each node (built once, then cached).
+
+        ``dist[v] - dist[pred[v]]`` for every node with a predecessor;
+        0 for the source and for unreachable nodes.
+        """
+        if self._edge_np is None:
+            import numpy as np
+
+            dist, pred = self.arrays()
+            edge = np.zeros(len(dist), dtype=np.float64)
+            has_pred = pred >= 0
+            edge[has_pred] = dist[has_pred] - dist[pred[has_pred]]
+            self._edge_np = edge
+        return self._edge_np
 
     def path_to(self, target: int) -> List[int]:
         """Node sequence from the source to ``target`` (inclusive)."""
@@ -122,9 +141,10 @@ class ShortestPaths:
         root-to-target paths.
 
         The walk towards the root is vectorised level by level: each pass
-        charges the tree edges of the current frontier and replaces it
-        with the not-yet-visited parents, so the Python-level iteration
-        count is the tree depth, not the number of tree edges.
+        charges the tree edges of the current level (its nodes in
+        ascending order, one ``sum`` per level) and replaces it with the
+        not-yet-visited parents, so the Python-level iteration count is
+        the tree depth, not the number of tree edges.
         """
         import numpy as np
 
@@ -148,24 +168,25 @@ class ShortestPaths:
         if bad.any():
             target = int(frontier[bad][0])
             raise ValueError(f"node {target} unreachable from {self.source}")
+        edge = self._edge_costs()
         n = len(dist)
-        visited = np.zeros(n, dtype=bool)
-        visited[self.source] = True
+        unvisited = np.ones(n, dtype=bool)
+        unvisited[self.source] = False
+        # boolean scatter both deduplicates a level and sorts it in O(n),
+        # avoiding a sort per level; parents are filtered against the
+        # visited set before they are scattered, so no level repeats a node
         level_mask = np.zeros(n, dtype=bool)
+        level_mask[frontier] = True
+        level_mask[self.source] = False
+        level = level_mask.nonzero()[0]
         total = 0.0
-        while frontier.size:
-            # boolean scatter both deduplicates the frontier and drops
-            # already-visited nodes in O(n), avoiding a sort per level
-            level_mask[frontier] = True
-            level_mask &= ~visited
-            level = np.nonzero(level_mask)[0]
+        while level.size:
             level_mask[level] = False
-            if level.size == 0:
-                break
-            visited[level] = True
+            unvisited[level] = False
+            total += float(edge[level].sum())
             parents = pred[level]
-            total += float(np.sum(dist[level] - dist[parents]))
-            frontier = parents[~visited[parents]]
+            level_mask[parents[unvisited[parents]]] = True
+            level = level_mask.nonzero()[0]
         return total
 
 

@@ -41,7 +41,10 @@ def _unique_nodes(nodes: Iterable[int]) -> List[int]:
 
 
 def unicast_cost(
-    routing: RoutingTables, publisher: int, targets: Iterable[int]
+    routing: RoutingTables,
+    publisher: int,
+    targets: Iterable[int],
+    assume_unique: bool = False,
 ) -> float:
     """Cost of sending one copy of the message to each target node.
 
@@ -49,7 +52,9 @@ def unicast_cost(
     edges are paid once *per copy* — this is what makes unicast expensive
     for popular events.  Multiple subscribers co-located on one node
     receive a single copy (the node's broker fans out locally at no
-    network cost), so targets are de-duplicated.
+    network cost), so targets are de-duplicated.  ``assume_unique``
+    skips that step for targets that already are a sorted, unique node
+    array.
     """
     sp = routing.shortest_paths(publisher)
     nodes = np.asarray(
@@ -58,7 +63,8 @@ def unicast_cost(
     )
     if nodes.size == 0:
         return 0.0
-    nodes = np.unique(nodes)
+    if not assume_unique:
+        nodes = np.unique(nodes)
     dist, _ = sp.arrays()
     d = dist[nodes]
     bad = np.isinf(d)
@@ -86,7 +92,10 @@ def dense_multicast_cost(
     the message traverses the union of root-to-member paths and each edge
     in that union is paid exactly once.
     """
-    return routing.shortest_paths(publisher).tree_cost(_unique_nodes(members))
+    if not isinstance(members, np.ndarray):
+        members = _unique_nodes(members)
+    # the tree walk deduplicates an array of nodes itself
+    return routing.shortest_paths(publisher).tree_cost(members)
 
 
 def ideal_multicast_cost(

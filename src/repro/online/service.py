@@ -82,6 +82,10 @@ _STREAM_PRIORITY = {"churn": 1, "pub": 0}
 #: how a subscription overlapping several shards registers at each
 FLEET_POLICIES = ("replicate", "forward")
 
+#: most publications handed to the broker in one batch: a long run
+#: between writes is split, so the batch's match arrays stay bounded
+_RUN_CAP = 64
+
 
 @dataclass(frozen=True)
 class ChurnJoin:
@@ -256,6 +260,10 @@ class BrokerService:
             ),
         )
         self._flight = get_flight_recorder()
+        #: publications served but not yet handed to the broker (the
+        #: current run; see :meth:`_serve`)
+        self._run: List[Publish] = []
+        self._batching = True
 
     # ------------------------------------------------------------------
     def register_initial(
@@ -277,6 +285,9 @@ class BrokerService:
         observing = self._flight.enabled or self.slo is not None
         for queue in self._queues.values():
             queue.record_evictions = observing
+        # per-event stage chains and inline SLO feeds need each receipt
+        # when its event completes: observed runs publish one at a time
+        self._batching = not observing
         fits_before = self.maintainer.captures
         rebuilds_before = self.broker.stats.n_rebuilds
         evicted_before = {
@@ -341,6 +352,7 @@ class BrokerService:
                         )
                         assert admitted, "stalled arrival failed to admit"
             self._drain(until=math.inf)
+        self._flush()
 
         # admitted-then-evicted entries are sheds too: every input event
         # must land in exactly one of processed / shed
@@ -452,8 +464,10 @@ class BrokerService:
                         "outcome": outcome,
                     },
                 ))
+            elif self._batching:
+                self._serve(event, completion)
             else:
-                outcome = self._process(event, completion)
+                self._process(event, completion)
             if self.slo is not None:
                 self.slo.observe(
                     "queue_wait", start, start - arrived,
@@ -501,8 +515,61 @@ class BrokerService:
             return
 
     # ------------------------------------------------------------------
+    def _serve(self, event: StreamEvent, now: float) -> None:
+        """Apply one event, deferring publications into the current run.
+
+        The broker state is fixed between writes, so consecutive
+        publications are handed to :meth:`ContentBroker.publish_batch`
+        together.  The run is flushed before a join or leave, before a
+        publication that finds a rebuild due, and at :data:`_RUN_CAP`
+        (and at the end of :meth:`run`).  Completion times never depend
+        on a receipt, so deferring them moves no latency, shed or
+        horizon.
+        """
+        payload = event.payload
+        if not isinstance(payload, Publish):
+            self._flush()
+            self._process(event, now)
+            return
+        if self.broker.rebuild_due(now):
+            self._flush()
+            self.maintainer.maybe_rebuild(now)
+        run = self._run
+        run.append(payload)
+        if len(run) >= _RUN_CAP:
+            self._flush()
+
+    def _flush(self) -> None:
+        """Publish the current run of deferred publications."""
+        if self._run:
+            run, self._run = self._run, []
+            self._publish(run)
+
+    def _publish(self, run: Sequence[Publish]):
+        """Publish a run of publications; folds their costs and forwards
+        in event order and returns the receipts."""
+        broker = self.broker
+        receipts = broker.publish_batch(
+            [p.point for p in run], [p.publisher for p in run]
+        )
+        result = self._result
+        for receipt in receipts:
+            result.total_cost += float(receipt.cost)
+        forward_handles = self.maintainer.forward_handles
+        if forward_handles:
+            # cross-shard cost accounting: the broker exposes the
+            # interested sets it just matched, so no second match runs
+            external_of = broker._external_of
+            for interested in broker.last_interested:
+                self.forwards += sum(
+                    1
+                    for internal in interested.tolist()
+                    if external_of[internal] in forward_handles
+                )
+        return receipts
+
     def _process(self, event: StreamEvent, now: float) -> str:
-        """Apply one event; returns its outcome classification."""
+        """Apply one event now; returns its outcome classification."""
         payload = event.payload
         maintainer = self.maintainer
         broker = self.broker
@@ -539,23 +606,12 @@ class BrokerService:
             return "left"
         if isinstance(payload, Publish):
             maintainer.maybe_rebuild(now)
-            receipt = broker.publish(payload.point, payload.publisher)
-            self._result.total_cost += float(receipt.cost)
+            (receipt,) = self._publish([payload])
             if self.slo is not None:
                 self.slo.observe(
                     "lost_rate", now,
                     receipt.lost_deliveries / max(1, receipt.n_interested),
                     stream=event.stream,
-                )
-            forward_handles = maintainer.forward_handles
-            if forward_handles:
-                # cross-shard cost accounting: the broker exposes the
-                # interested set it just matched, so no second match runs
-                external_of = broker._external_of
-                self.forwards += sum(
-                    1
-                    for internal in broker.last_interested
-                    if external_of[internal] in forward_handles
                 )
             return receipt.outcome
         raise TypeError(f"unknown payload {type(payload).__name__}")
