@@ -33,7 +33,10 @@ def test_adaptive_delivery(benchmark, eval_ctx):
         for event in eval_ctx.events:
             plan = matcher.match(event.point)
             fixed_cost += dispatcher.plan_cost(event.publisher, plan)
-            decision = policy.decide(event.publisher, plan)
+            decision = policy.decide(
+                event.publisher, plan,
+                dispatcher.unicast_reference(event.publisher, plan.interested),
+            )
             adaptive_cost += decision.cost
             unicast_cost += decision.candidate_costs["unicast"]
         n = len(eval_ctx.events)
@@ -78,9 +81,16 @@ def test_mode_mix_shifts_with_population(benchmark):
                 cells, min(K, max(2, len(cells) - 1))
             )
             matcher = GridMatcher(clustering, scenario.subscriptions)
-            policy = AdaptiveDeliveryPolicy(ctx.dispatcher("dense"))
+            dispatcher = ctx.dispatcher("dense")
+            policy = AdaptiveDeliveryPolicy(dispatcher)
             for event in ctx.events:
-                policy.decide(event.publisher, matcher.match(event.point))
+                plan = matcher.match(event.point)
+                policy.decide(
+                    event.publisher, plan,
+                    dispatcher.unicast_reference(
+                        event.publisher, plan.interested
+                    ),
+                )
             mixes[n_subs] = policy.mode_rates()
         return mixes
 

@@ -74,7 +74,7 @@ def main():
           f"{'unicast':>8} {'ideal':>7}")
     for event in publications.sample(rng, 8):
         plan = matcher.match(event.point)
-        plan.validate_complete()
+        plan.audit()  # raises if an interested subscriber is unreached
         cost = dispatcher.plan_cost(event.publisher, plan)
         unicast = dispatcher.unicast_reference(event.publisher, plan.interested)
         ideal = dispatcher.ideal_reference(event.publisher, plan.interested)

@@ -15,6 +15,7 @@ from __future__ import annotations
 
 import math
 import time
+from contextlib import nullcontext
 from dataclasses import dataclass
 from typing import Dict, List, Optional, Sequence, Tuple
 
@@ -625,6 +626,7 @@ class ContentBroker:
         self,
         points: Sequence[Sequence[float]],
         publishers: Sequence[int],
+        events: Optional[Sequence[Tuple[int, float]]] = None,
     ) -> List[DeliveryReceipt]:
         """Match, deliver and price a run of events on a fixed state.
 
@@ -640,8 +642,9 @@ class ContentBroker:
         failed element fall back to per-subscriber unicast, and
         subscribers on down or partitioned nodes are counted lost —
         never silently dropped.  Flight stages land on the recorder's
-        current event, so a caller recording per-event chains passes
-        one event at a time.
+        current event, or, when ``events`` gives an ``(event id,
+        virtual time)`` per event, on each event's own id: the recorder
+        appends them in event order.
         """
         if len(points) != len(publishers):
             raise ValueError("points / publishers length mismatch")
@@ -652,28 +655,32 @@ class ContentBroker:
                 receipts.append(DeliveryReceipt(0, False, 0.0, 0.0, 0.0, 0))
                 self.stats.record(0.0, 0.0, 0.0, False, 0, 0)
             return receipts
-        self._ensure_fresh()
-        plans = self._matcher.match_batch(points)
-        self.last_interested = [plan.interested for plan in plans]
-        deliver = (
-            self._deliver_degraded
-            if self.routing.failed_nodes or self.routing.down_links
-            else self._deliver
-        )
         flight = get_flight_recorder()
+        scoped = events is not None and flight.enabled
         receipts = []
-        for plan, publisher in zip(plans, publishers):
-            if flight.active:
-                # raw-append protocol: see FlightRecorder.buf
-                flight.buf.append((
-                    flight.current_event, "match", flight.now,
-                    {
-                        "interested": len(plan.interested),
-                        "groups": len(plan.group_members),
-                        "unicast_legs": len(plan.unicast_subscribers),
-                    },
-                ))
-            receipts.append(deliver(plan, int(publisher)))
+        # one scope for the run, retargeted event by event; a due lazy
+        # rebuild belongs to the run's first event
+        with flight.event(*events[0]) if scoped else nullcontext():
+            self._ensure_fresh()
+            plans = self._matcher.match_batch(points)
+            self.last_interested = [plan.interested for plan in plans]
+            deliver = (
+                self._deliver_degraded
+                if self.routing.failed_nodes or self.routing.down_links
+                else self._deliver
+            )
+            for index, (plan, publisher) in enumerate(zip(plans, publishers)):
+                if scoped:
+                    flight.current_event, flight.now = events[index]
+                if flight.active:
+                    # raw-append protocol: see FlightRecorder.buf
+                    flight.buf.append((
+                        flight.current_event, "match", flight.now,
+                        "interested", len(plan.interested),
+                        "groups", len(plan.group_members),
+                        "unicast_legs", len(plan.unicast_subscribers),
+                    ))
+                receipts.append(deliver(plan, int(publisher)))
         return receipts
 
     def _deliver(self, plan: DeliveryPlan, publisher: int) -> DeliveryReceipt:
@@ -709,28 +716,22 @@ class ContentBroker:
             buf = flight.buf
             buf.append((
                 eid, "dispatch", t_now,
-                {
-                    "mode": mode, "cost": float(cost),
-                    "multicast": bool(used_multicast),
-                },
+                "mode", mode, "cost", float(cost),
+                "multicast", bool(used_multicast),
             ))
             # healthy path: every group's tree is intact, so one
             # aggregate delivery record suffices
             buf.append((
                 eid, "deliver", t_now,
-                {
-                    "outcome": "delivered",
-                    "groups": len(plan.group_members),
-                    "wasted": int(wasted),
-                },
+                "outcome", "delivered",
+                "groups", len(plan.group_members),
+                "wasted", int(wasted),
             ))
             if len(plan.unicast_subscribers):
                 buf.append((
                     eid, "unicast", t_now,
-                    {
-                        "legs": len(plan.unicast_subscribers),
-                        "fallback": False,
-                    },
+                    "legs", len(plan.unicast_subscribers),
+                    "fallback", False,
                 ))
         self.stats.record(
             cost, unicast, ideal, used_multicast, n_interested, wasted,

@@ -11,53 +11,11 @@ snapshot as the rest of the pipeline.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import Dict, Tuple
+from typing import Dict
 
 from ..obs import get_registry
 
 __all__ = ["DeliveryStats"]
-
-#: the counter families :meth:`DeliveryStats.record` bumps, by label
-_FAMILIES = {
-    "kind": lambda registry: registry.counter(
-        "broker_events_total", "events delivered by brokers"
-    ),
-    "outcome": lambda registry: registry.counter(
-        "broker_publications_total",
-        "publication outcomes under fault injection",
-    ),
-    "lost": lambda registry: registry.counter(
-        "broker_lost_deliveries_total",
-        "subscriber deliveries lost to failed network elements",
-    ),
-}
-#: counter children bound by :meth:`DeliveryStats.record`, keyed by
-#: (family, label values), and the registry they belong to
-_children: Dict[Tuple[str, ...], object] = {}
-_children_registry = None
-
-
-def _counter(family: str, **labels: str):
-    """The registry child one publication bumps, bound on first use.
-
-    ``record`` runs once per publication, so children are resolved once
-    instead of by name and labels on every call.  A child is created
-    only when first bumped, so the registry holds exactly the samples
-    it would hold without the cache.  Swapping the process registry
-    (:func:`repro.obs.set_registry`) is detected by identity and
-    rebinds; ``MetricsRegistry.reset`` keeps children alive.
-    """
-    global _children_registry
-    registry = get_registry()
-    if registry is not _children_registry:
-        _children.clear()
-        _children_registry = registry
-    key = (family, *labels.values())
-    child = _children.get(key)
-    if child is None:
-        child = _FAMILIES[family](registry).labels(**labels)
-        _children[key] = child
-    return child
 
 
 @dataclass
@@ -149,10 +107,19 @@ class DeliveryStats:
         else:
             self.n_unicast_only += 1
             kind = "unicast_only"
-        _counter("kind", kind=kind).inc()
-        _counter("outcome", outcome=outcome).inc()
+        registry = get_registry()
+        registry.counter(
+            "broker_events_total", "events delivered by brokers"
+        ).inc(kind=kind)
+        registry.counter(
+            "broker_publications_total",
+            "publication outcomes under fault injection",
+        ).inc(outcome=outcome)
         if lost_deliveries:
-            _counter("lost").inc(int(lost_deliveries))
+            registry.counter(
+                "broker_lost_deliveries_total",
+                "subscriber deliveries lost to failed network elements",
+            ).inc(int(lost_deliveries))
 
     def record_rebuild(
         self, seconds: float, membership_changes: int, full: bool = False

@@ -13,7 +13,7 @@ filtered out as necessary"), and execute the cheapest.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Dict, Optional, Sequence
+from typing import Dict, Sequence
 
 import numpy as np
 
@@ -88,22 +88,15 @@ class AdaptiveDeliveryPolicy:
 
     # ------------------------------------------------------------------
     def decide(
-        self,
-        publisher: int,
-        plan: DeliveryPlan,
-        unicast: Optional[float] = None,
+        self, publisher: int, plan: DeliveryPlan, unicast: float
     ) -> AdaptiveDecision:
         """Pick the cheapest of {unicast, plan-multicast, broadcast}.
 
-        ``unicast`` may supply the event's already priced unicast
-        reference (the broker prices it once per event).
+        ``unicast`` is the event's unicast reference cost
+        (:meth:`Dispatcher.unicast_reference`), which the caller has
+        already priced for its own accounting.
         """
-        candidates: Dict[str, float] = {}
-        if unicast is None:
-            unicast = self.dispatcher.unicast_reference(
-                publisher, plan.interested
-            )
-        candidates["unicast"] = unicast
+        candidates: Dict[str, float] = {"unicast": unicast}
         if plan.uses_multicast:
             candidates["multicast"] = self.dispatcher.plan_cost(
                 publisher, plan

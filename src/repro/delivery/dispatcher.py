@@ -277,9 +277,7 @@ class Dispatcher:
             for nodes in covered_nodes:
                 covered[nodes] = True
             unicast_nodes = unicast_nodes[~covered[unicast_nodes]]
-        total += unicast_cost(
-            self.routing, publisher, unicast_nodes, assume_unique=True
-        )
+        total += unicast_cost(self.routing, publisher, unicast_nodes)
         return total
 
     def plan_costs(
@@ -440,13 +438,12 @@ class Dispatcher:
         """Pure unicast to every interested subscriber's node.
 
         ``nodes`` may supply the precomputed node set of ``interested``
-        as a sorted unique array (the experiment context and the broker
-        resolve each event's nodes once and reuse them across the
-        reference costs and schemes).
+        (the experiment context and the broker resolve each event's nodes
+        once and reuse them across the reference costs and schemes).
         """
         if nodes is None:
             nodes = self.subscriptions.nodes_of_subscribers(interested)
-        return unicast_cost(self.routing, publisher, nodes, assume_unique=True)
+        return unicast_cost(self.routing, publisher, nodes)
 
     def broadcast_reference(self, publisher: int) -> float:
         """Flooding every network node."""
@@ -463,7 +460,7 @@ class Dispatcher:
         Under the ``alm`` scheme the ideal group still communicates over
         an overlay MST, mirroring how the achievable optimum differs
         between the two frameworks.  ``nodes`` may supply the precomputed
-        sorted unique node set of ``interested``.
+        node set of ``interested``.
         """
         if nodes is None:
             nodes = self.subscriptions.nodes_of_subscribers(interested)

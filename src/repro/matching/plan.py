@@ -58,22 +58,14 @@ class DeliveryPlan:
             return np.empty(0, dtype=np.int64)
         return np.unique(np.concatenate(parts))
 
-    def wasted_deliveries(self) -> int:
-        """Subscribers who receive the message without being interested."""
-        covered = self.covered_subscribers()
-        return int(len(np.setdiff1d(covered, self.interested)))
-
-    def missed_subscribers(self) -> np.ndarray:
-        """Interested subscribers the plan fails to reach (should be none)."""
-        return np.setdiff1d(np.asarray(self.interested), self.covered_subscribers())
-
     def audit(self) -> int:
         """Validate completeness and return the wasted-delivery count.
 
-        One shared pass over the covered set replaces the separate
-        :meth:`validate_complete` + :meth:`wasted_deliveries` calls on the
-        experiment hot path.  Assumes ``interested`` is sorted and unique,
-        as every matcher produces it.
+        Raises ``AssertionError`` if an interested subscriber is left
+        unreached; otherwise returns how many covered subscribers are not
+        interested.  One pass over the covered set answers both.
+        Assumes ``interested`` is sorted and unique, as every matcher
+        produces it.
         """
         if not self.group_members and self.unicast_subscribers is self.interested:
             return 0  # pure-unicast plan reusing the interest array
@@ -95,11 +87,3 @@ class DeliveryPlan:
                     f"{interested[~present][:10]}"
                 )
         return int(covered.size - interested.size)
-
-    def validate_complete(self) -> None:
-        """Raise if any interested subscriber is left unreached."""
-        missed = self.missed_subscribers()
-        if len(missed):
-            raise AssertionError(
-                f"delivery plan misses interested subscribers: {missed[:10]}"
-            )

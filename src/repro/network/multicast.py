@@ -41,10 +41,7 @@ def _unique_nodes(nodes: Iterable[int]) -> List[int]:
 
 
 def unicast_cost(
-    routing: RoutingTables,
-    publisher: int,
-    targets: Iterable[int],
-    assume_unique: bool = False,
+    routing: RoutingTables, publisher: int, targets: Iterable[int]
 ) -> float:
     """Cost of sending one copy of the message to each target node.
 
@@ -52,9 +49,7 @@ def unicast_cost(
     edges are paid once *per copy* — this is what makes unicast expensive
     for popular events.  Multiple subscribers co-located on one node
     receive a single copy (the node's broker fans out locally at no
-    network cost), so targets are de-duplicated.  ``assume_unique``
-    skips that step for targets that already are a sorted, unique node
-    array.
+    network cost), so targets are de-duplicated.
     """
     sp = routing.shortest_paths(publisher)
     nodes = np.asarray(
@@ -63,8 +58,7 @@ def unicast_cost(
     )
     if nodes.size == 0:
         return 0.0
-    if not assume_unique:
-        nodes = np.unique(nodes)
+    nodes = np.unique(nodes)
     dist, _ = sp.arrays()
     d = dist[nodes]
     bad = np.isinf(d)

@@ -114,7 +114,11 @@ class FlightRecorder:
     #: the broker's healthy publish path) skip the call overhead and
     #: append tuples to :attr:`buf` directly, guarded by
     #: :attr:`enabled` / :attr:`active` — that raw-append protocol is
-    #: what keeps recording within the soak's overhead budget.
+    #: what keeps recording within the soak's overhead budget.  A raw
+    #: tuple may also carry its attributes flat, ``(event_id, stage, t,
+    #: key, value, key, value, ...)`` (odd length, where the dict form
+    #: has four fields): one allocation instead of two, which the
+    #: collector stops tracking once it has seen its atomic fields.
     #: Appends never take the lock: a CPython ``list.append`` is atomic
     #: and the recording side is a single thread (the service consumer /
     #: the sequential chaos replay).  The lock guards the *compound*
@@ -125,10 +129,13 @@ class FlightRecorder:
     def __init__(self, enabled: bool = False) -> None:
         self._enabled = enabled
         self._lock = threading.Lock()
-        #: raw record buffer: ``(event_id, stage, t, attrs)`` tuples
-        self.buf: List[Tuple[int, str, float, Dict[str, object]]] = []
+        #: raw record buffer: ``(event_id, stage, t, attrs)`` tuples, or
+        #: their flat form (see the class notes)
+        self.buf: List[tuple] = []
         #: id and virtual time of the event scoped by :meth:`event`
-        #: (raw appends against the current event read these directly)
+        #: (raw appends against the current event read these directly;
+        #: a caller pricing a run of events inside one scope retargets
+        #: them event by event)
         self.current_event: Optional[int] = None
         self.now: float = 0.0
         #: True when stages recorded now would land on a current event.
@@ -193,20 +200,17 @@ class FlightRecorder:
     def records(self) -> List[StageRecord]:
         """Snapshot of the recorded stages, in recording order."""
         with self._lock:
-            return [StageRecord(*entry) for entry in self.buf]
+            return [StageRecord(*_unpack(entry)) for entry in self.buf]
 
     def as_dicts(self) -> List[Dict]:
         with self._lock:
-            return [
-                {"event": eid, "stage": stage, "t": t, "attrs": dict(attrs)}
-                for eid, stage, t, attrs in self.buf
-            ]
+            return [_as_dict(entry) for entry in self.buf]
 
     def chain(self, event_id: int) -> List[StageRecord]:
         """The stage chain of one event, in recording order."""
         with self._lock:
             return [
-                StageRecord(*entry)
+                StageRecord(*_unpack(entry))
                 for entry in self.buf
                 if entry[0] == event_id
             ]
@@ -224,10 +228,36 @@ class FlightRecorder:
                 self.buf[:] = [
                     r for r in self.buf if r[0] != event_id
                 ]
-        return [
-            {"event": eid, "stage": stage, "t": t, "attrs": dict(attrs)}
-            for eid, stage, t, attrs in taken
-        ]
+        return [_as_dict(entry) for entry in taken]
+
+    def insert(
+        self,
+        positions: List[int],
+        chains: List[List[tuple]],
+    ) -> None:
+        """Splice raw record chains into the buffer.
+
+        ``chains[i]`` lands at ``positions[i]``, an index into the
+        buffer as it is now; positions must be ascending.  The online
+        service uses this to file a deferred publication's stages where
+        the event's chain would have been recorded had it been priced
+        on arrival.  Only the buffer's tail from the first position on
+        is rebuilt.
+        """
+        if not positions:
+            return
+        with self._lock:
+            buf = self.buf
+            first = positions[0]
+            tail = buf[first:]
+            merged = []
+            prev = first
+            for position, chain in zip(positions, chains):
+                merged.extend(tail[prev - first:position - first])
+                merged.extend(chain)
+                prev = position
+            merged.extend(tail[prev - first:])
+            buf[first:] = merged
 
     def ingest(
         self, records: Iterable[Mapping], remap: bool = True
@@ -267,6 +297,19 @@ class FlightRecorder:
                 )
             self.buf.extend(ingested)
         return [StageRecord(*entry) for entry in ingested]
+
+
+def _unpack(entry: tuple) -> Tuple[int, str, float, Dict[str, object]]:
+    """A raw buffer entry as ``(event_id, stage, t, attrs)``, with a
+    fresh attrs dict."""
+    if len(entry) == 4:
+        return entry[0], entry[1], entry[2], dict(entry[3])
+    return entry[0], entry[1], entry[2], dict(zip(entry[3::2], entry[4::2]))
+
+
+def _as_dict(entry: tuple) -> Dict:
+    eid, stage, t, attrs = _unpack(entry)
+    return {"event": eid, "stage": stage, "t": t, "attrs": attrs}
 
 
 class _EventScope:

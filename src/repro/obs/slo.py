@@ -194,12 +194,15 @@ class SloEngine:
     the data path.  Objectives with ``feed_drift`` must influence the
     run *while it executes*, so they evaluate inline on every
     observation.  Alert-only objectives evaluate on a **deferred
-    replay** of the buffered observation stream, triggered the first
-    time breaches or summaries are read — the hot path pays one list
-    append per observation.  The replay is a pure function of the
-    buffered ``(signal, t, value, stream)`` tuples, so the breach
-    output is byte-identical to inline evaluation; the merged breach
-    list is ordered by ``(time, objective)`` either way.
+    replay** of the buffered observations, triggered the first time
+    breaches or summaries are read.  Each objective sees only its own
+    signal, so the buffer keeps one flat ``t, value, stream, ...`` list
+    per signal that an alert-only objective watches: the hot path pays
+    one list extend per observation and allocates nothing that
+    outlives it.  The replay is a pure function of each signal's
+    observations in arrival order, so the breach output is
+    byte-identical to inline evaluation; the merged breach list is
+    ordered by ``(time, objective)`` either way.
     """
 
     def __init__(
@@ -213,10 +216,6 @@ class SloEngine:
             raise ValueError("objective names must be unique")
         self.drift_sink = drift_sink
         self._breaches: List[SloBreach] = []
-        self._buffer: List[
-            Tuple[str, float, float, Optional[str]]
-        ] = []
-        self._replayed = 0  # buffer prefix already seen by the replay
         self._by_signal: Dict[str, List[_Tracked]] = {}
         self._inline: Dict[str, List[_Tracked]] = {}
         self._deferred: Dict[str, List[_Tracked]] = {}
@@ -225,6 +224,20 @@ class SloEngine:
             self._by_signal.setdefault(objective.signal, []).append(entry)
             target = self._inline if objective.feed_drift else self._deferred
             target.setdefault(objective.signal, []).append(entry)
+        #: per deferred signal: flat ``t, value, stream`` triples, and
+        #: the prefix length the replay has already seen
+        self._buffer: Dict[str, List] = {
+            signal: [] for signal in self._deferred
+        }
+        self._replayed: Dict[str, int] = {
+            signal: 0 for signal in self._deferred
+        }
+        #: per watched signal: its buffer (or None) and its inline
+        #: objectives (or None), so an observation costs one lookup
+        self._routes = {
+            signal: (self._buffer.get(signal), self._inline.get(signal))
+            for signal in self._by_signal
+        }
 
     # ------------------------------------------------------------------
     @property
@@ -246,26 +259,27 @@ class SloEngine:
         that feed drift evaluate immediately so their breaches can steer
         the run.
         """
-        self._buffer.append((signal, t, value, stream))
-        inline = self._inline.get(signal)
+        route = self._routes.get(signal)
+        if route is None:
+            return
+        buffered, inline = route
+        if buffered is not None:
+            buffered.extend((t, value, stream))
         if inline is not None:
             self._evaluate(inline, signal, t, value, stream)
 
     def _replay_deferred(self) -> None:
-        """Run alert-only objectives over the unseen buffer suffix."""
-        buffer = self._buffer
-        start = self._replayed
-        if start >= len(buffer):
-            return
-        self._replayed = len(buffer)
-        if self._deferred:
-            evaluate = self._evaluate
-            by_signal: Dict[str, List] = {}
-            for observation in buffer[start:]:
-                by_signal.setdefault(observation[0], []).append(observation)
-            for signal, tracked in self._deferred.items():
-                for _, t, value, stream in by_signal.get(signal, ()):
-                    evaluate(tracked, signal, t, value, stream)
+        """Run alert-only objectives over the unseen buffer suffixes."""
+        evaluate = self._evaluate
+        for signal, tracked in self._deferred.items():
+            buffered = self._buffer[signal]
+            start = self._replayed[signal]
+            self._replayed[signal] = len(buffered)
+            for i in range(start, len(buffered), 3):
+                evaluate(
+                    tracked, signal,
+                    buffered[i], buffered[i + 1], buffered[i + 2],
+                )
         # deterministic merge of inline + replayed breaches; sort is
         # stable, so each objective's own breaches keep emission order
         self._breaches.sort(key=lambda b: (b.time, b.objective))

@@ -49,6 +49,8 @@ from __future__ import annotations
 import heapq
 import math
 from dataclasses import dataclass, field
+from itertools import groupby
+from operator import itemgetter
 from typing import Dict, List, Optional, Sequence, Tuple
 
 import numpy as np
@@ -261,9 +263,11 @@ class BrokerService:
         )
         self._flight = get_flight_recorder()
         #: publications served but not yet handed to the broker (the
-        #: current run; see :meth:`_serve`)
-        self._run: List[Publish] = []
-        self._batching = True
+        #: current run; see :meth:`_serve`), each with the bookkeeping
+        #: its deferred receipt needs: (publication, seq, completion,
+        #: latency, stream, flight-buffer position)
+        self._run: List[Tuple[Publish, int, float, float, str, int]] = []
+        self._cap = _RUN_CAP
 
     # ------------------------------------------------------------------
     def register_initial(
@@ -285,9 +289,18 @@ class BrokerService:
         observing = self._flight.enabled or self.slo is not None
         for queue in self._queues.values():
             queue.record_evictions = observing
-        # per-event stage chains and inline SLO feeds need each receipt
-        # when its event completes: observed runs publish one at a time
-        self._batching = not observing
+        # an inline drift feed on lost_rate reads each receipt as its
+        # event completes and may make a rebuild due before the next
+        # publication: such runs publish every publication on its own
+        self._cap = (
+            1
+            if self.slo is not None
+            and any(
+                o.feed_drift and o.signal == "lost_rate"
+                for o in self.slo.objectives
+            )
+            else _RUN_CAP
+        )
         fits_before = self.maintainer.captures
         rebuilds_before = self.broker.stats.n_rebuilds
         evicted_before = {
@@ -408,7 +421,7 @@ class BrokerService:
                     # raw-append protocol: see FlightRecorder.buf
                     flight.buf.append((
                         seq, "enqueue", effective,
-                        {"stream": event.stream, "depth": len(queue)},
+                        "stream", event.stream, "depth", len(queue),
                     ))
                 if slo is not None:
                     slo.observe(
@@ -453,21 +466,9 @@ class BrokerService:
                 # raw-append protocol: see FlightRecorder.buf
                 flight.buf.append((
                     seq, "queue_wait", start,
-                    {"seconds": start - arrived, "stream": event.stream},
+                    "seconds", start - arrived, "stream", event.stream,
                 ))
-                with flight.event(seq, completion):
-                    outcome = self._process(event, completion)
-                flight.buf.append((
-                    seq, "outcome", completion,
-                    {
-                        "seconds": latency, "stream": event.stream,
-                        "outcome": outcome,
-                    },
-                ))
-            elif self._batching:
-                self._serve(event, completion)
-            else:
-                self._process(event, completion)
+            self._serve(event, seq, completion, latency)
             if self.slo is not None:
                 self.slo.observe(
                     "queue_wait", start, start - arrived,
@@ -515,43 +516,90 @@ class BrokerService:
             return
 
     # ------------------------------------------------------------------
-    def _serve(self, event: StreamEvent, now: float) -> None:
+    def _serve(
+        self, event: StreamEvent, seq: int, now: float, latency: float
+    ) -> None:
         """Apply one event, deferring publications into the current run.
 
         The broker state is fixed between writes, so consecutive
         publications are handed to :meth:`ContentBroker.publish_batch`
         together.  The run is flushed before a join or leave, before a
-        publication that finds a rebuild due, and at :data:`_RUN_CAP`
-        (and at the end of :meth:`run`).  Completion times never depend
-        on a receipt, so deferring them moves no latency, shed or
-        horizon.
+        publication that finds a rebuild due, at the run cap and at the
+        end of :meth:`run`.  Completion times never depend on a receipt,
+        so deferring them moves no latency, shed or horizon; a deferred
+        publication's flight stages and ``lost_rate`` observation are
+        filed under its own event id and completion time at the flush.
         """
         payload = event.payload
+        flight = self._flight
         if not isinstance(payload, Publish):
             self._flush()
-            self._process(event, now)
+            if not flight.enabled:
+                self._process(payload, now)
+                return
+            with flight.event(seq, now):
+                outcome = self._process(payload, now)
+            flight.buf.append((
+                seq, "outcome", now,
+                "seconds", latency, "stream", event.stream,
+                "outcome", outcome,
+            ))
             return
         if self.broker.rebuild_due(now):
             self._flush()
-            self.maintainer.maybe_rebuild(now)
+            if flight.enabled:
+                with flight.event(seq, now):
+                    self.maintainer.maybe_rebuild(now)
+            else:
+                self.maintainer.maybe_rebuild(now)
         run = self._run
-        run.append(payload)
-        if len(run) >= _RUN_CAP:
+        run.append((payload, seq, now, latency, event.stream, len(flight.buf)))
+        if len(run) >= self._cap:
             self._flush()
 
     def _flush(self) -> None:
-        """Publish the current run of deferred publications."""
-        if self._run:
-            run, self._run = self._run, []
-            self._publish(run)
+        """Publish the current run of deferred publications.
 
-    def _publish(self, run: Sequence[Publish]):
-        """Publish a run of publications; folds their costs and forwards
-        in event order and returns the receipts."""
+        Costs and forwards fold in event order.  Under a flight
+        recorder each event's broker stages and its outcome are spliced
+        back where the per-event loop recorded them.
+        """
+        run = self._run
+        if not run:
+            return
+        self._run = []
         broker = self.broker
-        receipts = broker.publish_batch(
-            [p.point for p in run], [p.publisher for p in run]
-        )
+        flight = self._flight
+        points = [pending[0].point for pending in run]
+        publishers = [pending[0].publisher for pending in run]
+        if flight.enabled:
+            buf = flight.buf
+            mark = len(buf)
+            receipts = broker.publish_batch(
+                points, publishers,
+                events=[(pending[1], pending[2]) for pending in run],
+            )
+            # the broker appended each event's stages contiguously, in
+            # event order; lift them out and splice each back in place
+            staged = {
+                seq: list(records)
+                for seq, records in groupby(buf[mark:], key=itemgetter(0))
+            }
+            del buf[mark:]
+            chains = []
+            for (_, seq, now, latency, stream, _), receipt in zip(
+                run, receipts
+            ):
+                chain = staged.get(seq, [])
+                chain.append((
+                    seq, "outcome", now,
+                    "seconds", latency, "stream", stream,
+                    "outcome", receipt.outcome,
+                ))
+                chains.append(chain)
+            flight.insert([pending[5] for pending in run], chains)
+        else:
+            receipts = broker.publish_batch(points, publishers)
         result = self._result
         for receipt in receipts:
             result.total_cost += float(receipt.cost)
@@ -566,11 +614,17 @@ class BrokerService:
                     for internal in interested.tolist()
                     if external_of[internal] in forward_handles
                 )
-        return receipts
+        slo = self.slo
+        if slo is not None:
+            for (_, _, now, _, stream, _), receipt in zip(run, receipts):
+                slo.observe(
+                    "lost_rate", now,
+                    receipt.lost_deliveries / max(1, receipt.n_interested),
+                    stream=stream,
+                )
 
-    def _process(self, event: StreamEvent, now: float) -> str:
-        """Apply one event now; returns its outcome classification."""
-        payload = event.payload
+    def _process(self, payload: object, now: float) -> str:
+        """Apply one join or leave now; returns its outcome."""
         maintainer = self.maintainer
         broker = self.broker
         if isinstance(payload, FleetJoin):
@@ -604,16 +658,6 @@ class BrokerService:
                 self._sample_inflation(now)
                 maintainer.maybe_rebuild(now)
             return "left"
-        if isinstance(payload, Publish):
-            maintainer.maybe_rebuild(now)
-            (receipt,) = self._publish([payload])
-            if self.slo is not None:
-                self.slo.observe(
-                    "lost_rate", now,
-                    receipt.lost_deliveries / max(1, receipt.n_interested),
-                    stream=event.stream,
-                )
-            return receipt.outcome
         raise TypeError(f"unknown payload {type(payload).__name__}")
 
     def _sample_inflation(self, now: float) -> None:

@@ -1,5 +1,7 @@
 """Shared test helpers."""
 
+import numpy as np
+
 from repro.geometry import Interval, Rectangle
 from repro.workload import Subscription, SubscriptionSet
 
@@ -11,3 +13,13 @@ def make_subscription_set(space, specs):
         rect = Rectangle(tuple(Interval.make(lo, hi) for lo, hi in bounds))
         subs.append(Subscription(subscriber, node, rect))
     return SubscriptionSet(space, subs)
+
+
+def wasted_deliveries(plan):
+    """Reference: covered subscribers that are not interested."""
+    return int(len(np.setdiff1d(plan.covered_subscribers(), plan.interested)))
+
+
+def missed_subscribers(plan):
+    """Reference: interested subscribers the plan fails to reach."""
+    return np.setdiff1d(np.asarray(plan.interested), plan.covered_subscribers())

@@ -41,18 +41,24 @@ def plan_for(interested, members=None):
     )
 
 
+def decide(policy, publisher, plan):
+    """The policy's decision, given the event's priced unicast reference."""
+    unicast = policy.dispatcher.unicast_reference(publisher, plan.interested)
+    return policy.decide(publisher, plan, unicast)
+
+
 class TestDecision:
     def test_single_subscriber_prefers_unicast(self, setup):
         policy = AdaptiveDeliveryPolicy(setup)
         # one interested subscriber at node 1: unicast costs 1, broadcast 4
-        decision = policy.decide(0, plan_for([0]))
+        decision = decide(policy, 0, plan_for([0]))
         assert decision.mode == "unicast"
         assert decision.cost == pytest.approx(1.0)
 
     def test_everyone_interested_prefers_broadcast_or_ties(self, setup):
         policy = AdaptiveDeliveryPolicy(setup)
         # all four subscribers: unicast 1+2+3+4=10, broadcast 4
-        decision = policy.decide(0, plan_for([0, 1, 2, 3]))
+        decision = decide(policy, 0, plan_for([0, 1, 2, 3]))
         assert decision.mode == "broadcast"
         assert decision.cost == pytest.approx(4.0)
 
@@ -62,13 +68,13 @@ class TestDecision:
         )
         # group covering exactly the interested pair {2,3} (nodes 3,4):
         # multicast 4, unicast 3+4=7, broadcast 4*2=8
-        decision = policy.decide(0, plan_for([2, 3], members=[2, 3]))
+        decision = decide(policy, 0, plan_for([2, 3], members=[2, 3]))
         assert decision.mode == "multicast"
         assert decision.cost == pytest.approx(4.0)
 
     def test_no_interest_unicasts_nothing(self, setup):
         policy = AdaptiveDeliveryPolicy(setup)
-        decision = policy.decide(0, plan_for([]))
+        decision = decide(policy, 0, plan_for([]))
         assert decision.mode == "unicast"
         assert decision.cost == 0.0
         assert "broadcast" not in decision.candidate_costs
@@ -77,8 +83,8 @@ class TestDecision:
         cheap = AdaptiveDeliveryPolicy(setup, broadcast_penalty=1.0)
         pricey = AdaptiveDeliveryPolicy(setup, broadcast_penalty=3.0)
         plan = plan_for([0, 1, 2, 3])
-        assert cheap.decide(0, plan).mode == "broadcast"
-        assert pricey.decide(0, plan).mode == "unicast"
+        assert decide(cheap, 0, plan).mode == "broadcast"
+        assert decide(pricey, 0, plan).mode == "unicast"
 
     def test_penalty_validated(self, setup):
         with pytest.raises(ValueError):
@@ -86,13 +92,13 @@ class TestDecision:
 
     def test_savings_accounting(self, setup):
         policy = AdaptiveDeliveryPolicy(setup)
-        decision = policy.decide(0, plan_for([0, 1, 2, 3]))
+        decision = decide(policy, 0, plan_for([0, 1, 2, 3]))
         assert decision.savings_vs_unicast == pytest.approx(10.0 - 4.0)
 
     def test_mode_rates(self, setup):
         policy = AdaptiveDeliveryPolicy(setup)
-        policy.decide(0, plan_for([0]))
-        policy.decide(0, plan_for([0, 1, 2, 3]))
+        decide(policy, 0, plan_for([0]))
+        decide(policy, 0, plan_for([0, 1, 2, 3]))
         rates = policy.mode_rates()
         assert rates["unicast"] == pytest.approx(0.5)
         assert rates["broadcast"] == pytest.approx(0.5)
@@ -116,7 +122,7 @@ class TestAdaptiveNeverWorse:
             interested = np.unique(rng.integers(0, 4, size=3))
             members = np.unique(rng.integers(0, 4, size=2))
             plan = plan_for(interested, members=members)
-            decision = policy.decide(0, plan)
+            decision = decide(policy, 0, plan)
             for cost in decision.candidate_costs.values():
                 assert decision.cost <= cost + 1e-9
 
@@ -132,7 +138,7 @@ class TestObsInstrumentation:
         )
         policy = AdaptiveDeliveryPolicy(setup)
         before = counter.labels(mode="unicast").value
-        decision = policy.decide(0, plan_for([0]))
+        decision = decide(policy, 0, plan_for([0]))
         assert decision.mode == "unicast"
         assert counter.labels(mode="unicast").value == before + 1
 
@@ -142,15 +148,15 @@ class TestObsInstrumentation:
         policy = AdaptiveDeliveryPolicy(setup)
         child = get_registry().get("delivery_mode_cost_gap").labels()
         before = child.count
-        policy.decide(0, plan_for([0]))
-        policy.decide(0, plan_for([0, 1, 2, 3]))
+        decide(policy, 0, plan_for([0]))
+        decide(policy, 0, plan_for([0, 1, 2, 3]))
         assert child.count == before + 2
 
     def test_realized_gap_vs_fixed_policy(self, setup):
         policy = AdaptiveDeliveryPolicy(setup)
         # a wasteful group: the fixed policy executes the plan, the
         # adaptive one pays the cheaper unicast — the gap is the spread
-        decision = policy.decide(0, plan_for([0], members=[0, 1, 2, 3]))
+        decision = decide(policy, 0, plan_for([0], members=[0, 1, 2, 3]))
         fixed = decision.candidate_costs.get(
             "multicast", decision.candidate_costs["unicast"]
         )
@@ -160,7 +166,9 @@ class TestObsInstrumentation:
     def test_realized_gap_zero_when_plan_wins(self, setup):
         policy = AdaptiveDeliveryPolicy(setup)
         # everyone interested and grouped: the plan is the cheapest mode
-        decision = policy.decide(0, plan_for([0, 1, 2, 3], members=[0, 1, 2, 3]))
+        decision = decide(
+            policy, 0, plan_for([0, 1, 2, 3], members=[0, 1, 2, 3])
+        )
         if decision.mode == "multicast":
             assert decision.realized_gap == 0.0
         else:

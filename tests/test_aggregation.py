@@ -393,7 +393,7 @@ class TestMatcherEquivalence:
         b = GridMatcher(direct, dup_subs).match_batch(probe_points)
         for pa, pb in zip(a, b):
             self.assert_plans_equal(pa, pb)
-            pa.validate_complete()
+            pa.audit()
 
     def test_noloss_matcher(self, dup_subs, uniform_pmf, probe_points):
         result = NoLossAlgorithm(n_keep=100, iterations=2).fit(

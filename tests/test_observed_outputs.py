@@ -1,11 +1,12 @@
 """Observed runs print what the per-event publish loop printed.
 
-The service publishes one event at a time while a flight recorder or an
-SLO engine observes it, and batches runs of publications otherwise (see
-docs/online.md).  These tests pin the observed CLI runs, the flight
-records' stage chains, and a run several times longer than the batch
-cap to sha256 digests of their output, recorded with the per-event
-loop.  Run this file as a script to print the current digests.
+The service batches runs of publications also while a flight recorder
+or an SLO engine observes it, and splices each batched event's stages
+back into its chain (see docs/online.md).  These tests pin the observed
+CLI runs, the flight records' stage chains, and a run several times
+longer than the batch cap to sha256 digests of their output, recorded
+with the per-event loop.  Run this file as a script to print the
+current digests.
 """
 
 import contextlib

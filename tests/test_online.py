@@ -444,7 +444,7 @@ class TestClusterMaintainer:
             (dim.lo + dim.hi) / 2 for dim in space.dimensions
         ]
         plan = broker._matcher.match(point)
-        plan.validate_complete()
+        plan.audit()
         assert internal in np.asarray(plan.interested)
 
     def test_drift_triggers_warm_rebuild(self, online_env, rng):

@@ -30,6 +30,8 @@ from repro.online import (
     ServiceConfig,
     StreamEvent,
 )
+from repro.obs import FlightRecorder, set_flight_recorder
+from repro.obs.slo import Objective, SloEngine
 from repro.online.service import _RUN_CAP
 from repro.workload import MixturePublicationModel, single_mode_mixture
 
@@ -42,14 +44,26 @@ def _bits(x: float) -> bytes:
 # ----------------------------------------------------------------------
 class PerEventService(BrokerService):
     """Reference: every publication is published alone when it completes,
-    after the maintainer's rebuild check, as the service did before
+    after the maintainer's rebuild check, inside its own flight scope and
+    with its ``lost_rate`` observed at once, as the service did before
     publications were batched."""
 
-    def _serve(self, event, now):
+    def _serve(self, event, seq, now, latency):
+        flight = self._flight
+        if not flight.enabled:
+            self._apply(event, now)
+            return
+        with flight.event(seq, now):
+            outcome = self._apply(event, now)
+        flight.record(
+            seq, "outcome", now,
+            seconds=latency, stream=event.stream, outcome=outcome,
+        )
+
+    def _apply(self, event, now):
         payload = event.payload
         if not isinstance(payload, Publish):
-            self._process(event, now)
-            return
+            return self._process(payload, now)
         self.maintainer.maybe_rebuild(now)
         broker = self.broker
         receipt = broker.publish(payload.point, payload.publisher)
@@ -62,6 +76,31 @@ class PerEventService(BrokerService):
             for internal in interested.tolist()
             if broker._external_of[internal] in forward_handles
         )
+        if self.slo is not None:
+            self.slo.observe(
+                "lost_rate", now,
+                receipt.lost_deliveries / max(1, receipt.n_interested),
+                stream=event.stream,
+            )
+        return receipt.outcome
+
+
+#: objectives on every signal with thresholds low enough to breach; the
+#: ``feed_drift`` one (if any) turns its breaches into rebuild signals
+def _objectives(inline):
+    spec = [
+        ("latency", "p95", 0.002), ("queue_wait", "max", 0.001),
+        ("shed_rate", "mean", 0.01), ("waste_inflation", "max", 1.01),
+        ("lost_rate", "mean", -1.0),
+    ]
+    return [
+        Objective(
+            name=f"{signal}-{stat}", signal=signal, stat=stat,
+            threshold=threshold, window=0.02,
+            feed_drift=signal == inline,
+        )
+        for signal, stat, threshold in spec
+    ]
 
 
 @pytest.fixture(scope="module")
@@ -144,11 +183,16 @@ def _replay(env, service_cls, params):
     ]
     broker.rebuild()
     queue = QueueConfig(capacity=16, policy=params["policy"])
+    observe = params.get("observe")
+    slo = None
+    if observe in ("slo", "both"):
+        slo = SloEngine(_objectives(params.get("inline")))
     service = service_cls(
         broker, ClusterMaintainer(broker),
         ServiceConfig(
             service_rate=1000.0, churn_queue=queue, pub_queue=queue
         ),
+        slo=slo,
     )
     for gid, handle in enumerate(handles):
         service.register_initial(gid, handle)
@@ -156,8 +200,8 @@ def _replay(env, service_cls, params):
     if service_cls is BrokerService:
         publish_batch = broker.publish_batch
 
-        def recording(points, publishers):
-            receipts = publish_batch(points, publishers)
+        def recording(points, publishers, **kwargs):
+            receipts = publish_batch(points, publishers, **kwargs)
             service.receipts.extend(receipts)
             return receipts
 
@@ -166,7 +210,14 @@ def _replay(env, service_cls, params):
         env["space"], n_nodes, params["seed"] + 1, params["n_events"],
         params["pub_share"], params["forward"], params["n_initial"],
     )
-    result = service.run(events)
+    recorder = FlightRecorder(enabled=observe in ("flight", "both"))
+    previous = set_flight_recorder(recorder)
+    try:
+        result = service.run(events)
+    finally:
+        set_flight_recorder(previous)
+    service.collect_slo(result)
+    service.flight_records = recorder.as_dicts()
     stats = broker.stats.as_dict()
     del stats["total_rebuild_seconds"]  # wall clock
     return service, result, stats
@@ -194,6 +245,12 @@ def replay_params(draw):
         "backoff": draw(st.sampled_from([0.0, 0.01, 0.05])),
         "policy": draw(st.sampled_from(["block", "shed-oldest"])),
         "n_initial": draw(st.integers(4, 24)),
+        # observed runs batch too, unless an inline objective reads
+        # lost_rate (then every publication is flushed on its own)
+        "observe": draw(st.sampled_from([None, "flight", "slo", "both"])),
+        "inline": draw(
+            st.sampled_from([None, "waste_inflation", "latency", "lost_rate"])
+        ),
     }
 
 
@@ -205,12 +262,21 @@ DUE_WITH_PENDING_RUN = dict(
     scheme="dense", adaptive=False, drift=1.0, backoff=0.01,
     policy="block", n_initial=12,
 )
+#: the same stream observed by a flight recorder and an SLO engine whose
+#: inline drift feed watches waste inflation (batched) or lost_rate
+#: (every publication flushed on its own)
+OBSERVED_DUE_RUNS = [
+    dict(DUE_WITH_PENDING_RUN, observe="both", inline=inline)
+    for inline in ("waste_inflation", "lost_rate")
+]
 
 
 class TestBatchedServiceEquivalence:
     @settings(max_examples=40, deadline=None)
     @given(params=replay_params())
     @example(params=DUE_WITH_PENDING_RUN)
+    @example(params=OBSERVED_DUE_RUNS[0])
+    @example(params=OBSERVED_DUE_RUNS[1])
     def test_batched_runs_match_per_event_publishing(self, env, params):
         batched, got, got_stats = _replay(env, BrokerService, params)
         single, want, want_stats = _replay(env, PerEventService, params)
@@ -232,6 +298,9 @@ class TestBatchedServiceEquivalence:
         assert got.n_shed == want.n_shed
         assert got.n_rebuilds == want.n_rebuilds
         assert got.horizon == want.horizon
+        assert batched.flight_records == single.flight_records
+        assert got.slo_breaches == want.slo_breaches
+        assert got.slo_summary == want.slo_summary
 
     def test_publish_is_a_one_event_batch(self, env):
         params = dict(
