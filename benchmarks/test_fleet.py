@@ -126,7 +126,7 @@ def test_worker_fanout_byte_identity_and_speedup():
 
     cores = os.cpu_count() or 1
     if cores >= SHARDS:
-        # generous bound: pool startup + scenario rebuild amortise over
+        # generous bound: pool startup + per-shard set-up amortise over
         # the slice replay, but small runs leave them visible
         assert fanned.wall_seconds < serial.wall_seconds * 1.1, (
             f"{SHARDS}-way fan-out on {cores} cores gained nothing "

@@ -180,8 +180,19 @@ class ContentBroker:
     # ------------------------------------------------------------------
     # subscription management
     # ------------------------------------------------------------------
-    def subscribe(self, node: int, rectangle: Rectangle) -> int:
-        """Register a subscription; returns its handle."""
+    def subscribe(
+        self,
+        node: int,
+        rectangle: Rectangle,
+        cells: Optional[np.ndarray] = None,
+    ) -> int:
+        """Register a subscription; returns its handle.
+
+        ``cells`` is the rectangle's footprint
+        (``space.cells_in_rectangle(rectangle)``) when the caller already
+        has it; the broker keeps the array, read-only, instead of
+        rasterising the rectangle again.
+        """
         if rectangle.dimensions != self.space.n_dims:
             raise ValueError("subscription dimensionality mismatch")
         if not 0 <= node < self.routing.graph.n_nodes:
@@ -191,7 +202,7 @@ class ContentBroker:
         self._active[handle] = (node, rectangle)
         self._pending_changes += 1
         if self.config.delta_cells:
-            self._track_cells(handle, rectangle)
+            self._track_cells(handle, rectangle, cells)
         if self._aggregator is not None:
             self._aggregator.add(handle, rectangle)
         return handle
@@ -221,20 +232,45 @@ class ContentBroker:
     # ------------------------------------------------------------------
     # persistent cell-membership cache (the delta rebuild path)
     # ------------------------------------------------------------------
-    def _track_cells(self, handle: int, rectangle: Rectangle) -> None:
-        """Rasterise one subscription into its own buffer column."""
-        covered = self.space.cells_in_rectangle(rectangle)
+    def reserve(self, n: int) -> None:
+        """Size the cell buffer, in one step, for ``n`` subscriptions
+        beyond the slots in use.
+
+        A caller that knows the most subscriptions it will hold at once
+        registers them without the buffer's doubling copies and with no
+        spare columns; the contents are unchanged.
+        """
+        needed = self._n_slots + n
+        buf = self._cell_buf
+        if self.config.delta_cells and n > 0 and (
+            buf is None or buf.shape[1] < needed
+        ):
+            self._grow_cells(needed)
+
+    def _grow_cells(self, capacity: int) -> None:
+        """Reallocate the cell buffer with ``capacity`` columns."""
+        buf = self._cell_buf
+        grown = np.zeros((self.space.n_cells, capacity), dtype=bool)
+        if buf is not None:
+            grown[:, : buf.shape[1]] = buf
+        self._cell_buf = grown
+
+    def _track_cells(
+        self,
+        handle: int,
+        rectangle: Rectangle,
+        covered: Optional[np.ndarray],
+    ) -> None:
+        """Record one subscription's footprint in its own buffer column."""
+        if covered is None:
+            covered = self.space.cells_in_rectangle(rectangle)
         slot = self._free_slots.pop() if self._free_slots else self._n_slots
         if slot == self._n_slots:
             self._n_slots += 1
-        buf = self._cell_buf
-        if buf is None or buf.shape[1] < self._n_slots:
-            capacity = max(64, 2 * self._n_slots)
-            grown = np.zeros((self.space.n_cells, capacity), dtype=bool)
-            if buf is not None:
-                grown[:, : buf.shape[1]] = buf
-            self._cell_buf = buf = grown
-        buf[covered, slot] = True
+            buf = self._cell_buf
+            if buf is None or buf.shape[1] < self._n_slots:
+                self._grow_cells(max(64, 2 * self._n_slots))
+        self._cell_buf[covered, slot] = True
         self._slot_of[handle] = slot
         self._cells_of[handle] = covered
 

@@ -18,6 +18,7 @@ from .sharding import STRATEGIES, ShardMap
 from .soak import (
     FleetConfig,
     FleetResult,
+    ShardContext,
     ShardSummary,
     route_fleet_stream,
     run_fleet,
@@ -34,6 +35,7 @@ __all__ = [
     "FleetLeave",
     "FleetConfig",
     "FleetResult",
+    "ShardContext",
     "ShardSummary",
     "route_fleet_stream",
     "run_fleet",

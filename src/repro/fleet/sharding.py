@@ -29,7 +29,7 @@ every fleet participant derives the identical map with no coordination.
 from __future__ import annotations
 
 import hashlib
-from typing import Sequence
+from typing import Sequence, Tuple
 
 import numpy as np
 
@@ -52,7 +52,7 @@ class ShardMap:
     """Deterministic grid-cell → shard ownership map.
 
     The full ``cell_to_shard`` vector is materialised at construction
-    (one int64 per grid cell): home-shard scoring and publication
+    (one int64 per grid cell): footprint scoring and publication
     routing reduce to array gathers, and two maps built from the same
     parameters are bit-identical.
     """
@@ -110,38 +110,42 @@ class ShardMap:
         return owners[slots]
 
     # ------------------------------------------------------------------
-    def shard_of_cell(self, cell: int) -> int:
-        """Owner shard of one flat grid-cell index."""
-        return int(self.cell_to_shard[cell])
+    def shards_of_points(
+        self, points: Sequence[Sequence[float]]
+    ) -> np.ndarray:
+        """Owner shard of the cell each published event lands in.
 
-    def shard_of_point(self, point: Sequence[float]) -> int:
-        """Owner shard of the cell a published event lands in."""
-        return int(self.cell_to_shard[self.space.locate(point)])
-
-    def shards_of_cells(self, cells: np.ndarray) -> np.ndarray:
-        """Sorted unique owner shards of a covered-cells footprint."""
-        if len(cells) == 0:
-            return np.empty(0, dtype=np.int64)
-        return np.unique(self.cell_to_shard[np.asarray(cells)])
-
-    def home_shard(self, cells: np.ndarray, cell_pmf: np.ndarray) -> int:
-        """The shard owning the most publication mass of a footprint.
-
-        Ties (and zero-mass footprints) break to the covered-cell count,
-        then to the lowest shard id; an empty footprint homes at shard 0
-        (the subscription matches nothing, any owner works).
+        One :meth:`EventSpace.locate_batch` and one gather.  A point
+        outside the grid locates to ``-1`` and so takes the owner of the
+        last cell, as it always has.
         """
-        if len(cells) == 0:
-            return 0
-        cells = np.asarray(cells)
+        return self.cell_to_shard[self.space.locate_batch(points)]
+
+    def footprint(
+        self, cells: np.ndarray, cell_pmf: np.ndarray
+    ) -> Tuple[Tuple[int, ...], int]:
+        """``(shards, home)`` of a covered-cells footprint.
+
+        ``shards`` are the sorted owners of the covered cells; ``home``
+        is the one owning the most publication mass.  Ties (and
+        zero-mass footprints) break to the covered-cell count, then to
+        the lowest shard id.  An empty footprint registers at and homes
+        to shard 0 (it matches nothing, any owner works).
+        """
+        if len(cells) == 0 or self.n_shards == 1:
+            return (0,), 0
         owners = self.cell_to_shard[cells]
+        counts = np.bincount(owners, minlength=self.n_shards)
+        shards = tuple(np.flatnonzero(counts).tolist())
+        if len(shards) == 1:
+            # one owner: it is the home whatever the mass
+            return shards, shards[0]
         mass = np.bincount(
             owners, weights=cell_pmf[cells], minlength=self.n_shards
         )
         if mass.max() > 0.0:
-            return int(np.argmax(mass))
-        counts = np.bincount(owners, minlength=self.n_shards)
-        return int(np.argmax(counts))
+            return shards, int(np.argmax(mass))
+        return shards, int(np.argmax(counts))
 
     def shard_cell_counts(self) -> np.ndarray:
         """Owned grid cells per shard (balance diagnostics)."""

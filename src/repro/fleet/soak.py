@@ -29,6 +29,12 @@ their (possibly new) budget.  Virtual clocks carry across barriers:
 ``busy_until`` and the exact token-bucket state resume where the
 previous epoch stopped.
 
+**The parent builds once.**  The scenario, the shard map and the
+covered cells of every registration live at an epoch start are built
+one time, in the parent, and reach every shard as one read-only
+:class:`ShardContext`: directly when shards run inline, through the
+pool initializer otherwise.
+
 Every number in :meth:`FleetResult.deterministic_report` is
 virtual-clock derived, hence byte-identical across runs and worker
 counts for the same configuration.
@@ -73,13 +79,14 @@ from ..online.soak import (
     finalize_equivalence,
     generate_stream,
 )
-from ..sim.scenario import build_preliminary_scenario
+from ..sim.scenario import Scenario, build_preliminary_scenario
 from .coordinator import FleetCoordinator
 from .sharding import ShardMap
 
 __all__ = [
     "FleetConfig",
     "FleetResult",
+    "ShardContext",
     "ShardSummary",
     "route_fleet_stream",
     "run_fleet",
@@ -123,24 +130,9 @@ class FleetPlan:
     n_noop_leaves: int = 0
     #: joins/initials whose rectangle overlapped cells of >1 shard
     n_cross_shard: int = 0
-
-
-def _route_registration(
-    gid: int, node: int, rectangle, scenario, shard_map: ShardMap
-) -> _Registration:
-    if shard_map.n_shards == 1:
-        # one shard owns every cell: no footprint to rasterise
-        return _Registration(gid, node, rectangle, (0,), 0)
-    covered = scenario.space.cells_in_rectangle(rectangle)
-    shards = tuple(
-        int(s) for s in shard_map.shards_of_cells(covered)
-    ) or (0,)
-    home = (
-        shard_map.home_shard(covered, scenario.cell_pmf)
-        if len(covered)
-        else 0
-    )
-    return _Registration(gid, node, rectangle, shards, home)
+    #: covered cells of every registration live at some epoch start, by
+    #: gid: the shards register these without rasterising again
+    footprints: Dict[int, np.ndarray] = field(default_factory=dict)
 
 
 def route_fleet_stream(
@@ -150,24 +142,45 @@ def route_fleet_stream(
 
     Churn is replayed in arrival order against a registry seeded with
     the initial subscription ids, resolving each leave's positional
-    index as ``index % len(live)``.
+    index as ``index % len(live)``.  Every publication's owner comes
+    from one batched locate; every registration's shards and home come
+    from one gather over its covered cells, which the plan keeps for
+    the shards whenever the registration is live at an epoch start.
     """
     events = generate_stream(config, scenario)
     ordered = sorted(events, key=lambda e: (e.time, e.stream != "churn"))
     n_shards = shard_map.n_shards
     replicate = config.fleet_policy == "replicate"
+    space = scenario.space
+    cell_pmf = scenario.cell_pmf
+    footprints: Dict[int, np.ndarray] = {}
+
+    def register(gid: int, node: int, rectangle, keep: bool) -> _Registration:
+        """Place one registration; ``keep`` its footprint for the shards
+        when a later epoch start may find it live."""
+        if n_shards == 1 and not keep:
+            # one shard owns every cell: no footprint to rasterise
+            return _Registration(gid, node, rectangle, (0,), 0)
+        covered = space.cells_in_rectangle(rectangle)
+        if keep:
+            footprints[gid] = covered
+        shards, home = shard_map.footprint(covered, cell_pmf)
+        return _Registration(gid, node, rectangle, shards, home)
 
     subs = scenario.subscriptions
     nodes = subs.subscriber_nodes
     registrations: Dict[int, _Registration] = {}
     registry: List[int] = []
     for gid, rectangle in enumerate(subs.rectangles()):
-        reg = _route_registration(
-            gid, int(nodes[gid]), rectangle, scenario, shard_map
-        )
-        registrations[gid] = reg
+        registrations[gid] = register(gid, int(nodes[gid]), rectangle, True)
         registry.append(gid)
     next_gid = len(registry)
+
+    # publication owners in stream order, consumed in the same order
+    pub_points = [
+        e.payload.point for e in ordered if isinstance(e.payload, Publish)
+    ]
+    pub_owners = iter(shard_map.shards_of_points(pub_points).tolist())
 
     plan = FleetPlan(
         scenario_name=scenario.name,
@@ -179,6 +192,7 @@ def route_fleet_stream(
     )
     bounds = np.linspace(0, len(ordered), config.epochs + 1).astype(int)
     for epoch in range(config.epochs):
+        keep = epoch + 1 < config.epochs
         plan.live_at_epoch.append(
             [registrations[g] for g in sorted(registry)]
         )
@@ -188,10 +202,7 @@ def route_fleet_stream(
             if isinstance(payload, ChurnJoin):
                 gid = next_gid
                 next_gid += 1
-                reg = _route_registration(
-                    gid, payload.node, payload.rectangle, scenario,
-                    shard_map,
-                )
+                reg = register(gid, payload.node, payload.rectangle, keep)
                 registrations[gid] = reg
                 registry.append(gid)
                 plan.n_joins += 1
@@ -225,41 +236,53 @@ def route_fleet_stream(
                         StreamEvent(event.time, "churn", FleetLeave(gid))
                     )
             elif isinstance(payload, Publish):
-                owner = (
-                    shard_map.shard_of_point(payload.point)
-                    if n_shards > 1
-                    else 0
-                )
-                shard_events[owner].append(event)
+                shard_events[next(pub_owners)].append(event)
             else:
                 raise TypeError(
                     f"unroutable payload {type(payload).__name__}"
                 )
         plan.events.append(shard_events)
+    # a join that left before the next epoch start never reaches a shard
+    # as a registration: drop its footprint
+    live = {reg.gid for regs in plan.live_at_epoch for reg in regs}
+    plan.footprints = {
+        gid: cells for gid, cells in footprints.items() if gid in live
+    }
     return plan
 
 
 # ----------------------------------------------------------------------
-# shard tasks (pure functions of their picklable arguments)
+# shard tasks (pure functions of the shared context and their task)
 # ----------------------------------------------------------------------
+@dataclass(frozen=True, eq=False)
+class ShardContext:
+    """What every shard of one run shares, built once by the parent.
+
+    The scenario (routing, space, ``cell_pmf``), the shard map and the
+    covered cells of every registration live at an epoch start
+    (:attr:`FleetPlan.footprints`).  Inline shards receive this object
+    itself; pool workers receive it once each through the pool
+    initializer (inherited under ``fork``, pickled under ``spawn``).
+    Shards treat all of it as read-only; only the routing tables'
+    shortest-path memo fills as shards price deliveries.
+    """
+
+    scenario: Scenario
+    shard_map: ShardMap
+    footprints: Dict[int, np.ndarray]
+
+
 @dataclass(frozen=True)
 class ShardTask:
-    """Everything one shard needs for one epoch, by value."""
+    """Everything one shard needs for one epoch beyond the context."""
 
     shard: int
     epoch: int
     k: int
-    scenario_kwargs: Tuple[Tuple[str, object], ...]
     config: FleetConfig
     #: (gid, node, rectangle, member) live at epoch start, gid ascending
     registrations: Tuple[Tuple[int, int, object, bool], ...]
     events: Tuple[StreamEvent, ...]
-    #: boolean owned-cell mask; None (single shard) = the full space.
-    #: The shard's broker sees the global pmf restricted to the cells it
-    #: owns — it never receives publications for the others, so both the
-    #: clustering objective and the measured expected waste are taken
-    #: against the shard's true event distribution.
-    owned_mask: Optional[np.ndarray] = None
     busy_until: float = 0.0
     #: exact (queue, tokens(n, d), last_refill(n, d)) carried states
     token_states: Tuple[
@@ -291,29 +314,42 @@ class ShardOutcome:
     forward_joins: int = 0
     forward_leaves: int = 0
     n_registrations: int = 0
+    #: wall seconds of the service loop alone
     seconds: float = 0.0
+    #: wall seconds from task entry to the service loop (broker build,
+    #: registrations, cold fit)
+    setup_seconds: float = 0.0
     pid: int = 0
     metrics: List[Dict] = field(default_factory=list)
     spans: List[Dict] = field(default_factory=list)
     flight_records: List[Dict] = field(default_factory=list)
 
 
-def run_shard_task(task: ShardTask) -> ShardOutcome:
+def run_shard_task(task: ShardTask, context: ShardContext) -> ShardOutcome:
     """Build one shard from its registrations and replay its slice."""
+    entered = time.perf_counter()
     config = task.config
-    scenario = build_preliminary_scenario(**dict(task.scenario_kwargs))
+    scenario = context.scenario
+    shard_map = context.shard_map
+    # the shard's broker sees the global pmf restricted to the cells it
+    # owns: it never receives publications for the others, so both the
+    # clustering objective and the measured expected waste are taken
+    # against the shard's true event distribution
     cell_pmf = scenario.cell_pmf
-    if task.owned_mask is not None:
-        cell_pmf = np.where(task.owned_mask, cell_pmf, 0.0)
+    if shard_map.n_shards > 1:
+        cell_pmf = np.where(
+            shard_map.cell_to_shard == task.shard, cell_pmf, 0.0
+        )
     broker = ContentBroker(
         scenario.routing,
         scenario.space,
         cell_pmf,
         config=config.broker_config(task.k),
     )
+    broker.reserve(_peak_live(len(task.registrations), task.events))
     handles = [
-        broker.subscribe(node, rectangle)
-        for _, node, rectangle, _ in task.registrations
+        broker.subscribe(node, rectangle, cells=context.footprints[gid])
+        for gid, node, rectangle, _ in task.registrations
     ]
     broker.rebuild()
     maintainer = ClusterMaintainer(broker)
@@ -384,6 +420,7 @@ def run_shard_task(task: ShardTask) -> ShardOutcome:
         forward_leaves=service.forward_leaves,
         n_registrations=len(task.registrations),
         seconds=seconds,
+        setup_seconds=start - entered,
         pid=os.getpid(),
         flight_records=recorder.as_dicts() if recorder is not None else [],
     )
@@ -399,8 +436,29 @@ def run_shard_task(task: ShardTask) -> ShardOutcome:
     return result
 
 
-def _init_fleet_worker(tracing: bool) -> None:
+def _peak_live(n_initial: int, events: Sequence[StreamEvent]) -> int:
+    """The most registrations live at once over a slice, in arrival
+    order: the size a shard's cell buffer needs so that it never grows
+    in the loop (leaves free slots that later joins reuse)."""
+    live = peak = n_initial
+    for event in events:
+        payload = event.payload
+        if isinstance(payload, FleetJoin):
+            live += 1
+            peak = max(peak, live)
+        elif isinstance(payload, FleetLeave) and payload.gid >= 0:
+            live -= 1
+    return peak
+
+
+#: a pool worker's shard context, stored by the pool initializer
+_WORKER_CONTEXT: Optional[ShardContext] = None
+
+
+def _init_fleet_worker(tracing: bool, context: ShardContext) -> None:
+    global _WORKER_CONTEXT
     reset_worker_state(tracing=tracing, flight=False)
+    _WORKER_CONTEXT = context
 
 
 def _run_shard_task_isolated(task: ShardTask) -> ShardOutcome:
@@ -409,23 +467,25 @@ def _run_shard_task_isolated(task: ShardTask) -> ShardOutcome:
     tracer = get_tracer()
     registry.reset()
     tracer.clear()
-    outcome = run_shard_task(task)
+    outcome = run_shard_task(task, _WORKER_CONTEXT)
     outcome.metrics = registry.snapshot()
     outcome.spans = [span.as_dict() for span in tracer.spans()]
     return outcome
 
 
 def _run_epoch(
-    tasks: Sequence[ShardTask], workers: int
+    tasks: Sequence[ShardTask], context: ShardContext, workers: int
 ) -> List[ShardOutcome]:
     """Run one epoch's shard tasks, inline or across a process pool.
 
-    The pooled path snapshots each worker's metrics/spans and the parent
-    merges them in shard order; results themselves are pure functions of
-    the tasks, so worker count never changes a single byte.
+    Each pool worker receives the context once, through the pool
+    initializer.  The pooled path snapshots each worker's metrics/spans
+    and the parent merges them in shard order; results themselves are
+    pure functions of the context and the tasks, so worker count never
+    changes a single byte.
     """
     if workers <= 1 or len(tasks) <= 1:
-        return [run_shard_task(task) for task in tasks]
+        return [run_shard_task(task, context) for task in tasks]
     method = (
         "fork"
         if "fork" in multiprocessing.get_all_start_methods()
@@ -435,7 +495,7 @@ def _run_epoch(
         max_workers=min(workers, len(tasks)),
         mp_context=multiprocessing.get_context(method),
         initializer=_init_fleet_worker,
-        initargs=(get_tracer().enabled,),
+        initargs=(get_tracer().enabled, context),
     ) as pool:
         futures = [
             pool.submit(_run_shard_task_isolated, task) for task in tasks
@@ -469,7 +529,10 @@ class ShardSummary:
     forward_joins: int = 0
     forward_leaves: int = 0
     n_registrations: int = 0  # at final epoch start
+    #: service-loop wall seconds, summed over epochs
     seconds: float = 0.0
+    #: shard set-up wall seconds (task entry to service loop), summed
+    setup_seconds: float = 0.0
 
 
 def _fold_service(parts: Sequence[ServiceResult]) -> ServiceResult:
@@ -536,6 +599,8 @@ class FleetResult:
     #: end to end: scenario build, routing, shard set-up, service loops
     #: and the finalize refits
     wall_seconds: float = 0.0
+    #: the parent's routing pass (:func:`route_fleet_stream`)
+    route_seconds: float = 0.0
     flight_records: List[Dict] = field(default_factory=list)
 
     # ------------------------------------------------------------------
@@ -729,6 +794,7 @@ class FleetResult:
             "fleet_forwards": self.total_forwards,
             "virtual_horizon": self.horizon,
             "wall_seconds": self.wall_seconds,
+            "route_seconds": self.route_seconds,
             "events_per_wall_second": (
                 config.n_events / self.wall_seconds
                 if self.wall_seconds
@@ -744,6 +810,7 @@ class FleetResult:
                     "cost": s.service.total_cost,
                     "forwards": s.forwards,
                     "seconds": s.seconds,
+                    "setup_seconds": s.setup_seconds,
                 }
                 for s in self.shards
             ],
@@ -782,16 +849,14 @@ def run_fleet(
         seed=config.seed,
     )
     shard_map = ShardMap(scenario.space, config.shards, config.sharding)
+    routed = time.perf_counter()
     plan = route_fleet_stream(config, scenario, shard_map)
+    route_seconds = time.perf_counter() - routed
+    context = ShardContext(scenario, shard_map, plan.footprints)
     coordinator = FleetCoordinator(
         config.shards,
         config.n_groups,
         rebalance_threshold=config.rebalance_threshold,
-    )
-    scenario_kwargs = (
-        ("n_nodes", config.n_nodes),
-        ("n_subscriptions", config.n_subscriptions),
-        ("seed", config.seed),
     )
     spec_tuple: Tuple = ()
     if slo_spec:
@@ -833,15 +898,9 @@ def run_fleet(
                     shard=shard,
                     epoch=epoch,
                     k=coordinator.split[shard],
-                    scenario_kwargs=scenario_kwargs,
                     config=replace(config, checkpoint_dir=None),
                     registrations=registrations,
                     events=tuple(plan.events[epoch][shard]),
-                    owned_mask=(
-                        shard_map.cell_to_shard == shard
-                        if config.shards > 1
-                        else None
-                    ),
                     busy_until=busy_until,
                     token_states=token_states,
                     finalize=finalize and final_epoch,
@@ -850,7 +909,7 @@ def run_fleet(
                     checkpoint_path=checkpoint_path,
                 )
             )
-        outcomes = _run_epoch(tasks, config.workers)
+        outcomes = _run_epoch(tasks, context, config.workers)
         for outcome in outcomes:
             per_shard_epochs[outcome.shard].append(outcome)
             carried[outcome.shard] = (
@@ -880,6 +939,7 @@ def run_fleet(
                 forward_leaves=sum(o.forward_leaves for o in epochs),
                 n_registrations=last.n_registrations,
                 seconds=sum(o.seconds for o in epochs),
+                setup_seconds=sum(o.setup_seconds for o in epochs),
             )
         )
     # flight records merged in (epoch, shard) order: deterministic for
@@ -897,6 +957,7 @@ def run_fleet(
         splits=splits,
         rebalances=coordinator.rebalances,
         wall_seconds=time.perf_counter() - start,
+        route_seconds=route_seconds,
         flight_records=flight_records,
     )
     if config.checkpoint_dir:

@@ -16,6 +16,10 @@ The load-bearing claims under test:
 * shard checkpoints and the fleet manifest round-trip.
 """
 
+import os
+import pickle
+from dataclasses import replace
+
 import numpy as np
 import pytest
 from hypothesis import HealthCheck, given, settings
@@ -26,11 +30,14 @@ from repro.fleet import (
     FleetCoordinator,
     FleetJoin,
     FleetLeave,
+    ShardContext,
     ShardMap,
     proportional_split,
     route_fleet_stream,
     run_fleet,
+    run_shard_task,
 )
+from repro.fleet.soak import ShardTask
 from repro.online.service import ChurnJoin, ChurnLeave, Publish
 from repro.online.soak import SoakConfig, generate_stream, run_soak
 from repro.sim.scenario import build_preliminary_scenario
@@ -49,6 +56,21 @@ def scenario():
     return build_preliminary_scenario(
         n_nodes=100, n_subscriptions=120, seed=7
     )
+
+
+def _reference_footprint(smap, cells, pmf):
+    """Shard set and home of a footprint, computed the long way: the
+    sorted unique owners, then the most publication mass, ties (and no
+    mass at all) to the covered-cell count, then the lowest shard id."""
+    if len(cells) == 0:
+        return (0,), 0
+    owners = smap.cell_to_shard[cells]
+    shards = tuple(int(s) for s in np.unique(owners))
+    mass = np.bincount(owners, weights=pmf[cells], minlength=smap.n_shards)
+    if mass.max() > 0.0:
+        return shards, int(np.argmax(mass))
+    counts = np.bincount(owners, minlength=smap.n_shards)
+    return shards, int(np.argmax(counts))
 
 
 # ----------------------------------------------------------------------
@@ -78,10 +100,36 @@ class TestShardMap:
         assert (np.diff(smap.cell_to_shard) >= 0).all()
 
     def test_point_routing_matches_cell_routing(self, scenario):
-        smap = ShardMap(scenario.space, 4)
-        point = [d.lo + 0.5 for d in scenario.space.dimensions]
-        cell = scenario.space.locate(point)
-        assert smap.shard_of_point(point) == smap.shard_of_cell(cell)
+        """Batch owners equal the per-point ``cell_to_shard[locate(p)]``
+        reference, on cell boundaries and outside the grid too (an
+        outside point locates to -1: the last cell's owner)."""
+        space = scenario.space
+        rng = np.random.default_rng(3)
+        points = [
+            [rng.uniform(d.lo - 1.0, d.hi) for d in space.dimensions]
+            for _ in range(200)
+        ]
+        for pick in (
+            lambda d: d.lo,  # a lattice value: a cell's closed upper edge
+            lambda d: d.lo - 1.0,  # the open lower edge: outside
+            lambda d: d.lo - 1.0 + 1e-9,
+            lambda d: d.hi,
+            lambda d: d.hi + 0.5,  # outside above
+            lambda d: float(rng.integers(d.lo, d.hi + 1)),
+        ):
+            points.append([pick(d) for d in space.dimensions])
+        # one coordinate outside, the rest inside
+        points.append([space.dimensions[0].hi + 3.0] + [
+            d.lo + 0.5 for d in space.dimensions[1:]
+        ])
+        assert any(space.locate(p) == -1 for p in points)
+        for strategy in ("hash", "region"):
+            for n in (1, 4, 7):
+                smap = ShardMap(space, n, strategy)
+                reference = [
+                    int(smap.cell_to_shard[space.locate(p)]) for p in points
+                ]
+                assert smap.shards_of_points(points).tolist() == reference
 
     def test_home_shard_follows_publication_mass(self, scenario):
         smap = ShardMap(scenario.space, 4)
@@ -89,8 +137,35 @@ class TestShardMap:
         pmf = np.zeros(scenario.space.n_cells)
         # all mass on one covered cell: home must be its owner
         pmf[cells[5]] = 1.0
-        assert smap.home_shard(cells, pmf) == smap.shard_of_cell(cells[5])
-        assert smap.home_shard(np.empty(0, dtype=int), pmf) == 0
+        _, home = smap.footprint(cells, pmf)
+        assert home == smap.cell_to_shard[cells[5]]
+        assert smap.footprint(np.empty(0, dtype=int), pmf) == ((0,), 0)
+
+    def test_footprint_matches_unique_reference(self, scenario):
+        """Shard sets and homes equal the ``np.unique`` + mass/count
+        reference, including zero-mass footprints and mass ties."""
+        space = scenario.space
+        rng = np.random.default_rng(5)
+        footprints = [
+            space.cells_in_rectangle(r)
+            for r in scenario.subscriptions.rectangles()
+        ]
+        footprints += [
+            np.sort(rng.choice(space.n_cells, size=k, replace=False))
+            for k in (1, 2, 5, 40)
+        ]
+        uniform = np.full(space.n_cells, 1.0 / space.n_cells)
+        sparse = np.zeros(space.n_cells)
+        sparse[rng.choice(space.n_cells, size=50, replace=False)] = 0.02
+        pmfs = (scenario.cell_pmf, uniform, sparse, np.zeros_like(uniform))
+        for strategy in ("hash", "region"):
+            for n in (1, 3, 4, 8):
+                smap = ShardMap(space, n, strategy)
+                for pmf in pmfs:
+                    for cells in footprints:
+                        assert smap.footprint(
+                            cells, pmf
+                        ) == _reference_footprint(smap, cells, pmf)
 
     def test_consistent_hash_moves_few_cells(self, scenario):
         before = ShardMap(scenario.space, 4, "hash").cell_to_shard
@@ -251,6 +326,51 @@ class TestRouting:
         assert member_shards, "no joins routed"
         assert all(len(s) == 1 for s in member_shards.values())
 
+    @pytest.mark.parametrize("strategy", ["hash", "region"])
+    def test_batch_routing_matches_references(self, scenario, strategy):
+        """Publication owners equal ``cell_to_shard[locate(p)]`` event by
+        event; the shard sets and homes of the initial population and
+        of every join equal the ``np.unique`` reference; the plan keeps
+        the footprint of every registration live at an epoch start."""
+        _, smap, plan = _plan(
+            scenario, shards=4, policy="forward", strategy=strategy,
+            epochs=2, churn_fraction=0.3,
+        )
+        space, pmf = scenario.space, scenario.cell_pmf
+        for reg in plan.live_at_epoch[0]:
+            cells = space.cells_in_rectangle(reg.rectangle)
+            assert (reg.shards, reg.home) == _reference_footprint(
+                smap, cells, pmf
+            )
+        for regs in plan.live_at_epoch:
+            for reg in regs:
+                assert np.array_equal(
+                    plan.footprints[reg.gid],
+                    space.cells_in_rectangle(reg.rectangle),
+                )
+        placed = {}
+        n_pubs = 0
+        for per_shard in plan.events:
+            for shard, shard_events in enumerate(per_shard):
+                for event in shard_events:
+                    payload = event.payload
+                    if isinstance(payload, Publish):
+                        n_pubs += 1
+                        assert shard == smap.cell_to_shard[
+                            space.locate(payload.point)
+                        ]
+                    elif isinstance(payload, FleetJoin):
+                        placed.setdefault(
+                            payload.gid, (payload.rectangle, [])
+                        )[1].append((shard, payload.member))
+        assert n_pubs and placed
+        for rectangle, shards_at in placed.values():
+            shards, home = _reference_footprint(
+                smap, space.cells_in_rectangle(rectangle), pmf
+            )
+            assert tuple(s for s, _ in shards_at) == shards
+            assert [s for s, member in shards_at if member] == [home]
+
 
 # ----------------------------------------------------------------------
 # determinism and degenerate equivalence (the acceptance gates)
@@ -350,6 +470,121 @@ class TestFleetDeterminism:
 
 
 # ----------------------------------------------------------------------
+# build once: one scenario and one footprint set per run, shared by shards
+# ----------------------------------------------------------------------
+class TestBuildOnce:
+    @pytest.mark.parametrize(
+        "epochs,aggregate", [(1, False), (1, True), (2, False), (2, True)]
+    )
+    def test_reports_identical_for_every_worker_count(self, epochs, aggregate):
+        kw = dict(
+            SMALL, n_events=400, shards=4, sharding="region",
+            fleet_policy="forward", epochs=epochs, aggregate=aggregate,
+        )
+        reports = [
+            run_fleet(FleetConfig(workers=w, **kw)).deterministic_report()
+            for w in (1, 2, 4)
+        ]
+        assert reports[0] == reports[1] == reports[2]
+
+    def test_pickled_context_gives_the_same_outcome(self, scenario):
+        """The ``spawn`` path: a worker's context is a pickle round-trip
+        of the parent's, and the shard's outcome does not change."""
+        config, smap, plan = _plan(
+            scenario, shards=3, policy="forward", strategy="region"
+        )
+        context = ShardContext(scenario, smap, plan.footprints)
+        copied = pickle.loads(pickle.dumps(context))
+        for shard in range(3):
+            task = ShardTask(
+                shard=shard,
+                epoch=0,
+                k=4,
+                config=config,
+                registrations=tuple(
+                    (reg.gid, reg.node, reg.rectangle, shard == reg.home)
+                    for reg in plan.live_at_epoch[0]
+                    if shard in reg.shards
+                ),
+                events=tuple(plan.events[0][shard]),
+                finalize=True,
+            )
+            a, b = (
+                replace(
+                    run_shard_task(task, ctx),
+                    seconds=0.0, setup_seconds=0.0, pid=0,
+                )
+                for ctx in (context, copied)
+            )
+            assert a == b
+            assert a.n_registrations > 0 and a.service.n_events > 0
+
+    @pytest.mark.parametrize("workers", [1, 2])
+    def test_scenario_is_built_once_per_run(
+        self, monkeypatch, tmp_path, workers
+    ):
+        """Counted through a file, so calls in pool workers count too."""
+        import repro.fleet.soak as soak_module
+
+        calls = tmp_path / "builds"
+        calls.write_text("")
+        original = soak_module.build_preliminary_scenario
+
+        def counting(*args, **kwargs):
+            with open(calls, "a") as handle:
+                handle.write(f"{os.getpid()}\n")
+            return original(*args, **kwargs)
+
+        monkeypatch.setattr(
+            soak_module, "build_preliminary_scenario", counting
+        )
+        result = run_fleet(
+            FleetConfig(
+                shards=3, workers=workers, epochs=2,
+                **dict(SMALL, n_events=300),
+            )
+        )
+        assert calls.read_text().splitlines() == [str(os.getpid())]
+        assert all(s.setup_seconds > 0.0 for s in result.shards)
+        record = result.bench_record()
+        assert record["route_seconds"] > 0.0
+        assert [row["setup_seconds"] for row in record["per_shard"]] == [
+            s.setup_seconds for s in result.shards
+        ]
+
+    def test_sparse_population_conserves_events(self):
+        """Eight hash shards over three subscriptions: the live set runs
+        dry (leaves resolve to fleet noops), and every event is still
+        accounted at its shard and across shards."""
+        config = FleetConfig(
+            shards=8, sharding="hash", **dict(SMALL, n_subscriptions=3)
+        )
+        result = run_fleet(config)
+        assert result.plan.n_noop_leaves > 0
+        for shard in result.shards:
+            svc = shard.service
+            assert (
+                sum(svc.n_processed.values()) + sum(svc.n_shed.values())
+                == svc.n_events
+            )
+        plan = result.plan
+        pubs_in = (
+            config.n_events - plan.n_joins - plan.n_leaves
+            - plan.n_noop_leaves
+        )
+        pubs_out = sum(
+            s.service.n_processed.get("pub", 0)
+            + s.service.n_shed.get("pub", 0)
+            for s in result.shards
+        )
+        assert pubs_out == pubs_in
+        assert (
+            run_fleet(replace(config, workers=2)).deterministic_report()
+            == result.deterministic_report()
+        )
+
+
+# ----------------------------------------------------------------------
 # re-sharding property: the fleet is transparent to subscribers
 # ----------------------------------------------------------------------
 @st.composite
@@ -440,7 +675,7 @@ class TestReshardingProperties:
 
             assert set(routed_pubs) == set(receipts)
             for key, shards_hit in routed_pubs.items():
-                owner = smap.shard_of_point(key[1])
+                owner = int(smap.cell_to_shard[scenario.space.locate(key[1])])
                 # exactly-once routing, to the owner
                 assert shards_hit == [owner]
                 # receipt completeness: every matching subscriber is
