@@ -1,8 +1,7 @@
 """Instrumentation overhead on the fault-injection path.
 
 The chaos replay exercises every layer the tracer hooks into — routing
-invalidation, dispatcher memo drops, debounced rebuilds, degraded
-delivery — so it is where instrumentation creep would hurt first.  The
+invalidation, debounced rebuilds, degraded delivery — so it is where instrumentation creep would hurt first.  The
 guard replays the same seeded schedule with tracing disabled and
 enabled, fails the build if the enabled run costs more than the budget,
 and writes the degradation report of the traced pass to

@@ -51,18 +51,18 @@ def test_overlay_within_budget_of_dense_at_equal_k(benchmark, eval_ctx):
             dense.unicast_reference(event.publisher, plan.interested)
             for event, plan in zip(events, plans)
         )
-        # determinism: a fresh delivery layer (no shared tree cache, no
-        # dispatcher memo) must reprice every group to the same float
+        # determinism: a fresh delivery layer (no shared tree cache)
+        # must reprice every group to the same float
         fresh = RendezvousDelivery(scenario.routing)
         replayed = 0
         for event, plan in zip(events[:25], plans[:25]):
             for members in plan.group_members:
-                nodes = overlay.group_nodes(members)
+                nodes = scenario.subscriptions.nodes_of_subscribers(members)
                 if nodes.size == 0:
                     continue
-                cached = overlay.group_cost(event.publisher, nodes)
+                shared = overlay.group_cost(event.publisher, nodes)
                 rebuilt = fresh.group_cost(event.publisher, nodes)
-                assert rebuilt == cached
+                assert rebuilt == shared
                 replayed += 1
         trees = list(overlay_for(scenario.routing)._trees.values())
         return {

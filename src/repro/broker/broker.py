@@ -395,13 +395,6 @@ class ContentBroker:
         """Add an attached handle to one multicast group in place."""
         if self._clustering is None:
             raise RuntimeError("no live grouping; rebuild() first")
-        # the group's pre-join member column backs dispatcher memo
-        # entries that become unreachable (and, after a renumbering,
-        # wrong) the moment the column mutates: drop them surgically
-        if self._dispatcher is not None:
-            self._dispatcher.invalidate_members(
-                self._clustering.subscribers_of_group(group)
-            )
         self._clustering.add_member(group, self._internal_of[handle])
 
     def apply_leave(self, handle: int) -> int:
@@ -414,11 +407,6 @@ class ContentBroker:
             raise RuntimeError("no live runtime; rebuild() first")
         internal = self._internal_of[handle]
         if self._clustering is not None:
-            if self._dispatcher is not None:
-                for group in self._clustering.groups_of_subscriber(internal):
-                    self._dispatcher.invalidate_members(
-                        self._clustering.subscribers_of_group(int(group))
-                    )
             self._clustering.remove_member(internal)
         self._subscriptions.deactivate(internal)
         return internal
@@ -869,7 +857,7 @@ class ContentBroker:
         covered_subs: List[np.ndarray] = []
         for group_index, members in enumerate(plan.group_members):
             members = np.asarray(members, dtype=np.int64)
-            group_nodes = self._dispatcher.group_nodes(members)
+            group_nodes = self._subscriptions.nodes_of_subscribers(members)
             live = ok_node[group_nodes]
             if live.all() and not core_down:
                 leg = self._dispatcher.group_cost(publisher, group_nodes)

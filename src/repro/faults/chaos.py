@@ -5,8 +5,7 @@ with a seeded publication stream on one virtual clock and replays them
 in time order over a scenario's broker:
 
 * fault events mutate the routing tables in place (selective
-  shortest-path-tree invalidation, dispatcher memo invalidation) and
-  feed the broker's debounced rebuild scheduler, weighted by how many
+  shortest-path-tree invalidation) and feed the broker's debounced rebuild scheduler, weighted by how many
   subscribers each fault touches;
 * publication events go through :meth:`ContentBroker.publish`, which
   degrades gracefully while faults are active (unicast fallback for

@@ -20,16 +20,16 @@ change can affect (the rest stay warm):
   re-attached neighbors (otherwise it stays unreachable and nothing
   changes).
 
-Downstream caches (the dispatcher's multicast-cost memo) subscribe via
-:meth:`add_invalidation_listener` and are told which sources were
-dropped, so chaos runs invalidate surgically instead of flushing.
+The tables notify no one: the dispatcher prices from them afresh on
+every call, and state derived from the topology elsewhere (the
+overlay's live ring, the dispatcher's sparse-mode core) compares
+:attr:`RoutingTables.topology_version` to notice a change.
 """
 
 from __future__ import annotations
 
 import math
-import weakref
-from typing import Callable, Dict, FrozenSet, Iterable, List, Optional, Tuple
+from typing import Dict, FrozenSet, Iterable, List, Optional, Tuple
 
 import numpy as np
 
@@ -37,10 +37,6 @@ from ..obs import get_registry
 from .graph import Graph, ShortestPaths
 
 __all__ = ["RoutingTables"]
-
-#: an invalidation callback; receives the set of dropped shortest-path
-#: sources, or ``None`` meaning "assume everything changed"
-InvalidationListener = Callable[[Optional[FrozenSet[int]]], None]
 
 
 class RoutingTables:
@@ -50,7 +46,6 @@ class RoutingTables:
         self._graph = graph
         self._sp: Dict[int, ShortestPaths] = {}
         self._dist_matrix: Optional[np.ndarray] = None
-        self._listeners: List[weakref.ref] = []
         # cost of each currently-failed link, for restoration
         self._down_links: Dict[Tuple[int, int], float] = {}
 
@@ -115,19 +110,6 @@ class RoutingTables:
     # ------------------------------------------------------------------
     # fault injection
     # ------------------------------------------------------------------
-    def add_invalidation_listener(self, listener: InvalidationListener) -> None:
-        """Register a callback fired after every topology mutation.
-
-        Listeners are held weakly: a dispatcher that goes away (brokers
-        build a fresh one per rebuild) is pruned automatically instead of
-        leaking for the lifetime of the routing tables.
-        """
-        try:
-            ref: weakref.ref = weakref.WeakMethod(listener)
-        except TypeError:
-            ref = weakref.ref(listener)
-        self._listeners.append(ref)
-
     def fail_link(self, u: int, v: int) -> float:
         """Take the link ``{u, v}`` down; returns its cost."""
         affected = frozenset(
@@ -186,7 +168,7 @@ class RoutingTables:
 
     # ------------------------------------------------------------------
     def _invalidate(self, sources: Optional[FrozenSet[int]]) -> None:
-        """Drop the named cached tables (all when ``None``) and notify."""
+        """Drop the named cached tables (all when ``None``)."""
         if sources is None:
             self._sp.clear()
         else:
@@ -198,16 +180,6 @@ class RoutingTables:
                 "routing_invalidations_total",
                 "cached shortest-path trees dropped by topology changes",
             ).inc(len(sources) if sources is not None else 1)
-        self._notify(sources)
-
-    def _notify(self, sources: Optional[FrozenSet[int]]) -> None:
-        live: List[weakref.ref] = []
-        for ref in self._listeners:
-            listener = ref()
-            if listener is not None:
-                listener(sources)
-                live.append(ref)
-        self._listeners = live
 
     @staticmethod
     def _record_fault(kind: str) -> None:

@@ -126,10 +126,7 @@ def reset_worker_state(tracing: bool = False, flight: bool = False) -> None:
     A forked worker inherits copies of the parent's instruments and
     recorded spans; if it kept recording into those, its end-of-task
     snapshot would include everything the parent counted *before* the
-    fork and the parent would double-count it on merge.  Long-lived
-    objects that bound counter handles before the fork (dispatchers)
-    must re-resolve them afterwards — see
-    :meth:`repro.delivery.Dispatcher.rebind_metrics`.
+    fork and the parent would double-count it on merge.
     """
     set_registry(MetricsRegistry())
     set_tracer(Tracer(enabled=tracing))

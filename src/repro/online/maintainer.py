@@ -164,18 +164,10 @@ class ClusterMaintainer:
     def _scrub_forward(self, clustering) -> None:
         """Strip match-only subscribers' group memberships, so the
         captured fit waste never charges for members served by unicast."""
-        dispatcher = self.broker._dispatcher
         for handle in sorted(self.forward_handles):
             internal = self.broker.internal_id(handle)
-            groups = clustering.groups_of_subscriber(internal)
-            if not len(groups):
-                continue
-            if dispatcher is not None:
-                for group in groups:
-                    dispatcher.invalidate_members(
-                        clustering.subscribers_of_group(int(group))
-                    )
-            clustering.remove_member(internal)
+            if len(clustering.groups_of_subscriber(internal)):
+                clustering.remove_member(internal)
 
     @property
     def inflation(self) -> float:

@@ -194,19 +194,6 @@ class ExperimentContext:
             **extra,
         )
 
-    def rebind_observability(self) -> None:
-        """Re-bind per-instance metric handles to the live registry.
-
-        Called at worker start by the parallel sweep engine: after
-        :func:`repro.obs.reset_worker_state` installs a fresh process
-        registry, the dispatchers (whose cache-statistic counters were
-        bound at construction, before the fork) must re-resolve them or
-        the worker's cache stats would land in the inherited copy of the
-        parent's registry and never be merged back.
-        """
-        for dispatcher in self._dispatchers.values():
-            dispatcher.rebind_metrics()
-
     # ------------------------------------------------------------------
     def reference_costs(self, scheme: str) -> Tuple[float, float, float]:
         """Mean per-event (unicast, broadcast, ideal) costs (cached)."""
@@ -241,7 +228,7 @@ class ExperimentContext:
 
         Matchers exposing ``match_batch`` are driven through it, reusing
         the context's precomputed per-event interest sets; the dispatcher
-        prices all plans in one batch against its multicast-cost memo.
+        prices all plans in one batch.
         """
         dispatcher = self.dispatcher(scheme)
         reuse_interest = (

@@ -16,12 +16,12 @@ results **bit-exact** with a serial run:
   :class:`~repro.faults.DegradationReport` objects for any worker count.
 
 * **Shared state** — under the ``fork`` start method the expensive
-  read-only state (hyper-cell membership matrices, event samples, the
-  dispatchers' cost memos) is built once in the parent and inherited
+  read-only state (hyper-cell membership matrices, event samples and
+  their interest sets) is built once in the parent and inherited
   copy-on-write by every worker; nothing is pickled per task.  Under
   ``spawn`` a picklable :class:`ContextFactory` rebuilds the context in
-  each worker instead (live contexts hold weakref-connected routing
-  state and do not pickle).
+  each worker instead of pickling the live one with its scenario and
+  cached cell sets.
 
 * **Observability** — each worker starts with a fresh
   :class:`~repro.obs.MetricsRegistry` and :class:`~repro.obs.Tracer`
@@ -143,8 +143,9 @@ class ContextFactory:
     """Picklable recipe for rebuilding an :class:`ExperimentContext`.
 
     Used instead of a live context wherever pickling is unavoidable (the
-    ``spawn`` start method): live contexts hold routing tables with
-    weakref invalidation listeners, which do not survive a pickle.
+    ``spawn`` start method): the recipe is a few names and numbers,
+    where a live context would carry its scenario, routing tables and
+    cached cell sets through the pickle.
     """
 
     builder: str = "evaluation"  # "evaluation" | "preliminary"
@@ -234,8 +235,6 @@ def _init_worker(
     reset_worker_state(tracing=tracing, flight=flight)
     if factory is not None:
         _WORKER_CONTEXT = factory()
-    if _WORKER_CONTEXT is not None:
-        _WORKER_CONTEXT.rebind_observability()
 
 
 def _cell_rng(

@@ -11,7 +11,7 @@ from repro.network import (
     RoutingTables,
     application_multicast_cost,
     dense_multicast_cost,
-    unicast_cost,
+    select_core,
 )
 
 from tests.helpers import make_subscription_set
@@ -155,232 +155,112 @@ class TestReferenceSchemes:
         assert ideal - 1e-9 <= cost <= uni + 1e-9
 
 
-class TestCostMemo:
-    def _plan(self):
-        interested = np.array([0, 1, 2])
-        return DeliveryPlan(
-            interested=interested,
-            group_ids=[0],
-            group_members=[np.array([0, 1])],
-            unicast_subscribers=np.array([2]),
-        )
+def _mixed_plan():
+    """One group (subscribers 0, 1) plus a unicast leg (subscriber 2)."""
+    return DeliveryPlan(
+        interested=np.array([0, 1, 2]),
+        group_ids=[0],
+        group_members=[np.array([0, 1])],
+        unicast_subscribers=np.array([2]),
+    )
 
-    def test_repeat_pricing_hits_cache(self, line_setup):
-        routing, subs = line_setup
-        dispatcher = Dispatcher(routing, subs, "dense")
-        first = dispatcher.plan_cost(0, self._plan())
-        assert dispatcher.cache_info()["misses"] == 1
-        assert dispatcher.cache_info()["hits"] == 0
-        second = dispatcher.plan_cost(0, self._plan())
-        assert second == pytest.approx(first)
-        info = dispatcher.cache_info()
-        assert info["misses"] == 1
-        assert info["hits"] == 1
-        assert info["entries"] == 1
-        assert info["hit_rate"] == pytest.approx(0.5)
 
-    def test_distinct_publishers_miss(self, line_setup):
-        routing, subs = line_setup
-        dispatcher = Dispatcher(routing, subs, "dense")
-        dispatcher.plan_cost(0, self._plan())
-        dispatcher.plan_cost(1, self._plan())
-        assert dispatcher.cache_info()["misses"] == 2
-
+class TestPlanCosts:
     def test_plan_costs_batch_matches_loop(self, line_setup):
         routing, subs = line_setup
         batch = Dispatcher(routing, subs, "dense")
         loop = Dispatcher(routing, subs, "dense")
         publishers = [0, 1, 0, 2]
-        plans = [self._plan() for _ in publishers]
+        plans = [_mixed_plan() for _ in publishers]
         costs = batch.plan_costs(publishers, plans)
         expected = [loop.plan_cost(p, pl) for p, pl in zip(publishers, plans)]
         np.testing.assert_allclose(costs, expected)
-        # four events, one distinct (publisher, nodes) pair per publisher
-        assert batch.cache_info()["misses"] == 3
-        assert batch.cache_info()["hits"] == 1
 
     def test_plan_costs_length_mismatch(self, line_setup):
         routing, subs = line_setup
         dispatcher = Dispatcher(routing, subs, "dense")
         with pytest.raises(ValueError):
-            dispatcher.plan_costs([0, 1], [self._plan()])
-
-    def test_reset_keeps_memo(self, line_setup):
-        routing, subs = line_setup
-        dispatcher = Dispatcher(routing, subs, "dense")
-        dispatcher.plan_cost(0, self._plan())
-        dispatcher.reset_cache_stats()
-        info = dispatcher.cache_info()
-        assert info["hits"] == 0 and info["misses"] == 0
-        assert info["entries"] == 1
-        dispatcher.plan_cost(0, self._plan())
-        assert dispatcher.cache_info()["hits"] == 1
-
-    def test_group_nodes_memo_counts_per_lookup(self, line_setup):
-        routing, subs = line_setup
-        dispatcher = Dispatcher(routing, subs, "dense")
-        # same member set priced three times: one nodes miss, two hits
-        for _ in range(3):
-            dispatcher.plan_cost(0, self._plan())
-        info = dispatcher.cache_info()
-        assert info["nodes_misses"] == 1
-        assert info["nodes_hits"] == 2
-        assert info["nodes_entries"] == 1
-
-    def test_cache_stats_land_on_registry(self, line_setup):
-        from repro.obs import MetricsRegistry
-
-        routing, subs = line_setup
-        registry = MetricsRegistry()
-        dispatcher = Dispatcher(routing, subs, "dense", registry=registry)
-        dispatcher.plan_cost(0, self._plan())
-        dispatcher.plan_cost(0, self._plan())
-        samples = registry.snapshot()
-        assert {s["name"] for s in samples} == {
-            "dispatcher_cache_lookups_total",
-            "dispatcher_cache_entries_dropped_total",
-        }
-        lookups = [
-            s for s in samples
-            if s["name"] == "dispatcher_cache_lookups_total"
-        ]
-        by_key = {
-            (s["labels"]["cache"], s["labels"]["result"]): s["value"]
-            for s in lookups
-        }
-        assert by_key[("group_cost", "miss")] == 1
-        assert by_key[("group_cost", "hit")] == 1
-        # every sample is tagged with the scheme and this instance
-        assert all(s["labels"]["scheme"] == "dense" for s in samples)
-        instances = {s["labels"]["instance"] for s in samples}
-        assert len(instances) == 1
-        # entry-lifecycle counters exist but saw no traffic
-        dropped = [
-            s for s in samples
-            if s["name"] == "dispatcher_cache_entries_dropped_total"
-        ]
-        assert dropped and all(s["value"] == 0 for s in dropped)
+            dispatcher.plan_costs([0, 1], [_mixed_plan()])
 
 
-class TestInvalidationVsEviction:
-    """Topology invalidations and capacity evictions are distinct causes
-    and must never be conflated in the cache statistics."""
+@pytest.fixture
+def ring_setup():
+    """Ring 0..5 with a 0-3 chord; subscribers on nodes 1, 2, 4 and 5.
 
-    def _group_plan(self, members):
-        members = np.asarray(members)
+    Nodes 0 and 3 carry no subscriber, so failing either leaves every
+    subscriber reachable over the other side of the ring.  Publisher 1's
+    tree uses link 1-2 and node 3, so failing either moves its prices.
+    """
+    g = Graph(6)
+    for u, v, cost in (
+        (0, 1, 1.0), (1, 2, 2.0), (2, 3, 1.0),
+        (3, 4, 3.0), (4, 5, 1.0), (5, 0, 5.0), (0, 3, 4.0),
+    ):
+        g.add_edge(u, v, cost)
+    routing = RoutingTables(g)
+    space = EventSpace([Dimension("x", 0, 9)])
+    subs = make_subscription_set(
+        space, [(node, [(-1, 9)]) for node in (1, 2, 4, 5)]
+    )
+    return routing, subs
+
+
+# (setup, mutation) per topology change: the warm dispatcher first
+# prices after ``setup`` and must then see through the mutation
+MUTATIONS = {
+    "fail_link": (lambda r: None, lambda r: r.fail_link(1, 2)),
+    "heal_link": (lambda r: r.fail_link(1, 2), lambda r: r.heal_link(1, 2)),
+    "fail_node": (lambda r: None, lambda r: r.fail_node(3)),
+    "heal_node": (lambda r: r.fail_node(3), lambda r: r.heal_node(3)),
+}
+
+
+class TestTopologyChanges:
+    """A dispatcher that priced before a topology change prices exactly
+    like one built fresh on the mutated routing."""
+
+    PUBLISHER = 1
+    INTERESTED = np.array([1, 2, 3])
+
+    def _plan(self):
+        # group over nodes 2 and 4, unicast to node 5
         return DeliveryPlan(
-            interested=members, group_ids=[0], group_members=[members]
+            interested=self.INTERESTED,
+            group_ids=[0],
+            group_members=[np.array([1, 2])],
+            unicast_subscribers=np.array([3]),
         )
 
-    def test_dense_invalidation_is_surgical(self, line_setup):
-        routing, subs = line_setup
-        dispatcher = Dispatcher(routing, subs, "dense")
-        plan = self._group_plan([0, 1])
-        dispatcher.plan_cost(0, plan)
-        dispatcher.plan_cost(3, plan)
-        assert dispatcher.cache_info()["entries"] == 2
-        # publisher 0's tree uses edge 2-3 to reach node 3; publisher
-        # 3's tree uses it too — but invalidation is keyed on whose
-        # cached *sources* routing dropped, so name publisher 0 only
-        dispatcher.invalidate(sources={0})
-        info = dispatcher.cache_info()
-        assert info["entries"] == 1
-        assert info["invalidations"] == 1
-        assert info["evictions"] == 0
-
-    def test_routing_fault_invalidates_through_listener(self, line_setup):
-        routing, subs = line_setup
-        dispatcher = Dispatcher(routing, subs, "dense")
-        plan = self._group_plan([0, 1])
-        routing.precompute([0, 3])
-        dispatcher.plan_cost(0, plan)
-        dispatcher.plan_cost(3, plan)
-        # edge 2-3 is a tree edge of both cached trees
-        routing.fail_link(2, 3)
-        info = dispatcher.cache_info()
-        assert info["entries"] == 0
-        assert info["invalidations"] == 2
-        assert info["evictions"] == 0
-
-    def test_alm_flushes_on_any_topology_change(self, line_setup):
-        routing, subs = line_setup
-        dispatcher = Dispatcher(routing, subs, "alm")
-        plan = self._group_plan([0, 1])
-        dispatcher.plan_cost(0, plan)
-        dispatcher.plan_cost(3, plan)
-        # ALM costs route through the metric closure: even a named-source
-        # invalidation flushes every entry
-        dispatcher.invalidate(sources={0})
-        info = dispatcher.cache_info()
-        assert info["entries"] == 0
-        assert info["invalidations"] == 2
-
-    def test_eviction_counted_separately(self, line_setup):
-        routing, subs = line_setup
-        dispatcher = Dispatcher(routing, subs, "dense", max_entries=1)
-        dispatcher.plan_cost(0, self._group_plan([0, 1]))
-        dispatcher.plan_cost(1, self._group_plan([0, 1]))  # evicts first
-        info = dispatcher.cache_info()
-        assert info["entries"] == 1
-        assert info["evictions"] == 1
-        assert info["invalidations"] == 0
-
-    def test_node_memo_eviction_counted(self, line_setup):
-        routing, subs = line_setup
-        dispatcher = Dispatcher(routing, subs, "dense", max_entries=1)
-        dispatcher.plan_cost(0, self._group_plan([0, 1]))
-        dispatcher.plan_cost(0, self._group_plan([1, 2]))
-        info = dispatcher.cache_info()
-        assert info["nodes_entries"] == 1
-        assert info["nodes_evictions"] == 1
-        assert info["nodes_invalidations"] == 0
-
-    def test_member_invalidation_counted_not_evicted(self, line_setup):
-        # churn mutates a group's member column: the pre-change column's
-        # node-set memo AND the cost entries priced from it must drop as
-        # invalidations (the key went stale), never as evictions
-        routing, subs = line_setup
-        dispatcher = Dispatcher(routing, subs, "dense")
-        plan = self._group_plan([0, 1])
-        dispatcher.plan_cost(0, plan)
-        dispatcher.plan_cost(3, plan)
-        info = dispatcher.cache_info()
-        assert info["nodes_entries"] == 1 and info["entries"] == 2
-        dispatcher.invalidate_members([0, 1])
-        info = dispatcher.cache_info()
-        assert info["nodes_entries"] == 0
-        assert info["entries"] == 0
-        assert info["nodes_invalidations"] == 1
-        assert info["invalidations"] == 2
-        assert info["evictions"] == 0
-        assert info["nodes_evictions"] == 0
-        # repricing after the drop is a miss that recomputes correctly
-        cost = dispatcher.plan_cost(0, plan)
-        assert cost == dense_multicast_cost(
-            routing, 0, subs.nodes_of_subscribers([0, 1])
+    def _prices(self, dispatcher):
+        return (
+            dispatcher.plan_cost(self.PUBLISHER, self._plan()),
+            dispatcher.ideal_reference(self.PUBLISHER, self.INTERESTED),
         )
 
-    def test_member_invalidation_unknown_column_is_noop(self, line_setup):
-        routing, subs = line_setup
-        dispatcher = Dispatcher(routing, subs, "dense")
-        dispatcher.plan_cost(0, self._group_plan([0, 1]))
-        dispatcher.invalidate_members([1, 2])  # never priced
-        info = dispatcher.cache_info()
-        assert info["nodes_entries"] == 1 and info["entries"] == 1
-        assert info["nodes_invalidations"] == 0
-        assert info["invalidations"] == 0
+    @pytest.mark.parametrize("mutation", sorted(MUTATIONS))
+    @pytest.mark.parametrize("scheme", SCHEMES)
+    def test_matches_fresh_dispatcher(self, ring_setup, scheme, mutation):
+        routing, subs = ring_setup
+        setup, mutate = MUTATIONS[mutation]
+        setup(routing)
+        warm = Dispatcher(routing, subs, scheme)
+        before = self._prices(warm)
+        mutate(routing)
+        after = self._prices(warm)
+        assert after == self._prices(Dispatcher(routing, subs, scheme))
+        if mutation.startswith("fail"):
+            # the failed element was on the publisher's tree
+            assert after != before
 
-    def test_max_entries_validation(self, line_setup):
-        routing, subs = line_setup
-        with pytest.raises(ValueError, match="max_entries"):
-            Dispatcher(routing, subs, "dense", max_entries=0)
-
-    def test_sparse_core_reelected_after_invalidation(self, line_setup):
-        routing, subs = line_setup
+    def test_unpinned_sparse_core_reelected(self, ring_setup):
+        routing, subs = ring_setup
         auto = Dispatcher(routing, subs, "sparse")
-        _ = auto.core  # lazily elected 1-median
-        auto.invalidate()
-        assert auto._core is None  # re-elected on next use
-        pinned = Dispatcher(routing, subs, "sparse", core=2)
-        pinned.invalidate()
-        assert pinned.core == 2  # an explicit core survives
+        assert auto.core == select_core(routing) == 2
+        routing.fail_link(0, 1)  # the 1-median moves to node 3
+        assert auto.core == select_core(routing) == 3
+
+    def test_pinned_sparse_core_kept(self, ring_setup):
+        routing, subs = ring_setup
+        pinned = Dispatcher(routing, subs, "sparse", core=4)
+        routing.fail_link(1, 2)  # the 1-median moves to node 3
+        assert pinned.core == 4

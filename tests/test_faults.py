@@ -11,6 +11,8 @@ Locks in the tentpole invariants:
   for one seeded scenario + schedule.
 """
 
+import dataclasses
+import hashlib
 import json
 import math
 
@@ -371,37 +373,6 @@ class TestRoutingFaults:
         routing.heal_link(u, v)
         assert v0 < v1 < routing.topology_version
 
-    def test_listeners_receive_dropped_sources(self, routing):
-        calls = []
-        routing.precompute(range(routing.graph.n_nodes))
-
-        class Listener:
-            def hook(self, sources):
-                calls.append(sources)
-
-        keeper = Listener()
-        routing.add_invalidation_listener(keeper.hook)
-        victim = int(routing.graph.n_nodes - 1)
-        routing.fail_node(victim)
-        assert len(calls) == 1
-        assert isinstance(calls[0], frozenset) and victim in calls[0]
-
-    def test_dead_listeners_are_pruned(self, routing):
-        calls = []
-
-        class Listener:
-            def hook(self, sources):
-                calls.append(sources)
-
-        transient = Listener()
-        routing.add_invalidation_listener(transient.hook)
-        del transient
-        u, v, _ = next(routing.graph.edges())
-        routing.fail_link(u, v)
-        routing.heal_link(u, v)
-        assert calls == []
-        assert routing._listeners == []
-
 
 # ----------------------------------------------------------------------
 # rebuild policy
@@ -680,6 +651,63 @@ class TestChaosGolden:
         assert first.n_degraded == first.n_lost == 0
         assert first.availability == 1.0
         assert first.unicast_fallback_cost == 0.0
+
+
+class TestChaosPinnedCosts:
+    """The golden run's prices under faults, pinned per multicast scheme.
+
+    ``TestChaosGolden`` pins counts; these pin every per-event cost (as
+    the sha256 of the ``repr`` of the cost list, total and fallback) so a
+    pricing change across topology mutations cannot hide behind
+    unchanged degradation counts.
+    """
+
+    PINNED = {
+        "dense": (
+            4779.331609108325,
+            "fe17267171b29fd1e475ac299ad9997aba3f15bbd83a7479fe3e96903d056169",
+        ),
+        "sparse": (
+            5730.395404150957,
+            "2472105ab28482251032c6543694d91142abbfcc5b2703be2f2a693469912501",
+        ),
+        "alm": (
+            5489.042972855908,
+            "0672ca063eeee98065688407aff7a792988924e404310d4c4bb659b0b6ae273a",
+        ),
+        "overlay": (
+            5893.113499633029,
+            "63a62a2be3d1f356d7de7320f890d624d5210cd326bccbf6ac5ce48d38965f4b",
+        ),
+    }
+
+    @pytest.mark.parametrize("scheme", sorted(PINNED))
+    def test_costs_under_faults(self, scheme):
+        scenario = make_scenario()
+        schedule = FaultSchedule.generate(
+            scenario.topology,
+            horizon=40.0,
+            seed=5,
+            node_fraction=0.1,
+            n_link_faults=2,
+            n_churn=2,
+            n_subscribers=40,
+        )
+        config = dataclasses.replace(FAST_CONFIG, scheme=scheme)
+        report = ChaosRunner(
+            scenario, schedule, config=config, n_events=30, seed=5
+        ).run()
+        total, digest = self.PINNED[scheme]
+        assert report.total_cost == total
+        assert report.unicast_fallback_cost == 1390.320448155559
+        blob = repr(
+            (
+                report.per_event_costs,
+                report.total_cost,
+                report.unicast_fallback_cost,
+            )
+        )
+        assert hashlib.sha256(blob.encode()).hexdigest() == digest
 
 
 # ----------------------------------------------------------------------

@@ -29,9 +29,8 @@ _SNAKE_CASE = re.compile(r"^[a-z][a-z0-9_]*$")
 
 #: every label key any instrument in the tree is allowed to use
 LABEL_ALLOWLIST = frozenset({
-    "algorithm", "backend", "cache", "instance", "kind", "matcher",
-    "mode", "outcome", "path", "phase", "queue", "reason", "result",
-    "scheme", "shard", "stream",
+    "algorithm", "backend", "kind", "matcher", "mode", "outcome", "path",
+    "phase", "queue", "reason", "scheme", "shard", "stream",
 })
 
 

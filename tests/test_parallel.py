@@ -172,23 +172,21 @@ class TestObservabilityMerge:
 
     @needs_fork
     def test_merged_counter_totals_match_serial(self, sweep_ctx, sweep_cells):
-        # prewarm so both runs see identical memo state (a cold serial
-        # run does reference-cost work a forked worker inherits for free)
+        # prewarm so both runs see the same cached context state (a cold
+        # serial run prices the reference costs a forked worker inherits
+        # for free)
         run_cells(sweep_ctx, sweep_cells, workers=1)
         saved = get_registry()
         try:
             serial_registry = set_registry(MetricsRegistry())
-            sweep_ctx.rebind_observability()
             run_cells(sweep_ctx, sweep_cells, workers=1)
             serial_totals = self._totals(serial_registry)
 
             parallel_registry = set_registry(MetricsRegistry())
-            sweep_ctx.rebind_observability()
             run_cells(sweep_ctx, sweep_cells, workers=2)
             parallel_totals = self._totals(parallel_registry)
         finally:
             set_registry(saved)
-            sweep_ctx.rebind_observability()
         for name in self.INVARIANT:
             assert name in serial_totals
             assert parallel_totals.get(name) == serial_totals[name], name
