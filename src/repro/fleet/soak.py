@@ -43,10 +43,8 @@ counts for the same configuration.
 from __future__ import annotations
 
 import json
-import multiprocessing
 import os
 import time
-from concurrent.futures import ProcessPoolExecutor
 from dataclasses import asdict, dataclass, field, replace
 from typing import Dict, List, Optional, Sequence, Tuple
 
@@ -57,9 +55,6 @@ from ..obs import (
     FlightRecorder,
     bench_stamp,
     get_flight_recorder,
-    get_registry,
-    get_tracer,
-    reset_worker_state,
     set_flight_recorder,
 )
 from ..online.maintainer import ClusterMaintainer
@@ -79,6 +74,7 @@ from ..online.soak import (
     finalize_equivalence,
     generate_stream,
 )
+from ..sim.parallel import _run_tasks
 from ..sim.scenario import Scenario, build_preliminary_scenario
 from .coordinator import FleetCoordinator
 from .sharding import ShardMap
@@ -320,8 +316,6 @@ class ShardOutcome:
     #: registrations, cold fit)
     setup_seconds: float = 0.0
     pid: int = 0
-    metrics: List[Dict] = field(default_factory=list)
-    spans: List[Dict] = field(default_factory=list)
     flight_records: List[Dict] = field(default_factory=list)
 
 
@@ -449,67 +443,6 @@ def _peak_live(n_initial: int, events: Sequence[StreamEvent]) -> int:
         elif isinstance(payload, FleetLeave) and payload.gid >= 0:
             live -= 1
     return peak
-
-
-#: a pool worker's shard context, stored by the pool initializer
-_WORKER_CONTEXT: Optional[ShardContext] = None
-
-
-def _init_fleet_worker(tracing: bool, context: ShardContext) -> None:
-    global _WORKER_CONTEXT
-    reset_worker_state(tracing=tracing, flight=False)
-    _WORKER_CONTEXT = context
-
-
-def _run_shard_task_isolated(task: ShardTask) -> ShardOutcome:
-    """Pool task: per-task observability delta (sweep-engine idiom)."""
-    registry = get_registry()
-    tracer = get_tracer()
-    registry.reset()
-    tracer.clear()
-    outcome = run_shard_task(task, _WORKER_CONTEXT)
-    outcome.metrics = registry.snapshot()
-    outcome.spans = [span.as_dict() for span in tracer.spans()]
-    return outcome
-
-
-def _run_epoch(
-    tasks: Sequence[ShardTask], context: ShardContext, workers: int
-) -> List[ShardOutcome]:
-    """Run one epoch's shard tasks, inline or across a process pool.
-
-    Each pool worker receives the context once, through the pool
-    initializer.  The pooled path snapshots each worker's metrics/spans
-    and the parent merges them in shard order; results themselves are
-    pure functions of the context and the tasks, so worker count never
-    changes a single byte.
-    """
-    if workers <= 1 or len(tasks) <= 1:
-        return [run_shard_task(task, context) for task in tasks]
-    method = (
-        "fork"
-        if "fork" in multiprocessing.get_all_start_methods()
-        else multiprocessing.get_start_method()
-    )
-    with ProcessPoolExecutor(
-        max_workers=min(workers, len(tasks)),
-        mp_context=multiprocessing.get_context(method),
-        initializer=_init_fleet_worker,
-        initargs=(get_tracer().enabled, context),
-    ) as pool:
-        futures = [
-            pool.submit(_run_shard_task_isolated, task) for task in tasks
-        ]
-        outcomes = [future.result() for future in futures]
-    outcomes.sort(key=lambda outcome: outcome.shard)
-    registry = get_registry()
-    tracer = get_tracer()
-    for outcome in outcomes:
-        if outcome.metrics:
-            registry.merge_records(outcome.metrics)
-        if outcome.spans:
-            tracer.ingest(outcome.spans)
-    return outcomes
 
 
 # ----------------------------------------------------------------------
@@ -909,7 +842,7 @@ def run_fleet(
                     checkpoint_path=checkpoint_path,
                 )
             )
-        outcomes = _run_epoch(tasks, context, config.workers)
+        outcomes = _run_tasks(run_shard_task, tasks, context, config.workers)
         for outcome in outcomes:
             per_shard_epochs[outcome.shard].append(outcome)
             carried[outcome.shard] = (

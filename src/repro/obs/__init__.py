@@ -119,9 +119,8 @@ def set_flight_recorder(recorder: FlightRecorder) -> FlightRecorder:
     return recorder
 
 
-def reset_worker_state(tracing: bool = False, flight: bool = False) -> None:
-    """Install a fresh registry, tracer, and flight recorder (worker-process
-    start hook).
+def reset_worker_state(tracing: bool = False) -> None:
+    """Install a fresh registry and tracer (worker-process start hook).
 
     A forked worker inherits copies of the parent's instruments and
     recorded spans; if it kept recording into those, its end-of-task
@@ -130,7 +129,6 @@ def reset_worker_state(tracing: bool = False, flight: bool = False) -> None:
     """
     set_registry(MetricsRegistry())
     set_tracer(Tracer(enabled=tracing))
-    set_flight_recorder(FlightRecorder(enabled=flight))
 
 
 def enable_tracing(clear: bool = True) -> Tracer:

@@ -36,9 +36,9 @@ appends one :class:`StageRecord`:
 
 Everything is stamped on the **virtual clock**, so a seeded run's
 flight log is byte-identical across repetitions — and across worker
-counts, because worker logs are folded back in plan order through
-:meth:`FlightRecorder.ingest` (the same merge discipline as
-:meth:`repro.obs.Tracer.ingest`).
+counts: a fleet shard or chaos replay records into its own private
+recorder and returns the records with its result, which the parent
+concatenates in a fixed (epoch, shard) or cell order.
 
 The recorder starts *disabled*: a stage call then costs one attribute
 check, and the "current event" plumbing (:meth:`event`) is a no-op, so
@@ -258,45 +258,6 @@ class FlightRecorder:
                 prev = position
             merged.extend(tail[prev - first:])
             buf[first:] = merged
-
-    def ingest(
-        self, records: Iterable[Mapping], remap: bool = True
-    ) -> List[StageRecord]:
-        """Fold another recorder's exported records into this one.
-
-        ``records`` are :meth:`StageRecord.as_dict` dictionaries —
-        typically a worker process's flight log shipped back by the
-        parallel sweep engine.  With ``remap`` (the default) event ids
-        are renumbered by first appearance so logs merged from several
-        workers stay collision-free; ingesting batches in **plan order**
-        therefore yields the same merged log as a serial run.  Works
-        while disabled — merging is bookkeeping, not recording.
-        """
-        id_map: Dict[int, int] = {}
-        ingested: List[Tuple[int, str, float, Dict[str, object]]] = []
-        with self._lock:
-            next_id = 1 + max(
-                (r[0] for r in self.buf), default=-1
-            )
-            for record in records:
-                old = int(record.get("event", 0))
-                if remap:
-                    if old not in id_map:
-                        id_map[old] = next_id
-                        next_id += 1
-                    new = id_map[old]
-                else:
-                    new = old
-                ingested.append(
-                    (
-                        new,
-                        str(record.get("stage", "?")),
-                        float(record.get("t", 0.0)),
-                        dict(record.get("attrs") or {}),
-                    )
-                )
-            self.buf.extend(ingested)
-        return [StageRecord(*entry) for entry in ingested]
 
 
 def _unpack(entry: tuple) -> Tuple[int, str, float, Dict[str, object]]:

@@ -534,7 +534,7 @@ def _run_command(
             n_events=args.events,
             noloss=not args.no_noloss,
             seed=args.seed,
-            workers=default_workers(args.workers) if args.workers != 1 else 1,
+            workers=default_workers(args.workers),
             aggregate=args.aggregate,
         )
         print(format_results(results))
@@ -679,11 +679,9 @@ def _run_runtime(
 def _run_sweep(
     args: argparse.Namespace, parser: argparse.ArgumentParser
 ) -> None:
-    from .experiment import ExperimentContext
     from .figures import PAPER_CELL_BUDGETS
     from .parallel import ContextFactory, plan_cells, run_cells
     from .report import worker_table
-    from .scenario import build_evaluation_scenario
 
     if args.slo:
         # sweeps are offline — no online signals to observe — but the
@@ -706,29 +704,23 @@ def _run_sweep(
         budgets = {
             name: PAPER_CELL_BUDGETS.get(name) for name in algorithms
         }
-    scenario_kwargs = dict(
-        modes=args.modes, n_subscriptions=args.subs, seed=args.seed
-    )
-    scenario = build_evaluation_scenario(**scenario_kwargs)
-    ctx = ExperimentContext(
-        scenario, n_events=args.events, aggregate=args.aggregate
-    )
-    factory = ContextFactory(
+    ctx = ContextFactory(
         builder="evaluation",
-        kwargs=tuple(sorted(scenario_kwargs.items())),
+        kwargs=(
+            ("modes", args.modes),
+            ("n_subscriptions", args.subs),
+            ("seed", args.seed),
+        ),
         n_events=args.events,
         aggregate=args.aggregate,
-    )
+    )()
     cells = plan_cells(
         args.groups, algorithms, schemes=schemes,
         cell_budgets=budgets, noloss=args.noloss,
     )
     workers = default_workers(args.workers)
     start = time.perf_counter()
-    outcomes = run_cells(
-        ctx, cells, workers=workers, seed_mode="spawn",
-        context_factory=factory,
-    )
+    outcomes = run_cells(ctx, cells, workers=workers, seed_mode="spawn")
     wall = time.perf_counter() - start
     results = [r for outcome in outcomes for r in outcome.results]
     print(format_results(results))
@@ -844,7 +836,7 @@ def _run_chaos(
                 seed=args.seed,
             )
         )
-    workers = default_workers(args.workers) if args.workers != 1 else 1
+    workers = default_workers(args.workers)
     outcomes = run_chaos_cells(cells, workers=workers)
     report = outcomes[0].report
     baseline = outcomes[1].report if len(outcomes) > 1 else None

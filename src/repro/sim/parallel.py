@@ -15,44 +15,37 @@ results **bit-exact** with a serial run:
   runs produce byte-identical :class:`~repro.sim.CostSummary` /
   :class:`~repro.faults.DegradationReport` objects for any worker count.
 
-* **Shared state** — under the ``fork`` start method the expensive
-  read-only state (hyper-cell membership matrices, event samples and
-  their interest sets) is built once in the parent and inherited
-  copy-on-write by every worker; nothing is pickled per task.  Under
-  ``spawn`` a picklable :class:`ContextFactory` rebuilds the context in
-  each worker instead of pickling the live one with its scenario and
-  cached cell sets.
+* **One driver** — sweep cells, chaos cells and fleet shards all run
+  through :func:`_run_tasks`: inline for one worker or one task,
+  otherwise in one pool whose workers receive the task function and the
+  shared read-only state once, through the pool initializer (inherited
+  copy-on-write under ``fork``, pickled once per worker under
+  ``spawn``).
 
-* **Observability** — each worker starts with a fresh
-  :class:`~repro.obs.MetricsRegistry` and :class:`~repro.obs.Tracer`
-  (:func:`repro.obs.reset_worker_state`), snapshots them per cell, and
-  the parent merges the snapshots back on join
-  (:meth:`MetricsRegistry.merge_records` / :meth:`Tracer.ingest`), so
-  ``phase_table``, run manifests and JSONL traces stay complete under
-  parallelism.
+* **Observability** — each pooled task runs against a fresh
+  :class:`~repro.obs.MetricsRegistry` and :class:`~repro.obs.Tracer`,
+  and the parent merges every task's metric and span delta back in task
+  order (:meth:`MetricsRegistry.merge_records` /
+  :meth:`Tracer.ingest`), so ``phase_table``, run manifests and JSONL
+  traces stay complete under parallelism.
 
-Chaos cells are fanned out the same way, but each worker builds its own
-scenario from picklable parameters: a chaos replay *mutates* the routing
-tables, so the scenario cannot be shared.
+Chaos cells share nothing: a chaos replay *mutates* the routing tables,
+so each cell builds its own scenario from picklable parameters.
 """
 
 from __future__ import annotations
 
+import functools
 import multiprocessing
 import os
 import time
 from concurrent.futures import ProcessPoolExecutor
-from dataclasses import dataclass, field
-from typing import Dict, List, Mapping, Optional, Sequence, Tuple
+from dataclasses import dataclass
+from typing import Callable, List, Mapping, Optional, Sequence, Tuple
 
 import numpy as np
 
-from ..obs import (
-    get_flight_recorder,
-    get_registry,
-    get_tracer,
-    reset_worker_state,
-)
+from ..obs import get_registry, get_tracer, reset_worker_state
 from .experiment import AlgorithmResult, ExperimentContext
 from .scenario import build_evaluation_scenario, build_preliminary_scenario
 
@@ -100,6 +93,71 @@ def cell_seed(scenario_seed: int, index: int) -> np.random.SeedSequence:
 
 
 # ----------------------------------------------------------------------
+# the one driver
+
+
+def _start_method() -> str:
+    """``fork`` where the platform has it, else its default."""
+    return (
+        "fork"
+        if "fork" in multiprocessing.get_all_start_methods()
+        else multiprocessing.get_start_method()
+    )
+
+
+#: a pool worker's task function and shared state, set by the initializer
+_WORKER: Tuple[Optional[Callable], object] = (None, None)
+
+
+def _init_pool_worker(fn: Callable, shared: object, tracing: bool) -> None:
+    global _WORKER
+    reset_worker_state(tracing=tracing)
+    _WORKER = (fn, shared)
+
+
+def _pool_task(task):
+    """One task's result plus its metric and span deltas: tasks run one
+    at a time in a worker, so zero-run-snapshot is exactly its share."""
+    fn, shared = _WORKER
+    registry = get_registry()
+    tracer = get_tracer()
+    registry.reset()
+    tracer.clear()
+    result = fn(task, shared)
+    return result, registry.snapshot(), [s.as_dict() for s in tracer.spans()]
+
+
+def _run_tasks(
+    fn: Callable, tasks: Sequence, shared: object, workers: int
+) -> List:
+    """``fn(task, shared)`` for every task, in task order.
+
+    Inline when ``workers <= 1`` or there is one task; otherwise across
+    one process pool, with each task's metric and span deltas merged
+    into the parent's registry and tracer in task order, so totals do
+    not depend on the worker count or on completion order.
+    """
+    tasks = list(tasks)
+    if workers <= 1 or len(tasks) <= 1:
+        return [fn(task, shared) for task in tasks]
+    with ProcessPoolExecutor(
+        max_workers=min(workers, len(tasks)),
+        mp_context=multiprocessing.get_context(_start_method()),
+        initializer=_init_pool_worker,
+        initargs=(fn, shared, get_tracer().enabled),
+    ) as pool:
+        deltas = list(pool.map(_pool_task, tasks))
+    registry = get_registry()
+    tracer = get_tracer()
+    results = []
+    for result, metrics, spans in deltas:
+        registry.merge_records(metrics)
+        tracer.ingest(spans)
+        results.append(result)
+    return results
+
+
+# ----------------------------------------------------------------------
 # cell descriptions (picklable, hashable plan entries)
 
 
@@ -127,26 +185,19 @@ class SweepCell:
 
 @dataclass
 class SweepCellResult:
-    """One executed cell: results plus the worker's observability delta."""
+    """One executed cell: its results, wall seconds and worker pid."""
 
     cell: SweepCell
     results: List[AlgorithmResult]
     seconds: float
     pid: int
-    metrics: List[Dict] = field(default_factory=list)
-    spans: List[Dict] = field(default_factory=list)
-    flight_records: List[Dict] = field(default_factory=list)
 
 
 @dataclass(frozen=True)
 class ContextFactory:
-    """Picklable recipe for rebuilding an :class:`ExperimentContext`.
-
-    Used instead of a live context wherever pickling is unavoidable (the
-    ``spawn`` start method): the recipe is a few names and numbers,
-    where a live context would carry its scenario, routing tables and
-    cached cell sets through the pickle.
-    """
+    """Picklable recipe for building an :class:`ExperimentContext`:
+    a scenario builder's name and kwargs plus the context's own
+    settings."""
 
     builder: str = "evaluation"  # "evaluation" | "preliminary"
     kwargs: Tuple[Tuple[str, object], ...] = ()
@@ -213,38 +264,6 @@ def plan_cells(
     return cells
 
 
-# ----------------------------------------------------------------------
-# worker side
-
-#: the context workers execute cells against; set in the parent just
-#: before the pool forks (inherited copy-on-write), or built from a
-#: :class:`ContextFactory` by the initializer under ``spawn``
-_WORKER_CONTEXT: Optional[ExperimentContext] = None
-
-
-def _init_worker(
-    factory: Optional[ContextFactory], tracing: bool, flight: bool = False
-) -> None:
-    """Worker-process start hook: fresh observability state, own context.
-
-    Must run before any cell: the forked child inherited the parent's
-    registry, spans and flight records, and snapshotting those would
-    double-count them on merge (see :func:`repro.obs.reset_worker_state`).
-    """
-    global _WORKER_CONTEXT
-    reset_worker_state(tracing=tracing, flight=flight)
-    if factory is not None:
-        _WORKER_CONTEXT = factory()
-
-
-def _cell_rng(
-    scenario_seed: int, cell: SweepCell, seed_mode: str
-) -> Optional[np.random.Generator]:
-    if seed_mode == "legacy":
-        return None
-    return np.random.default_rng(cell_seed(scenario_seed, cell.index))
-
-
 def _execute_cell(
     context: ExperimentContext,
     cell: SweepCell,
@@ -274,144 +293,41 @@ def _execute_cell(
     raise ValueError(f"unknown cell kind {cell.kind!r}")
 
 
-def _run_cell_task(
-    cell: SweepCell, scenario_seed: int, seed_mode: str
+def _run_cell(
+    cell: SweepCell, context: ExperimentContext, seed_mode: str
 ) -> SweepCellResult:
-    """Pool task: run one cell, return results + observability delta."""
-    context = _WORKER_CONTEXT
-    if context is None:
-        raise RuntimeError(
-            "worker context not initialised (fork inheritance failed and "
-            "no ContextFactory was provided)"
+    rng = None
+    if seed_mode != "legacy":
+        rng = np.random.default_rng(
+            cell_seed(context.scenario.seed, cell.index)
         )
-    registry = get_registry()
-    tracer = get_tracer()
-    flight = get_flight_recorder()
-    # per-cell delta: zero, run, snapshot — tasks run serially within a
-    # worker, so the snapshot is exactly this cell's contribution
-    registry.reset()
-    tracer.clear()
-    flight.clear()
     start = time.perf_counter()
-    results = _execute_cell(context, cell, _cell_rng(scenario_seed, cell, seed_mode))
-    seconds = time.perf_counter() - start
+    results = _execute_cell(context, cell, rng)
     return SweepCellResult(
-        cell=cell,
-        results=results,
-        seconds=seconds,
-        pid=os.getpid(),
-        metrics=registry.snapshot(),
-        spans=[span.as_dict() for span in tracer.spans()],
-        flight_records=flight.as_dicts(),
+        cell, results, time.perf_counter() - start, os.getpid()
     )
-
-
-# ----------------------------------------------------------------------
-# parent side
-
-
-def _default_start_method() -> str:
-    return (
-        "fork"
-        if "fork" in multiprocessing.get_all_start_methods()
-        else multiprocessing.get_start_method()
-    )
-
-
-def _merge_observability(outcomes: Sequence) -> None:
-    """Fold worker metric/span snapshots into the parent registry/tracer.
-
-    Outcomes are merged in plan order, so the merged totals — and the
-    flight recorder's remapped event ids — are deterministic regardless
-    of completion order.
-    """
-    registry = get_registry()
-    tracer = get_tracer()
-    flight = get_flight_recorder()
-    for outcome in outcomes:
-        if outcome.metrics:
-            registry.merge_records(outcome.metrics)
-        if outcome.spans:
-            tracer.ingest(outcome.spans)
-        records = getattr(outcome, "flight_records", None)
-        if records:
-            flight.ingest(records)
 
 
 def run_cells(
-    context: Optional[ExperimentContext],
+    context: ExperimentContext,
     cells: Sequence[SweepCell],
     workers: int = 1,
     seed_mode: str = "spawn",
-    start_method: Optional[str] = None,
-    context_factory: Optional[ContextFactory] = None,
 ) -> List[SweepCellResult]:
     """Run sweep cells, serially or across a process pool.
 
     ``workers <= 1`` runs in-process through the exact same per-cell
     code path (same spawned seeds), so results are byte-identical for
-    any worker count.  ``context`` may be ``None`` when a
-    ``context_factory`` is given; under the ``spawn`` start method the
-    factory is required (live contexts do not pickle).
+    any worker count.  Pool workers share the live ``context``.
     """
     if seed_mode not in SEED_MODES:
         raise ValueError(f"seed_mode must be one of {SEED_MODES}")
-    cells = list(cells)
-    if context is None:
-        if context_factory is None:
-            raise ValueError("need a context or a context_factory")
-        context = context_factory()
-    scenario_seed = int(context.scenario.seed)
-    n_workers = max(1, int(workers or 1))
-
-    if n_workers <= 1 or len(cells) <= 1:
-        outcomes = []
-        for cell in cells:
-            start = time.perf_counter()
-            results = _execute_cell(
-                context, cell, _cell_rng(scenario_seed, cell, seed_mode)
-            )
-            outcomes.append(
-                SweepCellResult(
-                    cell=cell,
-                    results=results,
-                    seconds=time.perf_counter() - start,
-                    pid=os.getpid(),
-                )
-            )
-        return outcomes
-
-    method = start_method or _default_start_method()
-    if method == "fork":
-        factory = None
-        global _WORKER_CONTEXT
-        _WORKER_CONTEXT = context
-    else:
-        if context_factory is None:
-            raise ValueError(
-                f"the {method!r} start method cannot inherit the context; "
-                "pass a picklable context_factory"
-            )
-        factory = context_factory
-    try:
-        pool_ctx = multiprocessing.get_context(method)
-        with ProcessPoolExecutor(
-            max_workers=min(n_workers, len(cells)),
-            mp_context=pool_ctx,
-            initializer=_init_worker,
-            initargs=(factory, get_tracer().enabled, get_flight_recorder().enabled),
-        ) as pool:
-            futures = [
-                pool.submit(_run_cell_task, cell, scenario_seed, seed_mode)
-                for cell in cells
-            ]
-            outcomes = [future.result() for future in futures]
-    finally:
-        if method == "fork":
-            _WORKER_CONTEXT = None
-    outcomes.sort(key=lambda outcome: outcome.cell.index)
-    _merge_observability(outcomes)
-    return outcomes
+    return _run_tasks(
+        functools.partial(_run_cell, seed_mode=seed_mode),
+        cells,
+        context,
+        workers,
+    )
 
 
 # ----------------------------------------------------------------------
@@ -455,14 +371,12 @@ class ChaosCellResult:
     report: object  # DegradationReport
     seconds: float
     pid: int
-    metrics: List[Dict] = field(default_factory=list)
-    spans: List[Dict] = field(default_factory=list)
-    flight_records: List[Dict] = field(default_factory=list)
 
 
-def _execute_chaos_cell(cell: ChaosCell):
+def _run_chaos_cell(cell: ChaosCell, shared: None) -> ChaosCellResult:
     from ..faults import ChaosRunner
 
+    start = time.perf_counter()
     runner = ChaosRunner.from_params(
         scenario_kwargs=dict(cell.scenario_kwargs),
         events=[dict(event) for event in cell.events],
@@ -473,69 +387,19 @@ def _execute_chaos_cell(cell: ChaosCell):
         flight=cell.flight,
         slo_spec=[dict(entry) for entry in cell.slo_spec] or None,
     )
-    return runner.run()
-
-
-def _run_chaos_task(cell: ChaosCell) -> ChaosCellResult:
-    registry = get_registry()
-    tracer = get_tracer()
-    flight = get_flight_recorder()
-    registry.reset()
-    tracer.clear()
-    flight.clear()
-    start = time.perf_counter()
-    report = _execute_chaos_cell(cell)
-    seconds = time.perf_counter() - start
+    report = runner.run()
     return ChaosCellResult(
-        cell=cell,
-        report=report,
-        seconds=seconds,
-        pid=os.getpid(),
-        metrics=registry.snapshot(),
-        spans=[span.as_dict() for span in tracer.spans()],
-        flight_records=flight.as_dicts(),
+        cell, report, time.perf_counter() - start, os.getpid()
     )
 
 
 def run_chaos_cells(
-    cells: Sequence[ChaosCell],
-    workers: int = 1,
-    start_method: Optional[str] = None,
+    cells: Sequence[ChaosCell], workers: int = 1
 ) -> List[ChaosCellResult]:
     """Run chaos cells, serially or across a process pool.
 
-    Cells are self-contained (scenario parameters + schedule by value),
-    so both ``fork`` and ``spawn`` work without a shared context; the
-    serial path builds through the identical
-    :meth:`ChaosRunner.from_params` constructor, keeping reports
-    byte-identical for any worker count.
+    Cells are self-contained (scenario parameters + schedule by value)
+    and every path builds through :meth:`ChaosRunner.from_params`, so
+    reports are byte-identical for any worker count.
     """
-    cells = list(cells)
-    n_workers = max(1, int(workers or 1))
-    if n_workers <= 1 or len(cells) <= 1:
-        outcomes = []
-        for cell in cells:
-            start = time.perf_counter()
-            report = _execute_chaos_cell(cell)
-            outcomes.append(
-                ChaosCellResult(
-                    cell=cell,
-                    report=report,
-                    seconds=time.perf_counter() - start,
-                    pid=os.getpid(),
-                )
-            )
-        return outcomes
-    method = start_method or _default_start_method()
-    pool_ctx = multiprocessing.get_context(method)
-    with ProcessPoolExecutor(
-        max_workers=min(n_workers, len(cells)),
-        mp_context=pool_ctx,
-        initializer=_init_worker,
-        initargs=(None, get_tracer().enabled, get_flight_recorder().enabled),
-    ) as pool:
-        futures = [pool.submit(_run_chaos_task, cell) for cell in cells]
-        outcomes = [future.result() for future in futures]
-    outcomes.sort(key=lambda outcome: outcome.cell.index)
-    _merge_observability(outcomes)
-    return outcomes
+    return _run_tasks(_run_chaos_cell, cells, None, workers)

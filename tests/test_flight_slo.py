@@ -99,47 +99,6 @@ class TestFlightRecorder:
         assert [r["stage"] for r in taken] == ["enqueue", "outcome"]
         assert [r.event_id for r in recorder.records()] == [2]
 
-    def test_ingest_remaps_ids_by_first_appearance(self):
-        def worker_log(outcome):
-            worker = FlightRecorder(enabled=True)
-            worker.record(0, "enqueue", 0.0)
-            worker.record(0, "outcome", 0.5, outcome=outcome)
-            return worker.as_dicts()
-
-        parent = FlightRecorder(enabled=True)
-        parent.record(0, "enqueue", 0.0)
-        parent.ingest(worker_log("delivered"))
-        parent.ingest(worker_log("lost"))
-        ids = sorted({r.event_id for r in parent.records()})
-        assert ids == [0, 1, 2]
-        # each worker's chain is intact under its remapped id
-        assert [r.attrs.get("outcome") for r in parent.chain(1)] == [
-            None, "delivered",
-        ]
-        assert [r.attrs.get("outcome") for r in parent.chain(2)] == [
-            None, "lost",
-        ]
-
-    def test_ingest_in_plan_order_is_deterministic(self):
-        def worker_log(event_id):
-            worker = FlightRecorder(enabled=True)
-            worker.record(event_id, "enqueue", 0.0)
-            return worker.as_dicts()
-
-        merged_a = FlightRecorder()
-        merged_b = FlightRecorder()
-        for target in (merged_a, merged_b):
-            for event_id in (3, 9, 3):
-                target.ingest(worker_log(event_id))
-        assert merged_a.as_dicts() == merged_b.as_dicts()
-
-    def test_ingest_without_remap_preserves_ids(self):
-        source = FlightRecorder(enabled=True)
-        source.record(42, "enqueue", 0.0)
-        target = FlightRecorder()
-        target.ingest(source.as_dicts(), remap=False)
-        assert [r.event_id for r in target.records()] == [42]
-
     def test_stage_latencies_accepts_records_and_dicts(self):
         recorder = FlightRecorder(enabled=True)
         recorder.record(1, "queue_wait", 0.1, seconds=0.1, stream="pub")

@@ -9,11 +9,14 @@ session scenario.
 
 import multiprocessing
 import os
+import pickle
+from dataclasses import replace
 
 import numpy as np
 import pytest
 
 from repro.faults import FaultSchedule
+from repro.fleet import FleetConfig, run_fleet
 from repro.network import RoutingTables
 from repro.obs import (
     MetricsRegistry,
@@ -150,9 +153,7 @@ class TestSerialParallelEquivalence:
 
 
 class TestObservabilityMerge:
-    #: counters whose totals must not depend on the worker count (cache
-    #: hit/miss *splits* legitimately vary with memo warmth, so they are
-    #: compared as lookup totals, not per-result)
+    #: counters whose totals must not depend on the worker count
     INVARIANT = (
         "clustering_distance_evals_total",
         "clustering_fit_total",
@@ -199,15 +200,91 @@ class TestObservabilityMerge:
             outcomes = run_cells(sweep_ctx, sweep_cells[:2], workers=2)
         finally:
             set_tracer(saved)
-        assert all(outcome.spans for outcome in outcomes)
-        names = {span.name for span in tracer.spans()}
-        assert "sim.run_algorithm" in names
+        names = [span.name for span in tracer.spans()]
+        assert names.count("sim.run_algorithm") == len(outcomes) == 2
         # ids were remapped on ingest: unique, parents precede children
         ids = [span.span_id for span in tracer.spans()]
         assert len(ids) == len(set(ids))
         for span in tracer.spans():
             if span.parent_id is not None:
                 assert span.parent_id in ids
+
+
+    @staticmethod
+    def _series(registry):
+        """Counter totals and histogram counts, per labelled series."""
+        series = {}
+        for record in registry.snapshot():
+            key = (record["name"], tuple(sorted(record["labels"].items())))
+            if record["type"] == "counter":
+                series[key] = record["value"]
+            elif record["type"] == "histogram":
+                series[key] = record["count"]
+        return series
+
+    def _series_at(self, workers, run):
+        saved = get_registry()
+        try:
+            registry = set_registry(MetricsRegistry())
+            run(workers)
+        finally:
+            set_registry(saved)
+        return self._series(registry)
+
+    @needs_fork
+    def test_fleet_pool_merges_like_inline(self):
+        def run(workers):
+            run_fleet(
+                FleetConfig(
+                    n_events=600, seed=7, n_nodes=100, n_subscriptions=120,
+                    n_groups=12, shards=4, workers=workers,
+                )
+            )
+
+        inline = self._series_at(1, run)
+        pooled = self._series_at(2, run)
+        assert inline[("matching_events_total", (("matcher", "grid"),))] > 0
+        assert pooled == inline
+
+    @needs_fork
+    def test_chaos_pool_merges_like_inline(self):
+        cells = TestChaosCells._cells()
+        inline = self._series_at(
+            1, lambda workers: run_chaos_cells(cells, workers=workers)
+        )
+        pooled = self._series_at(
+            2, lambda workers: run_chaos_cells(cells, workers=workers)
+        )
+        assert inline
+        assert pooled == inline
+
+
+class TestSpawnRoute:
+    """Under ``spawn`` a pool worker's context is a pickle of the live one."""
+
+    @pytest.mark.parametrize("aggregate", [False, True])
+    def test_pickled_context_gives_the_same_summaries(
+        self, sweep_ctx, sweep_cells, aggregate
+    ):
+        context = ExperimentContext(
+            sweep_ctx.scenario, n_events=25, aggregate=aggregate
+        )
+        built = run_cells(context, sweep_cells)
+        copied = pickle.loads(pickle.dumps(context))
+        assert _comparable(run_cells(copied, sweep_cells)) == \
+            _comparable(built)
+
+    def test_spawn_pool_matches_serial(
+        self, monkeypatch, sweep_ctx, sweep_cells
+    ):
+        import repro.sim.parallel as parallel_module
+
+        cells = sweep_cells[:2]
+        serial = run_cells(sweep_ctx, cells, workers=1)
+        monkeypatch.setattr(parallel_module, "_start_method", lambda: "spawn")
+        spawned = run_cells(sweep_ctx, cells, workers=2)
+        assert os.getpid() not in {outcome.pid for outcome in spawned}
+        assert _comparable(spawned) == _comparable(serial)
 
 
 class TestChaosCells:
@@ -243,9 +320,23 @@ class TestChaosCells:
             ChaosCell(index=1, label="baseline", events=(), **common),
         ]
 
+    #: an objective every faulted replay breaches (it loses deliveries)
+    SLO_SPEC = (
+        (
+            ("name", "no-loss"), ("signal", "lost_rate"), ("stat", "max"),
+            ("threshold", 0.0), ("window", 10.0),
+        ),
+    )
+
     @needs_fork
-    def test_chaos_parallel_matches_serial(self):
+    @pytest.mark.parametrize("observed", [False, True], ids=["bare", "flight-slo"])
+    def test_chaos_parallel_matches_serial(self, observed):
         cells = self._cells()
+        if observed:
+            cells = [
+                replace(cell, flight=True, slo_spec=self.SLO_SPEC)
+                for cell in cells
+            ]
         serial = run_chaos_cells(cells, workers=1)
         parallel = run_chaos_cells(cells, workers=2)
         assert {o.pid for o in parallel} != {os.getpid()}
@@ -256,8 +347,12 @@ class TestChaosCells:
                 "n_publications", "n_delivered", "n_degraded", "n_lost",
                 "total_cost", "expected_deliveries", "lost_deliveries",
                 "n_rebuilds", "n_full_rebuilds",
+                "cause_chains", "slo_breaches",
             ):
                 assert getattr(a.report, field) == getattr(b.report, field), field
+        if observed:
+            assert serial[0].report.cause_chains
+            assert serial[0].report.slo_breaches
 
 
 class TestFloat32WasteMatrix:
