@@ -15,15 +15,16 @@ Counting: every non-blank, non-comment line of a function body is
 attributed to its innermost enclosing function (docstrings excluded).
 A function's lines are unreached when the function was never entered.
 A module is *never entered* when it has function lines and none of its
-functions was entered.  All invocations run with ``--workers 1``, so
-the pool-only entry points (worker initialisers, pool task wrappers)
-count as unreached.
+functions was entered.  One small fleet runs with ``--workers 2``, so
+the parent side of the process pool (start method, merging worker
+metrics and spans) counts as reached; the hook does not follow the
+forked workers, which run the same code the ``--workers 1`` runs enter.
 
 An invocation that exits non-zero or raises is recorded and the probe
 goes on.  The last line printed is one JSON object: ``total_lines``,
 ``unreached_lines``, ``unreached_share``, ``never_entered`` (module
 paths) and ``failed`` (invocations that did not exit 0).  The exit code
-is 1 when any module is never entered, else 0.
+is 1 when any module is never entered or any invocation failed, else 0.
 """
 
 import ast
@@ -89,6 +90,8 @@ def invocations(tmp: str) -> list:
          "forward", "--sharding", "region", "--epochs", "2",
          "--checkpoint-dir", out("ckpt"), "--workers", "1",
          "--bench", out("fleet.json")],
+        # the parent side of the process pool
+        ["fleet", *small_serve, "--shards", "3", "--workers", "2"],
         ["chaos", "--subs", "100", "--events", "30", "--groups", "6",
          "--compare-healing", "--save-schedule", schedule,
          "--report", out("chaos.jsonl"), "--workers", "1"],
@@ -223,7 +226,7 @@ def main(argv=None) -> int:
         "never_entered": never_entered,
         "failed": failed,
     }))
-    return 1 if never_entered else 0
+    return 1 if never_entered or failed else 0
 
 
 if __name__ == "__main__":

@@ -30,8 +30,8 @@ def test_adaptive_delivery(benchmark, eval_ctx):
         dispatcher = eval_ctx.dispatcher("dense")
         policy = AdaptiveDeliveryPolicy(dispatcher)
         fixed_cost = adaptive_cost = unicast_cost = 0.0
-        for event in eval_ctx.events:
-            plan = matcher.match(event.point)
+        plans = matcher.match_batch([event.point for event in eval_ctx.events])
+        for event, plan in zip(eval_ctx.events, plans):
             fixed_cost += dispatcher.plan_cost(event.publisher, plan)
             decision = policy.decide(
                 event.publisher, plan,
@@ -83,8 +83,8 @@ def test_mode_mix_shifts_with_population(benchmark):
             matcher = GridMatcher(clustering, scenario.subscriptions)
             dispatcher = ctx.dispatcher("dense")
             policy = AdaptiveDeliveryPolicy(dispatcher)
-            for event in ctx.events:
-                plan = matcher.match(event.point)
+            plans = matcher.match_batch([event.point for event in ctx.events])
+            for event, plan in zip(ctx.events, plans):
                 policy.decide(
                     event.publisher, plan,
                     dispatcher.unicast_reference(

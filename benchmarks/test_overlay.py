@@ -43,7 +43,7 @@ def test_overlay_within_budget_of_dense_at_equal_k(benchmark, eval_ctx):
         matcher = GridMatcher(clustering, scenario.subscriptions)
         dense = eval_ctx.dispatcher("dense")
         overlay = eval_ctx.dispatcher("overlay")
-        plans = [matcher.match(event.point) for event in events]
+        plans = matcher.match_batch([event.point for event in events])
         publishers = [event.publisher for event in events]
         dense_total = float(dense.plan_costs(publishers, plans).sum())
         overlay_total = float(overlay.plan_costs(publishers, plans).sum())

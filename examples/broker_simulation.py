@@ -71,9 +71,12 @@ def main():
         for _ in range(min(20, max(0, len(live_handles) - 40))):
             broker.unsubscribe(live_handles.pop())
 
-        # traffic: 120 events this epoch
-        for event in publications.sample(rng, 120):
-            broker.publish(event.point, event.publisher)
+        # traffic: 120 events this epoch, one batch
+        events = publications.sample(rng, 120)
+        broker.publish_batch(
+            [event.point for event in events],
+            [event.publisher for event in events],
+        )
 
         stats = broker.stats
         print(f"{epoch:>6} {broker.n_subscriptions:>6} {broker.n_groups:>7} "

@@ -34,9 +34,7 @@ def inherit_assignment(old_clustering, new_cells, n_groups, rng):
     """
     assignment = np.empty(len(new_cells), dtype=np.int64)
     for h, cell_ids in enumerate(new_cells.cell_ids):
-        votes = np.array(
-            [old_clustering.group_of_grid_cell(int(c)) for c in cell_ids]
-        )
+        votes = old_clustering.groups_of_grid_cells(cell_ids)
         votes = votes[votes >= 0]
         if len(votes):
             assignment[h] = np.bincount(votes).argmax()

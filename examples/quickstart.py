@@ -72,8 +72,9 @@ def main():
     print()
     print(f"{'event':>26} {'interested':>10} {'plan':>9} "
           f"{'unicast':>8} {'ideal':>7}")
-    for event in publications.sample(rng, 8):
-        plan = matcher.match(event.point)
+    events = publications.sample(rng, 8)
+    plans = matcher.match_batch([event.point for event in events])
+    for event, plan in zip(events, plans):
         plan.audit()  # raises if an interested subscriber is unreached
         cost = dispatcher.plan_cost(event.publisher, plan)
         unicast = dispatcher.unicast_reference(event.publisher, plan.interested)

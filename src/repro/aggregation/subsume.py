@@ -1,23 +1,15 @@
-"""Subscription aggregation: collapse identical rectangles, index containment.
+"""Subscription aggregation: collapse identical rectangles.
 
 At millions of subscriptions the width ``m`` of the membership matrix
 dominates every hot path — the pairwise fit, the K-means passes, the
 grid build and the batch interest sweep all scale with it.  Real
 workloads are heavily skewed (Shi et al., "Towards Scalable Subscription
 Aggregation and Real Time Event Matching in a Large-Scale Content-Based
-Network"): many subscribers register the *same* rectangle, and many more
-register rectangles contained in a popular one.
+Network"): many subscribers register the *same* rectangle.
 
-This module detects both:
-
-* **identical** rectangles are collapsed into one *aggregate* carrying a
-  multiplicity (how many subscription rows it stands for) — the exact,
-  lossless reduction every downstream consumer can run on;
-* **contained** rectangles are linked into a containment forest (parent
-  = smallest strictly-covering aggregate, found with the R-tree's
-  :meth:`~repro.matching.rtree.RTree.containing` query) used for
-  hierarchical matching and for reporting how much subsumption the
-  workload carries.
+This module collapses identical rectangles into one *aggregate* carrying
+a multiplicity (how many subscription rows it stands for) — the exact,
+lossless reduction every downstream consumer can run on.
 
 The invariants the test battery enforces:
 
@@ -37,19 +29,12 @@ the same order with or without aggregation (see docs/aggregation.md).
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
-from typing import List, Optional, Sequence, Tuple
+from dataclasses import dataclass
+from typing import Tuple
 
 import numpy as np
 
-from ..matching.rtree import RTree
-
 __all__ = ["AggregateSet", "aggregate_subscriptions"]
-
-#: below this many aggregates the containment forest is built with one
-#: dense broadcast; above it the O(n^2) pair matrix would dominate and
-#: the R-tree query loop wins
-_DENSE_FOREST_LIMIT = 4096
 
 
 @dataclass(frozen=True)
@@ -60,8 +45,7 @@ class AggregateSet:
     order; ``members[a]``/``owners[a]`` list the subscription rows and
     subscriber ids collapsed into aggregate ``a`` (both ascending);
     ``agg_of_row`` maps every subscription row to its aggregate (``-1``
-    for departed rows); ``parent`` links each aggregate to its smallest
-    strictly-containing aggregate (``-1`` for roots).
+    for departed rows).
     """
 
     los: np.ndarray
@@ -70,11 +54,7 @@ class AggregateSet:
     owners: Tuple[np.ndarray, ...]
     agg_of_row: np.ndarray
     multiplicity: np.ndarray
-    parent: np.ndarray
     n_subscriptions: int
-    _children: Optional[Tuple[np.ndarray, ...]] = field(
-        default=None, compare=False, repr=False
-    )
 
     # ------------------------------------------------------------------
     @property
@@ -87,32 +67,6 @@ class AggregateSet:
         if self.n_aggregates == 0:
             return 1.0
         return self.n_subscriptions / self.n_aggregates
-
-    @property
-    def n_roots(self) -> int:
-        return int(np.sum(self.parent < 0))
-
-    @property
-    def n_contained(self) -> int:
-        """Aggregates strictly contained in some other aggregate."""
-        return int(np.sum(self.parent >= 0))
-
-    def children(self) -> Tuple[np.ndarray, ...]:
-        """Child lists of the containment forest (ascending, cached)."""
-        cached = object.__getattribute__(self, "_children")
-        if cached is None:
-            lists: List[List[int]] = [[] for _ in range(self.n_aggregates)]
-            for child, par in enumerate(self.parent):
-                if par >= 0:
-                    lists[int(par)].append(child)
-            cached = tuple(
-                np.asarray(kids, dtype=np.int64) for kids in lists
-            )
-            object.__setattr__(self, "_children", cached)
-        return cached
-
-    def roots(self) -> np.ndarray:
-        return np.nonzero(self.parent < 0)[0].astype(np.int64)
 
     # ------------------------------------------------------------------
     def subscriber_map(self, n_subscribers: int) -> np.ndarray:
@@ -154,47 +108,6 @@ class AggregateSet:
         return los, his
 
 
-def _containment_forest(los: np.ndarray, his: np.ndarray) -> np.ndarray:
-    """Parent links over distinct rectangles: the smallest (by volume,
-    ties by index) aggregate strictly containing each one, or ``-1``.
-
-    Distinct bounds make proper containment a strict partial order, so
-    the links always form a forest.
-    """
-    n = len(los)
-    parent = np.full(n, -1, dtype=np.int64)
-    if n <= 1:
-        return parent
-    spans = np.clip(his, -1e18, 1e18) - np.clip(los, -1e18, 1e18)
-    volumes = np.prod(np.maximum(spans, 0.0), axis=1)
-    if n <= _DENSE_FOREST_LIMIT:
-        # one broadcast over all (parent, child) pairs.  Bound-wise
-        # comparison equals ``Rectangle.contains_rectangle`` for
-        # non-empty children (half-open algebra, inf bounds compare
-        # fine); an empty child is contained in everything; an empty
-        # parent can never pass the bound test against a non-empty
-        # child (its collapsed side would have to stretch around the
-        # child's positive span)
-        contains = np.all(los[:, None, :] <= los[None, :, :], axis=2)
-        contains &= np.all(his[:, None, :] >= his[None, :, :], axis=2)
-        contains[:, np.any(his <= los, axis=1)] = True
-        np.fill_diagonal(contains, False)
-        masked = np.where(contains, volumes[:, None], np.inf)
-        best = np.argmin(masked, axis=0)  # ties -> lowest index
-        found = contains.any(axis=0)
-        parent[found] = best[found]
-        return parent
-    tree = RTree.from_bounds(los, his)
-    for a in range(n):
-        candidates = tree.containing((los[a], his[a]))
-        candidates = candidates[candidates != a]
-        if len(candidates) == 0:
-            continue
-        best = candidates[int(np.argmin(volumes[candidates]))]
-        parent[a] = int(best)
-    return parent
-
-
 def aggregate_subscriptions(subscriptions) -> AggregateSet:
     """Group the live rows of a :class:`SubscriptionSet` by rectangle.
 
@@ -215,7 +128,6 @@ def aggregate_subscriptions(subscriptions) -> AggregateSet:
             owners=(),
             agg_of_row=agg_of_row,
             multiplicity=np.empty(0, dtype=np.int64),
-            parent=np.empty(0, dtype=np.int64),
             n_subscriptions=0,
         )
 
@@ -248,7 +160,6 @@ def aggregate_subscriptions(subscriptions) -> AggregateSet:
     multiplicity = np.array(
         [len(member_rows) for member_rows in members], dtype=np.int64
     )
-    parent = _containment_forest(agg_los, agg_his)
     return AggregateSet(
         los=agg_los,
         his=agg_his,
@@ -256,6 +167,5 @@ def aggregate_subscriptions(subscriptions) -> AggregateSet:
         owners=owner_lists,
         agg_of_row=agg_of_row,
         multiplicity=multiplicity,
-        parent=parent,
         n_subscriptions=int(len(alive_rows)),
     )

@@ -2,12 +2,9 @@
 
 :class:`AggregateView` answers the same interest queries as
 :class:`~repro.workload.subscriptions.SubscriptionSet` — identical
-sorted subscriber-id arrays — by testing the ``n_agg`` distinct
-rectangles instead of all ``m`` rows and expanding hits through the
-aggregate member lists.  Single-point matching descends the containment
-forest (a point inside a contained rectangle is necessarily inside its
-covering parent, so children only need testing under matched parents);
-the batch sweep broadcasts against the aggregate bounds directly.
+sorted subscriber-id arrays — by broadcasting an event batch against
+the ``n_agg`` distinct rectangles instead of all ``m`` rows and
+expanding hits through the aggregate member lists.
 
 :func:`build_aggregate_cells` runs the grid preprocessing stage on
 aggregate columns and expands the result: the returned pair is a
@@ -49,38 +46,12 @@ class AggregateView:
             else aggregate_subscriptions(subscriptions)
         )
 
-    # ------------------------------------------------------------------
-    def match_aggregates(self, point: Sequence[float]) -> np.ndarray:
-        """Indices of aggregates whose rectangle contains ``point``.
-
-        Hierarchical: roots are tested directly, children only under
-        matched parents — exact because containment implies every point
-        of the child lies in the parent.
-        """
-        agg = self.aggregates
-        x = np.asarray(point, dtype=np.float64)
-        hits: List[int] = []
-        children = agg.children()
-        stack = [int(a) for a in agg.roots()]
-        while stack:
-            a = stack.pop()
-            if np.all(agg.los[a] < x) and np.all(x <= agg.his[a]):
-                hits.append(a)
-                stack.extend(int(c) for c in children[a])
-        hits.sort()
-        return np.asarray(hits, dtype=np.int64)
-
     def expand(self, agg_ids: Sequence[int]) -> np.ndarray:
         """Sorted unique subscriber ids behind a set of aggregates."""
         owner_lists = [self.aggregates.owners[int(a)] for a in agg_ids]
         if not owner_lists:
             return np.empty(0, dtype=np.int64)
         return np.unique(np.concatenate(owner_lists))
-
-    def interested_subscribers(self, point: Sequence[float]) -> np.ndarray:
-        """Same contract (and result) as
-        ``SubscriptionSet.interested_subscribers``."""
-        return self.expand(self.match_aggregates(point))
 
     def batch_interested_subscribers(
         self, points: Sequence[Sequence[float]]

@@ -128,7 +128,7 @@ class DeliveryReceipt:
 
 
 class ContentBroker:
-    """Matching + clustering + delivery behind one `publish` call."""
+    """Matching + clustering + delivery behind one `publish_batch` call."""
 
     def __init__(
         self,
@@ -631,21 +631,6 @@ class ContentBroker:
     # ------------------------------------------------------------------
     # publishing
     # ------------------------------------------------------------------
-    def publish(
-        self,
-        point: Sequence[float],
-        publisher: int,
-        now: Optional[float] = None,
-    ) -> DeliveryReceipt:
-        """Match, deliver and price one event: a one-event batch.
-
-        ``now`` is the virtual-clock timestamp under fault injection; it
-        drives the debounced rebuild policy before the event is served.
-        """
-        if now is not None:
-            self.tick(now)
-        return self.publish_batch([point], [publisher])[0]
-
     def publish_batch(
         self,
         points: Sequence[Sequence[float]],
@@ -935,11 +920,3 @@ class ContentBroker:
             degraded_groups=degraded_groups, fallback_cost=fallback_cost,
         )
         return receipt
-
-    def interested_handles(self, point: Sequence[float]) -> List[int]:
-        """Subscription handles interested in an event (for inspection)."""
-        self._ensure_fresh()
-        if self._subscriptions is None:
-            return []
-        internal = self._subscriptions.interested_subscribers(point)
-        return [self._external_of[i] for i in internal]

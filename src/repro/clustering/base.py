@@ -166,15 +166,8 @@ class Clustering:
             return np.empty(0, dtype=np.int64)
         return np.nonzero(self.group_membership[:, subscriber])[0]
 
-    def group_of_grid_cell(self, flat_cell: int) -> int:
-        """Multicast group of a flat grid cell (-1 when unassigned)."""
-        hypercell = int(self.cells.hypercell_of_cell[flat_cell])
-        if hypercell < 0:
-            return -1
-        return int(self.assignment[hypercell])
-
     def groups_of_grid_cells(self, flat_cells: Sequence[int]) -> np.ndarray:
-        """Vectorised :meth:`group_of_grid_cell` over many flat cells.
+        """Multicast group of each flat grid cell (-1 when unassigned).
 
         ``-1`` entries (events outside the grid) and cells without a
         hyper-cell map to ``-1``.

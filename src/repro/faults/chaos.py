@@ -7,9 +7,12 @@ in time order over a scenario's broker:
 * fault events mutate the routing tables in place (selective
   shortest-path-tree invalidation) and feed the broker's debounced rebuild scheduler, weighted by how many
   subscribers each fault touches;
-* publication events go through :meth:`ContentBroker.publish`, which
-  degrades gracefully while faults are active (unicast fallback for
-  broken groups, explicit lost accounting for unreachable subscribers).
+* each run of publications between two fault or churn events goes
+  through one :meth:`ContentBroker.publish_batch`, which degrades
+  gracefully while faults are active (unicast fallback for broken
+  groups, explicit lost accounting for unreachable subscribers).  A
+  publication that finds a rebuild due flushes the run first and fires
+  the rebuild in its own flight scope, as the online service does.
 
 At the end of the horizon every still-failed element is healed and the
 broker performs one full recovery rebuild, so a balanced schedule leaves
@@ -20,7 +23,6 @@ the no-fault baseline.
 
 from __future__ import annotations
 
-import time
 from typing import List, Optional, Sequence, Tuple
 
 import numpy as np
@@ -147,7 +149,6 @@ class ChaosRunner:
             horizon=self.schedule.horizon,
             n_faults=self.schedule.counts(),
         )
-        start = time.perf_counter()
         # per-publication causal tracing: a private recorder is swapped
         # in as the process default so the broker's flight stages land
         # here, scoped by publication index — the degradation report's
@@ -158,55 +159,21 @@ class ChaosRunner:
         if self.flight:
             set_flight_recorder(recorder)
         try:
-            pub_index = 0
+            run: List[Tuple[int, float, PublicationEvent]] = []
             for now, _, payload in timeline:
-                if isinstance(payload, PublicationEvent):
-                    if self.flight:
-                        with recorder.event(pub_index, now):
-                            receipt = broker.publish(
-                                payload.point, payload.publisher, now=now
-                            )
-                    else:
-                        receipt = broker.publish(
-                            payload.point, payload.publisher, now=now
-                        )
-                    report.n_publications += 1
-                    report.per_event_costs.append(float(receipt.cost))
-                    if receipt.outcome == "delivered":
-                        report.n_delivered += 1
-                    elif receipt.outcome == "degraded":
-                        report.n_degraded += 1
-                    else:
-                        report.n_lost += 1
-                    if self.slo is not None:
-                        self.slo.observe(
-                            "lost_rate", now,
-                            receipt.lost_deliveries
-                            / max(1, receipt.n_interested),
-                            stream="pub",
-                        )
-                    if self.flight and receipt.outcome != "delivered":
-                        report.cause_chains.append(
-                            {
-                                "index": pub_index,
-                                "time": now,
-                                "outcome": receipt.outcome,
-                                "down_nodes": sorted(down_nodes),
-                                "down_links": sorted(
-                                    list(link) for link in down_links
-                                ),
-                                "stages": recorder.take_chain(pub_index),
-                            }
-                        )
-                    elif self.flight:
-                        # delivered publications don't need a chain;
-                        # drop theirs so the recorder stays bounded
-                        recorder.take_chain(pub_index)
-                    pub_index += 1
-                else:
+                if not isinstance(payload, PublicationEvent):
+                    self._flush(run, report, recorder, down_nodes, down_links)
                     self._inject(
                         broker, routing, payload, now, down_nodes, down_links
                     )
+                    continue
+                pub_index = report.n_publications + len(run)
+                if broker.rebuild_due(now):
+                    self._flush(run, report, recorder, down_nodes, down_links)
+                    with recorder.event(pub_index, now):
+                        broker.tick(now)
+                run.append((pub_index, now, payload))
+            self._flush(run, report, recorder, down_nodes, down_links)
         finally:
             if self.flight:
                 set_flight_recorder(previous_recorder)
@@ -247,8 +214,50 @@ class ChaosRunner:
             f"{report.silently_lost} publications were neither delivered, "
             "degraded nor counted lost"
         )
-        _ = time.perf_counter() - start
         return report
+
+    def _flush(self, run, report, recorder, down_nodes, down_links) -> None:
+        """Publish a run of ``(index, time, publication)`` in one batch
+        and fold each receipt into the report, in publication order."""
+        if not run:
+            return
+        receipts = self.broker.publish_batch(
+            [publication.point for _, _, publication in run],
+            [publication.publisher for _, _, publication in run],
+            events=[(index, now) for index, now, _ in run]
+            if self.flight else None,
+        )
+        for (index, now, _), receipt in zip(run, receipts):
+            report.n_publications += 1
+            report.per_event_costs.append(float(receipt.cost))
+            if receipt.outcome == "delivered":
+                report.n_delivered += 1
+            elif receipt.outcome == "degraded":
+                report.n_degraded += 1
+            else:
+                report.n_lost += 1
+            if self.slo is not None:
+                self.slo.observe(
+                    "lost_rate", now,
+                    receipt.lost_deliveries / max(1, receipt.n_interested),
+                    stream="pub",
+                )
+            if self.flight and receipt.outcome != "delivered":
+                report.cause_chains.append(
+                    {
+                        "index": index,
+                        "time": now,
+                        "outcome": receipt.outcome,
+                        "down_nodes": sorted(down_nodes),
+                        "down_links": sorted(
+                            list(link) for link in down_links
+                        ),
+                        "stages": recorder.take_chain(index),
+                    }
+                )
+        # the rest of the buffer is the delivered publications' stages
+        recorder.clear()
+        run.clear()
 
     # ------------------------------------------------------------------
     def price(self, events: Sequence[PublicationEvent]) -> np.ndarray:
@@ -261,11 +270,12 @@ class ChaosRunner:
         """
         if self.broker is None:
             raise RuntimeError("run() must complete before price()")
-        matcher = self.broker._matcher
-        dispatcher = self.broker._dispatcher
-        publishers = [event.publisher for event in events]
-        plans = [matcher.match(event.point) for event in events]
-        return dispatcher.plan_costs(publishers, plans)
+        plans = self.broker._matcher.match_batch(
+            [event.point for event in events]
+        )
+        return self.broker._dispatcher.plan_costs(
+            [event.publisher for event in events], plans
+        )
 
     def sample_publications(self) -> List[Tuple[float, PublicationEvent]]:
         """The seeded (time, publication) stream this runner replays."""

@@ -4,17 +4,15 @@ Subscriptions are aligned rectangles (products of half-open intervals) and
 publications are points, following section 2 of the paper.
 """
 
-from .interval import EMPTY_INTERVAL, FULL_INTERVAL, Interval, hull_of
-from .rectangle import Point, Rectangle, intersection_of
+from .interval import EMPTY_INTERVAL, FULL_INTERVAL, Interval
+from .rectangle import Point, Rectangle
 
 __all__ = [
     "EMPTY_INTERVAL",
     "FULL_INTERVAL",
     "Interval",
-    "hull_of",
     "Point",
     "Rectangle",
-    "intersection_of",
 ]
 
 from .space import Dimension, EventSpace

@@ -12,7 +12,6 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from typing import Iterable, Iterator, Optional
 
 __all__ = ["Interval", "EMPTY_INTERVAL", "FULL_INTERVAL"]
 
@@ -187,10 +186,3 @@ class Interval:
 EMPTY_INTERVAL = Interval(0.0, 0.0)
 FULL_INTERVAL = Interval(-math.inf, math.inf)
 
-
-def hull_of(intervals: Iterable[Interval]) -> Interval:
-    """Convex hull of an iterable of intervals."""
-    result = EMPTY_INTERVAL
-    for interval in intervals:
-        result = result.hull(interval)
-    return result

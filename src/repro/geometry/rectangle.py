@@ -7,9 +7,8 @@ attribute dimension.  Published events are points of ``Omega``.
 
 from __future__ import annotations
 
-import math
 from dataclasses import dataclass
-from typing import Iterable, Sequence, Tuple
+from typing import Sequence, Tuple
 
 from .interval import EMPTY_INTERVAL, FULL_INTERVAL, Interval
 
@@ -54,13 +53,6 @@ class Rectangle:
     def empty(dimensions: int) -> "Rectangle":
         """A canonical empty rectangle."""
         return Rectangle((EMPTY_INTERVAL,) * dimensions)
-
-    @staticmethod
-    def around_point(point: Sequence[float], half_width: float) -> "Rectangle":
-        """A cube of side ``2*half_width`` centred on ``point``."""
-        return Rectangle(
-            tuple(Interval.make(x - half_width, x + half_width) for x in point)
-        )
 
     # ------------------------------------------------------------------
     # predicates
@@ -122,24 +114,6 @@ class Rectangle:
             return self
         return Rectangle(tuple(a.hull(b) for a, b in zip(self.sides, other.sides)))
 
-    def clip(self, domain: "Rectangle") -> "Rectangle":
-        """Intersect with a bounding domain rectangle."""
-        return self.intersect(domain)
-
-    @property
-    def volume(self) -> float:
-        """Product of side lengths (``inf`` if unbounded, 0 if empty)."""
-        if self.is_empty:
-            return 0.0
-        result = 1.0
-        for side in self.sides:
-            result *= side.length
-        return result
-
-    def center(self) -> Point:
-        """Centre point of a bounded rectangle."""
-        return tuple(side.midpoint() for side in self.sides)
-
     # ------------------------------------------------------------------
     # misc
     # ------------------------------------------------------------------
@@ -163,14 +137,3 @@ class Rectangle:
         )
         return f"Rectangle[{parts}]"
 
-
-def intersection_of(rectangles: Iterable[Rectangle]) -> Rectangle:
-    """Intersection of a non-empty iterable of rectangles."""
-    iterator = iter(rectangles)
-    try:
-        result = next(iterator)
-    except StopIteration:
-        raise ValueError("intersection_of requires at least one rectangle")
-    for rectangle in iterator:
-        result = result.intersect(rectangle)
-    return result

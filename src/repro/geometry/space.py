@@ -11,7 +11,7 @@ and 20") and its open-left/closed-right convention.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Iterable, Iterator, List, Sequence, Tuple
+from typing import Sequence, Tuple
 
 import numpy as np
 
@@ -51,14 +51,6 @@ class Dimension:
         """The lattice values of this dimension."""
         return range(self.lo, self.hi + 1)
 
-    def cell_of(self, x: float) -> int:
-        """Grid cell index containing coordinate ``x``, or -1 if outside."""
-        import math
-
-        if not self.domain.contains(x):
-            return -1
-        return int(math.ceil(x - self.lo))
-
     def clip_value(self, x: float) -> int:
         """Round a continuous sample to the nearest in-domain lattice value."""
         return int(min(max(round(x), self.lo), self.hi))
@@ -97,17 +89,6 @@ class EventSpace:
     # ------------------------------------------------------------------
     # cell indexing
     # ------------------------------------------------------------------
-    def flat_index(self, coords: Sequence[int]) -> int:
-        """Flat index of a cell given per-dimension cell coordinates."""
-        if len(coords) != self.n_dims:
-            raise ValueError("coordinate arity mismatch")
-        index = 0
-        for c, size, stride in zip(coords, self.shape, self._strides):
-            if not 0 <= c < size:
-                raise IndexError(f"cell coordinate {c} out of range [0, {size})")
-            index += c * int(stride)
-        return index
-
     def cell_coords(self, index: int) -> Tuple[int, ...]:
         """Per-dimension cell coordinates of a flat index."""
         if not 0 <= index < self.n_cells:
@@ -118,21 +99,12 @@ class EventSpace:
             index %= int(stride)
         return tuple(coords)
 
-    def locate(self, point: Sequence[float]) -> int:
-        """Flat cell index containing ``point``, or -1 when outside."""
-        coords = []
-        for dim, x in zip(self.dimensions, point):
-            c = dim.cell_of(x)
-            if c < 0:
-                return -1
-            coords.append(c)
-        return self.flat_index(coords)
-
     def locate_batch(self, points: Sequence[Sequence[float]]) -> np.ndarray:
         """Flat cell indices of many points at once (-1 when outside).
 
-        Vectorised equivalent of calling :meth:`locate` per point; the
-        batch matchers use it to place a whole event sample on the grid in
+        A point ``x`` lies in the cell with coordinates
+        ``ceil(x_d - lo_d)`` when ``lo_d - 1 < x_d <= hi_d`` in every
+        dimension; the matchers place a whole event batch on the grid in
         a handful of numpy passes.
         """
         pts = np.asarray(points, dtype=np.float64)
@@ -185,18 +157,6 @@ class EventSpace:
             slices.append(slice(cells.start, cells.stop))
         return tuple(slices)
 
-    def cells_overlapping(self, rectangle: Rectangle) -> Iterator[int]:
-        """Flat indices of all cells a rectangle overlaps."""
-        try:
-            slices = self.cell_slices(rectangle)
-        except ValueError:
-            return iter(())
-        ranges = [range(s.start, s.stop) for s in slices]
-        return (
-            self.flat_index(coords)
-            for coords in _product(ranges)
-        )
-
     def cells_in_rectangle(self, rectangle: Rectangle) -> np.ndarray:
         """Flat indices of all cells a rectangle overlaps, vectorised.
 
@@ -228,9 +188,3 @@ class EventSpace:
         )
         return f"EventSpace({dims})"
 
-
-def _product(ranges: List[range]) -> Iterator[Tuple[int, ...]]:
-    """Cartesian product of index ranges (itertools.product, explicit)."""
-    import itertools
-
-    return itertools.product(*ranges)

@@ -1,6 +1,7 @@
 """Event-to-group matching algorithms (section 4.6).
 
-Three matchers share the interface ``match(point) -> DeliveryPlan``:
+Three matchers share the interface ``match_batch(points) ->
+[DeliveryPlan]``, one plan per event of the batch:
 
 * :class:`BruteForceMatcher` — no multicast groups at all; every event is
   unicast to the interested subscribers.  Doubles as the ground-truth
@@ -41,7 +42,7 @@ def _record_match_metrics(
     n_multicast: int,
     n_fallbacks: int = 0,
 ) -> None:
-    """Fold one match call (or batch) into the registry.
+    """Fold one matched batch into the registry.
 
     Counts are aggregated per call site before touching the registry so
     that ``match_batch`` costs a fixed number of counter increments
@@ -78,8 +79,8 @@ def threshold_plan(
     ``group_members``/``group_sizes`` are the per-group sorted subscriber
     arrays and their lengths, and ``group_masks`` is the boolean
     group-membership matrix, which turns both set operations into a
-    single gather over the interested ids.  Used by :class:`GridMatcher`
-    per event and in batch.
+    single gather over the interested ids.  Used by
+    :meth:`GridMatcher.match_batch` once per event.
     """
     if group < 0:
         return DeliveryPlan(
@@ -107,13 +108,6 @@ class BruteForceMatcher:
 
     def __init__(self, subscriptions: SubscriptionSet) -> None:
         self.subscriptions = subscriptions
-
-    def match(self, point: Sequence[float]) -> DeliveryPlan:
-        interested = self.subscriptions.interested_subscribers(point)
-        _record_match_metrics("brute-force", 1, 0)
-        return DeliveryPlan(
-            interested=interested, unicast_subscribers=interested
-        )
 
     def match_batch(
         self,
@@ -180,27 +174,6 @@ class GridMatcher:
             )
             self._version = self.clustering.version
 
-    def match(self, point: Sequence[float]) -> DeliveryPlan:
-        self._refresh()
-        interested = self.subscriptions.interested_subscribers(point)
-        cell = self._space.locate(point)
-        group = self.clustering.group_of_grid_cell(cell) if cell >= 0 else -1
-        plan = threshold_plan(
-            interested,
-            group,
-            self._group_members,
-            self._group_sizes,
-            self.threshold,
-            self.clustering.group_membership,
-        )
-        _record_match_metrics(
-            "grid",
-            1,
-            int(plan.uses_multicast),
-            n_fallbacks=int(group >= 0 and not plan.uses_multicast),
-        )
-        return plan
-
     def match_batch(
         self,
         points: Sequence[Sequence[float]],
@@ -253,19 +226,12 @@ class NoLossMatcher:
         self,
         result: NoLossResult,
         subscriptions: SubscriptionSet,
-        use_rtree: bool = True,
     ) -> None:
         self.result = result
         self.subscriptions = subscriptions
         self._rtree: Optional[RTree] = None
-        if use_rtree and len(result) > 0:
+        if len(result) > 0:
             self._rtree = RTree.from_bounds(result.los, result.his)
-
-    def match(self, point: Sequence[float]) -> DeliveryPlan:
-        interested = self.subscriptions.interested_subscribers(point)
-        plan = self._assemble(interested, self._locate(point))
-        _record_match_metrics("no-loss", 1, int(plan.uses_multicast))
-        return plan
 
     def match_batch(
         self,
@@ -308,7 +274,7 @@ class NoLossMatcher:
     def _locate(self, point: Sequence[float]) -> int:
         """Heaviest group region containing the point (regions are stored
         in decreasing weight order, so the smallest stabbed index wins)."""
-        if self._rtree is not None:
-            hits = self._rtree.stab(point)
-            return int(hits[0]) if len(hits) else -1
-        return self.result.match(point)
+        if self._rtree is None:
+            return -1
+        hits = self._rtree.stab(point)
+        return int(hits[0]) if len(hits) else -1

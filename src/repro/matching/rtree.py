@@ -11,7 +11,7 @@ with unbounded rectangles (wildcard sides).
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import List, Optional, Sequence, Tuple, Union
+from typing import List, Sequence, Union
 
 import numpy as np
 
@@ -121,93 +121,6 @@ class RTree:
                 hits.extend(int(i) for i in idx[mask])
             else:
                 stack.extend(node.children)
-        hits.sort()
-        return np.asarray(hits, dtype=np.int64)
-
-    # ------------------------------------------------------------------
-    # rectangle queries (subscription aggregation / subsumption)
-    # ------------------------------------------------------------------
-    def _query_bounds(
-        self, rectangle: Union[Rectangle, Tuple[Sequence[float], Sequence[float]]]
-    ) -> Tuple[np.ndarray, np.ndarray]:
-        if isinstance(rectangle, Rectangle):
-            lo_t, hi_t = rectangle.bounds()
-            lo = np.asarray(lo_t, dtype=np.float64)
-            hi = np.asarray(hi_t, dtype=np.float64)
-        else:
-            lo = np.asarray(rectangle[0], dtype=np.float64)
-            hi = np.asarray(rectangle[1], dtype=np.float64)
-        if lo.shape != (self._n_dims,) or hi.shape != (self._n_dims,):
-            raise ValueError("query rectangle dimensionality mismatch")
-        return lo, hi
-
-    def containing(
-        self,
-        rectangle: Union[Rectangle, Tuple[Sequence[float], Sequence[float]]],
-    ) -> np.ndarray:
-        """Indices of all stored rectangles that contain the query (sorted).
-
-        Containment follows :meth:`Rectangle.contains_rectangle`: stored
-        ``R`` contains the query iff ``R.lo <= q.lo`` and ``q.hi <= R.hi``
-        in every dimension, and an empty query is contained in everything.
-        Boundary touching (equal endpoints) counts as containment, matching
-        the half-open interval algebra.
-        """
-        q_lo, q_hi = self._query_bounds(rectangle)
-        if np.any(q_hi <= q_lo):  # empty query: subset of every rectangle
-            return np.arange(len(self._los), dtype=np.int64)
-        hits: List[int] = []
-        stack: List[Union[_Inner, _Leaf]] = [self._root]
-        while stack:
-            node = stack.pop()
-            # the node MBR bounds every entry: an entry containing the
-            # query forces mbr_lo <= q_lo and q_hi <= mbr_hi
-            if not (
-                np.all(node.mbr_lo <= q_lo) and np.all(q_hi <= node.mbr_hi)
-            ):
-                continue
-            if isinstance(node, _Leaf):
-                idx = node.indices
-                mask = np.all(
-                    (self._los[idx] <= q_lo) & (q_hi <= self._his[idx]),
-                    axis=1,
-                )
-                hits.extend(int(i) for i in idx[mask])
-            else:
-                stack.extend(node.children)
-        hits.sort()
-        return np.asarray(hits, dtype=np.int64)
-
-    def contained_in(
-        self,
-        rectangle: Union[Rectangle, Tuple[Sequence[float], Sequence[float]]],
-    ) -> np.ndarray:
-        """Indices of all stored rectangles contained in the query (sorted).
-
-        The dual of :meth:`containing`: stored ``R`` is a hit iff the
-        query contains it — including every *empty* stored rectangle
-        (the empty set is a subset of anything), which the MBR descent
-        cannot prune exactly, so empties are tracked separately.
-        """
-        q_lo, q_hi = self._query_bounds(rectangle)
-        empty_rows = np.any(self._his <= self._los, axis=1)
-        hits = [int(i) for i in np.nonzero(empty_rows)[0]]
-        if not np.any(q_hi <= q_lo):  # non-empty query: geometric descent
-            stack: List[Union[_Inner, _Leaf]] = [self._root]
-            while stack:
-                node = stack.pop()
-                # a non-empty contained entry must overlap the query
-                if np.any(node.mbr_hi <= q_lo) or np.any(q_hi <= node.mbr_lo):
-                    continue
-                if isinstance(node, _Leaf):
-                    idx = node.indices
-                    mask = np.all(
-                        (q_lo <= self._los[idx]) & (self._his[idx] <= q_hi),
-                        axis=1,
-                    ) & ~empty_rows[idx]
-                    hits.extend(int(i) for i in idx[mask])
-                else:
-                    stack.extend(node.children)
         hits.sort()
         return np.asarray(hits, dtype=np.int64)
 

@@ -122,7 +122,7 @@ class FlightRecorder:
     #: Appends never take the lock: a CPython ``list.append`` is atomic
     #: and the recording side is a single thread (the service consumer /
     #: the sequential chaos replay).  The lock guards the *compound*
-    #: mutations (clear, take_chain, ingest) and snapshot reads against
+    #: mutations (clear, take_chain, insert) and snapshot reads against
     #: each other; ``buf`` is only ever mutated in place so direct
     #: references stay valid across :meth:`clear`.
 
@@ -182,7 +182,7 @@ class FlightRecorder:
         Usage (the service, around one event's processing)::
 
             with recorder.event(seq, completion):
-                broker.publish(...)   # broker stages land on `seq`
+                broker.publish_batch(...)   # broker stages land on `seq`
 
         Nested scopes are not supported (the service is single-consumer
         and the chaos replay is sequential); the scope is a plain reset

@@ -131,11 +131,15 @@ class ClusterMaintainer:
 
         Call after every rebuild: derives the per-grid-cell group map and
         per-group publication mass from the fresh clustering and resets
-        the live waste to the fit's.
+        the live waste to the fit's.  A broker with no fit (no live
+        subscription) leaves nothing captured; the next :meth:`join`
+        builds one.
         """
         clustering = self.broker.clustering
         if clustering is None:
-            raise RuntimeError("broker has no clustering to capture")
+            self._cell_group = self._group_mass = self._cell_group_ext = None
+            self.fit_waste = self.current_waste = 0.0
+            return
         self._scrub_forward(clustering)
         cells = clustering.cells
         hyper = cells.hypercell_of_cell.astype(np.int64)
@@ -181,20 +185,28 @@ class ClusterMaintainer:
 
         The subscription is registered, spliced into the live runtime and
         placed into the best existing multicast group (or none) — no
-        refit, no cell-set rebuild.
+        refit, no cell-set rebuild.  Into a broker with nothing captured
+        (no live subscription) the join runs one cold build instead,
+        counted as a fit.
         """
-        if self._cell_group is None:
-            raise RuntimeError("capture() the broker's fit first")
         broker = self.broker
         handle = broker.subscribe(node, rectangle)
-        broker.attach(handle)
-        group, overlap = self._score(self._covered(rectangle, handle))
-        if group >= 0:
-            broker.apply_join(handle, group)
-            self.current_waste += float(
-                self._group_mass[group] - overlap[group]
+        if self._cell_group is None:
+            broker.rebuild(full=True)
+            self.capture()
+            groups = broker.clustering.groups_of_subscriber(
+                broker.internal_id(handle)
             )
+            group = int(groups[0]) if len(groups) else -1
         else:
+            broker.attach(handle)
+            group, overlap = self._score(self._covered(rectangle, handle))
+            if group >= 0:
+                broker.apply_join(handle, group)
+                self.current_waste += float(
+                    self._group_mass[group] - overlap[group]
+                )
+        if group < 0:
             self.unassigned_joins += 1
         self.joins += 1
         self._joins_total.inc()

@@ -639,8 +639,14 @@ class BrokerService:
                 # unicast top-up serves it, no group membership, no
                 # drift contribution
                 handle = broker.subscribe(payload.node, payload.rectangle)
-                broker.attach(handle)
                 maintainer.forward_handles.add(handle)
+                if broker.clustering is None:
+                    # no live runtime to splice into: one cold build,
+                    # whose capture scrubs the handle from every group
+                    broker.rebuild(full=True)
+                    maintainer.capture()
+                else:
+                    broker.attach(handle)
                 self.forward_joins += 1
             self.handle_of_gid[payload.gid] = handle
             return "joined"

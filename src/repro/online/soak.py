@@ -303,7 +303,7 @@ def run_rebuild_per_churn_baseline(config: SoakConfig) -> Dict:
             broker.rebuild()
             fits += 1
         elif isinstance(payload, Publish):
-            broker.publish(payload.point, payload.publisher)
+            broker.publish_batch([payload.point], [payload.publisher])
     wall = time.perf_counter() - start
     waste = (
         broker.clustering.total_expected_waste()

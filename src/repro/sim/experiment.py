@@ -10,7 +10,7 @@ paper — only pays for each piece once.
 from __future__ import annotations
 
 import time
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from typing import Dict, List, Optional, Sequence, Tuple
 
 import numpy as np
@@ -35,7 +35,7 @@ from ..grid import CellSet, build_cell_set
 from ..matching import BruteForceMatcher, GridMatcher, NoLossMatcher
 from ..obs import RunManifest, get_registry, get_tracer
 from ..workload import PublicationEvent
-from .metrics import CostSummary, improvement_percentage
+from .metrics import CostSummary
 from .scenario import Scenario
 
 __all__ = ["ExperimentContext", "AlgorithmResult", "GRID_ALGORITHMS", "make_grid_algorithm"]
@@ -226,9 +226,9 @@ class ExperimentContext:
     def evaluate_matcher(self, matcher, scheme: str) -> CostSummary:
         """Mean per-event cost of a matcher's plans under a scheme.
 
-        Matchers exposing ``match_batch`` are driven through it, reusing
-        the context's precomputed per-event interest sets; the dispatcher
-        prices all plans in one batch.
+        One ``match_batch`` over the sample reuses the context's
+        precomputed per-event interest sets; the dispatcher prices all
+        plans in one batch.
         """
         dispatcher = self.dispatcher(scheme)
         reuse_interest = (
@@ -241,13 +241,10 @@ class ExperimentContext:
             scheme=scheme,
             n_events=len(self._events),
         ):
-            if hasattr(matcher, "match_batch"):
-                plans = matcher.match_batch(
-                    self._points,
-                    interested=self._interested if reuse_interest else None,
-                )
-            else:
-                plans = [matcher.match(point) for point in self._points]
+            plans = matcher.match_batch(
+                self._points,
+                interested=self._interested if reuse_interest else None,
+            )
             costs = dispatcher.plan_costs(self._publishers, plans)
             wasted = float(sum(plan.audit() for plan in plans))
             total = float(costs.sum())

@@ -20,8 +20,7 @@ rectangle of the event space.  The paper uses two generators:
 
 from __future__ import annotations
 
-import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from typing import List, Optional, Sequence, Tuple
 
 import numpy as np
@@ -220,10 +219,6 @@ class SubscriptionSet:
     def interested_subscribers(self, point: Sequence[float]) -> np.ndarray:
         """Subscriber ids interested in the event (sorted, unique)."""
         return np.unique(self._owners[self.matching_subscriptions(point)])
-
-    def interested_nodes(self, point: Sequence[float]) -> np.ndarray:
-        """Network nodes hosting at least one interested subscriber."""
-        return np.unique(self._node_of[self.interested_subscribers(point)])
 
     def nodes_of_subscribers(self, subscribers: Sequence[int]) -> np.ndarray:
         """Unique network nodes of the given subscriber ids."""

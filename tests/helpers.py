@@ -23,3 +23,18 @@ def wasted_deliveries(plan):
 def missed_subscribers(plan):
     """Reference: interested subscribers the plan fails to reach."""
     return np.setdiff1d(np.asarray(plan.interested), plan.covered_subscribers())
+
+
+def match_one(matcher, point):
+    """Reference: one event's plan, as a one-event ``match_batch``."""
+    return matcher.match_batch([point])[0]
+
+
+def locate(space, point):
+    """Reference: one point's flat grid cell (-1 when outside)."""
+    return int(space.locate_batch([point])[0])
+
+
+def publish_one(broker, point, publisher):
+    """Reference: publish one event on its own, as a one-event batch."""
+    return broker.publish_batch([point], [publisher])[0]

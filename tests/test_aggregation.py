@@ -33,7 +33,7 @@ from repro.sim import ExperimentContext, Scenario, plan_cells, run_cells
 from repro.sim.experiment import GRID_ALGORITHMS, make_grid_algorithm
 from repro.workload import MixturePublicationModel, single_mode_mixture
 
-from tests.helpers import make_subscription_set
+from tests.helpers import make_subscription_set, publish_one
 
 HAVE_FORK = "fork" in multiprocessing.get_all_start_methods()
 needs_fork = pytest.mark.skipif(
@@ -133,35 +133,6 @@ class TestAggregateSubscriptions:
         min_owners = [int(owners.min()) for owners in agg.owners]
         assert min_owners == sorted(min_owners)
 
-    def test_containment_forest(self, agg):
-        """Parent = smallest strictly-containing rectangle."""
-        by_bounds = {}
-        for a in range(agg.n_aggregates):
-            for s, spec in enumerate(RECT_SPECS):
-                los, his = spec_rect(spec).bounds()
-                if np.array_equal(agg.los[a], los) and np.array_equal(
-                    agg.his[a], his
-                ):
-                    by_bounds[s] = a
-        # spec-level expectations (see RECT_SPECS comments)
-        expected_parent_spec = {0: None, 1: 0, 2: 1, 3: 0, 4: 3, 5: 0, 6: 1}
-        for spec, parent_spec in expected_parent_spec.items():
-            a = by_bounds[spec]
-            if parent_spec is None:
-                assert agg.parent[a] == -1
-            else:
-                assert agg.parent[a] == by_bounds[parent_spec]
-        assert agg.n_roots == 1
-        assert agg.n_contained == agg.n_aggregates - 1
-
-    def test_children_invert_parent(self, agg):
-        children = agg.children()
-        for a, kids in enumerate(children):
-            for child in kids:
-                assert agg.parent[child] == a
-        total_children = sum(len(kids) for kids in children)
-        assert total_children == agg.n_contained
-
     def test_expand_rows_round_trip(self, agg, dup_subs):
         los, his = dup_subs.bounds()
         rlos, rhis = agg.expand_rows(len(los))
@@ -220,7 +191,7 @@ class TestAggregateView:
     def test_interested_subscribers_match(self, view, dup_subs, probe_points):
         for point in probe_points:
             np.testing.assert_array_equal(
-                view.interested_subscribers(point),
+                view.batch_interested_subscribers([point])[0],
                 dup_subs.interested_subscribers(point),
             )
 
@@ -232,19 +203,6 @@ class TestAggregateView:
         assert len(mine) == len(theirs)
         for a, b in zip(mine, theirs):
             np.testing.assert_array_equal(a, b)
-
-    def test_hierarchical_matching_equals_linear_scan(
-        self, view, probe_points
-    ):
-        """The containment-forest descent must stab exactly the
-        aggregates a flat scan over all bounds stabs."""
-        agg = view.aggregates
-        for point in probe_points:
-            x = np.asarray(point, dtype=np.float64)
-            flat = np.nonzero(
-                np.all((agg.los < x) & (x <= agg.his), axis=1)
-            )[0]
-            np.testing.assert_array_equal(view.match_aggregates(point), flat)
 
     def test_empty_batch(self, view):
         assert view.batch_interested_subscribers([]) == []
@@ -731,7 +689,7 @@ class TestBrokerAggregation:
             point = tuple(
                 rng.uniform(dim.lo, dim.hi) for dim in space.dimensions
             )
-            receipts.append(broker.publish(point, publisher))
+            receipts.append(publish_one(broker, point, publisher))
         return receipts
 
     def test_rebuild_and_delivery_identical(self, broker_env):

@@ -13,7 +13,7 @@ from repro.grid import build_cell_set
 from repro.matching import BruteForceMatcher, GridMatcher, NoLossMatcher
 from repro.sim import build_evaluation_scenario
 
-from tests.helpers import wasted_deliveries
+from tests.helpers import match_one, wasted_deliveries
 
 
 @pytest.fixture(scope="module")
@@ -61,7 +61,7 @@ class TestBatchEquivalence:
         matcher = BruteForceMatcher(scenario.subscriptions)
         assert_same_plans(
             matcher.match_batch(points),
-            [matcher.match(p) for p in points],
+            [match_one(matcher, p) for p in points],
         )
 
     @pytest.mark.parametrize("threshold", [0.0, 0.3])
@@ -71,7 +71,7 @@ class TestBatchEquivalence:
         )
         assert_same_plans(
             matcher.match_batch(points),
-            [matcher.match(p) for p in points],
+            [match_one(matcher, p) for p in points],
         )
 
     def test_noloss(self, scenario, points):
@@ -84,7 +84,7 @@ class TestBatchEquivalence:
         matcher = NoLossMatcher(result, scenario.subscriptions)
         assert_same_plans(
             matcher.match_batch(points),
-            [matcher.match(p) for p in points],
+            [match_one(matcher, p) for p in points],
         )
 
     def test_precomputed_interest_is_used(self, scenario, points, clustering):
@@ -94,7 +94,7 @@ class TestBatchEquivalence:
         interest = scenario.subscriptions.batch_interested_subscribers(points)
         assert_same_plans(
             matcher.match_batch(points, interested=interest),
-            [matcher.match(p) for p in points],
+            [match_one(matcher, p) for p in points],
         )
 
 

@@ -8,6 +8,8 @@ from repro.geometry import Rectangle
 from repro.network import RoutingTables
 from repro.workload import MixturePublicationModel, single_mode_mixture
 
+from tests.helpers import publish_one
+
 
 @pytest.fixture(scope="module")
 def broker_env(small_topology):
@@ -88,7 +90,7 @@ class TestPublishing:
 
     def test_publish_without_subscribers(self, broker_env):
         broker = make_broker(broker_env)
-        receipt = broker.publish((0, 5, 5, 5), publisher=0)
+        receipt = publish_one(broker, (0, 5, 5, 5), publisher=0)
         assert receipt.cost == 0.0
         assert receipt.n_interested == 0
 
@@ -96,7 +98,7 @@ class TestPublishing:
         rng = np.random.default_rng(6)
         events = broker_env["publications"].sample(rng, 30)
         for event in events:
-            receipt = populated.publish(event.point, event.publisher)
+            receipt = publish_one(populated, event.point, event.publisher)
             assert receipt.cost >= receipt.ideal_cost - 1e-9
             assert receipt.unicast_cost >= receipt.ideal_cost - 1e-9
             if receipt.n_interested == 0:
@@ -106,7 +108,7 @@ class TestPublishing:
         rng = np.random.default_rng(7)
         events = broker_env["publications"].sample(rng, 25)
         for event in events:
-            populated.publish(event.point, event.publisher)
+            publish_one(populated, event.point, event.publisher)
         stats = populated.stats
         assert stats.n_events == 25
         assert (
@@ -124,21 +126,21 @@ class TestPublishing:
             broker.subscribe(
                 int(rng.choice(stub_nodes)), random_rectangle(broker_env, rng)
             )
-        broker.publish((0, 5, 5, 5), publisher=0)
+        publish_one(broker, (0, 5, 5, 5), publisher=0)
         rebuilds_after_first = broker.stats.n_rebuilds
         assert rebuilds_after_first == 1  # first publish forces a build
         # fewer changes than the threshold: no rebuild on next publish
         broker.subscribe(
             int(rng.choice(stub_nodes)), random_rectangle(broker_env, rng)
         )
-        broker.publish((0, 5, 5, 5), publisher=0)
+        publish_one(broker, (0, 5, 5, 5), publisher=0)
         assert broker.stats.n_rebuilds == rebuilds_after_first
         # crossing the threshold triggers one
         for _ in range(12):
             broker.subscribe(
                 int(rng.choice(stub_nodes)), random_rectangle(broker_env, rng)
             )
-        broker.publish((0, 5, 5, 5), publisher=0)
+        publish_one(broker, (0, 5, 5, 5), publisher=0)
         assert broker.stats.n_rebuilds == rebuilds_after_first + 1
 
     def test_warm_start_survives_churn(self, broker_env):
@@ -155,7 +157,7 @@ class TestPublishing:
             )
         events = broker_env["publications"].sample(rng, 10)
         for event in events:
-            broker.publish(event.point, event.publisher)
+            publish_one(broker, event.point, event.publisher)
         # churn: drop a third, add replacements
         for handle in handles[:10]:
             broker.unsubscribe(handle)
@@ -164,7 +166,7 @@ class TestPublishing:
                 int(rng.choice(stub_nodes)), random_rectangle(broker_env, rng)
             )
         for event in broker_env["publications"].sample(rng, 10):
-            receipt = broker.publish(event.point, event.publisher)
+            receipt = publish_one(broker, event.point, event.publisher)
             assert receipt.cost >= 0
         assert broker.stats.n_rebuilds >= 2
         assert broker.n_groups > 0
@@ -195,7 +197,7 @@ class TestPublishing:
         ]
         for round_ in range(4):
             for event in broker_env["publications"].sample(rng, 3):
-                broker.publish(event.point, event.publisher)
+                publish_one(broker, event.point, event.publisher)
             for handle in handles[3 * round_:3 * round_ + 3]:
                 broker.unsubscribe(handle)
             for _ in range(3):
@@ -203,15 +205,12 @@ class TestPublishing:
                     int(rng.choice(stub_nodes)),
                     random_rectangle(broker_env, rng),
                 )
-        broker.publish((0, 5, 5, 5), publisher=0)
+        publish_one(broker, (0, 5, 5, 5), publisher=0)
         assert calls
         for old_clustering, cells, got, n_groups in calls:
             expected = np.zeros(len(cells), dtype=np.int64)
             for h, cell_ids in enumerate(cells.cell_ids):
-                votes = np.array(
-                    [old_clustering.group_of_grid_cell(int(c))
-                     for c in cell_ids]
-                )
+                votes = old_clustering.groups_of_grid_cells(cell_ids)
                 votes = votes[votes >= 0]
                 if len(votes):
                     expected[h] = np.bincount(votes).argmax()
@@ -223,7 +222,9 @@ class TestPublishing:
         space = broker_env["space"]
         full = Rectangle.full(space.n_dims)
         handle = broker.subscribe(0, full)
-        assert broker.interested_handles((0, 5, 5, 5)) == [handle]
+        publish_one(broker, (0, 5, 5, 5), publisher=0)
+        (interested,) = broker.last_interested
+        assert interested.tolist() == [broker.internal_id(handle)]
 
 
 class TestDeliveryStats:
@@ -253,13 +254,13 @@ class TestGroupChurn:
             broker.subscribe(
                 int(rng.choice(stub_nodes)), random_rectangle(broker_env, rng)
             )
-        broker.publish((0, 5, 5, 5), publisher=0)
+        publish_one(broker, (0, 5, 5, 5), publisher=0)
         assert broker.stats.group_membership_changes == 0  # first build
         for _ in range(10):
             broker.subscribe(
                 int(rng.choice(stub_nodes)), random_rectangle(broker_env, rng)
             )
-        broker.publish((0, 5, 5, 5), publisher=0)
+        publish_one(broker, (0, 5, 5, 5), publisher=0)
         assert broker.stats.n_rebuilds == 2
         # adding subscribers must have changed some group memberships
         assert broker.stats.group_membership_changes > 0
@@ -273,7 +274,7 @@ class TestGroupChurn:
             broker.subscribe(
                 int(rng.choice(stub_nodes)), random_rectangle(broker_env, rng)
             )
-        broker.publish((0, 5, 5, 5), publisher=0)
+        publish_one(broker, (0, 5, 5, 5), publisher=0)
         before = broker.stats.group_membership_changes
         broker.rebuild()  # no subscription changes in between
         assert broker.stats.group_membership_changes == before
@@ -311,12 +312,12 @@ class TestGroupChurn:
             broker.subscribe(
                 int(rng.choice(stub_nodes)), random_rectangle(broker_env, rng)
             )
-        broker.publish((0, 5, 5, 5), publisher=0)
+        publish_one(broker, (0, 5, 5, 5), publisher=0)
         for _ in range(10):
             broker.subscribe(
                 int(rng.choice(stub_nodes)), random_rectangle(broker_env, rng)
             )
-        broker.publish((0, 5, 5, 5), publisher=0)
+        publish_one(broker, (0, 5, 5, 5), publisher=0)
 
         stats = broker.stats
         assert stats.n_rebuilds == 2
@@ -340,7 +341,7 @@ class TestAdaptiveBroker:
                 int(rng.choice(stub_nodes)), random_rectangle(broker_env, rng)
             )
         for event in broker_env["publications"].sample(rng, 30):
-            receipt = broker.publish(event.point, event.publisher)
+            receipt = publish_one(broker, event.point, event.publisher)
             assert receipt.cost <= receipt.unicast_cost + 1e-9
             assert receipt.mode in ("unicast", "multicast", "broadcast")
         assert broker.stats.total_cost <= broker.stats.total_unicast_cost + 1e-6
@@ -362,7 +363,7 @@ class TestAdaptiveBroker:
             for node, rect in subscriptions:
                 broker.subscribe(node, rect)
             for event in events:
-                broker.publish(event.point, event.publisher)
+                publish_one(broker, event.point, event.publisher)
             costs[adaptive] = broker.stats.total_cost
         assert costs[True] <= costs[False] + 1e-6
 
@@ -375,13 +376,13 @@ class TestAdaptiveBroker:
                 int(rng.choice(stub_nodes)), random_rectangle(broker_env, rng)
             )
         for event in broker_env["publications"].sample(rng, 10):
-            broker.publish(event.point, event.publisher)
+            publish_one(broker, event.point, event.publisher)
         counts_before = dict(broker._policy.mode_counts)
         for _ in range(10):
             broker.subscribe(
                 int(rng.choice(stub_nodes)), random_rectangle(broker_env, rng)
             )
-        broker.publish((0, 5, 5, 5), publisher=0)  # triggers rebuild
+        publish_one(broker, (0, 5, 5, 5), publisher=0)  # triggers rebuild
         total_after = sum(broker._policy.mode_counts.values())
         assert total_after == sum(counts_before.values()) + 1
 

@@ -15,7 +15,7 @@ from repro.grid import (
     cell_set_from_membership,
 )
 
-from tests.helpers import make_subscription_set
+from tests.helpers import locate, make_subscription_set
 
 
 @pytest.fixture
@@ -91,7 +91,7 @@ class TestHyperCells:
         cells = build_cell_set(space, subs, uniform_pmf)
         assert cells.membership.any(axis=1).all()
         # cells not covered by any subscription map to -1
-        uncovered = space.locate((0, 4))  # x in {0..2} band? (0,4): sub0 no (y=4), sub1 no (x=0)
+        uncovered = locate(space, (0, 4))  # x in {0..2} band? (0,4): sub0 no (y=4), sub1 no (x=0)
         assert cells.hypercell_of_cell[uncovered] == -1
 
     def test_probability_conserved(self, space, subs, uniform_pmf):

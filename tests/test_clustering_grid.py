@@ -86,14 +86,14 @@ class TestClusteringResult:
     def test_group_of_grid_cell(self, cells):
         clustering = ForgyKMeansClustering().fit(cells, 3)
         for h, ids in enumerate(cells.cell_ids):
-            for c in ids:
-                assert clustering.group_of_grid_cell(int(c)) == int(
-                    clustering.assignment[h]
-                )
-        # a cell outside any hyper-cell (if any) maps to -1
+            groups = clustering.groups_of_grid_cells(ids)
+            assert (groups == int(clustering.assignment[h])).all()
+        # a cell outside any hyper-cell (if any), and an event outside
+        # the grid (-1), map to -1
         dropped = np.nonzero(cells.hypercell_of_cell < 0)[0]
-        if len(dropped):
-            assert clustering.group_of_grid_cell(int(dropped[0])) == -1
+        assert clustering.groups_of_grid_cells(
+            np.concatenate([[-1], dropped[:1]])
+        ).tolist() == [-1] * (1 + len(dropped[:1]))
 
     def test_empty_group_rejected(self, cells):
         bad = np.zeros(len(cells), dtype=int)

@@ -710,6 +710,84 @@ class TestChaosPinnedCosts:
         assert hashlib.sha256(blob.encode()).hexdigest() == digest
 
 
+class TestChaosPinnedReports:
+    """Whole flight-recorded, SLO-observed chaos reports, pinned.
+
+    Each case replays faults plus subscriber churn with a flight
+    recorder and an SLO engine, and pins the sha256 of the report's
+    canonical JSON: every count, ``per_event_costs``, ``cause_chains``,
+    ``slo_breaches`` and ``slo_summary`` (wall-clock ``*_seconds`` keys
+    dropped).  ``sparse`` and ``dense-lazy`` aggregate subscriptions, so
+    every rebuild records an ``expand`` stage on the publication that
+    fired it; ``dense-lazy`` also rebuilds at the first publication after
+    each churn (``rebalance_after=1``).
+    """
+
+    PINNED = {
+        "dense": "7cfed9d0431a38bf6af5a85f78b961371d79e149e88c4f49b2d21cd284e68f30",
+        "dense-lazy": "dede0574dca9ed1709f4927d894afa20cc3826fbb9c05318a244f686e5824d43",
+        "sparse": "371522f9f4251316f4ec912e23ee6bee344ec74995c890c48adc113baeacdba5",
+    }
+
+    SLO_SPEC = [
+        {"name": "no-loss", "signal": "lost_rate", "stat": "max",
+         "threshold": 0.0, "window": 10.0},
+        {"name": "loss-mean", "signal": "lost_rate", "stat": "mean",
+         "threshold": 0.05, "window": 5.0, "min_count": 3},
+    ]
+
+    @staticmethod
+    def _report(case):
+        from repro.obs import load_slo_spec
+        from repro.obs.slo import SloEngine
+
+        scheme, _, lazy = case.partition("-")
+        aggregate = case != "dense"
+        scenario = make_scenario()
+        schedule = FaultSchedule.generate(
+            scenario.topology,
+            horizon=40.0,
+            seed=5,
+            node_fraction=0.1,
+            n_link_faults=2,
+            n_churn=4,
+            n_subscribers=40,
+        )
+        config = dataclasses.replace(
+            FAST_CONFIG, scheme=scheme,
+            rebalance_after=1 if lazy else FAST_CONFIG.rebalance_after,
+            aggregate=aggregate,
+        )
+        return ChaosRunner(
+            scenario, schedule, config=config, n_events=40, seed=5,
+            flight=True,
+            slo=SloEngine(load_slo_spec(TestChaosPinnedReports.SLO_SPEC)),
+        ).run()
+
+    @staticmethod
+    def _canonical(report):
+        record = {
+            key: value
+            for key, value in report.as_dict().items()
+            if not key.endswith("_seconds")
+        }
+        record.update(
+            per_event_costs=report.per_event_costs,
+            cause_chains=report.cause_chains,
+            slo_breaches=report.slo_breaches,
+            slo_summary=report.slo_summary,
+        )
+        return json.dumps(record, sort_keys=True, separators=(",", ":"))
+
+    @pytest.mark.parametrize("case", sorted(PINNED))
+    def test_report_digest(self, case):
+        report = self._report(case)
+        assert report.cause_chains and report.slo_breaches
+        assert report.n_rebuilds >= 2
+        digest = hashlib.sha256(self._canonical(report).encode()).hexdigest()
+        assert digest == self.PINNED[case]
+
+
 # ----------------------------------------------------------------------
 # property suite (hypothesis)
 # ----------------------------------------------------------------------

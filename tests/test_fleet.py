@@ -42,6 +42,8 @@ from repro.online.service import ChurnJoin, ChurnLeave, Publish
 from repro.online.soak import SoakConfig, generate_stream, run_soak
 from repro.sim.scenario import build_preliminary_scenario
 
+from tests.helpers import locate
+
 SMALL = dict(
     n_events=800,
     seed=7,
@@ -122,12 +124,12 @@ class TestShardMap:
         points.append([space.dimensions[0].hi + 3.0] + [
             d.lo + 0.5 for d in space.dimensions[1:]
         ])
-        assert any(space.locate(p) == -1 for p in points)
+        assert any(locate(space, p) == -1 for p in points)
         for strategy in ("hash", "region"):
             for n in (1, 4, 7):
                 smap = ShardMap(space, n, strategy)
                 reference = [
-                    int(smap.cell_to_shard[space.locate(p)]) for p in points
+                    int(smap.cell_to_shard[locate(space, p)]) for p in points
                 ]
                 assert smap.shards_of_points(points).tolist() == reference
 
@@ -357,7 +359,7 @@ class TestRouting:
                     if isinstance(payload, Publish):
                         n_pubs += 1
                         assert shard == smap.cell_to_shard[
-                            space.locate(payload.point)
+                            locate(space, payload.point)
                         ]
                     elif isinstance(payload, FleetJoin):
                         placed.setdefault(
@@ -583,6 +585,35 @@ class TestBuildOnce:
             == result.deterministic_report()
         )
 
+    @pytest.mark.parametrize("policy", ["replicate", "forward"])
+    def test_joins_into_empty_shards_build_a_fit(self, policy):
+        """Eight region shards over one subscription: most shards start
+        with no subscription, so their first join (member or match-only)
+        lands in a broker with no fit and runs one cold build, counted
+        as a fit; events and publications are still conserved."""
+        config = FleetConfig(
+            shards=8, sharding="region", fleet_policy=policy,
+            **dict(SMALL, n_subscriptions=1),
+        )
+        result = run_fleet(config)
+        for shard in result.shards:
+            svc = shard.service
+            assert (
+                sum(svc.n_processed.values()) + sum(svc.n_shed.values())
+                == svc.n_events
+            )
+        plan = result.plan
+        pubs_in = (
+            config.n_events - plan.n_joins - plan.n_leaves
+            - plan.n_noop_leaves
+        )
+        assert pubs_in == sum(
+            s.service.n_processed.get("pub", 0)
+            + s.service.n_shed.get("pub", 0)
+            for s in result.shards
+        )
+        assert sum(s.service.n_fits for s in result.shards) > 0
+
 
 # ----------------------------------------------------------------------
 # re-sharding property: the fleet is transparent to subscribers
@@ -675,7 +706,7 @@ class TestReshardingProperties:
 
             assert set(routed_pubs) == set(receipts)
             for key, shards_hit in routed_pubs.items():
-                owner = int(smap.cell_to_shard[scenario.space.locate(key[1])])
+                owner = int(smap.cell_to_shard[locate(scenario.space, key[1])])
                 # exactly-once routing, to the owner
                 assert shards_hit == [owner]
                 # receipt completeness: every matching subscriber is

@@ -4,7 +4,7 @@ import math
 
 import pytest
 
-from repro.geometry import EMPTY_INTERVAL, FULL_INTERVAL, Interval, hull_of
+from repro.geometry import EMPTY_INTERVAL, FULL_INTERVAL, Interval
 
 
 class TestConstruction:
@@ -101,11 +101,6 @@ class TestAlgebra:
     def test_hull(self):
         assert Interval.make(0, 1).hull(Interval.make(5, 6)) == Interval.make(0, 6)
         assert EMPTY_INTERVAL.hull(Interval.make(1, 2)) == Interval.make(1, 2)
-
-    def test_hull_of_iterable(self):
-        ivs = [Interval.make(i, i + 1) for i in range(5)]
-        assert hull_of(ivs) == Interval.make(0, 5)
-        assert hull_of([]).is_empty
 
     def test_clip(self):
         assert FULL_INTERVAL.clip(0, 10) == Interval.make(0, 10)

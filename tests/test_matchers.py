@@ -15,9 +15,15 @@ from repro.matching import (
 
 from tests.helpers import (
     make_subscription_set,
+    match_one,
     missed_subscribers,
     wasted_deliveries,
 )
+
+
+def cell_points(space):
+    """The lattice point of every grid cell, in flat cell order."""
+    return [space.cell_value(cell) for cell in range(space.n_cells)]
 
 
 @pytest.fixture(scope="module")
@@ -89,7 +95,7 @@ class TestDeliveryPlan:
 class TestBruteForceMatcher:
     def test_unicast_to_all_interested(self, subs):
         matcher = BruteForceMatcher(subs)
-        plan = matcher.match((2, 2))
+        plan = match_one(matcher, (2, 2))
         expected = list(subs.interested_subscribers((2, 2)))
         assert list(plan.unicast_subscribers) == expected
         assert not plan.uses_multicast
@@ -97,7 +103,7 @@ class TestBruteForceMatcher:
         plan.audit()
 
     def test_no_interest(self, subs):
-        plan = BruteForceMatcher(subs).match((7, 7.0))
+        plan = match_one(BruteForceMatcher(subs), (7, 7.0))
         # (7,7): sub 2 covers (3,7]x(3,7] => actually interested
         assert set(plan.interested) == set(
             subs.interested_subscribers((7, 7.0))
@@ -107,17 +113,17 @@ class TestBruteForceMatcher:
 class TestGridMatcher:
     def test_plans_complete_everywhere(self, space, subs, clustering):
         matcher = GridMatcher(clustering, subs)
-        for cell in range(space.n_cells):
-            plan = matcher.match(space.cell_value(cell))
+        for plan in matcher.match_batch(cell_points(space)):
             plan.audit()
 
     def test_multicast_used_for_clustered_cells(self, space, subs, clustering):
         matcher = GridMatcher(clustering, subs)
         used = 0
-        for cell in range(space.n_cells):
-            point = space.cell_value(cell)
-            plan = matcher.match(point)
-            group = clustering.group_of_grid_cell(cell)
+        points = cell_points(space)
+        groups = clustering.groups_of_grid_cells(np.arange(space.n_cells))
+        for point, plan, group in zip(
+            points, matcher.match_batch(points), groups
+        ):
             interested = subs.interested_subscribers(point)
             members = (
                 clustering.subscribers_of_group(group) if group >= 0 else []
@@ -133,8 +139,7 @@ class TestGridMatcher:
     def test_group_plus_unicast_semantics(self, space, subs, clustering):
         """Interested non-members are unicast; members are not."""
         matcher = GridMatcher(clustering, subs)
-        for cell in range(space.n_cells):
-            plan = matcher.match(space.cell_value(cell))
+        for plan in matcher.match_batch(cell_points(space)):
             if not plan.uses_multicast:
                 continue
             members = plan.group_members[0]
@@ -150,8 +155,7 @@ class TestGridMatcher:
         """With threshold ~1, multicast fires only when every member is
         interested (proportion must strictly exceed the threshold)."""
         matcher = GridMatcher(clustering, subs, threshold=0.999999)
-        for cell in range(space.n_cells):
-            plan = matcher.match(space.cell_value(cell))
+        for plan in matcher.match_batch(cell_points(space)):
             if plan.uses_multicast:
                 members = plan.group_members[0]
                 assert set(members) <= set(plan.interested)
@@ -160,18 +164,18 @@ class TestGridMatcher:
         loose = GridMatcher(clustering, subs, threshold=0.0)
         strict = GridMatcher(clustering, subs, threshold=0.6)
         loose_count = sum(
-            loose.match(space.cell_value(c)).uses_multicast
-            for c in range(space.n_cells)
+            plan.uses_multicast
+            for plan in loose.match_batch(cell_points(space))
         )
         strict_count = sum(
-            strict.match(space.cell_value(c)).uses_multicast
-            for c in range(space.n_cells)
+            plan.uses_multicast
+            for plan in strict.match_batch(cell_points(space))
         )
         assert strict_count <= loose_count
 
     def test_event_outside_grid_unicasts(self, subs, clustering):
         matcher = GridMatcher(clustering, subs)
-        plan = matcher.match((-5.0, -5.0))
+        plan = match_one(matcher, (-5.0, -5.0))
         assert not plan.uses_multicast
         assert len(plan.interested) == 0
 
@@ -189,28 +193,31 @@ class TestNoLossMatcher:
     def test_zero_waste_everywhere(self, space, subs, result):
         """The no-loss guarantee translated to plans: nothing wasted."""
         matcher = NoLossMatcher(result, subs)
-        for cell in range(space.n_cells):
-            plan = matcher.match(space.cell_value(cell))
+        for plan in matcher.match_batch(cell_points(space)):
             plan.audit()
             assert wasted_deliveries(plan) == 0
 
     def test_rtree_and_linear_paths_agree(self, space, subs, result):
-        fast = NoLossMatcher(result, subs, use_rtree=True)
-        slow = NoLossMatcher(result, subs, use_rtree=False)
-        for cell in range(space.n_cells):
-            point = space.cell_value(cell)
-            pf, ps = fast.match(point), slow.match(point)
-            assert pf.group_ids == ps.group_ids
+        """The matcher's R-tree stab picks the region the linear scan
+        ``NoLossResult.match`` picks (the heaviest containing one)."""
+        points = cell_points(space)
+        plans = NoLossMatcher(result, subs).match_batch(points)
+        for point, plan in zip(points, plans):
+            region = result.match(point)
+            if region < 0:
+                assert plan.group_ids == []
+                continue
+            members = result.group_members[int(result.group_of[region])]
+            assert plan.group_ids == [int(result.group_of[region])]
             np.testing.assert_array_equal(
-                pf.unicast_subscribers, ps.unicast_subscribers
+                plan.unicast_subscribers,
+                np.setdiff1d(plan.interested, members),
             )
 
     def test_multicast_members_interested(self, space, subs, result):
         matcher = NoLossMatcher(result, subs)
         multicasts = 0
-        for cell in range(space.n_cells):
-            point = space.cell_value(cell)
-            plan = matcher.match(point)
+        for plan in matcher.match_batch(cell_points(space)):
             if plan.uses_multicast:
                 multicasts += 1
                 assert set(plan.group_members[0]) <= set(plan.interested)

@@ -6,7 +6,7 @@ import pytest
 from repro.clustering import LatticeBlockMass, NoLossAlgorithm
 from repro.geometry import Dimension, EventSpace, Interval, Rectangle
 
-from tests.helpers import make_subscription_set
+from tests.helpers import locate, make_subscription_set
 
 
 @pytest.fixture(scope="module")
@@ -67,8 +67,8 @@ class TestLatticeBlockMass:
 
     def test_nonuniform_pmf(self, space):
         pmf = np.zeros(space.n_cells)
-        pmf[space.locate((3, 3))] = 0.75
-        pmf[space.locate((6, 6))] = 0.25
+        pmf[locate(space, (3, 3))] = 0.75
+        pmf[locate(space, (6, 6))] = 0.25
         mass = LatticeBlockMass(space, pmf)
         around_33 = Rectangle.from_bounds((2, 2), (4, 4))
         assert mass.rectangle_mass(around_33) == pytest.approx(0.75)
@@ -167,11 +167,11 @@ class TestNoLossAlgorithm:
 
     def test_zero_mass_pmf_raises(self, space, subs):
         pmf = np.zeros(space.n_cells)
-        pmf[space.locate((7, 0))] = 1.0  # nobody subscribes there... but
+        pmf[locate(space, (7, 0))] = 1.0  # nobody subscribes there... but
         # some wildcard-ish rows may still cover it; build a pmf fully
         # outside every subscription instead
         outside = np.zeros(space.n_cells)
-        outside[space.locate((7, 0))] = 1.0
+        outside[locate(space, (7, 0))] = 1.0
         covered = any(
             subs.interested_subscribers(space.cell_value(c)).size
             and outside[c] > 0

@@ -26,6 +26,8 @@ from repro.online import (
 )
 from repro.workload import MixturePublicationModel, single_mode_mixture
 
+from tests.helpers import match_one, publish_one
+
 
 # ----------------------------------------------------------------------
 # scheduler: drift trigger + hardened validation (config validation)
@@ -400,24 +402,24 @@ class TestClusterMaintainer:
                 (max(side.lo, dim.lo) + min(side.hi, dim.hi)) / 2
                 for side, dim in zip(rect.sides, space.dimensions)
             ]
-            candidate_plan = broker._matcher.match(candidate)
+            candidate_plan = match_one(broker._matcher, candidate)
             if len(candidate_plan.group_ids):
                 point, plan = list(candidate), candidate_plan
                 break
         assert plan is not None, "no point matched a multicast group"
-        broker.publish(point, 0)  # price the group before the churn
+        publish_one(broker, point, 0)  # price the group before the churn
         group = int(plan.group_ids[0])
         handle = broker.subscribe(1, _rect(space, rng))
         broker.attach(handle)
         broker.apply_join(handle, group)
         broker.apply_leave(handle)
         # repricing after churn matches a dispatcher built from scratch
-        receipt = broker.publish(point, 0)
+        receipt = publish_one(broker, point, 0)
         fresh = Dispatcher(
             online_env["routing"], broker.live_subscriptions,
             broker.config.scheme,
         )
-        plan = broker._matcher.match(point)
+        plan = match_one(broker._matcher, point)
         assert receipt.cost == pytest.approx(fresh.plan_cost(0, plan))
 
     def test_joined_subscriber_is_served_immediately(self, online_env, rng):
@@ -434,7 +436,7 @@ class TestClusterMaintainer:
         point = [
             (dim.lo + dim.hi) / 2 for dim in space.dimensions
         ]
-        plan = broker._matcher.match(point)
+        plan = match_one(broker._matcher, point)
         plan.audit()
         assert internal in np.asarray(plan.interested)
 

@@ -12,6 +12,8 @@ from repro.persistence import (
     save_subscriptions,
 )
 
+from tests.helpers import match_one
+
 
 @pytest.fixture()
 def path(tmp_path):
@@ -103,7 +105,7 @@ class TestCellSetAndClusteringRoundTrip:
             point = tuple(
                 int(rng.integers(d.lo, d.hi + 1)) for d in space.dimensions
             )
-            p1, p2 = m1.match(point), m2.match(point)
+            p1, p2 = match_one(m1, point), match_one(m2, point)
             assert p1.group_ids == p2.group_ids
             np.testing.assert_array_equal(
                 p1.unicast_subscribers, p2.unicast_subscribers
@@ -235,11 +237,11 @@ class TestCompactionMappingRegression:
         for _ in range(25):
             point = tuple(rng.uniform(-1, 21, size=4))
             np.testing.assert_array_equal(
-                restored.match(point).interested,
+                match_one(restored, point).interested,
                 compacted.interested_subscribers(point),
             )
             # and the restored plan is the old plan renumbered
-            old_plan = reference.match(point)
+            old_plan = match_one(reference, point)
             expected = np.sort(
                 [
                     id_of[int(s)]
@@ -248,7 +250,7 @@ class TestCompactionMappingRegression:
                 ]
             )
             np.testing.assert_array_equal(
-                restored.match(point).interested, expected
+                match_one(restored, point).interested, expected
             )
 
     def test_mapping_shape_validated(

@@ -17,7 +17,7 @@ from repro.geometry import Dimension, EventSpace, Interval, Rectangle
 from repro.matching import RTree
 from repro.network import Graph, UnionFind
 
-from tests.helpers import wasted_deliveries
+from tests.helpers import locate, match_one, wasted_deliveries
 
 # ----------------------------------------------------------------------
 # strategies
@@ -264,7 +264,7 @@ class TestSpaceProperties:
     @given(points())
     def test_locate_agrees_with_cell_rectangles(self, p):
         space = EventSpace([Dimension("x", 0, 7), Dimension("y", 0, 7)])
-        located = space.locate(p)
+        located = locate(space, p)
         containing = [
             c
             for c in range(space.n_cells)
@@ -279,7 +279,7 @@ class TestSpaceProperties:
     @given(bounded_rectangles(span=8))
     def test_cells_overlapping_exact(self, rect):
         space = EventSpace([Dimension("x", 0, 7), Dimension("y", 0, 7)])
-        got = sorted(space.cells_overlapping(rect))
+        got = sorted(space.cells_in_rectangle(rect))
         expected = [
             c
             for c in range(space.n_cells)
@@ -373,7 +373,7 @@ class TestPipelineProperties:
         clustering = ForgyKMeansClustering().fit(cells, k)
         matcher = GridMatcher(clustering, subs)
         for cell in range(space.n_cells):
-            plan = matcher.match(space.cell_value(cell))
+            plan = match_one(matcher, space.cell_value(cell))
             plan.audit()
             if plan.uses_multicast:
                 overlap = np.intersect1d(
@@ -399,7 +399,7 @@ class TestPipelineProperties:
             return  # workload has no positive-weight region: vacuous
         matcher = NoLossMatcher(result, subs)
         for cell in range(space.n_cells):
-            plan = matcher.match(space.cell_value(cell))
+            plan = match_one(matcher, space.cell_value(cell))
             plan.audit()
             assert wasted_deliveries(plan) == 0
 

@@ -67,9 +67,8 @@ class TestMixturePublicationModel:
         pmf = model.cell_pmf()
         rng = np.random.default_rng(11)
         events = model.sample(rng, 100000)
-        counts = np.zeros(model.space.n_cells)
-        for event in events:
-            counts[model.space.locate(event.point)] += 1
+        cells = model.space.locate_batch([event.point for event in events])
+        counts = np.bincount(cells, minlength=model.space.n_cells).astype(float)
         empirical = counts / counts.sum()
         # compare on the cells holding the bulk of the mass
         heavy = pmf > 1e-3

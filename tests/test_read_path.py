@@ -35,6 +35,9 @@ from repro.obs.slo import Objective, SloEngine
 from repro.online.service import _RUN_CAP
 from repro.workload import MixturePublicationModel, single_mode_mixture
 
+from tests.helpers import publish_one
+
+
 def _bits(x: float) -> bytes:
     return struct.pack("<d", x)
 
@@ -66,7 +69,7 @@ class PerEventService(BrokerService):
             return self._process(payload, now)
         self.maintainer.maybe_rebuild(now)
         broker = self.broker
-        receipt = broker.publish(payload.point, payload.publisher)
+        receipt = publish_one(broker, payload.point, payload.publisher)
         self.receipts.append(receipt)
         self._result.total_cost += float(receipt.cost)
         (interested,) = broker.last_interested
@@ -269,6 +272,13 @@ OBSERVED_DUE_RUNS = [
     dict(DUE_WITH_PENDING_RUN, observe="both", inline=inline)
     for inline in ("waste_inflation", "lost_rate")
 ]
+#: every subscriber leaves and a drift rebuild empties the broker; the
+#: next join lands in a broker with no fit and builds one cold
+EMPTIED_BROKER = dict(
+    seed=139, n_events=65, pub_share=0.5, forward=True, aggregate=False,
+    scheme="dense", adaptive=False, drift=1.0, backoff=0.01,
+    policy="block", n_initial=7, observe=None, inline=None,
+)
 
 
 class TestBatchedServiceEquivalence:
@@ -277,6 +287,7 @@ class TestBatchedServiceEquivalence:
     @example(params=DUE_WITH_PENDING_RUN)
     @example(params=OBSERVED_DUE_RUNS[0])
     @example(params=OBSERVED_DUE_RUNS[1])
+    @example(params=EMPTIED_BROKER)
     def test_batched_runs_match_per_event_publishing(self, env, params):
         batched, got, got_stats = _replay(env, BrokerService, params)
         single, want, want_stats = _replay(env, PerEventService, params)
@@ -315,7 +326,7 @@ class TestBatchedServiceEquivalence:
         points = [_point(env["space"], rng) for _ in range(20)]
         publishers = [int(rng.integers(0, n_nodes)) for _ in range(20)]
         singles = [
-            one.broker.publish(p, q) for p, q in zip(points, publishers)
+            publish_one(one.broker, p, q) for p, q in zip(points, publishers)
         ]
         assert two.broker.publish_batch(points, publishers) == singles
         assert one.broker.stats.as_dict()["total_cost"] == (

@@ -1,10 +1,8 @@
 """Unit tests for aligned rectangles."""
 
-import math
-
 import pytest
 
-from repro.geometry import Interval, Rectangle, intersection_of
+from repro.geometry import Interval, Rectangle
 
 
 def rect(*bounds):
@@ -29,12 +27,6 @@ class TestConstruction:
     def test_full_and_empty(self):
         assert Rectangle.full(3).contains((0, 100, -100))
         assert Rectangle.empty(3).is_empty
-
-    def test_around_point(self):
-        r = Rectangle.around_point((5, 5), 1.0)
-        assert r.contains((5, 5))
-        assert r.contains((6, 6))  # closed upper ends
-        assert not r.contains((4, 5))  # open lower ends
 
     def test_accepts_list_of_sides(self):
         r = Rectangle([Interval.make(0, 1), Interval.make(0, 1)])
@@ -85,25 +77,11 @@ class TestAlgebra:
     def test_intersect_disjoint_is_empty(self):
         assert rect((0, 1), (0, 1)).intersect(rect((3, 4), (0, 1))).is_empty
 
-    def test_intersection_of_many(self):
-        rects = [rect((0, 10), (0, 10)), rect((2, 8), (1, 9)), rect((3, 12), (0, 5))]
-        assert intersection_of(rects) == rect((3, 8), (1, 5))
-        with pytest.raises(ValueError):
-            intersection_of([])
-
     def test_hull(self):
         a = rect((0, 1), (0, 1))
         b = rect((3, 4), (2, 5))
         assert a.hull(b) == rect((0, 4), (0, 5))
         assert Rectangle.empty(2).hull(a) == a
-
-    def test_volume(self):
-        assert rect((0, 2), (0, 3)).volume == 6.0
-        assert Rectangle.empty(2).volume == 0.0
-        assert math.isinf(Rectangle.full(2).volume)
-
-    def test_center(self):
-        assert rect((0, 2), (0, 4)).center() == (1.0, 2.0)
 
     def test_bounds_roundtrip(self):
         r = rect((0, 2), (1, 3))

@@ -1,6 +1,5 @@
-"""Unit tests for the R-tree stabbing index."""
-
-import math
+"""Unit tests for the R-tree stabbing index and the containment algebra
+of the rectangles it indexes."""
 
 import numpy as np
 import pytest
@@ -121,13 +120,30 @@ class TestStabbing:
         assert hits > 0  # the test actually exercised matches
 
 
+def containing(rects, query):
+    """Indices of the rectangles that contain ``query``."""
+    return [i for i, r in enumerate(rects) if r.contains_rectangle(query)]
+
+
+def contained_in(rects, query):
+    """Indices of the rectangles that ``query`` contains."""
+    return [i for i, r in enumerate(rects) if query.contains_rectangle(r)]
+
+
 class TestContainmentQueries:
-    """`containing` / `contained_in` — the subsumption-index queries."""
+    """The containment algebra of the rectangles an R-tree indexes.
+
+    The tree itself answers point stabs only; containment between
+    rectangles is ``Rectangle.contains_rectangle``, pinned here on
+    hand-laid nests: half-open ``(lo, hi]`` sides, shared faces count,
+    an empty rectangle lies inside everything and contains nothing
+    non-empty.
+    """
 
     @pytest.fixture(scope="class")
     def nested(self):
         """A hand-laid nest: 0 ⊃ 1 ⊃ 2, 3 disjoint, 4 == 1, 5 empty."""
-        rects = [
+        return [
             Rectangle.from_bounds((0, 0), (10, 10)),   # 0: outermost
             Rectangle.from_bounds((2, 2), (8, 8)),     # 1: middle
             Rectangle.from_bounds((3, 3), (5, 5)),     # 2: innermost
@@ -135,82 +151,53 @@ class TestContainmentQueries:
             Rectangle.from_bounds((2, 2), (8, 8)),     # 4: duplicate of 1
             Rectangle.from_bounds((4, 4), (4, 9)),     # 5: empty (x side)
         ]
-        return rects, RTree(rects, leaf_capacity=2)
-
-    def test_containing_matches_brute_force(self, rng):
-        rects = random_rectangles(rng, 200, dims=3)
-        tree = RTree(rects, leaf_capacity=4)
-        for query in random_rectangles(rng, 60, dims=3):
-            expected = [
-                i
-                for i, r in enumerate(rects)
-                if r.contains_rectangle(query)
-            ]
-            assert list(tree.containing(query)) == expected
-
-    def test_contained_in_matches_brute_force(self, rng):
-        rects = random_rectangles(rng, 200, dims=3)
-        tree = RTree(rects, leaf_capacity=4)
-        for query in random_rectangles(rng, 60, dims=3):
-            expected = [
-                i
-                for i, r in enumerate(rects)
-                if query.contains_rectangle(r)
-            ]
-            assert list(tree.contained_in(query)) == expected
 
     def test_nested_containing(self, nested):
-        rects, tree = nested
-        assert list(tree.containing(rects[2])) == [0, 1, 2, 4]
-        assert list(tree.containing(rects[1])) == [0, 1, 4]
-        assert list(tree.containing(rects[0])) == [0]
-        assert list(tree.containing(rects[3])) == [3]
+        assert containing(nested, nested[2]) == [0, 1, 2, 4]
+        assert containing(nested, nested[1]) == [0, 1, 4]
+        assert containing(nested, nested[0]) == [0]
+        assert containing(nested, nested[3]) == [3]
 
     def test_nested_contained_in(self, nested):
-        rects, tree = nested
         # the empty rectangle 5 is a subset of every query
-        assert list(tree.contained_in(rects[0])) == [0, 1, 2, 4, 5]
-        assert list(tree.contained_in(rects[1])) == [1, 2, 4, 5]
-        assert list(tree.contained_in(rects[2])) == [2, 5]
-        assert list(tree.contained_in(rects[3])) == [3, 5]
+        assert contained_in(nested, nested[0]) == [0, 1, 2, 4, 5]
+        assert contained_in(nested, nested[1]) == [1, 2, 4, 5]
+        assert contained_in(nested, nested[2]) == [2, 5]
+        assert contained_in(nested, nested[3]) == [3, 5]
 
     def test_identical_rectangles_contain_each_other(self, nested):
-        rects, tree = nested
-        hits = tree.containing(rects[4])
+        hits = containing(nested, nested[4])
         assert 1 in hits and 4 in hits
 
     def test_empty_query_contained_in_everything(self, nested):
-        rects, tree = nested
         empty = Rectangle.from_bounds((7, 7), (7, 9))
-        assert list(tree.containing(empty)) == list(range(len(rects)))
+        assert containing(nested, empty) == list(range(len(nested)))
         # and nothing non-empty fits inside an empty query
-        assert list(tree.contained_in(empty)) == [5]
+        assert contained_in(nested, empty) == [5]
 
     def test_empty_stored_rectangle_never_contains(self, nested):
-        rects, tree = nested
         probe = Rectangle.from_bounds((4, 4.5), (4.2, 5.0))
-        hits = tree.containing(probe)
-        assert 5 not in hits
+        assert 5 not in containing(nested, probe)
 
     def test_exact_boundary_touching_counts(self):
         """Shared faces still count as containment (half-open algebra)."""
         outer = Rectangle.from_bounds((0, 0), (10, 10))
         flush = Rectangle.from_bounds((0, 0), (10, 5))  # shares 3 faces
         inner = Rectangle.from_bounds((0, 5), (10, 10))
-        tree = RTree([outer, flush, inner])
-        assert list(tree.containing(flush)) == [0, 1]
-        assert list(tree.containing(inner)) == [0, 2]
-        assert list(tree.contained_in(outer)) == [0, 1, 2]
+        rects = [outer, flush, inner]
+        assert containing(rects, flush) == [0, 1]
+        assert containing(rects, inner) == [0, 2]
+        assert contained_in(rects, outer) == [0, 1, 2]
         # flush and inner only touch: neither contains the other
-        assert list(tree.containing(Rectangle.from_bounds((0, 4), (10, 6)))) \
+        assert containing(rects, Rectangle.from_bounds((0, 4), (10, 6))) \
             == [0]
 
     def test_degenerate_point_like_query(self):
         """A zero-volume query is empty under (lo, hi] semantics and is
-        therefore reported inside everything."""
-        tree = RTree([Rectangle.from_bounds((0, 0), (10, 10))])
+        therefore inside everything."""
+        rects = [Rectangle.from_bounds((0, 0), (10, 10))]
         point_like = Rectangle.from_bounds((5, 5), (5, 5))
-        assert list(tree.containing(point_like)) == [0]
+        assert containing(rects, point_like) == [0]
 
     def test_unbounded_sides(self):
         slab = Rectangle((Interval.full(), Interval.make(0, 1)))
@@ -218,17 +205,8 @@ class TestContainmentQueries:
             (Interval.greater_than(5), Interval.make(0, 1))
         )
         box = Rectangle.from_bounds((6, 0), (9, 1))
-        tree = RTree([slab, quadrant, box])
-        assert list(tree.containing(box)) == [0, 1, 2]
-        assert list(tree.containing(quadrant)) == [0, 1]
-        assert list(tree.containing(slab)) == [0]
-        assert list(tree.contained_in(slab)) == [0, 1, 2]
-
-    def test_bounds_tuple_queries(self, nested):
-        """Queries may be raw (lo, hi) bound tuples instead of
-        Rectangle objects — the aggregation pass's calling convention."""
-        rects, tree = nested
-        lo, hi = rects[2].bounds()
-        assert list(tree.containing((lo, hi))) == [0, 1, 2, 4]
-        with pytest.raises(ValueError):
-            tree.containing(((0, 0, 0), (1, 1, 1)))
+        rects = [slab, quadrant, box]
+        assert containing(rects, box) == [0, 1, 2]
+        assert containing(rects, quadrant) == [0, 1]
+        assert containing(rects, slab) == [0]
+        assert contained_in(rects, slab) == [0, 1, 2]

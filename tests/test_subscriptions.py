@@ -59,7 +59,8 @@ class TestSubscriptionSet:
         assert list(subs.interested_subscribers((4, 4))) == [0, 1]
 
     def test_interested_nodes(self, subs):
-        assert list(subs.interested_nodes((1, 1))) == [0, 2]
+        interested = subs.interested_subscribers((1, 1))
+        assert list(subs.nodes_of_subscribers(interested)) == [0, 2]
 
     def test_nodes_of_subscribers(self, subs):
         assert list(subs.nodes_of_subscribers([0, 2])) == [0, 2]
