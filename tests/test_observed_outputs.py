@@ -5,14 +5,18 @@ or an SLO engine observes it, and splices each batched event's stages
 back into its chain (see docs/online.md).  These tests pin the observed
 CLI runs, the flight records' stage chains, and a run several times
 longer than the batch cap to sha256 digests of their output, recorded
-with the per-event loop.  Run this file as a script to print the
-current digests.
+with the per-event loop.  They also pin a small sweep's CSV rows, with
+and without ``--aggregate``, recorded with the per-cell MacQueen loop,
+the full stable sort of the MST edges and the per-candidate No-Loss
+scoring.  Run this file as a script to print the current digests.
 """
 
 import contextlib
+import csv
 import hashlib
 import io
 import json
+import tempfile
 from pathlib import Path
 
 import pytest
@@ -59,11 +63,46 @@ FLIGHT_RECORDS_DIGEST = (
 )
 
 
+_SWEEP = [
+    "sweep", "--subs", "300", "--groups", "5,20",
+    "--algorithms", "kmeans,forgy,mst,pairs", "--noloss",
+    "--events", "30", "--workers", "1",
+]
+
+#: sha256 of a sweep's CSV rows with the wall-clock ``fit_seconds``
+#: column stripped: every fit (MacQueen and Forgy K-means, MST,
+#: Pairwise Grouping, No-Loss) at two group counts, on subscriber and
+#: on aggregate columns (which price identically, hence one digest)
+SWEEP_CSV = {
+    "sweep": (
+        _SWEEP,
+        "912ab439738e0161dba116788109b4c03a5567a9b9cec46a8d08dcb8b4901fbe",
+    ),
+    "sweep-aggregate": (
+        [*_SWEEP, "--aggregate"],
+        "912ab439738e0161dba116788109b4c03a5567a9b9cec46a8d08dcb8b4901fbe",
+    ),
+}
+
+
 def cli_digest(argv):
     out = io.StringIO()
     with contextlib.redirect_stdout(out):
         main(argv)
     return hashlib.sha256(out.getvalue().encode()).hexdigest()
+
+
+def sweep_csv_digest(argv):
+    with tempfile.TemporaryDirectory() as tmp:
+        path = Path(tmp) / "sweep.csv"
+        with contextlib.redirect_stdout(io.StringIO()):
+            main([*argv, "--csv", str(path)])
+        with open(path, newline="") as handle:
+            rows = list(csv.DictReader(handle))
+    for row in rows:
+        row.pop("fit_seconds")
+    text = json.dumps(rows)
+    return hashlib.sha256(text.encode()).hexdigest()
 
 
 def flight_records_digest():
@@ -88,7 +127,16 @@ class TestObservedRunsUnchanged:
         assert flight_records_digest() == FLIGHT_RECORDS_DIGEST
 
 
+class TestSweepFitsUnchanged:
+    @pytest.mark.parametrize("name", sorted(SWEEP_CSV))
+    def test_sweep_csv(self, name):
+        argv, digest = SWEEP_CSV[name]
+        assert sweep_csv_digest(argv) == digest
+
+
 if __name__ == "__main__":  # print the digests of the current code
     for name, (argv, _) in sorted(OBSERVED_CLI.items()):
         print(name, cli_digest(argv))
     print("flight-records", flight_records_digest())
+    for name, (argv, _) in sorted(SWEEP_CSV.items()):
+        print(name, sweep_csv_digest(argv))
