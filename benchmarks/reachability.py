@@ -5,9 +5,10 @@ Runs a fixed list of small CLI invocations in process, covering every
 sub-command and the flags that switch code paths (``--aggregate``, the
 four multicast backends, ``--flight/--slo/--metrics-out/--trace/
 --profile``, ``--csv/--chart``, the shed policies, a forwarding region
-fleet with epochs and checkpoints, chaos with ``--compare-healing`` and
-a replayed ``--schedule``).  A ``sys.setprofile`` hook records every
-Python function the runs enter.  Run from the repo root::
+fleet with epochs and checkpoints, chaos with ``--compare-healing``, a
+replayed ``--schedule`` and a sweep on the numpy kernel backend).  A
+``sys.setprofile`` hook records every Python function the runs enter.
+Run from the repo root::
 
     python3 benchmarks/reachability.py [--verbose]
 
@@ -100,6 +101,12 @@ def invocations(tmp: str) -> list:
          "--multicast-backend", "overlay", "--no-baseline"],
         ["chaos", "--subs", "100", "--events", "300", "--groups", "6",
          "--multicast-backend", "sparse", "--no-baseline"],
+        # the python MacQueen and Pairwise Grouping loops, which a
+        # compiled kernel backend replaces; last, because --backend
+        # stays selected for the rest of the process
+        ["sweep", "--subs", "120", "--events", "15", "--groups", "5",
+         "--algorithms", "kmeans,pairs", "--backend", "numpy",
+         "--workers", "1"],
     ]
 
 

@@ -13,6 +13,12 @@ distance.  They differ in the update schedule:
 A hyper-cell never leaves a group it is the last member of, so groups
 stay non-empty (in the Forgy batch update, a group emptied by the sweep
 is re-seeded with the cell that is farthest from its chosen group).
+
+MacQueen's one-cell-at-a-time sweeps are a python loop over the cells.
+A compiled kernel backend runs them all in one call instead
+(``kmeans_sweeps``, see docs/kernels.md), move for move identical:
+the intersections it counts as integers are the exact integers the
+loop's float32 matvec yields, on weighted aggregate columns too.
 """
 
 from __future__ import annotations
@@ -22,6 +28,7 @@ from typing import Optional, Tuple
 import numpy as np
 
 from ..grid import CellSet
+from ..kernels import get_backend, pack_rows
 from .base import Clustering, GridClusteringAlgorithm
 from .distance import waste_to_clusters
 
@@ -200,80 +207,115 @@ class KMeansClustering(_KMeansBase):
             n_groups = int(assignment.max()) + 1
 
             # incremental group state: per-subscriber member counts (so
-            # that removing a cell can shrink the union), boolean
-            # membership, probability mass and cell counts
+            # that removing a cell can shrink the union), probability
+            # mass, cell counts and union sizes.  It is built here in
+            # numpy's summation order for either sweep path below.
             counts = np.zeros(
                 (n_groups, cells.n_subscribers), dtype=np.int32
             )
             probs = np.zeros(n_groups, dtype=np.float64)
             n_cells_in = np.zeros(n_groups, dtype=np.int64)
             cell_membership_int = cells.membership.astype(np.int32)
-            # float32 rows are consumed by the inner-loop matmul below;
-            # convert the whole matrix once instead of once per cell visit
-            cell_membership_f32 = cells.membership.astype(np.float32)
             for g in range(n_groups):
                 members = assignment == g
                 counts[g] = cell_membership_int[members].sum(axis=0)
                 probs[g] = cells.probs[members].sum()
                 n_cells_in[g] = int(members.sum())
             membership = counts > 0
-            membership_f32 = membership.astype(np.float32)
-            # aggregate column weights: sizes and intersections below
-            # count subscriptions (exact integers in float32), keeping
-            # the iteration bitwise equal to the subscriber-level run
+            # aggregate column weights: sizes and intersections count
+            # subscriptions (exact integers), keeping the iteration
+            # bitwise equal to the subscriber-level run
             weights = cells.weights
             if weights is not None:
-                w32 = weights.astype(np.float32)
-                cell_membership_f32 = cell_membership_f32 * w32
                 group_sizes = (
                     membership.astype(np.int64) @ weights
                 ).astype(np.float64)
             else:
                 group_sizes = membership.sum(axis=1).astype(np.float64)
-
             cell_sizes = cells.sizes.astype(np.float64)
-            # the inner loop evaluates one cell against every group; the
-            # count is accumulated locally and recorded once per fit to
-            # keep registry traffic off the hot path
-            distance_evals = 0
-            for iteration in range(1, self.max_iters + 1):
-                moved = 0
-                for cell in range(m):
-                    current = int(assignment[cell])
-                    if n_cells_in[current] <= 1:
-                        continue  # last hyper-cell of group cannot move
-                    s_cell = membership_f32 @ cell_membership_f32[cell]
-                    distances = cells.probs[cell] * (group_sizes - s_cell)
-                    distances += probs * (cell_sizes[cell] - s_cell)
-                    distance_evals += n_groups
-                    target = int(np.argmin(distances))
-                    if target == current:
-                        continue
-                    moved += 1
-                    assignment[cell] = target
-                    row = cell_membership_int[cell]
-                    counts[current] -= row
-                    counts[target] += row
-                    probs[current] -= cells.probs[cell]
-                    probs[target] += cells.probs[cell]
-                    n_cells_in[current] -= 1
-                    n_cells_in[target] += 1
-                    for g in (current, target):
-                        membership[g] = counts[g] > 0
-                        membership_f32[g] = membership[g]
-                        if weights is not None:
-                            group_sizes[g] = float(
-                                membership[g].astype(np.int64) @ weights
-                            )
-                        else:
-                            group_sizes[g] = float(membership[g].sum())
-                if moved == 0:
-                    self.n_iterations_ = iteration
-                    break
-            else:
-                self.n_iterations_ = self.max_iters
+
+            # a compiled backend runs every sweep in one call,
+            # move-for-move identical to the python loop
+            swept = get_backend().kmeans_sweeps(
+                cells.packed, cells.probs, cell_sizes, weights,
+                counts, pack_rows(membership).words, group_sizes, probs,
+                n_cells_in, assignment, self.max_iters,
+            )
+            if swept is None:
+                swept = self._sweeps(
+                    cells, cell_sizes, cell_membership_int, assignment,
+                    counts, membership, group_sizes, probs, n_cells_in,
+                )
+            self.n_iterations_, distance_evals = swept
             span.set("iterations", self.n_iterations_)
             self._record_fit(
                 iterations=self.n_iterations_, distance_evals=distance_evals
             )
         return Clustering(cells, assignment)
+
+    def _sweeps(
+        self,
+        cells: CellSet,
+        cell_sizes: np.ndarray,
+        cell_membership_int: np.ndarray,
+        assignment: np.ndarray,
+        counts: np.ndarray,
+        membership: np.ndarray,
+        group_sizes: np.ndarray,
+        probs: np.ndarray,
+        n_cells_in: np.ndarray,
+    ) -> Tuple[int, int]:
+        """The MacQueen sweeps in python: the reference for the
+        compiled ``kmeans_sweeps`` kernel and the path on hosts without
+        one.  Mutates ``assignment`` and the group state in place;
+        returns ``(iterations, distance_evals)``."""
+        m = len(cells)
+        n_groups = len(probs)
+        # float32 rows are consumed by the inner-loop matmul below;
+        # convert the whole matrix once instead of once per cell visit
+        cell_membership_f32 = cells.membership.astype(np.float32)
+        membership_f32 = membership.astype(np.float32)
+        weights = cells.weights
+        if weights is not None:
+            # weighted intersections are exact integers in float32
+            cell_membership_f32 = cell_membership_f32 * weights.astype(
+                np.float32
+            )
+        # the inner loop evaluates one cell against every group; the
+        # count is accumulated locally and recorded once per fit to
+        # keep registry traffic off the hot path
+        distance_evals = 0
+        for iteration in range(1, self.max_iters + 1):
+            moved = 0
+            for cell in range(m):
+                current = int(assignment[cell])
+                if n_cells_in[current] <= 1:
+                    continue  # last hyper-cell of group cannot move
+                s_cell = membership_f32 @ cell_membership_f32[cell]
+                distances = cells.probs[cell] * (group_sizes - s_cell)
+                distances += probs * (cell_sizes[cell] - s_cell)
+                distance_evals += n_groups
+                target = int(np.argmin(distances))
+                if target == current:
+                    continue
+                moved += 1
+                assignment[cell] = target
+                row = cell_membership_int[cell]
+                counts[current] -= row
+                counts[target] += row
+                probs[current] -= cells.probs[cell]
+                probs[target] += cells.probs[cell]
+                n_cells_in[current] -= 1
+                n_cells_in[target] += 1
+                for g in (current, target):
+                    membership[g] = counts[g] > 0
+                    membership_f32[g] = membership[g]
+                    if weights is not None:
+                        group_sizes[g] = float(
+                            membership[g].astype(np.int64) @ weights
+                        )
+                    else:
+                        group_sizes[g] = float(membership[g].sum())
+            if moved == 0:
+                return iteration, distance_evals
+        return self.max_iters, distance_evals

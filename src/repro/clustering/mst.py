@@ -6,6 +6,16 @@ hyper-cells and whose edge lengths are the expected-waste distances
 Pairwise Grouping, and why the edges can be sorted once up front, Kruskal
 style).  Edges are processed in non-decreasing length order, merging
 components, until exactly ``K`` components remain.
+
+The scan stops long before the last of the ``m (m - 1) / 2`` edges, so
+the edges are not all sorted.  They are sorted in bands: an
+``np.partition`` finds a threshold ``t``, the band is every edge no
+longer than ``t`` (ties included), and a stable sort of the band by
+length keeps tied edges in edge-index order.  Only when the band runs
+out before ``K`` components remain is the next band ``(t, t']`` cut.
+The bands laid end to end are exactly a prefix of the full stable sort,
+so the unions, the roots and the edge count are those of sorting every
+edge.
 """
 
 from __future__ import annotations
@@ -20,6 +30,11 @@ from .base import Clustering, GridClusteringAlgorithm
 from .distance import pairwise_waste_matrix
 
 __all__ = ["MSTClustering"]
+
+#: the first band holds about this many edges per hyper-cell; each
+#: further band is ``_BAND_GROWTH`` times larger
+_FIRST_BAND_PER_CELL = 4
+_BAND_GROWTH = 4
 
 
 class MSTClustering(GridClusteringAlgorithm):
@@ -41,18 +56,37 @@ class MSTClustering(GridClusteringAlgorithm):
 
         with self._fit_span(cells, n_groups) as span:
             distances = pairwise_waste_matrix(
-                cells.membership, cells.probs, weights=cells.weights
-            ).astype(np.float32)
-            rows, cols = np.triu_indices(m, k=1)
-            order = np.argsort(distances[rows, cols], kind="stable")
+                cells.membership,
+                cells.probs,
+                packed=cells.packed,
+                weights=cells.weights,
+            ).astype(np.float32, copy=False)
+            # upper-triangle lengths in edge order (row-major i < j)
+            upper = np.triu(np.ones((m, m), dtype=bool), k=1)
+            lengths = distances[upper]
+            n_edges = len(lengths)
 
             components = UnionFind(m)
             edges_scanned = 0
-            for edge in order:
-                if components.components <= n_groups:
-                    break
-                edges_scanned += 1
-                components.union(int(rows[edge]), int(cols[edge]))
+            done = None  # every edge no longer than this is scanned
+            size = min(n_edges, _FIRST_BAND_PER_CELL * m)
+            while components.components > n_groups:
+                # the size-th shortest length bounds the band; ties
+                # beyond it ride along in edge-index order
+                lengths.partition(size - 1)
+                threshold = lengths[size - 1]
+                in_band = upper & (distances <= threshold)
+                if done is not None:
+                    in_band &= distances > done
+                rows, cols = np.nonzero(in_band)
+                order = np.argsort(distances[rows, cols], kind="stable")
+                for a, b in zip(rows[order].tolist(), cols[order].tolist()):
+                    if components.components <= n_groups:
+                        break
+                    edges_scanned += 1
+                    components.union(a, b)
+                done = threshold
+                size = min(n_edges, size * _BAND_GROWTH)
 
             roots = np.fromiter(
                 (components.find(i) for i in range(m)),

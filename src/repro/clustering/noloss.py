@@ -18,6 +18,13 @@ candidates each iteration.  After the final iteration the ``K`` heaviest
 regions become the multicast groups (group ``s`` consists of the
 subscribers ``u(s)``), matching the run parameters reported in section 5
 ("5000 rectangles kept after intersection and 8 iterations").
+
+Scoring is batched: the member sets ``u(s)`` of a block of candidates
+come from broadcast containment compares and one boolean scatter, and
+the masses ``p_p(s)`` of all candidates from one
+:meth:`LatticeBlockMass.masses` call that adds the inclusion-exclusion
+corners in the same order as scoring one region at a time, so every
+weight is the same float.
 """
 
 from __future__ import annotations
@@ -39,7 +46,8 @@ class LatticeBlockMass:
 
     Precomputes the N-dimensional prefix-sum of the flat cell pmf; the
     mass of any half-open rectangle is then an inclusion-exclusion over
-    ``2^N`` prefix values.
+    ``2^N`` prefix values, gathered for a whole batch of rectangles at
+    once.
     """
 
     def __init__(self, space: EventSpace, cell_pmf: np.ndarray) -> None:
@@ -54,44 +62,81 @@ class LatticeBlockMass:
         # prefix[i0..] indexes "sum of cells < i" cleanly
         self._prefix = np.pad(prefix, [(1, 0)] * prefix.ndim)
 
-    def rectangle_mass(self, rectangle: Rectangle) -> float:
-        """Total pmf of lattice cells wholly inside the rectangle.
+    def masses(self, los: np.ndarray, his: np.ndarray) -> np.ndarray:
+        """Total pmf of the lattice cells wholly inside each rectangle
+        ``(los[r], his[r]]`` of an ``(R, N)`` pair of bound matrices.
 
         No-loss regions must only count events *guaranteed* to interest
         every member, so a cell contributes only when the rectangle
-        contains it entirely.
+        contains it entirely.  A side with ``hi <= lo`` is empty (the
+        :meth:`Interval.make <repro.geometry.Interval.make>` rule), and
+        a rectangle with an empty side, or a side holding no whole cell,
+        has mass 0.
         """
-        import math
-
-        bounds = []
-        for dim, side in zip(self.space.dimensions, rectangle.sides):
-            if side.is_empty:
-                return 0.0
-            # cell c covers (lo+c-1, lo+c]; it is inside (a, b] iff
-            # a <= lo+c-1 and lo+c <= b
-            first = int(math.ceil(side.lo - dim.lo + 1.0 - 1e-9))
-            last = int(math.floor(side.hi - dim.lo + 1e-9))
-            first = max(first, 0)
-            last = min(last, dim.n_cells - 1)
-            if last < first:
-                return 0.0
-            bounds.append((first, last + 1))
+        los = np.asarray(los, dtype=np.float64)
+        his = np.asarray(his, dtype=np.float64)
+        dims = self.space.dimensions
+        dim_lo = np.array([d.lo for d in dims], dtype=np.float64)
+        n_cells = np.array([d.n_cells for d in dims], dtype=np.float64)
+        # cell c covers (lo+c-1, lo+c]; it is inside (a, b] iff
+        # a <= lo+c-1 and lo+c <= b
+        first = np.maximum(np.ceil(los - dim_lo + 1.0 - 1e-9), 0.0)
+        last = np.minimum(np.floor(his - dim_lo + 1e-9), n_cells - 1)
+        empty = np.any((his <= los) | (last < first), axis=1)
+        # clipped into the padded prefix array so that empty rows can
+        # be gathered too (their mass is zeroed below)
+        first = np.minimum(first, n_cells).astype(np.int64)
+        stop = np.maximum(last + 1, 0).astype(np.int64)
         # inclusion-exclusion over the 2^N corners of the padded prefix
-        # array: the all-upper corner is positive and each lower index
-        # flips the sign
-        n = len(bounds)
-        total = 0.0
+        # array, in mask order: the all-upper corner is positive and
+        # each lower index flips the sign
+        n = len(dims)
+        total = np.zeros(len(los), dtype=np.float64)
         for mask in range(1 << n):
-            sign = 1
-            idx = []
-            for d in range(n):
-                if mask >> d & 1:
-                    idx.append(bounds[d][1])
-                else:
-                    idx.append(bounds[d][0])
-                    sign = -sign
-            total += sign * float(self._prefix[tuple(idx)])
-        return max(total, 0.0)
+            idx = tuple(
+                stop[:, d] if mask >> d & 1 else first[:, d]
+                for d in range(n)
+            )
+            if (n - bin(mask).count("1")) % 2:
+                total -= self._prefix[idx]
+            else:
+                total += self._prefix[idx]
+        total[(total < 0.0) | empty] = 0.0
+        return total
+
+
+#: bound on each ``(block, subscriptions)`` boolean scratch matrix of
+#: the candidate scoring
+_BLOCK_BYTES = 4 << 20
+
+
+def _member_sets(
+    los: np.ndarray,
+    his: np.ndarray,
+    sub_los_t: np.ndarray,
+    sub_his_t: np.ndarray,
+    owners: np.ndarray,
+    n_subscribers: int,
+) -> Tuple[np.ndarray, List[np.ndarray]]:
+    """Per candidate ``(los[r], his[r]]``: the sorted unique ids of the
+    subscribers owning a subscription that contains all of it, and
+    their number.  ``sub_los_t`` / ``sub_his_t`` are the ``(N, S)``
+    transposed subscription bounds."""
+    n = len(los)
+    inside = np.ones((n, sub_los_t.shape[1]), dtype=bool)
+    scratch = np.empty_like(inside)
+    # one broadcast compare per dimension and side, ANDed in place
+    for d in range(los.shape[1]):
+        np.less_equal(sub_los_t[d][None, :], los[:, d, None], out=scratch)
+        inside &= scratch
+        np.less_equal(his[:, d, None], sub_his_t[d][None, :], out=scratch)
+        inside &= scratch
+    rows, subs = np.nonzero(inside)
+    interested = np.zeros((n, n_subscribers), dtype=bool)
+    interested[rows, owners[subs]] = True
+    rows, ids = np.nonzero(interested)
+    counts = np.bincount(rows, minlength=n)
+    return counts, np.split(ids, np.cumsum(counts)[:-1])
 
 
 @dataclass
@@ -339,20 +384,27 @@ class NoLossAlgorithm:
         owners: np.ndarray,
         mass: LatticeBlockMass,
     ) -> Tuple[np.ndarray, np.ndarray, np.ndarray, List[np.ndarray]]:
-        """Weight every candidate and keep the heaviest, sorted by weight."""
-        weights = np.empty(len(los), dtype=np.float64)
+        """Weight every candidate and keep the heaviest, sorted by weight.
+
+        The member sets ``u(s)`` are found for blocks of candidates at
+        once, and the masses for all candidates in one call.
+        """
+        n_subscribers = int(owners.max()) + 1
+        block = max(1, _BLOCK_BYTES // max(len(owners), n_subscribers))
+        # one contiguous row of subscription bounds per dimension
+        sub_los_t = np.ascontiguousarray(sub_los.T)
+        sub_his_t = np.ascontiguousarray(sub_his.T)
+        sizes = np.empty(len(los), dtype=np.int64)
         members: List[np.ndarray] = []
-        for r in range(len(los)):
-            containing = np.all(
-                (sub_los <= los[r]) & (his[r] <= sub_his), axis=1
+        for start in range(0, len(los), block):
+            stop = min(len(los), start + block)
+            sizes[start:stop], ids = _member_sets(
+                los[start:stop], his[start:stop],
+                sub_los_t, sub_his_t, owners, n_subscribers,
             )
-            u = np.unique(owners[containing])
-            members.append(u)
-            if len(u) == 0:
-                weights[r] = 0.0
-                continue
-            rect = Rectangle.from_bounds(los[r], his[r])
-            weights[r] = mass.rectangle_mass(rect) * len(u)
+            members.extend(ids)
+        weights = mass.masses(los, his) * sizes
+        weights[sizes == 0] = 0.0
         order = np.argsort(-weights, kind="stable")
         positive = order[weights[order] > 0.0]
         if len(positive) == 0:

@@ -11,7 +11,10 @@
  *   - post-merge rows are computed in float64 (two products, one sum,
  *     each rounded once) and then cast to float32;
  *   - group-mass accumulation is sequential float64 adds in covered-cell
- *     order, matching np.bincount with weights.
+ *     order, matching np.bincount with weights;
+ *   - MacQueen distances are float64 p_c*(gs - s) + p_g*(cs - s), two
+ *     products and one sum, each rounded once, on exact integer
+ *     intersections.
  *
  * -ffp-contract=off matters: a fused multiply-add would skip the
  * intermediate rounding numpy performs and break bit-equality.
@@ -307,4 +310,119 @@ EXPORT void repro_pairwise_fit(
 
     counters[0] = n_merges;
     counters[1] = n_evals;
+}
+
+/* |cell ∩ group| for one pair of packed rows: a popcount, or with
+ * column weights (aggregate columns) the int64 sum of the weights of
+ * the shared bits.  Both are exact integers, equal to the float32
+ * matvec of 0/1 rows the numpy reference computes. */
+static inline int64_t weighted_and(
+    const uint64_t *a, const uint64_t *b, int64_t w, const int64_t *weights)
+{
+    if (weights == 0) {
+        return popcount_and(a, b, w);
+    }
+    int64_t acc = 0;
+    for (int64_t k = 0; k < w; ++k) {
+        uint64_t bits = a[k] & b[k];
+        while (bits) {
+            acc += weights[k * 64 + __builtin_ctzll(bits)];
+            bits &= bits - 1;
+        }
+    }
+    return acc;
+}
+
+/* MacQueen K-means: every sweep of KMeansClustering.fit in one call,
+ * move-for-move identical to the python loop.  Per visited cell the
+ * distance to group g is p_c*(gs_g - s) + p_g*(cs - s) in float64 (two
+ * products and one sum, each rounded once), the target is the first
+ * minimum, a cell that is the last of its group never moves, and a
+ * move applies probs[cur] -= p_c before probs[tgt] += p_c.  Group
+ * sizes are kept as exact integer sums (in float64) through the
+ * per-column member counts.
+ *
+ * All buffers are allocated by the caller:
+ *   cell_words  (m, w) uint64 packed cell rows
+ *   cell_probs  (m,) float64, cell_sizes (m,) float64
+ *   weights     (n_bits,) int64 column weights, or NULL (all ones)
+ *   counts      (k, n_bits) int32, mutated: members per group and column
+ *   group_words (k, w) uint64, mutated: bit set iff count > 0
+ *   group_sizes (k,) float64, probs (k,) float64, n_cells_in (k,) int64,
+ *   assignment  (m,) int64, all mutated
+ *   counters    (2,) int64 out: [iterations, distance_evals]
+ */
+EXPORT void repro_kmeans_sweeps(
+    const uint64_t *cell_words, int64_t m, int64_t w, int64_t n_bits,
+    const double *cell_probs, const double *cell_sizes,
+    const int64_t *weights,
+    int32_t *counts, uint64_t *group_words,
+    double *group_sizes, double *probs, int64_t *n_cells_in,
+    int64_t k, int64_t *assignment, int64_t max_iters,
+    int64_t *counters)
+{
+    int64_t iterations = max_iters;
+    int64_t evals = 0;
+    for (int64_t it = 1; it <= max_iters; ++it) {
+        int64_t moved = 0;
+        for (int64_t c = 0; c < m; ++c) {
+            int64_t cur = assignment[c];
+            if (n_cells_in[cur] <= 1) {
+                continue; /* last hyper-cell of group cannot move */
+            }
+            const uint64_t *cw = cell_words + c * w;
+            double pc = cell_probs[c];
+            double cs = cell_sizes[c];
+            int64_t best = 0;
+            double best_d = 0.0;
+            for (int64_t g = 0; g < k; ++g) {
+                double s = (double)weighted_and(
+                    cw, group_words + g * w, w, weights);
+                double a = pc * (group_sizes[g] - s);
+                double b = probs[g] * (cs - s);
+                double d = a + b;
+                if (g == 0 || d < best_d) {
+                    best = g;
+                    best_d = d;
+                }
+            }
+            evals += k;
+            if (best == cur) {
+                continue;
+            }
+            moved += 1;
+            assignment[c] = best;
+            int32_t *from = counts + cur * n_bits;
+            int32_t *to = counts + best * n_bits;
+            uint64_t *from_w = group_words + cur * w;
+            uint64_t *to_w = group_words + best * w;
+            for (int64_t t = 0; t < w; ++t) {
+                uint64_t bits = cw[t];
+                while (bits) {
+                    int bit = __builtin_ctzll(bits);
+                    int64_t j = t * 64 + bit;
+                    double wj = weights ? (double)weights[j] : 1.0;
+                    if (--from[j] == 0) {
+                        from_w[t] &= ~(1ULL << bit);
+                        group_sizes[cur] -= wj;
+                    }
+                    if (to[j]++ == 0) {
+                        to_w[t] |= 1ULL << bit;
+                        group_sizes[best] += wj;
+                    }
+                    bits &= bits - 1;
+                }
+            }
+            probs[cur] -= pc;
+            probs[best] += pc;
+            n_cells_in[cur] -= 1;
+            n_cells_in[best] += 1;
+        }
+        if (moved == 0) {
+            iterations = it;
+            break;
+        }
+    }
+    counters[0] = iterations;
+    counters[1] = evals;
 }

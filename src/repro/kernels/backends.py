@@ -11,7 +11,7 @@ kernels over packed bitsets (:mod:`repro.kernels.bitset`):
     A small C file shipped with the package, compiled on demand with the
     system C compiler and called through ctypes
     (:mod:`repro.kernels.native`).  Provides the fused agglomerative
-    ``pairwise_fit`` kernel.
+    ``pairwise_fit`` and MacQueen ``kmeans_sweeps`` kernels.
 
 Selection happens lazily at first use: ``REPRO_KERNEL_BACKEND`` names a
 backend or ``auto`` (the default), which prefers ``native``, then
@@ -146,6 +146,11 @@ class NumpyBackend:
 
     def pairwise_fit(self, packed, probs, n_groups):
         """No fused merge loop in numpy — callers run the python loop."""
+        return None
+
+    def kmeans_sweeps(self, *args):
+        """No fused MacQueen sweeps in numpy — callers run the python
+        loop."""
         return None
 
 

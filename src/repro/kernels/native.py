@@ -119,6 +119,11 @@ class NativeBackend:
             ptr, i64, i64, ptr, i64, ptr, ptr, ptr, ptr, ptr, ptr, ptr,
         ]
         lib.repro_pairwise_fit.restype = None
+        lib.repro_kmeans_sweeps.argtypes = [
+            ptr, i64, i64, i64, ptr, ptr, ptr, ptr, ptr, ptr, ptr, ptr,
+            i64, ptr, i64, ptr,
+        ]
+        lib.repro_kmeans_sweeps.restype = None
 
     # ------------------------------------------------------------------
     def popcount_rows(self, words: np.ndarray) -> np.ndarray:
@@ -232,6 +237,55 @@ class NativeBackend:
             _ptr(nn_idx), _ptr(nn_dist), _ptr(counters),
         )
         return parent, int(counters[0]), int(counters[1])
+
+
+    def kmeans_sweeps(
+        self,
+        packed: PackedBits,
+        cell_probs: np.ndarray,
+        cell_sizes: np.ndarray,
+        weights: Optional[np.ndarray],
+        counts: np.ndarray,
+        group_words: np.ndarray,
+        group_sizes: np.ndarray,
+        probs: np.ndarray,
+        n_cells_in: np.ndarray,
+        assignment: np.ndarray,
+        max_iters: int,
+    ):
+        """Every MacQueen sweep in one call; returns ``(iterations,
+        distance_evals)``.
+
+        ``assignment`` and the group state (``counts``, ``group_words``,
+        ``group_sizes``, ``probs``, ``n_cells_in``) are updated in
+        place, so they must already be C-contiguous arrays of the
+        kernel's dtypes.
+        """
+        for array, dtype in (
+            (counts, np.int32), (group_words, np.uint64),
+            (group_sizes, np.float64), (probs, np.float64),
+            (n_cells_in, np.int64), (assignment, np.int64),
+        ):
+            if array.dtype != dtype or not array.flags.c_contiguous:
+                raise ValueError(
+                    f"in-place state must be C-contiguous {np.dtype(dtype)}"
+                )
+        words = packed.words
+        m, w = words.shape
+        cell_probs = np.ascontiguousarray(cell_probs, dtype=np.float64)
+        cell_sizes = np.ascontiguousarray(cell_sizes, dtype=np.float64)
+        if weights is not None:
+            weights = np.ascontiguousarray(weights, dtype=np.int64)
+        counters = np.zeros(2, dtype=np.int64)
+        self._lib.repro_kmeans_sweeps(
+            _ptr(words), m, w, packed.n_bits,
+            _ptr(cell_probs), _ptr(cell_sizes),
+            None if weights is None else _ptr(weights),
+            _ptr(counts), _ptr(group_words), _ptr(group_sizes),
+            _ptr(probs), _ptr(n_cells_in), len(probs),
+            _ptr(assignment), int(max_iters), _ptr(counters),
+        )
+        return int(counters[0]), int(counters[1])
 
 
 def load_native_backend() -> Optional[NativeBackend]:

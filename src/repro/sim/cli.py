@@ -56,8 +56,9 @@ from __future__ import annotations
 import argparse
 import sys
 import time
-from typing import List, Optional, Sequence
+from typing import Callable, List, Optional, Sequence, Tuple
 
+from ..delivery import SCHEMES
 from ..obs import (
     RunManifest,
     aggregate_spans,
@@ -68,6 +69,7 @@ from ..obs import (
     get_tracer,
     write_jsonl,
 )
+from .experiment import GRID_ALGORITHMS
 from .figures import figure7, figure8, figure9, figure10, figure11, format_results
 from .parallel import default_workers
 from .report import chart_improvement, phase_table, results_to_rows, rows_to_csv
@@ -102,6 +104,37 @@ def _positive_int_list(text: str) -> List[int]:
                 f"every entry must be at least 1, got {value}"
             )
     return values
+
+
+def _non_negative_int_list(text: str) -> List[int]:
+    """Comma-separated counts, each at least 0 (e.g. ``fig8 --iters``)."""
+    values = _int_list(text)
+    for value in values:
+        if value < 0:
+            raise argparse.ArgumentTypeError(
+                f"every entry must be non-negative, got {value}"
+            )
+    return values
+
+
+def _name_list(known: Sequence[str]) -> Callable[[str], Tuple[str, ...]]:
+    """A parser of comma-separated names, each one of ``known``."""
+
+    def parse(text: str) -> Tuple[str, ...]:
+        names = tuple(part for part in text.split(",") if part)
+        unknown = [name for name in names if name not in known]
+        if unknown or not names:
+            problem = (
+                f"unknown name(s) {', '.join(map(repr, unknown))}"
+                if unknown else "no names given"
+            )
+            raise argparse.ArgumentTypeError(
+                f"{problem}; expected a comma-separated list of "
+                f"{', '.join(known)}"
+            )
+        return names
+
+    return parse
 
 
 def _slo_objectives(spec: str, parser: argparse.ArgumentParser) -> list:
@@ -252,6 +285,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--groups", type=_positive_int_list, default=[10, 40, 100])
     p.add_argument(
         "--algorithms",
+        type=_name_list(GRID_ALGORITHMS),
         default="kmeans,forgy,mst,pairs",
         help="comma-separated algorithm names",
     )
@@ -267,7 +301,9 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument(
         "--keeps", type=_positive_int_list, default=[250, 500, 1000, 2000]
     )
-    p.add_argument("--iters", type=_int_list, default=[0, 1, 2, 4, 8])
+    p.add_argument(
+        "--iters", type=_non_negative_int_list, default=[0, 1, 2, 4, 8]
+    )
     p.add_argument("--groups", type=_positive_int, default=60)
     p.add_argument("--events", type=_positive_int, default=150)
     p.add_argument("--seed", type=int, default=0)
@@ -297,15 +333,16 @@ def build_parser() -> argparse.ArgumentParser:
         parents=[obs, pool, slo_flags, agg_flags, backend_flags],
     )
     p.add_argument("--modes", type=int, choices=(1, 4, 9), default=1)
-    p.add_argument("--subs", type=int, default=1000,
+    p.add_argument("--subs", type=_positive_int, default=1000,
                    help="number of subscriptions in the scenario")
     p.add_argument("--groups", type=_positive_int_list, default=[10, 40, 100])
     p.add_argument(
         "--algorithms",
+        type=_name_list(GRID_ALGORITHMS),
         default="kmeans,forgy,mst,pairs",
         help="comma-separated algorithm names",
     )
-    p.add_argument("--schemes", default="dense",
+    p.add_argument("--schemes", type=_name_list(SCHEMES), default="dense",
                    help="comma-separated delivery schemes")
     p.add_argument("--max-cells", type=_positive_int, default=None,
                    help="hyper-cell budget for every algorithm "
@@ -528,7 +565,7 @@ def _run_command(
         backend = args.multicast_backend
         results = figure7(
             group_counts=args.groups,
-            algorithms=tuple(args.algorithms.split(",")),
+            algorithms=args.algorithms,
             schemes=(backend,) if backend else ("dense", "alm"),
             modes=args.modes,
             n_events=args.events,
@@ -693,11 +730,11 @@ def _run_sweep(
         engine = SloEngine(_slo_objectives(args.slo, parser))
         print(slo_table(engine.summary(), title="SLO objectives (spec)"))
         print()
-    algorithms = tuple(a for a in args.algorithms.split(",") if a)
+    algorithms = args.algorithms
     if args.multicast_backend:
         schemes = (args.multicast_backend,)
     else:
-        schemes = tuple(s for s in args.schemes.split(",") if s)
+        schemes = args.schemes
     if args.max_cells is not None:
         budgets = {name: args.max_cells for name in algorithms}
     else:

@@ -38,3 +38,114 @@ def locate(space, point):
 def publish_one(broker, point, publisher):
     """Reference: publish one event on its own, as a one-event batch."""
     return broker.publish_batch([point], [publisher])[0]
+
+
+def observed_fit(algorithm, cells, n_groups):
+    """Fit under a fresh tracer and registry: ``(clustering, fit span
+    attributes, distance evaluations counted)``."""
+    from repro.obs import (
+        MetricsRegistry,
+        Tracer,
+        get_registry,
+        get_tracer,
+        set_registry,
+        set_tracer,
+    )
+
+    saved = get_tracer(), get_registry()
+    tracer = set_tracer(Tracer(enabled=True))
+    registry = set_registry(MetricsRegistry())
+    try:
+        clustering = algorithm.fit(cells, n_groups)
+    finally:
+        set_tracer(saved[0])
+        set_registry(saved[1])
+    attrs = {}
+    for span in tracer.spans():
+        if span.name == "clustering.fit":
+            attrs = dict(span.attrs)
+    evals = registry.counter("clustering_distance_evals_total").value
+    return clustering, attrs, evals
+
+
+def mst_reference(cells, n_groups):
+    """Reference MST fit: Kruskal over a stable sort of every edge.
+
+    Returns ``(dense assignment, edges scanned)``.
+    """
+    from repro.clustering import pairwise_waste_matrix
+    from repro.network import UnionFind
+
+    m = len(cells)
+    if n_groups >= m:
+        return np.arange(m, dtype=np.int64), 0
+    distances = pairwise_waste_matrix(
+        cells.membership, cells.probs, weights=cells.weights
+    ).astype(np.float32)
+    rows, cols = np.triu_indices(m, k=1)
+    order = np.argsort(distances[rows, cols], kind="stable")
+    components = UnionFind(m)
+    scanned = 0
+    for edge in order:
+        if components.components <= n_groups:
+            break
+        scanned += 1
+        components.union(int(rows[edge]), int(cols[edge]))
+    roots = np.array([components.find(i) for i in range(m)])
+    _, dense = np.unique(roots, return_inverse=True)
+    return dense.reshape(-1), scanned
+
+
+def rectangle_mass(mass, rectangle):
+    """Reference: the block mass of one rectangle, one inclusion-exclusion
+    term at a time (corners in mask order)."""
+    import math
+
+    bounds = []
+    for dim, side in zip(mass.space.dimensions, rectangle.sides):
+        if side.is_empty:
+            return 0.0
+        first = max(int(math.ceil(side.lo - dim.lo + 1.0 - 1e-9)), 0)
+        last = min(int(math.floor(side.hi - dim.lo + 1e-9)), dim.n_cells - 1)
+        if last < first:
+            return 0.0
+        bounds.append((first, last + 1))
+    n = len(bounds)
+    total = 0.0
+    for mask in range(1 << n):
+        sign = 1
+        idx = []
+        for d in range(n):
+            if mask >> d & 1:
+                idx.append(bounds[d][1])
+            else:
+                idx.append(bounds[d][0])
+                sign = -sign
+        total += sign * float(mass._prefix[tuple(idx)])
+    return max(total, 0.0)
+
+
+def noloss_score_reference(algorithm, los, his, subscriptions, mass):
+    """Reference No-Loss scoring: one candidate at a time.
+
+    Returns what ``NoLossAlgorithm._score`` returns: the kept candidates'
+    bounds, weights and member sets, heaviest first.
+    """
+    sub_los, sub_his = subscriptions.bounds()
+    owners = np.array(
+        [s.subscriber for s in subscriptions.subscriptions], dtype=np.int64
+    )
+    weights = np.empty(len(los), dtype=np.float64)
+    members = []
+    for r in range(len(los)):
+        containing = np.all((sub_los <= los[r]) & (his[r] <= sub_his), axis=1)
+        u = np.unique(owners[containing])
+        members.append(u)
+        if len(u) == 0:
+            weights[r] = 0.0
+            continue
+        rect = Rectangle.from_bounds(los[r], his[r])
+        weights[r] = rectangle_mass(mass, rect) * len(u)
+    order = np.argsort(-weights, kind="stable")
+    keep = order[weights[order] > 0.0][: algorithm.n_keep]
+    return los[keep], his[keep], weights[keep], [members[i] for i in keep]

@@ -198,8 +198,8 @@ class TestSweepCommand:
         args = build_parser().parse_args(["sweep"])
         assert args.workers == 1
         assert args.subs == 1000
-        assert args.algorithms == "kmeans,forgy,mst,pairs"
-        assert args.schemes == "dense"
+        assert args.algorithms == ("kmeans", "forgy", "mst", "pairs")
+        assert args.schemes == ("dense",)
         assert args.noloss is False
         assert args.max_cells is None
 
@@ -368,6 +368,19 @@ class TestServeCommand:
         (["sweep", "--groups", "0"], "--groups"),
         (["fig7", "--groups", "10,0"], "--groups"),
         (["chaos", "--groups", "0"], "--groups"),
+        (["sweep", "--subs", "0"], "argument --subs: must be at least 1"),
+        (["sweep", "--algorithms", "kmeans,bogus"],
+         "argument --algorithms: unknown name(s) 'bogus'; expected a "
+         "comma-separated list of kmeans, forgy, mst, pairs, approx-pairs"),
+        (["fig7", "--algorithms", "bogus"],
+         "argument --algorithms: unknown name(s) 'bogus'"),
+        (["sweep", "--algorithms", ","],
+         "argument --algorithms: no names given"),
+        (["sweep", "--schemes", "dense,bogus"],
+         "argument --schemes: unknown name(s) 'bogus'; expected a "
+         "comma-separated list of dense, alm, sparse, overlay"),
+        (["fig8", "--iters", "0,-1"],
+         "argument --iters: every entry must be non-negative, got -1"),
     ],
 )
 def test_malformed_input_exits_2_without_traceback(argv, message, capsys):

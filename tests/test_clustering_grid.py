@@ -13,10 +13,11 @@ from repro.clustering import (
     expected_waste,
     pairwise_waste_matrix,
 )
+from repro.clustering import mst
 from repro.geometry import Dimension, EventSpace
-from repro.grid import build_cell_set
+from repro.grid import CellSet, build_cell_set, cell_set_from_membership
 
-from tests.helpers import make_subscription_set
+from tests.helpers import make_subscription_set, mst_reference, observed_fit
 
 ALL_ALGORITHMS = [
     KMeansClustering,
@@ -233,6 +234,69 @@ class TestMSTSpecifics:
                 parents = {int(prev.assignment[c]) for c in members}
                 assert len(parents) == 1
             prev = nxt
+
+
+def _tied_cells(seed, m, n_bits=12, weighted=False):
+    """A cell set whose rows and probabilities repeat, so many edge
+    lengths tie (duplicated rows are zero-length edges)."""
+    rng = np.random.default_rng(seed)
+    base = rng.random((max(2, m // 3), n_bits)) < 0.3
+    membership = base[rng.integers(0, len(base), size=m)]
+    probs = rng.choice([0.01, 0.02, 0.05], size=m)
+    space = EventSpace([Dimension("x", 0, m - 1)])
+    weights = rng.integers(1, 4, size=n_bits) if weighted else None
+    return CellSet(
+        space=space,
+        membership=membership,
+        probs=probs,
+        cell_ids=[np.array([i]) for i in range(m)],
+        hypercell_of_cell=np.arange(m, dtype=np.int32),
+        weights=weights,
+    )
+
+
+def _random_cells(seed):
+    rng = np.random.default_rng(seed)
+    space = EventSpace([Dimension("x", 0, 11), Dimension("y", 0, 11)])
+    membership = rng.random((space.n_cells, 40)) < 0.2
+    membership[0] = True
+    pmf = rng.random(space.n_cells)
+    return cell_set_from_membership(space, membership, pmf / pmf.sum())
+
+
+class TestMSTBandScan:
+    """The prefix-band Kruskal scan against a stable sort of every edge:
+    same assignment, same number of edges scanned."""
+
+    @pytest.mark.parametrize(
+        "make, k",
+        [
+            (lambda: _tied_cells(1, 60), 1),
+            (lambda: _tied_cells(0, 60), 59),
+            (lambda: _tied_cells(2, 80), 7),
+            (lambda: _tied_cells(3, 50, weighted=True), 5),
+            (lambda: _random_cells(4), 1),
+            (lambda: _random_cells(5), 10),
+        ],
+        ids=["ties-k1", "ties-k-m-1", "ties-k7", "ties-weighted",
+             "random-k1", "random-k10"],
+    )
+    def test_matches_full_stable_sort(self, make, k):
+        cells = make()
+        expected, scanned = mst_reference(cells, k)
+        clustering, attrs, _ = observed_fit(mst.MSTClustering(), cells, k)
+        assert np.array_equal(clustering.assignment, expected)
+        assert attrs["edges_scanned"] == scanned
+
+    @pytest.mark.parametrize(
+        "make", [lambda: _tied_cells(1, 60), lambda: _random_cells(4)],
+        ids=["ties", "random"],
+    )
+    def test_first_band_cannot_finish(self, make):
+        """The K = 1 cases above need edges past the first band."""
+        cells = make()
+        _, scanned = mst_reference(cells, 1)
+        assert scanned > mst._FIRST_BAND_PER_CELL * len(cells)
 
 
 class TestPairwiseSpecifics:

@@ -16,8 +16,9 @@ from hypothesis import strategies as st
 
 from repro.broker import BrokerConfig, ContentBroker
 from repro.clustering import Clustering, pairwise_waste_matrix
+from repro.clustering.kmeans import KMeansClustering
 from repro.clustering.pairwise import PairwiseGroupingClustering
-from repro.geometry import Rectangle
+from repro.geometry import Dimension, EventSpace, Rectangle
 from repro.grid import cell_set_from_membership
 from repro.kernels import (
     KERNEL_BACKEND_ENV,
@@ -37,6 +38,8 @@ from repro.kernels import backends as _backends
 from repro.network import RoutingTables
 from repro.online import ClusterMaintainer
 from repro.workload import MixturePublicationModel, single_mode_mixture
+
+from tests.helpers import observed_fit
 
 
 @pytest.fixture(autouse=True)
@@ -336,6 +339,82 @@ class TestFusedPairwiseFit:
             )
 
 
+def _kmeans_cells(seed, n_bits, density=0.15, weighted=False, uniform=False):
+    """A cell set on a 20x20 grid; ``uniform`` pmf with few columns
+    makes many exact distance ties."""
+    rng = np.random.default_rng(seed)
+    space = EventSpace([Dimension("x", 0, 19), Dimension("y", 0, 19)])
+    membership = _random_membership(rng, space.n_cells, n_bits, density)
+    membership[0] = True
+    if uniform:
+        pmf = np.full(space.n_cells, 1.0 / space.n_cells)
+    else:
+        pmf = rng.random(space.n_cells)
+        pmf /= pmf.sum()
+    weights = rng.integers(1, 6, size=n_bits) if weighted else None
+    return cell_set_from_membership(space, membership, pmf, weights=weights)
+
+
+def _lonely_warm_start(cells):
+    """Group 0 holds only the cell least like the rest; everything
+    else starts in group 1, so group 0's last cell must stay put."""
+    sizes = cells.sizes
+    warm = np.ones(len(cells), dtype=np.int64)
+    warm[int(np.argmin(sizes))] = 0
+    return warm
+
+
+#: (name, cell-set kwargs, n_groups, max_iters, warm start)
+_KMEANS_CASES = [
+    ("random", dict(seed=1, n_bits=90), 12, 100, None),
+    ("random-one-sweep", dict(seed=2, n_bits=130), 30, 1, None),
+    ("ragged-words", dict(seed=3, n_bits=64), 7, 100, None),
+    ("weighted", dict(seed=4, n_bits=70, weighted=True), 15, 100, None),
+    ("weighted-one-sweep", dict(seed=5, n_bits=200, weighted=True), 9, 1,
+     None),
+    ("ties", dict(seed=6, n_bits=6, density=0.4, uniform=True), 4, 100,
+     None),
+    ("warm-start", dict(seed=7, n_bits=80), 10, 100, "random"),
+    ("last-cell-stays", dict(seed=8, n_bits=50), 2, 100, "lonely"),
+]
+
+
+class TestFusedKMeansSweeps:
+    """Every backend's MacQueen sweeps against the python loop
+    (NumpyBackend.kmeans_sweeps is None, so numpy runs the loop)."""
+
+    @pytest.mark.parametrize(
+        "case", _KMEANS_CASES, ids=[case[0] for case in _KMEANS_CASES]
+    )
+    def test_sweeps_identical_to_python_loop(self, backend, case):
+        _, cell_kwargs, n_groups, max_iters, warm = case
+        cells = _kmeans_cells(**cell_kwargs)
+        assert len(cells) > n_groups
+        if warm == "random":
+            warm = np.random.default_rng(0).integers(0, n_groups, len(cells))
+        elif warm == "lonely":
+            warm = _lonely_warm_start(cells)
+
+        def run(name):
+            set_backend(name)
+            algorithm = KMeansClustering(
+                max_iters=max_iters, initial_assignment=warm
+            )
+            clustering, attrs, evals = observed_fit(
+                algorithm, cells, n_groups
+            )
+            return clustering.assignment, algorithm.n_iterations_, attrs, evals
+
+        reference = run("numpy")
+        got = run(backend.name)
+        assert np.array_equal(got[0], reference[0])
+        assert got[1:] == reference[1:]
+        if max_iters == 1:
+            assert got[1] == 1
+        if warm is not None and n_groups == 2:
+            assert len(np.unique(got[0])) == 2
+
+
 # ----------------------------------------------------------------------
 # backend selection semantics
 # ----------------------------------------------------------------------
@@ -385,6 +464,7 @@ class TestBackendSelection:
         backend = NumpyBackend()
         assert backend.compiled is False
         assert backend.pairwise_fit(None, None, 1) is None
+        assert backend.kmeans_sweeps() is None
 
 
 # ----------------------------------------------------------------------

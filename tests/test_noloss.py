@@ -3,10 +3,22 @@
 import numpy as np
 import pytest
 
-from repro.clustering import LatticeBlockMass, NoLossAlgorithm
+from repro.clustering import LatticeBlockMass, NoLossAlgorithm, noloss
 from repro.geometry import Dimension, EventSpace, Interval, Rectangle
 
-from tests.helpers import locate, make_subscription_set
+from tests.helpers import (
+    locate,
+    make_subscription_set,
+    noloss_score_reference,
+    rectangle_mass,
+)
+
+
+def block_mass(mass, rectangle):
+    """One rectangle's mass through the batched call."""
+    los = [[side.lo for side in rectangle.sides]]
+    his = [[side.hi for side in rectangle.sides]]
+    return float(mass.masses(los, his)[0])
 
 
 @pytest.fixture(scope="module")
@@ -38,7 +50,7 @@ def uniform_pmf(space):
 class TestLatticeBlockMass:
     def test_whole_domain_mass_one(self, space, uniform_pmf):
         mass = LatticeBlockMass(space, uniform_pmf)
-        assert mass.rectangle_mass(space.domain()) == pytest.approx(1.0)
+        assert block_mass(mass, space.domain()) == pytest.approx(1.0)
 
     def test_matches_explicit_sum(self, space, uniform_pmf, rng):
         """Inclusion-exclusion equals a brute per-cell containment sum."""
@@ -52,18 +64,18 @@ class TestLatticeBlockMass:
                 for c in range(space.n_cells)
                 if rect.contains_rectangle(space.cell_rectangle(c))
             )
-            assert mass.rectangle_mass(rect) == pytest.approx(expected)
+            assert block_mass(mass, rect) == pytest.approx(expected)
 
     def test_partial_cells_excluded(self, space, uniform_pmf):
         """Cells only partly inside contribute nothing (no-loss rule)."""
         mass = LatticeBlockMass(space, uniform_pmf)
         # (0.5, 2.5] x (-1, 7] fully contains only the x-cell (1,2] => x=2
         rect = Rectangle.from_bounds((0.5, -1), (2.5, 7))
-        assert mass.rectangle_mass(rect) == pytest.approx(8 / 64)
+        assert block_mass(mass, rect) == pytest.approx(8 / 64)
 
     def test_empty_rectangle(self, space, uniform_pmf):
         mass = LatticeBlockMass(space, uniform_pmf)
-        assert mass.rectangle_mass(Rectangle.empty(2)) == 0.0
+        assert block_mass(mass, Rectangle.empty(2)) == 0.0
 
     def test_nonuniform_pmf(self, space):
         pmf = np.zeros(space.n_cells)
@@ -71,11 +83,38 @@ class TestLatticeBlockMass:
         pmf[locate(space, (6, 6))] = 0.25
         mass = LatticeBlockMass(space, pmf)
         around_33 = Rectangle.from_bounds((2, 2), (4, 4))
-        assert mass.rectangle_mass(around_33) == pytest.approx(0.75)
+        assert block_mass(mass, around_33) == pytest.approx(0.75)
 
     def test_shape_validation(self, space):
         with pytest.raises(ValueError):
             LatticeBlockMass(space, np.ones(5))
+
+    def test_unbounded_sides_clip_to_the_domain(self, space, uniform_pmf):
+        mass = LatticeBlockMass(space, uniform_pmf)
+        masses = mass.masses(
+            [[-np.inf, -np.inf], [3.0, -np.inf]], [[np.inf, np.inf], [np.inf, 1.0]]
+        )
+        assert masses[0] == pytest.approx(1.0)
+        assert masses[1] == pytest.approx(4 * 2 / 64)
+
+    def test_batch_bit_identical_to_one_at_a_time(self, rng):
+        """Every batched mass equals the per-rectangle inclusion-exclusion
+        (corners in mask order) bit for bit, empty rectangles included."""
+        space = EventSpace(
+            [Dimension(name, 0, 6) for name in ("a", "b", "c", "d")]
+        )
+        pmf = rng.random(space.n_cells) ** 3
+        pmf /= pmf.sum()
+        mass = LatticeBlockMass(space, pmf)
+        los = rng.uniform(-2, 7, size=(400, 4))
+        his = los + rng.uniform(-0.5, 6, size=(400, 4))
+        got = mass.masses(los, his)
+        expected = [
+            rectangle_mass(mass, Rectangle.from_bounds(lo, hi))
+            for lo, hi in zip(los, his)
+        ]
+        assert (got == 0.0).any() and (got > 0.0).any()
+        assert got.tobytes() == np.array(expected).tobytes()
 
 
 class TestNoLossAlgorithm:
@@ -120,7 +159,7 @@ class TestNoLossAlgorithm:
         result = self.fit(subs, uniform_pmf, 10)
         mass = LatticeBlockMass(space, uniform_pmf)
         for r in range(len(result)):
-            expected = mass.rectangle_mass(result.rectangle(r)) * len(
+            expected = block_mass(mass, result.rectangle(r)) * len(
                 result.members[r]
             )
             assert result.weights[r] == pytest.approx(expected)
@@ -195,3 +234,65 @@ class TestNoLossAlgorithm:
     def test_n_keep_truncates(self, subs, uniform_pmf):
         result = self.fit(subs, uniform_pmf, 100, n_keep=5)
         assert len(result) <= 5
+
+
+def _scoring_case(seed):
+    """Subscriptions (some with unbounded sides) on a 3-d lattice whose
+    pmf is zero on half the cells, and candidate regions: some empty,
+    some in the zero-mass half, some matched by nobody."""
+    rng = np.random.default_rng(seed)
+    space = EventSpace([Dimension(name, 0, 7) for name in ("x", "y", "z")])
+    specs = []
+    for k in range(60):
+        lo = rng.uniform(-1, 5, size=3)
+        hi = lo + rng.uniform(0.5, 5, size=3)
+        lo[rng.random(3) < 0.15] = -np.inf
+        hi[rng.random(3) < 0.15] = np.inf
+        specs.append((int(rng.integers(0, 40)), list(zip(lo, hi))))
+    subs = make_subscription_set(space, specs)
+    pmf = rng.random(space.n_cells) ** 2
+    pmf[space.n_cells // 2:] = 0.0
+    pmf /= pmf.sum()
+    los = rng.uniform(-1, 6, size=(700, 3))
+    his = los + rng.uniform(-0.3, 4, size=(700, 3))
+    return space, subs, pmf, los, his
+
+
+class TestBatchedScoring:
+    """``NoLossAlgorithm._score`` against the per-candidate loop."""
+
+    @pytest.mark.parametrize("seed", [0, 1, 2])
+    @pytest.mark.parametrize("block_bytes", [None, 3000])
+    def test_score_identical_to_per_candidate_loop(
+        self, seed, block_bytes, monkeypatch
+    ):
+        if block_bytes is not None:  # several blocks, a ragged last one
+            monkeypatch.setattr(noloss, "_BLOCK_BYTES", block_bytes)
+        space, subs, pmf, los, his = _scoring_case(seed)
+        mass = LatticeBlockMass(space, pmf)
+        algorithm = NoLossAlgorithm(n_keep=500)
+        sub_los, sub_his = subs.bounds()
+        owners = np.array(
+            [s.subscriber for s in subs.subscriptions], dtype=np.int64
+        )
+        got = algorithm._score(los, his, sub_los, sub_his, owners, mass)
+        expected = noloss_score_reference(algorithm, los, his, subs, mass)
+        assert got[0].tobytes() == expected[0].tobytes()
+        assert got[1].tobytes() == expected[1].tobytes()
+        assert got[2].tobytes() == expected[2].tobytes()
+        assert len(got[3]) == len(expected[3])
+        for ours, theirs in zip(got[3], expected[3]):
+            assert ours.dtype == theirs.dtype
+            assert np.array_equal(ours, theirs)
+
+    def test_case_has_zero_weight_candidates(self):
+        """The case above exercises the zero-mass and no-member paths."""
+        space, subs, pmf, los, his = _scoring_case(0)
+        mass = LatticeBlockMass(space, pmf)
+        masses = mass.masses(los, his)
+        assert (masses == 0.0).sum() > 50
+        assert np.any(np.isinf(subs.bounds()[0]))
+        kept = noloss_score_reference(
+            NoLossAlgorithm(n_keep=10**6), los, his, subs, mass
+        )
+        assert 0 < len(kept[2]) < len(los)
