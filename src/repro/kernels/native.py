@@ -238,7 +238,6 @@ class NativeBackend:
         )
         return parent, int(counters[0]), int(counters[1])
 
-
     def kmeans_sweeps(
         self,
         packed: PackedBits,
@@ -259,30 +258,45 @@ class NativeBackend:
         ``assignment`` and the group state (``counts``, ``group_words``,
         ``group_sizes``, ``probs``, ``n_cells_in``) are updated in
         place, so they must already be C-contiguous arrays of the
-        kernel's dtypes.
+        kernel's dtypes and shapes.
         """
-        for array, dtype in (
-            (counts, np.int32), (group_words, np.uint64),
-            (group_sizes, np.float64), (probs, np.float64),
-            (n_cells_in, np.int64), (assignment, np.int64),
-        ):
-            if array.dtype != dtype or not array.flags.c_contiguous:
-                raise ValueError(
-                    f"in-place state must be C-contiguous {np.dtype(dtype)}"
-                )
         words = packed.words
         m, w = words.shape
+        k = len(probs)
+        for array, dtype, shape in (
+            (counts, np.int32, (k, packed.n_bits)),
+            (group_words, np.uint64, (k, w)),
+            (group_sizes, np.float64, (k,)),
+            (probs, np.float64, (k,)),
+            (n_cells_in, np.int64, (k,)),
+            (assignment, np.int64, (m,)),
+        ):
+            if (
+                array.dtype != dtype
+                or array.shape != shape
+                or not array.flags.c_contiguous
+            ):
+                raise ValueError(
+                    f"in-place state must be C-contiguous "
+                    f"{np.dtype(dtype)} of shape {shape}"
+                )
+        if m and not 0 <= assignment.min() <= assignment.max() < k:
+            raise ValueError("assignment labels must lie in [0, n_groups)")
         cell_probs = np.ascontiguousarray(cell_probs, dtype=np.float64)
         cell_sizes = np.ascontiguousarray(cell_sizes, dtype=np.float64)
+        if cell_probs.shape != (m,) or cell_sizes.shape != (m,):
+            raise ValueError("cell probabilities and sizes need one per row")
         if weights is not None:
             weights = np.ascontiguousarray(weights, dtype=np.int64)
+            if weights.shape != (packed.n_bits,):
+                raise ValueError("weights need one entry per column")
         counters = np.zeros(2, dtype=np.int64)
         self._lib.repro_kmeans_sweeps(
             _ptr(words), m, w, packed.n_bits,
             _ptr(cell_probs), _ptr(cell_sizes),
             None if weights is None else _ptr(weights),
             _ptr(counts), _ptr(group_words), _ptr(group_sizes),
-            _ptr(probs), _ptr(n_cells_in), len(probs),
+            _ptr(probs), _ptr(n_cells_in), k,
             _ptr(assignment), int(max_iters), _ptr(counters),
         )
         return int(counters[0]), int(counters[1])

@@ -414,6 +414,31 @@ class TestFusedKMeansSweeps:
         if warm is not None and n_groups == 2:
             assert len(np.unique(got[0])) == 2
 
+    def test_native_rejects_state_it_cannot_update_in_place(self):
+        if "native" not in available_backends():
+            pytest.skip("no C compiler")
+        native = set_backend("native")
+        cells = _kmeans_cells(seed=1, n_bits=90)
+        m, k, w = len(cells), 3, cells.packed.n_words
+        state = dict(
+            counts=np.zeros((k, cells.n_subscribers), dtype=np.int32),
+            group_words=np.zeros((k, w), dtype=np.uint64),
+            group_sizes=np.zeros(k),
+            probs=np.zeros(k),
+            n_cells_in=np.ones(k, dtype=np.int64),
+            assignment=np.arange(m, dtype=np.int64) % k,
+        )
+        for name, bad in (
+            ("counts", state["counts"].astype(np.int64)),
+            ("group_words", state["group_words"][:, :-1]),
+            ("assignment", state["assignment"] + k),
+        ):
+            with pytest.raises(ValueError):
+                native.kmeans_sweeps(
+                    cells.packed, cells.probs, cells.sizes, None,
+                    **{**state, name: bad}, max_iters=1,
+                )
+
 
 # ----------------------------------------------------------------------
 # backend selection semantics
