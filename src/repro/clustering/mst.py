@@ -68,17 +68,16 @@ class MSTClustering(GridClusteringAlgorithm):
 
             components = UnionFind(m)
             edges_scanned = 0
-            done = None  # every edge no longer than this is scanned
+            done = -np.inf  # every edge no longer than this is scanned
             size = min(n_edges, _FIRST_BAND_PER_CELL * m)
             while components.components > n_groups:
                 # the size-th shortest length bounds the band; ties
                 # beyond it ride along in edge-index order
                 lengths.partition(size - 1)
                 threshold = lengths[size - 1]
-                in_band = upper & (distances <= threshold)
-                if done is not None:
-                    in_band &= distances > done
-                rows, cols = np.nonzero(in_band)
+                rows, cols = np.nonzero(
+                    upper & (distances <= threshold) & (distances > done)
+                )
                 order = np.argsort(distances[rows, cols], kind="stable")
                 for a, b in zip(rows[order].tolist(), cols[order].tolist()):
                     if components.components <= n_groups:

@@ -404,7 +404,6 @@ class NoLossAlgorithm:
             )
             members.extend(ids)
         weights = mass.masses(los, his) * sizes
-        weights[sizes == 0] = 0.0
         order = np.argsort(-weights, kind="stable")
         positive = order[weights[order] > 0.0]
         if len(positive) == 0:
