@@ -96,6 +96,13 @@ def mst_reference(cells, n_groups):
     return dense.reshape(-1), scanned
 
 
+def block_mass(mass, rectangle):
+    """One rectangle's mass through the batched ``masses`` call."""
+    los = [[side.lo for side in rectangle.sides]]
+    his = [[side.hi for side in rectangle.sides]]
+    return float(mass.masses(los, his)[0])
+
+
 def rectangle_mass(mass, rectangle):
     """Reference: the block mass of one rectangle, one inclusion-exclusion
     term at a time (corners in mask order)."""

@@ -284,7 +284,7 @@ class TestMSTBandScan:
     def test_matches_full_stable_sort(self, make, k):
         cells = make()
         expected, scanned = mst_reference(cells, k)
-        clustering, attrs, _ = observed_fit(mst.MSTClustering(), cells, k)
+        clustering, attrs, _ = observed_fit(MSTClustering(), cells, k)
         assert np.array_equal(clustering.assignment, expected)
         assert attrs["edges_scanned"] == scanned
 

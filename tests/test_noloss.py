@@ -7,18 +7,12 @@ from repro.clustering import LatticeBlockMass, NoLossAlgorithm, noloss
 from repro.geometry import Dimension, EventSpace, Interval, Rectangle
 
 from tests.helpers import (
+    block_mass,
     locate,
     make_subscription_set,
     noloss_score_reference,
     rectangle_mass,
 )
-
-
-def block_mass(mass, rectangle):
-    """One rectangle's mass through the batched call."""
-    los = [[side.lo for side in rectangle.sides]]
-    his = [[side.hi for side in rectangle.sides]]
-    return float(mass.masses(los, his)[0])
 
 
 @pytest.fixture(scope="module")
@@ -92,7 +86,8 @@ class TestLatticeBlockMass:
     def test_unbounded_sides_clip_to_the_domain(self, space, uniform_pmf):
         mass = LatticeBlockMass(space, uniform_pmf)
         masses = mass.masses(
-            [[-np.inf, -np.inf], [3.0, -np.inf]], [[np.inf, np.inf], [np.inf, 1.0]]
+            [[-np.inf, -np.inf], [3.0, -np.inf]],
+            [[np.inf, np.inf], [np.inf, 1.0]],
         )
         assert masses[0] == pytest.approx(1.0)
         assert masses[1] == pytest.approx(4 * 2 / 64)

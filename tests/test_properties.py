@@ -17,7 +17,7 @@ from repro.geometry import Dimension, EventSpace, Interval, Rectangle
 from repro.matching import RTree
 from repro.network import Graph, UnionFind
 
-from tests.helpers import locate, match_one, wasted_deliveries
+from tests.helpers import block_mass, locate, match_one, wasted_deliveries
 
 # ----------------------------------------------------------------------
 # strategies
@@ -247,11 +247,7 @@ class TestBlockMassProperties:
             for c in range(space.n_cells)
             if rect.contains_rectangle(space.cell_rectangle(c))
         )
-        got = mass.masses(
-            [[side.lo for side in rect.sides]],
-            [[side.hi for side in rect.sides]],
-        )[0]
-        assert got == pytest.approx(expected, abs=1e-9)
+        assert block_mass(mass, rect) == pytest.approx(expected, abs=1e-9)
 
     @settings(max_examples=20, deadline=None)
     @given(bounded_rectangles(span=6), bounded_rectangles(span=6))
@@ -260,11 +256,7 @@ class TestBlockMassProperties:
         pmf = np.full(space.n_cells, 1.0 / space.n_cells)
         mass = LatticeBlockMass(space, pmf)
         hull = a.hull(b)
-        hull_mass, a_mass = mass.masses(
-            [[side.lo for side in r.sides] for r in (hull, a)],
-            [[side.hi for side in r.sides] for r in (hull, a)],
-        )
-        assert hull_mass >= a_mass - 1e-12
+        assert block_mass(mass, hull) >= block_mass(mass, a) - 1e-12
 
 
 class TestSpaceProperties:
