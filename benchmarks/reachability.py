@@ -6,8 +6,9 @@ sub-command and the flags that switch code paths (``--aggregate``, the
 four multicast backends, ``--flight/--slo/--metrics-out/--trace/
 --profile``, ``--csv/--chart``, the shed policies, a forwarding region
 fleet with epochs and checkpoints, chaos with ``--compare-healing``, a
-replayed ``--schedule`` and a sweep on the numpy kernel backend).  A
-``sys.setprofile`` hook records every Python function the runs enter.
+replayed ``--schedule``, and a sweep and a serve on the numpy kernel
+backend).  A ``sys.setprofile`` hook records every Python function the
+runs enter.
 Run from the repo root::
 
     python3 benchmarks/reachability.py [--verbose]
@@ -101,12 +102,14 @@ def invocations(tmp: str) -> list:
          "--multicast-backend", "overlay", "--no-baseline"],
         ["chaos", "--subs", "100", "--events", "300", "--groups", "6",
          "--multicast-backend", "sparse", "--no-baseline"],
-        # the python MacQueen and Pairwise Grouping loops, which a
-        # compiled kernel backend replaces; last, because --backend
-        # stays selected for the rest of the process
+        # the python MacQueen and Pairwise Grouping loops and the
+        # per-event dense-mode pricing, which a compiled kernel backend
+        # replaces; last, because --backend stays selected for the rest
+        # of the process
         ["sweep", "--subs", "120", "--events", "15", "--groups", "5",
          "--algorithms", "kmeans,pairs", "--backend", "numpy",
          "--workers", "1"],
+        ["serve", *small_serve, "--backend", "numpy"],
     ]
 
 

@@ -31,7 +31,7 @@ from ..network import RoutingTables, unicast_cost
 from ..obs import get_flight_recorder, get_registry, get_tracer
 from ..workload import Subscription, SubscriptionSet
 from .rebuild import RebuildScheduler
-from .stats import DeliveryStats
+from .stats import DeliveryReceipt, DeliveryStats
 
 __all__ = ["BrokerConfig", "DeliveryReceipt", "ContentBroker"]
 
@@ -106,25 +106,6 @@ class BrokerConfig:
             and self.drift_threshold >= 1.0
         ):
             raise ValueError("drift_threshold must be finite and >= 1")
-
-
-@dataclass(frozen=True)
-class DeliveryReceipt:
-    """What happened to one published event."""
-
-    n_interested: int
-    used_multicast: bool
-    cost: float
-    unicast_cost: float
-    ideal_cost: float
-    wasted_deliveries: int
-    #: delivery mode actually executed ("plan" for the fixed policy,
-    #: "fault" for the degraded path, else the adaptive choice)
-    mode: str = "plan"
-    #: fault-aware classification: delivered / degraded / lost
-    outcome: str = "delivered"
-    #: interested subscribers whose node was down or partitioned away
-    lost_deliveries: int = 0
 
 
 class ContentBroker:
@@ -288,10 +269,10 @@ class ContentBroker:
         :func:`build_cell_set`; the cold path rebuilds from scratch."""
         if self.config.delta_cells and self._cell_buf is not None:
             slots = [self._slot_of[h] for h in self._external_of]
-            membership = self._cell_buf.take(slots, axis=1)
             with get_tracer().span(
                 "broker.delta_cells", n_subscriptions=len(slots)
             ):
+                membership = self._cell_buf.take(slots, axis=1)
                 return cell_set_from_membership(
                     self.space, membership, self.cell_pmf,
                     max_cells=self.config.max_cells,
@@ -310,17 +291,6 @@ class ContentBroker:
         column, so the representative's is exact); the cold path
         rasterises the representatives' rectangles directly.
         """
-        if self.config.delta_cells and self._cell_buf is not None:
-            rep_slots = [self._slot_of[h] for h in snap.reps]
-            membership = self._cell_buf.take(rep_slots, axis=1)
-        else:
-            membership = np.zeros(
-                (self.space.n_cells, snap.n_aggregates), dtype=bool
-            )
-            for a, handle in enumerate(snap.reps):
-                _, rectangle = self._active[handle]
-                covered = self.space.cells_in_rectangle(rectangle)
-                membership[covered, a] = True
         # nothing collapsed: drop the all-ones weights so the fit keeps
         # the packed-bitset kernels
         weights = snap.multiplicity
@@ -329,6 +299,17 @@ class ContentBroker:
         with get_tracer().span(
             "broker.aggregate_cells", n_aggregates=snap.n_aggregates
         ):
+            if self.config.delta_cells and self._cell_buf is not None:
+                rep_slots = [self._slot_of[h] for h in snap.reps]
+                membership = self._cell_buf.take(rep_slots, axis=1)
+            else:
+                membership = np.zeros(
+                    (self.space.n_cells, snap.n_aggregates), dtype=bool
+                )
+                for a, handle in enumerate(snap.reps):
+                    _, rectangle = self._active[handle]
+                    covered = self.space.cells_in_rectangle(rectangle)
+                    membership[covered, a] = True
             return cell_set_from_membership(
                 self.space, membership, self.cell_pmf,
                 max_cells=self.config.max_cells,
@@ -659,101 +640,127 @@ class ContentBroker:
             raise ValueError("points / publishers length mismatch")
         if not self._active:
             self.last_interested = [_NO_INTEREST] * len(points)
-            receipts = []
-            for _ in points:
-                receipts.append(DeliveryReceipt(0, False, 0.0, 0.0, 0.0, 0))
-                self.stats.record(0.0, 0.0, 0.0, False, 0, 0)
+            receipts = [
+                DeliveryReceipt(0, False, 0.0, 0.0, 0.0, 0) for _ in points
+            ]
+            self.stats.record_run(receipts)
             return receipts
         flight = get_flight_recorder()
         scoped = events is not None and flight.enabled
-        receipts = []
         # one scope for the run, retargeted event by event; a due lazy
         # rebuild belongs to the run's first event
         with flight.event(*events[0]) if scoped else nullcontext():
             self._ensure_fresh()
             plans = self._matcher.match_batch(points)
             self.last_interested = [plan.interested for plan in plans]
-            deliver = (
-                self._deliver_degraded
-                if self.routing.failed_nodes or self.routing.down_links
-                else self._deliver
-            )
-            for index, (plan, publisher) in enumerate(zip(plans, publishers)):
-                if scoped:
-                    flight.current_event, flight.now = events[index]
-                if flight.active:
-                    # raw-append protocol: see FlightRecorder.buf
-                    flight.buf.append((
-                        flight.current_event, "match", flight.now,
-                        "interested", len(plan.interested),
-                        "groups", len(plan.group_members),
-                        "unicast_legs", len(plan.unicast_subscribers),
-                    ))
-                receipts.append(deliver(plan, int(publisher)))
+            if self.routing.failed_nodes or self.routing.down_links:
+                receipts = []
+                for index, (plan, publisher) in enumerate(
+                    zip(plans, publishers)
+                ):
+                    if scoped:
+                        flight.current_event, flight.now = events[index]
+                    self._record_match(flight, plan)
+                    receipts.append(
+                        self._deliver_degraded(plan, int(publisher))
+                    )
+            else:
+                receipts = self._deliver_run(
+                    plans, publishers, events if scoped else None
+                )
+        self.stats.record_run(receipts)
         return receipts
 
-    def _deliver(self, plan: DeliveryPlan, publisher: int) -> DeliveryReceipt:
-        """Price one matched event over an intact network.
-
-        The event's node set is resolved once and shared by the unicast
-        and ideal references and the adaptive decision.
-        """
-        wasted = plan.audit()
-        interested = plan.interested
-        n_interested = len(interested)
-        dispatcher = self._dispatcher
-        nodes = self._subscriptions.nodes_of_subscribers(interested)
-        unicast = dispatcher.unicast_reference(publisher, interested, nodes)
-        ideal = dispatcher.ideal_reference(publisher, interested, nodes)
-        if self._policy is not None:
-            decision = self._policy.decide(publisher, plan, unicast=unicast)
-            cost = decision.cost
-            mode = decision.mode
-            used_multicast = mode == "multicast"
-            if mode == "broadcast":
-                wasted = self._subscriptions.n_active_subscribers - n_interested
-            elif mode == "unicast":
-                wasted = 0
-        else:
-            cost = dispatcher.plan_cost(publisher, plan)
-            mode = "plan"
-            used_multicast = plan.uses_multicast
-        flight = get_flight_recorder()
+    @staticmethod
+    def _record_match(flight, plan: DeliveryPlan) -> None:
+        """The event's ``match`` flight stage."""
         if flight.active:
-            eid = flight.current_event
-            t_now = flight.now
-            buf = flight.buf
-            buf.append((
-                eid, "dispatch", t_now,
-                "mode", mode, "cost", float(cost),
-                "multicast", bool(used_multicast),
-            ))
-            # healthy path: every group's tree is intact, so one
-            # aggregate delivery record suffices
-            buf.append((
-                eid, "deliver", t_now,
-                "outcome", "delivered",
+            # raw-append protocol: see FlightRecorder.buf
+            flight.buf.append((
+                flight.current_event, "match", flight.now,
+                "interested", len(plan.interested),
                 "groups", len(plan.group_members),
-                "wasted", int(wasted),
+                "unicast_legs", len(plan.unicast_subscribers),
             ))
-            if len(plan.unicast_subscribers):
+
+    def _deliver_run(
+        self,
+        plans: Sequence[DeliveryPlan],
+        publishers: Sequence[int],
+        events: Optional[Sequence[Tuple[int, float]]],
+    ) -> List[DeliveryReceipt]:
+        """Price a run of matched events over an intact network.
+
+        One :meth:`Dispatcher.price_run` prices every event's unicast
+        and ideal references, plan cost and broadcast cost; the
+        adaptive policy then decides the whole run.
+        """
+        with get_tracer().span("delivery.price_run", n_events=len(plans)):
+            priced = self._dispatcher.price_run(
+                publishers,
+                interested=self.last_interested,
+                plans=plans,
+            )
+        unicast, ideal, plan_cost, broadcast = priced.T.tolist()
+        if self._policy is not None:
+            decisions = self._policy.decide(
+                plans, unicast, plan_cost, broadcast
+            )
+        n_active = self._subscriptions.n_active_subscribers
+        flight = get_flight_recorder()
+        receipts = []
+        for index, plan in enumerate(plans):
+            if events is not None:
+                flight.current_event, flight.now = events[index]
+            self._record_match(flight, plan)
+            wasted = plan.audit()
+            n_interested = len(plan.interested)
+            if self._policy is not None:
+                decision = decisions[index]
+                cost = decision.cost
+                mode = decision.mode
+                used_multicast = mode == "multicast"
+                if mode == "broadcast":
+                    wasted = n_active - n_interested
+                elif mode == "unicast":
+                    wasted = 0
+            else:
+                cost = plan_cost[index]
+                mode = "plan"
+                used_multicast = plan.uses_multicast
+            if flight.active:
+                eid = flight.current_event
+                t_now = flight.now
+                buf = flight.buf
                 buf.append((
-                    eid, "unicast", t_now,
-                    "legs", len(plan.unicast_subscribers),
-                    "fallback", False,
+                    eid, "dispatch", t_now,
+                    "mode", mode, "cost", float(cost),
+                    "multicast", bool(used_multicast),
                 ))
-        self.stats.record(
-            cost, unicast, ideal, used_multicast, n_interested, wasted,
-        )
-        return DeliveryReceipt(
-            n_interested=n_interested,
-            used_multicast=used_multicast,
-            cost=cost,
-            unicast_cost=unicast,
-            ideal_cost=ideal,
-            wasted_deliveries=wasted,
-            mode=mode,
-        )
+                # healthy path: every group's tree is intact, so one
+                # aggregate delivery record suffices
+                buf.append((
+                    eid, "deliver", t_now,
+                    "outcome", "delivered",
+                    "groups", len(plan.group_members),
+                    "wasted", int(wasted),
+                ))
+                if len(plan.unicast_subscribers):
+                    buf.append((
+                        eid, "unicast", t_now,
+                        "legs", len(plan.unicast_subscribers),
+                        "fallback", False,
+                    ))
+            receipts.append(DeliveryReceipt(
+                n_interested=n_interested,
+                used_multicast=used_multicast,
+                cost=cost,
+                unicast_cost=unicast[index],
+                ideal_cost=ideal[index],
+                wasted_deliveries=wasted,
+                mode=mode,
+            ))
+        return receipts
 
     def _deliver_degraded(
         self, plan: DeliveryPlan, publisher: int
@@ -785,10 +792,6 @@ class ContentBroker:
                 n_interested, False, 0.0, 0.0, 0.0, 0,
                 mode="fault", outcome="lost", lost_deliveries=n_interested,
             )
-            self.stats.record(
-                0.0, 0.0, 0.0, False, n_interested, 0,
-                outcome="lost", lost_deliveries=n_interested,
-            )
             return receipt
 
         dist, _ = self.routing.shortest_paths(publisher).arrays()
@@ -810,10 +813,6 @@ class ContentBroker:
             receipt = DeliveryReceipt(
                 n_interested, False, 0.0, 0.0, 0.0, 0,
                 mode="fault", outcome="lost", lost_deliveries=n_lost,
-            )
-            self.stats.record(
-                0.0, 0.0, 0.0, False, n_interested, 0,
-                outcome="lost", lost_deliveries=n_lost,
             )
             return receipt
 
@@ -913,10 +912,7 @@ class ContentBroker:
             mode="fault",
             outcome=outcome,
             lost_deliveries=n_lost,
-        )
-        self.stats.record(
-            total, unicast, ideal, used_multicast, n_interested, wasted,
-            outcome=outcome, lost_deliveries=n_lost,
-            degraded_groups=degraded_groups, fallback_cost=fallback_cost,
+            degraded_groups=degraded_groups,
+            fallback_cost=fallback_cost,
         )
         return receipt

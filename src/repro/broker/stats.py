@@ -1,7 +1,7 @@
-"""Delivery statistics accumulated by the broker.
+"""Delivery receipts and the statistics the broker accumulates from them.
 
-The dataclass keeps the per-broker running totals the tests and reports
-read directly; every fold also mirrors into the process-wide
+:class:`DeliveryStats` keeps the per-broker running totals the tests and
+reports read directly; every fold also mirrors into the process-wide
 :mod:`repro.obs` registry (``broker_events_total``,
 ``broker_rebuilds_total``, ``broker_membership_changes_total``,
 ``broker_rebuild_seconds``) so broker activity shows up in the same
@@ -11,11 +11,33 @@ snapshot as the rest of the pipeline.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import Dict
+from typing import Dict, Iterable
 
 from ..obs import get_registry
 
-__all__ = ["DeliveryStats"]
+__all__ = ["DeliveryReceipt", "DeliveryStats"]
+
+
+@dataclass(frozen=True)
+class DeliveryReceipt:
+    """What happened to one published event."""
+
+    n_interested: int
+    used_multicast: bool
+    cost: float
+    unicast_cost: float
+    ideal_cost: float
+    wasted_deliveries: int
+    #: delivery mode actually executed ("plan" for the fixed policy,
+    #: "fault" for the degraded path, else the adaptive choice)
+    mode: str = "plan"
+    #: fault-aware classification: delivered / degraded / lost
+    outcome: str = "delivered"
+    #: interested subscribers whose node was down or partitioned away
+    lost_deliveries: int = 0
+    #: multicast groups served by unicast fallback, and what that cost
+    degraded_groups: int = 0
+    fallback_cost: float = 0.0
 
 
 @dataclass
@@ -60,66 +82,74 @@ class DeliveryStats:
     #: network cost spent on those fallback unicasts
     unicast_fallback_cost: float = 0.0
 
-    def record(
-        self,
-        cost: float,
-        unicast_cost: float,
-        ideal_cost: float,
-        used_multicast: bool,
-        n_interested: int,
-        wasted: int,
-        outcome: str = "delivered",
-        lost_deliveries: int = 0,
-        degraded_groups: int = 0,
-        fallback_cost: float = 0.0,
-    ) -> None:
-        """Fold one publication into the totals.
+    def record_run(self, receipts: Iterable[DeliveryReceipt]) -> None:
+        """Fold a run of publications' receipts into the totals.
 
-        ``outcome`` is the fault-aware classification: ``"delivered"``
-        (the plan executed as priced), ``"degraded"`` (unicast fallback
-        and/or partial audience loss) or ``"lost"`` (nobody reachable).
-        Every interested subscriber lands in ``expected_deliveries`` and
-        either reaches its node or is counted in ``lost_deliveries``.
+        Receipts fold in order, so every running float sum is the one a
+        per-event fold produces.  ``outcome`` is the fault-aware
+        classification: ``"delivered"`` (the plan executed as priced),
+        ``"degraded"`` (unicast fallback and/or partial audience loss)
+        or ``"lost"`` (nobody reachable).  Every interested subscriber
+        lands in ``expected_deliveries`` and either reaches its node or
+        is counted in ``lost_deliveries``.  The registry counters are
+        tallied per kind and outcome (first occurrence first) and
+        incremented once each per run.
         """
-        if outcome not in ("delivered", "degraded", "lost"):
-            raise ValueError(f"unknown outcome {outcome!r}")
-        self.n_events += 1
-        self.total_cost += cost
-        self.total_unicast_cost += unicast_cost
-        self.total_ideal_cost += ideal_cost
-        self.total_wasted_deliveries += wasted
-        self.expected_deliveries += int(n_interested)
-        self.lost_deliveries += int(lost_deliveries)
-        self.n_degraded_groups += int(degraded_groups)
-        self.unicast_fallback_cost += float(fallback_cost)
-        if outcome == "delivered":
-            self.n_delivered += 1
-        elif outcome == "degraded":
-            self.n_degraded += 1
-        else:
-            self.n_lost += 1
-        if n_interested == 0:
-            self.n_no_interest += 1
-            kind = "no_interest"
-        elif used_multicast:
-            self.n_multicast += 1
-            kind = "multicast"
-        else:
-            self.n_unicast_only += 1
-            kind = "unicast_only"
+        kinds: Dict[str, int] = {}
+        outcomes: Dict[str, int] = {}
+        lost_total = 0
+        for receipt in receipts:
+            outcome = receipt.outcome
+            if outcome not in ("delivered", "degraded", "lost"):
+                raise ValueError(f"unknown outcome {outcome!r}")
+            n_interested = receipt.n_interested
+            lost = int(receipt.lost_deliveries)
+            self.n_events += 1
+            self.total_cost += receipt.cost
+            self.total_unicast_cost += receipt.unicast_cost
+            self.total_ideal_cost += receipt.ideal_cost
+            self.total_wasted_deliveries += receipt.wasted_deliveries
+            self.expected_deliveries += int(n_interested)
+            self.lost_deliveries += lost
+            self.n_degraded_groups += int(receipt.degraded_groups)
+            self.unicast_fallback_cost += float(receipt.fallback_cost)
+            if outcome == "delivered":
+                self.n_delivered += 1
+            elif outcome == "degraded":
+                self.n_degraded += 1
+            else:
+                self.n_lost += 1
+            if n_interested == 0:
+                self.n_no_interest += 1
+                kind = "no_interest"
+            elif receipt.used_multicast:
+                self.n_multicast += 1
+                kind = "multicast"
+            else:
+                self.n_unicast_only += 1
+                kind = "unicast_only"
+            kinds[kind] = kinds.get(kind, 0) + 1
+            outcomes[outcome] = outcomes.get(outcome, 0) + 1
+            lost_total += lost
+        if not kinds:
+            return
         registry = get_registry()
-        registry.counter(
+        events = registry.counter(
             "broker_events_total", "events delivered by brokers"
-        ).inc(kind=kind)
-        registry.counter(
+        )
+        for kind, n in kinds.items():
+            events.inc(n, kind=kind)
+        publications = registry.counter(
             "broker_publications_total",
             "publication outcomes under fault injection",
-        ).inc(outcome=outcome)
-        if lost_deliveries:
+        )
+        for outcome, n in outcomes.items():
+            publications.inc(n, outcome=outcome)
+        if lost_total:
             registry.counter(
                 "broker_lost_deliveries_total",
                 "subscriber deliveries lost to failed network elements",
-            ).inc(int(lost_deliveries))
+            ).inc(lost_total)
 
     def record_rebuild(
         self, seconds: float, membership_changes: int, full: bool = False

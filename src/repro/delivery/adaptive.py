@@ -13,9 +13,7 @@ filtered out as necessary"), and execute the cheapest.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Dict, Sequence
-
-import numpy as np
+from typing import Dict, List, Sequence
 
 from ..matching import DeliveryPlan
 from ..obs import get_registry
@@ -70,7 +68,7 @@ class AdaptiveDeliveryPolicy:
             "multicast": 0,
             "broadcast": 0,
         }
-        # instruments bound once: decide() sits on the per-event hot path
+        # instruments bound once: decide() runs on every publish run
         registry = get_registry()
         counter = registry.counter(
             "delivery_mode_total", "adaptive per-event mode decisions"
@@ -88,34 +86,45 @@ class AdaptiveDeliveryPolicy:
 
     # ------------------------------------------------------------------
     def decide(
-        self, publisher: int, plan: DeliveryPlan, unicast: float
-    ) -> AdaptiveDecision:
-        """Pick the cheapest of {unicast, plan-multicast, broadcast}.
+        self,
+        plans: Sequence[DeliveryPlan],
+        unicast: Sequence[float],
+        plan_cost: Sequence[float],
+        broadcast: Sequence[float],
+    ) -> List[AdaptiveDecision]:
+        """Pick the cheapest of {unicast, plan-multicast, broadcast} for
+        each event of a run.
 
-        ``unicast`` is the event's unicast reference cost
-        (:meth:`Dispatcher.unicast_reference`), which the caller has
-        already priced for its own accounting.
+        ``unicast``, ``plan_cost`` and ``broadcast`` are the events'
+        priced costs (the columns of :meth:`Dispatcher.price_run`).
+        ``delivery_mode_total`` is incremented once per mode of the
+        run; the cost-gap histogram observes each event in order.
         """
-        candidates: Dict[str, float] = {"unicast": unicast}
-        if plan.uses_multicast:
-            candidates["multicast"] = self.dispatcher.plan_cost(
-                publisher, plan
+        decisions = []
+        tally: Dict[str, int] = {}
+        penalty = self.broadcast_penalty
+        observe = self._gap_hist.observe
+        for plan, uni, multi, flood in zip(
+            plans, unicast, plan_cost, broadcast
+        ):
+            candidates: Dict[str, float] = {"unicast": uni}
+            if plan.uses_multicast:
+                candidates["multicast"] = multi
+            if len(plan.interested):
+                candidates["broadcast"] = flood * penalty
+            mode = min(candidates, key=candidates.get)
+            tally[mode] = tally.get(mode, 0) + 1
+            decision = AdaptiveDecision(
+                mode=mode,
+                cost=candidates[mode],
+                candidate_costs=candidates,
             )
-        if len(plan.interested):
-            candidates["broadcast"] = (
-                self.dispatcher.broadcast_reference(publisher)
-                * self.broadcast_penalty
-            )
-        mode = min(candidates, key=candidates.get)
-        self.mode_counts[mode] += 1
-        decision = AdaptiveDecision(
-            mode=mode,
-            cost=candidates[mode],
-            candidate_costs=candidates,
-        )
-        self._mode_children[mode].inc()
-        self._gap_hist.observe(decision.realized_gap)
-        return decision
+            observe(decision.realized_gap)
+            decisions.append(decision)
+        for mode, n in tally.items():
+            self.mode_counts[mode] += n
+            self._mode_children[mode].inc(n)
+        return decisions
 
     # ------------------------------------------------------------------
     def mode_rates(self) -> Dict[str, float]:

@@ -28,6 +28,7 @@ from typing import List, Optional, Sequence
 
 import numpy as np
 
+from ..kernels import get_backend
 from ..matching import DeliveryPlan
 from ..network import (
     RoutingTables,
@@ -146,13 +147,101 @@ class Dispatcher:
         with get_tracer().span(
             "delivery.plan_costs", scheme=self.scheme, n_plans=len(plans)
         ):
-            return np.array(
-                [
-                    self.plan_cost(int(publisher), plan)
-                    for publisher, plan in zip(publishers, plans)
-                ],
-                dtype=np.float64,
+            # a contiguous copy of the column, like the array of
+            # per-plan costs callers sum
+            return np.ascontiguousarray(
+                self.price_run(publishers, plans=plans)[:, 2]
             )
+
+    def price_run(
+        self,
+        publishers: Sequence[int],
+        interested: Optional[Sequence[Sequence[int]]] = None,
+        plans: Optional[Sequence[DeliveryPlan]] = None,
+    ) -> np.ndarray:
+        """Price a run of events: ``(E, 4)`` float64 columns unicast
+        reference, ideal reference, plan cost and broadcast cost.
+
+        The references and the broadcast cost are priced when
+        ``interested`` (each event's interested ids) is given, the plan
+        costs when ``plans`` is; the other columns read zero.  Every
+        value equals its per-event method bit for bit, and an
+        unreachable node raises the error the per-event pricing raises
+        first.  Under the dense scheme the kernel backend prices the
+        whole run in one call (``price_dense``); otherwise, or when the
+        backend has no such kernel, each event is priced in python.
+        """
+        n_events = len(publishers)
+        for given in (interested, plans):
+            if given is not None and len(given) != n_events:
+                raise ValueError("one interest set / plan per publisher")
+        priced = None
+        if self.scheme == "dense" and n_events:
+            priced = self._price_dense(publishers, interested, plans)
+        if priced is None:
+            priced = self._price_events(publishers, interested, plans)
+        return priced
+
+    def _price_dense(self, publishers, interested, plans):
+        """The run as one ``price_dense`` kernel call (``None`` when the
+        backend prices in python).  The shortest-path rows come from
+        the routing tables' cache, one per distinct publisher."""
+        row_of = {}
+        trees = []
+        event_rows = []
+        for publisher in publishers:
+            publisher = int(publisher)
+            row = row_of.get(publisher)
+            if row is None:
+                row = row_of[publisher] = len(trees)
+                sp = self.routing.shortest_paths(publisher)
+                dist, pred = sp.arrays()
+                trees.append((publisher, dist, pred, sp.edge_costs()))
+            event_rows.append(row)
+        lists = []
+        counts = []
+        for e in range(len(publishers)):
+            count = 0
+            if interested is not None:
+                lists.append(interested[e])
+                count = 1
+            if plans is not None:
+                plan = plans[e]
+                lists.extend(plan.group_members)
+                lists.append(plan.unicast_subscribers)
+                count += len(plan.group_members) + 1
+            counts.append(count)
+        return get_backend().price_dense(
+            trees, event_rows, self.subscriptions.subscriber_nodes,
+            lists, counts, interested is not None, plans is not None,
+        )
+
+    def _price_events(self, publishers, interested, plans):
+        """The per-event python pricing: the reference
+        :meth:`price_run` matches."""
+        priced = np.zeros((len(publishers), 4), dtype=np.float64)
+        for e, publisher in enumerate(publishers):
+            publisher = int(publisher)
+            row = priced[e]
+            if interested is not None:
+                ids = interested[e]
+                nodes = self.subscriptions.nodes_of_subscribers(ids)
+                row[0] = self.unicast_reference(publisher, ids, nodes)
+                row[1] = self.ideal_reference(publisher, ids, nodes)
+                row[3] = self.broadcast_reference(publisher)
+            if plans is not None:
+                plan = plans[e]
+                if (
+                    interested is not None
+                    and not plan.group_members
+                    and plan.unicast_subscribers is interested[e]
+                ):
+                    # a pure-unicast plan reusing the interest array
+                    # costs exactly its unicast reference
+                    row[2] = row[0]
+                else:
+                    row[2] = self.plan_cost(publisher, plan)
+        return priced
 
     # ------------------------------------------------------------------
     def group_cost(self, publisher: int, nodes: np.ndarray) -> float:
@@ -195,8 +284,8 @@ class Dispatcher:
         """Pure unicast to every interested subscriber's node.
 
         ``nodes`` may supply the precomputed node set of ``interested``
-        (the experiment context and the broker resolve each event's nodes
-        once and reuse them across the reference costs and schemes).
+        (the per-event pricing of :meth:`price_run` and the broker's
+        degraded path resolve each event's nodes once and reuse them).
         """
         if nodes is None:
             nodes = self.subscriptions.nodes_of_subscribers(interested)

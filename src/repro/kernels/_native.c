@@ -1,4 +1,5 @@
-/* Native membership kernels over packed uint64 bitsets.
+/* Native membership kernels over packed uint64 bitsets, and the
+ * batched dense-mode pricing of a publish run.
  *
  * Compiled on demand by repro/kernels/native.py (gcc -O3 -shared
  * -ffp-contract=off) and loaded through ctypes.  Every float operation
@@ -14,13 +15,16 @@
  *     order, matching np.bincount with weights;
  *   - MacQueen distances are float64 p_c*(gs - s) + p_g*(cs - s), two
  *     products and one sum, each rounded once, on exact integer
- *     intersections.
+ *     intersections;
+ *   - dense-mode costs sum with an exact copy of numpy's pairwise
+ *     summation, over ShortestPaths.tree_cost's levels in its order.
  *
  * -ffp-contract=off matters: a fused multiply-add would skip the
  * intermediate rounding numpy performs and break bit-equality.
  */
 
 #include <math.h>
+#include <stdlib.h>
 #include <stdint.h>
 
 #define EXPORT __attribute__((visibility("default")))
@@ -425,4 +429,358 @@ EXPORT void repro_kmeans_sweeps(
     }
     counters[0] = iterations;
     counters[1] = evals;
+}
+
+/* numpy's float64 pairwise summation (np.add.reduce over a contiguous
+ * array), operation for operation: below 8 elements sequential adds
+ * from -0.0; up to 128, eight accumulators combined as
+ * ((r0+r1)+(r2+r3))+((r4+r5)+(r6+r7)) and then the tail; above 128,
+ * split at n/2 rounded down to a multiple of 8 and recurse.  The
+ * reduction adds the result to its +0.0 identity, which only turns a
+ * -0.0 total into +0.0 (np.sum([-0.0]) is 0.0). */
+static double pairwise_sum(const double *a, int64_t n)
+{
+    if (n < 8) {
+        double res = -0.0;
+        for (int64_t i = 0; i < n; ++i) {
+            res += a[i];
+        }
+        return res;
+    }
+    if (n <= 128) {
+        double r[8];
+        int64_t i;
+        for (int j = 0; j < 8; ++j) {
+            r[j] = a[j];
+        }
+        for (i = 8; i < n - (n % 8); i += 8) {
+            for (int j = 0; j < 8; ++j) {
+                r[j] += a[i + j];
+            }
+        }
+        double res = ((r[0] + r[1]) + (r[2] + r[3]))
+                   + ((r[4] + r[5]) + (r[6] + r[7]));
+        for (; i < n; ++i) {
+            res += a[i];
+        }
+        return res;
+    }
+    int64_t n2 = n / 2;
+    n2 -= n2 % 8;
+    return pairwise_sum(a, n2) + pairwise_sum(a + n2, n - n2);
+}
+
+static double np_sum(const double *a, int64_t n)
+{
+    return 0.0 + pairwise_sum(a, n);
+}
+
+/* Scratch of one price_dense call: stamp arrays over the nodes (a slot
+ * is "set" when it holds the current stamp, so nothing is cleared
+ * between uses) and node / value buffers. */
+typedef struct {
+    int64_t n;
+    int64_t stamp;
+    int64_t *seen;     /* node sets of subscriber lists */
+    int64_t *visited;  /* tree walk: nodes already charged */
+    int64_t *queued;   /* tree walk: parents already in the next level */
+    int64_t *covered;  /* plan: nodes a group of the plan reaches */
+    int64_t *nodes;    /* the current subscriber list's node set */
+    int64_t *level;
+    int64_t *next;
+    double *vals;
+} price_scratch;
+
+/* Ascending order of ``count`` distinct nodes, all marked with
+ * ``stamp`` in ``mark``: an insertion sort when few, else one scan of
+ * the marks (the same order np.unique / a boolean scatter yields). */
+static void sort_marked(
+    int64_t *buf, int64_t count, const int64_t *mark, int64_t stamp,
+    int64_t n)
+{
+    if (count <= 32) {
+        for (int64_t i = 1; i < count; ++i) {
+            int64_t v = buf[i];
+            int64_t j = i - 1;
+            while (j >= 0 && buf[j] > v) {
+                buf[j + 1] = buf[j];
+                --j;
+            }
+            buf[j + 1] = v;
+        }
+        return;
+    }
+    int64_t k = 0;
+    for (int64_t v = 0; v < n && k < count; ++v) {
+        if (mark[v] == stamp) {
+            buf[k++] = v;
+        }
+    }
+}
+
+/* SubscriptionSet.nodes_of_subscribers: the sorted distinct nodes of a
+ * list of subscriber ids, into s->nodes; returns their count. */
+static int64_t nodes_of(
+    price_scratch *s, const int64_t *ids, int64_t n_ids,
+    const int64_t *sub_nodes)
+{
+    int64_t stamp = ++s->stamp;
+    int64_t count = 0;
+    for (int64_t i = 0; i < n_ids; ++i) {
+        int64_t v = sub_nodes[ids[i]];
+        if (s->seen[v] != stamp) {
+            s->seen[v] = stamp;
+            s->nodes[count++] = v;
+        }
+    }
+    sort_marked(s->nodes, count, s->seen, stamp, s->n);
+    return count;
+}
+
+/* network.unicast_cost over sorted distinct nodes: one shortest-path
+ * copy per node.  Returns 0, or 1 with *bad set to the first
+ * unreachable node. */
+static int unicast_sum(
+    price_scratch *s, const double *dist, const int64_t *nodes,
+    int64_t count, double *cost, int64_t *bad)
+{
+    if (count == 0) {
+        *cost = 0.0;
+        return 0;
+    }
+    for (int64_t i = 0; i < count; ++i) {
+        double d = dist[nodes[i]];
+        if (isinf(d)) {
+            *bad = nodes[i];
+            return 1;
+        }
+        s->vals[i] = d;
+    }
+    *cost = np_sum(s->vals, count);
+    return 0;
+}
+
+/* ShortestPaths.tree_cost(targets) over sorted distinct targets: the
+ * level-by-level walk towards the root, each level's nodes ascending
+ * and charged with one np.sum of their tree-edge costs.  Returns 0, or
+ * 1 with *bad set to the first unreachable target. */
+static int tree_walk(
+    price_scratch *s, int64_t source, const double *dist,
+    const int64_t *pred, const double *edge, const int64_t *targets,
+    int64_t count, double *cost, int64_t *bad)
+{
+    if (count == 0) {
+        *cost = 0.0;
+        return 0;
+    }
+    for (int64_t i = 0; i < count; ++i) {
+        if (isinf(dist[targets[i]])) {
+            *bad = targets[i];
+            return 1;
+        }
+    }
+    int64_t visit = ++s->stamp;
+    s->visited[source] = visit;
+    int64_t *level = s->level;
+    int64_t *next = s->next;
+    int64_t size = 0;
+    for (int64_t i = 0; i < count; ++i) {
+        if (targets[i] != source) {
+            level[size++] = targets[i];
+        }
+    }
+    double total = 0.0;
+    while (size) {
+        for (int64_t i = 0; i < size; ++i) {
+            s->visited[level[i]] = visit;
+            s->vals[i] = edge[level[i]];
+        }
+        total += np_sum(s->vals, size);
+        int64_t queue = ++s->stamp;
+        int64_t n_next = 0;
+        for (int64_t i = 0; i < size; ++i) {
+            int64_t p = pred[level[i]];
+            if (p >= 0 && p < s->n && s->visited[p] != visit && s->queued[p] != queue) {
+                s->queued[p] = queue;
+                next[n_next++] = p;
+            }
+        }
+        sort_marked(next, n_next, s->queued, queue, s->n);
+        int64_t *swap = level;
+        level = next;
+        next = swap;
+        size = n_next;
+    }
+    *cost = total;
+    return 0;
+}
+
+/* Dense-mode pricing of a run of events in one call: per event the
+ * unicast and ideal references and the broadcast cost (flag 1) and the
+ * plan cost (flag 2), each equal bit for bit to Dispatcher's per-event
+ * python pricing (unicast_reference, ideal_reference,
+ * broadcast_reference, plan_cost).
+ *
+ *   sources (R,) int64, dist / edge (R, n) float64, pred (R, n) int64:
+ *       the shortest-path tree rows of the run's publishers (edge[v] =
+ *       dist[v] - dist[pred[v]], 0 at the root and unreachable nodes)
+ *   event_rows (E,) int64: the row of each event's publisher
+ *   sub_nodes (n_subs,) int64: node of each subscriber id
+ *   event_ptr (E+1,) int64 into the lists (event_ptr[0] = 0),
+ *   list_ptr (L+1,) int64 into ids (list_ptr[0] = 0): per event its
+ *   subscriber-id lists — the interested ids (flag 1), then each
+ *   multicast group's members and the unicast subscribers (flag 2)
+ *   out (E, 4) float64: unicast, ideal, plan, broadcast
+ *   err (2,) int64 out: on failure the kind (0: unicast leg, 1: tree)
+ *   and the unreachable node
+ *
+ * Events are priced in order, and within one event in the order the
+ * python path prices them, so the first unreachable node reported is
+ * the one the python path raises on.  Returns -1 on success, the
+ * failing event's index, -2 when scratch allocation fails, or -3 when
+ * an index is out of range (nothing is priced then). */
+EXPORT int64_t repro_price_dense(
+    int64_t n, const int64_t *sources, const double *dist,
+    const int64_t *pred, const double *edge, int64_t n_rows,
+    const int64_t *event_rows, int64_t n_events,
+    const int64_t *sub_nodes, int64_t n_subs, const int64_t *event_ptr,
+    const int64_t *list_ptr, int64_t n_lists, const int64_t *ids,
+    int64_t flags, double *out, int64_t *err)
+{
+    /* every index the walk follows must be in range */
+    int64_t need = (flags & 1) + ((flags & 2) >> 1);
+    for (int64_t r = 0; r < n_rows; ++r) {
+        if (sources[r] < 0 || sources[r] >= n) {
+            return -3;
+        }
+    }
+    for (int64_t i = 0; i < n_subs; ++i) {
+        if (sub_nodes[i] < 0 || sub_nodes[i] >= n) {
+            return -3;
+        }
+    }
+    for (int64_t e = 0; e < n_events; ++e) {
+        if (event_rows[e] < 0 || event_rows[e] >= n_rows
+            || event_ptr[e + 1] < event_ptr[e] + need
+            || event_ptr[e + 1] > n_lists) {
+            return -3;
+        }
+    }
+    for (int64_t i = 0; i < list_ptr[n_lists]; ++i) {
+        if (ids[i] < 0 || ids[i] >= n_subs) {
+            return -3;
+        }
+    }
+
+    price_scratch s;
+    s.n = n;
+    s.stamp = 0;
+    s.seen = calloc((size_t)(4 * n), sizeof(int64_t));
+    s.nodes = malloc((size_t)(3 * n + 1) * sizeof(int64_t));
+    s.vals = malloc((size_t)(n + 1) * sizeof(double));
+    double *broadcast = malloc((size_t)(n_rows + 1) * sizeof(double));
+    int64_t status = -1;
+    if (!s.seen || !s.nodes || !s.vals || !broadcast) {
+        status = -2;
+        goto done;
+    }
+    s.visited = s.seen + n;
+    s.queued = s.seen + 2 * n;
+    s.covered = s.seen + 3 * n;
+    s.level = s.nodes + n;
+    s.next = s.nodes + 2 * n;
+
+    if (flags & 1) {
+        /* broadcast_cost: np.sum of dist[v] - dist[pred[v]] over the
+         * reachable non-root nodes, ascending */
+        for (int64_t r = 0; r < n_rows; ++r) {
+            const double *d = dist + r * n;
+            const int64_t *p = pred + r * n;
+            int64_t k = 0;
+            for (int64_t v = 0; v < n; ++v) {
+                int64_t q = p[v];
+                if (v != sources[r] && isfinite(d[v]) && q >= 0 && q < n) {
+                    s.vals[k++] = d[v] - d[q];
+                }
+            }
+            broadcast[r] = np_sum(s.vals, k);
+        }
+    }
+
+    for (int64_t e = 0; e < n_events; ++e) {
+        int64_t r = event_rows[e];
+        int64_t source = sources[r];
+        const double *d = dist + r * n;
+        const int64_t *p = pred + r * n;
+        const double *ed = edge + r * n;
+        int64_t first = event_ptr[e];
+        int64_t last = event_ptr[e + 1];
+        double *o = out + 4 * e;
+        int64_t count;
+        o[0] = o[1] = o[2] = o[3] = 0.0;
+        if (flags & 1) {
+            count = nodes_of(
+                &s, ids + list_ptr[first],
+                list_ptr[first + 1] - list_ptr[first], sub_nodes);
+            if (unicast_sum(&s, d, s.nodes, count, &o[0], &err[1])) {
+                err[0] = 0;
+                status = e;
+                goto done;
+            }
+            if (tree_walk(&s, source, d, p, ed, s.nodes, count,
+                          &o[1], &err[1])) {
+                err[0] = 1;
+                status = e;
+                goto done;
+            }
+            o[3] = broadcast[r];
+            first += 1;
+        }
+        if (flags & 2) {
+            int64_t cover = ++s.stamp;
+            double total = 0.0;
+            double leg;
+            for (int64_t g = first; g < last - 1; ++g) {
+                count = nodes_of(
+                    &s, ids + list_ptr[g], list_ptr[g + 1] - list_ptr[g],
+                    sub_nodes);
+                if (tree_walk(&s, source, d, p, ed, s.nodes, count,
+                              &leg, &err[1])) {
+                    err[0] = 1;
+                    status = e;
+                    goto done;
+                }
+                total += leg;
+                for (int64_t i = 0; i < count; ++i) {
+                    s.covered[s.nodes[i]] = cover;
+                }
+            }
+            count = nodes_of(
+                &s, ids + list_ptr[last - 1],
+                list_ptr[last] - list_ptr[last - 1], sub_nodes);
+            if (last - 1 > first) {
+                /* drop nodes a group already reaches (order kept) */
+                int64_t k = 0;
+                for (int64_t i = 0; i < count; ++i) {
+                    if (s.covered[s.nodes[i]] != cover) {
+                        s.nodes[k++] = s.nodes[i];
+                    }
+                }
+                count = k;
+            }
+            if (unicast_sum(&s, d, s.nodes, count, &leg, &err[1])) {
+                err[0] = 0;
+                status = e;
+                goto done;
+            }
+            total += leg;
+            o[2] = total;
+        }
+    }
+done:
+    free(s.seen);
+    free(s.nodes);
+    free(s.vals);
+    free(broadcast);
+    return status;
 }

@@ -11,7 +11,8 @@ kernels over packed bitsets (:mod:`repro.kernels.bitset`):
     A small C file shipped with the package, compiled on demand with the
     system C compiler and called through ctypes
     (:mod:`repro.kernels.native`).  Provides the fused agglomerative
-    ``pairwise_fit`` and MacQueen ``kmeans_sweeps`` kernels.
+    ``pairwise_fit`` and MacQueen ``kmeans_sweeps`` kernels and the
+    batched dense-mode ``price_dense`` pricing.
 
 Selection happens lazily at first use: ``REPRO_KERNEL_BACKEND`` names a
 backend or ``auto`` (the default), which prefers ``native``, then
@@ -151,6 +152,11 @@ class NumpyBackend:
     def kmeans_sweeps(self, *args):
         """No fused MacQueen sweeps in numpy — callers run the python
         loop."""
+        return None
+
+    def price_dense(self, *args):
+        """No batched dense-mode pricing in numpy — callers price each
+        event in python."""
         return None
 
 

@@ -23,7 +23,7 @@ import subprocess
 import sys
 import tempfile
 from pathlib import Path
-from typing import Optional
+from typing import Optional, Sequence, Tuple
 
 import numpy as np
 
@@ -34,7 +34,7 @@ __all__ = ["NativeBackend", "load_native_backend"]
 _SOURCE = Path(__file__).with_name("_native.c")
 
 #: bump to invalidate cached shared libraries on wrapper changes
-_ABI_TAG = "v2"
+_ABI_TAG = "v3"
 
 
 def _cache_dir() -> Path:
@@ -95,6 +95,21 @@ def _ptr(array: np.ndarray) -> ctypes.c_void_p:
     return ctypes.c_void_p(array.ctypes.data)
 
 
+def _carve(dtype, sizes: Sequence[int]):
+    """One new buffer cut into consecutive views of ``sizes``, with the
+    address of each view.  Reading an array's address costs microseconds
+    (``.ctypes``), so a call with many small inputs stages them in one
+    buffer and reads its address once."""
+    buffer = np.empty(sum(sizes), dtype=dtype)
+    base = buffer.ctypes.data
+    views, addresses, start = [], [], 0
+    for size in sizes:
+        views.append(buffer[start:start + size])
+        addresses.append(base + start * buffer.itemsize)
+        start += size
+    return views, addresses
+
+
 class NativeBackend:
     """ctypes wrappers around the compiled ``_native.c`` kernels."""
 
@@ -124,6 +139,11 @@ class NativeBackend:
             i64, ptr, i64, ptr,
         ]
         lib.repro_kmeans_sweeps.restype = None
+        lib.repro_price_dense.argtypes = [
+            i64, ptr, ptr, ptr, ptr, i64, ptr, i64, ptr, i64, ptr, ptr,
+            i64, ptr, i64, ptr, ptr,
+        ]
+        lib.repro_price_dense.restype = i64
 
     # ------------------------------------------------------------------
     def popcount_rows(self, words: np.ndarray) -> np.ndarray:
@@ -300,6 +320,88 @@ class NativeBackend:
             _ptr(assignment), int(max_iters), _ptr(counters),
         )
         return int(counters[0]), int(counters[1])
+
+    def price_dense(
+        self,
+        trees: Sequence[Tuple[int, np.ndarray, np.ndarray, np.ndarray]],
+        event_rows: Sequence[int],
+        subscriber_nodes: np.ndarray,
+        lists: Sequence[Sequence[int]],
+        lists_per_event: Sequence[int],
+        references: bool,
+        plans: bool,
+    ) -> np.ndarray:
+        """Dense-mode costs of a run of events in one call.
+
+        ``trees`` holds one ``(source, dist, pred, edge)`` shortest-path
+        row per distinct publisher and ``event_rows`` the row of each
+        event.  Each event owns ``lists_per_event[e]`` consecutive
+        subscriber-id lists: its interested ids when ``references``,
+        then, when ``plans``, each multicast group's members and the
+        unicast subscribers.  Returns ``(E, 4)`` float64 columns
+        unicast reference, ideal reference, plan cost and broadcast
+        cost (zero where not asked for).  An unreachable node raises
+        the ``ValueError`` the per-event pricing raises.
+        """
+        n_events = len(event_rows)
+        if n_events == 0:
+            return np.zeros((0, 4), dtype=np.float64)
+        n_rows = len(trees)
+        n = len(trees[0][1]) if trees else 0
+        for _, dist, pred, edge in trees:
+            if not len(dist) == len(pred) == len(edge) == n:
+                raise ValueError("every tree row needs one entry per node")
+        n_lists = len(lists)
+        if (
+            len(lists_per_event) != n_events
+            or sum(lists_per_event) != n_lists
+        ):
+            raise ValueError("list counts do not cover the lists")
+        lengths = np.fromiter(map(len, lists), np.int64, n_lists)
+        n_ids = int(lengths.sum())
+        n_subs = len(subscriber_nodes)
+        size = n_rows * n
+        ints, int_at = _carve(np.int64, (
+            n_rows, size, n_events, n_events + 1, n_lists + 1, n_subs,
+            n_ids, 2,
+        ))
+        sources, pred, rows, event_ptr, list_ptr, sub_nodes, ids, err = ints
+        floats, float_at = _carve(np.float64, (size, size, 4 * n_events))
+        dist, edge, out = floats
+        sources[:] = [tree[0] for tree in trees]
+        np.concatenate([tree[1] for tree in trees], out=dist)
+        np.concatenate([tree[2] for tree in trees], out=pred)
+        np.concatenate([tree[3] for tree in trees], out=edge)
+        rows[:] = event_rows
+        event_ptr[0] = list_ptr[0] = 0
+        np.cumsum(lists_per_event, out=event_ptr[1:])
+        np.cumsum(lengths, out=list_ptr[1:])
+        sub_nodes[:] = subscriber_nodes
+        if n_ids:
+            np.concatenate(lists, out=ids, casting="unsafe")
+        flags = int(references) | 2 * int(plans)
+        (at_sources, at_pred, at_rows, at_event_ptr, at_list_ptr,
+         at_sub_nodes, at_ids, at_err) = int_at
+        at_dist, at_edge, at_out = float_at
+        status = self._lib.repro_price_dense(
+            n, at_sources, at_dist, at_pred, at_edge, n_rows, at_rows,
+            n_events, at_sub_nodes, n_subs, at_event_ptr, at_list_ptr,
+            n_lists, at_ids, flags, at_out, at_err,
+        )
+        if status == -3:
+            raise ValueError("price_dense index out of range")
+        if status == -2:
+            raise MemoryError("price_dense scratch allocation failed")
+        if status >= 0:
+            # the texts of network.unicast_cost and ShortestPaths.tree_cost
+            kind, node = int(err[0]), int(err[1])
+            source = int(sources[rows[status]])
+            if kind == 0:
+                raise ValueError(
+                    f"node {node} unreachable from publisher {source}"
+                )
+            raise ValueError(f"node {node} unreachable from {source}")
+        return out.reshape(n_events, 4)
 
 
 def load_native_backend() -> Optional[NativeBackend]:

@@ -102,7 +102,7 @@ class ShortestPaths:
             self._pred_np = np.asarray(self.pred, dtype=np.int64)
         return self._dist_np, self._pred_np
 
-    def _edge_costs(self) -> "np.ndarray":
+    def edge_costs(self) -> "np.ndarray":
         """Cost of the tree edge into each node (built once, then cached).
 
         ``dist[v] - dist[pred[v]]`` for every node with a predecessor;
@@ -168,7 +168,7 @@ class ShortestPaths:
         if bad.any():
             target = int(frontier[bad][0])
             raise ValueError(f"node {target} unreachable from {self.source}")
-        edge = self._edge_costs()
+        edge = self.edge_costs()
         n = len(dist)
         unvisited = np.ones(n, dtype=bool)
         unvisited[self.source] = False

@@ -129,12 +129,6 @@ class ExperimentContext:
                     self._points
                 )
             )
-        # per-event interested node sets, resolved once and shared by the
-        # reference costs of every scheme
-        self._event_nodes: List[np.ndarray] = [
-            scenario.subscriptions.nodes_of_subscribers(ids)
-            for ids in self._interested
-        ]
 
     # ------------------------------------------------------------------
     @property
@@ -202,19 +196,17 @@ class ExperimentContext:
             with get_tracer().span(
                 "sim.reference_costs", scheme=scheme, n_events=len(self._events)
             ):
+                priced = dispatcher.price_run(
+                    self._publishers, interested=self._interested
+                )
+                # fold in event order, as a per-event loop would
                 unicast = broadcast = ideal = 0.0
-                for event, interested, nodes in zip(
-                    self._events, self._interested, self._event_nodes
+                for event_unicast, event_ideal, _, event_broadcast in (
+                    priced.tolist()
                 ):
-                    unicast += dispatcher.unicast_reference(
-                        event.publisher, interested, nodes=nodes
-                    )
-                    broadcast += dispatcher.broadcast_reference(
-                        event.publisher
-                    )
-                    ideal += dispatcher.ideal_reference(
-                        event.publisher, interested, nodes=nodes
-                    )
+                    unicast += event_unicast
+                    broadcast += event_broadcast
+                    ideal += event_ideal
                 n = len(self._events)
                 self._references[scheme] = (
                     unicast / n,

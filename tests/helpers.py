@@ -2,6 +2,7 @@
 
 import numpy as np
 
+from repro.broker import DeliveryReceipt
 from repro.geometry import Interval, Rectangle
 from repro.workload import Subscription, SubscriptionSet
 
@@ -13,6 +14,18 @@ def make_subscription_set(space, specs):
         rect = Rectangle(tuple(Interval.make(lo, hi) for lo, hi in bounds))
         subs.append(Subscription(subscriber, node, rect))
     return SubscriptionSet(space, subs)
+
+
+def record_one(
+    stats, cost, unicast_cost, ideal_cost, used_multicast, n_interested,
+    wasted, **fields,
+):
+    """Fold one publication into ``stats``: a run of one receipt."""
+    stats.record_run([DeliveryReceipt(
+        n_interested=n_interested, used_multicast=used_multicast,
+        cost=cost, unicast_cost=unicast_cost, ideal_cost=ideal_cost,
+        wasted_deliveries=wasted, **fields,
+    )])
 
 
 def wasted_deliveries(plan):

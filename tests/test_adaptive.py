@@ -42,9 +42,11 @@ def plan_for(interested, members=None):
 
 
 def decide(policy, publisher, plan):
-    """The policy's decision, given the event's priced unicast reference."""
-    unicast = policy.dispatcher.unicast_reference(publisher, plan.interested)
-    return policy.decide(publisher, plan, unicast)
+    """The policy's decision for one event, priced by its dispatcher."""
+    unicast, _, plan_cost, broadcast = policy.dispatcher.price_run(
+        [publisher], interested=[plan.interested], plans=[plan]
+    )[0]
+    return policy.decide([plan], [unicast], [plan_cost], [broadcast])[0]
 
 
 class TestDecision:

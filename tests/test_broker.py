@@ -8,7 +8,7 @@ from repro.geometry import Rectangle
 from repro.network import RoutingTables
 from repro.workload import MixturePublicationModel, single_mode_mixture
 
-from tests.helpers import publish_one
+from tests.helpers import publish_one, record_one
 
 
 @pytest.fixture(scope="module")
@@ -230,18 +230,18 @@ class TestPublishing:
 class TestDeliveryStats:
     def test_improvement_percentage(self):
         stats = DeliveryStats()
-        stats.record(60, 100, 20, True, 5, 1)
+        record_one(stats, 60, 100, 20, True, 5, 1)
         assert stats.improvement_percentage == pytest.approx(50.0)
 
     def test_no_headroom(self):
         stats = DeliveryStats()
-        stats.record(0, 0, 0, False, 0, 0)
+        record_one(stats, 0, 0, 0, False, 0, 0)
         assert stats.improvement_percentage == 0.0
 
     def test_multicast_rate_ignores_empty_events(self):
         stats = DeliveryStats()
-        stats.record(1, 1, 1, True, 3, 0)
-        stats.record(0, 0, 0, False, 0, 0)
+        record_one(stats, 1, 1, 1, True, 3, 0)
+        record_one(stats, 0, 0, 0, False, 0, 0)
         assert stats.multicast_rate == 1.0
 
 

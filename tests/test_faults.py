@@ -27,6 +27,8 @@ from repro.network import Graph, RoutingTables, TransitStubGenerator, TransitStu
 from repro.obs import get_registry
 from repro.sim.scenario import build_evaluation_scenario
 
+from tests.helpers import record_one
+
 # ----------------------------------------------------------------------
 # fixtures: everything fault tests touch is mutated in place, so all
 # topology-bearing fixtures are function-scoped and freshly built
@@ -503,20 +505,21 @@ class TestBrokerRebuildPolicy:
 class TestDeliveryStatsFaults:
     def test_unknown_outcome_rejected(self):
         with pytest.raises(ValueError, match="outcome"):
-            DeliveryStats().record(
-                1.0, 1.0, 1.0, True, 1, 0, outcome="vanished"
+            record_one(
+                DeliveryStats(), 1.0, 1.0, 1.0, True, 1, 0,
+                outcome="vanished",
             )
 
     def test_outcomes_and_availability(self):
         stats = DeliveryStats()
-        stats.record(5.0, 6.0, 4.0, True, 10, 0)
-        stats.record(
-            3.0, 4.0, 2.0, True, 10, 0,
+        record_one(stats, 5.0, 6.0, 4.0, True, 10, 0)
+        record_one(
+            stats, 3.0, 4.0, 2.0, True, 10, 0,
             outcome="degraded", lost_deliveries=2,
             degraded_groups=1, fallback_cost=1.5,
         )
-        stats.record(
-            0.0, 0.0, 0.0, False, 5, 0,
+        record_one(
+            stats, 0.0, 0.0, 0.0, False, 5, 0,
             outcome="lost", lost_deliveries=5,
         )
         assert (stats.n_delivered, stats.n_degraded, stats.n_lost) == (1, 1, 1)
@@ -540,7 +543,7 @@ class TestDeliveryStatsFaults:
         )
         before = counter.value
         stats = DeliveryStats()
-        stats.record(1.0, 1.0, 1.0, True, 1, 0, outcome="degraded")
+        record_one(stats, 1.0, 1.0, 1.0, True, 1, 0, outcome="degraded")
         assert counter.value == before + 1
 
     def test_record_rebuild_overlapping_debounce_windows(self):

@@ -18,6 +18,7 @@ from repro.broker import BrokerConfig, ContentBroker
 from repro.clustering import Clustering, pairwise_waste_matrix
 from repro.clustering.kmeans import KMeansClustering
 from repro.clustering.pairwise import PairwiseGroupingClustering
+from repro.delivery import Dispatcher
 from repro.geometry import Dimension, EventSpace, Rectangle
 from repro.grid import cell_set_from_membership
 from repro.kernels import (
@@ -35,11 +36,12 @@ from repro.kernels import (
     words_for,
 )
 from repro.kernels import backends as _backends
-from repro.network import RoutingTables
+from repro.matching import DeliveryPlan
+from repro.network import Graph, RoutingTables
 from repro.online import ClusterMaintainer
 from repro.workload import MixturePublicationModel, single_mode_mixture
 
-from tests.helpers import observed_fit
+from tests.helpers import make_subscription_set, observed_fit
 
 
 @pytest.fixture(autouse=True)
@@ -438,6 +440,227 @@ class TestFusedKMeansSweeps:
                     cells.packed, cells.probs, cells.sizes, None,
                     **{**state, name: bad}, max_iters=1,
                 )
+
+
+# ----------------------------------------------------------------------
+# batched dense-mode pricing
+# ----------------------------------------------------------------------
+def _dense_dispatcher(edges, n_nodes, subscriber_nodes):
+    """A dense-scheme dispatcher over ``edges`` with one subscriber per
+    entry of ``subscriber_nodes``."""
+    graph = Graph(n_nodes)
+    for u, v, cost in edges:
+        graph.add_edge(u, v, cost)
+    space = EventSpace([Dimension("x", 0, 9)])
+    subs = make_subscription_set(
+        space, [(int(node), [(0, 5)]) for node in subscriber_nodes]
+    )
+    return Dispatcher(RoutingTables(graph), subs, "dense")
+
+
+def _random_tree_edges(rng, n_nodes, n_extra):
+    """A random connected graph: a random tree plus ``n_extra`` chords,
+    costs spread over seven orders of magnitude so that the order of a
+    float sum shows in its last bits."""
+    def cost():
+        return float(rng.uniform(1.0, 50.0) * 10.0 ** rng.integers(-3, 4))
+
+    edges = {}
+    for v in range(1, n_nodes):
+        edges[(int(rng.integers(0, v)), v)] = cost()
+    while n_extra:
+        u, v = sorted(int(x) for x in rng.integers(0, n_nodes, 2))
+        if u != v and (u, v) not in edges:
+            edges[(u, v)] = cost()
+            n_extra -= 1
+    return [(u, v, c) for (u, v), c in edges.items()]
+
+
+def _per_event(dispatcher, publishers, interested, plans):
+    """The per-event python pricing, as price_run lays it out."""
+    rows = []
+    for publisher, ids, plan in zip(publishers, interested, plans):
+        publisher = int(publisher)
+        rows.append([
+            dispatcher.unicast_reference(publisher, ids),
+            dispatcher.ideal_reference(publisher, ids),
+            dispatcher.plan_cost(publisher, plan),
+            dispatcher.broadcast_reference(publisher),
+        ])
+    return np.array(rows, dtype=np.float64)
+
+
+def _ids(values):
+    return np.unique(np.asarray(values, dtype=np.int64))
+
+
+def _plan(interested, groups=(), unicast=None):
+    interested = _ids(interested)
+    groups = [_ids(members) for members in groups]
+    return DeliveryPlan(
+        interested=interested,
+        group_ids=list(range(len(groups))),
+        group_members=groups,
+        unicast_subscribers=(
+            interested if unicast is None else _ids(unicast)
+        ),
+    )
+
+
+class TestDensePricing:
+    """Every backend's run pricing (``Dispatcher.price_run``) against
+    the per-event python pricing and ``np.sum``
+    (NumpyBackend.price_dense is None, so numpy prices each event)."""
+
+    def test_level_sums_are_numpys_pairwise_sum(self, backend):
+        # a star: every interested node is one level below the
+        # publisher, so the unicast reference, the ideal tree's single
+        # level and the broadcast are each one np.sum — at every size
+        # 0..300 (the 8-wide unroll, the 128 block and the recursive
+        # split all start inside that range)
+        rng = np.random.default_rng(5)
+        n_leaves = 300
+        costs = rng.uniform(1.0, 50.0, n_leaves) * 10.0 ** rng.integers(
+            -3, 4, n_leaves
+        )
+        edges = [(0, leaf + 1, float(c)) for leaf, c in enumerate(costs)]
+        # subscriber ids map to leaves in shuffled order, so an
+        # unsorted node set would sum in the wrong order
+        leaves = rng.permutation(n_leaves) + 1
+        dispatcher = _dense_dispatcher(edges, n_leaves + 1, leaves)
+        sizes = range(n_leaves + 1)
+        interested = [_ids(rng.permutation(n_leaves)[:k]) for k in sizes]
+        priced = dispatcher.price_run([0] * len(interested), interested)
+        dist = dispatcher.routing.shortest_paths(0).arrays()[0]
+        for k, ids, row in zip(sizes, interested, priced):
+            nodes = np.unique(leaves[ids])
+            assert len(nodes) == k
+            want = float(np.sum(dist[nodes])) if k else 0.0
+            assert row[0] == want and row[1] == want, k
+            assert row[3] == float(np.sum(dist[1:]))
+
+    def test_random_runs_match_per_event_pricing(self, backend):
+        rng = np.random.default_rng(11)
+        for trial in range(12):
+            n_nodes = int(rng.integers(2, 160))
+            n_subs = int(rng.integers(1, 3 * n_nodes))
+            dispatcher = _dense_dispatcher(
+                _random_tree_edges(rng, n_nodes, n_nodes // 3),
+                n_nodes,
+                rng.integers(0, n_nodes, n_subs),
+            )
+            publishers, interested, plans = [], [], []
+            for _ in range(25):
+                ids = rng.integers(0, n_subs, rng.integers(0, n_subs + 1))
+                groups = [
+                    rng.integers(0, n_subs, rng.integers(0, n_subs + 1))
+                    for _ in range(rng.integers(0, 4))
+                ]
+                unicast = None
+                if groups or rng.random() < 0.5:
+                    unicast = rng.integers(0, n_subs, rng.integers(0, 9))
+                plan = _plan(ids, groups, unicast)
+                publishers.append(int(rng.integers(0, n_nodes)))
+                interested.append(plan.interested)
+                plans.append(plan)
+            got = dispatcher.price_run(publishers, interested, plans)
+            want = _per_event(dispatcher, publishers, interested, plans)
+            assert got.tobytes() == want.tobytes(), trial
+            # each column alone prices the same
+            alone = dispatcher.price_run(publishers, interested=interested)
+            assert alone[:, [0, 1, 3]].tobytes() == want[:, [0, 1, 3]].tobytes()
+            costs = dispatcher.plan_costs(publishers, plans)
+            assert costs.tobytes() == want[:, 2].tobytes()
+
+    def test_edge_cases_match_per_event_pricing(self, backend):
+        rng = np.random.default_rng(3)
+        n_nodes = 90
+        # three subscribers per node: node of subscriber s is s // 3
+        dispatcher = _dense_dispatcher(
+            _random_tree_edges(rng, n_nodes, 20),
+            n_nodes,
+            np.arange(3 * n_nodes) // 3,
+        )
+        publisher = 7
+        everyone = np.arange(3 * n_nodes)
+        cases = [
+            # two groups whose node sets overlap, plus a unicast top-up
+            _plan(range(0, 120), [range(0, 90), range(60, 150)],
+                  range(150, 170)),
+            # the publisher's own node among the targets
+            _plan([21, 22, 40, 200], [[20, 21, 22, 41]], [40, 200]),
+            # empty interest, with and without a group
+            _plan([]),
+            _plan([], [[5, 6]], []),
+            # several subscribers on one node
+            _plan([0, 1, 2, 3, 4, 5, 9, 10], [], None),
+            # a unicast top-up fully covered by the groups' nodes
+            _plan(range(30, 60), [range(30, 45), range(45, 60)],
+                  [31, 32, 46, 58]),
+            # everyone, one group of everyone
+            _plan(everyone, [everyone], []),
+        ]
+        publishers = [publisher] * len(cases)
+        interested = [plan.interested for plan in cases]
+        got = dispatcher.price_run(publishers, interested, cases)
+        want = _per_event(dispatcher, publishers, interested, cases)
+        assert got.tobytes() == want.tobytes()
+
+    def test_unreachable_node_raises_the_per_event_error(self, backend):
+        # two components: nodes 0..3 and 4..5; subscriber s sits on node
+        # s, except that subscribers 4 and 5 sit on nodes 5 and 4, so the
+        # error must name the smallest unreachable node, not the first seen
+        edges = [(0, 1, 1.0), (1, 2, 2.0), (2, 3, 4.0), (4, 5, 1.0)]
+        dispatcher = _dense_dispatcher(edges, 6, [0, 1, 2, 3, 5, 4])
+        reachable = _plan([1, 2])
+
+        def error(call):
+            with pytest.raises(ValueError) as info:
+                call()
+            return str(info.value)
+
+        for plan in (
+            _plan([1, 4, 5]),                 # the unicast reference
+            _plan([1], [[2, 4, 5]], [1]),     # a group's tree
+            _plan([1], [[2]], [1, 4, 5]),     # the unicast top-up
+        ):
+            publishers = [0, 0]
+            plans = [reachable, plan]
+            interested = [p.interested for p in plans]
+            got = error(
+                lambda: dispatcher.price_run(publishers, interested, plans)
+            )
+            assert got == error(
+                lambda: _per_event(dispatcher, publishers, interested, plans)
+            )
+            assert got.startswith("node 4 unreachable from")
+            assert error(
+                lambda: dispatcher.plan_costs(publishers, plans)
+            ) == error(lambda: [dispatcher.plan_cost(0, p) for p in plans])
+
+    def test_native_rejects_indices_out_of_range(self):
+        if "native" not in available_backends():
+            pytest.skip("no C compiler")
+        native = set_backend("native")
+        dispatcher = _dense_dispatcher([(0, 1, 1.0), (1, 2, 1.0)], 3, [1, 2])
+        sp = dispatcher.routing.shortest_paths(0)
+        tree = (0, *sp.arrays(), sp.edge_costs())
+        nodes = dispatcher.subscriptions.subscriber_nodes
+        ok = ([tree], [0], nodes, [np.array([0, 1])], [1], True, False)
+        assert native.price_dense(*ok)[0, 0] == 3.0
+        for bad in (
+            # a subscriber id, an event row, a subscriber node, a tree
+            # source, and too few lists for references plus a plan
+            ([tree], [0], nodes, [np.array([0, 2])], [1], True, False),
+            ([tree], [1], nodes, [np.array([0])], [1], True, False),
+            ([tree], [0], np.array([1, 3]), [np.array([1])], [1], True,
+             False),
+            ([(3, *tree[1:])], [0], nodes, [np.array([1])], [1], True,
+             False),
+            ([tree], [0], nodes, [np.array([1])], [1], True, True),
+        ):
+            with pytest.raises(ValueError, match="out of range"):
+                native.price_dense(*bad)
 
 
 # ----------------------------------------------------------------------

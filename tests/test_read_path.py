@@ -30,7 +30,12 @@ from repro.online import (
     ServiceConfig,
     StreamEvent,
 )
-from repro.obs import FlightRecorder, set_flight_recorder
+from repro.obs import (
+    FlightRecorder,
+    MetricsRegistry,
+    set_flight_recorder,
+    set_registry,
+)
 from repro.obs.slo import Objective, SloEngine
 from repro.online.service import _RUN_CAP
 from repro.workload import MixturePublicationModel, single_mode_mixture
@@ -165,7 +170,30 @@ def _stream(space, n_nodes, seed, n_events, pub_share, forward, n_initial):
     return events
 
 
+#: registry instruments the publish path increments (run-level tallies
+#: must leave the same snapshot as per-event increments)
+_PUBLISH_METRICS = (
+    "broker_events_total", "broker_publications_total",
+    "broker_lost_deliveries_total", "delivery_mode_total",
+    "delivery_mode_cost_gap",
+)
+
+
 def _replay(env, service_cls, params):
+    registry = MetricsRegistry()
+    previous_registry = set_registry(registry)
+    try:
+        service, result, stats = _replay_in(env, service_cls, params)
+    finally:
+        set_registry(previous_registry)
+    service.metrics = [
+        record for record in registry.snapshot()
+        if record["name"] in _PUBLISH_METRICS
+    ]
+    return service, result, stats
+
+
+def _replay_in(env, service_cls, params):
     rng = np.random.default_rng(params["seed"])
     routing = RoutingTables(env["graph"])
     broker = ContentBroker(
@@ -310,6 +338,11 @@ class TestBatchedServiceEquivalence:
         assert got.n_rebuilds == want.n_rebuilds
         assert got.horizon == want.horizon
         assert batched.flight_records == single.flight_records
+        assert batched.metrics == single.metrics
+        if batched.receipts:
+            assert "broker_events_total" in {
+                record["name"] for record in batched.metrics
+            }
         assert got.slo_breaches == want.slo_breaches
         assert got.slo_summary == want.slo_summary
 
