@@ -81,7 +81,7 @@ def test_multicast_frameworks(benchmark, eval_ctx):
 def test_hypercell_merging(benchmark, eval_ctx):
     """§4.1: merging identical membership vectors is lossless — it
     changes the input size, not the grouping quality."""
-    from repro.grid import CellSet, build_membership_matrix
+    from tests.helpers import build_membership_matrix
 
     def run():
         scenario = eval_ctx.scenario

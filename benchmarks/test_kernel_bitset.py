@@ -292,7 +292,6 @@ def _bench_maintainer_scoring(backends):
             max_cells=SCORE_CELLS,
             rebalance_after=10**9,
             drift_threshold=1.05,
-            delta_cells=True,
         ),
     )
     n_nodes = scenario.topology.graph.n_nodes
@@ -303,8 +302,8 @@ def _bench_maintainer_scoring(backends):
     maintainer = ClusterMaintainer(broker)
 
     # the joining rectangles are subscribed up front: the new path reads
-    # the footprint the broker's delta-cells tracking rasterised once at
-    # subscribe time, which is exactly what join()/leave() do per event
+    # the footprint the broker rasterised once at subscribe time, which
+    # is exactly what join()/leave() do per event
     rects = [_rect(broker.space, rng) for _ in range(SCORE_RECTS)]
     handles = [
         broker.subscribe(int(rng.integers(0, n_nodes)), rect)
@@ -331,7 +330,7 @@ def _bench_maintainer_scoring(backends):
         # fused accumulate+argmin through the backend's bound scorer
         chosen = []
         for rect, handle in zip(rects, handles):
-            group, _ = maintainer._score(maintainer._covered(rect, handle))
+            group, _ = maintainer._score(broker.covered_cells(handle))
             chosen.append(group)
         return chosen
 

@@ -10,7 +10,12 @@ equivalence argument.
 
 from .online import AggregateSnapshot, OnlineAggregator
 from .subsume import AggregateSet, aggregate_subscriptions
-from .view import AggregateView, build_aggregate_cells, expand_cell_set
+from .view import (
+    AggregateView,
+    build_aggregate_cells,
+    expand_cell_set,
+    weighted_cell_set,
+)
 
 __all__ = [
     "AggregateSet",
@@ -20,4 +25,5 @@ __all__ = [
     "aggregate_subscriptions",
     "build_aggregate_cells",
     "expand_cell_set",
+    "weighted_cell_set",
 ]

@@ -21,13 +21,14 @@ from typing import List, Optional, Sequence, Tuple
 import numpy as np
 
 from ..geometry import EventSpace, Rectangle
-from ..grid.cells import CellSet, cell_set_from_membership
+from ..grid.cells import CellSet, cell_set_from_membership, pack_membership
 from .subsume import AggregateSet, aggregate_subscriptions
 
 __all__ = [
     "AggregateView",
     "build_aggregate_cells",
     "expand_cell_set",
+    "weighted_cell_set",
 ]
 
 
@@ -102,25 +103,25 @@ def expand_cell_set(agg_cells: CellSet, sub_map: np.ndarray) -> CellSet:
     )
 
 
-def _rasterise_aggregates(
-    space: EventSpace, aggregates: AggregateSet
-) -> np.ndarray:
-    """``(n_cells, n_agg)`` membership matrix of the aggregate
-    rectangles — the same block-slice rasterisation as
-    ``build_membership_matrix``, one column per aggregate.
-    """
-    membership = np.zeros(
-        (space.n_cells, aggregates.n_aggregates), dtype=bool
+def weighted_cell_set(
+    space: EventSpace,
+    rectangles: Sequence[Rectangle],
+    multiplicity: np.ndarray,
+    cell_pmf: np.ndarray,
+    max_cells: Optional[int] = None,
+) -> CellSet:
+    """Hyper-cells of aggregate columns: one column per distinct
+    rectangle, weighted by its multiplicity, so sizes and popularity
+    count the subscriptions behind each column."""
+    n_agg = len(rectangles)
+    packed = pack_membership(space, enumerate(rectangles), n_agg)
+    # nothing collapsed: the aggregate columns equal the subscriber
+    # columns, so drop the all-ones weights — unweighted fits keep the
+    # packed-bitset kernels
+    weights = multiplicity if np.any(multiplicity > 1) else None
+    return cell_set_from_membership(
+        space, packed, n_agg, cell_pmf, max_cells=max_cells, weights=weights
     )
-    grid = membership.reshape(*space.shape, aggregates.n_aggregates)
-    for a in range(aggregates.n_aggregates):
-        rect = Rectangle.from_bounds(aggregates.los[a], aggregates.his[a])
-        try:
-            slices = space.cell_slices(rect)
-        except ValueError:
-            continue  # rectangle misses the grid: matches nothing
-        grid[slices + (a,)] = True
-    return membership
 
 
 def build_aggregate_cells(
@@ -149,18 +150,11 @@ def build_aggregate_cells(
             "aggregated cell build requires every subscriber to be live; "
             "compact the subscription set first"
         )
-    membership = _rasterise_aggregates(space, aggregates)
-    # nothing collapsed: the aggregate columns equal the subscriber
-    # columns, so drop the all-ones weights — unweighted fits keep the
-    # packed-bitset kernels
-    weights = aggregates.multiplicity
-    if aggregates.n_aggregates == aggregates.n_subscriptions:
-        weights = None
-    agg_cells = cell_set_from_membership(
-        space,
-        membership,
-        cell_pmf,
-        max_cells=max_cells,
-        weights=weights,
+    rectangles = [
+        Rectangle.from_bounds(lo, hi)
+        for lo, hi in zip(aggregates.los, aggregates.his)
+    ]
+    agg_cells = weighted_cell_set(
+        space, rectangles, aggregates.multiplicity, cell_pmf, max_cells
     )
     return agg_cells, expand_cell_set(agg_cells, sub_map)

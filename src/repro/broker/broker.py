@@ -21,11 +21,16 @@ from typing import Dict, List, Optional, Sequence, Tuple
 
 import numpy as np
 
-from ..aggregation import AggregateSnapshot, OnlineAggregator, expand_cell_set
+from ..aggregation import (
+    AggregateSnapshot,
+    OnlineAggregator,
+    expand_cell_set,
+    weighted_cell_set,
+)
 from ..clustering import Clustering, ForgyKMeansClustering, KMeansClustering
 from ..delivery import AdaptiveDeliveryPolicy, Dispatcher
 from ..geometry import EventSpace, Rectangle
-from ..grid import CellSet, build_cell_set, cell_set_from_membership
+from ..grid import CellSet, build_cell_set
 from ..matching import DeliveryPlan, GridMatcher
 from ..network import RoutingTables, unicast_cost
 from ..obs import get_flight_recorder, get_registry, get_tracer
@@ -80,10 +85,6 @@ class BrokerConfig:
     #: by the online maintainer) that makes a rebuild due regardless of
     #: the debounce; ``None`` disables the drift trigger
     drift_threshold: Optional[float] = None
-    #: maintain a persistent dense (n_cells × n_subscriptions) membership
-    #: matrix across churn so rebuilds skip the per-subscription
-    #: rasterisation pass; costs ``n_cells`` bytes per live subscription
-    delta_cells: bool = True
     #: collapse identical subscription rectangles into weighted
     #: aggregates before every refit (maintained incrementally under
     #: churn by :class:`repro.aggregation.OnlineAggregator`); delivery
@@ -147,13 +148,9 @@ class ContentBroker:
             backoff_max=self.config.rebuild_backoff_max,
             drift_threshold=self.config.drift_threshold,
         )
-        # persistent cell-membership cache (delta_cells): column `slot`
-        # of the buffer is the rasterised footprint of one live handle
-        self._slot_of: Dict[int, int] = {}
+        #: flat grid cells each live handle covers (the maintainer's
+        #: join/leave scoring reads them through covered_cells)
         self._cells_of: Dict[int, np.ndarray] = {}
-        self._free_slots: List[int] = []
-        self._n_slots = 0
-        self._cell_buf: Optional[np.ndarray] = None
         self._aggregator = (
             OnlineAggregator() if self.config.aggregate else None
         )
@@ -182,8 +179,9 @@ class ContentBroker:
         self._next_id += 1
         self._active[handle] = (node, rectangle)
         self._pending_changes += 1
-        if self.config.delta_cells:
-            self._track_cells(handle, rectangle, cells)
+        if cells is None:
+            cells = self.space.cells_in_rectangle(rectangle)
+        self._cells_of[handle] = cells
         if self._aggregator is not None:
             self._aggregator.add(handle, rectangle)
         return handle
@@ -191,11 +189,9 @@ class ContentBroker:
     def covered_cells(self, handle: int) -> Optional[np.ndarray]:
         """Cached flat grid cells a live subscription covers.
 
-        Populated by the delta-cells tracking of :meth:`subscribe`;
-        ``None`` when the handle is unknown or tracking is disabled.
-        Consumers (the cluster maintainer's join/leave scoring) treat
-        the array as read-only — it is the same object the delta
-        rebuild path gathers.
+        Rasterised once by :meth:`subscribe`; ``None`` when the handle
+        is unknown.  Consumers (the cluster maintainer's join/leave
+        scoring) treat the array as read-only.
         """
         return self._cells_of.get(handle)
 
@@ -206,114 +202,26 @@ class ContentBroker:
         except KeyError:
             raise KeyError(f"unknown subscription handle {handle}") from None
         self._pending_changes += 1
-        self._untrack_cells(handle)
+        del self._cells_of[handle]
         if self._aggregator is not None:
             self._aggregator.remove(handle)
-
-    # ------------------------------------------------------------------
-    # persistent cell-membership cache (the delta rebuild path)
-    # ------------------------------------------------------------------
-    def reserve(self, n: int) -> None:
-        """Size the cell buffer, in one step, for ``n`` subscriptions
-        beyond the slots in use.
-
-        A caller that knows the most subscriptions it will hold at once
-        registers them without the buffer's doubling copies and with no
-        spare columns; the contents are unchanged.
-        """
-        needed = self._n_slots + n
-        buf = self._cell_buf
-        if self.config.delta_cells and n > 0 and (
-            buf is None or buf.shape[1] < needed
-        ):
-            self._grow_cells(needed)
-
-    def _grow_cells(self, capacity: int) -> None:
-        """Reallocate the cell buffer with ``capacity`` columns."""
-        buf = self._cell_buf
-        grown = np.zeros((self.space.n_cells, capacity), dtype=bool)
-        if buf is not None:
-            grown[:, : buf.shape[1]] = buf
-        self._cell_buf = grown
-
-    def _track_cells(
-        self,
-        handle: int,
-        rectangle: Rectangle,
-        covered: Optional[np.ndarray],
-    ) -> None:
-        """Record one subscription's footprint in its own buffer column."""
-        if covered is None:
-            covered = self.space.cells_in_rectangle(rectangle)
-        slot = self._free_slots.pop() if self._free_slots else self._n_slots
-        if slot == self._n_slots:
-            self._n_slots += 1
-            buf = self._cell_buf
-            if buf is None or buf.shape[1] < self._n_slots:
-                self._grow_cells(max(64, 2 * self._n_slots))
-        self._cell_buf[covered, slot] = True
-        self._slot_of[handle] = slot
-        self._cells_of[handle] = covered
-
-    def _untrack_cells(self, handle: int) -> None:
-        slot = self._slot_of.pop(handle, None)
-        if slot is None:
-            return
-        self._cell_buf[self._cells_of.pop(handle), slot] = False
-        self._free_slots.append(slot)
-
-    def _build_cells(self, subs: SubscriptionSet) -> CellSet:
-        """Hyper-cells for a rebuild: the delta path gathers the cached
-        columns of the live handles (the grid and space are unchanged,
-        only membership moved), skipping the rasterisation pass of
-        :func:`build_cell_set`; the cold path rebuilds from scratch."""
-        if self.config.delta_cells and self._cell_buf is not None:
-            slots = [self._slot_of[h] for h in self._external_of]
-            with get_tracer().span(
-                "broker.delta_cells", n_subscriptions=len(slots)
-            ):
-                membership = self._cell_buf.take(slots, axis=1)
-                return cell_set_from_membership(
-                    self.space, membership, self.cell_pmf,
-                    max_cells=self.config.max_cells,
-                )
-        return build_cell_set(
-            self.space, subs, self.cell_pmf,
-            max_cells=self.config.max_cells,
-        )
 
     def _build_aggregate_cells(self, snap: AggregateSnapshot) -> CellSet:
         """Weighted aggregate hyper-cells for a rebuild.
 
-        One column per distinct rectangle, weighted by its multiplicity.
-        The delta path gathers the representative handles' cached buffer
-        columns (every member of an aggregate rasterises to the same
-        column, so the representative's is exact); the cold path
-        rasterises the representatives' rectangles directly.
+        One column per distinct rectangle, weighted by its multiplicity:
+        every member of an aggregate rasterises to the same column, so
+        the representative's rectangle stands for all of them.
         """
-        # nothing collapsed: drop the all-ones weights so the fit keeps
-        # the packed-bitset kernels
-        weights = snap.multiplicity
-        if snap.n_aggregates == snap.n_subscriptions:
-            weights = None
         with get_tracer().span(
             "broker.aggregate_cells", n_aggregates=snap.n_aggregates
         ):
-            if self.config.delta_cells and self._cell_buf is not None:
-                rep_slots = [self._slot_of[h] for h in snap.reps]
-                membership = self._cell_buf.take(rep_slots, axis=1)
-            else:
-                membership = np.zeros(
-                    (self.space.n_cells, snap.n_aggregates), dtype=bool
-                )
-                for a, handle in enumerate(snap.reps):
-                    _, rectangle = self._active[handle]
-                    covered = self.space.cells_in_rectangle(rectangle)
-                    membership[covered, a] = True
-            return cell_set_from_membership(
-                self.space, membership, self.cell_pmf,
+            return weighted_cell_set(
+                self.space,
+                [self._active[handle][1] for handle in snap.reps],
+                snap.multiplicity,
+                self.cell_pmf,
                 max_cells=self.config.max_cells,
-                weights=weights,
             )
 
     @property
@@ -501,7 +409,10 @@ class ContentBroker:
                     "live subscriptions per aggregate",
                 ).set(snap.aggregation_ratio, path="online")
             else:
-                cells = self._build_cells(subs)
+                cells = build_cell_set(
+                    self.space, subs, self.cell_pmf,
+                    max_cells=self.config.max_cells,
+                )
                 algorithm = self._make_algorithm(
                     None if full else old_clustering, cells
                 )

@@ -340,7 +340,6 @@ def run_shard_task(task: ShardTask, context: ShardContext) -> ShardOutcome:
         cell_pmf,
         config=config.broker_config(task.k),
     )
-    broker.reserve(_peak_live(len(task.registrations), task.events))
     handles = [
         broker.subscribe(node, rectangle, cells=context.footprints[gid])
         for gid, node, rectangle, _ in task.registrations
@@ -428,21 +427,6 @@ def run_shard_task(task: ShardTask, context: ShardContext) -> ShardOutcome:
             policy=config.fleet_policy,
         )
     return result
-
-
-def _peak_live(n_initial: int, events: Sequence[StreamEvent]) -> int:
-    """The most registrations live at once over a slice, in arrival
-    order: the size a shard's cell buffer needs so that it never grows
-    in the loop (leaves free slots that later joins reuse)."""
-    live = peak = n_initial
-    for event in events:
-        payload = event.payload
-        if isinstance(payload, FleetJoin):
-            live += 1
-            peak = max(peak, live)
-        elif isinstance(payload, FleetLeave) and payload.gid >= 0:
-            live -= 1
-    return peak
 
 
 # ----------------------------------------------------------------------

@@ -4,13 +4,13 @@ matrices, hyper-cell merging and popularity-based cell selection."""
 from .cells import (
     CellSet,
     build_cell_set,
-    build_membership_matrix,
     cell_set_from_membership,
+    pack_membership,
 )
 
 __all__ = [
     "CellSet",
     "build_cell_set",
-    "build_membership_matrix",
     "cell_set_from_membership",
+    "pack_membership",
 ]

@@ -13,43 +13,51 @@ fed to the clustering algorithm (the rest fall back to unicast).
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import List, Optional, Sequence, Tuple
+from typing import Iterable, List, Optional, Tuple
 
 import numpy as np
 
-from ..geometry import EventSpace
+from ..geometry import EventSpace, Rectangle
 from ..kernels import PackedBits, pack_rows, popcount_rows
 from ..obs import get_tracer
 from ..workload import SubscriptionSet
 
 __all__ = [
     "CellSet",
-    "build_membership_matrix",
     "build_cell_set",
     "cell_set_from_membership",
+    "pack_membership",
 ]
 
 
-def build_membership_matrix(
-    space: EventSpace, subscriptions: SubscriptionSet
+def pack_membership(
+    space: EventSpace,
+    columns: Iterable[Tuple[int, Rectangle]],
+    n_columns: int,
 ) -> np.ndarray:
-    """Dense membership matrix over all grid cells.
+    """Packed membership rows over all grid cells.
 
-    Returns a boolean array of shape ``(space.n_cells, n_subscribers)``
-    where entry ``(c, i)`` is ``s(c)_i`` from equation (1) of the paper.
-    Because every subscription rectangle overlaps a *contiguous block* of
-    cells in each dimension, the matrix is filled with one numpy block
-    assignment per subscription.
+    ``columns`` yields ``(column, rectangle)`` pairs; several pairs may
+    share a column (a subscriber with several rectangles).  Returns the
+    ``(space.n_cells, ceil(n_columns / 8))`` uint8 matrix whose row ``c``
+    is ``s(c)`` from equation (1) of the paper, in the bit order of
+    ``np.packbits(axis=1)``.  Every rectangle overlaps a *contiguous
+    block* of cells in each dimension, so each one is a single OR of its
+    column's bit into a strided box of the packed bytes; no dense
+    ``(n_cells, n_columns)`` matrix is ever built.  Padding bits past
+    ``n_columns`` stay zero.
     """
-    n_subs = subscriptions.n_subscribers
-    shaped = np.zeros(space.shape + (n_subs,), dtype=bool)
-    for sub in subscriptions.subscriptions:
+    n_bytes = -(-n_columns // 8)
+    packed = np.zeros((space.n_cells, n_bytes), dtype=np.uint8)
+    shaped = packed.reshape(space.shape + (n_bytes,))
+    for column, rectangle in columns:
         try:
-            slices = space.cell_slices(sub.rectangle)
+            slices = space.cell_slices(rectangle)
         except ValueError:
             continue  # rectangle entirely outside the grid: matches nothing
-        shaped[slices + (sub.subscriber,)] = True
-    return shaped.reshape(space.n_cells, n_subs)
+        column = int(column)
+        shaped[slices + (column >> 3,)] |= 0x80 >> (column & 7)
+    return packed
 
 
 @dataclass
@@ -176,7 +184,7 @@ def build_cell_set(
 ) -> CellSet:
     """Run the preprocessing stage of the grid-based framework.
 
-    1. Build the membership matrix over the full grid.
+    1. Rasterise the packed membership rows over the full grid.
     2. Drop cells with no interested subscribers (nothing to deliver).
     3. Merge cells with identical membership vectors into hyper-cells,
        accumulating their publication probabilities.
@@ -205,37 +213,45 @@ def _build_cell_set(
     cell_pmf: np.ndarray,
     max_cells: Optional[int],
 ) -> CellSet:
-    membership = build_membership_matrix(space, subscriptions)
-    return cell_set_from_membership(space, membership, cell_pmf, max_cells)
+    n_columns = subscriptions.n_subscribers
+    columns = (
+        (sub.subscriber, sub.rectangle) for sub in subscriptions.subscriptions
+    )
+    packed = pack_membership(space, columns, n_columns)
+    return cell_set_from_membership(
+        space, packed, n_columns, cell_pmf, max_cells
+    )
 
 
 def cell_set_from_membership(
     space: EventSpace,
-    membership: np.ndarray,
+    packed: np.ndarray,
+    n_columns: int,
     cell_pmf: np.ndarray,
     max_cells: Optional[int] = None,
     weights: Optional[np.ndarray] = None,
 ) -> CellSet:
-    """Steps 2-4 of :func:`build_cell_set` on a prebuilt membership matrix.
+    """Steps 2-4 of :func:`build_cell_set` on packed membership rows.
 
-    This is the delta-update entry point of the online runtime: a caller
-    that maintains the dense ``(n_cells, n_subscribers)`` matrix
-    incrementally across subscription churn (one column flip per
-    join/leave) re-derives hyper-cells from it directly, skipping the
-    per-subscription rasterisation pass of
-    :func:`build_membership_matrix`.
+    ``packed`` is the ``(space.n_cells, ceil(n_columns / 8))`` uint8
+    output of :func:`pack_membership` (``np.packbits(axis=1)`` bit
+    order, zero padding bits).  The weighted aggregate builds rasterise
+    their own columns and enter here.
 
-    Hyper-cells come out in the lexicographic order of their bit-packed
+    Hyper-cells come out in the lexicographic order of their packed
     rows.  The popularity cut to ``max_cells`` happens before the
     per-cell lists are built, so only the kept hyper-cells get a
-    ``cell_ids`` entry and a ``hypercell_of_cell`` slot; the result
-    equals ``top_by_popularity(max_cells)`` of the uncut set.
+    ``cell_ids`` entry, a ``hypercell_of_cell`` slot and an unpacked
+    ``membership`` row; the result equals ``top_by_popularity(max_cells)``
+    of the uncut set.
     """
-    if membership.shape[0] != space.n_cells:
-        raise ValueError("membership must have one row per grid cell")
+    if packed.shape != (space.n_cells, -(-n_columns // 8)):
+        raise ValueError(
+            "packed membership must have one row per grid cell and "
+            "ceil(n_columns / 8) bytes per row"
+        )
     if max_cells is not None and max_cells < 1:
         raise ValueError("max_cells must be at least 1")
-    packed = np.packbits(membership, axis=1)
     nonempty = np.flatnonzero(packed.any(axis=1))
     if len(nonempty) == 0:
         raise ValueError("no grid cell is covered by any subscription")
@@ -251,7 +267,8 @@ def cell_set_from_membership(
     # only the kept hyper-cells get rows, cell lists and map entries
     if max_cells is not None and max_cells < n_hyper:
         if weights is not None:
-            sizes = membership[first_cells].astype(np.int64) @ weights
+            rows = _unpack(packed[first_cells], n_columns)
+            sizes = rows.astype(np.int64) @ weights
         else:
             sizes = popcount_rows(words[first_idx])
         keep = np.argsort(-(probs * sizes), kind="stable")[:max_cells]
@@ -268,12 +285,17 @@ def cell_set_from_membership(
     mapping[nonempty] = hyper
     return CellSet(
         space=space,
-        membership=membership[first_cells],
+        membership=_unpack(packed[first_cells], n_columns),
         probs=probs,
         cell_ids=np.split(nonempty[order], boundaries),
         hypercell_of_cell=mapping,
         weights=weights,
     )
+
+
+def _unpack(packed: np.ndarray, n_columns: int) -> np.ndarray:
+    """Boolean ``(rows, n_columns)`` matrix of packed membership rows."""
+    return np.unpackbits(packed, axis=1, count=n_columns).view(bool)
 
 
 def _big_endian_words(packed: np.ndarray) -> np.ndarray:

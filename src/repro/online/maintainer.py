@@ -49,10 +49,6 @@ from ..obs import get_flight_recorder, get_registry
 
 __all__ = ["MaintainerConfig", "ClusterMaintainer"]
 
-#: rectangle-keyed covered-cells fallback cache bound (entries); only
-#: consulted when the broker's per-handle tracking is disabled
-_FOOTPRINT_CACHE_CAP = 4096
-
 #: waste floor used when the last fit had (near-)zero expected waste —
 #: the inflation ratio degenerates there, so drift falls back to the
 #: absolute live waste measured against this floor
@@ -104,9 +100,6 @@ class ClusterMaintainer:
         # sentinel-extended group map (unclustered cells -> bucket
         # n_groups) consumed by the fused group-mass kernel
         self._cell_group_ext: Optional[np.ndarray] = None
-        # rectangle -> covered flat cells, used only when the broker
-        # does not track per-handle footprints (config.delta_cells off)
-        self._footprints: Dict[Rectangle, np.ndarray] = {}
         # join scorer bound to the captured fit by the active kernel
         # backend (rebuilt lazily when either changes)
         self._scorer = None
@@ -158,7 +151,6 @@ class ClusterMaintainer:
         self._cell_group_ext = np.ascontiguousarray(
             np.where(cell_group >= 0, cell_group, n_groups), dtype=np.int64
         )
-        self._footprints.clear()
         self._scorer_backend = None
         self.fit_waste = clustering.total_expected_waste()
         self.current_waste = self.fit_waste
@@ -200,7 +192,7 @@ class ClusterMaintainer:
             group = int(groups[0]) if len(groups) else -1
         else:
             broker.attach(handle)
-            group, overlap = self._score(self._covered(rectangle, handle))
+            group, overlap = self._score(broker.covered_cells(handle))
             if group >= 0:
                 broker.apply_join(handle, group)
                 self.current_waste += float(
@@ -224,11 +216,11 @@ class ClusterMaintainer:
         if self._cell_group is None:
             raise RuntimeError("capture() the broker's fit first")
         broker = self.broker
-        node, rectangle = broker.subscription(handle)
+        node, _ = broker.subscription(handle)
         internal = broker.internal_id(handle)
         groups = broker.clustering.groups_of_subscriber(internal)
         if len(groups):
-            _, overlap = self._score(self._covered(rectangle, handle))
+            _, overlap = self._score(broker.covered_cells(handle))
             removed = float(
                 np.sum(self._group_mass[groups] - overlap[groups])
             )
@@ -300,7 +292,6 @@ class ClusterMaintainer:
             np.where(cell_group >= 0, cell_group, len(self._group_mass)),
             dtype=np.int64,
         )
-        self._footprints.clear()
         self._scorer_backend = None
         self.fit_waste = float(fit_waste)
         self.current_waste = float(current_waste)
@@ -311,28 +302,6 @@ class ClusterMaintainer:
         self._drift_gauge.set(self.inflation)
 
     # ------------------------------------------------------------------
-    def _covered(
-        self, rectangle: Rectangle, handle: Optional[int]
-    ) -> np.ndarray:
-        """The rectangle's covered grid cells, without re-rasterising.
-
-        The broker's delta-cells tracking already rasterised the
-        rectangle once at subscribe time; joins and leaves reuse that
-        footprint through the handle.  When tracking is off, a bounded
-        rectangle-keyed cache serves repeats.
-        """
-        if handle is not None:
-            cached = self.broker.covered_cells(handle)
-            if cached is not None:
-                return cached
-        covered = self._footprints.get(rectangle)
-        if covered is None:
-            covered = self.broker.space.cells_in_rectangle(rectangle)
-            if len(self._footprints) >= _FOOTPRINT_CACHE_CAP:
-                self._footprints.clear()
-            self._footprints[rectangle] = covered
-        return covered
-
     def _score(self, covered: np.ndarray):
         """``(group, overlap)`` of one covered-cells footprint.
 
@@ -357,11 +326,9 @@ class ClusterMaintainer:
             self._scorer_backend = backend
         return self._scorer(covered)
 
-    def _overlap(
-        self, rectangle: Rectangle, handle: Optional[int] = None
-    ) -> np.ndarray:
-        """Per-group publication mass of the rectangle's clustered cells."""
-        _, overlap = self._score(self._covered(rectangle, handle))
+    def _overlap(self, handle: int) -> np.ndarray:
+        """Per-group publication mass of a live handle's clustered cells."""
+        _, overlap = self._score(self.broker.covered_cells(handle))
         return overlap
 
     def _note_drift(self, now: float) -> None:

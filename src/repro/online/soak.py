@@ -162,7 +162,6 @@ class SoakConfig:
             # off, rebuilds come from the drift trigger only
             rebalance_after=10**9,
             drift_threshold=self.drift_threshold,
-            delta_cells=True,
             aggregate=self.aggregate,
         )
 

@@ -16,6 +16,29 @@ def make_subscription_set(space, specs):
     return SubscriptionSet(space, subs)
 
 
+def build_membership_matrix(space, subscriptions):
+    """Oracle of :func:`repro.grid.pack_membership`: the dense boolean
+    ``(n_cells, n_subscribers)`` matrix of equation (1), one block
+    assignment per subscription rectangle.  The packed rasteriser must
+    equal :func:`packed_rows` of it byte for byte."""
+    n_subs = subscriptions.n_subscribers
+    shaped = np.zeros(space.shape + (n_subs,), dtype=bool)
+    for sub in subscriptions.subscriptions:
+        try:
+            slices = space.cell_slices(sub.rectangle)
+        except ValueError:
+            continue  # rectangle entirely outside the grid: matches nothing
+        shaped[slices + (sub.subscriber,)] = True
+    return shaped.reshape(space.n_cells, n_subs)
+
+
+def packed_rows(membership):
+    """``(packed, n_columns)`` of a dense boolean membership matrix: the
+    rows :func:`repro.grid.cell_set_from_membership` takes."""
+    membership = np.asarray(membership, dtype=bool)
+    return np.packbits(membership, axis=1), membership.shape[1]
+
+
 def record_one(
     stats, cost, unicast_cost, ideal_cost, used_multicast, n_interested,
     wasted, **fields,

@@ -7,15 +7,22 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from repro.geometry import Dimension, EventSpace
+from repro.aggregation import aggregate_subscriptions, build_aggregate_cells
+from repro.geometry import Dimension, EventSpace, Interval, Rectangle
 from repro.grid import (
     CellSet,
     build_cell_set,
-    build_membership_matrix,
     cell_set_from_membership,
+    pack_membership,
 )
+from repro.workload import Subscription, SubscriptionSet
 
-from tests.helpers import locate, make_subscription_set
+from tests.helpers import (
+    build_membership_matrix,
+    locate,
+    make_subscription_set,
+    packed_rows,
+)
 
 
 @pytest.fixture
@@ -65,9 +72,6 @@ class TestMembershipMatrix:
         assert matrix[:, 1].any()
 
     def test_multiple_rectangles_per_subscriber_union(self, space):
-        from repro.geometry import Rectangle
-        from repro.workload import Subscription, SubscriptionSet
-
         subs = SubscriptionSet(
             space,
             [
@@ -266,7 +270,8 @@ class TestHyperCellOracle:
             space, membership, cell_pmf, max_cells, weights
         )
         got = cell_set_from_membership(
-            space, membership, cell_pmf, max_cells=max_cells, weights=weights
+            space, *packed_rows(membership), cell_pmf,
+            max_cells=max_cells, weights=weights,
         )
         assert got.membership.dtype == expected.membership.dtype
         np.testing.assert_array_equal(got.membership, expected.membership)
@@ -288,5 +293,115 @@ class TestHyperCellOracle:
         membership = build_membership_matrix(space, subs)
         with pytest.raises(ValueError, match="max_cells must be at least 1"):
             cell_set_from_membership(
-                space, membership, uniform_pmf, max_cells=0
+                space, *packed_rows(membership), uniform_pmf, max_cells=0
             )
+
+
+#: side endpoints: unbounded, off-grid on either side, cell boundaries and
+#: half-cells of a lattice 0..4 (cell i covers (i-1, i])
+_BOUNDS = [
+    -math.inf, -9.0, -1.5, -1.0, -0.5, 0.0, 0.5, 1.0, 2.0, 2.5, 3.0,
+    4.0, 5.5, 9.0, math.inf,
+]
+
+
+@st.composite
+def _rasterise_inputs(draw):
+    """A 1- to 3-d grid and a subscription set with several rows per
+    subscriber (unbounded, empty and off-grid sides included), read back
+    from its bounds after some subscribers departed, so deactivated rows
+    arrive as ``(+inf, -inf]`` rectangles."""
+    n_dims = draw(st.integers(1, 3))
+    space = EventSpace([
+        Dimension(f"d{i}", 0, draw(st.integers(0, 4))) for i in range(n_dims)
+    ])
+    n_columns = draw(st.sampled_from([1, 7, 8, 9, 65]))
+    bound = st.sampled_from(_BOUNDS)
+    rows = [
+        Subscription(column, 0, Rectangle(tuple(
+            Interval.make(draw(bound), draw(bound)) for _ in range(n_dims)
+        )))
+        for column in range(n_columns)
+        for _ in range(draw(st.integers(1, 3)))
+    ]
+    subs = SubscriptionSet(space, rows)
+    for column in draw(st.sets(st.integers(0, n_columns - 1), max_size=3)):
+        subs.deactivate(column)
+    los, his = subs.bounds()
+    return space, SubscriptionSet(space, [
+        Subscription(int(owner), 0, Rectangle.from_bounds(lo, hi))
+        for owner, lo, hi in zip(subs.row_owners, los, his)
+    ])
+
+
+def _subscription_columns(subs):
+    return ((s.subscriber, s.rectangle) for s in subs.subscriptions)
+
+
+class TestPackedRasteriser:
+    """``pack_membership`` equals ``np.packbits`` of the dense oracle,
+    byte for byte."""
+
+    @settings(max_examples=150, deadline=None)
+    @given(_rasterise_inputs())
+    def test_matches_dense_oracle(self, inputs):
+        space, subs = inputs
+        got = pack_membership(
+            space, _subscription_columns(subs), subs.n_subscribers
+        )
+        expected, _ = packed_rows(build_membership_matrix(space, subs))
+        assert got.dtype == np.uint8
+        assert got.shape == expected.shape
+        assert got.tobytes() == expected.tobytes()
+
+    @settings(max_examples=60, deadline=None)
+    @given(
+        st.integers(0, 2**32 - 1),
+        st.sampled_from([1, 7, 8, 9, 65]),
+        st.sampled_from([None, 1, 3, 40]),
+    )
+    def test_weighted_aggregates_keep_sizes(self, seed, n_subs, max_cells):
+        """Aggregate columns rasterised once per distinct rectangle and
+        weighted by multiplicity: the hyper-cells, and ``sizes`` from
+        ``membership @ weights``, equal the subscriber-level build's."""
+        rng = np.random.default_rng(seed)
+        space = EventSpace([Dimension("x", 0, 5), Dimension("y", 0, 4)])
+        pool = [
+            Rectangle(tuple(
+                Interval.make(*sorted(rng.choice(_BOUNDS, size=2)))
+                for _ in range(2)
+            ))
+            for _ in range(int(rng.integers(1, 6)))
+        ]
+        subs = SubscriptionSet(space, [
+            Subscription(i, 0, pool[int(rng.integers(len(pool)))])
+            for i in range(n_subs)
+        ])
+        pmf = rng.random(space.n_cells)
+        agg = aggregate_subscriptions(subs)
+        agg_rows = SubscriptionSet(space, [
+            Subscription(a, 0, Rectangle.from_bounds(lo, hi))
+            for a, (lo, hi) in enumerate(zip(agg.los, agg.his))
+        ])
+        got = pack_membership(
+            space, _subscription_columns(agg_rows), agg.n_aggregates
+        )
+        expected, _ = packed_rows(build_membership_matrix(space, agg_rows))
+        assert got.tobytes() == expected.tobytes()
+        try:
+            plain = build_cell_set(space, subs, pmf, max_cells)
+        except ValueError:
+            with pytest.raises(ValueError, match="no grid cell"):
+                build_aggregate_cells(space, subs, agg, pmf, max_cells)
+            return
+        agg_cells, expanded = build_aggregate_cells(
+            space, subs, agg, pmf, max_cells
+        )
+        weighted = agg_cells.membership.astype(np.int64) @ agg.multiplicity
+        np.testing.assert_array_equal(weighted, plain.sizes)
+        np.testing.assert_array_equal(agg_cells.sizes, plain.sizes)
+        np.testing.assert_array_equal(expanded.membership, plain.membership)
+        assert expanded.probs.tobytes() == plain.probs.tobytes()
+        np.testing.assert_array_equal(
+            expanded.hypercell_of_cell, plain.hypercell_of_cell
+        )

@@ -17,7 +17,12 @@ from repro.clustering import mst
 from repro.geometry import Dimension, EventSpace
 from repro.grid import CellSet, build_cell_set, cell_set_from_membership
 
-from tests.helpers import make_subscription_set, mst_reference, observed_fit
+from tests.helpers import (
+    make_subscription_set,
+    mst_reference,
+    observed_fit,
+    packed_rows,
+)
 
 ALL_ALGORITHMS = [
     KMeansClustering,
@@ -261,7 +266,9 @@ def _random_cells(seed):
     membership = rng.random((space.n_cells, 40)) < 0.2
     membership[0] = True
     pmf = rng.random(space.n_cells)
-    return cell_set_from_membership(space, membership, pmf / pmf.sum())
+    return cell_set_from_membership(
+        space, *packed_rows(membership), pmf / pmf.sum()
+    )
 
 
 class TestMSTBandScan:

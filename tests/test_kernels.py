@@ -41,7 +41,7 @@ from repro.network import Graph, RoutingTables
 from repro.online import ClusterMaintainer
 from repro.workload import MixturePublicationModel, single_mode_mixture
 
-from tests.helpers import make_subscription_set, observed_fit
+from tests.helpers import make_subscription_set, observed_fit, packed_rows
 
 
 @pytest.fixture(autouse=True)
@@ -287,7 +287,9 @@ class TestFusedPairwiseFit:
         membership[0] = True  # guarantee at least one covered cell
         pmf = rng.random(tiny_space.n_cells)
         pmf /= pmf.sum()
-        return cell_set_from_membership(tiny_space, membership, pmf)
+        return cell_set_from_membership(
+            tiny_space, *packed_rows(membership), pmf
+        )
 
     def test_fused_fit_identical_to_python_loop(self, tiny_space, rng):
         cells = self._cell_set(tiny_space, rng)
@@ -354,7 +356,9 @@ def _kmeans_cells(seed, n_bits, density=0.15, weighted=False, uniform=False):
         pmf = rng.random(space.n_cells)
         pmf /= pmf.sum()
     weights = rng.integers(1, 6, size=n_bits) if weighted else None
-    return cell_set_from_membership(space, membership, pmf, weights=weights)
+    return cell_set_from_membership(
+        space, *packed_rows(membership), pmf, weights=weights
+    )
 
 
 def _lonely_warm_start(cells):
@@ -718,21 +722,19 @@ class TestBackendSelection:
 # ----------------------------------------------------------------------
 # maintainer covered-cells reuse (satellite: no re-rasterisation)
 # ----------------------------------------------------------------------
-def _make_broker(small_topology, rng, **config_kwargs):
+def _make_broker(small_topology, rng):
     publications = MixturePublicationModel(
         small_topology, single_mode_mixture()
     )
     space = publications.space
-    defaults = dict(
-        n_groups=6, max_cells=200, rebalance_after=10**9,
-        drift_threshold=1.05, delta_cells=True,
-    )
-    defaults.update(config_kwargs)
     broker = ContentBroker(
         RoutingTables(small_topology.graph),
         space,
         publications.cell_pmf(),
-        config=BrokerConfig(**defaults),
+        config=BrokerConfig(
+            n_groups=6, max_cells=200, rebalance_after=10**9,
+            drift_threshold=1.05,
+        ),
     )
     n_nodes = small_topology.graph.n_nodes
     for _ in range(24):
@@ -770,25 +772,12 @@ class TestMaintainerFootprintReuse:
         rect = _rect(broker.space, rng)
         calls = self._count_rasterisations(monkeypatch, broker.space)
         handle = maintainer.join(1, rect, now=0.0)
-        # the broker's delta-cells tracking rasterises once at subscribe;
-        # the maintainer's overlap scoring must reuse that footprint
+        # the broker rasterises once at subscribe; the maintainer's
+        # overlap scoring must reuse that footprint
         join_calls = calls["n"]
         assert join_calls <= 1
         maintainer.leave(handle, now=1.0)
         assert calls["n"] == join_calls  # leave adds zero rasterisations
-
-    def test_fallback_cache_serves_repeat_rectangles(
-        self, small_topology, rng, monkeypatch
-    ):
-        broker = _make_broker(small_topology, rng, delta_cells=False)
-        maintainer = ClusterMaintainer(broker)
-        rect = _rect(broker.space, rng)
-        calls = self._count_rasterisations(monkeypatch, broker.space)
-        first = maintainer._covered(rect, None)
-        assert calls["n"] == 1
-        second = maintainer._covered(rect, None)
-        assert calls["n"] == 1  # served from the rectangle-keyed cache
-        assert np.array_equal(first, second)
 
     def test_overlap_matches_masked_bincount(self, small_topology, rng):
         broker = _make_broker(small_topology, rng)
@@ -802,5 +791,5 @@ class TestMaintainerFootprintReuse:
             weights=broker.cell_pmf[covered][clustered],
             minlength=len(maintainer._group_mass),
         )
-        got = maintainer._overlap(rect)
+        got = maintainer._overlap(broker.subscribe(0, rect))
         assert np.array_equal(got, expected)

@@ -313,7 +313,7 @@ def online_env(small_topology):
 def make_online_broker(env, rng, n_subs=24, **config_kwargs):
     defaults = dict(
         n_groups=6, max_cells=200, rebalance_after=10**9,
-        drift_threshold=1.05, delta_cells=True,
+        drift_threshold=1.05,
     )
     defaults.update(config_kwargs)
     broker = ContentBroker(
@@ -478,30 +478,37 @@ class TestClusterMaintainer:
 
 
 # ----------------------------------------------------------------------
-# delta rebuild path (satellite: skip re-rasterisation on rebuilds)
+# rebuilds under churn rasterise the live set from scratch
 # ----------------------------------------------------------------------
-class TestDeltaCells:
-    def test_delta_matches_cold_path(self, online_env, rng):
-        rng_a = np.random.default_rng(3)
-        rng_b = np.random.default_rng(3)
-        delta = make_online_broker(online_env, rng_a, delta_cells=True)
-        cold = make_online_broker(online_env, rng_b, delta_cells=False)
-        # churn both identically, then rebuild both
-        churn_rng = np.random.default_rng(9)
-        for broker in (delta, cold):
-            local = np.random.default_rng(11)
-            for _ in range(6):
-                broker.subscribe(0, _rect(online_env["space"], local))
-            broker.unsubscribe(broker.handles()[0])
-            broker.rebuild()
-        del churn_rng
-        a, b = delta.clustering, cold.clustering
+class TestChurnedRebuild:
+    def test_churned_rebuild_matches_fresh_broker(self, online_env):
+        churned = make_online_broker(online_env, np.random.default_rng(3))
+        local = np.random.default_rng(11)
+        for _ in range(6):
+            churned.subscribe(0, _rect(online_env["space"], local))
+        churned.unsubscribe(churned.handles()[0])
+        churned.unsubscribe(churned.handles()[7])
+        churned.rebuild(full=True)
+
+        fresh = ContentBroker(
+            online_env["routing"], online_env["space"], online_env["pmf"],
+            config=churned.config,
+        )
+        for handle in churned.handles():
+            fresh.subscribe(*churned.subscription(handle))
+        fresh.rebuild()
+
+        a, b = churned.clustering, fresh.clustering
         assert np.array_equal(a.assignment, b.assignment)
         assert np.array_equal(a.group_membership, b.group_membership)
+        assert np.array_equal(a.cells.membership, b.cells.membership)
+        assert a.cells.probs.tobytes() == b.cells.probs.tobytes()
         assert np.array_equal(
             a.cells.hypercell_of_cell, b.cells.hypercell_of_cell
         )
-        assert np.allclose(a.cells.probs, b.cells.probs)
+        assert len(a.cells.cell_ids) == len(b.cells.cell_ids)
+        for ids_a, ids_b in zip(a.cells.cell_ids, b.cells.cell_ids):
+            assert np.array_equal(ids_a, ids_b)
 
 
 # ----------------------------------------------------------------------
