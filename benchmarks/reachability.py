@@ -2,13 +2,12 @@
 """Reachability probe: which functions in ``src/repro`` does the CLI enter?
 
 Runs a fixed list of small CLI invocations in process, covering every
-sub-command and the flags that switch code paths (``--aggregate``, the
-four multicast backends, ``--flight/--slo/--metrics-out/--trace/
---profile``, ``--csv/--chart``, the shed policies, a forwarding region
-fleet with epochs and checkpoints, chaos with ``--compare-healing``, a
-replayed ``--schedule``, and a sweep and a serve on the numpy kernel
-backend).  A ``sys.setprofile`` hook records every Python function the
-runs enter.
+sub-command and the flags that switch code paths (the four multicast
+backends, ``--flight/--slo/--metrics-out/--trace/--profile``,
+``--csv/--chart``, the shed policies, a forwarding region fleet with
+epochs and checkpoints, chaos with ``--compare-healing``, a replayed
+``--schedule``, and a sweep and a serve on the numpy kernel backend).
+A ``sys.setprofile`` hook records every Python function the runs enter.
 Run from the repo root::
 
     python3 benchmarks/reachability.py [--verbose]
@@ -67,14 +66,14 @@ def invocations(tmp: str) -> list:
         ["fig11", "--cells", "60", "--groups", "10", "--events", "10"],
         ["sweep", "--subs", "120", "--events", "15", "--groups", "5",
          "--algorithms", "kmeans,mst,pairs", "--schemes", "dense,sparse,alm",
-         "--aggregate", "--slo", str(SLO_SPEC), "--csv", out("sweep.csv"),
+         "--slo", str(SLO_SPEC), "--csv", out("sweep.csv"),
          "--bench", out("sweep.json"), "--workers", "1"],
         ["sweep", "--subs", "120", "--events", "15", "--groups", "5",
          "--algorithms", "approx-pairs", "--max-cells", "200", "--noloss",
          "--multicast-backend", "overlay", "--workers", "1"],
         ["serve", *small_serve, "--flight", "--slo", str(SLO_SPEC),
          "--metrics-out", out("serve.om"), "--trace", out("serve.jsonl"),
-         "--aggregate", "--bench", out("serve.json")],
+         "--bench", out("serve.json")],
         ["serve", *small_serve, "--policy", "shed-oldest",
          "--queue-capacity", "4", "--multicast-backend", "sparse"],
         ["serve", *small_serve, "--policy", "shed-lowest-priority",

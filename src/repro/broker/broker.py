@@ -21,19 +21,13 @@ from typing import Dict, List, Optional, Sequence, Tuple
 
 import numpy as np
 
-from ..aggregation import (
-    AggregateSnapshot,
-    OnlineAggregator,
-    expand_cell_set,
-    weighted_cell_set,
-)
-from ..clustering import Clustering, ForgyKMeansClustering, KMeansClustering
+from ..clustering import ForgyKMeansClustering, KMeansClustering
 from ..delivery import AdaptiveDeliveryPolicy, Dispatcher
 from ..geometry import EventSpace, Rectangle
 from ..grid import CellSet, build_cell_set
 from ..matching import DeliveryPlan, GridMatcher
 from ..network import RoutingTables, unicast_cost
-from ..obs import get_flight_recorder, get_registry, get_tracer
+from ..obs import get_flight_recorder, get_tracer
 from ..workload import Subscription, SubscriptionSet
 from .rebuild import RebuildScheduler
 from .stats import DeliveryReceipt, DeliveryStats
@@ -85,11 +79,6 @@ class BrokerConfig:
     #: by the online maintainer) that makes a rebuild due regardless of
     #: the debounce; ``None`` disables the drift trigger
     drift_threshold: Optional[float] = None
-    #: collapse identical subscription rectangles into weighted
-    #: aggregates before every refit (maintained incrementally under
-    #: churn by :class:`repro.aggregation.OnlineAggregator`); delivery
-    #: behaviour is byte-identical, fits run on far fewer columns
-    aggregate: bool = False
 
     def __post_init__(self) -> None:
         if self.algorithm not in ("forgy", "kmeans"):
@@ -151,9 +140,6 @@ class ContentBroker:
         #: flat grid cells each live handle covers (the maintainer's
         #: join/leave scoring reads them through covered_cells)
         self._cells_of: Dict[int, np.ndarray] = {}
-        self._aggregator = (
-            OnlineAggregator() if self.config.aggregate else None
-        )
 
     # ------------------------------------------------------------------
     # subscription management
@@ -182,8 +168,6 @@ class ContentBroker:
         if cells is None:
             cells = self.space.cells_in_rectangle(rectangle)
         self._cells_of[handle] = cells
-        if self._aggregator is not None:
-            self._aggregator.add(handle, rectangle)
         return handle
 
     def covered_cells(self, handle: int) -> Optional[np.ndarray]:
@@ -203,26 +187,6 @@ class ContentBroker:
             raise KeyError(f"unknown subscription handle {handle}") from None
         self._pending_changes += 1
         del self._cells_of[handle]
-        if self._aggregator is not None:
-            self._aggregator.remove(handle)
-
-    def _build_aggregate_cells(self, snap: AggregateSnapshot) -> CellSet:
-        """Weighted aggregate hyper-cells for a rebuild.
-
-        One column per distinct rectangle, weighted by its multiplicity:
-        every member of an aggregate rasterises to the same column, so
-        the representative's rectangle stands for all of them.
-        """
-        with get_tracer().span(
-            "broker.aggregate_cells", n_aggregates=snap.n_aggregates
-        ):
-            return weighted_cell_set(
-                self.space,
-                [self._active[handle][1] for handle in snap.reps],
-                snap.multiplicity,
-                self.cell_pmf,
-                max_cells=self.config.max_cells,
-            )
 
     @property
     def n_subscriptions(self) -> int:
@@ -374,49 +338,14 @@ class ContentBroker:
                     Subscription(self._internal_of[ext], node, rectangle)
                 )
             subs = SubscriptionSet(self.space, subscriptions)
-            if self._aggregator is not None:
-                snap = self._aggregator.snapshot(self._external_of)
-                agg_cells = self._build_aggregate_cells(snap)
-                algorithm = self._make_algorithm(
-                    None if full else old_clustering, agg_cells
-                )
-                fitted = algorithm.fit(agg_cells, self.config.n_groups)
-                # expand the aggregate-level fit back to subscriber
-                # columns: the hypercell structure (probs, cell ids,
-                # assignment) is shared, so the installed grouping is
-                # byte-identical to the unaggregated rebuild
-                with get_tracer().span(
-                    "broker.expand", n_aggregates=snap.n_aggregates
-                ):
-                    self._clustering = Clustering(
-                        expand_cell_set(agg_cells, snap.agg_of),
-                        fitted.assignment,
-                    )
-                flight = get_flight_recorder()
-                if flight.active:
-                    flight.stage(
-                        "expand",
-                        aggregates=snap.n_aggregates,
-                        subscriptions=snap.n_subscriptions,
-                    )
-                registry = get_registry()
-                registry.gauge(
-                    "aggregation_aggregates",
-                    "distinct subscription rectangles after aggregation",
-                ).set(float(snap.n_aggregates), path="online")
-                registry.gauge(
-                    "aggregation_ratio",
-                    "live subscriptions per aggregate",
-                ).set(snap.aggregation_ratio, path="online")
-            else:
-                cells = build_cell_set(
-                    self.space, subs, self.cell_pmf,
-                    max_cells=self.config.max_cells,
-                )
-                algorithm = self._make_algorithm(
-                    None if full else old_clustering, cells
-                )
-                self._clustering = algorithm.fit(cells, self.config.n_groups)
+            cells = build_cell_set(
+                self.space, subs, self.cell_pmf,
+                max_cells=self.config.max_cells,
+            )
+            algorithm = self._make_algorithm(
+                None if full else old_clustering, cells
+            )
+            self._clustering = algorithm.fit(cells, self.config.n_groups)
             self._subscriptions = subs
             self._matcher = GridMatcher(
                 self._clustering, subs, threshold=self.config.threshold

@@ -205,21 +205,6 @@ class Clustering:
         ``p_p(a) * |s(G) \\ s(a)|``; summing over all clustered cells gives
         the expectation (restricted to events landing in clustered cells).
         """
-        weights = self.cells.weights
-        if weights is not None:
-            # aggregate columns: weighted cardinalities are exact int64
-            # counts of the subscriptions behind each column, so the
-            # value equals the subscriber-level computation bit for bit
-            group_sizes = (
-                self.group_membership.astype(np.int64) @ weights
-            ).astype(np.float64)
-            chosen_b = self.group_membership[self.assignment]
-            per_cell = (
-                (self.cells.membership & chosen_b).astype(np.int64)
-                @ weights
-            ).astype(np.float64)
-            extra = group_sizes[self.assignment] - per_cell
-            return float(np.sum(self.cells.probs * extra))
         group_sizes = self.group_membership.sum(axis=1).astype(np.float64)
         # |s(a) ∩ s(G)| via one AND + popcount over each cell's packed
         # row against its own group's packed row; the counts are exact

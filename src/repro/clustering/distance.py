@@ -42,24 +42,14 @@ def expected_waste(
     prob_a: float,
     membership_b: np.ndarray,
     prob_b: float,
-    weights: Optional[np.ndarray] = None,
 ) -> float:
-    """Expected waste between two individual (hyper-)cells or groups.
-
-    With ``weights`` (aggregate column multiplicities) the set-difference
-    cardinalities count subscriptions, not columns — the subscriber-level
-    value, computed on aggregate-width vectors.
-    """
+    """Expected waste between two individual (hyper-)cells or groups."""
     a = np.asarray(membership_a, dtype=bool)
     b = np.asarray(membership_b, dtype=bool)
     if a.shape != b.shape:
         raise ValueError("membership vectors must have equal length")
-    if weights is not None:
-        only_b = int(np.sum(weights[b & ~a]))
-        only_a = int(np.sum(weights[a & ~b]))
-    else:
-        only_b = np.count_nonzero(b & ~a)
-        only_a = np.count_nonzero(a & ~b)
+    only_b = np.count_nonzero(b & ~a)
+    only_a = np.count_nonzero(a & ~b)
     _count_evals(1)
     return float(prob_a) * only_b + float(prob_b) * only_a
 
@@ -107,7 +97,6 @@ def pairwise_waste_matrix(
     membership: np.ndarray,
     probs: np.ndarray,
     packed: Optional[PackedBits] = None,
-    weights: Optional[np.ndarray] = None,
 ) -> np.ndarray:
     """Full ``(m, m)`` expected-waste matrix between hyper-cells.
 
@@ -116,34 +105,21 @@ def pairwise_waste_matrix(
     algorithms.  Callers holding a packed-bitset mirror of ``membership``
     (:attr:`repro.grid.CellSet.packed`) pass it to let a compiled kernel
     backend skip the matmul; results are bit-identical either way.
-
-    With ``weights`` (aggregate column multiplicities) the sizes and
-    intersection counts are weighted sums — exact integers below the
-    float32 precision limit, so they equal the subscriber-level popcounts
-    bitwise and the matrix is byte-identical to the unaggregated one.
-    The compiled backends only speak unweighted popcounts, so the
-    weighted path always runs the (much narrower) matmul.
     """
     membership = np.asarray(membership, dtype=bool)
     probs32 = np.asarray(probs, dtype=np.float32)
     if membership.ndim != 2 or len(probs32) != len(membership):
         raise ValueError("membership must be (m, S) with matching probs")
     _count_evals(len(membership) * len(membership))
-    if weights is None:
-        backend = get_backend()
-        if backend.compiled:
-            if packed is None:
-                packed = pack_rows(membership)
-            return backend.waste_matrix(
-                packed, np.asarray(probs, dtype=np.float64)
-            )
-        sizes = membership.sum(axis=1).astype(np.float32)
-        inter = _intersections(membership, membership)
-    else:
-        w32 = np.asarray(weights, dtype=np.float32)
-        m32 = membership.astype(np.float32)
-        sizes = m32 @ w32
-        inter = (m32 * w32) @ m32.T
+    backend = get_backend()
+    if backend.compiled:
+        if packed is None:
+            packed = pack_rows(membership)
+        return backend.waste_matrix(
+            packed, np.asarray(probs, dtype=np.float64)
+        )
+    sizes = membership.sum(axis=1).astype(np.float32)
+    inter = _intersections(membership, membership)
     # float32 throughout: the matrix is O(m^2) and the float64 temporaries
     # dominate the cost for m in the thousands; probabilities and set
     # sizes are far from the float32 precision limits
@@ -161,41 +137,23 @@ def waste_to_clusters(
     cell_probs: np.ndarray,
     cluster_membership: np.ndarray,
     cluster_probs: np.ndarray,
-    weights: Optional[np.ndarray] = None,
 ) -> np.ndarray:
     """``(m, K)`` expected waste between every cell and every cluster.
 
     A cluster's membership vector is the union of its members'; its
     probability is the sum of theirs.  This is the assignment kernel of
-    the K-means algorithms.  ``weights`` carries aggregate column
-    multiplicities (see :func:`pairwise_waste_matrix`).
+    the K-means algorithms.
     """
     cell_membership = np.asarray(cell_membership, dtype=bool)
     cluster_membership = np.asarray(cluster_membership, dtype=bool)
     cell_probs = np.asarray(cell_probs, dtype=np.float64)
     cluster_probs = np.asarray(cluster_probs, dtype=np.float64)
     _count_evals(len(cell_membership) * len(cluster_membership))
-    if weights is not None:
-        # weighted counts are exact integers in float32, equal bitwise
-        # to the subscriber-level popcounts (see pairwise_waste_matrix)
-        w = np.asarray(weights, dtype=np.int64)
-        w32 = w.astype(np.float32)
-        cell_sizes = (
-            cell_membership.astype(np.int64) @ w
-        ).astype(np.float64)
-        cluster_sizes = (
-            cluster_membership.astype(np.int64) @ w
-        ).astype(np.float64)
-        inter = (
-            (cell_membership.astype(np.float32) * w32)
-            @ cluster_membership.astype(np.float32).T
-        ).astype(np.float64)
-    else:
-        cell_sizes = cell_membership.sum(axis=1).astype(np.float64)
-        cluster_sizes = cluster_membership.sum(axis=1).astype(np.float64)
-        inter = _intersections(
-            cell_membership, cluster_membership
-        ).astype(np.float64)
+    cell_sizes = cell_membership.sum(axis=1).astype(np.float64)
+    cluster_sizes = cluster_membership.sum(axis=1).astype(np.float64)
+    inter = _intersections(cell_membership, cluster_membership).astype(
+        np.float64
+    )
     waste = cell_probs[:, None] * (cluster_sizes[None, :] - inter)
     waste += cluster_probs[None, :] * (cell_sizes[:, None] - inter)
     return waste

@@ -18,7 +18,7 @@ MacQueen's one-cell-at-a-time sweeps are a python loop over the cells.
 A compiled kernel backend runs them all in one call instead
 (``kmeans_sweeps``, see docs/kernels.md), move for move identical:
 the intersections it counts as integers are the exact integers the
-loop's float32 matvec yields, on weighted aggregate columns too.
+loop's float32 matvec yields.
 """
 
 from __future__ import annotations
@@ -89,7 +89,6 @@ class _KMeansBase(GridClusteringAlgorithm):
                 cells.probs[rest],
                 cells.membership[seeds],
                 cells.probs[seeds],
-                weights=cells.weights,
             )
             assignment[rest] = np.argmin(distances, axis=1)
         return assignment
@@ -142,7 +141,6 @@ class ForgyKMeansClustering(_KMeansBase):
                     cells.probs,
                     membership,
                     probs,
-                    weights=cells.weights,
                 )
                 new_assignment = np.argmin(distances, axis=1)
                 new_assignment = self._fix_empty_groups(
@@ -222,23 +220,14 @@ class KMeansClustering(_KMeansBase):
                 probs[g] = cells.probs[members].sum()
                 n_cells_in[g] = int(members.sum())
             membership = counts > 0
-            # aggregate column weights: sizes and intersections count
-            # subscriptions (exact integers), keeping the iteration
-            # bitwise equal to the subscriber-level run
-            weights = cells.weights
-            if weights is not None:
-                group_sizes = (
-                    membership.astype(np.int64) @ weights
-                ).astype(np.float64)
-            else:
-                group_sizes = membership.sum(axis=1).astype(np.float64)
+            group_sizes = membership.sum(axis=1).astype(np.float64)
             cell_sizes = cells.sizes.astype(np.float64)
 
             # a compiled backend runs every sweep in one call,
             # move-for-move identical to the python loop
             swept = get_backend().kmeans_sweeps(
-                cells.packed, cells.probs, cell_sizes, weights,
-                counts, pack_rows(membership).words, group_sizes, probs,
+                cells.packed, cells.probs, cell_sizes, counts,
+                pack_rows(membership).words, group_sizes, probs,
                 n_cells_in, assignment, self.max_iters,
             )
             if swept is None:
@@ -275,12 +264,6 @@ class KMeansClustering(_KMeansBase):
         # convert the whole matrix once instead of once per cell visit
         cell_membership_f32 = cells.membership.astype(np.float32)
         membership_f32 = membership.astype(np.float32)
-        weights = cells.weights
-        if weights is not None:
-            # weighted intersections are exact integers in float32
-            cell_membership_f32 = cell_membership_f32 * weights.astype(
-                np.float32
-            )
         # the inner loop evaluates one cell against every group; the
         # count is accumulated locally and recorded once per fit to
         # keep registry traffic off the hot path
@@ -310,12 +293,7 @@ class KMeansClustering(_KMeansBase):
                 for g in (current, target):
                     membership[g] = counts[g] > 0
                     membership_f32[g] = membership[g]
-                    if weights is not None:
-                        group_sizes[g] = float(
-                            membership[g].astype(np.int64) @ weights
-                        )
-                    else:
-                        group_sizes[g] = float(membership[g].sum())
+                    group_sizes[g] = float(membership[g].sum())
             if moved == 0:
                 return iteration, distance_evals
         return self.max_iters, distance_evals

@@ -59,7 +59,6 @@ class MSTClustering(GridClusteringAlgorithm):
                 cells.membership,
                 cells.probs,
                 packed=cells.packed,
-                weights=cells.weights,
             ).astype(np.float32, copy=False)
             # upper-triangle lengths in edge order (row-major i < j)
             upper = np.triu(np.ones((m, m), dtype=bool), k=1)

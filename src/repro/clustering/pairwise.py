@@ -48,33 +48,17 @@ class _AgglomerativeState:
         self.cells = cells
         self.active = np.ones(m, dtype=bool)
         # packed uint64 membership words, mutated in place on merges;
-        # the active kernel backend supplies the AND+popcount sweeps.
-        # Weighted (aggregate) columns keep boolean rows instead: the
-        # popcount kernels only count bits, while the weighted counts
-        # come from exact-integer float32 matmuls over the far narrower
-        # aggregate axis — bitwise equal to the subscriber-level run.
+        # the active kernel backend supplies the AND+popcount sweeps
         self.kernel = get_backend()
-        self.weights = cells.weights
         self.probs = cells.probs.copy().astype(np.float64)
-        if self.weights is not None:
-            self.rows = cells.membership.copy()
-            self.words = None
-            self.sizes = (
-                self.rows.astype(np.int64) @ self.weights
-            ).astype(np.float64)
-        else:
-            self.rows = None
-            self.words = cells.packed.words.copy()
-            self.sizes = self.kernel.popcount_rows(self.words).astype(
-                np.float64
-            )
+        self.words = cells.packed.words.copy()
+        self.sizes = self.kernel.popcount_rows(self.words).astype(np.float64)
         self.parent = np.arange(m, dtype=np.int64)
         # full distance matrix with +inf masking for inactive/diagonal
         self.distances = pairwise_waste_matrix(
             cells.membership,
             cells.probs,
-            packed=cells.packed if self.weights is None else None,
-            weights=self.weights,
+            packed=cells.packed,
         ).astype(np.float32)
         np.fill_diagonal(self.distances, np.inf)
         self.n_active = m
@@ -89,16 +73,10 @@ class _AgglomerativeState:
         if i == j or not (self.active[i] and self.active[j]):
             raise ValueError("merge requires two distinct active groups")
         self.probs[i] += self.probs[j]
-        if self.weights is not None:
-            self.rows[i] |= self.rows[j]
-            self.sizes[i] = float(
-                int(self.rows[i].astype(np.int64) @ self.weights)
-            )
-        else:
-            self.words[i] |= self.words[j]
-            self.sizes[i] = float(
-                int(self.kernel.popcount_rows(self.words[i : i + 1])[0])
-            )
+        self.words[i] |= self.words[j]
+        self.sizes[i] = float(
+            int(self.kernel.popcount_rows(self.words[i : i + 1])[0])
+        )
         self.active[j] = False
         self.parent[j] = i
         self.n_active -= 1
@@ -116,16 +94,9 @@ class _AgglomerativeState:
         # groups; intersection counts are exact integers, so the float
         # arithmetic below matches the old float32-matvec path bit for
         # bit
-        if self.weights is not None:
-            inter = (
-                self.rows[others].astype(np.float32)
-                @ (self.rows[i].astype(np.float32)
-                   * self.weights.astype(np.float32))
-            ).astype(np.float64)
-        else:
-            inter = self.kernel.intersect_counts(
-                self.words[others], self.words[i]
-            ).astype(np.float64)
+        inter = self.kernel.intersect_counts(
+            self.words[others], self.words[i]
+        ).astype(np.float64)
         row = self.probs[i] * (self.sizes[others] - inter)
         row += self.probs[others] * (self.sizes[i] - inter)
         self.distances[i, :] = np.inf
@@ -175,15 +146,9 @@ class PairwiseGroupingClustering(GridClusteringAlgorithm):
     def _fit(self, cells: CellSet, n_groups: int) -> Clustering:
         m = len(cells)
         kernel = get_backend()
-        # the fused kernels speak unweighted popcounts only; weighted
-        # (aggregate) fits take the python loop over the narrow columns
-        fused = None
-        if cells.weights is None:
-            fused = kernel.pairwise_fit(
-                cells.packed,
-                np.asarray(cells.probs, dtype=np.float64),
-                n_groups,
-            )
+        fused = kernel.pairwise_fit(
+            cells.packed, np.asarray(cells.probs, dtype=np.float64), n_groups
+        )
         if fused is not None:
             # a compiled backend ran the whole merge loop in one call
             # (merge-for-merge identical to the python loop below);

@@ -80,13 +80,6 @@ class CellSet:
         ``(space.n_cells,)`` int32 array mapping a flat grid cell to its
         hyper-cell, or ``-1`` for cells that were dropped (empty
         membership or below the popularity cut).
-    weights:
-        Optional ``(n_subscribers,)`` int64 column weights.  The
-        aggregation layer fits on columns that stand for several
-        identical subscriptions each; with weights set, ``sizes`` (and
-        hence ``popularity``) count the subscriptions behind each
-        column, so aggregate-level fits see exactly the subscriber-level
-        values.  ``None`` (the default) means every column counts once.
     """
 
     space: EventSpace
@@ -94,7 +87,6 @@ class CellSet:
     probs: np.ndarray
     cell_ids: List[np.ndarray]
     hypercell_of_cell: np.ndarray
-    weights: Optional[np.ndarray] = None
     #: lazily built packed-bitset mirror of ``membership`` (see
     #: :mod:`repro.kernels`); built once and shared by every fit
     _packed: Optional[PackedBits] = field(
@@ -108,10 +100,6 @@ class CellSet:
             raise ValueError("probs / membership length mismatch")
         if len(self.cell_ids) != len(self.membership):
             raise ValueError("cell_ids / membership length mismatch")
-        if self.weights is not None:
-            self.weights = np.asarray(self.weights, dtype=np.int64)
-            if self.weights.shape != (self.membership.shape[1],):
-                raise ValueError("weights must have one entry per column")
 
     def __len__(self) -> int:
         return len(self.membership)
@@ -134,10 +122,7 @@ class CellSet:
 
     @property
     def sizes(self) -> np.ndarray:
-        """Number of interested subscribers per hyper-cell (weighted
-        columns count their multiplicity)."""
-        if self.weights is not None:
-            return self.membership.astype(np.int64) @ self.weights
+        """Number of interested subscribers per hyper-cell."""
         return self.membership.sum(axis=1)
 
     @property
@@ -169,7 +154,6 @@ class CellSet:
             probs=self.probs[order],
             cell_ids=cell_ids,
             hypercell_of_cell=mapping,
-            weights=self.weights,
         )
         if self._packed is not None:
             subset._packed = self._packed.take(order)
@@ -229,14 +213,12 @@ def cell_set_from_membership(
     n_columns: int,
     cell_pmf: np.ndarray,
     max_cells: Optional[int] = None,
-    weights: Optional[np.ndarray] = None,
 ) -> CellSet:
     """Steps 2-4 of :func:`build_cell_set` on packed membership rows.
 
     ``packed`` is the ``(space.n_cells, ceil(n_columns / 8))`` uint8
     output of :func:`pack_membership` (``np.packbits(axis=1)`` bit
-    order, zero padding bits).  The weighted aggregate builds rasterise
-    their own columns and enter here.
+    order, zero padding bits).
 
     Hyper-cells come out in the lexicographic order of their packed
     rows.  The popularity cut to ``max_cells`` happens before the
@@ -266,11 +248,7 @@ def cell_set_from_membership(
     # cut to the most popular first (CellSet.popularity, stable ties), so
     # only the kept hyper-cells get rows, cell lists and map entries
     if max_cells is not None and max_cells < n_hyper:
-        if weights is not None:
-            rows = _unpack(packed[first_cells], n_columns)
-            sizes = rows.astype(np.int64) @ weights
-        else:
-            sizes = popcount_rows(words[first_idx])
+        sizes = popcount_rows(words[first_idx])
         keep = np.argsort(-(probs * sizes), kind="stable")[:max_cells]
         first_cells, probs = first_cells[keep], probs[keep]
         new_of_old = np.full(n_hyper, -1, dtype=np.int64)
@@ -289,7 +267,6 @@ def cell_set_from_membership(
         probs=probs,
         cell_ids=np.split(nonempty[order], boundaries),
         hypercell_of_cell=mapping,
-        weights=weights,
     )
 
 

@@ -11,8 +11,8 @@
  *     round(p_i * (|s_j| - I)) + round(p_j * (|s_i| - I));
  *   - post-merge rows are computed in float64 (two products, one sum,
  *     each rounded once) and then cast to float32;
- *   - group-mass accumulation is sequential float64 adds in covered-cell
- *     order, matching np.bincount with weights;
+ *   - join-score overlap accumulation is sequential float64 adds in
+ *     covered-cell order, matching np.bincount with weights;
  *   - MacQueen distances are float64 p_c*(gs - s) + p_g*(cs - s), two
  *     products and one sum, each rounded once, on exact integer
  *     intersections;
@@ -87,25 +87,9 @@ EXPORT void repro_waste_matrix(
     }
 }
 
-/* Per-group publication mass of a set of covered grid cells.
- * ``groups`` is the sentinel-extended per-cell group map (unclustered
- * cells point at bucket ``n_groups``); ``out`` has n_groups + 1 entries
- * and must be zeroed by the caller.  Accumulation order matches
- * np.bincount(groups[covered], weights=pmf[covered]). */
-EXPORT void repro_group_mass(
-    const int64_t *covered, int64_t n,
-    const int64_t *groups, const double *pmf, double *out)
-{
-    for (int64_t t = 0; t < n; ++t) {
-        int64_t cell = covered[t];
-        out[groups[cell]] += pmf[cell];
-    }
-}
-
-/* Fused online join scoring: group-mass accumulation over the covered
- * cells (same semantics as repro_group_mass, but zeroing ``out``
- * itself) followed by the argmin of ``group_mass[g] - 2 * overlap[g]``
- * over the groups with positive overlap.  Returns the chosen group, or
+/* Fused online join scoring: the per-group publication mass of the
+ * covered cells, followed by the argmin of
+ * ``group_mass[g] - 2 * overlap[g]`` over the groups with positive overlap.  Returns the chosen group, or
  * -1 when no group overlaps.  The scan is ascending with a strict
  * less-than, matching np.argmin's first-occurrence tie-break over the
  * candidate subsequence; the score arithmetic (one product, one
@@ -116,6 +100,10 @@ EXPORT int64_t repro_join_score(
     const int64_t *groups, const double *pmf,
     const double *group_mass, int64_t n_groups, double *out)
 {
+    /* ``groups`` is the sentinel-extended per-cell group map
+     * (unclustered cells point at bucket ``n_groups``); ``out`` has
+     * n_groups + 1 entries.  Accumulation order matches
+     * np.bincount(groups[covered], weights=pmf[covered]). */
     for (int64_t g = 0; g <= n_groups; ++g) {
         out[g] = 0.0;
     }
@@ -316,40 +304,20 @@ EXPORT void repro_pairwise_fit(
     counters[1] = n_evals;
 }
 
-/* |cell ∩ group| for one pair of packed rows: a popcount, or with
- * column weights (aggregate columns) the int64 sum of the weights of
- * the shared bits.  Both are exact integers, equal to the float32
- * matvec of 0/1 rows the numpy reference computes. */
-static inline int64_t weighted_and(
-    const uint64_t *a, const uint64_t *b, int64_t w, const int64_t *weights)
-{
-    if (weights == 0) {
-        return popcount_and(a, b, w);
-    }
-    int64_t acc = 0;
-    for (int64_t k = 0; k < w; ++k) {
-        uint64_t bits = a[k] & b[k];
-        while (bits) {
-            acc += weights[k * 64 + __builtin_ctzll(bits)];
-            bits &= bits - 1;
-        }
-    }
-    return acc;
-}
-
 /* MacQueen K-means: every sweep of KMeansClustering.fit in one call,
  * move-for-move identical to the python loop.  Per visited cell the
  * distance to group g is p_c*(gs_g - s) + p_g*(cs - s) in float64 (two
  * products and one sum, each rounded once), the target is the first
  * minimum, a cell that is the last of its group never moves, and a
  * move applies probs[cur] -= p_c before probs[tgt] += p_c.  Group
- * sizes are kept as exact integer sums (in float64) through the
- * per-column member counts.
+ * sizes are kept as exact integer counts (in float64) through the
+ * per-column member counts; the intersections |cell ∩ group| are
+ * popcounts, equal to the float32 matvec of 0/1 rows the numpy
+ * reference computes.
  *
  * All buffers are allocated by the caller:
  *   cell_words  (m, w) uint64 packed cell rows
  *   cell_probs  (m,) float64, cell_sizes (m,) float64
- *   weights     (n_bits,) int64 column weights, or NULL (all ones)
  *   counts      (k, n_bits) int32, mutated: members per group and column
  *   group_words (k, w) uint64, mutated: bit set iff count > 0
  *   group_sizes (k,) float64, probs (k,) float64, n_cells_in (k,) int64,
@@ -359,7 +327,6 @@ static inline int64_t weighted_and(
 EXPORT void repro_kmeans_sweeps(
     const uint64_t *cell_words, int64_t m, int64_t w, int64_t n_bits,
     const double *cell_probs, const double *cell_sizes,
-    const int64_t *weights,
     int32_t *counts, uint64_t *group_words,
     double *group_sizes, double *probs, int64_t *n_cells_in,
     int64_t k, int64_t *assignment, int64_t max_iters,
@@ -380,8 +347,8 @@ EXPORT void repro_kmeans_sweeps(
             int64_t best = 0;
             double best_d = 0.0;
             for (int64_t g = 0; g < k; ++g) {
-                double s = (double)weighted_and(
-                    cw, group_words + g * w, w, weights);
+                double s = (double)popcount_and(
+                    cw, group_words + g * w, w);
                 double a = pc * (group_sizes[g] - s);
                 double b = probs[g] * (cs - s);
                 double d = a + b;
@@ -405,14 +372,13 @@ EXPORT void repro_kmeans_sweeps(
                 while (bits) {
                     int bit = __builtin_ctzll(bits);
                     int64_t j = t * 64 + bit;
-                    double wj = weights ? (double)weights[j] : 1.0;
                     if (--from[j] == 0) {
                         from_w[t] &= ~(1ULL << bit);
-                        group_sizes[cur] -= wj;
+                        group_sizes[cur] -= 1.0;
                     }
                     if (to[j]++ == 0) {
                         to_w[t] |= 1ULL << bit;
-                        group_sizes[best] += wj;
+                        group_sizes[best] += 1.0;
                     }
                     bits &= bits - 1;
                 }

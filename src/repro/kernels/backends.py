@@ -97,25 +97,6 @@ class NumpyBackend:
         np.fill_diagonal(out, 0.0)
         return out
 
-    def group_mass(
-        self,
-        covered: np.ndarray,
-        cell_group_ext: np.ndarray,
-        cell_pmf: np.ndarray,
-        n_groups: int,
-    ) -> np.ndarray:
-        """Per-group mass of covered cells via one unmasked bincount.
-
-        ``cell_group_ext`` maps unclustered cells to the sentinel bucket
-        ``n_groups``, which is sliced off — same accumulation order as
-        the masked two-gather formulation it replaces.
-        """
-        return np.bincount(
-            cell_group_ext[covered],
-            weights=cell_pmf[covered],
-            minlength=n_groups + 1,
-        )[:n_groups]
-
     def group_scorer(
         self,
         cell_group_ext: np.ndarray,

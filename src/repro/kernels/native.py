@@ -126,8 +126,6 @@ class NativeBackend:
         lib.repro_intersect_counts.restype = None
         lib.repro_waste_matrix.argtypes = [ptr, i64, i64, ptr, ptr]
         lib.repro_waste_matrix.restype = None
-        lib.repro_group_mass.argtypes = [ptr, i64, ptr, ptr, ptr]
-        lib.repro_group_mass.restype = None
         lib.repro_join_score.argtypes = [ptr, i64, ptr, ptr, ptr, i64, ptr]
         lib.repro_join_score.restype = i64
         lib.repro_pairwise_fit.argtypes = [
@@ -135,7 +133,7 @@ class NativeBackend:
         ]
         lib.repro_pairwise_fit.restype = None
         lib.repro_kmeans_sweeps.argtypes = [
-            ptr, i64, i64, i64, ptr, ptr, ptr, ptr, ptr, ptr, ptr, ptr,
+            ptr, i64, i64, i64, ptr, ptr, ptr, ptr, ptr, ptr, ptr,
             i64, ptr, i64, ptr,
         ]
         lib.repro_kmeans_sweeps.restype = None
@@ -174,26 +172,6 @@ class NativeBackend:
         out = np.empty((m, m), dtype=np.float32)
         self._lib.repro_waste_matrix(_ptr(words), m, w, _ptr(probs), _ptr(out))
         return out
-
-    def group_mass(
-        self,
-        covered: np.ndarray,
-        cell_group_ext: np.ndarray,
-        cell_pmf: np.ndarray,
-        n_groups: int,
-    ) -> np.ndarray:
-        covered = np.ascontiguousarray(covered, dtype=np.int64)
-        cell_group_ext = np.ascontiguousarray(cell_group_ext, dtype=np.int64)
-        cell_pmf = np.ascontiguousarray(cell_pmf, dtype=np.float64)
-        out = np.zeros(n_groups + 1, dtype=np.float64)
-        self._lib.repro_group_mass(
-            _ptr(covered),
-            len(covered),
-            _ptr(cell_group_ext),
-            _ptr(cell_pmf),
-            _ptr(out),
-        )
-        return out[:n_groups]
 
     def group_scorer(
         self,
@@ -263,7 +241,6 @@ class NativeBackend:
         packed: PackedBits,
         cell_probs: np.ndarray,
         cell_sizes: np.ndarray,
-        weights: Optional[np.ndarray],
         counts: np.ndarray,
         group_words: np.ndarray,
         group_sizes: np.ndarray,
@@ -306,15 +283,10 @@ class NativeBackend:
         cell_sizes = np.ascontiguousarray(cell_sizes, dtype=np.float64)
         if cell_probs.shape != (m,) or cell_sizes.shape != (m,):
             raise ValueError("cell probabilities and sizes need one per row")
-        if weights is not None:
-            weights = np.ascontiguousarray(weights, dtype=np.int64)
-            if weights.shape != (packed.n_bits,):
-                raise ValueError("weights need one entry per column")
         counters = np.zeros(2, dtype=np.int64)
         self._lib.repro_kmeans_sweeps(
             _ptr(words), m, w, packed.n_bits,
             _ptr(cell_probs), _ptr(cell_sizes),
-            None if weights is None else _ptr(weights),
             _ptr(counts), _ptr(group_words), _ptr(group_sizes),
             _ptr(probs), _ptr(n_cells_in), k,
             _ptr(assignment), int(max_iters), _ptr(counters),

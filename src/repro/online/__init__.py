@@ -18,7 +18,7 @@ while the subscription set changes under us".  Three layers:
   :func:`repro.fleet.run_fleet`.
 """
 
-from .maintainer import ClusterMaintainer, MaintainerConfig
+from .maintainer import ClusterMaintainer
 from .queues import POLICIES, BoundedQueue, QueueConfig
 from .service import (
     BrokerService,
@@ -41,7 +41,6 @@ from .soak import (
 
 __all__ = [
     "ClusterMaintainer",
-    "MaintainerConfig",
     "BoundedQueue",
     "QueueConfig",
     "POLICIES",

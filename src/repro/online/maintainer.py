@@ -37,7 +37,7 @@ single broker, every ``replicate`` shard) the scrub is a no-op.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from typing import Dict, Optional, Set
 
 import numpy as np
@@ -47,7 +47,7 @@ from ..geometry import Rectangle
 from ..kernels import get_backend
 from ..obs import get_flight_recorder, get_registry
 
-__all__ = ["MaintainerConfig", "ClusterMaintainer"]
+__all__ = ["ClusterMaintainer"]
 
 #: waste floor used when the last fit had (near-)zero expected waste —
 #: the inflation ratio degenerates there, so drift falls back to the
@@ -55,30 +55,11 @@ __all__ = ["MaintainerConfig", "ClusterMaintainer"]
 _WASTE_FLOOR = 1e-9
 
 
-@dataclass(frozen=True)
-class MaintainerConfig:
-    """Knobs of the incremental maintainer.
-
-    ``report_drift`` feeds every inflation measurement to the broker's
-    rebuild scheduler (requires the broker to have a ``drift_threshold``
-    to act on it).  ``min_fit_waste`` clamps the denominator of the
-    inflation ratio.
-    """
-
-    report_drift: bool = True
-    min_fit_waste: float = _WASTE_FLOOR
-
-    def __post_init__(self) -> None:
-        if not self.min_fit_waste > 0:
-            raise ValueError("min_fit_waste must be positive")
-
-
 @dataclass
 class ClusterMaintainer:
     """Maintains one broker's grouping incrementally between refits."""
 
     broker: ContentBroker
-    config: MaintainerConfig = field(default_factory=MaintainerConfig)
 
     #: expected waste of the last full fit (the drift baseline)
     fit_waste: float = 0.0
@@ -168,8 +149,7 @@ class ClusterMaintainer:
     @property
     def inflation(self) -> float:
         """Live waste-inflation ratio against the last fit."""
-        floor = max(self.config.min_fit_waste, _WASTE_FLOOR)
-        return self.current_waste / max(self.fit_waste, floor)
+        return self.current_waste / max(self.fit_waste, _WASTE_FLOOR)
 
     # ------------------------------------------------------------------
     def join(self, node: int, rectangle: Rectangle, now: float) -> int:
@@ -326,13 +306,7 @@ class ClusterMaintainer:
             self._scorer_backend = backend
         return self._scorer(covered)
 
-    def _overlap(self, handle: int) -> np.ndarray:
-        """Per-group publication mass of a live handle's clustered cells."""
-        _, overlap = self._score(self.broker.covered_cells(handle))
-        return overlap
-
     def _note_drift(self, now: float) -> None:
         inflation = self.inflation
         self._drift_gauge.set(inflation)
-        if self.config.report_drift:
-            self.broker.note_drift(now, inflation)
+        self.broker.note_drift(now, inflation)

@@ -80,9 +80,6 @@ class SoakConfig:
     #: multicast delivery scheme priced by the broker's dispatcher
     #: (one of :data:`repro.delivery.SCHEMES`)
     scheme: str = "dense"
-    #: refit on subscription aggregates (identical rectangles collapsed
-    #: to weighted columns); byte-identical reports, cheaper fits
-    aggregate: bool = False
     # fleet surface: one shard is the single broker (`sim serve`)
     shards: int = 1
     sharding: str = "hash"
@@ -162,7 +159,6 @@ class SoakConfig:
             # off, rebuilds come from the drift trigger only
             rebalance_after=10**9,
             drift_threshold=self.drift_threshold,
-            aggregate=self.aggregate,
         )
 
 

@@ -168,11 +168,6 @@ def save_clustering(
     membership = cells.membership
     n_subscribers = cells.n_subscribers
     if subscriber_mapping is not None:
-        if cells.weights is not None:
-            raise ValueError(
-                "aggregate-level clusterings (weighted columns) cannot be "
-                "renumbered by subscriber id"
-            )
         mapping = np.asarray(subscriber_mapping, dtype=np.int64)
         if mapping.shape != (n_subscribers,):
             raise ValueError(
@@ -181,9 +176,6 @@ def save_clustering(
         membership = np.ascontiguousarray(membership[:, mapping >= 0])
         n_subscribers = membership.shape[1]
     flat, offsets = _pack_ragged(cells.cell_ids)
-    extra = {}
-    if cells.weights is not None:
-        extra["weights"] = np.asarray(cells.weights, dtype=np.int64)
     _save(
         path,
         {
@@ -197,7 +189,6 @@ def save_clustering(
         cell_offsets=offsets,
         hypercell_of_cell=cells.hypercell_of_cell,
         assignment=clustering.assignment,
-        **extra,
     )
 
 
@@ -217,7 +208,6 @@ def load_clustering(path) -> Clustering:
             arrays["cell_flat"], arrays["cell_offsets"]
         ),
         hypercell_of_cell=arrays["hypercell_of_cell"],
-        weights=arrays.get("weights"),
     )
     return Clustering(cells, arrays["assignment"])
 

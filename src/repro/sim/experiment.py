@@ -15,14 +15,8 @@ from typing import Dict, List, Optional, Sequence, Tuple
 
 import numpy as np
 
-from ..aggregation import (
-    AggregateView,
-    aggregate_subscriptions,
-    build_aggregate_cells,
-)
 from ..clustering import (
     ApproximatePairwiseClustering,
-    Clustering,
     ForgyKMeansClustering,
     GridClusteringAlgorithm,
     KMeansClustering,
@@ -33,7 +27,7 @@ from ..clustering import (
 from ..delivery import SCHEMES, Dispatcher
 from ..grid import CellSet, build_cell_set
 from ..matching import BruteForceMatcher, GridMatcher, NoLossMatcher
-from ..obs import RunManifest, get_registry, get_tracer
+from ..obs import RunManifest, get_tracer
 from ..workload import PublicationEvent
 from .metrics import CostSummary
 from .scenario import Scenario
@@ -83,11 +77,9 @@ class ExperimentContext:
         scenario: Scenario,
         n_events: int = 300,
         event_seed: Optional[int] = None,
-        aggregate: bool = False,
     ) -> None:
         self.scenario = scenario
         self.n_events = n_events
-        self.aggregate = bool(aggregate)
         seed = scenario.seed + 1 if event_seed is None else event_seed
         self._events: List[PublicationEvent] = scenario.sample_events(
             n_events, np.random.default_rng(seed)
@@ -97,38 +89,13 @@ class ExperimentContext:
             for scheme in SCHEMES
         }
         self._cells: Dict[Optional[int], CellSet] = {}
-        self._agg_cells: Dict[Optional[int], CellSet] = {}
         self._references: Dict[str, Tuple[float, float, float]] = {}
         self._points: List[Tuple[int, ...]] = [e.point for e in self._events]
         self._publishers: List[int] = [e.publisher for e in self._events]
-        if self.aggregate:
-            # interest and grid build run over the n_agg distinct
-            # rectangles and expand back to subscriber ids — identical
-            # values to the unaggregated sweep (see docs/aggregation.md)
-            self.aggregates = aggregate_subscriptions(scenario.subscriptions)
-            self._view = AggregateView(
-                scenario.subscriptions, self.aggregates
-            )
-            self._interested = self._view.batch_interested_subscribers(
-                self._points
-            )
-            registry = get_registry()
-            registry.gauge(
-                "aggregation_aggregates",
-                "distinct subscription rectangles after aggregation",
-            ).set(self.aggregates.n_aggregates, path="batch")
-            registry.gauge(
-                "aggregation_ratio",
-                "live subscriptions per aggregate",
-            ).set(self.aggregates.aggregation_ratio, path="batch")
-        else:
-            self.aggregates = None
-            self._view = None
-            self._interested = (
-                scenario.subscriptions.batch_interested_subscribers(
-                    self._points
-                )
-            )
+        subscriptions = scenario.subscriptions
+        self._interested = subscriptions.batch_interested_subscribers(
+            self._points
+        )
 
     # ------------------------------------------------------------------
     @property
@@ -139,53 +106,20 @@ class ExperimentContext:
         return self._dispatchers[scheme]
 
     def cells(self, max_cells: Optional[int] = None) -> CellSet:
-        """Hyper-cell set for the scenario (cached per cell budget).
-
-        With aggregation on, the grid build runs over aggregate columns
-        and is expanded back — the returned subscriber-level cell set is
-        byte-identical to the direct build; the weighted aggregate-level
-        set the fits run on is cached alongside (:meth:`agg_cells`).
-        """
+        """Hyper-cell set for the scenario (cached per cell budget)."""
         if max_cells not in self._cells:
-            if self.aggregate:
-                agg_cells, expanded = build_aggregate_cells(
-                    self.scenario.space,
-                    self.scenario.subscriptions,
-                    self.aggregates,
-                    self.scenario.cell_pmf,
-                    max_cells=max_cells,
-                )
-                self._agg_cells[max_cells] = agg_cells
-                self._cells[max_cells] = expanded
-            else:
-                self._cells[max_cells] = build_cell_set(
-                    self.scenario.space,
-                    self.scenario.subscriptions,
-                    self.scenario.cell_pmf,
-                    max_cells=max_cells,
-                )
+            self._cells[max_cells] = build_cell_set(
+                self.scenario.space,
+                self.scenario.subscriptions,
+                self.scenario.cell_pmf,
+                max_cells=max_cells,
+            )
         return self._cells[max_cells]
-
-    def agg_cells(self, max_cells: Optional[int] = None) -> CellSet:
-        """Weighted aggregate-level cell set (aggregation mode only)."""
-        if not self.aggregate:
-            raise ValueError("aggregation is off for this context")
-        if max_cells not in self._agg_cells:
-            self.cells(max_cells)
-        return self._agg_cells[max_cells]
 
     def manifest(self, argv: Optional[Sequence[str]] = None) -> RunManifest:
         """A :class:`~repro.obs.RunManifest` describing this context."""
-        extra: Dict[str, object] = {}
-        if self.aggregate:
-            extra["n_aggregates"] = self.aggregates.n_aggregates
-            extra["aggregation_ratio"] = self.aggregates.aggregation_ratio
         return RunManifest.capture(
-            scenario=self.scenario,
-            argv=argv,
-            n_events=self.n_events,
-            aggregate=self.aggregate,
-            **extra,
+            scenario=self.scenario, argv=argv, n_events=self.n_events
         )
 
     # ------------------------------------------------------------------
@@ -271,16 +205,7 @@ class ExperimentContext:
             if rng is None:
                 rng = np.random.default_rng(self.scenario.seed + 7)
             start = time.perf_counter()
-            if self.aggregate:
-                # fit over the weighted aggregate columns (n_agg ≪ m),
-                # then re-anchor the identical assignment on the
-                # expanded subscriber-level cells
-                fitted = algorithm.fit(
-                    self.agg_cells(max_cells), n_groups, rng=rng
-                )
-                clustering = Clustering(cells, fitted.assignment)
-            else:
-                clustering = algorithm.fit(cells, n_groups, rng=rng)
+            clustering = algorithm.fit(cells, n_groups, rng=rng)
             fit_seconds = time.perf_counter() - start
             matcher = GridMatcher(
                 clustering, self.scenario.subscriptions, threshold=threshold

@@ -49,13 +49,12 @@ def _context(
     n_events: int,
     seed: int,
     scenario: Optional[Scenario] = None,
-    aggregate: bool = False,
 ) -> ExperimentContext:
     if scenario is None:
         scenario = build_evaluation_scenario(
             modes=modes, n_subscriptions=n_subscriptions, seed=seed
         )
-    return ExperimentContext(scenario, n_events=n_events, aggregate=aggregate)
+    return ExperimentContext(scenario, n_events=n_events)
 
 
 def figure7(
@@ -72,7 +71,6 @@ def figure7(
     seed: int = 0,
     scenario: Optional[Scenario] = None,
     workers: int = 1,
-    aggregate: bool = False,
 ) -> List[AlgorithmResult]:
     """Improvement percentage vs number of multicast groups.
 
@@ -83,11 +81,9 @@ def figure7(
 
     ``workers > 1`` fans the cells across a process pool via
     :mod:`repro.sim.parallel` in legacy-seed mode, so the rows are
-    byte-identical to the serial sweep in any case.  ``aggregate``
-    switches the grid fits to subscription-aggregate columns
-    (:mod:`repro.aggregation`); the rows stay byte-identical.
+    byte-identical to the serial sweep in any case.
     """
-    ctx = _context(modes, n_subscriptions, n_events, seed, scenario, aggregate)
+    ctx = _context(modes, n_subscriptions, n_events, seed, scenario)
     budgets = dict(PAPER_CELL_BUDGETS)
     if cell_budgets:
         budgets.update(cell_budgets)

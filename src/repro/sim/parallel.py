@@ -203,7 +203,6 @@ class ContextFactory:
     kwargs: Tuple[Tuple[str, object], ...] = ()
     n_events: int = 200
     event_seed: Optional[int] = None
-    aggregate: bool = False
 
     def __call__(self) -> ExperimentContext:
         builders = {
@@ -215,7 +214,6 @@ class ContextFactory:
             scenario,
             n_events=self.n_events,
             event_seed=self.event_seed,
-            aggregate=self.aggregate,
         )
 
 

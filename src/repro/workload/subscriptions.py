@@ -187,15 +187,8 @@ class SubscriptionSet:
 
     @property
     def row_owners(self) -> np.ndarray:
-        """Subscriber id of every subscription row (aggregation uses
-        this to group rows without reaching into internals)."""
+        """Subscriber id of every subscription row."""
         return self._owners
-
-    @property
-    def alive_rows(self) -> np.ndarray:
-        """Boolean mask over subscription rows: True while the owning
-        subscriber has not departed."""
-        return self._alive[self._owners]
 
     def node_of(self, subscriber: int) -> int:
         return int(self._node_of[subscriber])

@@ -115,9 +115,9 @@ def mst_reference(cells, n_groups):
     m = len(cells)
     if n_groups >= m:
         return np.arange(m, dtype=np.int64), 0
-    distances = pairwise_waste_matrix(
-        cells.membership, cells.probs, weights=cells.weights
-    ).astype(np.float32)
+    distances = pairwise_waste_matrix(cells.membership, cells.probs).astype(
+        np.float32
+    )
     rows, cols = np.triu_indices(m, k=1)
     order = np.argsort(distances[rows, cols], kind="stable")
     components = UnionFind(m)

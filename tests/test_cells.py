@@ -7,7 +7,6 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from repro.aggregation import aggregate_subscriptions, build_aggregate_cells
 from repro.geometry import Dimension, EventSpace, Interval, Rectangle
 from repro.grid import (
     CellSet,
@@ -179,7 +178,7 @@ class TestCellSetValidation:
             )
 
 
-def _reference_cell_set(space, membership, cell_pmf, max_cells, weights):
+def _reference_cell_set(space, membership, cell_pmf, max_cells):
     """The hyper-cell build as first written: ``np.unique`` over the
     bit-packed rows, per-cell lists for every hyper-cell, then
     :meth:`CellSet.top_by_popularity`."""
@@ -203,7 +202,6 @@ def _reference_cell_set(space, membership, cell_pmf, max_cells, weights):
         probs=probs,
         cell_ids=cell_ids,
         hypercell_of_cell=mapping,
-        weights=weights,
     )
     if max_cells is not None:
         cells = cells.top_by_popularity(max_cells)
@@ -213,8 +211,7 @@ def _reference_cell_set(space, membership, cell_pmf, max_cells, weights):
 @st.composite
 def _membership_inputs(draw):
     """A grid, a membership matrix with repeated, empty and (sometimes)
-    a single non-empty row, a pmf that may force popularity ties, and
-    optional column weights."""
+    a single non-empty row, and a pmf that may force popularity ties."""
     n_cols = draw(st.sampled_from([1, 7, 8, 63, 64, 65, 300]))
     nx, ny = draw(st.integers(1, 12)), draw(st.integers(1, 12))
     space = EventSpace([Dimension("x", 0, nx - 1), Dimension("y", 0, ny - 1)])
@@ -241,10 +238,7 @@ def _membership_inputs(draw):
         cell_pmf = rng.choice([0.0, 0.25, 0.5], size=n_cells)
     else:
         cell_pmf = rng.random(n_cells)
-    weights = (
-        rng.integers(1, 4, size=n_cols) if draw(st.booleans()) else None
-    )
-    return space, membership, cell_pmf, weights, draw(st.integers(0, 10**6))
+    return space, membership, cell_pmf, draw(st.integers(0, 10**6))
 
 
 class TestHyperCellOracle:
@@ -257,8 +251,8 @@ class TestHyperCellOracle:
         st.sampled_from(["none", "below", "at", "above"]),
     )
     def test_matches_unique_reference(self, inputs, budget):
-        space, membership, cell_pmf, weights, pick = inputs
-        uncut = _reference_cell_set(space, membership, cell_pmf, None, None)
+        space, membership, cell_pmf, pick = inputs
+        uncut = _reference_cell_set(space, membership, cell_pmf, None)
         n_hyper = len(uncut)
         max_cells = {
             "none": None,
@@ -266,12 +260,9 @@ class TestHyperCellOracle:
             "at": n_hyper,
             "above": n_hyper + 1 + pick % 5,
         }[budget]
-        expected = _reference_cell_set(
-            space, membership, cell_pmf, max_cells, weights
-        )
+        expected = _reference_cell_set(space, membership, cell_pmf, max_cells)
         got = cell_set_from_membership(
-            space, *packed_rows(membership), cell_pmf,
-            max_cells=max_cells, weights=weights,
+            space, *packed_rows(membership), cell_pmf, max_cells=max_cells
         )
         assert got.membership.dtype == expected.membership.dtype
         np.testing.assert_array_equal(got.membership, expected.membership)
@@ -284,10 +275,6 @@ class TestHyperCellOracle:
         np.testing.assert_array_equal(
             got.hypercell_of_cell, expected.hypercell_of_cell
         )
-        if weights is None:
-            assert got.weights is None
-        else:
-            np.testing.assert_array_equal(got.weights, expected.weights)
 
     def test_zero_budget_rejected(self, space, subs, uniform_pmf):
         membership = build_membership_matrix(space, subs)
@@ -353,55 +340,3 @@ class TestPackedRasteriser:
         assert got.dtype == np.uint8
         assert got.shape == expected.shape
         assert got.tobytes() == expected.tobytes()
-
-    @settings(max_examples=60, deadline=None)
-    @given(
-        st.integers(0, 2**32 - 1),
-        st.sampled_from([1, 7, 8, 9, 65]),
-        st.sampled_from([None, 1, 3, 40]),
-    )
-    def test_weighted_aggregates_keep_sizes(self, seed, n_subs, max_cells):
-        """Aggregate columns rasterised once per distinct rectangle and
-        weighted by multiplicity: the hyper-cells, and ``sizes`` from
-        ``membership @ weights``, equal the subscriber-level build's."""
-        rng = np.random.default_rng(seed)
-        space = EventSpace([Dimension("x", 0, 5), Dimension("y", 0, 4)])
-        pool = [
-            Rectangle(tuple(
-                Interval.make(*sorted(rng.choice(_BOUNDS, size=2)))
-                for _ in range(2)
-            ))
-            for _ in range(int(rng.integers(1, 6)))
-        ]
-        subs = SubscriptionSet(space, [
-            Subscription(i, 0, pool[int(rng.integers(len(pool)))])
-            for i in range(n_subs)
-        ])
-        pmf = rng.random(space.n_cells)
-        agg = aggregate_subscriptions(subs)
-        agg_rows = SubscriptionSet(space, [
-            Subscription(a, 0, Rectangle.from_bounds(lo, hi))
-            for a, (lo, hi) in enumerate(zip(agg.los, agg.his))
-        ])
-        got = pack_membership(
-            space, _subscription_columns(agg_rows), agg.n_aggregates
-        )
-        expected, _ = packed_rows(build_membership_matrix(space, agg_rows))
-        assert got.tobytes() == expected.tobytes()
-        try:
-            plain = build_cell_set(space, subs, pmf, max_cells)
-        except ValueError:
-            with pytest.raises(ValueError, match="no grid cell"):
-                build_aggregate_cells(space, subs, agg, pmf, max_cells)
-            return
-        agg_cells, expanded = build_aggregate_cells(
-            space, subs, agg, pmf, max_cells
-        )
-        weighted = agg_cells.membership.astype(np.int64) @ agg.multiplicity
-        np.testing.assert_array_equal(weighted, plain.sizes)
-        np.testing.assert_array_equal(agg_cells.sizes, plain.sizes)
-        np.testing.assert_array_equal(expanded.membership, plain.membership)
-        assert expanded.probs.tobytes() == plain.probs.tobytes()
-        np.testing.assert_array_equal(
-            expanded.hypercell_of_cell, plain.hypercell_of_cell
-        )

@@ -66,6 +66,13 @@ class TestParser:
             )
             assert args.multicast_backend == "overlay"
 
+    @pytest.mark.parametrize("command", ["fig7", "sweep", "serve", "fleet"])
+    def test_no_aggregate_flag(self, command, capsys):
+        with pytest.raises(SystemExit) as excinfo:
+            build_parser().parse_args([command, "--aggregate"])
+        assert excinfo.value.code == 2
+        assert "--aggregate" in capsys.readouterr().err
+
     def test_unknown_multicast_backend_lists_valid_names(self, capsys):
         """A typo'd backend is an argparse error naming every valid
         backend — never a bare KeyError."""
@@ -313,6 +320,24 @@ class TestServeCommand:
         record = json.loads(bench_path.read_text())
         assert record["n_events"] == 600
         assert "p99" in record["latency_virtual_seconds"]
+
+    def test_drift_gate_failure_keeps_the_bench_record(self, tmp_path):
+        """A run that fails the warm/cold gate still writes its record,
+        so the numbers behind the failure survive."""
+        import json
+
+        bench_path = tmp_path / "bench.json"
+        argv = [
+            "serve", "--events", "300", "--subs", "60", "--groups", "6",
+            "--max-cells", "200", "--churn", "0.5",
+            "--bench", str(bench_path),
+        ]
+        with pytest.raises(SystemExit) as excinfo:
+            main(argv)
+        assert excinfo.value.code not in (0, None)
+        assert "past the batch refit" in str(excinfo.value.code)
+        record = json.loads(bench_path.read_text())
+        assert record["waste_ratio"] > 1.1
 
     def test_no_workers_flag(self):
         # one broker is one shard: worker processes are a fleet option

@@ -241,7 +241,7 @@ class TestMSTSpecifics:
             prev = nxt
 
 
-def _tied_cells(seed, m, n_bits=12, weighted=False):
+def _tied_cells(seed, m, n_bits=12):
     """A cell set whose rows and probabilities repeat, so many edge
     lengths tie (duplicated rows are zero-length edges)."""
     rng = np.random.default_rng(seed)
@@ -249,14 +249,12 @@ def _tied_cells(seed, m, n_bits=12, weighted=False):
     membership = base[rng.integers(0, len(base), size=m)]
     probs = rng.choice([0.01, 0.02, 0.05], size=m)
     space = EventSpace([Dimension("x", 0, m - 1)])
-    weights = rng.integers(1, 4, size=n_bits) if weighted else None
     return CellSet(
         space=space,
         membership=membership,
         probs=probs,
         cell_ids=[np.array([i]) for i in range(m)],
         hypercell_of_cell=np.arange(m, dtype=np.int32),
-        weights=weights,
     )
 
 
@@ -281,12 +279,10 @@ class TestMSTBandScan:
             (lambda: _tied_cells(1, 60), 1),
             (lambda: _tied_cells(0, 60), 59),
             (lambda: _tied_cells(2, 80), 7),
-            (lambda: _tied_cells(3, 50, weighted=True), 5),
             (lambda: _random_cells(4), 1),
             (lambda: _random_cells(5), 10),
         ],
-        ids=["ties-k1", "ties-k-m-1", "ties-k7", "ties-weighted",
-             "random-k1", "random-k10"],
+        ids=["ties-k1", "ties-k-m-1", "ties-k7", "random-k1", "random-k10"],
     )
     def test_matches_full_stable_sort(self, make, k):
         cells = make()

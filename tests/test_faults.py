@@ -720,16 +720,14 @@ class TestChaosPinnedReports:
     recorder and an SLO engine, and pins the sha256 of the report's
     canonical JSON: every count, ``per_event_costs``, ``cause_chains``,
     ``slo_breaches`` and ``slo_summary`` (wall-clock ``*_seconds`` keys
-    dropped).  ``sparse`` and ``dense-lazy`` aggregate subscriptions, so
-    every rebuild records an ``expand`` stage on the publication that
-    fired it; ``dense-lazy`` also rebuilds at the first publication after
+    dropped).  ``dense-lazy`` rebuilds at the first publication after
     each churn (``rebalance_after=1``).
     """
 
     PINNED = {
         "dense": "7cfed9d0431a38bf6af5a85f78b961371d79e149e88c4f49b2d21cd284e68f30",
-        "dense-lazy": "dede0574dca9ed1709f4927d894afa20cc3826fbb9c05318a244f686e5824d43",
-        "sparse": "371522f9f4251316f4ec912e23ee6bee344ec74995c890c48adc113baeacdba5",
+        "dense-lazy": "d1766347a848d1fe522e630166917bf67455b5c24c17f7932e7e0e3e5548122e",
+        "sparse": "76e6c83547ef36240287bf4d6487f4292a9024c36f23bbecb8cf53f50369a9ba",
     }
 
     SLO_SPEC = [
@@ -745,7 +743,6 @@ class TestChaosPinnedReports:
         from repro.obs.slo import SloEngine
 
         scheme, _, lazy = case.partition("-")
-        aggregate = case != "dense"
         scenario = make_scenario()
         schedule = FaultSchedule.generate(
             scenario.topology,
@@ -759,7 +756,6 @@ class TestChaosPinnedReports:
         config = dataclasses.replace(
             FAST_CONFIG, scheme=scheme,
             rebalance_after=1 if lazy else FAST_CONFIG.rebalance_after,
-            aggregate=aggregate,
         )
         return ChaosRunner(
             scenario, schedule, config=config, n_events=40, seed=5,

@@ -475,13 +475,11 @@ class TestFleetDeterminism:
 # build once: one scenario and one footprint set per run, shared by shards
 # ----------------------------------------------------------------------
 class TestBuildOnce:
-    @pytest.mark.parametrize(
-        "epochs,aggregate", [(1, False), (1, True), (2, False), (2, True)]
-    )
-    def test_reports_identical_for_every_worker_count(self, epochs, aggregate):
+    @pytest.mark.parametrize("epochs", [1, 2])
+    def test_reports_identical_for_every_worker_count(self, epochs):
         kw = dict(
             SMALL, n_events=400, shards=4, sharding="region",
-            fleet_policy="forward", epochs=epochs, aggregate=aggregate,
+            fleet_policy="forward", epochs=epochs,
         )
         reports = [
             run_fleet(FleetConfig(workers=w, **kw)).deterministic_report()

@@ -212,23 +212,6 @@ class TestBackendEquivalence:
         reference = pairwise_waste_matrix(matrix, probs)
         assert np.array_equal(via_kernel, reference)
 
-    def test_group_mass_bit_equal_to_masked_bincount(self, backend, rng):
-        n_cells, n_groups = 500, 9
-        cell_group = rng.integers(-1, n_groups, size=n_cells)
-        cell_pmf = rng.random(n_cells)
-        covered = rng.choice(n_cells, size=120, replace=False)
-        ext = np.ascontiguousarray(
-            np.where(cell_group >= 0, cell_group, n_groups), dtype=np.int64
-        )
-        clustered = cell_group[covered] >= 0
-        expected = np.bincount(
-            cell_group[covered][clustered],
-            weights=cell_pmf[covered][clustered],
-            minlength=n_groups,
-        )
-        got = backend.group_mass(covered, ext, cell_pmf, n_groups)
-        assert np.array_equal(got, expected)
-
     def test_group_scorer_matches_reference(self, backend, rng):
         n_cells, n_groups = 400, 8
         cell_group = rng.integers(-1, n_groups, size=n_cells)
@@ -270,13 +253,6 @@ class TestBackendEquivalence:
         group, overlap = scorer(np.array([0, 1, 2], dtype=np.int64))
         assert group == 2
         assert np.array_equal(overlap, [0, 0, 0.25, 0, 0, 0.25])
-
-    def test_group_mass_empty_cover(self, backend, rng):
-        ext = np.zeros(10, dtype=np.int64)
-        got = backend.group_mass(
-            np.empty(0, dtype=np.int64), ext, np.ones(10), 4
-        )
-        assert np.array_equal(got, np.zeros(4))
 
 
 class TestFusedPairwiseFit:
@@ -343,7 +319,7 @@ class TestFusedPairwiseFit:
             )
 
 
-def _kmeans_cells(seed, n_bits, density=0.15, weighted=False, uniform=False):
+def _kmeans_cells(seed, n_bits, density=0.15, uniform=False):
     """A cell set on a 20x20 grid; ``uniform`` pmf with few columns
     makes many exact distance ties."""
     rng = np.random.default_rng(seed)
@@ -355,10 +331,7 @@ def _kmeans_cells(seed, n_bits, density=0.15, weighted=False, uniform=False):
     else:
         pmf = rng.random(space.n_cells)
         pmf /= pmf.sum()
-    weights = rng.integers(1, 6, size=n_bits) if weighted else None
-    return cell_set_from_membership(
-        space, *packed_rows(membership), pmf, weights=weights
-    )
+    return cell_set_from_membership(space, *packed_rows(membership), pmf)
 
 
 def _lonely_warm_start(cells):
@@ -375,9 +348,6 @@ _KMEANS_CASES = [
     ("random", dict(seed=1, n_bits=90), 12, 100, None),
     ("random-one-sweep", dict(seed=2, n_bits=130), 30, 1, None),
     ("ragged-words", dict(seed=3, n_bits=64), 7, 100, None),
-    ("weighted", dict(seed=4, n_bits=70, weighted=True), 15, 100, None),
-    ("weighted-one-sweep", dict(seed=5, n_bits=200, weighted=True), 9, 1,
-     None),
     ("ties", dict(seed=6, n_bits=6, density=0.4, uniform=True), 4, 100,
      None),
     ("warm-start", dict(seed=7, n_bits=80), 10, 100, "random"),
@@ -441,7 +411,7 @@ class TestFusedKMeansSweeps:
         ):
             with pytest.raises(ValueError):
                 native.kmeans_sweeps(
-                    cells.packed, cells.probs, cells.sizes, None,
+                    cells.packed, cells.probs, cells.sizes,
                     **{**state, name: bad}, max_iters=1,
                 )
 
@@ -791,5 +761,5 @@ class TestMaintainerFootprintReuse:
             weights=broker.cell_pmf[covered][clustered],
             minlength=len(maintainer._group_mass),
         )
-        got = maintainer._overlap(broker.subscribe(0, rect))
+        _, got = maintainer._score(covered)
         assert np.array_equal(got, expected)

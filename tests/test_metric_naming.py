@@ -29,7 +29,7 @@ _SNAKE_CASE = re.compile(r"^[a-z][a-z0-9_]*$")
 
 #: every label key any instrument in the tree is allowed to use
 LABEL_ALLOWLIST = frozenset({
-    "algorithm", "backend", "kind", "matcher", "mode", "outcome", "path",
+    "algorithm", "backend", "kind", "matcher", "mode", "outcome",
     "phase", "queue", "reason", "scheme", "shard", "stream",
 })
 
@@ -93,7 +93,6 @@ class TestRuntimeLabels:
         config = SoakConfig(
             n_events=120, seed=3, n_nodes=100, n_subscriptions=60,
             n_groups=8, max_cells=150, churn_fraction=0.1, policy="block",
-            aggregate=True,  # exercises the aggregation gauges (path=...)
         )
         spec = [
             {"name": "latency-p95", "signal": "latency", "stat": "p95",

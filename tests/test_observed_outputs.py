@@ -5,10 +5,10 @@ or an SLO engine observes it, and splices each batched event's stages
 back into its chain (see docs/online.md).  These tests pin the observed
 CLI runs, the flight records' stage chains, and a run several times
 longer than the batch cap to sha256 digests of their output, recorded
-with the per-event loop.  They also pin a small sweep's CSV rows, with
-and without ``--aggregate``, recorded with the per-cell MacQueen loop,
-the full stable sort of the MST edges and the per-candidate No-Loss
-scoring.  Run this file as a script to print the current digests.
+with the per-event loop.  They also pin a small sweep's CSV rows,
+recorded with the per-cell MacQueen loop, the full stable sort of the
+MST edges and the per-candidate No-Loss scoring.  Run this file as a
+script to print the current digests.
 """
 
 import contextlib
@@ -71,15 +71,10 @@ _SWEEP = [
 
 #: sha256 of a sweep's CSV rows with the wall-clock ``fit_seconds``
 #: column stripped: every fit (MacQueen and Forgy K-means, MST,
-#: Pairwise Grouping, No-Loss) at two group counts, on subscriber and
-#: on aggregate columns (which price identically, hence one digest)
+#: Pairwise Grouping, No-Loss) at two group counts
 SWEEP_CSV = {
     "sweep": (
         _SWEEP,
-        "912ab439738e0161dba116788109b4c03a5567a9b9cec46a8d08dcb8b4901fbe",
-    ),
-    "sweep-aggregate": (
-        [*_SWEEP, "--aggregate"],
         "912ab439738e0161dba116788109b4c03a5567a9b9cec46a8d08dcb8b4901fbe",
     ),
 }

@@ -262,13 +262,10 @@ class TestObservabilityMerge:
 class TestSpawnRoute:
     """Under ``spawn`` a pool worker's context is a pickle of the live one."""
 
-    @pytest.mark.parametrize("aggregate", [False, True])
     def test_pickled_context_gives_the_same_summaries(
-        self, sweep_ctx, sweep_cells, aggregate
+        self, sweep_ctx, sweep_cells
     ):
-        context = ExperimentContext(
-            sweep_ctx.scenario, n_events=25, aggregate=aggregate
-        )
+        context = ExperimentContext(sweep_ctx.scenario, n_events=25)
         built = run_cells(context, sweep_cells)
         copied = pickle.loads(pickle.dumps(context))
         assert _comparable(run_cells(copied, sweep_cells)) == \

@@ -267,62 +267,6 @@ class TestCompactionMappingRegression:
             )
 
 
-class TestWeightedCellSetRoundTrip:
-    @pytest.fixture()
-    def weighted(self, tiny_space):
-        from tests.helpers import make_subscription_set
-
-        from repro.aggregation import (
-            aggregate_subscriptions,
-            build_aggregate_cells,
-        )
-
-        spec = [(-1, 2), (-1, 2)]
-        big = [(-1, 4), (-1, 4)]
-        subs = make_subscription_set(
-            tiny_space, [(0, spec), (1, big), (2, spec), (0, big), (1, spec)]
-        )
-        pmf = np.full(tiny_space.n_cells, 1.0 / tiny_space.n_cells)
-        agg = aggregate_subscriptions(subs)
-        agg_cells, _ = build_aggregate_cells(tiny_space, subs, agg, pmf)
-        return agg, agg_cells
-
-    def test_weights_round_trip(self, weighted, path):
-        _, agg_cells = weighted
-        assert agg_cells.weights is not None
-        clustering = ForgyKMeansClustering().fit(
-            agg_cells, 2, rng=np.random.default_rng(0)
-        )
-        save_clustering(clustering, path)
-        loaded = load_clustering(path).cells
-        np.testing.assert_array_equal(loaded.weights, agg_cells.weights)
-        np.testing.assert_array_equal(loaded.sizes, agg_cells.sizes)
-
-    def test_weighted_clustering_round_trip(self, weighted, path):
-        _, agg_cells = weighted
-        clustering = ForgyKMeansClustering().fit(
-            agg_cells, 2, rng=np.random.default_rng(0)
-        )
-        save_clustering(clustering, path)
-        loaded = load_clustering(path)
-        np.testing.assert_array_equal(
-            loaded.cells.weights, agg_cells.weights
-        )
-        assert loaded.total_expected_waste() == pytest.approx(
-            clustering.total_expected_waste()
-        )
-
-    def test_weighted_clustering_rejects_mapping(self, weighted, path):
-        """Aggregate-level columns are not subscriber columns; remapping
-        them with a subscriber mapping would corrupt the checkpoint."""
-        _, agg_cells = weighted
-        clustering = ForgyKMeansClustering().fit(
-            agg_cells, 2, rng=np.random.default_rng(0)
-        )
-        mapping = np.arange(agg_cells.n_subscribers, dtype=np.int64)
-        with pytest.raises(ValueError, match="weighted"):
-            save_clustering(clustering, path, subscriber_mapping=mapping)
-
 class TestShardCheckpointRoundTrip:
     @pytest.fixture()
     def online(self, small_topology):

@@ -201,7 +201,7 @@ def _replay_in(env, service_cls, params):
         config=BrokerConfig(
             n_groups=5, max_cells=150, scheme=params["scheme"],
             adaptive=params["adaptive"], rebalance_after=10**9,
-            drift_threshold=params["drift"], aggregate=params["aggregate"],
+            drift_threshold=params["drift"],
             rebuild_backoff_base=params["backoff"],
         ),
     )
@@ -267,7 +267,6 @@ def replay_params(draw):
         ),
         "pub_share": draw(st.sampled_from([0.5, 0.85, 1.0])),
         "forward": draw(st.booleans()),
-        "aggregate": draw(st.booleans()),
         "scheme": draw(st.sampled_from(["dense", "sparse", "alm"])),
         "adaptive": draw(st.booleans()),
         "drift": draw(st.sampled_from([None, 1.0, 1.05])),
@@ -289,7 +288,7 @@ def replay_params(draw):
 #: publication finds the rebuild due with earlier publications pending;
 #: under the fixed policy their costs depend on the grouping
 DUE_WITH_PENDING_RUN = dict(
-    seed=2, n_events=120, pub_share=0.85, forward=False, aggregate=False,
+    seed=2, n_events=120, pub_share=0.85, forward=False,
     scheme="dense", adaptive=False, drift=1.0, backoff=0.01,
     policy="block", n_initial=12,
 )
@@ -303,7 +302,7 @@ OBSERVED_DUE_RUNS = [
 #: every subscriber leaves and a drift rebuild empties the broker; the
 #: next join lands in a broker with no fit and builds one cold
 EMPTIED_BROKER = dict(
-    seed=139, n_events=65, pub_share=0.5, forward=True, aggregate=False,
+    seed=139, n_events=65, pub_share=0.5, forward=True,
     scheme="dense", adaptive=False, drift=1.0, backoff=0.01,
     policy="block", n_initial=7, observe=None, inline=None,
 )
@@ -349,7 +348,7 @@ class TestBatchedServiceEquivalence:
     def test_publish_is_a_one_event_batch(self, env):
         params = dict(
             seed=3, n_events=0, pub_share=1.0, forward=False,
-            aggregate=False, scheme="dense", adaptive=True, drift=None,
+            scheme="dense", adaptive=True, drift=None,
             backoff=0.0, policy="block", n_initial=12,
         )
         one, _, _ = _replay(env, BrokerService, params)
