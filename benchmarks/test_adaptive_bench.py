@@ -20,6 +20,17 @@ from conftest import print_banner
 K = 60
 
 
+def decide_run(policy, publishers, plans):
+    """Price a run of matched events through the policy's dispatcher
+    and decide it: ``(plan costs, decisions)``."""
+    priced = policy.dispatcher.price_run(
+        publishers, interested=[plan.interested for plan in plans],
+        plans=plans,
+    )
+    unicast, _, plan_cost, broadcast = priced.T.tolist()
+    return plan_cost, policy.decide(plans, unicast, plan_cost, broadcast)
+
+
 def test_adaptive_delivery(benchmark, eval_ctx):
     scenario = eval_ctx.scenario
 
@@ -31,12 +42,11 @@ def test_adaptive_delivery(benchmark, eval_ctx):
         policy = AdaptiveDeliveryPolicy(dispatcher)
         fixed_cost = adaptive_cost = unicast_cost = 0.0
         plans = matcher.match_batch([event.point for event in eval_ctx.events])
-        for event, plan in zip(eval_ctx.events, plans):
-            fixed_cost += dispatcher.plan_cost(event.publisher, plan)
-            decision = policy.decide(
-                event.publisher, plan,
-                dispatcher.unicast_reference(event.publisher, plan.interested),
-            )
+        plan_costs, decisions = decide_run(
+            policy, [event.publisher for event in eval_ctx.events], plans
+        )
+        for plan_cost, decision in zip(plan_costs, decisions):
+            fixed_cost += plan_cost
             adaptive_cost += decision.cost
             unicast_cost += decision.candidate_costs["unicast"]
         n = len(eval_ctx.events)
@@ -84,13 +94,9 @@ def test_mode_mix_shifts_with_population(benchmark):
             dispatcher = ctx.dispatcher("dense")
             policy = AdaptiveDeliveryPolicy(dispatcher)
             plans = matcher.match_batch([event.point for event in ctx.events])
-            for event, plan in zip(ctx.events, plans):
-                policy.decide(
-                    event.publisher, plan,
-                    dispatcher.unicast_reference(
-                        event.publisher, plan.interested
-                    ),
-                )
+            decide_run(
+                policy, [event.publisher for event in ctx.events], plans
+            )
             mixes[n_subs] = policy.mode_rates()
         return mixes
 

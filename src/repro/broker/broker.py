@@ -137,9 +137,14 @@ class ContentBroker:
             backoff_max=self.config.rebuild_backoff_max,
             drift_threshold=self.config.drift_threshold,
         )
-        #: flat grid cells each live handle covers (the maintainer's
-        #: join/leave scoring reads them through covered_cells)
+        #: flat grid cells (int32) each live handle covers (the
+        #: maintainer's join/leave scoring reads them through
+        #: covered_cells)
         self._cells_of: Dict[int, np.ndarray] = {}
+        #: hyper-cells of the last rebuild; they depend only on the
+        #: space, the live set, cell_pmf and max_cells, so a rebuild
+        #: with no subscribe/unsubscribe since reuses them
+        self._cells: Optional[CellSet] = None
 
     # ------------------------------------------------------------------
     # subscription management
@@ -155,7 +160,8 @@ class ContentBroker:
         ``cells`` is the rectangle's footprint
         (``space.cells_in_rectangle(rectangle)``) when the caller already
         has it; the broker keeps the array, read-only, instead of
-        rasterising the rectangle again.
+        rasterising the rectangle again.  Footprints are kept as int32
+        flat cells.
         """
         if rectangle.dimensions != self.space.n_dims:
             raise ValueError("subscription dimensionality mismatch")
@@ -167,7 +173,7 @@ class ContentBroker:
         self._pending_changes += 1
         if cells is None:
             cells = self.space.cells_in_rectangle(rectangle)
-        self._cells_of[handle] = cells
+        self._cells_of[handle] = np.asarray(cells, dtype=np.int32)
         return handle
 
     def covered_cells(self, handle: int) -> Optional[np.ndarray]:
@@ -312,12 +318,16 @@ class ContentBroker:
 
         ``full`` forces a cold re-cluster, discarding the warm-start
         grouping even when the configuration would normally inherit it.
+        With no :meth:`subscribe` / :meth:`unsubscribe` since the last
+        rebuild, the live set is unchanged and its hyper-cells are
+        reused: only the grouping is refit.
         """
         if not self._active:
             self._subscriptions = None
             self._matcher = None
             self._dispatcher = None
             self._clustering = None
+            self._cells = None
             self._pending_changes = 0
             return
 
@@ -338,10 +348,12 @@ class ContentBroker:
                     Subscription(self._internal_of[ext], node, rectangle)
                 )
             subs = SubscriptionSet(self.space, subscriptions)
-            cells = build_cell_set(
-                self.space, subs, self.cell_pmf,
-                max_cells=self.config.max_cells,
-            )
+            cells = self._cells
+            if cells is None or self._pending_changes:
+                cells = self._cells = build_cell_set(
+                    self.space, subs, self.cell_pmf,
+                    max_cells=self.config.max_cells,
+                )
             algorithm = self._make_algorithm(
                 None if full else old_clustering, cells
             )

@@ -157,6 +157,30 @@ class EventSpace:
             slices.append(slice(cells.start, cells.stop))
         return tuple(slices)
 
+    def cell_boxes(
+        self, los: np.ndarray, his: np.ndarray
+    ) -> Tuple[np.ndarray, np.ndarray]:
+        """Per-dimension ``[start, stop)`` cell ranges of many rectangles.
+
+        ``los`` and ``his`` are ``(k, n_dims)`` bounds of ``(lo, hi]``
+        sides (:meth:`SubscriptionSet.bounds`).  Returns two
+        ``(k, n_dims)`` int64 arrays: the :meth:`cell_slices` of every
+        row in one pass, by the float arithmetic of
+        :meth:`Interval.cell_range` on unit cells.  A side that misses
+        the grid — empty, off-grid or a departed ``(+inf, -inf]`` row —
+        gets ``stop <= start``, so its rectangle covers nothing.
+        """
+        origin = self._dim_los - 1.0
+        span_hi = origin + np.asarray(self.shape, dtype=np.float64)
+        lo = np.maximum(los, origin)
+        hi = np.minimum(his, span_hi)
+        inside = hi > lo
+        first = np.floor(np.where(inside, lo - origin, 0.0))
+        last = np.ceil(np.where(inside, hi - origin, 0.0)) - 1.0
+        starts = np.maximum(first, 0.0).astype(np.int64)
+        stops = np.minimum(last, np.asarray(self.shape) - 1).astype(np.int64)
+        return starts, stops + 1
+
     def cells_in_rectangle(self, rectangle: Rectangle) -> np.ndarray:
         """Flat indices of all cells a rectangle overlaps, vectorised.
 
@@ -164,15 +188,17 @@ class EventSpace:
         stride offsets, built dimension by dimension — no python-level
         product loop.  A rectangle that misses the grid entirely in some
         dimension covers no cells (empty array), matching the "matches
-        nothing" convention of the membership-matrix builder.
+        nothing" convention of the membership-matrix builder.  Indices
+        are int32, like :attr:`CellSet.hypercell_of_cell`: a grid has
+        fewer than 2**31 cells.
         """
         try:
             slices = self.cell_slices(rectangle)
         except ValueError:
-            return np.empty(0, dtype=np.int64)
-        flat = np.zeros(1, dtype=np.int64)
+            return np.empty(0, dtype=np.int32)
+        flat = np.zeros(1, dtype=np.int32)
         for s, stride in zip(slices, self._strides):
-            offsets = np.arange(s.start, s.stop, dtype=np.int64) * int(stride)
+            offsets = np.arange(s.start, s.stop, dtype=np.int32) * int(stride)
             flat = (flat[:, None] + offsets[None, :]).reshape(-1)
         return flat
 

@@ -13,12 +13,12 @@ fed to the clustering algorithm (the rest fall back to unicast).
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import Iterable, List, Optional, Tuple
+from typing import List, Optional, Tuple
 
 import numpy as np
 
-from ..geometry import EventSpace, Rectangle
-from ..kernels import PackedBits, pack_rows, popcount_rows
+from ..geometry import EventSpace
+from ..kernels import PackedBits, get_backend, pack_rows, popcount_rows
 from ..obs import get_tracer
 from ..workload import SubscriptionSet
 
@@ -31,32 +31,36 @@ __all__ = [
 
 
 def pack_membership(
-    space: EventSpace,
-    columns: Iterable[Tuple[int, Rectangle]],
-    n_columns: int,
+    space: EventSpace, subscriptions: SubscriptionSet
 ) -> np.ndarray:
     """Packed membership rows over all grid cells.
 
-    ``columns`` yields ``(column, rectangle)`` pairs; several pairs may
-    share a column (a subscriber with several rectangles).  Returns the
-    ``(space.n_cells, ceil(n_columns / 8))`` uint8 matrix whose row ``c``
-    is ``s(c)`` from equation (1) of the paper, in the bit order of
-    ``np.packbits(axis=1)``.  Every rectangle overlaps a *contiguous
-    block* of cells in each dimension, so each one is a single OR of its
-    column's bit into a strided box of the packed bytes; no dense
-    ``(n_cells, n_columns)`` matrix is ever built.  Padding bits past
-    ``n_columns`` stay zero.
+    Returns the ``(space.n_cells, ceil(n_subscribers / 8))`` uint8
+    matrix whose row ``c`` is ``s(c)`` from equation (1) of the paper,
+    in the bit order of ``np.packbits(axis=1)``.  Every subscription
+    row overlaps a *contiguous box* of cells, one
+    :meth:`EventSpace.cell_boxes` pass over the set's bounds finds all
+    the boxes, and each box is one OR of its owner's column bit into a
+    strided block of the packed bytes; no dense ``(n_cells,
+    n_subscribers)`` matrix is ever built.  Empty, off-grid and
+    departed rows cover nothing; padding bits stay zero.
     """
-    n_bytes = -(-n_columns // 8)
+    los, his = subscriptions.bounds()
+    starts, stops = space.cell_boxes(los, his)
+    columns = subscriptions.row_owners
+    n_bytes = -(-subscriptions.n_subscribers // 8)
+    packed = get_backend().rasterise_boxes(
+        starts, stops, columns, space.shape, n_bytes
+    )
+    if packed is not None:
+        return packed
     packed = np.zeros((space.n_cells, n_bytes), dtype=np.uint8)
     shaped = packed.reshape(space.shape + (n_bytes,))
-    for column, rectangle in columns:
-        try:
-            slices = space.cell_slices(rectangle)
-        except ValueError:
-            continue  # rectangle entirely outside the grid: matches nothing
-        column = int(column)
-        shaped[slices + (column >> 3,)] |= 0x80 >> (column & 7)
+    covering = np.flatnonzero((stops > starts).all(axis=1))
+    for row in covering.tolist():
+        column = int(columns[row])
+        box = tuple(map(slice, starts[row].tolist(), stops[row].tolist()))
+        shaped[box + (column >> 3,)] |= 0x80 >> (column & 7)
     return packed
 
 
@@ -113,8 +117,8 @@ class CellSet:
         """Packed uint64 view of ``membership``, built once per cell set.
 
         The clustering hot paths (pairwise merging, waste evaluation)
-        run on this instead of the boolean matrix; subsets propagate it
-        by row selection so repeated fits never re-pack.
+        run on this instead of the boolean matrix, so repeated fits on
+        one cell set (a broker's warm and cold refits) never re-pack.
         """
         if self._packed is None:
             self._packed = pack_rows(self.membership)
@@ -129,35 +133,6 @@ class CellSet:
     def popularity(self) -> np.ndarray:
         """Popularity rating ``r(a) = p_p(a) * |s(a)|`` per hyper-cell."""
         return self.probs * self.sizes
-
-    def subscribers_of(self, hypercell: int) -> np.ndarray:
-        """Subscriber ids interested in a hyper-cell."""
-        return np.nonzero(self.membership[hypercell])[0]
-
-    def top_by_popularity(self, n: int) -> "CellSet":
-        """A new :class:`CellSet` keeping only the ``n`` most popular."""
-        if n >= len(self):
-            return self
-        order = np.argsort(-self.popularity, kind="stable")[:n]
-        return self._subset(order)
-
-    def _subset(self, order: np.ndarray) -> "CellSet":
-        mapping = np.full(self.space.n_cells, -1, dtype=np.int32)
-        cell_ids = []
-        for new_idx, old_idx in enumerate(order):
-            ids = self.cell_ids[old_idx]
-            cell_ids.append(ids)
-            mapping[ids] = new_idx
-        subset = CellSet(
-            space=self.space,
-            membership=self.membership[order],
-            probs=self.probs[order],
-            cell_ids=cell_ids,
-            hypercell_of_cell=mapping,
-        )
-        if self._packed is not None:
-            subset._packed = self._packed.take(order)
-        return subset
 
 
 def build_cell_set(
@@ -197,13 +172,9 @@ def _build_cell_set(
     cell_pmf: np.ndarray,
     max_cells: Optional[int],
 ) -> CellSet:
-    n_columns = subscriptions.n_subscribers
-    columns = (
-        (sub.subscriber, sub.rectangle) for sub in subscriptions.subscriptions
-    )
-    packed = pack_membership(space, columns, n_columns)
+    packed = pack_membership(space, subscriptions)
     return cell_set_from_membership(
-        space, packed, n_columns, cell_pmf, max_cells
+        space, packed, subscriptions.n_subscribers, cell_pmf, max_cells
     )
 
 
@@ -221,11 +192,12 @@ def cell_set_from_membership(
     order, zero padding bits).
 
     Hyper-cells come out in the lexicographic order of their packed
-    rows.  The popularity cut to ``max_cells`` happens before the
-    per-cell lists are built, so only the kept hyper-cells get a
-    ``cell_ids`` entry, a ``hypercell_of_cell`` slot and an unpacked
-    ``membership`` row; the result equals ``top_by_popularity(max_cells)``
-    of the uncut set.
+    rows (``np.unique(packed, axis=0)`` order), each one's cells in
+    ascending order.  The popularity cut to ``max_cells`` (the most
+    popular by :attr:`CellSet.popularity`, stable on ties) happens
+    before the per-cell lists are built, so only the kept hyper-cells
+    get a ``cell_ids`` entry, a ``hypercell_of_cell`` slot and an
+    unpacked ``membership`` row.
     """
     if packed.shape != (space.n_cells, -(-n_columns // 8)):
         raise ValueError(
@@ -234,13 +206,10 @@ def cell_set_from_membership(
         )
     if max_cells is not None and max_cells < 1:
         raise ValueError("max_cells must be at least 1")
-    nonempty = np.flatnonzero(packed.any(axis=1))
+    # merge identical membership rows into hyper-cells
+    nonempty, first_idx, hyper, sizes = _group_rows(packed)
     if len(nonempty) == 0:
         raise ValueError("no grid cell is covered by any subscription")
-
-    # merge identical membership rows into hyper-cells
-    words = _big_endian_words(packed[nonempty])
-    first_idx, hyper = _group_equal_rows(words)
     n_hyper = len(first_idx)
     first_cells = nonempty[first_idx]
     probs = np.bincount(hyper, weights=cell_pmf[nonempty], minlength=n_hyper)
@@ -248,8 +217,7 @@ def cell_set_from_membership(
     # cut to the most popular first (CellSet.popularity, stable ties), so
     # only the kept hyper-cells get rows, cell lists and map entries
     if max_cells is not None and max_cells < n_hyper:
-        sizes = popcount_rows(words[first_idx])
-        keep = np.argsort(-(probs * sizes), kind="stable")[:max_cells]
+        keep = _most_popular(-(probs * sizes), max_cells)
         first_cells, probs = first_cells[keep], probs[keep]
         new_of_old = np.full(n_hyper, -1, dtype=np.int64)
         new_of_old[keep] = np.arange(max_cells)
@@ -270,9 +238,45 @@ def cell_set_from_membership(
     )
 
 
+def _most_popular(keys: np.ndarray, n: int) -> np.ndarray:
+    """``np.argsort(keys, kind="stable")[:n]`` without sorting every
+    key: only the keys up to the ``n``-th smallest can be among the
+    first ``n``, and a stable sort of those, taken in index order, puts
+    them in the full sort's order."""
+    kth = np.partition(keys, n - 1)[n - 1]
+    candidates = np.flatnonzero(keys <= kth)
+    return candidates[np.argsort(keys[candidates], kind="stable")[:n]]
+
+
 def _unpack(packed: np.ndarray, n_columns: int) -> np.ndarray:
     """Boolean ``(rows, n_columns)`` matrix of packed membership rows."""
     return np.unpackbits(packed, axis=1, count=n_columns).view(bool)
+
+
+def _group_rows(
+    packed: np.ndarray,
+) -> Tuple[np.ndarray, np.ndarray, np.ndarray, np.ndarray]:
+    """``(nonempty, first_idx, inverse, sizes)`` of packed membership
+    rows.
+
+    ``nonempty`` are the rows with a set bit, ascending; over those
+    rows, ``first_idx`` and ``inverse`` are ``np.unique(axis=0,
+    return_index=True, return_inverse=True)``: groups in the
+    lexicographic order of their bytes, each group's first occurrence.
+    ``sizes`` is each group's bit count.  The active backend's
+    ``group_rows`` kernel does it in one pass; the numpy reference sorts
+    big-endian words with one ``lexsort``.
+    """
+    grouped = get_backend().group_rows(packed)
+    if grouped is not None:
+        return grouped
+    nonempty = np.flatnonzero(packed.any(axis=1))
+    if len(nonempty) == 0:
+        empty = np.empty(0, dtype=np.int64)
+        return nonempty, empty, empty, empty
+    words = _big_endian_words(packed[nonempty])
+    first_idx, inverse = _group_equal_rows(words)
+    return nonempty, first_idx, inverse, popcount_rows(words[first_idx])
 
 
 def _big_endian_words(packed: np.ndarray) -> np.ndarray:

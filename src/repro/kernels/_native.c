@@ -21,11 +21,16 @@
  *
  * -ffp-contract=off matters: a fused multiply-add would skip the
  * intermediate rounding numpy performs and break bit-equality.
+ *
+ * The hyper-cell build (repro_rasterise_boxes, repro_group_rows) does
+ * no float arithmetic: it ORs bits and compares bytes, and its outputs
+ * equal the numpy reference's index arrays element for element.
  */
 
 #include <math.h>
 #include <stdlib.h>
 #include <stdint.h>
+#include <string.h>
 
 #define EXPORT __attribute__((visibility("default")))
 
@@ -96,7 +101,7 @@ EXPORT void repro_waste_matrix(
  * subtraction, each rounded once in float64) matches the vectorised
  * numpy formulation — -ffp-contract=off keeps it fuse-free. */
 EXPORT int64_t repro_join_score(
-    const int64_t *covered, int64_t n,
+    const int32_t *covered, int64_t n,
     const int64_t *groups, const double *pmf,
     const double *group_mass, int64_t n_groups, double *out)
 {
@@ -108,7 +113,7 @@ EXPORT int64_t repro_join_score(
         out[g] = 0.0;
     }
     for (int64_t t = 0; t < n; ++t) {
-        int64_t cell = covered[t];
+        int32_t cell = covered[t];
         out[groups[cell]] += pmf[cell];
     }
     int64_t best = -1;
@@ -749,4 +754,246 @@ done:
     free(s.vals);
     free(broadcast);
     return status;
+}
+
+
+/* Hyper-cell rasteriser: OR each subscription row's column bit into
+ * the packed membership row of every grid cell in its box.
+ *
+ *   starts, stops  (k, n_dims) per-dimension [start, stop) cell ranges
+ *                  (EventSpace.cell_boxes); a row with an empty range
+ *                  in some dimension covers nothing
+ *   columns        (k,) column (subscriber id) of each row
+ *   shape          (n_dims,) cells per dimension, row-major flat cells
+ *   packed         (prod(shape), n_bytes), zeroed by the caller; bit
+ *                  order of np.packbits(axis=1)
+ *
+ * ORs commute, so the row order does not matter; the innermost
+ * dimension's cells are consecutive rows, n_bytes apart. */
+EXPORT void repro_rasterise_boxes(
+    const int64_t *starts, const int64_t *stops, const int64_t *columns,
+    int64_t k, int64_t n_dims, const int64_t *shape,
+    uint8_t *packed, int64_t n_bytes)
+{
+    int64_t stride[n_dims];
+    int64_t idx[n_dims];
+    int64_t inner = n_dims - 1;
+    stride[inner] = n_bytes;
+    for (int64_t d = inner - 1; d >= 0; --d) {
+        stride[d] = stride[d + 1] * shape[d + 1];
+    }
+    for (int64_t r = 0; r < k; ++r) {
+        const int64_t *lo = starts + r * n_dims;
+        const int64_t *hi = stops + r * n_dims;
+        int covers = 1;
+        for (int64_t d = 0; d < n_dims; ++d) {
+            covers &= hi[d] > lo[d];
+        }
+        if (!covers) {
+            continue;
+        }
+        uint8_t bit = (uint8_t)(0x80u >> (columns[r] & 7));
+        uint8_t *column = packed + (columns[r] >> 3);
+        for (int64_t d = 0; d < inner; ++d) {
+            idx[d] = lo[d];
+        }
+        for (;;) {
+            int64_t offset = lo[inner] * n_bytes;
+            for (int64_t d = 0; d < inner; ++d) {
+                offset += idx[d] * stride[d];
+            }
+            uint8_t *p = column + offset;
+            for (int64_t c = lo[inner]; c < hi[inner]; ++c, p += n_bytes) {
+                *p |= bit;
+            }
+            /* next box row: an odometer over the outer dimensions */
+            int64_t d = inner - 1;
+            while (d >= 0 && ++idx[d] == hi[d]) {
+                idx[d] = lo[d];
+                --d;
+            }
+            if (d < 0) {
+                break;
+            }
+        }
+    }
+}
+
+/* Hash of one packed row, 8 bytes at a time; *bits is its popcount. */
+static inline uint64_t row_hash(const uint8_t *row, int64_t b, int64_t *bits)
+{
+    uint64_t h = 0x9e3779b97f4a7c15ull;
+    int64_t count = 0;
+    for (int64_t j = 0; j < b; j += 8) {
+        uint64_t w = 0;
+        memcpy(&w, row + j, b - j < 8 ? (size_t)(b - j) : 8);
+        count += __builtin_popcountll(w);
+        h = (h ^ w) * 0xff51afd7ed558ccdull;
+        h ^= h >> 32;
+    }
+    *bits = count;
+    return h;
+}
+
+/* Sort group ids by their rows' bytes (memcmp order); the rows are
+ * distinct, so stability does not matter.  A plain top-down merge
+ * sort, with the rows passed in rather than held in a global. */
+static void sort_rows(
+    int64_t *ids, int64_t *tmp, int64_t n,
+    const uint8_t *rows, int64_t b, const int64_t *row_of)
+{
+    if (n < 2) {
+        return;
+    }
+    if (n <= 16) {
+        for (int64_t i = 1; i < n; ++i) {
+            int64_t v = ids[i];
+            const uint8_t *rv = rows + row_of[v] * b;
+            int64_t j = i - 1;
+            while (j >= 0 && memcmp(rows + row_of[ids[j]] * b, rv, b) > 0) {
+                ids[j + 1] = ids[j];
+                --j;
+            }
+            ids[j + 1] = v;
+        }
+        return;
+    }
+    int64_t half = n / 2;
+    sort_rows(ids, tmp, half, rows, b, row_of);
+    sort_rows(ids + half, tmp, n - half, rows, b, row_of);
+    if (memcmp(rows + row_of[ids[half - 1]] * b,
+               rows + row_of[ids[half]] * b, b) < 0) {
+        return;  /* already in order */
+    }
+    int64_t i = 0, j = half, t = 0;
+    while (i < half && j < n) {
+        if (memcmp(rows + row_of[ids[j]] * b,
+                   rows + row_of[ids[i]] * b, b) < 0) {
+            tmp[t++] = ids[j++];
+        } else {
+            tmp[t++] = ids[i++];
+        }
+    }
+    while (i < half) {
+        tmp[t++] = ids[i++];
+    }
+    while (j < n) {
+        tmp[t++] = ids[j++];
+    }
+    memcpy(ids, tmp, (size_t)n * sizeof *ids);
+}
+
+/* Group equal packed rows: np.unique(rows[nonempty], axis=0,
+ * return_index=True, return_inverse=True) in one pass, with the
+ * all-zero rows dropped on the way.
+ *
+ *   rows      (n, b) packed membership rows
+ *   nonempty  out (n,): the rows with a set bit, ascending; the first
+ *             *n_nonempty entries are written
+ *   first     out (n,): per group, the position in nonempty of its
+ *             first occurrence
+ *   inverse   out (n,): per nonempty row, its group
+ *   sizes     out (n,): per group, the set bits of its row
+ *
+ * The rows are hashed in row order, so a group is found first at its
+ * smallest row (np.unique's return_index); a row equal to the previous
+ * non-empty row (neighbouring grid cells often are) joins its group
+ * without a probe.  Table slots hold the hash's top half as a tag, so
+ * a probe compares row bytes only on a tag match.  Groups are then
+ * ranked by memcmp of their bytes, which is np.unique's lexicographic
+ * order of uint8 rows.  Returns the number of groups, or -2 when the
+ * scratch allocation fails. */
+typedef struct {
+    uint32_t tag;
+    int32_t group;  /* -1: empty slot */
+} group_slot;
+
+EXPORT int64_t repro_group_rows(
+    const uint8_t *rows, int64_t n, int64_t b,
+    int64_t *nonempty, int64_t *first, int64_t *inverse, int64_t *sizes,
+    int64_t *n_nonempty)
+{
+    int64_t cap = 16;
+    while (cap < 2 * n) {
+        cap <<= 1;
+    }
+    uint64_t mask = (uint64_t)cap - 1;
+    group_slot *table = malloc((size_t)cap * sizeof *table);
+    int64_t *row_of = malloc((size_t)(n + 1) * sizeof *row_of);
+    int64_t *pos_of = malloc((size_t)(n + 1) * sizeof *pos_of);
+    int64_t *order = malloc((size_t)(n + 1) * sizeof *order);
+    int64_t *tmp = malloc((size_t)(n + 1) * sizeof *tmp);
+    int64_t n_groups = -2;
+    if (!table || !row_of || !pos_of || !order || !tmp) {
+        goto done;
+    }
+    for (int64_t s = 0; s < cap; ++s) {
+        table[s].group = -1;
+    }
+    n_groups = 0;
+    int64_t count = 0;
+    const uint8_t *prev = NULL;
+    int64_t prev_group = -1;
+    for (int64_t i = 0; i < n; ++i) {
+        const uint8_t *row = rows + i * b;
+        if (prev != NULL && memcmp(row, prev, b) == 0) {
+            nonempty[count] = i;
+            inverse[count++] = prev_group;
+            continue;
+        }
+        int64_t bits;
+        uint64_t h = row_hash(row, b, &bits);
+        if (bits == 0) {
+            continue;
+        }
+        uint32_t tag = (uint32_t)(h >> 32);
+        int64_t pos = count++;
+        nonempty[pos] = i;
+        uint64_t slot = h & mask;
+        int64_t g;
+        for (;;) {
+            g = table[slot].group;
+            if (g < 0) {
+                g = n_groups++;
+                table[slot].tag = tag;
+                table[slot].group = (int32_t)g;
+                row_of[g] = i;
+                pos_of[g] = pos;
+                sizes[g] = bits;
+                break;
+            }
+            if (table[slot].tag == tag
+                && memcmp(rows + row_of[g] * b, row, b) == 0) {
+                break;
+            }
+            slot = (slot + 1) & mask;
+        }
+        inverse[pos] = g;
+        prev = row;
+        prev_group = g;
+    }
+    *n_nonempty = count;
+    for (int64_t g = 0; g < n_groups; ++g) {
+        order[g] = g;
+    }
+    sort_rows(order, tmp, n_groups, rows, b, row_of);
+    /* rank of each first-seen group id, reusing tmp; sizes follow the
+     * groups into rank order through row_of, which the sort no longer
+     * needs */
+    for (int64_t r = 0; r < n_groups; ++r) {
+        first[r] = pos_of[order[r]];
+        tmp[order[r]] = r;
+        row_of[r] = sizes[order[r]];
+    }
+    memcpy(sizes, row_of, (size_t)n_groups * sizeof *sizes);
+    for (int64_t pos = 0; pos < count; ++pos) {
+        inverse[pos] = tmp[inverse[pos]];
+    }
+done:
+    free(table);
+    free(row_of);
+    free(pos_of);
+    free(order);
+    free(tmp);
+    return n_groups;
 }

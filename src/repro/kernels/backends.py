@@ -11,8 +11,9 @@ kernels over packed bitsets (:mod:`repro.kernels.bitset`):
     A small C file shipped with the package, compiled on demand with the
     system C compiler and called through ctypes
     (:mod:`repro.kernels.native`).  Provides the fused agglomerative
-    ``pairwise_fit`` and MacQueen ``kmeans_sweeps`` kernels and the
-    batched dense-mode ``price_dense`` pricing.
+    ``pairwise_fit`` and MacQueen ``kmeans_sweeps`` kernels, the
+    batched dense-mode ``price_dense`` pricing and the hyper-cell
+    build's ``rasterise_boxes`` and ``group_rows``.
 
 Selection happens lazily at first use: ``REPRO_KERNEL_BACKEND`` names a
 backend or ``auto`` (the default), which prefers ``native``, then
@@ -138,6 +139,16 @@ class NumpyBackend:
     def price_dense(self, *args):
         """No batched dense-mode pricing in numpy — callers price each
         event in python."""
+        return None
+
+    def rasterise_boxes(self, *args):
+        """No box rasteriser in numpy — :func:`repro.grid.pack_membership`
+        ORs each box in python."""
+        return None
+
+    def group_rows(self, packed):
+        """No one-pass row grouping in numpy — the grid sorts the rows
+        with ``lexsort``."""
         return None
 
 

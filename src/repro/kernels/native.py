@@ -128,6 +128,14 @@ class NativeBackend:
         lib.repro_waste_matrix.restype = None
         lib.repro_join_score.argtypes = [ptr, i64, ptr, ptr, ptr, i64, ptr]
         lib.repro_join_score.restype = i64
+        lib.repro_rasterise_boxes.argtypes = [
+            ptr, ptr, ptr, i64, i64, ptr, ptr, i64,
+        ]
+        lib.repro_rasterise_boxes.restype = None
+        lib.repro_group_rows.argtypes = [
+            ptr, i64, i64, ptr, ptr, ptr, ptr, ptr,
+        ]
+        lib.repro_group_rows.restype = i64
         lib.repro_pairwise_fit.argtypes = [
             ptr, i64, i64, ptr, i64, ptr, ptr, ptr, ptr, ptr, ptr, ptr,
         ]
@@ -186,7 +194,9 @@ class NativeBackend:
         across events — argument pointers and the overlap output buffer
         — is captured once here.  The covered cells are staged into a
         reused buffer: one numpy slice-assign is cheaper than extracting
-        a fresh array's data pointer through ``.ctypes``.
+        a fresh array's data pointer through ``.ctypes``.  Footprints
+        are int32 (:meth:`EventSpace.cells_in_rectangle`); other integer
+        arrays are cast on staging.
 
         The returned overlap vector is reused between calls; consume it
         before scoring again.
@@ -201,7 +211,7 @@ class NativeBackend:
         p_ext, p_pmf, p_mass, p_out = (
             _ptr(ext), _ptr(pmf), _ptr(mass), _ptr(out)
         )
-        stage = np.empty(4096, dtype=np.int64)
+        stage = np.empty(4096, dtype=np.int32)
         p_stage = _ptr(stage)
 
         def scorer(covered: np.ndarray):
@@ -209,7 +219,7 @@ class NativeBackend:
             n = covered.shape[0]
             if n > stage.shape[0]:
                 stage = np.empty(
-                    max(n, 2 * stage.shape[0]), dtype=np.int64
+                    max(n, 2 * stage.shape[0]), dtype=np.int32
                 )
                 p_stage = _ptr(stage)
             stage[:n] = covered
@@ -217,6 +227,61 @@ class NativeBackend:
             return group, overlap
 
         return scorer
+
+    def rasterise_boxes(
+        self,
+        starts: np.ndarray,
+        stops: np.ndarray,
+        columns: np.ndarray,
+        shape: Tuple[int, ...],
+        n_bytes: int,
+    ) -> np.ndarray:
+        """Packed membership rows of ``(k, n_dims)`` cell boxes: each
+        row's ``columns`` bit ORed into every cell of its box (see
+        :func:`repro.grid.pack_membership`)."""
+        starts = np.ascontiguousarray(starts, dtype=np.int64)
+        stops = np.ascontiguousarray(stops, dtype=np.int64)
+        columns = np.ascontiguousarray(columns, dtype=np.int64)
+        dims = np.array(shape, dtype=np.int64)
+        k, n_dims = starts.shape
+        if stops.shape != (k, n_dims) or columns.shape != (k,):
+            raise ValueError("one box and one column per row")
+        if n_dims != len(dims) or n_dims < 1:
+            raise ValueError("boxes must have one range per grid dimension")
+        covering = (stops > starts).all(axis=1)
+        if covering.any() and not (
+            (starts[covering] >= 0).all()
+            and (stops[covering] <= dims).all()
+            and 0 <= columns[covering].min()
+            and columns[covering].max() < 8 * n_bytes
+        ):
+            raise ValueError("box or column outside the packed matrix")
+        packed = np.zeros((int(np.prod(dims)), n_bytes), dtype=np.uint8)
+        self._lib.repro_rasterise_boxes(
+            _ptr(starts), _ptr(stops), _ptr(columns), k, n_dims,
+            _ptr(dims), _ptr(packed), n_bytes,
+        )
+        return packed
+
+    def group_rows(
+        self, packed: np.ndarray
+    ) -> Tuple[np.ndarray, np.ndarray, np.ndarray, np.ndarray]:
+        """``(nonempty, first_idx, inverse, sizes)`` of packed rows in
+        one hashing pass plus a ``memcmp`` sort of the distinct rows
+        (see :func:`repro.grid.cells._group_rows`)."""
+        packed = np.ascontiguousarray(packed, dtype=np.uint8)
+        n, b = packed.shape
+        (nonempty, first, inverse, sizes, count), at = _carve(
+            np.int64, (n, n, n, n, 1)
+        )
+        n_groups = self._lib.repro_group_rows(_ptr(packed), n, b, *at)
+        if n_groups < 0:
+            raise MemoryError("group_rows scratch allocation failed")
+        n_nonempty = int(count[0])
+        return (
+            nonempty[:n_nonempty], first[:n_groups],
+            inverse[:n_nonempty], sizes[:n_groups],
+        )
 
     def pairwise_fit(self, packed: PackedBits, probs: np.ndarray, n_groups: int):
         words = np.ascontiguousarray(packed.words).copy()

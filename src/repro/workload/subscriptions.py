@@ -226,23 +226,35 @@ class SubscriptionSet:
 
         Broadcasting one ``(E, 1, N)`` point array against the
         ``(k, N)`` bound matrices answers all events at once — the fast
-        path for experiment loops that price hundreds of events.
-        Equivalent to calling :meth:`interested_subscribers` per point.
+        path for experiment loops that price hundreds of events.  One
+        ``np.nonzero`` over the whole hit matrix lists every (event,
+        row) hit in event order, and one split cuts it per event.  When
+        every subscriber owns one row, in id order, the owners are
+        already sorted and unique per event; otherwise one
+        ``np.unique`` over ``event * n_subscribers + owner`` sorts and
+        deduplicates them.  Equivalent to calling
+        :meth:`interested_subscribers` per point.
         """
         pts = np.asarray(points, dtype=np.float64)
         if pts.size == 0:
             pts = pts.reshape(0, self.space.n_dims)
         if pts.ndim != 2 or pts.shape[1] != self.space.n_dims:
             raise ValueError("points must be an (E, n_dims) array-like")
+        if len(pts) == 0:
+            return []
         # (E, k): subscription j matches event e
         hits = np.all(
             (self._los[None, :, :] < pts[:, None, :])
             & (pts[:, None, :] <= self._his[None, :, :]),
             axis=2,
         )
-        return [
-            np.unique(self._owners[np.nonzero(row)[0]]) for row in hits
-        ]
+        events, rows = np.nonzero(hits)
+        owners = self._owners[rows]
+        if len(owners) > 1 and not (np.diff(self._owners) > 0).all():
+            keys = np.unique(events * self.n_subscribers + owners)
+            events, owners = np.divmod(keys, self.n_subscribers)
+        bounds = np.searchsorted(events, np.arange(1, len(pts)))
+        return np.split(owners, bounds)
 
 
 # ----------------------------------------------------------------------

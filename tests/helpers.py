@@ -39,6 +39,45 @@ def packed_rows(membership):
     return np.packbits(membership, axis=1), membership.shape[1]
 
 
+def subscribers_of(cells, hypercell):
+    """Subscriber ids interested in one hyper-cell of a ``CellSet``."""
+    return np.nonzero(cells.membership[hypercell])[0]
+
+
+def subset_cells(cells, order):
+    """A new ``CellSet`` of the hyper-cells ``order`` selects, in that
+    order, with the cell map renumbered and the packed rows (when
+    built) taken along."""
+    from repro.grid import CellSet
+
+    mapping = np.full(cells.space.n_cells, -1, dtype=np.int32)
+    cell_ids = []
+    for new_idx, old_idx in enumerate(order):
+        ids = cells.cell_ids[old_idx]
+        cell_ids.append(ids)
+        mapping[ids] = new_idx
+    subset = CellSet(
+        space=cells.space,
+        membership=cells.membership[order],
+        probs=cells.probs[order],
+        cell_ids=cell_ids,
+        hypercell_of_cell=mapping,
+    )
+    if cells._packed is not None:
+        subset._packed = cells._packed.take(order)
+    return subset
+
+
+def top_by_popularity(cells, n):
+    """Oracle of the popularity cut: the ``n`` most popular hyper-cells
+    (``CellSet.popularity``, stable on ties), or ``cells`` itself when
+    it has no more than ``n``."""
+    if n >= len(cells):
+        return cells
+    order = np.argsort(-cells.popularity, kind="stable")[:n]
+    return subset_cells(cells, order)
+
+
 def record_one(
     stats, cost, unicast_cost, ideal_cost, used_multicast, n_interested,
     wasted, **fields,

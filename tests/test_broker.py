@@ -4,7 +4,10 @@ import numpy as np
 import pytest
 
 from repro.broker import BrokerConfig, ContentBroker, DeliveryStats
+from repro.broker import broker as broker_module
 from repro.geometry import Rectangle
+from repro.kernels import available_backends, set_backend
+from repro.kernels import backends as _backends
 from repro.network import RoutingTables
 from repro.workload import MixturePublicationModel, single_mode_mixture
 
@@ -389,3 +392,90 @@ class TestAdaptiveBroker:
     def test_penalty_validated_in_config(self):
         with pytest.raises(ValueError):
             BrokerConfig(adaptive=True, broadcast_penalty=0.5)
+
+
+@pytest.fixture(params=available_backends())
+def each_backend(request):
+    set_backend(request.param)
+    yield request.param
+    _backends._reset_for_testing()
+
+
+class TestCellReuse:
+    """A rebuild with no subscribe/unsubscribe since the last one reuses
+    its hyper-cells, and refits to what a fresh broker builds."""
+
+    @staticmethod
+    def _populate(broker, env, n, seed=3):
+        rng = np.random.default_rng(seed)
+        stub_nodes = env["topology"].stub_nodes()
+        return [
+            broker.subscribe(
+                int(rng.choice(stub_nodes)), random_rectangle(env, rng)
+            )
+            for _ in range(n)
+        ]
+
+    @staticmethod
+    def _count_builds(monkeypatch):
+        calls = {"n": 0}
+        original = broker_module.build_cell_set
+
+        def counting(*args, **kwargs):
+            calls["n"] += 1
+            return original(*args, **kwargs)
+
+        monkeypatch.setattr(broker_module, "build_cell_set", counting)
+        return calls
+
+    @staticmethod
+    def _assert_same_fit(broker, fresh):
+        got, want = broker.clustering, fresh.clustering
+        for field in ("membership", "probs", "hypercell_of_cell"):
+            a, b = getattr(got.cells, field), getattr(want.cells, field)
+            assert a.dtype == b.dtype
+            assert a.tobytes() == b.tobytes()
+        assert len(got.cells.cell_ids) == len(want.cells.cell_ids)
+        for a, b in zip(got.cells.cell_ids, want.cells.cell_ids):
+            assert a.tobytes() == b.tobytes()
+        assert np.array_equal(got.assignment, want.assignment)
+        assert np.array_equal(got.group_membership, want.group_membership)
+        assert got.total_expected_waste() == want.total_expected_waste()
+
+    def test_unchanged_set_builds_grid_once(
+        self, broker_env, monkeypatch, each_backend
+    ):
+        calls = self._count_builds(monkeypatch)
+        broker = make_broker(broker_env)
+        self._populate(broker, broker_env, 20)
+        broker.rebuild()
+        cells = broker.clustering.cells
+        broker.rebuild(full=True)
+        assert calls["n"] == 1
+        assert broker.clustering.cells is cells
+        fresh = make_broker(broker_env)
+        self._populate(fresh, broker_env, 20)
+        fresh.rebuild(full=True)
+        self._assert_same_fit(broker, fresh)
+
+    @pytest.mark.parametrize("change", ["subscribe", "unsubscribe"])
+    def test_churn_in_between_forces_a_build(
+        self, broker_env, monkeypatch, each_backend, change
+    ):
+        calls = self._count_builds(monkeypatch)
+        broker = make_broker(broker_env)
+        handles = self._populate(broker, broker_env, 20)
+        broker.rebuild()
+        fresh = make_broker(broker_env)
+        fresh_handles = self._populate(fresh, broker_env, 20)
+        if change == "subscribe":
+            rect = random_rectangle(broker_env, np.random.default_rng(9))
+            broker.subscribe(1, rect)
+            fresh.subscribe(1, rect)
+        else:
+            broker.unsubscribe(handles[4])
+            fresh.unsubscribe(fresh_handles[4])
+        broker.rebuild(full=True)
+        assert calls["n"] == 2
+        fresh.rebuild(full=True)
+        self._assert_same_fit(broker, fresh)

@@ -14,6 +14,9 @@ from repro.grid import (
     cell_set_from_membership,
     pack_membership,
 )
+from repro.grid.cells import _big_endian_words, _group_equal_rows, _group_rows
+from repro.kernels import available_backends, set_backend
+from repro.kernels import backends as _backends
 from repro.workload import Subscription, SubscriptionSet
 
 from tests.helpers import (
@@ -21,6 +24,8 @@ from tests.helpers import (
     locate,
     make_subscription_set,
     packed_rows,
+    subscribers_of,
+    top_by_popularity,
 )
 
 
@@ -132,7 +137,7 @@ class TestHyperCells:
         cells = build_cell_set(space, subs, uniform_pmf)
         for h in range(len(cells)):
             expected = np.nonzero(cells.membership[h])[0]
-            np.testing.assert_array_equal(cells.subscribers_of(h), expected)
+            np.testing.assert_array_equal(subscribers_of(cells, h), expected)
 
 
 class TestSelection:
@@ -146,7 +151,7 @@ class TestSelection:
 
     def test_top_by_popularity_noop_when_large(self, space, subs, uniform_pmf):
         cells = build_cell_set(space, subs, uniform_pmf)
-        assert cells.top_by_popularity(10**6) is cells
+        assert top_by_popularity(cells, 10**6) is cells
 
     def test_subset_mapping_updated(self, space, subs, uniform_pmf):
         top = build_cell_set(space, subs, uniform_pmf, max_cells=1)
@@ -181,7 +186,7 @@ class TestCellSetValidation:
 def _reference_cell_set(space, membership, cell_pmf, max_cells):
     """The hyper-cell build as first written: ``np.unique`` over the
     bit-packed rows, per-cell lists for every hyper-cell, then
-    :meth:`CellSet.top_by_popularity`."""
+    :func:`tests.helpers.top_by_popularity`."""
     nonempty = np.nonzero(membership.any(axis=1))[0]
     packed = np.packbits(membership[nonempty], axis=1)
     _, first_idx, inverse = np.unique(
@@ -204,7 +209,7 @@ def _reference_cell_set(space, membership, cell_pmf, max_cells):
         hypercell_of_cell=mapping,
     )
     if max_cells is not None:
-        cells = cells.top_by_popularity(max_cells)
+        cells = top_by_popularity(cells, max_cells)
     return cells
 
 
@@ -243,7 +248,8 @@ def _membership_inputs(draw):
 
 class TestHyperCellOracle:
     """``cell_set_from_membership`` equals the ``np.unique`` build plus
-    ``top_by_popularity``, field by field and bit for bit."""
+    ``top_by_popularity``, field by field and bit for bit, on every
+    backend."""
 
     @settings(max_examples=150, deadline=None)
     @given(
@@ -261,20 +267,21 @@ class TestHyperCellOracle:
             "above": n_hyper + 1 + pick % 5,
         }[budget]
         expected = _reference_cell_set(space, membership, cell_pmf, max_cells)
-        got = cell_set_from_membership(
-            space, *packed_rows(membership), cell_pmf, max_cells=max_cells
-        )
-        assert got.membership.dtype == expected.membership.dtype
-        np.testing.assert_array_equal(got.membership, expected.membership)
-        assert got.probs.tobytes() == expected.probs.tobytes()
-        assert len(got.cell_ids) == len(expected.cell_ids)
-        for ids, want in zip(got.cell_ids, expected.cell_ids):
-            assert ids.dtype == want.dtype
-            np.testing.assert_array_equal(ids, want)
-        assert got.hypercell_of_cell.dtype == np.int32
-        np.testing.assert_array_equal(
-            got.hypercell_of_cell, expected.hypercell_of_cell
-        )
+        for _ in _every_backend():
+            got = cell_set_from_membership(
+                space, *packed_rows(membership), cell_pmf, max_cells=max_cells
+            )
+            assert got.membership.dtype == expected.membership.dtype
+            np.testing.assert_array_equal(got.membership, expected.membership)
+            assert got.probs.tobytes() == expected.probs.tobytes()
+            assert len(got.cell_ids) == len(expected.cell_ids)
+            for ids, want in zip(got.cell_ids, expected.cell_ids):
+                assert ids.dtype == want.dtype
+                np.testing.assert_array_equal(ids, want)
+            assert got.hypercell_of_cell.dtype == np.int32
+            np.testing.assert_array_equal(
+                got.hypercell_of_cell, expected.hypercell_of_cell
+            )
 
     def test_zero_budget_rejected(self, space, subs, uniform_pmf):
         membership = build_membership_matrix(space, subs)
@@ -315,28 +322,112 @@ def _rasterise_inputs(draw):
     for column in draw(st.sets(st.integers(0, n_columns - 1), max_size=3)):
         subs.deactivate(column)
     los, his = subs.bounds()
-    return space, SubscriptionSet(space, [
+    return space, subs, SubscriptionSet(space, [
         Subscription(int(owner), 0, Rectangle.from_bounds(lo, hi))
         for owner, lo, hi in zip(subs.row_owners, los, his)
     ])
 
 
-def _subscription_columns(subs):
-    return ((s.subscriber, s.rectangle) for s in subs.subscriptions)
-
-
 class TestPackedRasteriser:
     """``pack_membership`` equals ``np.packbits`` of the dense oracle,
-    byte for byte."""
+    byte for byte, on every backend; departed rows reach it as
+    ``(+inf, -inf]`` bounds."""
 
     @settings(max_examples=150, deadline=None)
     @given(_rasterise_inputs())
     def test_matches_dense_oracle(self, inputs):
-        space, subs = inputs
-        got = pack_membership(
-            space, _subscription_columns(subs), subs.n_subscribers
+        space, subs, rebuilt = inputs
+        expected, _ = packed_rows(build_membership_matrix(space, rebuilt))
+        for _ in _every_backend():
+            got = pack_membership(space, subs)
+            assert got.dtype == np.uint8
+            assert got.shape == expected.shape
+            assert got.tobytes() == expected.tobytes()
+
+    @settings(max_examples=150, deadline=None)
+    @given(_rasterise_inputs())
+    def test_boxes_match_cell_slices(self, inputs):
+        """One ``cell_boxes`` pass gives every row's ``cell_slices``, and
+        an empty box where the rectangle misses the grid."""
+        space, subs, rebuilt = inputs
+        starts, stops = space.cell_boxes(*subs.bounds())
+        assert starts.dtype == stops.dtype == np.int64
+        for row, sub in enumerate(rebuilt.subscriptions):
+            try:
+                slices = space.cell_slices(sub.rectangle)
+            except ValueError:
+                assert (stops[row] <= starts[row]).any()
+                continue
+            assert [(s.start, s.stop) for s in slices] == list(
+                zip(starts[row].tolist(), stops[row].tolist())
+            )
+
+
+def _every_backend():
+    """Switch to each available kernel backend in turn (the autouse
+    fixture restores the environment's choice)."""
+    for name in available_backends():
+        yield set_backend(name)
+
+
+@pytest.fixture(autouse=True)
+def _restore_backend():
+    yield
+    _backends._reset_for_testing()
+
+
+@st.composite
+def _packed_row_inputs(draw):
+    """Packed rows with repeats and all-zero rows, 1 to 125 bytes wide:
+    a single row, all rows equal, or a few random patterns."""
+    n_bytes = draw(st.sampled_from([1, 7, 8, 9, 38, 125]))
+    rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
+    kind = draw(st.sampled_from(["single", "equal", "patterns"]))
+    n_rows = 1 if kind == "single" else draw(st.integers(1, 300))
+    n_patterns = 1 if kind == "equal" else draw(st.integers(1, 40))
+    # sparse bytes, so patterns share long prefixes and differ late
+    patterns = rng.integers(0, 256, (n_patterns, n_bytes), dtype=np.uint8)
+    patterns[rng.random((n_patterns, n_bytes)) < 0.7] = 0
+    packed = patterns[rng.integers(n_patterns, size=n_rows)]
+    packed[rng.random(n_rows) < draw(st.sampled_from([0.0, 0.3]))] = 0
+    return packed
+
+
+class TestGroupRows:
+    """Every backend's one-pass grouping equals the ``lexsort``
+    reference on the non-empty rows, and ``np.unique``; group sizes are
+    the rows' bit counts."""
+
+    @settings(max_examples=200, deadline=None)
+    @given(_packed_row_inputs())
+    def test_matches_lexsort_reference(self, packed):
+        nonempty = np.flatnonzero(packed.any(axis=1))
+        if len(nonempty):
+            first, inverse = _group_equal_rows(
+                _big_endian_words(packed[nonempty])
+            )
+            _, unique_first, unique_inverse = np.unique(
+                packed[nonempty], axis=0,
+                return_index=True, return_inverse=True,
+            )
+            assert np.array_equal(first, unique_first)
+            assert np.array_equal(inverse, unique_inverse.reshape(-1))
+        else:
+            first = inverse = np.empty(0, dtype=np.int64)
+        sizes = np.bitwise_count(packed[nonempty[first]]).sum(
+            axis=1, dtype=np.int64
         )
-        expected, _ = packed_rows(build_membership_matrix(space, subs))
-        assert got.dtype == np.uint8
-        assert got.shape == expected.shape
-        assert got.tobytes() == expected.tobytes()
+        for _ in _every_backend():
+            got = _group_rows(packed)
+            assert len(got) == 4
+            for array, want in zip(got, (nonempty, first, inverse, sizes)):
+                assert array.dtype == np.int64
+                np.testing.assert_array_equal(array, want)
+
+    def test_all_zero_rows_rejected(self, space, uniform_pmf):
+        packed = np.zeros((space.n_cells, 1), dtype=np.uint8)
+        for _ in _every_backend():
+            with pytest.raises(
+                ValueError, match="no grid cell is covered by any subscription"
+            ):
+                cell_set_from_membership(space, packed, 3, uniform_pmf)

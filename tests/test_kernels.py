@@ -41,7 +41,12 @@ from repro.network import Graph, RoutingTables
 from repro.online import ClusterMaintainer
 from repro.workload import MixturePublicationModel, single_mode_mixture
 
-from tests.helpers import make_subscription_set, observed_fit, packed_rows
+from tests.helpers import (
+    make_subscription_set,
+    observed_fit,
+    packed_rows,
+    top_by_popularity,
+)
 
 
 @pytest.fixture(autouse=True)
@@ -303,7 +308,7 @@ class TestFusedPairwiseFit:
     def test_packed_rows_propagate_through_subsets(self, tiny_space, rng):
         cells = self._cell_set(tiny_space, rng)
         full_packed = cells.packed  # force the lazy build
-        top = cells.top_by_popularity(max(1, len(cells) // 2))
+        top = top_by_popularity(cells, max(1, len(cells) // 2))
         assert top._packed is not None  # no re-pack on subset
         assert np.array_equal(top.packed.unpack(), top.membership)
         assert np.array_equal(full_packed.unpack(), cells.membership)
@@ -748,6 +753,44 @@ class TestMaintainerFootprintReuse:
         assert join_calls <= 1
         maintainer.leave(handle, now=1.0)
         assert calls["n"] == join_calls  # leave adds zero rasterisations
+
+    def test_int32_footprints_join_and_leave_unchanged(
+        self, small_topology, rng, backend
+    ):
+        """Footprints are kept as int32; join placements and the
+        join/leave overlaps equal the masked-bincount reference on the
+        int64 cells, on every backend."""
+        broker = _make_broker(small_topology, rng)
+        maintainer = ClusterMaintainer(broker)
+        cell_group = maintainer._cell_group
+        group_mass = maintainer._group_mass
+        for step in range(8):
+            rect = _rect(broker.space, rng)
+            covered = broker.space.cells_in_rectangle(rect).astype(np.int64)
+            clustered = cell_group[covered] >= 0
+            expected = np.bincount(
+                cell_group[covered][clustered],
+                weights=broker.cell_pmf[covered][clustered],
+                minlength=len(group_mass),
+            )
+            candidates = np.nonzero(expected > 0)[0]
+            scores = group_mass[candidates] - 2.0 * expected[candidates]
+            want = int(candidates[np.argmin(scores)]) if len(scores) else -1
+            handle = maintainer.join(1, rect, now=float(step))
+            footprint = broker.covered_cells(handle)
+            assert footprint.dtype == np.int32
+            assert np.array_equal(footprint, covered)
+            groups = broker.clustering.groups_of_subscriber(
+                broker.internal_id(handle)
+            )
+            assert list(groups) == ([want] if want >= 0 else [])
+            _, overlap = maintainer._score(footprint)
+            assert overlap.tobytes() == expected.tobytes()
+            maintainer.leave(handle, now=step + 0.5)
+        # a footprint handed in as int64 is kept as int32 too
+        handle = broker.subscribe(1, rect, cells=covered)
+        assert broker.covered_cells(handle).dtype == np.int32
+        assert np.array_equal(broker.covered_cells(handle), covered)
 
     def test_overlap_matches_masked_bincount(self, small_topology, rng):
         broker = _make_broker(small_topology, rng)

@@ -118,6 +118,12 @@ class TestEventSpace:
         rect = Rectangle((Interval.make(10, 12), Interval.make(0, 2)))
         assert list(tiny_space.cells_in_rectangle(rect)) == []
 
+    def test_cells_in_rectangle_are_int32(self, tiny_space):
+        inside = Rectangle((Interval.make(0, 2), Interval.make(0, 2)))
+        outside = Rectangle((Interval.make(10, 12), Interval.make(0, 2)))
+        for rect in (inside, outside, tiny_space.domain()):
+            assert tiny_space.cells_in_rectangle(rect).dtype == np.int32
+
     def test_cell_slices_rejects_mismatched_rect(self, tiny_space):
         with pytest.raises(ValueError):
             tiny_space.cell_slices(Rectangle.full(3))

@@ -4,6 +4,8 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from repro.geometry import Dimension, EventSpace, Interval, Rectangle
 from repro.workload import (
@@ -256,6 +258,32 @@ class TestEvaluationModel:
         assert volume_full > quote_full * 1.5
 
 
+@st.composite
+def _batch_inputs(draw):
+    """A 2-d set whose subscribers own 1-3 rows, in shuffled row order
+    when ``shuffle``, some departed, and points on and off the grid."""
+    space = EventSpace([Dimension("x", 0, 9), Dimension("y", 0, 9)])
+    rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
+    n_subs = draw(st.integers(1, 12))
+    multi = draw(st.booleans())
+    rows = []
+    for subscriber in range(n_subs):
+        for _ in range(int(rng.integers(1, 4)) if multi else 1):
+            lo = rng.integers(-2, 10, size=2).astype(float)
+            hi = lo + rng.integers(0, 8, size=2)
+            rows.append(Subscription(
+                subscriber, subscriber % 3, Rectangle.from_bounds(lo, hi)
+            ))
+    if draw(st.booleans()):
+        rows = [rows[i] for i in rng.permutation(len(rows))]
+    subs = SubscriptionSet(space, rows)
+    for subscriber in draw(st.sets(st.integers(0, n_subs - 1), max_size=2)):
+        subs.deactivate(subscriber)
+    points = rng.integers(-1, 11, size=(draw(st.integers(1, 30)), 2))
+    return subs, points.astype(float)
+
+
+
 class TestBatchMatching:
     @pytest.fixture
     def space2(self):
@@ -290,3 +318,22 @@ class TestBatchMatching:
     def test_empty_results_possible(self, subs2):
         batch = subs2.batch_interested_subscribers([[9.5, 9.5]])
         assert len(batch[0]) == 0
+
+    def test_no_points(self, subs2):
+        assert subs2.batch_interested_subscribers(np.empty((0, 2))) == []
+
+    @settings(max_examples=100, deadline=None)
+    @given(_batch_inputs())
+    def test_one_pass_matches_per_point(self, inputs):
+        """The one ``np.nonzero`` + split equals per-point
+        ``interested_subscribers`` byte for byte: int64, sorted, unique,
+        with several rows per subscriber, rows out of id order and
+        departed subscribers."""
+        subs, points = inputs
+        batch = subs.batch_interested_subscribers(points)
+        assert len(batch) == len(points)
+        for point, got in zip(points, batch):
+            want = subs.interested_subscribers(point)
+            assert got.dtype == want.dtype == np.int64
+            assert got.tobytes() == want.tobytes()
+
