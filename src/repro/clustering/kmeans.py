@@ -14,11 +14,17 @@ A hyper-cell never leaves a group it is the last member of, so groups
 stay non-empty (in the Forgy batch update, a group emptied by the sweep
 is re-seeded with the cell that is farthest from its chosen group).
 
-MacQueen's one-cell-at-a-time sweeps are a python loop over the cells.
-A compiled kernel backend runs them all in one call instead
-(``kmeans_sweeps``, see docs/kernels.md), move for move identical:
-the intersections it counts as integers are the exact integers the
-loop's float32 matvec yields.
+The numpy code below is the reference: the cold start is an argmin of
+``waste_to_clusters`` against the seeds, MacQueen's one-cell-at-a-time
+sweeps are a python loop over the cells and Forgy's batch sweeps
+rebuild the group unions in a loop over the groups.  A compiled kernel
+backend (see docs/kernels.md) enters C once per step instead --
+``nearest_seeds`` for the cold start, ``group_state`` plus
+``kmeans_sweeps`` for MacQueen, ``forgy_sweeps`` for every Forgy
+sweep -- with identical results: the intersections it counts as
+integers are the exact integers the float32 matmuls yield, and each
+group's probability mass is numpy's pairwise sum over its members in
+ascending cell order.
 """
 
 from __future__ import annotations
@@ -28,9 +34,9 @@ from typing import Optional, Tuple
 import numpy as np
 
 from ..grid import CellSet
-from ..kernels import get_backend, pack_rows
+from ..kernels import get_backend
 from .base import Clustering, GridClusteringAlgorithm
-from .distance import waste_to_clusters
+from .distance import _count_evals, waste_to_clusters
 
 __all__ = ["KMeansClustering", "ForgyKMeansClustering"]
 
@@ -80,6 +86,12 @@ class _KMeansBase(GridClusteringAlgorithm):
             return dense
         m = len(cells)
         seeds = np.argsort(-cells.popularity, kind="stable")[:n_groups]
+        assignment = get_backend().nearest_seeds(
+            cells.packed, cells.probs, cells.sizes, seeds
+        )
+        if assignment is not None:
+            _count_evals((m - len(seeds)) * len(seeds))
+            return assignment
         assignment = np.full(m, -1, dtype=np.int64)
         assignment[seeds] = np.arange(n_groups)
         rest = np.nonzero(assignment < 0)[0]
@@ -132,29 +144,46 @@ class ForgyKMeansClustering(_KMeansBase):
             # the groups present so empty groups never enter the
             # distance kernel
             n_groups = int(assignment.max()) + 1
-            for iteration in range(1, self.max_iters + 1):
-                membership, probs = self._group_stats(
-                    cells, assignment, n_groups
-                )
-                distances = waste_to_clusters(
-                    cells.membership,
-                    cells.probs,
-                    membership,
-                    probs,
-                )
-                new_assignment = np.argmin(distances, axis=1)
-                new_assignment = self._fix_empty_groups(
-                    new_assignment, distances, n_groups
-                )
-                if np.array_equal(new_assignment, assignment):
-                    self.n_iterations_ = iteration
-                    break
-                assignment = new_assignment
-            else:
-                self.n_iterations_ = self.max_iters
+            # a compiled backend runs every sweep in one call, identical
+            # to the numpy loop
+            swept = get_backend().forgy_sweeps(
+                cells.packed, cells.probs, cells.sizes, assignment,
+                n_groups, self.max_iters,
+            )
+            if swept is None:
+                swept = self._sweeps(cells, assignment, n_groups)
+            self.n_iterations_, distance_evals = swept
             span.set("iterations", self.n_iterations_)
-            self._record_fit(iterations=self.n_iterations_)
+            self._record_fit(
+                iterations=self.n_iterations_, distance_evals=distance_evals
+            )
         return Clustering(cells, assignment)
+
+    def _sweeps(
+        self, cells: CellSet, assignment: np.ndarray, n_groups: int
+    ) -> Tuple[int, int]:
+        """The Forgy sweeps in numpy: the reference for the compiled
+        ``forgy_sweeps`` kernel and the path on hosts without one.
+        Updates ``assignment`` in place; returns ``(iterations, 0)``,
+        as ``waste_to_clusters`` counts its own distance evaluations."""
+        for iteration in range(1, self.max_iters + 1):
+            membership, probs = self._group_stats(
+                cells, assignment, n_groups
+            )
+            distances = waste_to_clusters(
+                cells.membership,
+                cells.probs,
+                membership,
+                probs,
+            )
+            new_assignment = np.argmin(distances, axis=1)
+            new_assignment = self._fix_empty_groups(
+                new_assignment, distances, n_groups
+            )
+            if np.array_equal(new_assignment, assignment):
+                return iteration, 0
+            assignment[:] = new_assignment
+        return self.max_iters, 0
 
     @staticmethod
     def _fix_empty_groups(
@@ -203,38 +232,24 @@ class KMeansClustering(_KMeansBase):
         with self._fit_span(cells, n_groups) as span:
             assignment = self._initial_assignment(cells, n_groups)
             n_groups = int(assignment.max()) + 1
+            cell_sizes = cells.sizes.astype(np.float64)
 
             # incremental group state: per-subscriber member counts (so
             # that removing a cell can shrink the union), probability
-            # mass, cell counts and union sizes.  It is built here in
-            # numpy's summation order for either sweep path below.
-            counts = np.zeros(
-                (n_groups, cells.n_subscribers), dtype=np.int32
+            # mass, cell counts and union sizes.  A compiled backend
+            # builds it from the packed rows and runs every sweep in one
+            # call, move-for-move identical to the python loop
+            backend = get_backend()
+            state = backend.group_state(
+                cells.packed, cells.probs, assignment, n_groups
             )
-            probs = np.zeros(n_groups, dtype=np.float64)
-            n_cells_in = np.zeros(n_groups, dtype=np.int64)
-            cell_membership_int = cells.membership.astype(np.int32)
-            for g in range(n_groups):
-                members = assignment == g
-                counts[g] = cell_membership_int[members].sum(axis=0)
-                probs[g] = cells.probs[members].sum()
-                n_cells_in[g] = int(members.sum())
-            membership = counts > 0
-            group_sizes = membership.sum(axis=1).astype(np.float64)
-            cell_sizes = cells.sizes.astype(np.float64)
-
-            # a compiled backend runs every sweep in one call,
-            # move-for-move identical to the python loop
-            swept = get_backend().kmeans_sweeps(
-                cells.packed, cells.probs, cell_sizes, counts,
-                pack_rows(membership).words, group_sizes, probs,
-                n_cells_in, assignment, self.max_iters,
-            )
-            if swept is None:
-                swept = self._sweeps(
-                    cells, cell_sizes, cell_membership_int, assignment,
-                    counts, membership, group_sizes, probs, n_cells_in,
+            if state is not None:
+                swept = backend.kmeans_sweeps(
+                    cells.packed, cells.probs, cell_sizes, *state,
+                    assignment, self.max_iters,
                 )
+            else:
+                swept = self._sweeps(cells, cell_sizes, assignment, n_groups)
             self.n_iterations_, distance_evals = swept
             span.set("iterations", self.n_iterations_)
             self._record_fit(
@@ -246,20 +261,25 @@ class KMeansClustering(_KMeansBase):
         self,
         cells: CellSet,
         cell_sizes: np.ndarray,
-        cell_membership_int: np.ndarray,
         assignment: np.ndarray,
-        counts: np.ndarray,
-        membership: np.ndarray,
-        group_sizes: np.ndarray,
-        probs: np.ndarray,
-        n_cells_in: np.ndarray,
+        n_groups: int,
     ) -> Tuple[int, int]:
-        """The MacQueen sweeps in python: the reference for the
-        compiled ``kmeans_sweeps`` kernel and the path on hosts without
-        one.  Mutates ``assignment`` and the group state in place;
-        returns ``(iterations, distance_evals)``."""
+        """The MacQueen group state and sweeps in numpy: the reference
+        for the compiled ``group_state`` and ``kmeans_sweeps`` kernels
+        and the path on hosts without them.  Mutates ``assignment`` in
+        place; returns ``(iterations, distance_evals)``."""
         m = len(cells)
-        n_groups = len(probs)
+        counts = np.zeros((n_groups, cells.n_subscribers), dtype=np.int32)
+        probs = np.zeros(n_groups, dtype=np.float64)
+        n_cells_in = np.zeros(n_groups, dtype=np.int64)
+        cell_membership_int = cells.membership.astype(np.int32)
+        for g in range(n_groups):
+            members = assignment == g
+            counts[g] = cell_membership_int[members].sum(axis=0)
+            probs[g] = cells.probs[members].sum()
+            n_cells_in[g] = int(members.sum())
+        membership = counts > 0
+        group_sizes = membership.sum(axis=1).astype(np.float64)
         # float32 rows are consumed by the inner-loop matmul below;
         # convert the whole matrix once instead of once per cell visit
         cell_membership_f32 = cells.membership.astype(np.float32)

@@ -96,6 +96,9 @@ class CellSet:
     _packed: Optional[PackedBits] = field(
         default=None, init=False, repr=False, compare=False
     )
+    _sizes: Optional[np.ndarray] = field(
+        default=None, init=False, repr=False, compare=False
+    )
 
     def __post_init__(self) -> None:
         if self.membership.ndim != 2:
@@ -126,8 +129,13 @@ class CellSet:
 
     @property
     def sizes(self) -> np.ndarray:
-        """Number of interested subscribers per hyper-cell."""
-        return self.membership.sum(axis=1)
+        """Number of interested subscribers per hyper-cell (read-only
+        int64): one popcount of :attr:`packed`, taken once."""
+        if self._sizes is None:
+            sizes = popcount_rows(self.packed.words)
+            sizes.flags.writeable = False
+            self._sizes = sizes
+        return self._sizes
 
     @property
     def popularity(self) -> np.ndarray:

@@ -17,7 +17,10 @@
  *     products and one sum, each rounded once, on exact integer
  *     intersections;
  *   - dense-mode costs sum with an exact copy of numpy's pairwise
- *     summation, over ShortestPaths.tree_cost's levels in its order.
+ *     summation, over ShortestPaths.tree_cost's levels in its order;
+ *   - K-means group probability masses use the same pairwise sum over
+ *     each group's members in ascending cell order, and Forgy and the
+ *     cold start use the MacQueen distance and first-minimum rule.
  *
  * -ffp-contract=off matters: a fused multiply-add would skip the
  * intermediate rounding numpy performs and break bit-equality.
@@ -309,6 +312,41 @@ EXPORT void repro_pairwise_fit(
     counters[1] = n_evals;
 }
 
+/* The expected waste between a cell (probability pc, size cs) and a
+ * group (size gs, probability gp) sharing s subscribers, in float64:
+ * p_c*(gs - s) + p_g*(cs - s), two products and one sum, each rounded
+ * once, as waste_to_clusters computes it.  The intersections are
+ * popcounts, equal to the float32 matmul of 0/1 rows numpy computes. */
+static inline double waste(
+    double pc, double cs, double gs, double gp, double s)
+{
+    double a = pc * (gs - s);
+    double b = gp * (cs - s);
+    return a + b;
+}
+
+/* The group nearest to one packed cell row under the expected waste:
+ * the first minimum, as np.argmin takes it from waste_to_clusters'
+ * rows.  Stores the distance in *dist. */
+static inline int64_t nearest_group(
+    const uint64_t *cw, int64_t w, double pc, double cs,
+    const uint64_t *group_words, const double *group_sizes,
+    const double *group_probs, int64_t k, double *dist)
+{
+    int64_t best = 0;
+    double best_d = 0.0;
+    for (int64_t g = 0; g < k; ++g) {
+        double s = (double)popcount_and(cw, group_words + g * w, w);
+        double d = waste(pc, cs, group_sizes[g], group_probs[g], s);
+        if (g == 0 || d < best_d) {
+            best = g;
+            best_d = d;
+        }
+    }
+    *dist = best_d;
+    return best;
+}
+
 /* MacQueen K-means: every sweep of KMeansClustering.fit in one call,
  * move-for-move identical to the python loop.  Per visited cell the
  * distance to group g is p_c*(gs_g - s) + p_g*(cs - s) in float64 (two
@@ -348,20 +386,10 @@ EXPORT void repro_kmeans_sweeps(
             }
             const uint64_t *cw = cell_words + c * w;
             double pc = cell_probs[c];
-            double cs = cell_sizes[c];
-            int64_t best = 0;
-            double best_d = 0.0;
-            for (int64_t g = 0; g < k; ++g) {
-                double s = (double)popcount_and(
-                    cw, group_words + g * w, w);
-                double a = pc * (group_sizes[g] - s);
-                double b = probs[g] * (cs - s);
-                double d = a + b;
-                if (g == 0 || d < best_d) {
-                    best = g;
-                    best_d = d;
-                }
-            }
+            double best_d;
+            int64_t best = nearest_group(
+                cw, w, pc, cell_sizes[c], group_words, group_sizes,
+                probs, k, &best_d);
             evals += k;
             if (best == cur) {
                 continue;
@@ -444,6 +472,304 @@ static double pairwise_sum(const double *a, int64_t n)
 static double np_sum(const double *a, int64_t n)
 {
     return 0.0 + pairwise_sum(a, n);
+}
+
+/* Group state of a partition of the packed cell rows (labels in
+ * [0, k)): each group's cell count, the OR of its member rows and that
+ * union's popcount, and its probability mass, np_sum over the members'
+ * probabilities in ascending cell order -- cells.probs[assignment ==
+ * g].sum().  With ``counts`` non-NULL, also the (k, n_bits) int32
+ * number of members per group and subscriber.  ``vals`` (m) and
+ * ``ends`` (k) are scratch. */
+static void group_state(
+    const uint64_t *cell_words, int64_t m, int64_t w, int64_t n_bits,
+    const double *cell_probs, const int64_t *assignment, int64_t k,
+    int32_t *counts, uint64_t *group_words, double *group_sizes,
+    double *probs, int64_t *n_cells_in, double *vals, int64_t *ends)
+{
+    memset(n_cells_in, 0, (size_t)k * sizeof(int64_t));
+    memset(group_words, 0, (size_t)(k * w) * sizeof(uint64_t));
+    if (counts) {
+        memset(counts, 0, (size_t)(k * n_bits) * sizeof(int32_t));
+    }
+    for (int64_t c = 0; c < m; ++c) {
+        n_cells_in[assignment[c]] += 1;
+    }
+    int64_t start = 0;
+    for (int64_t g = 0; g < k; ++g) {
+        ends[g] = start;
+        start += n_cells_in[g];
+    }
+    /* a stable counting sort: each group's probabilities land in
+     * ascending cell order */
+    for (int64_t c = 0; c < m; ++c) {
+        int64_t g = assignment[c];
+        const uint64_t *cw = cell_words + c * w;
+        uint64_t *gw = group_words + g * w;
+        vals[ends[g]++] = cell_probs[c];
+        for (int64_t t = 0; t < w; ++t) {
+            gw[t] |= cw[t];
+        }
+        if (counts) {
+            int32_t *row = counts + g * n_bits;
+            for (int64_t t = 0; t < w; ++t) {
+                uint64_t bits = cw[t];
+                while (bits) {
+                    row[t * 64 + __builtin_ctzll(bits)] += 1;
+                    bits &= bits - 1;
+                }
+            }
+        }
+    }
+    for (int64_t g = 0; g < k; ++g) {
+        const uint64_t *gw = group_words + g * w;
+        int64_t size = 0;
+        for (int64_t t = 0; t < w; ++t) {
+            size += __builtin_popcountll(gw[t]);
+        }
+        group_sizes[g] = (double)size;
+        probs[g] = np_sum(vals + ends[g] - n_cells_in[g], n_cells_in[g]);
+    }
+}
+
+/* KMeansClustering's initial group state (see group_state); every
+ * output is caller-allocated.  Returns 0, or -2 when scratch
+ * allocation fails. */
+EXPORT int64_t repro_group_state(
+    const uint64_t *cell_words, int64_t m, int64_t w, int64_t n_bits,
+    const double *cell_probs, const int64_t *assignment, int64_t k,
+    int32_t *counts, uint64_t *group_words, double *group_sizes,
+    double *probs, int64_t *n_cells_in)
+{
+    double *vals = malloc((size_t)(m > 0 ? m : 1) * sizeof(double));
+    int64_t *ends = malloc((size_t)(k > 0 ? k : 1) * sizeof(int64_t));
+    int64_t status = 0;
+    if (!vals || !ends) {
+        status = -2;
+    } else {
+        group_state(cell_words, m, w, n_bits, cell_probs, assignment, k,
+                    counts, group_words, group_sizes, probs, n_cells_in,
+                    vals, ends);
+    }
+    free(vals);
+    free(ends);
+    return status;
+}
+
+/* The cold start of both K-means variants: seed i (a cell index) opens
+ * group i, and every other cell joins its nearest seed (nearest_group
+ * against the seeds' own rows, sizes and probabilities), as
+ * waste_to_clusters(rest, seeds) + argmin does.  Returns 0, or -2 when
+ * scratch allocation fails. */
+EXPORT int64_t repro_nearest_seeds(
+    const uint64_t *cell_words, int64_t m, int64_t w,
+    const double *cell_probs, const double *cell_sizes,
+    const int64_t *seeds, int64_t k, int64_t *assignment)
+{
+    uint64_t *seed_words = malloc(
+        (size_t)(k * w > 0 ? k * w : 1) * sizeof(uint64_t));
+    double *seed_stats = malloc(
+        (size_t)(k > 0 ? 2 * k : 1) * sizeof(double));
+    if (!seed_words || !seed_stats) {
+        free(seed_words);
+        free(seed_stats);
+        return -2;
+    }
+    double *seed_sizes = seed_stats;
+    double *seed_probs = seed_stats + k;
+    for (int64_t c = 0; c < m; ++c) {
+        assignment[c] = -1;
+    }
+    for (int64_t i = 0; i < k; ++i) {
+        int64_t cell = seeds[i];
+        memcpy(seed_words + i * w, cell_words + cell * w,
+               (size_t)w * sizeof(uint64_t));
+        seed_sizes[i] = cell_sizes[cell];
+        seed_probs[i] = cell_probs[cell];
+        assignment[cell] = i;
+    }
+    for (int64_t c = 0; c < m; ++c) {
+        if (assignment[c] < 0) {
+            double d;
+            assignment[c] = nearest_group(
+                cell_words + c * w, w, cell_probs[c], cell_sizes[c],
+                seed_words, seed_sizes, seed_probs, k, &d);
+        }
+    }
+    free(seed_words);
+    free(seed_stats);
+    return 0;
+}
+
+/* ``order`` sorted by ``key`` descending, ties in ascending index
+ * order: np.argsort(-key, kind="stable") for keys without NaN.  A
+ * bottom-up merge sort through ``tmp``. */
+static void argsort_descending(
+    const double *key, int64_t *order, int64_t *tmp, int64_t n)
+{
+    for (int64_t i = 0; i < n; ++i) {
+        order[i] = i;
+    }
+    int64_t *src = order, *dst = tmp;
+    for (int64_t width = 1; width < n; width *= 2) {
+        for (int64_t lo = 0; lo < n; lo += 2 * width) {
+            int64_t mid = lo + width < n ? lo + width : n;
+            int64_t hi = lo + 2 * width < n ? lo + 2 * width : n;
+            int64_t i = lo, j = mid, out = lo;
+            while (i < mid && j < hi) {
+                /* take the right run's head only when strictly larger:
+                 * equal keys keep their (index) order */
+                if (key[src[j]] > key[src[i]]) {
+                    dst[out++] = src[j++];
+                } else {
+                    dst[out++] = src[i++];
+                }
+            }
+            while (i < mid) {
+                dst[out++] = src[i++];
+            }
+            while (j < hi) {
+                dst[out++] = src[j++];
+            }
+        }
+        int64_t *swap = src;
+        src = dst;
+        dst = swap;
+    }
+    if (src != order) {
+        memcpy(order, src, (size_t)n * sizeof(int64_t));
+    }
+}
+
+/* ForgyKMeansClustering._fix_empty_groups: each group the sweep left
+ * empty, in ascending label order, takes the cell that fits its own
+ * group worst (largest own distance, lowest index on ties) among the
+ * groups that can spare a member.  ``counts`` (k) is scratch.
+ *
+ * The python loop rescans the order from its start for every empty
+ * group; resuming after the last cell taken finds the same cells,
+ * because a cell skipped once stays ineligible: the count of a group
+ * that has cells only falls, and a re-seeded group holds one. */
+static void fix_empty_groups(
+    int64_t *assignment, const double *own, int64_t m, int64_t k,
+    int64_t *counts, int64_t *order, int64_t *tmp)
+{
+    memset(counts, 0, (size_t)k * sizeof(int64_t));
+    for (int64_t c = 0; c < m; ++c) {
+        counts[assignment[c]] += 1;
+    }
+    int64_t g = 0;
+    while (g < k && counts[g] > 0) {
+        ++g;
+    }
+    if (g == k) {
+        return;
+    }
+    argsort_descending(own, order, tmp, m);
+    int64_t pos = 0;
+    for (; g < k; ++g) {
+        if (counts[g] > 0) {
+            continue;
+        }
+        for (; pos < m; ++pos) {
+            int64_t cell = order[pos];
+            if (counts[assignment[cell]] > 1) {
+                counts[assignment[cell]] -= 1;
+                assignment[cell] = g;
+                counts[g] = 1;
+                ++pos;
+                break;
+            }
+        }
+    }
+}
+
+/* Forgy K-means: every batch sweep of ForgyKMeansClustering.fit in one
+ * call, identical to the numpy loop.  Each sweep builds the group
+ * state of the current partition (group_state), sends every cell to
+ * its nearest group (the first minimum of waste, m*k distance
+ * evaluations), re-seeds emptied groups (fix_empty_groups) and stops
+ * at the first sweep that changes no label.  The (m, k) intersection
+ * counts persist between sweeps: only the columns of groups whose
+ * union changed are recounted, and the integers are the same either
+ * way.  ``assignment`` (m) holds labels in
+ * [0, k) and is updated in place; counters (2) out: [iterations,
+ * distance_evals].  Returns 0, or -2 when scratch allocation fails. */
+EXPORT int64_t repro_forgy_sweeps(
+    const uint64_t *cell_words, int64_t m, int64_t w,
+    const double *cell_probs, const double *cell_sizes,
+    int64_t k, int64_t *assignment, int64_t max_iters, int64_t *counters)
+{
+    size_t mm = (size_t)(m > 0 ? m : 1), kk = (size_t)(k > 0 ? k : 1);
+    size_t kw = (size_t)(k * w > 0 ? k * w : 1);
+    uint64_t *group_words = malloc(2 * kw * sizeof(uint64_t));
+    double *floats = malloc((2 * kk + 2 * mm) * sizeof(double));
+    int64_t *ints = malloc((3 * kk + 3 * mm) * sizeof(int64_t));
+    int32_t *inter = malloc(mm * kk * sizeof(int32_t));
+    if (!group_words || !floats || !ints || !inter) {
+        free(group_words);
+        free(floats);
+        free(ints);
+        free(inter);
+        return -2;
+    }
+    uint64_t *prev_words = group_words + kw;
+    double *group_sizes = floats, *probs = floats + kk;
+    double *vals = floats + 2 * kk, *own = vals + mm;
+    int64_t *n_cells_in = ints, *ends = ints + kk, *stale = ints + 2 * kk;
+    int64_t *next = ints + 3 * kk, *order = next + mm, *tmp = order + mm;
+
+    int64_t iterations = max_iters;
+    int64_t evals = 0;
+    for (int64_t it = 1; it <= max_iters; ++it) {
+        group_state(cell_words, m, w, 0, cell_probs, assignment, k, NULL,
+                    group_words, group_sizes, probs, n_cells_in, vals,
+                    ends);
+        /* recount |cell & group| only for groups whose union changed */
+        int64_t n_stale = 0;
+        for (int64_t g = 0; g < k; ++g) {
+            if (it == 1 || memcmp(group_words + g * w, prev_words + g * w,
+                                  (size_t)w * sizeof(uint64_t)) != 0) {
+                stale[n_stale++] = g;
+            }
+        }
+        memcpy(prev_words, group_words, (size_t)(k * w) * sizeof(uint64_t));
+        for (int64_t c = 0; c < m; ++c) {
+            const uint64_t *cw = cell_words + c * w;
+            int32_t *row = inter + c * k;
+            for (int64_t i = 0; i < n_stale; ++i) {
+                int64_t g = stale[i];
+                row[g] = (int32_t)popcount_and(cw, group_words + g * w, w);
+            }
+            double pc = cell_probs[c], cs = cell_sizes[c];
+            int64_t best = 0;
+            double best_d = 0.0;
+            for (int64_t g = 0; g < k; ++g) {
+                double d = waste(
+                    pc, cs, group_sizes[g], probs[g], (double)row[g]);
+                if (g == 0 || d < best_d) {
+                    best = g;
+                    best_d = d;
+                }
+            }
+            next[c] = best;
+            own[c] = best_d;
+        }
+        evals += m * k;
+        fix_empty_groups(next, own, m, k, n_cells_in, order, tmp);
+        if (memcmp(next, assignment, (size_t)m * sizeof(int64_t)) == 0) {
+            iterations = it;
+            break;
+        }
+        memcpy(assignment, next, (size_t)m * sizeof(int64_t));
+    }
+    counters[0] = iterations;
+    counters[1] = evals;
+    free(group_words);
+    free(floats);
+    free(ints);
+    free(inter);
+    return 0;
 }
 
 /* Scratch of one price_dense call: stamp arrays over the nodes (a slot

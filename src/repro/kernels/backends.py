@@ -11,9 +11,11 @@ kernels over packed bitsets (:mod:`repro.kernels.bitset`):
     A small C file shipped with the package, compiled on demand with the
     system C compiler and called through ctypes
     (:mod:`repro.kernels.native`).  Provides the fused agglomerative
-    ``pairwise_fit`` and MacQueen ``kmeans_sweeps`` kernels, the
-    batched dense-mode ``price_dense`` pricing and the hyper-cell
-    build's ``rasterise_boxes`` and ``group_rows``.
+    ``pairwise_fit``, the K-means fits' ``nearest_seeds``,
+    ``group_state``, MacQueen ``kmeans_sweeps`` and Forgy
+    ``forgy_sweeps`` kernels, the batched dense-mode ``price_dense``
+    pricing and the hyper-cell build's ``rasterise_boxes`` and
+    ``group_rows``.
 
 Selection happens lazily at first use: ``REPRO_KERNEL_BACKEND`` names a
 backend or ``auto`` (the default), which prefers ``native``, then
@@ -133,6 +135,21 @@ class NumpyBackend:
 
     def kmeans_sweeps(self, *args):
         """No fused MacQueen sweeps in numpy — callers run the python
+        loop."""
+        return None
+
+    def group_state(self, *args):
+        """No one-pass K-means group state in numpy — callers sum each
+        group's members with numpy."""
+        return None
+
+    def nearest_seeds(self, *args):
+        """No nearest-seed scan in numpy — callers take the argmin of
+        ``waste_to_clusters``."""
+        return None
+
+    def forgy_sweeps(self, *args):
+        """No fused Forgy sweeps in numpy — callers run the python
         loop."""
         return None
 

@@ -34,7 +34,7 @@ __all__ = ["NativeBackend", "load_native_backend"]
 _SOURCE = Path(__file__).with_name("_native.c")
 
 #: bump to invalidate cached shared libraries on wrapper changes
-_ABI_TAG = "v3"
+_ABI_TAG = "v4"
 
 
 def _cache_dir() -> Path:
@@ -110,6 +110,38 @@ def _carve(dtype, sizes: Sequence[int]):
     return views, addresses
 
 
+def _labels(assignment: np.ndarray, m: int, k: int) -> np.ndarray:
+    """``assignment`` as contiguous int64, checked to hold one label in
+    ``[0, k)`` per row: the kernels index group arrays with them."""
+    labels = np.ascontiguousarray(assignment, dtype=np.int64)
+    if labels.shape != (m,):
+        raise ValueError(f"assignment must have shape {(m,)}")
+    if m and not 0 <= labels.min() <= labels.max() < k:
+        raise ValueError("assignment labels must lie in [0, n_groups)")
+    return labels
+
+
+def _in_place(array: np.ndarray, dtype, shape: Tuple[int, ...]) -> None:
+    """Reject an array a kernel cannot update in place."""
+    if (
+        array.dtype != dtype
+        or array.shape != shape
+        or not array.flags.c_contiguous
+    ):
+        raise ValueError(
+            f"in-place state must be C-contiguous "
+            f"{np.dtype(dtype)} of shape {shape}"
+        )
+
+
+def _per_row(values: np.ndarray, m: int) -> np.ndarray:
+    """One float64 value per packed row, contiguous."""
+    values = np.ascontiguousarray(values, dtype=np.float64)
+    if values.shape != (m,):
+        raise ValueError("cell probabilities and sizes need one per row")
+    return values
+
+
 class NativeBackend:
     """ctypes wrappers around the compiled ``_native.c`` kernels."""
 
@@ -145,6 +177,18 @@ class NativeBackend:
             i64, ptr, i64, ptr,
         ]
         lib.repro_kmeans_sweeps.restype = None
+        lib.repro_group_state.argtypes = [
+            ptr, i64, i64, i64, ptr, ptr, i64, ptr, ptr, ptr, ptr, ptr,
+        ]
+        lib.repro_group_state.restype = i64
+        lib.repro_nearest_seeds.argtypes = [
+            ptr, i64, i64, ptr, ptr, ptr, i64, ptr,
+        ]
+        lib.repro_nearest_seeds.restype = i64
+        lib.repro_forgy_sweeps.argtypes = [
+            ptr, i64, i64, ptr, ptr, i64, ptr, i64, ptr,
+        ]
+        lib.repro_forgy_sweeps.restype = i64
         lib.repro_price_dense.argtypes = [
             i64, ptr, ptr, ptr, ptr, i64, ptr, i64, ptr, i64, ptr, ptr,
             i64, ptr, i64, ptr, ptr,
@@ -333,21 +377,10 @@ class NativeBackend:
             (n_cells_in, np.int64, (k,)),
             (assignment, np.int64, (m,)),
         ):
-            if (
-                array.dtype != dtype
-                or array.shape != shape
-                or not array.flags.c_contiguous
-            ):
-                raise ValueError(
-                    f"in-place state must be C-contiguous "
-                    f"{np.dtype(dtype)} of shape {shape}"
-                )
-        if m and not 0 <= assignment.min() <= assignment.max() < k:
-            raise ValueError("assignment labels must lie in [0, n_groups)")
-        cell_probs = np.ascontiguousarray(cell_probs, dtype=np.float64)
-        cell_sizes = np.ascontiguousarray(cell_sizes, dtype=np.float64)
-        if cell_probs.shape != (m,) or cell_sizes.shape != (m,):
-            raise ValueError("cell probabilities and sizes need one per row")
+            _in_place(array, dtype, shape)
+        _labels(assignment, m, k)
+        cell_probs = _per_row(cell_probs, m)
+        cell_sizes = _per_row(cell_sizes, m)
         counters = np.zeros(2, dtype=np.int64)
         self._lib.repro_kmeans_sweeps(
             _ptr(words), m, w, packed.n_bits,
@@ -356,6 +389,97 @@ class NativeBackend:
             _ptr(probs), _ptr(n_cells_in), k,
             _ptr(assignment), int(max_iters), _ptr(counters),
         )
+        return int(counters[0]), int(counters[1])
+
+    def group_state(
+        self,
+        packed: PackedBits,
+        cell_probs: np.ndarray,
+        assignment: np.ndarray,
+        n_groups: int,
+    ):
+        """MacQueen's initial group state of a partition in one pass:
+        ``(counts, group_words, group_sizes, probs, n_cells_in)``, the
+        in-place state :meth:`kmeans_sweeps` takes.  ``probs[g]`` is
+        ``cell_probs[assignment == g].sum()`` to the bit."""
+        words = packed.words
+        m, w = words.shape
+        k = int(n_groups)
+        assignment = _labels(assignment, m, k)
+        cell_probs = _per_row(cell_probs, m)
+        counts = np.empty((k, packed.n_bits), dtype=np.int32)
+        group_words = np.empty((k, w), dtype=np.uint64)
+        group_sizes = np.empty(k, dtype=np.float64)
+        probs = np.empty(k, dtype=np.float64)
+        n_cells_in = np.empty(k, dtype=np.int64)
+        status = self._lib.repro_group_state(
+            _ptr(words), m, w, packed.n_bits, _ptr(cell_probs),
+            _ptr(assignment), k, _ptr(counts), _ptr(group_words),
+            _ptr(group_sizes), _ptr(probs), _ptr(n_cells_in),
+        )
+        if status == -2:
+            raise MemoryError("group_state scratch allocation failed")
+        return counts, group_words, group_sizes, probs, n_cells_in
+
+    def nearest_seeds(
+        self,
+        packed: PackedBits,
+        cell_probs: np.ndarray,
+        cell_sizes: np.ndarray,
+        seeds: np.ndarray,
+    ) -> np.ndarray:
+        """The K-means cold start: seed ``i`` opens group ``i`` and
+        every other row joins its nearest seed (first minimum of the
+        expected waste).  Returns the ``(m,)`` int64 labels."""
+        words = packed.words
+        m, w = words.shape
+        seeds = np.ascontiguousarray(seeds, dtype=np.int64)
+        k = len(seeds)
+        if (
+            seeds.ndim != 1
+            or k == 0
+            or not 0 <= seeds.min() <= seeds.max() < m
+            or len(np.unique(seeds)) != k
+        ):
+            raise ValueError("seeds must be one or more distinct rows")
+        cell_probs = _per_row(cell_probs, m)
+        cell_sizes = _per_row(cell_sizes, m)
+        assignment = np.empty(m, dtype=np.int64)
+        status = self._lib.repro_nearest_seeds(
+            _ptr(words), m, w, _ptr(cell_probs), _ptr(cell_sizes),
+            _ptr(seeds), k, _ptr(assignment),
+        )
+        if status == -2:
+            raise MemoryError("nearest_seeds scratch allocation failed")
+        return assignment
+
+    def forgy_sweeps(
+        self,
+        packed: PackedBits,
+        cell_probs: np.ndarray,
+        cell_sizes: np.ndarray,
+        assignment: np.ndarray,
+        n_groups: int,
+        max_iters: int,
+    ):
+        """Every Forgy batch sweep in one call; returns ``(iterations,
+        distance_evals)``.  ``assignment`` must be a C-contiguous int64
+        ``(m,)`` array with labels in ``[0, n_groups)``; it is updated
+        in place."""
+        words = packed.words
+        m, w = words.shape
+        k = int(n_groups)
+        _in_place(assignment, np.int64, (m,))
+        _labels(assignment, m, k)
+        cell_probs = _per_row(cell_probs, m)
+        cell_sizes = _per_row(cell_sizes, m)
+        counters = np.zeros(2, dtype=np.int64)
+        status = self._lib.repro_forgy_sweeps(
+            _ptr(words), m, w, _ptr(cell_probs), _ptr(cell_sizes), k,
+            _ptr(assignment), int(max_iters), _ptr(counters),
+        )
+        if status == -2:
+            raise MemoryError("forgy_sweeps scratch allocation failed")
         return int(counters[0]), int(counters[1])
 
     def price_dense(

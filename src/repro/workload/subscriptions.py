@@ -58,7 +58,8 @@ class SubscriptionSet:
         if not subscriptions:
             raise ValueError("subscription set must not be empty")
         self.space = space
-        self.subscriptions: Tuple[Subscription, ...] = tuple(subscriptions)
+        self._subscriptions: List[Subscription] = list(subscriptions)
+        self._subscriptions_tuple: Optional[Tuple[Subscription, ...]] = None
         self.n_subscribers = 1 + max(s.subscriber for s in subscriptions)
         for sub in subscriptions:
             if sub.rectangle.dimensions != space.n_dims:
@@ -66,19 +67,19 @@ class SubscriptionSet:
             if sub.subscriber < 0:
                 raise ValueError("subscriber ids must be non-negative")
 
-        k = len(self.subscriptions)
+        k = len(self._subscriptions)
         n = space.n_dims
         self._los = np.empty((k, n), dtype=np.float64)
         self._his = np.empty((k, n), dtype=np.float64)
-        for i, sub in enumerate(self.subscriptions):
+        for i, sub in enumerate(self._subscriptions):
             for d, side in enumerate(sub.rectangle.sides):
                 self._los[i, d] = side.lo
                 self._his[i, d] = side.hi
         self._owners = np.array(
-            [s.subscriber for s in self.subscriptions], dtype=np.int64
+            [s.subscriber for s in self._subscriptions], dtype=np.int64
         )
         node_of = np.full(self.n_subscribers, -1, dtype=np.int64)
-        for sub in self.subscriptions:
+        for sub in self._subscriptions:
             if node_of[sub.subscriber] not in (-1, sub.node):
                 raise ValueError(
                     f"subscriber {sub.subscriber} appears at two nodes"
@@ -93,6 +94,34 @@ class SubscriptionSet:
         # refits and every index built on them keeps working
         self._alive = np.ones(self.n_subscribers, dtype=bool)
         self._n_alive = self.n_subscribers
+        # joins append into capacity buffers that double when full; the
+        # arrays above are the live ``[:n]`` views of them
+        self._row_bufs = (self._los, self._his, self._owners)
+        self._id_bufs = (self._node_of, self._alive)
+
+    _VIEWS = ("_los", "_his", "_owners", "_node_of", "_alive")
+
+    def _slice_views(self) -> None:
+        """Point the live arrays at the filled part of the buffers."""
+        rows = len(self._subscriptions)
+        self._los, self._his, self._owners = (
+            buffer[:rows] for buffer in self._row_bufs
+        )
+        self._node_of, self._alive = (
+            buffer[:self.n_subscribers] for buffer in self._id_bufs
+        )
+
+    def __getstate__(self):
+        # a pickled view would come back as a copy, cut off from its
+        # buffer; the views are re-sliced on load instead
+        state = self.__dict__.copy()
+        for name in self._VIEWS:
+            del state[name]
+        return state
+
+    def __setstate__(self, state) -> None:
+        self.__dict__.update(state)
+        self._slice_views()
 
     # ------------------------------------------------------------------
     # incremental churn: joins append, leaves deactivate in place
@@ -105,35 +134,43 @@ class SubscriptionSet:
     def is_active(self, subscriber: int) -> bool:
         return bool(self._alive[subscriber])
 
+    @property
+    def subscriptions(self) -> Tuple[Subscription, ...]:
+        """Every subscription row, departed ones included, in row order
+        (a tuple built once per change of the set)."""
+        if self._subscriptions_tuple is None:
+            self._subscriptions_tuple = tuple(self._subscriptions)
+        return self._subscriptions_tuple
+
     def add(self, node: int, rectangle: Rectangle) -> int:
         """Append one new subscriber with a single rectangle; returns
         its id (ids are never reused within a set's lifetime).
 
-        The bound matrices are extended with the new row, so the
-        subscription matches events immediately — no rebuild of the set
-        is needed.  A refit compacts departed ids away via
-        :meth:`compact`.
+        The bound matrices gain the new row, so the subscription
+        matches events immediately — no rebuild of the set is needed.
+        Rows go into capacity buffers that double when full, so a
+        stream of joins costs amortised O(1) copies.  A refit compacts
+        departed ids away via :meth:`compact`.
         """
         if rectangle.dimensions != self.space.n_dims:
             raise ValueError("subscription dimensionality mismatch")
         if node < 0:
             raise ValueError("node must be non-negative")
         subscriber = self.n_subscribers
-        sub = Subscription(subscriber, node, rectangle)
-        lo_row = np.array(
-            [side.lo for side in rectangle.sides], dtype=np.float64
-        )
-        hi_row = np.array(
-            [side.hi for side in rectangle.sides], dtype=np.float64
-        )
-        self._los = np.concatenate([self._los, lo_row[None, :]])
-        self._his = np.concatenate([self._his, hi_row[None, :]])
-        self._owners = np.append(self._owners, subscriber)
-        self._node_of = np.append(self._node_of, node)
-        self._alive = np.append(self._alive, True)
-        self.subscriptions = self.subscriptions + (sub,)
+        row = len(self._subscriptions)
+        los, his, owners = self._row_bufs = _room_for(self._row_bufs, row)
+        node_of, alive = self._id_bufs = _room_for(self._id_bufs, subscriber)
+        for d, side in enumerate(rectangle.sides):
+            los[row, d] = side.lo
+            his[row, d] = side.hi
+        owners[row] = subscriber
+        node_of[subscriber] = node
+        alive[subscriber] = True
+        self._subscriptions.append(Subscription(subscriber, node, rectangle))
+        self._subscriptions_tuple = None
         self.n_subscribers += 1
         self._n_alive += 1
+        self._slice_views()
         return subscriber
 
     def deactivate(self, subscriber: int) -> None:
@@ -156,7 +193,7 @@ class SubscriptionSet:
     def active_subscriptions(self) -> List[Subscription]:
         """The live subscriptions (in id order, departed ones dropped)."""
         return [
-            s for s in self.subscriptions if self._alive[s.subscriber]
+            s for s in self._subscriptions if self._alive[s.subscriber]
         ]
 
     def compact(self) -> Tuple["SubscriptionSet", np.ndarray]:
@@ -171,14 +208,14 @@ class SubscriptionSet:
             Subscription(
                 int(mapping[s.subscriber]), s.node, s.rectangle
             )
-            for s in self.subscriptions
+            for s in self._subscriptions
             if self._alive[s.subscriber]
         ]
         return SubscriptionSet(self.space, compacted), mapping
 
     # ------------------------------------------------------------------
     def __len__(self) -> int:
-        return len(self.subscriptions)
+        return len(self._subscriptions)
 
     @property
     def subscriber_nodes(self) -> np.ndarray:
@@ -198,7 +235,7 @@ class SubscriptionSet:
         return self._los, self._his
 
     def rectangles(self) -> List[Rectangle]:
-        return [s.rectangle for s in self.subscriptions]
+        return [s.rectangle for s in self._subscriptions]
 
     # ------------------------------------------------------------------
     def matching_subscriptions(self, point: Sequence[float]) -> np.ndarray:
@@ -255,6 +292,21 @@ class SubscriptionSet:
             events, owners = np.divmod(keys, self.n_subscribers)
         bounds = np.searchsorted(events, np.arange(1, len(pts)))
         return np.split(owners, bounds)
+
+
+def _room_for(buffers: Tuple[np.ndarray, ...], index: int):
+    """``buffers`` (equal first dimensions), or copies of them with
+    doubled capacity when ``index`` lies past their end."""
+    capacity = len(buffers[0])
+    if index < capacity:
+        return buffers
+    capacity = max(index + 1, 2 * capacity)
+    grown = []
+    for buffer in buffers:
+        new = np.empty((capacity,) + buffer.shape[1:], dtype=buffer.dtype)
+        new[:len(buffer)] = buffer
+        grown.append(new)
+    return tuple(grown)
 
 
 # ----------------------------------------------------------------------

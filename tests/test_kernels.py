@@ -16,11 +16,11 @@ from hypothesis import strategies as st
 
 from repro.broker import BrokerConfig, ContentBroker
 from repro.clustering import Clustering, pairwise_waste_matrix
-from repro.clustering.kmeans import KMeansClustering
+from repro.clustering.kmeans import ForgyKMeansClustering, KMeansClustering
 from repro.clustering.pairwise import PairwiseGroupingClustering
 from repro.delivery import Dispatcher
 from repro.geometry import Dimension, EventSpace, Rectangle
-from repro.grid import cell_set_from_membership
+from repro.grid import CellSet, cell_set_from_membership
 from repro.kernels import (
     KERNEL_BACKEND_ENV,
     NumpyBackend,
@@ -421,6 +421,165 @@ class TestFusedKMeansSweeps:
                 )
 
 
+def _bits_cells(seed, m, n_bits, density=0.3):
+    """``m`` cells over ``n_bits`` columns, built without the hyper-cell
+    merge so that any column count works (rows may repeat).  The
+    probabilities span four orders of magnitude, so the order of a
+    float sum shows in its last bits."""
+    rng = np.random.default_rng(seed)
+    membership = _random_membership(rng, m, n_bits, density)
+    membership[0] = True
+    probs = rng.uniform(1.0, 10.0, m) * 10.0 ** rng.integers(-4, 0, m)
+    return CellSet(
+        space=EventSpace([Dimension("x", 0, m - 1)]),
+        membership=membership,
+        probs=probs,
+        cell_ids=[np.array([i]) for i in range(m)],
+        hypercell_of_cell=np.arange(m, dtype=np.int32),
+    )
+
+
+#: (name, cell set, n_groups (-1: one less than the cells), max_iters,
+#: warm start)
+_FIT_CASES = [
+    ("cold", lambda: _kmeans_cells(seed=11, n_bits=90), 12, 100, None),
+    ("warm-random", lambda: _kmeans_cells(seed=7, n_bits=80), 10, 100,
+     "random"),
+    ("warm-lonely", lambda: _kmeans_cells(seed=8, n_bits=50), 2, 100,
+     "lonely"),
+    ("one-sweep", lambda: _kmeans_cells(seed=2, n_bits=130), 30, 1, None),
+    ("capped", lambda: _kmeans_cells(seed=4, n_bits=65, density=0.05), 30,
+     2, None),
+    ("k2", lambda: _kmeans_cells(seed=3, n_bits=40), 2, 100, None),
+    ("k-m-1", lambda: _bits_cells(seed=9, m=40, n_bits=20), -1, 100, None),
+    ("bits-1", lambda: _bits_cells(seed=10, m=30, n_bits=1), 3, 100, None),
+    ("bits-63", lambda: _bits_cells(seed=11, m=60, n_bits=63), 6, 100,
+     None),
+    ("bits-64", lambda: _bits_cells(seed=12, m=60, n_bits=64), 6, 100,
+     "random"),
+    ("bits-65", lambda: _bits_cells(seed=13, m=60, n_bits=65), 6, 100,
+     None),
+    ("reseed", lambda: _kmeans_cells(
+        seed=1, n_bits=6, density=0.4, uniform=True), 7, 100, None),
+]
+
+
+class TestFusedKMeansFits:
+    """Both K-means variants on every backend against the numpy
+    reference: the cold seeding, MacQueen's group state and Forgy's
+    sweeps (NumpyBackend.nearest_seeds, group_state and forgy_sweeps
+    are None, so numpy runs the reference)."""
+
+    @pytest.mark.parametrize(
+        "algorithm", [KMeansClustering, ForgyKMeansClustering],
+        ids=["kmeans", "forgy"],
+    )
+    @pytest.mark.parametrize(
+        "case", _FIT_CASES, ids=[case[0] for case in _FIT_CASES]
+    )
+    def test_fit_identical_to_numpy(
+        self, backend, algorithm, case, monkeypatch
+    ):
+        name, make_cells, n_groups, max_iters, warm = case
+        cells = make_cells()
+        if n_groups < 0:
+            n_groups = len(cells) - 1
+        assert len(cells) > n_groups
+        if warm == "random":
+            warm = np.random.default_rng(0).integers(0, n_groups, len(cells))
+        elif warm == "lonely":
+            warm = _lonely_warm_start(cells)
+
+        reseeds = []
+        fix = ForgyKMeansClustering._fix_empty_groups
+
+        def spy(assignment, distances, k):
+            if np.bincount(assignment, minlength=k).min() == 0:
+                reseeds.append(k)
+            return fix(assignment, distances, k)
+
+        monkeypatch.setattr(
+            ForgyKMeansClustering, "_fix_empty_groups", staticmethod(spy)
+        )
+
+        def run(backend_name):
+            set_backend(backend_name)
+            fitter = algorithm(max_iters=max_iters, initial_assignment=warm)
+            clustering, attrs, evals = observed_fit(fitter, cells, n_groups)
+            return clustering.assignment, fitter.n_iterations_, attrs, evals
+
+        reference = run("numpy")
+        numpy_reseeded = bool(reseeds)
+        got = run(backend.name)
+        assert got[0].tobytes() == reference[0].tobytes()
+        assert got[1:] == reference[1:]
+        if name == "one-sweep":
+            assert got[1] == 1
+        if name == "capped":
+            assert got[1] == max_iters
+        if name == "reseed" and algorithm is ForgyKMeansClustering:
+            assert numpy_reseeded
+            assert got[1] < max_iters
+
+    def test_group_state_matches_numpy_sums(self):
+        if "native" not in available_backends():
+            pytest.skip("no C compiler")
+        native = set_backend("native")
+        cells = _bits_cells(seed=5, m=400, n_bits=65)
+        # 1, ~100 and ~300 members: numpy's pairwise sum is sequential
+        # below 8 terms, unrolled up to 128 and recursive above
+        assignment = np.where(np.arange(400) % 4 == 0, 1, 2)
+        assignment[7] = 0
+        counts, words, sizes, probs, n_cells_in = native.group_state(
+            cells.packed, cells.probs, assignment, 3
+        )
+        as_int = cells.membership.astype(np.int32)
+        sequential_differs = False
+        for g in range(3):
+            members = assignment == g
+            assert np.array_equal(counts[g], as_int[members].sum(axis=0))
+            union = cells.membership[members].any(axis=0)
+            assert np.array_equal(words[g], pack_rows(union[None]).words[0])
+            assert sizes[g] == float(union.sum())
+            assert n_cells_in[g] == members.sum()
+            want = cells.probs[members].sum()
+            assert probs[g].tobytes() == want.tobytes()
+            sequential = 0.0
+            for p in cells.probs[members]:
+                sequential += p
+            sequential_differs |= sequential != want
+        assert sequential_differs  # the check above can tell the orders
+
+    def test_native_rejects_bad_labels_and_shapes(self):
+        if "native" not in available_backends():
+            pytest.skip("no C compiler")
+        native = set_backend("native")
+        cells = _kmeans_cells(seed=1, n_bits=90)
+        m, k = len(cells), 3
+        labels = np.arange(m, dtype=np.int64) % k
+        args = (cells.packed, cells.probs, cells.sizes)
+        for bad in (labels + 1, labels - 1, labels[:-1],
+                    labels.astype(np.int32), labels[::-1]):
+            with pytest.raises(ValueError):
+                native.forgy_sweeps(*args, bad, k, 5)
+        for bad in (labels + 1, labels - 1, labels[:-1]):
+            with pytest.raises(ValueError):
+                native.group_state(cells.packed, cells.probs, bad, k)
+        with pytest.raises(ValueError):
+            native.group_state(cells.packed, cells.probs[:-1], labels, k)
+        with pytest.raises(ValueError):
+            native.forgy_sweeps(
+                cells.packed, cells.probs, cells.sizes[:-1], labels, k, 5
+            )
+        for bad in ([0, m], [-1, 1], [2, 2], [[0, 1]], []):
+            with pytest.raises(ValueError):
+                native.nearest_seeds(*args, np.array(bad))
+        with pytest.raises(ValueError):
+            native.nearest_seeds(
+                cells.packed, cells.probs[:-1], cells.sizes, np.array([0])
+            )
+
+
 # ----------------------------------------------------------------------
 # batched dense-mode pricing
 # ----------------------------------------------------------------------
@@ -692,6 +851,9 @@ class TestBackendSelection:
         assert backend.compiled is False
         assert backend.pairwise_fit(None, None, 1) is None
         assert backend.kmeans_sweeps() is None
+        assert backend.nearest_seeds() is None
+        assert backend.group_state() is None
+        assert backend.forgy_sweeps() is None
 
 
 # ----------------------------------------------------------------------

@@ -1,6 +1,7 @@
 """Unit tests for the subscription models and SubscriptionSet."""
 
 import math
+import pickle
 
 import numpy as np
 import pytest
@@ -282,6 +283,68 @@ def _batch_inputs(draw):
     points = rng.integers(-1, 11, size=(draw(st.integers(1, 30)), 2))
     return subs, points.astype(float)
 
+
+
+class TestChurnBuffers:
+    """Joins append into doubling capacity buffers; the live views must
+    equal a set built fresh from the same rows, through a pickle round
+    trip as well (the fleet's spawn path ships sets that way)."""
+
+    @staticmethod
+    def _churn(subs, rng, n_steps):
+        for _ in range(n_steps):
+            alive = [
+                i for i in range(subs.n_subscribers) if subs.is_active(i)
+            ]
+            if len(alive) > 1 and rng.random() < 0.4:
+                subs.deactivate(int(rng.choice(alive)))
+            else:
+                lo = rng.integers(-2, 10, size=2).astype(float)
+                hi = lo + rng.integers(0, 8, size=2)
+                subs.add(int(rng.integers(0, 5)), Rectangle.from_bounds(lo, hi))
+
+    @staticmethod
+    def _fresh(subs):
+        fresh = SubscriptionSet(subs.space, subs.subscriptions)
+        for subscriber in range(subs.n_subscribers):
+            if not subs.is_active(subscriber):
+                fresh.deactivate(subscriber)
+        return fresh
+
+    @pytest.mark.parametrize("round_trip", [False, True])
+    def test_views_equal_a_fresh_set(self, round_trip):
+        space = EventSpace([Dimension("x", 0, 9), Dimension("y", 0, 9)])
+        rng = np.random.default_rng(3)
+        subs = make_subscription_set(
+            space,
+            [(0, [(0, 5), (0, 5)]), (1, [(3, 8), (3, 8)]),
+             (2, [(-math.inf, math.inf), (0, 2)])],
+        )
+        self._churn(subs, rng, 150)
+        if round_trip:
+            subs = pickle.loads(pickle.dumps(subs))
+        self._churn(subs, rng, 150)
+        fresh = self._fresh(subs)
+        assert len(subs) == len(fresh)
+        assert subs.n_subscribers == fresh.n_subscribers
+        assert subs.n_active_subscribers == fresh.n_active_subscribers
+        for got, want in zip(subs.bounds(), fresh.bounds()):
+            assert got.tobytes() == want.tobytes()
+            assert got.shape == want.shape
+        for name in ("row_owners", "subscriber_nodes"):
+            got, want = getattr(subs, name), getattr(fresh, name)
+            assert got.dtype == want.dtype
+            assert got.tobytes() == want.tobytes()
+        points = rng.integers(-1, 11, size=(60, 2)).astype(float)
+        for got, want in zip(
+            subs.batch_interested_subscribers(points),
+            fresh.batch_interested_subscribers(points),
+        ):
+            assert got.tobytes() == want.tobytes()
+        compacted, mapping = subs.compact()
+        fresh_compacted, fresh_mapping = fresh.compact()
+        assert np.array_equal(mapping, fresh_mapping)
+        assert compacted.subscriptions == fresh_compacted.subscriptions
 
 
 class TestBatchMatching:
