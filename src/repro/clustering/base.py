@@ -131,8 +131,8 @@ class Clustering:
             )
             buf[:, :current] = self.group_membership
             self._membership_buf = buf
+        # new columns are all-False: every member list stays as it is
         self.group_membership = buf[:, :n_subscribers]
-        self._member_lists = None
         self._version += 1
 
     def add_member(self, group: int, subscriber: int) -> None:
@@ -148,17 +148,38 @@ class Clustering:
         if not 0 <= group < self.n_groups:
             raise ValueError(f"group {group} out of range")
         self.ensure_subscribers(subscriber + 1)
-        self.group_membership[group, subscriber] = True
-        self._member_lists = None
+        if not self.group_membership[group, subscriber]:
+            self.group_membership[group, subscriber] = True
+            self._patch_member_lists([group], subscriber, insert=True)
         self._version += 1
 
     def remove_member(self, subscriber: int) -> None:
         """Incrementally drop a subscriber from every multicast group."""
         if not 0 <= subscriber < self.group_membership.shape[1]:
             return
-        self.group_membership[:, subscriber] = False
-        self._member_lists = None
+        groups = np.nonzero(self.group_membership[:, subscriber])[0]
+        self.group_membership[groups, subscriber] = False
+        self._patch_member_lists(groups.tolist(), subscriber, insert=False)
         self._version += 1
+
+    def _patch_member_lists(
+        self, groups: Sequence[int], subscriber: int, insert: bool
+    ) -> None:
+        """Insert or drop one subscriber in the cached member lists of
+        the touched groups.  Each touched group gets a new array (plans
+        made before share the old one) and the list itself is copied,
+        so a list handed out before stays as it was."""
+        if self._member_lists is None or not len(groups):
+            return
+        lists = list(self._member_lists)
+        for g in groups:
+            members = lists[g]
+            at = int(np.searchsorted(members, subscriber))
+            if insert:
+                lists[g] = np.insert(members, at, subscriber)
+            else:
+                lists[g] = np.delete(members, at)
+        self._member_lists = lists
 
     def groups_of_subscriber(self, subscriber: int) -> np.ndarray:
         """Multicast groups whose membership vector includes a subscriber."""

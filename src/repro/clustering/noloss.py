@@ -35,6 +35,7 @@ from typing import Dict, List, Optional, Sequence, Tuple
 import numpy as np
 
 from ..geometry import EventSpace, Rectangle
+from ..kernels import get_backend
 from ..obs import get_registry, get_tracer
 from ..workload import SubscriptionSet
 
@@ -106,11 +107,51 @@ class LatticeBlockMass:
 
 
 #: bound on each ``(block, subscriptions)`` boolean scratch matrix of
-#: the candidate scoring
+#: the numpy candidate scoring
 _BLOCK_BYTES = 4 << 20
 
 
 def _member_sets(
+    los: np.ndarray,
+    his: np.ndarray,
+    sub_los: np.ndarray,
+    sub_his: np.ndarray,
+    owners: np.ndarray,
+) -> Tuple[np.ndarray, List[np.ndarray]]:
+    """Per candidate ``(los[r], his[r]]``: the sorted unique ids of the
+    subscribers owning a subscription that contains all of it, and
+    their number.
+
+    The native backend scans the subscription rows once per candidate
+    (:meth:`repro.kernels.native.NativeBackend.containing_run`); numpy
+    compares blocks of candidates against every subscription at once.
+    """
+    found = get_backend().containing_run(los, his, sub_los, sub_his, owners)
+    if found is not None:
+        bounds, ids = found
+        counts = bounds[1::2] - bounds[:-1:2]
+        starts = bounds.tolist()
+        return counts, [
+            ids[starts[2 * r]:starts[2 * r + 1]] for r in range(len(los))
+        ]
+    n_subscribers = int(owners.max()) + 1
+    block = max(1, _BLOCK_BYTES // max(len(owners), n_subscribers))
+    # one contiguous row of subscription bounds per dimension
+    sub_los_t = np.ascontiguousarray(sub_los.T)
+    sub_his_t = np.ascontiguousarray(sub_his.T)
+    counts = np.empty(len(los), dtype=np.int64)
+    members: List[np.ndarray] = []
+    for start in range(0, len(los), block):
+        stop = min(len(los), start + block)
+        counts[start:stop], ids = _member_block(
+            los[start:stop], his[start:stop],
+            sub_los_t, sub_his_t, owners, n_subscribers,
+        )
+        members.extend(ids)
+    return counts, members
+
+
+def _member_block(
     los: np.ndarray,
     his: np.ndarray,
     sub_los_t: np.ndarray,
@@ -118,10 +159,9 @@ def _member_sets(
     owners: np.ndarray,
     n_subscribers: int,
 ) -> Tuple[np.ndarray, List[np.ndarray]]:
-    """Per candidate ``(los[r], his[r]]``: the sorted unique ids of the
-    subscribers owning a subscription that contains all of it, and
-    their number.  ``sub_los_t`` / ``sub_his_t`` are the ``(N, S)``
-    transposed subscription bounds."""
+    """:func:`_member_sets` of one block of candidates in numpy;
+    ``sub_los_t`` / ``sub_his_t`` are the ``(N, S)`` transposed
+    subscription bounds."""
     n = len(los)
     inside = np.ones((n, sub_los_t.shape[1]), dtype=bool)
     scratch = np.empty_like(inside)
@@ -370,9 +410,16 @@ class NoLossAlgorithm:
     def _dedupe(
         los: np.ndarray, his: np.ndarray
     ) -> Tuple[np.ndarray, np.ndarray]:
+        # the first occurrence of each distinct rounded row, in row
+        # order: np.unique(axis=0, return_index=True) sorts the rows as
+        # structured records, several times slower than one stable
+        # lexsort over the columns; both compare the floats by value
         stacked = np.round(np.concatenate([los, his], axis=1), 9)
-        _, keep = np.unique(stacked, axis=0, return_index=True)
-        keep.sort()
+        order = np.lexsort(stacked.T[::-1])
+        ranked = stacked[order]
+        first = np.ones(len(order), dtype=bool)
+        first[1:] = (ranked[1:] != ranked[:-1]).any(axis=1)
+        keep = np.sort(order[first])
         return los[keep], his[keep]
 
     def _score(
@@ -386,23 +433,10 @@ class NoLossAlgorithm:
     ) -> Tuple[np.ndarray, np.ndarray, np.ndarray, List[np.ndarray]]:
         """Weight every candidate and keep the heaviest, sorted by weight.
 
-        The member sets ``u(s)`` are found for blocks of candidates at
-        once, and the masses for all candidates in one call.
+        The member sets ``u(s)`` and the masses are each found for all
+        candidates in one call.
         """
-        n_subscribers = int(owners.max()) + 1
-        block = max(1, _BLOCK_BYTES // max(len(owners), n_subscribers))
-        # one contiguous row of subscription bounds per dimension
-        sub_los_t = np.ascontiguousarray(sub_los.T)
-        sub_his_t = np.ascontiguousarray(sub_his.T)
-        sizes = np.empty(len(los), dtype=np.int64)
-        members: List[np.ndarray] = []
-        for start in range(0, len(los), block):
-            stop = min(len(los), start + block)
-            sizes[start:stop], ids = _member_sets(
-                los[start:stop], his[start:stop],
-                sub_los_t, sub_his_t, owners, n_subscribers,
-            )
-            members.extend(ids)
+        sizes, members = _member_sets(los, his, sub_los, sub_his, owners)
         weights = mass.masses(los, his) * sizes
         order = np.argsort(-weights, kind="stable")
         positive = order[weights[order] > 0.0]

@@ -28,6 +28,10 @@
  * The hyper-cell build (repro_rasterise_boxes, repro_group_rows) does
  * no float arithmetic: it ORs bits and compares bytes, and its outputs
  * equal the numpy reference's index arrays element for element.
+ *
+ * The publish-run matching (repro_match_run) compares bounds, takes
+ * locate_batch's ceil(x - lo) and divides once for the Figure 5 rule,
+ * each as numpy and python do in float64.
  */
 
 #include <math.h>
@@ -1322,4 +1326,227 @@ done:
     free(order);
     free(tmp);
     return n_groups;
+}
+
+/* Ascending order of n int64 values: an insertion sort when few, else
+ * qsort (equal values are interchangeable, so stability is moot). */
+static int cmp_int64(const void *a, const void *b)
+{
+    int64_t x = *(const int64_t *)a;
+    int64_t y = *(const int64_t *)b;
+    return (x > y) - (x < y);
+}
+
+static void sort_int64(int64_t *a, int64_t n)
+{
+    if (n > 32) {
+        qsort(a, (size_t)n, sizeof *a, cmp_int64);
+        return;
+    }
+    for (int64_t i = 1; i < n; ++i) {
+        int64_t v = a[i];
+        int64_t j = i - 1;
+        while (j >= 0 && a[j] > v) {
+            a[j + 1] = a[j];
+            --j;
+        }
+        a[j + 1] = v;
+    }
+}
+
+/* EventSpace.locate_batch for one point: the flat cell index, or -1
+ * outside the grid (NaN included).  The same float operations as
+ * numpy: x > dim_lo - 1 and x <= dim_hi per dimension, then
+ * ceil(x - dim_lo) clipped to [0, shape - 1]. */
+static int64_t locate(
+    const double *x, int64_t n_dims, const double *dim_lo,
+    const double *dim_hi, const int64_t *shape, const int64_t *strides)
+{
+    for (int64_t d = 0; d < n_dims; ++d) {
+        if (!(x[d] > dim_lo[d] - 1.0 && x[d] <= dim_hi[d])) {
+            return -1;
+        }
+    }
+    int64_t flat = 0;
+    for (int64_t d = 0; d < n_dims; ++d) {
+        double c = ceil(x[d] - dim_lo[d]);
+        double top = (double)(shape[d] - 1);
+        if (c < 0.0) {
+            c = 0.0;
+        }
+        if (c > top) {
+            c = top;
+        }
+        flat += (int64_t)c * strides[d];
+    }
+    return flat;
+}
+
+/* The matching of a run of queries against a table of bound rows, in
+ * one call.
+ *
+ *   q_lo (E, N) float64: the queries; with q_hi NULL each is a point x
+ *       and row j matches when lo_j < x <= hi_j in every dimension
+ *       (SubscriptionSet.batch_interested_subscribers); with q_hi
+ *       (E, N) each is the box (q_lo, q_hi] and row j matches when
+ *       lo_j <= q_lo and q_hi <= hi_j (No-Loss member sets)
+ *   los, his (k, N) float64, owners (k,) int64: the rows and the
+ *       subscriber owning each
+ *
+ * Each query's owners are sorted and deduplicated only when they are
+ * not already strictly increasing.  With dim_lo non-NULL (points only)
+ * the run is also placed on the grid (EventSpace.locate_batch), the
+ * cell's hyper-cell and group are looked up (hyper_of_cell (n_cells,)
+ * int32, assignment (n_hyper,) int64) and the Figure 5 rule of
+ * matching.threshold_plan decides the group: the members' bool rows
+ * (n_groups rows of mask_stride bytes, mask_width columns) count the
+ * interested members n, and the group is used unless n == 0 or
+ * n / group_sizes[g] <= threshold (0 when the group is empty).
+ *
+ * out holds 3E + 3 header entries, then up to capacity ids:
+ *   out[0]            number of ids the run needs
+ *   out[1]            grouped cells the threshold rule rejected
+ *   out[2 .. 2E+2]    bounds: query e's owners are ids[b[2e], b[2e+1]),
+ *                     the unicast ids of a multicast plan
+ *                     ids[b[2e+1], b[2e+2]) (empty otherwise)
+ *   out[2E+3 .. 3E+3) the group used per query, -1 for unicast only
+ *
+ * Returns 0, 1 when the ids did not fit in capacity (out[0] says how
+ * many are needed; nothing else is meaningful), -2 when scratch
+ * allocation fails, or -3 when a grid, group or member index is out of
+ * range. */
+EXPORT int64_t repro_match_run(
+    int64_t n_events, int64_t n_dims, const double *q_lo,
+    const double *q_hi, int64_t n_rows, const double *los,
+    const double *his, const int64_t *owners,
+    const double *dim_lo, const double *dim_hi, const int64_t *shape,
+    const int64_t *strides, const int32_t *hyper_of_cell,
+    int64_t n_cells, const int64_t *assignment, int64_t n_hyper,
+    const uint8_t *masks, int64_t mask_stride, int64_t mask_width,
+    const int64_t *group_sizes, int64_t n_groups, double threshold,
+    int64_t *out, int64_t capacity)
+{
+    int64_t *bounds = out + 2;
+    int64_t *groups = out + 2 * n_events + 3;
+    int64_t *ids = out + 3 * n_events + 3;
+    /* the rows dimension-major, so that each query's compares run
+     * over contiguous columns (vectorised), and a match flag per row */
+    int64_t *hits = malloc((size_t)(n_rows + 1) * sizeof *hits);
+    double *cols = malloc((size_t)(2 * n_rows * n_dims + 1) * sizeof *cols);
+    uint8_t *match = malloc((size_t)(n_rows + 1));
+    int64_t pos = 0;
+    int64_t n_fallbacks = 0;
+    int64_t status = 0;
+    if (!hits || !cols || !match) {
+        status = -2;
+        goto done;
+    }
+    for (int64_t j = 0; j < n_rows; ++j) {
+        for (int64_t d = 0; d < n_dims; ++d) {
+            cols[d * n_rows + j] = los[j * n_dims + d];
+            cols[(n_dims + d) * n_rows + j] = his[j * n_dims + d];
+        }
+    }
+    bounds[0] = 0;
+    for (int64_t e = 0; e < n_events; ++e) {
+        const double *x = q_lo + e * n_dims;
+        const double *top = q_hi ? q_hi + e * n_dims : NULL;
+        memset(match, 1, (size_t)n_rows);
+        for (int64_t d = 0; d < n_dims; ++d) {
+            const double *lo = cols + d * n_rows;
+            const double *hi = cols + (n_dims + d) * n_rows;
+            double a = x[d];
+            if (top) {
+                double b = top[d];
+                for (int64_t j = 0; j < n_rows; ++j) {
+                    match[j] &= (lo[j] <= a) & (b <= hi[j]);
+                }
+            } else {
+                for (int64_t j = 0; j < n_rows; ++j) {
+                    match[j] &= (lo[j] < a) & (a <= hi[j]);
+                }
+            }
+        }
+        int64_t count = 0;
+        for (int64_t j = 0; j < n_rows; ++j) {
+            hits[count] = owners[j];
+            count += match[j];
+        }
+        int increasing = 1;
+        for (int64_t i = 1; i < count; ++i) {
+            increasing &= hits[i] > hits[i - 1];
+        }
+        if (!increasing) {
+            sort_int64(hits, count);
+            int64_t unique = 1;
+            for (int64_t i = 1; i < count; ++i) {
+                if (hits[i] != hits[unique - 1]) {
+                    hits[unique++] = hits[i];
+                }
+            }
+            count = unique;
+        }
+        int64_t group = -1;
+        if (dim_lo) {
+            int64_t flat = locate(x, n_dims, dim_lo, dim_hi, shape, strides);
+            if (flat >= n_cells) {
+                status = -3;
+                goto done;
+            }
+            int64_t hyper = flat < 0 ? -1 : hyper_of_cell[flat];
+            if (hyper >= n_hyper) {
+                status = -3;
+                goto done;
+            }
+            group = hyper < 0 ? -1 : assignment[hyper];
+            if (group >= n_groups || group < -1) {
+                status = -3;
+                goto done;
+            }
+        }
+        const uint8_t *row = NULL;
+        if (group >= 0) {
+            row = masks + group * mask_stride;
+            int64_t members = 0;
+            for (int64_t i = 0; i < count; ++i) {
+                if (hits[i] < 0 || hits[i] >= mask_width) {
+                    status = -3;
+                    goto done;
+                }
+                members += row[hits[i]] != 0;
+            }
+            int64_t size = group_sizes[group];
+            double proportion = size ? (double)members / (double)size : 0.0;
+            if (members == 0 || proportion <= threshold) {
+                ++n_fallbacks;
+                group = -1;
+            }
+        }
+        bounds[2 * e] = pos;
+        if (pos + count <= capacity) {
+            memcpy(ids + pos, hits, (size_t)count * sizeof *hits);
+        }
+        pos += count;
+        bounds[2 * e + 1] = pos;
+        if (group >= 0) {
+            for (int64_t i = 0; i < count; ++i) {
+                if (!row[hits[i]]) {
+                    if (pos < capacity) {
+                        ids[pos] = hits[i];
+                    }
+                    ++pos;
+                }
+            }
+        }
+        bounds[2 * e + 2] = pos;
+        groups[e] = group;
+    }
+    out[0] = pos;
+    out[1] = n_fallbacks;
+    status = pos > capacity ? 1 : 0;
+done:
+    free(hits);
+    free(cols);
+    free(match);
+    return status;
 }

@@ -14,8 +14,10 @@ kernels over packed bitsets (:mod:`repro.kernels.bitset`):
     ``pairwise_fit``, the K-means fits' ``nearest_seeds``,
     ``group_state``, MacQueen ``kmeans_sweeps`` and Forgy
     ``forgy_sweeps`` kernels, the batched dense-mode ``price_dense``
-    pricing and the hyper-cell build's ``rasterise_boxes`` and
-    ``group_rows``.
+    pricing, the hyper-cell build's ``rasterise_boxes`` and
+    ``group_rows``, the publish run's ``match_run`` (interest sets,
+    grid cell, group and the Figure 5 rule) and No-Loss's
+    ``containing_run``.
 
 Selection happens lazily at first use: ``REPRO_KERNEL_BACKEND`` names a
 backend or ``auto`` (the default), which prefers ``native``, then
@@ -166,6 +168,17 @@ class NumpyBackend:
     def group_rows(self, packed):
         """No one-pass row grouping in numpy — the grid sorts the rows
         with ``lexsort``."""
+        return None
+
+    def match_run(self, *args):
+        """No one-call run matching in numpy — callers broadcast the
+        point test and build each plan with
+        :func:`repro.matching.threshold_plan`."""
+        return None
+
+    def containing_run(self, *args):
+        """No row-scan containment in numpy — No-Loss broadcasts the
+        compares block by block."""
         return None
 
 

@@ -22,6 +22,7 @@ import shutil
 import subprocess
 import sys
 import tempfile
+import weakref
 from pathlib import Path
 from typing import Optional, Sequence, Tuple
 
@@ -194,6 +195,21 @@ class NativeBackend:
             i64, ptr, i64, ptr, ptr,
         ]
         lib.repro_price_dense.restype = i64
+        lib.repro_match_run.argtypes = [
+            i64, i64, ptr, ptr, i64, ptr, ptr, ptr, ptr, ptr, ptr, ptr,
+            ptr, i64, ptr, i64, ptr, i64, i64, ptr, i64, ctypes.c_double,
+            ptr, i64,
+        ]
+        lib.repro_match_run.restype = i64
+        # the last row table and grid passed to match_run, with what
+        # the kernel needs of them: reading an address costs more than
+        # the kernel's work on a short run, and the same arrays come
+        # back run after run (see _same / _refs)
+        self._table: tuple = ((), None)
+        self._cells: tuple = ((), None, None)
+        self._groups: tuple = ((), None)
+        #: ids per query of the last run of each kind, to size the next
+        self._ids_per_query = {False: 0.0, True: 0.0}
 
     # ------------------------------------------------------------------
     def popcount_rows(self, words: np.ndarray) -> np.ndarray:
@@ -563,6 +579,196 @@ class NativeBackend:
                 )
             raise ValueError(f"node {node} unreachable from {source}")
         return out.reshape(n_events, 4)
+
+    def match_run(
+        self,
+        points: np.ndarray,
+        los: np.ndarray,
+        his: np.ndarray,
+        owners: np.ndarray,
+        grid: Optional[tuple] = None,
+    ):
+        """Interest sets of a run of points, and with ``grid`` their
+        Figure 5 plans, in one call.
+
+        ``los`` / ``his`` are the ``(k, N)`` bound rows and ``owners``
+        their subscriber ids; a row matches a point ``x`` when ``lo < x
+        <= hi``.  ``grid`` is ``(dim_los, dim_his, shape,
+        hypercell_of_cell, assignment, group_membership, group_sizes,
+        threshold)``: each point's cell, hyper-cell and group as
+        :meth:`EventSpace.locate_batch` and
+        :meth:`Clustering.groups_of_grid_cells` find them, then
+        :func:`repro.matching.threshold_plan`'s rule.  Returns
+        ``(bounds, groups, ids, n_fallbacks)``: point ``e``'s sorted
+        unique interested ids are ``ids[bounds[2e]:bounds[2e + 1]]``, a
+        multicast plan's unicast ids ``ids[bounds[2e + 1]:bounds[2e +
+        2]]``, ``groups[e]`` is its group or ``-1`` for unicast only,
+        and ``n_fallbacks`` counts the grouped cells the rule rejected.
+        """
+        return self._run(points, None, los, his, owners, grid)
+
+    def containing_run(
+        self,
+        box_los: np.ndarray,
+        box_his: np.ndarray,
+        los: np.ndarray,
+        his: np.ndarray,
+        owners: np.ndarray,
+    ):
+        """Per box ``(box_los[e], box_his[e]]``: the sorted unique
+        owners of the rows that contain it (``lo <= box_lo`` and
+        ``box_hi <= hi``).  Returns ``(bounds, ids)``: box ``e``'s ids
+        are ``ids[bounds[2e]:bounds[2e + 1]]``."""
+        box_his = np.asarray(box_his, dtype=np.float64)
+        bounds, _, ids, _ = self._run(box_los, box_his, los, his, owners)
+        return bounds, ids
+
+    def _run(self, queries, tops, los, his, owners, grid=None):
+        queries = np.asarray(queries, dtype=np.float64)
+        # copies: converted inputs the kernel reads, alive until return
+        table, copies = self._rows(los, his, owners)
+        n_rows, n_dims = table[:2]
+        if queries.ndim != 2 or queries.shape[1] != n_dims or (
+            tops is not None and tops.shape != queries.shape
+        ):
+            raise ValueError("queries must be an (E, n_dims) array")
+        at_grid = (None,) * 5 + (0, None, 0, None, 0, 0, None, 0, 0.0)
+        if grid is not None:
+            at_grid, grid_copies = self._grid_args(grid, n_dims)
+            copies = (copies, grid_copies)
+        n = len(queries)
+        staged = n * n_dims * (1 if tops is None else 2)
+        header = 3 * n + 3
+        hint = self._ids_per_query[tops is not None]
+        capacity = int(2.0 * hint * n) + 64
+        for _ in range(2):
+            buffer = np.empty(staged + header + capacity, dtype=np.int64)
+            at = buffer.ctypes.data
+            floats = buffer[:staged].view(np.float64)
+            floats[:n * n_dims] = queries.ravel()
+            if tops is not None:
+                floats[n * n_dims:] = tops.ravel()
+            status = self._lib.repro_match_run(
+                n, n_dims, at, None if tops is None else at + 8 * n * n_dims,
+                n_rows, *table[2:], *at_grid, at + 8 * staged, capacity,
+            )
+            out = buffer[staged:]
+            if status != 1:
+                break
+            capacity = int(out[0])
+        if status == -3:
+            raise IndexError(
+                "match_run grid, group or member index out of range"
+            )
+        if status == -2:
+            raise MemoryError("match_run scratch allocation failed")
+        n_ids = int(out[0])
+        self._ids_per_query[tops is not None] = n_ids / max(n, 1)
+        return (
+            out[2:2 * n + 3], out[2 * n + 3:header],
+            out[header:header + n_ids], int(out[1]),
+        )
+
+    def _rows(self, los, his, owners):
+        """``((n_rows, n_dims, at_los, at_his, at_owners), copies)`` of
+        a bound-row table, checked.  Reused while the caller passes the
+        same arrays; ``copies`` holds any converted array the kernel
+        reads, for the caller to keep alive through the call."""
+        refs, table = self._table
+        if _same(refs, (los, his, owners)):
+            return table, None
+        arrays = (
+            np.ascontiguousarray(los, dtype=np.float64),
+            np.ascontiguousarray(his, dtype=np.float64),
+            np.ascontiguousarray(owners, dtype=np.int64),
+        )
+        rows = arrays[0]
+        if (
+            rows.ndim != 2
+            or arrays[1].shape != rows.shape
+            or arrays[2].shape != (len(rows),)
+        ):
+            raise ValueError("one (lo, hi) bound row and owner per row")
+        table = rows.shape + tuple(a.ctypes.data for a in arrays)
+        self._table = (_refs((los, his, owners), arrays), table)
+        return table, arrays
+
+    def _grid_args(self, grid, n_dims):
+        """``(kernel arguments, copies)`` of a grid tuple, checked.  The
+        cells part is reused while the caller passes the same space and
+        clustering arrays, the groups part while it passes the same
+        membership matrix and sizes (online churn replaces those)."""
+        (dim_lo, dim_hi, shape, hyper, assignment, masks, sizes,
+         threshold) = grid
+        cells_key = (dim_lo, dim_hi, hyper, assignment)
+        refs, cells_shape, cells = self._cells
+        copies = None
+        if not (_same(refs, cells_key) and cells_shape == shape):
+            arrays = (
+                np.ascontiguousarray(dim_lo, dtype=np.float64),
+                np.ascontiguousarray(dim_hi, dtype=np.float64),
+                np.ascontiguousarray(hyper, dtype=np.int32),
+                np.ascontiguousarray(assignment, dtype=np.int64),
+            )
+            sizes_of = np.array(shape, dtype=np.int64)
+            if (
+                arrays[0].shape != (n_dims,)
+                or arrays[1].shape != (n_dims,)
+                or sizes_of.shape != (n_dims,)
+                or arrays[2].shape != (int(np.prod(sizes_of)),)
+                or arrays[3].ndim != 1
+            ):
+                raise ValueError("grid arrays do not fit the space")
+            strides = np.ones(n_dims, dtype=np.int64)
+            for d in range(n_dims - 2, -1, -1):
+                strides[d] = strides[d + 1] * sizes_of[d + 1]
+            # the shape and strides are the backend's own; the cache
+            # keeps them alive with their addresses
+            cells = ((sizes_of, strides), (
+                arrays[0].ctypes.data, arrays[1].ctypes.data,
+                sizes_of.ctypes.data, strides.ctypes.data,
+                arrays[2].ctypes.data, len(arrays[2]),
+                arrays[3].ctypes.data, len(arrays[3]),
+            ))
+            self._cells = (_refs(cells_key, arrays), tuple(shape), cells)
+            copies = arrays
+        refs, groups = self._groups
+        if not _same(refs, (masks, sizes)):
+            arrays = (np.asarray(masks), np.ascontiguousarray(
+                sizes, dtype=np.int64
+            ))
+            rows = arrays[0]
+            if rows.dtype != np.bool_ or rows.ndim != 2 or (
+                rows.shape[1] > 1 and rows.strides[1] != 1
+            ):
+                rows = np.ascontiguousarray(rows, dtype=np.bool_)
+                arrays = (rows, arrays[1])
+            if rows.ndim != 2 or arrays[1].shape != (len(rows),):
+                raise ValueError("one membership row and size per group")
+            groups = (
+                rows.ctypes.data, rows.strides[0], rows.shape[1],
+                arrays[1].ctypes.data, len(rows),
+            )
+            self._groups = (_refs((masks, sizes), arrays), groups)
+            copies = (copies, arrays)
+        return cells[1] + groups + (float(threshold),), copies
+
+
+def _same(refs: tuple, arrays: tuple) -> bool:
+    """Whether ``refs`` are weak references to exactly ``arrays``."""
+    return len(refs) == len(arrays) and all(
+        ref() is array for ref, array in zip(refs, arrays)
+    )
+
+
+def _refs(originals: tuple, used: tuple) -> tuple:
+    """Weak references to the caller's arrays when the kernel reads them
+    as they are, else ``()``: a converted copy must not be reused, its
+    original may change in place.  Weak, so that a cached address
+    never keeps a caller's array alive."""
+    if all(a is b for a, b in zip(originals, used)):
+        return tuple(weakref.ref(a) for a in originals)
+    return ()
 
 
 def load_native_backend() -> Optional[NativeBackend]:

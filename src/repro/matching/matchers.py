@@ -158,65 +158,117 @@ class GridMatcher:
         self.subscriptions = subscriptions
         self.threshold = threshold
         self._space = subscriptions.space
-        self._version = clustering.version
-        self._group_members = clustering.group_member_lists()
-        self._group_sizes = np.array(
-            [len(m) for m in self._group_members], dtype=np.int64
+        dims = self._space.dimensions
+        self._dim_bounds = (
+            np.array([d.lo for d in dims], dtype=np.float64),
+            np.array([d.hi for d in dims], dtype=np.float64),
+            self._space.shape,
         )
+        self._version = None
+        self._refresh()
 
     def _refresh(self) -> None:
-        """Re-derive cached group state after incremental membership
-        churn (online joins/leaves mutate the clustering in place)."""
-        if self.clustering.version != self._version:
-            self._group_members = self.clustering.group_member_lists()
+        """Re-read the cached group state after incremental membership
+        churn (online joins/leaves mutate the clustering in place and
+        keep its member lists up to date)."""
+        clustering = self.clustering
+        if clustering.version != self._version:
+            self._group_members = clustering.group_member_lists()
             self._group_sizes = np.array(
                 [len(m) for m in self._group_members], dtype=np.int64
             )
-            self._version = self.clustering.version
+            # what the native match_run needs of the grid and groups,
+            # one tuple per version so its staging is reused run to run
+            self._grid = self._dim_bounds + (
+                clustering.cells.hypercell_of_cell,
+                clustering.assignment,
+                clustering.group_membership,
+                self._group_sizes,
+                self.threshold,
+            )
+            self._version = clustering.version
 
     def match_batch(
         self,
         points: Sequence[Sequence[float]],
         interested: Optional[Sequence[np.ndarray]] = None,
     ) -> List[DeliveryPlan]:
-        """Plans for many events in one pass (vectorised cell location and
-        group lookup; optional precomputed per-event interest sets)."""
+        """Plans for many events in one pass.
+
+        The native backend matches the run in one
+        :meth:`SubscriptionSet.match_run` call (interest sets, grid
+        cell, group and the Figure 5 rule) and each plan's arrays are
+        views of its one buffer.  Otherwise, or when ``interested``
+        supplies precomputed per-event interest sets, the run is
+        located with :meth:`EventSpace.locate_batch` and each plan
+        built by :func:`threshold_plan`."""
         with get_tracer().span(
             "matching.match_batch", matcher="grid", n_events=len(points)
         ) as span:
             self._refresh()
+            run = None
             if interested is None:
-                interested = self.subscriptions.batch_interested_subscribers(
-                    points
-                )
-            cells = self._space.locate_batch(points)
-            groups = self.clustering.groups_of_grid_cells(cells)
-            masks = self.clustering.group_membership
-            plans = [
-                threshold_plan(
-                    ids,
-                    int(group),
-                    self._group_members,
-                    self._group_sizes,
-                    self.threshold,
-                    masks,
-                )
-                for ids, group in zip(interested, groups)
-            ]
+                run = self.subscriptions.match_run(points, self._grid)
+            if run is None:
+                plans, n_fallbacks = self._threshold_plans(points, interested)
+            else:
+                bounds, groups, ids, n_fallbacks = run
+                plans = self._run_plans(bounds, groups, ids)
             n_multicast = sum(1 for p in plans if p.uses_multicast)
-            # a fallback is a grouped cell whose multicast the threshold
-            # rule (Figure 5) rejected — the event went out pure unicast
-            n_fallbacks = sum(
-                1
-                for plan, group in zip(plans, groups)
-                if group >= 0 and not plan.uses_multicast
-            )
             span.set("n_multicast", n_multicast)
             span.set("n_fallbacks", n_fallbacks)
             _record_match_metrics(
                 "grid", len(plans), n_multicast, n_fallbacks=n_fallbacks
             )
             return plans
+
+    def _run_plans(self, bounds, groups, ids) -> List[DeliveryPlan]:
+        """Plans from :meth:`SubscriptionSet.match_run`'s buffer."""
+        bounds = bounds.tolist()
+        members = self._group_members
+        plans = []
+        for e, group in enumerate(groups.tolist()):
+            interested = ids[bounds[2 * e]:bounds[2 * e + 1]]
+            if group < 0:
+                plans.append(DeliveryPlan(
+                    interested=interested, unicast_subscribers=interested
+                ))
+            else:
+                plans.append(DeliveryPlan(
+                    interested, [group], [members[group]],
+                    ids[bounds[2 * e + 1]:bounds[2 * e + 2]],
+                ))
+        return plans
+
+    def _threshold_plans(self, points, interested):
+        """The numpy reference: interest sets (unless given), cells and
+        groups of the run, then one :func:`threshold_plan` per event."""
+        if interested is None:
+            interested = self.subscriptions.batch_interested_subscribers(
+                points
+            )
+        cells = self._space.locate_batch(points)
+        groups = self.clustering.groups_of_grid_cells(cells)
+        masks = self.clustering.group_membership
+        plans = [
+            threshold_plan(
+                ids,
+                int(group),
+                self._group_members,
+                self._group_sizes,
+                self.threshold,
+                masks,
+            )
+            for ids, group in zip(interested, groups)
+        ]
+        # a fallback is a grouped cell whose multicast the threshold
+        # rule (Figure 5) rejected — the event went out pure unicast
+        n_fallbacks = sum(
+            1
+            for plan, group in zip(plans, groups)
+            if group >= 0 and not plan.uses_multicast
+        )
+        return plans, n_fallbacks
 
 
 class NoLossMatcher:

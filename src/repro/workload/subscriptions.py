@@ -26,6 +26,7 @@ from typing import List, Optional, Sequence, Tuple
 import numpy as np
 
 from ..geometry import EventSpace, Interval, Rectangle
+from ..kernels import get_backend
 from ..network import Topology
 from .distributions import IntervalDistribution, ParetoLength, ZipfLike
 from .spaces import evaluation_space, preliminary_space
@@ -256,29 +257,51 @@ class SubscriptionSet:
             return np.empty(0, dtype=np.int64)
         return np.unique(self._node_of[np.asarray(subscribers, dtype=np.int64)])
 
-    def batch_interested_subscribers(
-        self, points: Sequence[Sequence[float]]
-    ) -> List[np.ndarray]:
-        """Interested subscribers for many events in one vectorised pass.
-
-        Broadcasting one ``(E, 1, N)`` point array against the
-        ``(k, N)`` bound matrices answers all events at once — the fast
-        path for experiment loops that price hundreds of events.  One
-        ``np.nonzero`` over the whole hit matrix lists every (event,
-        row) hit in event order, and one split cuts it per event.  When
-        every subscriber owns one row, in id order, the owners are
-        already sorted and unique per event; otherwise one
-        ``np.unique`` over ``event * n_subscribers + owner`` sorts and
-        deduplicates them.  Equivalent to calling
-        :meth:`interested_subscribers` per point.
-        """
+    def _as_points(self, points: Sequence[Sequence[float]]) -> np.ndarray:
+        """``points`` as an ``(E, n_dims)`` float64 array, checked."""
         pts = np.asarray(points, dtype=np.float64)
         if pts.size == 0:
             pts = pts.reshape(0, self.space.n_dims)
         if pts.ndim != 2 or pts.shape[1] != self.space.n_dims:
             raise ValueError("points must be an (E, n_dims) array-like")
+        return pts
+
+    def match_run(
+        self, points: Sequence[Sequence[float]], grid: Optional[tuple] = None
+    ):
+        """The active kernel backend's one-call matching of a run of
+        points against these rows, or ``None`` when the backend has no
+        such kernel (see :meth:`repro.kernels.native.NativeBackend.
+        match_run` for ``grid`` and the result)."""
+        return get_backend().match_run(
+            self._as_points(points), self._los, self._his, self._owners,
+            grid,
+        )
+
+    def batch_interested_subscribers(
+        self, points: Sequence[Sequence[float]]
+    ) -> List[np.ndarray]:
+        """Interested subscribers for many events in one pass.
+
+        The native backend scans the bound rows once per event in
+        :meth:`match_run` and returns views of one buffer.  The numpy
+        reference broadcasts one ``(E, 1, N)`` point array against the
+        ``(k, N)`` bound matrices, lists every (event, row) hit in event
+        order with one ``np.nonzero`` and cuts it per event.  When every
+        subscriber owns one row, in id order, the owners are already
+        sorted and unique per event; otherwise one ``np.unique`` over
+        ``event * n_subscribers + owner`` sorts and deduplicates them.
+        Equivalent to calling :meth:`interested_subscribers` per point.
+        """
+        pts = self._as_points(points)
         if len(pts) == 0:
             return []
+        run = self.match_run(pts)
+        if run is not None:
+            bounds, ids = run[0].tolist(), run[2]
+            return [
+                ids[bounds[2 * e]:bounds[2 * e + 1]] for e in range(len(pts))
+            ]
         # (E, k): subscription j matches event e
         hits = np.all(
             (self._los[None, :, :] < pts[:, None, :])

@@ -15,12 +15,12 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from repro.broker import BrokerConfig, ContentBroker
-from repro.clustering import Clustering, pairwise_waste_matrix
+from repro.clustering import Clustering, noloss, pairwise_waste_matrix
 from repro.clustering.kmeans import ForgyKMeansClustering, KMeansClustering
 from repro.clustering.pairwise import PairwiseGroupingClustering
 from repro.delivery import Dispatcher
-from repro.geometry import Dimension, EventSpace, Rectangle
-from repro.grid import CellSet, cell_set_from_membership
+from repro.geometry import Dimension, EventSpace, Interval, Rectangle
+from repro.grid import CellSet, build_cell_set, cell_set_from_membership
 from repro.kernels import (
     KERNEL_BACKEND_ENV,
     NumpyBackend,
@@ -36,10 +36,16 @@ from repro.kernels import (
     words_for,
 )
 from repro.kernels import backends as _backends
-from repro.matching import DeliveryPlan
+from repro.matching import DeliveryPlan, GridMatcher
 from repro.network import Graph, RoutingTables
 from repro.online import ClusterMaintainer
-from repro.workload import MixturePublicationModel, single_mode_mixture
+from repro.obs import get_registry
+from repro.workload import (
+    MixturePublicationModel,
+    Subscription,
+    SubscriptionSet,
+    single_mode_mixture,
+)
 
 from tests.helpers import (
     make_subscription_set,
@@ -804,6 +810,298 @@ class TestDensePricing:
 # ----------------------------------------------------------------------
 # backend selection semantics
 # ----------------------------------------------------------------------
+# ----------------------------------------------------------------------
+# one-call run matching (match_run / containing_run)
+# ----------------------------------------------------------------------
+#: subscription bound values: unbounded sides, lattice points and
+#: half-way points of the small grids below
+_BOUND_VALUES = (
+    -np.inf, -2.0, -1.5, -1.0, -0.5, 0.0, 0.5, 1.0, 1.5, 2.0, 3.0, 4.0,
+    np.inf,
+)
+
+
+@st.composite
+def match_cases(draw):
+    """A small space (1–4 dims), subscriptions whose owners are not in
+    row order (several rows per subscriber, unbounded and empty sides),
+    a clustering of its hyper-cells, then leaves, joins and a group
+    emptied by leaves; plus a run of points on and around the bounds."""
+    dims = []
+    for d in range(draw(st.integers(1, 4))):
+        lo = draw(st.integers(-1, 1))
+        dims.append(Dimension(f"a{d}", lo, lo + draw(st.integers(0, 2))))
+    space = EventSpace(dims)
+    n_subs = draw(st.integers(1, 7))
+    owners = list(range(n_subs))
+    if draw(st.booleans()):  # several rows per subscriber, out of order
+        extra = draw(st.lists(st.integers(0, n_subs - 1), max_size=5))
+        owners = draw(st.permutations(owners + extra))
+    bound = st.sampled_from(_BOUND_VALUES)
+    pair = st.tuples(bound, bound)
+    # mostly ordered bounds; a quarter as drawn, often empty
+    side = st.one_of(
+        pair.map(lambda ab: Interval.make(*sorted(ab))),
+        pair.map(lambda ab: Interval.make(*sorted(ab))),
+        pair.map(lambda ab: Interval.make(*sorted(ab))),
+        pair.map(lambda ab: Interval.make(*ab)),
+    )
+    subscriptions = [
+        Subscription(owner, owner % 3, Rectangle(tuple(
+            draw(side) for _ in dims
+        )))
+        for owner in owners
+    ]
+    # the first row always covers a grid cell, so that there are cells
+    # to cluster
+    first = [Interval.make(dim.lo - 1.0, float(dim.lo)) for dim in dims]
+    subscriptions[0] = Subscription(
+        owners[0], owners[0] % 3, Rectangle(tuple(
+            side if draw(st.booleans()) else Interval.full()
+            for side in first
+        ))
+    )
+    subs = SubscriptionSet(space, subscriptions)
+    cells = build_cell_set(space, subs, np.full(space.n_cells, 1.0))
+    raw = draw(st.lists(
+        st.integers(0, 3), min_size=len(cells), max_size=len(cells)
+    ))
+    clustering = Clustering(cells, np.unique(raw, return_inverse=True)[1])
+    # a matcher built before the churn has read the member lists, so
+    # the joins and leaves below patch them
+    clustering.group_member_lists()
+    for _ in range(draw(st.integers(0, 2))):
+        subscriber = draw(st.integers(0, subs.n_subscribers - 1))
+        if subs.is_active(subscriber):
+            subs.deactivate(subscriber)
+            clustering.remove_member(subscriber)
+    for _ in range(draw(st.integers(0, 3))):
+        joined = subs.add(0, Rectangle(tuple(draw(side) for _ in dims)))
+        group = draw(st.integers(0, clustering.n_groups - 1))
+        clustering.add_member(group, joined)
+    if draw(st.booleans()):  # every member of group 0 leaves
+        for subscriber in clustering.group_member_lists()[0].tolist():
+            clustering.remove_member(subscriber)
+    # mostly inside the grid (cell centres and upper edges), else on
+    # its edges (dim_lo - 1 is outside, dim_hi inside), past them, on a
+    # subscription bound or NaN
+    coordinate = [
+        st.one_of(
+            st.sampled_from(tuple(
+                v - 0.5 * half for v in range(dim.lo, dim.hi + 1)
+                for half in (0, 1)
+            )),
+            st.sampled_from((
+                dim.lo - 1.0, dim.hi, dim.lo - 1.5, dim.hi + 0.5, np.nan,
+            ) + _BOUND_VALUES),
+        )
+        for dim in dims
+    ]
+    n_points = draw(st.sampled_from((0, 1, 3, 64)))
+    points = [
+        tuple(draw(c) for c in coordinate) for _ in range(n_points)
+    ]
+    threshold = draw(st.sampled_from((0.0, 0.5, 1.0)))
+    return subs, clustering, points, threshold
+
+
+_MATCH_COUNTERS = (
+    "matching_events_total",
+    "matching_multicast_plans_total",
+    "matching_threshold_fallbacks_total",
+)
+
+
+def _match_under(name, matcher, points):
+    """Plans of one run under the named backend, and how much each
+    matching counter rose."""
+    set_backend(name)
+    registry = get_registry()
+
+    def counts():
+        return [
+            registry.counter(counter).value for counter in _MATCH_COUNTERS
+        ]
+
+    before = counts()
+    plans = matcher.match_batch(points)
+    return plans, [b - a for a, b in zip(before, counts())]
+
+
+class TestMatchRun:
+    """Every backend's run matching (``GridMatcher.match_batch``,
+    ``batch_interested_subscribers``, No-Loss member sets) against the
+    numpy reference, field by field (NumpyBackend.match_run is None, so
+    numpy broadcasts and builds each plan with ``threshold_plan``)."""
+
+    # numpy's locate_batch casts NaN coordinates before masking them
+    @pytest.mark.filterwarnings("ignore:invalid value encountered in cast")
+    @settings(max_examples=300, deadline=None)
+    @given(case=match_cases())
+    def test_plans_equal_numpy_field_by_field(self, case):
+        subs, clustering, points, threshold = case
+        matcher = GridMatcher(clustering, subs, threshold=threshold)
+        want, want_counts = _match_under("numpy", matcher, points)
+        lists = clustering.group_member_lists()
+        for group, members in enumerate(lists):
+            assert np.array_equal(members, np.nonzero(
+                clustering.group_membership[group]
+            )[0])
+        for name in available_backends():
+            got, got_counts = _match_under(name, matcher, points)
+            assert got_counts == want_counts, name
+            assert len(got) == len(want) == len(points)
+            for point, ours, theirs in zip(points, got, want):
+                reference = subs.interested_subscribers(point)
+                for plan in (ours, theirs):
+                    assert plan.interested.dtype == np.int64
+                    assert np.array_equal(plan.interested, reference)
+                    assert plan.unicast_subscribers.dtype == np.int64
+                    # pure-unicast plans reuse the interest array
+                    assert (plan.unicast_subscribers is plan.interested) == (
+                        not plan.uses_multicast
+                    )
+                    for group, members in zip(
+                        plan.group_ids, plan.group_members
+                    ):
+                        assert members is lists[group]
+                        assert np.array_equal(members, np.nonzero(
+                            clustering.group_membership[group]
+                        )[0])
+                assert ours.group_ids == theirs.group_ids
+                assert np.array_equal(
+                    ours.unicast_subscribers, theirs.unicast_subscribers
+                )
+                assert ours.audit() == theirs.audit()
+
+    @settings(max_examples=100, deadline=None)
+    @given(case=match_cases())
+    def test_interest_sets_equal_numpy(self, case):
+        subs, _, points, _ = case
+        set_backend("numpy")
+        want = subs.batch_interested_subscribers(points)
+        for name in available_backends():
+            set_backend(name)
+            got = subs.batch_interested_subscribers(points)
+            assert len(got) == len(want) == len(points)
+            for ours, theirs in zip(got, want):
+                assert ours.dtype == theirs.dtype == np.int64
+                assert np.array_equal(ours, theirs)
+
+    @settings(max_examples=100, deadline=None)
+    @given(case=match_cases(), data=st.data())
+    def test_member_sets_equal_numpy(self, case, data):
+        subs = case[0]
+        sub_los, sub_his = subs.bounds()
+        owners = subs.row_owners
+        bound = st.sampled_from(_BOUND_VALUES)
+        n_dims = subs.space.n_dims
+        boxes = data.draw(st.lists(
+            st.tuples(*[bound] * (2 * n_dims)), max_size=40
+        ))
+        box_los = np.array(
+            [box[:n_dims] for box in boxes], dtype=np.float64
+        ).reshape(-1, n_dims)
+        box_his = np.array(
+            [box[n_dims:] for box in boxes], dtype=np.float64
+        ).reshape(-1, n_dims)
+        if len(owners) == 0:
+            return
+        want = noloss._member_block(
+            box_los, box_his, np.ascontiguousarray(sub_los.T),
+            np.ascontiguousarray(sub_his.T), owners, subs.n_subscribers,
+        ) if len(boxes) else (np.zeros(0, dtype=np.int64), [])
+        for name in available_backends():
+            set_backend(name)
+            counts, members = noloss._member_sets(
+                box_los, box_his, sub_los, sub_his, owners
+            )
+            assert counts.dtype == np.int64
+            assert np.array_equal(counts, want[0])
+            assert len(members) == len(want[1])
+            for ours, theirs in zip(members, want[1]):
+                assert ours.dtype == theirs.dtype
+                assert np.array_equal(ours, theirs)
+
+    def test_native_rejects_bad_shapes(self):
+        if "native" not in available_backends():
+            pytest.skip("native backend unavailable")
+        native = set_backend("native")
+        los = np.zeros((3, 2))
+        his = np.ones((3, 2))
+        owners = np.arange(3)
+        points = np.full((4, 2), 0.5)
+        ids = native.match_run(points, los, his, owners)[2]
+        assert ids.tolist() == [0, 1, 2] * 4
+        grid = (
+            np.zeros(2), np.ones(2), (2, 2), np.full(4, -1, dtype=np.int32),
+            np.zeros(1, dtype=np.int64), np.ones((1, 3), dtype=bool),
+            np.array([3]), 0.0,
+        )
+        for bad in (
+            lambda: native.match_run(points[:, :1], los, his, owners),
+            lambda: native.match_run(points[0], los, his, owners),
+            lambda: native.match_run(points, los, his[:, :1], owners),
+            lambda: native.match_run(points, los, his, owners[:2]),
+            lambda: native.match_run(points, los[0], his[0], owners),
+            lambda: native.match_run(
+                points, los, his, owners, grid[:3] + (grid[3][:3],) + grid[4:]
+            ),
+            lambda: native.match_run(
+                points, los, his, owners, grid[:6] + (np.array([3, 3]), 0.0)
+            ),
+            lambda: native.match_run(
+                points, los, his, owners, (np.zeros(3),) + grid[1:]
+            ),
+            lambda: native.containing_run(points, points[:, :1], los, his,
+                                          owners),
+        ):
+            with pytest.raises(ValueError):
+                bad()
+        space = EventSpace([Dimension("x", 0, 1), Dimension("y", 0, 1)])
+        subs = make_subscription_set(space, [(0, [(0, 1), (0, 1)])])
+        with pytest.raises(ValueError):
+            subs.match_run([(0.5, 0.5, 0.5)])
+
+
+class TestMemberListPatching:
+    def test_join_leave_stream_keeps_member_lists_exact(self):
+        """Joins and leaves patch only the touched groups' cached lists;
+        after each of 300 steps every list equals a fresh ``np.nonzero``
+        of its membership row, and lists handed out before are
+        unchanged."""
+        rng = np.random.default_rng(29)
+        membership = rng.random((40, 25)) < 0.3
+        membership[:, 0] = True  # every hyper-cell has a member
+        cells = cell_set_from_membership(
+            EventSpace([Dimension("x", 0, 39)]), *packed_rows(membership),
+            np.full(40, 1 / 40),
+        )
+        clustering = Clustering(
+            cells, np.unique(rng.integers(0, 6, len(cells)),
+                             return_inverse=True)[1],
+        )
+        n_subscribers = clustering.group_membership.shape[1]
+        for step in range(300):
+            before = clustering.group_member_lists()
+            frozen = [members.copy() for members in before]
+            if rng.random() < 0.5:
+                subscriber = int(rng.integers(0, n_subscribers + 3))
+                n_subscribers = max(n_subscribers, subscriber + 1)
+                group = int(rng.integers(0, clustering.n_groups))
+                clustering.add_member(group, subscriber)
+            else:
+                clustering.remove_member(int(rng.integers(0, n_subscribers)))
+            lists = clustering.group_member_lists()
+            assert len(lists) == clustering.n_groups
+            for g, members in enumerate(lists):
+                fresh = np.nonzero(clustering.group_membership[g])[0]
+                assert members.dtype == fresh.dtype
+                assert np.array_equal(members, fresh), step
+            for old, copy in zip(before, frozen):
+                assert np.array_equal(old, copy), step
+
+
 class TestBackendSelection:
     def test_numpy_always_available(self):
         assert "numpy" in available_backends()
@@ -854,6 +1152,8 @@ class TestBackendSelection:
         assert backend.nearest_seeds() is None
         assert backend.group_state() is None
         assert backend.forgy_sweeps() is None
+        assert backend.match_run() is None
+        assert backend.containing_run() is None
 
 
 # ----------------------------------------------------------------------

@@ -291,3 +291,25 @@ class TestBatchedScoring:
             NoLossAlgorithm(n_keep=10**6), los, his, subs, mass
         )
         assert 0 < len(kept[2]) < len(los)
+
+
+class TestDedupe:
+    def test_keeps_first_occurrences_as_np_unique_does(self):
+        """``_dedupe`` (one stable lexsort) keeps exactly the rows the
+        ``np.unique(axis=0, return_index=True)`` reference keeps, in row
+        order: rounding to 9 decimals, ``-0.0 == 0.0`` and infinite
+        bounds included."""
+        rng = np.random.default_rng(8)
+        values = np.array(
+            [-np.inf, np.inf, -0.0, 0.0, 1.0, 1.0 + 1e-12, 2.5, 3.0]
+        )
+        for trial in range(200):
+            n, d = int(rng.integers(0, 60)), int(rng.integers(1, 5))
+            los = rng.choice(values, (n, d))
+            his = rng.choice(values, (n, d))
+            stacked = np.round(np.concatenate([los, his], axis=1), 9)
+            _, keep = np.unique(stacked, axis=0, return_index=True)
+            keep.sort()
+            got_los, got_his = NoLossAlgorithm._dedupe(los, his)
+            assert got_los.tobytes() == los[keep].tobytes(), trial
+            assert got_his.tobytes() == his[keep].tobytes(), trial
