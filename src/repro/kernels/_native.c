@@ -1328,30 +1328,13 @@ done:
     return n_groups;
 }
 
-/* Ascending order of n int64 values: an insertion sort when few, else
- * qsort (equal values are interchangeable, so stability is moot). */
+/* Ascending int64 order for qsort (equal values are interchangeable,
+ * so stability is moot). */
 static int cmp_int64(const void *a, const void *b)
 {
     int64_t x = *(const int64_t *)a;
     int64_t y = *(const int64_t *)b;
     return (x > y) - (x < y);
-}
-
-static void sort_int64(int64_t *a, int64_t n)
-{
-    if (n > 32) {
-        qsort(a, (size_t)n, sizeof *a, cmp_int64);
-        return;
-    }
-    for (int64_t i = 1; i < n; ++i) {
-        int64_t v = a[i];
-        int64_t j = i - 1;
-        while (j >= 0 && a[j] > v) {
-            a[j + 1] = a[j];
-            --j;
-        }
-        a[j + 1] = v;
-    }
 }
 
 /* EventSpace.locate_batch for one point: the flat cell index, or -1
@@ -1477,7 +1460,7 @@ EXPORT int64_t repro_match_run(
             increasing &= hits[i] > hits[i - 1];
         }
         if (!increasing) {
-            sort_int64(hits, count);
+            qsort(hits, (size_t)count, sizeof *hits, cmp_int64);
             int64_t unique = 1;
             for (int64_t i = 1; i < count; ++i) {
                 if (hits[i] != hits[unique - 1]) {

@@ -17,12 +17,12 @@ from __future__ import annotations
 
 import ctypes
 import hashlib
+import math
 import os
 import shutil
 import subprocess
 import sys
 import tempfile
-import weakref
 from pathlib import Path
 from typing import Optional, Sequence, Tuple
 
@@ -201,13 +201,6 @@ class NativeBackend:
             ptr, i64,
         ]
         lib.repro_match_run.restype = i64
-        # the last row table and grid passed to match_run, with what
-        # the kernel needs of them: reading an address costs more than
-        # the kernel's work on a short run, and the same arrays come
-        # back run after run (see _same / _refs)
-        self._table: tuple = ((), None)
-        self._cells: tuple = ((), None, None)
-        self._groups: tuple = ((), None)
         #: ids per query of the last run of each kind, to size the next
         self._ids_per_query = {False: 0.0, True: 0.0}
 
@@ -625,34 +618,84 @@ class NativeBackend:
 
     def _run(self, queries, tops, los, his, owners, grid=None):
         queries = np.asarray(queries, dtype=np.float64)
-        # copies: converted inputs the kernel reads, alive until return
-        table, copies = self._rows(los, his, owners)
-        n_rows, n_dims = table[:2]
+        los = np.asarray(los, dtype=np.float64)
+        his = np.asarray(his, dtype=np.float64)
+        owners = np.asarray(owners, dtype=np.int64)
+        if los.ndim != 2 or his.shape != los.shape or (
+            owners.shape != (len(los),)
+        ):
+            raise ValueError("one (lo, hi) bound row and owner per row")
+        n_rows, n_dims = los.shape
         if queries.ndim != 2 or queries.shape[1] != n_dims or (
             tops is not None and tops.shape != queries.shape
         ):
             raise ValueError("queries must be an (E, n_dims) array")
-        at_grid = (None,) * 5 + (0, None, 0, None, 0, 0, None, 0, 0.0)
-        if grid is not None:
-            at_grid, grid_copies = self._grid_args(grid, n_dims)
-            copies = (copies, grid_copies)
         n = len(queries)
-        staged = n * n_dims * (1 if tops is None else 2)
+        floats = [queries, los, his]
+        if tops is not None:
+            floats.append(tops)
+        ints = [owners]
+        if grid is not None:
+            (dim_lo, dim_hi, shape, hyper, assignment, masks, sizes,
+             threshold) = grid
+            dim_lo = np.asarray(dim_lo, dtype=np.float64)
+            dim_hi = np.asarray(dim_hi, dtype=np.float64)
+            hyper = np.ascontiguousarray(hyper, dtype=np.int32)
+            assignment = np.asarray(assignment, dtype=np.int64)
+            sizes = np.asarray(sizes, dtype=np.int64)
+            shape = [int(size) for size in shape]
+            strides = [1] * n_dims
+            for d in range(n_dims - 2, -1, -1):
+                strides[d] = strides[d + 1] * shape[d + 1]
+            if (
+                dim_lo.shape != (n_dims,)
+                or dim_hi.shape != (n_dims,)
+                or len(shape) != n_dims
+                or hyper.shape != (math.prod(shape),)
+                or assignment.ndim != 1
+            ):
+                raise ValueError("grid arrays do not fit the space")
+            masks = np.asarray(masks)
+            if masks.dtype != np.bool_ or masks.ndim != 2 or (
+                masks.shape[1] > 1 and masks.strides[1] != 1
+            ):
+                masks = np.ascontiguousarray(masks, dtype=np.bool_)
+            if masks.ndim != 2 or sizes.shape != (len(masks),):
+                raise ValueError("one membership row and size per group")
+            floats += [dim_lo, dim_hi]
+            ints += [shape + strides, assignment, sizes]
+            at_hyper, at_masks = hyper.ctypes.data, masks.ctypes.data
+        n_floats = len(floats)
+        staged = [a.size for a in floats] + [len(a) for a in ints]
         header = 3 * n + 3
         hint = self._ids_per_query[tops is not None]
         capacity = int(2.0 * hint * n) + 64
         for _ in range(2):
-            buffer = np.empty(staged + header + capacity, dtype=np.int64)
-            at = buffer.ctypes.data
-            floats = buffer[:staged].view(np.float64)
-            floats[:n * n_dims] = queries.ravel()
-            if tops is not None:
-                floats[n * n_dims:] = tops.ravel()
+            # one buffer: the inputs, then the output (int64 and float64
+            # share an item size, so float inputs are float views of it)
+            views, at = _carve(np.int64, staged + [header + capacity])
+            for view, values in zip(views, floats):
+                view.view(np.float64)[:] = values.ravel()
+            for view, values in zip(views[n_floats:], ints):
+                view[:] = values
+            out = views[-1]
+            at_queries, at_los, at_his = at[:3]
+            at_tops = at[3] if tops is not None else None
+            at_grid = (None,) * 5 + (0, None, 0, None, 0, 0, None, 0, 0.0)
+            if grid is not None:
+                at_dim_lo, at_dim_hi = at[n_floats - 2:n_floats]
+                at_shape, at_assignment, at_sizes = at[-4:-1]
+                at_strides = at_shape + 8 * n_dims
+                at_grid = (
+                    at_dim_lo, at_dim_hi, at_shape, at_strides, at_hyper,
+                    len(hyper), at_assignment, len(assignment), at_masks,
+                    masks.strides[0], masks.shape[1], at_sizes, len(masks),
+                    float(threshold),
+                )
             status = self._lib.repro_match_run(
-                n, n_dims, at, None if tops is None else at + 8 * n * n_dims,
-                n_rows, *table[2:], *at_grid, at + 8 * staged, capacity,
+                n, n_dims, at_queries, at_tops, n_rows, at_los, at_his,
+                at[n_floats], *at_grid, at[-1], capacity,
             )
-            out = buffer[staged:]
             if status != 1:
                 break
             capacity = int(out[0])
@@ -668,107 +711,6 @@ class NativeBackend:
             out[2:2 * n + 3], out[2 * n + 3:header],
             out[header:header + n_ids], int(out[1]),
         )
-
-    def _rows(self, los, his, owners):
-        """``((n_rows, n_dims, at_los, at_his, at_owners), copies)`` of
-        a bound-row table, checked.  Reused while the caller passes the
-        same arrays; ``copies`` holds any converted array the kernel
-        reads, for the caller to keep alive through the call."""
-        refs, table = self._table
-        if _same(refs, (los, his, owners)):
-            return table, None
-        arrays = (
-            np.ascontiguousarray(los, dtype=np.float64),
-            np.ascontiguousarray(his, dtype=np.float64),
-            np.ascontiguousarray(owners, dtype=np.int64),
-        )
-        rows = arrays[0]
-        if (
-            rows.ndim != 2
-            or arrays[1].shape != rows.shape
-            or arrays[2].shape != (len(rows),)
-        ):
-            raise ValueError("one (lo, hi) bound row and owner per row")
-        table = rows.shape + tuple(a.ctypes.data for a in arrays)
-        self._table = (_refs((los, his, owners), arrays), table)
-        return table, arrays
-
-    def _grid_args(self, grid, n_dims):
-        """``(kernel arguments, copies)`` of a grid tuple, checked.  The
-        cells part is reused while the caller passes the same space and
-        clustering arrays, the groups part while it passes the same
-        membership matrix and sizes (online churn replaces those)."""
-        (dim_lo, dim_hi, shape, hyper, assignment, masks, sizes,
-         threshold) = grid
-        cells_key = (dim_lo, dim_hi, hyper, assignment)
-        refs, cells_shape, cells = self._cells
-        copies = None
-        if not (_same(refs, cells_key) and cells_shape == shape):
-            arrays = (
-                np.ascontiguousarray(dim_lo, dtype=np.float64),
-                np.ascontiguousarray(dim_hi, dtype=np.float64),
-                np.ascontiguousarray(hyper, dtype=np.int32),
-                np.ascontiguousarray(assignment, dtype=np.int64),
-            )
-            sizes_of = np.array(shape, dtype=np.int64)
-            if (
-                arrays[0].shape != (n_dims,)
-                or arrays[1].shape != (n_dims,)
-                or sizes_of.shape != (n_dims,)
-                or arrays[2].shape != (int(np.prod(sizes_of)),)
-                or arrays[3].ndim != 1
-            ):
-                raise ValueError("grid arrays do not fit the space")
-            strides = np.ones(n_dims, dtype=np.int64)
-            for d in range(n_dims - 2, -1, -1):
-                strides[d] = strides[d + 1] * sizes_of[d + 1]
-            # the shape and strides are the backend's own; the cache
-            # keeps them alive with their addresses
-            cells = ((sizes_of, strides), (
-                arrays[0].ctypes.data, arrays[1].ctypes.data,
-                sizes_of.ctypes.data, strides.ctypes.data,
-                arrays[2].ctypes.data, len(arrays[2]),
-                arrays[3].ctypes.data, len(arrays[3]),
-            ))
-            self._cells = (_refs(cells_key, arrays), tuple(shape), cells)
-            copies = arrays
-        refs, groups = self._groups
-        if not _same(refs, (masks, sizes)):
-            arrays = (np.asarray(masks), np.ascontiguousarray(
-                sizes, dtype=np.int64
-            ))
-            rows = arrays[0]
-            if rows.dtype != np.bool_ or rows.ndim != 2 or (
-                rows.shape[1] > 1 and rows.strides[1] != 1
-            ):
-                rows = np.ascontiguousarray(rows, dtype=np.bool_)
-                arrays = (rows, arrays[1])
-            if rows.ndim != 2 or arrays[1].shape != (len(rows),):
-                raise ValueError("one membership row and size per group")
-            groups = (
-                rows.ctypes.data, rows.strides[0], rows.shape[1],
-                arrays[1].ctypes.data, len(rows),
-            )
-            self._groups = (_refs((masks, sizes), arrays), groups)
-            copies = (copies, arrays)
-        return cells[1] + groups + (float(threshold),), copies
-
-
-def _same(refs: tuple, arrays: tuple) -> bool:
-    """Whether ``refs`` are weak references to exactly ``arrays``."""
-    return len(refs) == len(arrays) and all(
-        ref() is array for ref, array in zip(refs, arrays)
-    )
-
-
-def _refs(originals: tuple, used: tuple) -> tuple:
-    """Weak references to the caller's arrays when the kernel reads them
-    as they are, else ``()``: a converted copy must not be reused, its
-    original may change in place.  Weak, so that a cached address
-    never keeps a caller's array alive."""
-    if all(a is b for a, b in zip(originals, used)):
-        return tuple(weakref.ref(a) for a in originals)
-    return ()
 
 
 def load_native_backend() -> Optional[NativeBackend]:

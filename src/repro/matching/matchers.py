@@ -177,8 +177,7 @@ class GridMatcher:
             self._group_sizes = np.array(
                 [len(m) for m in self._group_members], dtype=np.int64
             )
-            # what the native match_run needs of the grid and groups,
-            # one tuple per version so its staging is reused run to run
+            # what the native match_run needs of the grid and groups
             self._grid = self._dim_bounds + (
                 clustering.cells.hypercell_of_cell,
                 clustering.assignment,

@@ -204,7 +204,7 @@ class FlightRecorder:
 
     def as_dicts(self) -> List[Dict]:
         with self._lock:
-            return _as_dicts(self.buf)
+            return [_as_dict(entry) for entry in self.buf]
 
     def chain(self, event_id: int) -> List[StageRecord]:
         """The stage chain of one event, in recording order."""
@@ -228,7 +228,7 @@ class FlightRecorder:
                 self.buf[:] = [
                     r for r in self.buf if r[0] != event_id
                 ]
-        return _as_dicts(taken)
+        return [_as_dict(entry) for entry in taken]
 
     def insert(
         self,
@@ -268,19 +268,9 @@ def _unpack(entry: tuple) -> Tuple[int, str, float, Dict[str, object]]:
     return entry[0], entry[1], entry[2], dict(zip(entry[3::2], entry[4::2]))
 
 
-def _as_dicts(entries: List[tuple]) -> List[Dict]:
-    """Raw buffer entries as plain dicts, each with a fresh attrs dict
-    (:func:`_unpack` inlined: one comprehension, no call per entry)."""
-    return [
-        {
-            "event": entry[0], "stage": entry[1], "t": entry[2],
-            "attrs": (
-                dict(entry[3]) if len(entry) == 4
-                else dict(zip(entry[3::2], entry[4::2]))
-            ),
-        }
-        for entry in entries
-    ]
+def _as_dict(entry: tuple) -> Dict:
+    eid, stage, t, attrs = _unpack(entry)
+    return {"event": eid, "stage": stage, "t": t, "attrs": attrs}
 
 
 class _EventScope:

@@ -44,9 +44,7 @@ import math
 from bisect import bisect_left, insort
 from collections import deque
 from dataclasses import dataclass
-from typing import (
-    Callable, Deque, Dict, Iterable, List, Optional, Sequence, Tuple,
-)
+from typing import Callable, Deque, Dict, Iterable, List, Optional, Tuple
 
 __all__ = [
     "SIGNALS",
@@ -268,15 +266,20 @@ class SloEngine:
         if buffered is not None:
             buffered.extend((t, value, stream))
         if inline is not None:
-            self._evaluate(inline, signal, (t, value, stream), 0)
+            self._evaluate(inline, signal, t, value, stream)
 
     def _replay_deferred(self) -> None:
         """Run alert-only objectives over the unseen buffer suffixes."""
+        evaluate = self._evaluate
         for signal, tracked in self._deferred.items():
             buffered = self._buffer[signal]
             start = self._replayed[signal]
             self._replayed[signal] = len(buffered)
-            self._evaluate(tracked, signal, buffered, start)
+            for i in range(start, len(buffered), 3):
+                evaluate(
+                    tracked, signal,
+                    buffered[i], buffered[i + 1], buffered[i + 2],
+                )
         # deterministic merge of inline + replayed breaches; sort is
         # stable, so each objective's own breaches keep emission order
         self._breaches.sort(key=lambda b: (b.time, b.objective))
@@ -285,55 +288,52 @@ class SloEngine:
         self,
         tracked: List[_Tracked],
         signal: str,
-        observations: Sequence,
-        start: int,
+        t: float,
+        value: float,
+        stream: Optional[str],
     ) -> None:
-        """Push flat ``t, value, stream`` observations, from ``start``
-        on and in order, each through the given objectives: one call
-        per replayed signal, not one per observation."""
-        for i in range(start, len(observations), 3):
-            t, value, stream = observations[i:i + 3]
-            for entry in tracked:
-                if entry.stream is not None and entry.stream != stream:
-                    continue
-                entries = entry.entries
-                sorted_values = entry.sorted_values
-                entries.append((t, value))
-                insort(sorted_values, value)
-                entry.total += value
-                cutoff = t - entry.horizon
-                while entries[0][0] < cutoff:
-                    _, old = entries.popleft()
-                    del sorted_values[bisect_left(sorted_values, old)]
-                    entry.total -= old
-                n = len(entries)
-                if n < entry.min_count:
-                    continue
-                rank = entry.rank
-                if rank is not None:
-                    num, den = rank
-                    stat = sorted_values[(num * n + den - 1) // den - 1]
-                elif entry.stat_name == "mean":
-                    stat = entry.total / n
-                else:
-                    stat = sorted_values[-1]
-                if stat > entry.threshold:
-                    if not entry.breached:
-                        entry.breached = True
-                        breach = SloBreach(
-                            time=t,
-                            objective=entry.objective.name,
-                            signal=signal,
-                            stat=entry.stat_name,
-                            value=stat,
-                            threshold=entry.threshold,
-                            window_count=n,
-                        )
-                        self._breaches.append(breach)
-                        if entry.feed_drift and self.drift_sink is not None:
-                            self.drift_sink(breach)
-                else:
-                    entry.breached = False
+        """Push one observation through the given objectives."""
+        for entry in tracked:
+            if entry.stream is not None and entry.stream != stream:
+                continue
+            entries = entry.entries
+            sorted_values = entry.sorted_values
+            entries.append((t, value))
+            insort(sorted_values, value)
+            entry.total += value
+            cutoff = t - entry.horizon
+            while entries[0][0] < cutoff:
+                _, old = entries.popleft()
+                del sorted_values[bisect_left(sorted_values, old)]
+                entry.total -= old
+            n = len(entries)
+            if n < entry.min_count:
+                continue
+            rank = entry.rank
+            if rank is not None:
+                num, den = rank
+                stat = sorted_values[(num * n + den - 1) // den - 1]
+            elif entry.stat_name == "mean":
+                stat = entry.total / n
+            else:
+                stat = sorted_values[-1]
+            if stat > entry.threshold:
+                if not entry.breached:
+                    entry.breached = True
+                    breach = SloBreach(
+                        time=t,
+                        objective=entry.objective.name,
+                        signal=signal,
+                        stat=entry.stat_name,
+                        value=stat,
+                        threshold=entry.threshold,
+                        window_count=n,
+                    )
+                    self._breaches.append(breach)
+                    if entry.feed_drift and self.drift_sink is not None:
+                        self.drift_sink(breach)
+            else:
+                entry.breached = False
 
     # ------------------------------------------------------------------
     def summary(self) -> List[Dict]:

@@ -808,9 +808,6 @@ class TestDensePricing:
 
 
 # ----------------------------------------------------------------------
-# backend selection semantics
-# ----------------------------------------------------------------------
-# ----------------------------------------------------------------------
 # one-call run matching (match_run / containing_run)
 # ----------------------------------------------------------------------
 #: subscription bound values: unbounded sides, lattice points and
@@ -1102,6 +1099,9 @@ class TestMemberListPatching:
                 assert np.array_equal(old, copy), step
 
 
+# ----------------------------------------------------------------------
+# backend selection semantics
+# ----------------------------------------------------------------------
 class TestBackendSelection:
     def test_numpy_always_available(self):
         assert "numpy" in available_backends()
