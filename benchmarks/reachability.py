@@ -4,9 +4,11 @@
 Runs a fixed list of small CLI invocations in process, covering every
 sub-command and the flags that switch code paths (the four multicast
 backends, ``--flight/--slo/--metrics-out/--trace/--profile``,
-``--csv/--chart``, the shed policies, a forwarding region fleet with
-epochs and checkpoints, chaos with ``--compare-healing``, a replayed
-``--schedule``, and a sweep and a serve on the numpy kernel backend).
+``--csv/--chart``, ``fig7 --modes 4|9``, the shed policies, a
+forwarding region fleet with epochs and checkpoints, chaos with
+``--compare-healing`` and its JSON, link faults, a replayed
+``--schedule``, and a No-Loss sweep and a serve on the numpy kernel
+backend).
 A ``sys.setprofile`` hook records every Python function the runs enter.
 Run from the repo root::
 
@@ -23,9 +25,10 @@ forked workers, which run the same code the ``--workers 1`` runs enter.
 
 An invocation that exits non-zero or raises is recorded and the probe
 goes on.  The last line printed is one JSON object: ``total_lines``,
-``unreached_lines``, ``unreached_share``, ``never_entered`` (module
-paths) and ``failed`` (invocations that did not exit 0).  The exit code
-is 1 when any module is never entered or any invocation failed, else 0.
+``unreached_lines``, ``unreached_share``, ``ceiling``, ``never_entered``
+(module paths) and ``failed`` (invocations that did not exit 0).  The
+exit code is 1 when any module is never entered, any invocation failed
+or the unreached lines exceed :data:`UNREACHED_CEILING`, else 0.
 """
 
 import ast
@@ -46,6 +49,12 @@ SRC = ROOT / "src"
 PACKAGE = SRC / "repro"
 SLO_SPEC = ROOT / "examples" / "slo_ci_strict.json"
 
+#: unreached function lines allowed: the count at the last change that
+#: removed unreached code (455 of 8566, 5.31 %; 183 of them are the
+#: resume loaders of persistence/io.py).  Lower it when code goes; a
+#: new function needs a CLI path, not a higher ceiling.
+UNREACHED_CEILING = 455
+
 
 def invocations(tmp: str) -> list:
     """The probe's CLI invocations; ``tmp`` receives their output files."""
@@ -59,6 +68,11 @@ def invocations(tmp: str) -> list:
         ["fig7", "--groups", "5,10", "--events", "15",
          "--algorithms", "kmeans,forgy", "--no-noloss",
          "--csv", out("fig7.csv"), "--chart", "--workers", "1"],
+        # the four- and nine-mode publication mixtures of Figure 7
+        ["fig7", "--modes", "4", "--groups", "5", "--events", "10",
+         "--algorithms", "kmeans", "--no-noloss", "--workers", "1"],
+        ["fig7", "--modes", "9", "--groups", "5", "--events", "10",
+         "--algorithms", "kmeans", "--no-noloss", "--workers", "1"],
         ["fig8", "--keeps", "250", "--iters", "0,1", "--groups", "10",
          "--events", "10"],
         ["fig9", "--seeds", "0", "--groups", "10", "--events", "10"],
@@ -94,19 +108,23 @@ def invocations(tmp: str) -> list:
         # the parent side of the process pool
         ["fleet", *small_serve, "--shards", "3", "--workers", "2"],
         ["chaos", "--subs", "100", "--events", "30", "--groups", "6",
-         "--compare-healing", "--save-schedule", schedule,
-         "--report", out("chaos.jsonl"), "--workers", "1"],
+         "--compare-healing", "--compare-healing-out", out("healing.json"),
+         "--save-schedule", schedule, "--report", out("chaos.jsonl"),
+         "--workers", "1"],
         ["chaos", "--subs", "100", "--events", "30", "--groups", "6",
          "--schedule", schedule, "--flight", "--churn", "2",
          "--multicast-backend", "overlay", "--no-baseline"],
         ["chaos", "--subs", "100", "--events", "300", "--groups", "6",
          "--multicast-backend", "sparse", "--no-baseline"],
-        # the python MacQueen and Pairwise Grouping loops and the
-        # per-event dense-mode pricing, which a compiled kernel backend
-        # replaces; last, because --backend stays selected for the rest
-        # of the process
+        # link failures and repairs (the other runs fail nodes only)
+        ["chaos", "--subs", "100", "--events", "30", "--groups", "6",
+         "--link-faults", "2", "--no-baseline"],
+        # the python MacQueen and Pairwise Grouping loops, the No-Loss
+        # numpy containment and region stab and the per-event dense-mode
+        # pricing, which a compiled kernel backend replaces; last,
+        # because --backend stays selected for the rest of the process
         ["sweep", "--subs", "120", "--events", "15", "--groups", "5",
-         "--algorithms", "kmeans,pairs", "--backend", "numpy",
+         "--algorithms", "kmeans,pairs", "--noloss", "--backend", "numpy",
          "--workers", "1"],
         ["serve", *small_serve, "--backend", "numpy"],
     ]
@@ -232,10 +250,15 @@ def main(argv=None) -> int:
         "total_lines": total,
         "unreached_lines": unreached,
         "unreached_share": round(unreached / total, 4) if total else 0.0,
+        "ceiling": UNREACHED_CEILING,
         "never_entered": never_entered,
         "failed": failed,
     }))
-    return 1 if never_entered or failed else 0
+    if unreached > UNREACHED_CEILING:
+        print(f"{unreached} unreached lines exceed the ceiling of "
+              f"{UNREACHED_CEILING}")
+    return 1 if (never_entered or failed
+                 or unreached > UNREACHED_CEILING) else 0
 
 
 if __name__ == "__main__":

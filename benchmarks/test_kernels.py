@@ -2,7 +2,7 @@
 
 Not a paper table/figure — these track the costs that dominate the
 experiments: the expected-waste matrix, the K-means assignment kernel,
-grid preprocessing, R-tree stabbing and shortest-path trees.
+grid preprocessing, the point test and shortest-path trees.
 """
 
 import numpy as np
@@ -10,7 +10,6 @@ import pytest
 
 from repro.clustering import pairwise_waste_matrix, waste_to_clusters
 from repro.grid import build_cell_set
-from repro.matching import RTree
 from repro.network import TransitStubGenerator, TransitStubParams
 
 
@@ -44,16 +43,6 @@ def test_grid_preprocessing(benchmark, eval_ctx):
         2000,
     )
     assert len(cells) == 2000
-
-
-def test_rtree_stab(benchmark, eval_ctx):
-    subs = eval_ctx.scenario.subscriptions
-    tree = RTree(subs.rectangles())
-    point = eval_ctx.events[0].point
-
-    hits = benchmark(tree.stab, point)
-    expected = subs.matching_subscriptions(point)
-    np.testing.assert_array_equal(hits, expected)
 
 
 def test_event_matching_bruteforce(benchmark, eval_ctx):

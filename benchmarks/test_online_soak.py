@@ -16,9 +16,19 @@ observes).
 
 import gc
 import json
+import time
 from pathlib import Path
 
-from repro.online import SoakConfig, run_soak, run_rebuild_per_churn_baseline
+from repro.broker import ContentBroker
+from repro.online import (
+    ChurnJoin,
+    ChurnLeave,
+    Publish,
+    SoakConfig,
+    generate_stream,
+    run_soak,
+)
+from repro.sim import build_preliminary_scenario
 
 from conftest import print_banner
 
@@ -36,6 +46,68 @@ CONFIG = SoakConfig(
     churn_fraction=0.15,
     policy="block",
 )
+
+
+def run_rebuild_per_churn_baseline(config: SoakConfig) -> dict:
+    """The offline strawman: a full pipeline rebuild after every churn.
+
+    Replays the *same* seeded stream (publications priced, churn applied
+    eagerly with an immediate rebuild) and reports its fit count and
+    final expected waste — the anchor for the online runtime's
+    ≥N×-fewer-fits claim.
+    """
+    scenario = build_preliminary_scenario(
+        n_nodes=config.n_nodes,
+        n_subscriptions=config.n_subscriptions,
+        seed=config.seed,
+    )
+    broker = ContentBroker(
+        scenario.routing,
+        scenario.space,
+        scenario.cell_pmf,
+        config=config.broker_config(config.n_groups),
+    )
+    subs = scenario.subscriptions
+    live_handles = [
+        broker.subscribe(int(node), rectangle)
+        for node, rectangle in zip(
+            subs.subscriber_nodes, subs.rectangles()
+        )
+    ]
+    broker.rebuild()
+    leave_rng_fallback = 0  # keep flake-free symmetry with the service
+    fits = 1  # the initial build
+    events = generate_stream(config, scenario)
+    start = time.perf_counter()
+    for event in sorted(events, key=lambda e: e.time):
+        payload = event.payload
+        if isinstance(payload, ChurnJoin):
+            handle = broker.subscribe(payload.node, payload.rectangle)
+            live_handles.append(handle)
+            broker.rebuild()
+            fits += 1
+        elif isinstance(payload, ChurnLeave):
+            if not live_handles:
+                leave_rng_fallback += 1
+                continue
+            handle = live_handles.pop(payload.index % len(live_handles))
+            broker.unsubscribe(handle)
+            broker.rebuild()
+            fits += 1
+        elif isinstance(payload, Publish):
+            broker.publish_batch([payload.point], [payload.publisher])
+    wall = time.perf_counter() - start
+    waste = (
+        broker.clustering.total_expected_waste()
+        if broker.clustering is not None
+        else 0.0
+    )
+    return {
+        "fits": fits,
+        "final_waste": float(waste),
+        "wall_seconds": wall,
+        "n_events": len(events),
+    }
 
 
 def test_online_beats_rebuild_per_churn():

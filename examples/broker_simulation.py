@@ -79,8 +79,11 @@ def main():
         )
 
         stats = broker.stats
+        # share of the events with interest that used a multicast group
+        with_interest = stats.n_events - stats.n_no_interest
+        multicast = stats.n_multicast / with_interest if with_interest else 0.0
         print(f"{epoch:>6} {broker.n_subscriptions:>6} {broker.n_groups:>7} "
-              f"{stats.n_rebuilds:>9} {100 * stats.multicast_rate:>10.0f}% "
+              f"{stats.n_rebuilds:>9} {100 * multicast:>10.0f}% "
               f"{stats.improvement_percentage:>9.1f}")
 
     print()

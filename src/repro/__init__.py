@@ -11,8 +11,7 @@ The package builds the full pipeline of the paper:
 - :mod:`repro.grid` — membership vectors and hyper-cells (section 4.1);
 - :mod:`repro.clustering` — K-means, Forgy, MST, Pairwise Grouping
   (exact/approximate) and No-Loss (sections 4.2-4.5);
-- :mod:`repro.matching` — R-tree index and the event matchers
-  (section 4.6);
+- :mod:`repro.matching` — the event matchers (section 4.6);
 - :mod:`repro.delivery` — plan execution and cost accounting;
 - :mod:`repro.obs` — metrics registry, span tracing and run manifests
   (the observability layer every stage reports into);

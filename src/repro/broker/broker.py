@@ -208,11 +208,6 @@ class ContentBroker:
         """The live grouping (None before the first build)."""
         return self._clustering
 
-    @property
-    def live_subscriptions(self) -> Optional[SubscriptionSet]:
-        """The live subscription set backing the matcher/dispatcher."""
-        return self._subscriptions
-
     def internal_id(self, handle: int) -> int:
         """Internal subscriber id of an attached handle."""
         return self._internal_of[handle]

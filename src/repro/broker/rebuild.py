@@ -141,8 +141,3 @@ class RebuildScheduler:
         self.pending_weight = 0
         self.pending_drift = 0.0
         self.last_change = -math.inf
-
-    @property
-    def current_backoff(self) -> float:
-        """The interval currently enforced between rebuilds."""
-        return self._backoff

@@ -192,14 +192,6 @@ class DeliveryStats:
             return 1.0
         return 1.0 - self.lost_deliveries / self.expected_deliveries
 
-    @property
-    def multicast_rate(self) -> float:
-        """Fraction of events with interest that used a multicast group."""
-        with_interest = self.n_events - self.n_no_interest
-        if with_interest == 0:
-            return 0.0
-        return self.n_multicast / with_interest
-
     def as_dict(self) -> Dict[str, float]:
         return {
             "n_events": self.n_events,
@@ -211,7 +203,6 @@ class DeliveryStats:
             "total_ideal_cost": self.total_ideal_cost,
             "total_wasted_deliveries": self.total_wasted_deliveries,
             "improvement_percentage": self.improvement_percentage,
-            "multicast_rate": self.multicast_rate,
             "n_rebuilds": self.n_rebuilds,
             "n_full_rebuilds": self.n_full_rebuilds,
             "group_membership_changes": self.group_membership_changes,

@@ -30,11 +30,11 @@ weight is the same float.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Dict, List, Optional, Sequence, Tuple
+from typing import Dict, List, Optional, Tuple
 
 import numpy as np
 
-from ..geometry import EventSpace, Rectangle
+from ..geometry import EventSpace
 from ..kernels import get_backend
 from ..obs import get_registry, get_tracer
 from ..workload import SubscriptionSet
@@ -219,22 +219,6 @@ class NoLossResult:
     def n_groups(self) -> int:
         """Number of distinct multicast groups."""
         return len(self.group_members)
-
-    def rectangle(self, index: int) -> Rectangle:
-        return Rectangle.from_bounds(self.los[index], self.his[index])
-
-    def match(self, point: Sequence[float]) -> int:
-        """Index of the heaviest region containing the point, or -1.
-
-        Implements the selection rule of Figure 6: among the retained
-        regions that contain the event, pick the one with the greatest
-        density ``w``; regions are stored sorted by weight, so the first
-        hit wins.
-        """
-        x = np.asarray(point, dtype=np.float64)
-        mask = np.all((self.los < x) & (x <= self.his), axis=1)
-        hits = np.nonzero(mask)[0]
-        return int(hits[0]) if len(hits) else -1
 
 
 class NoLossAlgorithm:

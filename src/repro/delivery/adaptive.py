@@ -31,10 +31,6 @@ class AdaptiveDecision:
     candidate_costs: Dict[str, float]
 
     @property
-    def savings_vs_unicast(self) -> float:
-        return self.candidate_costs["unicast"] - self.cost
-
-    @property
     def realized_gap(self) -> float:
         """Cost the fixed policy (execute the matcher's plan) would have
         paid beyond the adaptive choice.  Zero when the plan was already
@@ -126,12 +122,3 @@ class AdaptiveDeliveryPolicy:
             self._mode_children[mode].inc(n)
         return decisions
 
-    # ------------------------------------------------------------------
-    def mode_rates(self) -> Dict[str, float]:
-        """Fraction of decisions per mode."""
-        total = sum(self.mode_counts.values())
-        if total == 0:
-            return {mode: 0.0 for mode in self.mode_counts}
-        return {
-            mode: count / total for mode, count in self.mode_counts.items()
-        }

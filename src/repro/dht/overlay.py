@@ -18,9 +18,7 @@ Id assignment is seeded and deterministic.  The default ``proximity``
 mode runs a nearest-neighbour tour over the shortest-path distance
 matrix and spreads the tour evenly around the ring, so numerically
 close ids belong to underlay-close nodes — the property subscription
-subgrouping exploits (prefix subgroups become underlay-local).  The
-``hash`` mode is the textbook uniform assignment (blake2b of the node
-id, collisions probed linearly).
+subgrouping exploits (prefix subgroups become underlay-local).
 
 Fault handling: routing always happens inside a *universe* — the live
 nodes reachable from the route's source in the current topology.  Every
@@ -68,9 +66,6 @@ class OverlayConfig:
     leaf_span: int = 4
     #: seeds id assignment and group-key hashing
     seed: int = 0
-    #: ``proximity`` (nearest-neighbour tour, locality-preserving ids)
-    #: or ``hash`` (uniform blake2b ids)
-    assignment: str = "proximity"
     #: split each group's members into overlay-local subgroups led by a
     #: per-subgroup rendezvous (see :mod:`repro.dht.scribe`)
     subgrouping: bool = True
@@ -85,8 +80,6 @@ class OverlayConfig:
             raise ValueError("id_bits must be a positive multiple of digit_bits")
         if self.leaf_span < 1:
             raise ValueError("leaf_span must be positive")
-        if self.assignment not in ("proximity", "hash"):
-            raise ValueError("assignment must be 'proximity' or 'hash'")
         if not 1 <= self.subgroup_digits <= self.id_bits // self.digit_bits:
             raise ValueError("subgroup_digits out of range for id_bits")
 
@@ -248,7 +241,7 @@ class PastryOverlay:
             raise ValueError(
                 f"ring of 2^{self.config.id_bits} ids cannot hold {n} nodes"
             )
-        self.ids = self._assign_ids(n)
+        self.ids = self._proximity_ids(n)
         self._version: Optional[int] = None
         self._live: frozenset = frozenset()
         self._universes: Dict[int, OverlayUniverse] = {}
@@ -257,23 +250,6 @@ class PastryOverlay:
     # ------------------------------------------------------------------
     # id assignment
     # ------------------------------------------------------------------
-    def _assign_ids(self, n: int) -> np.ndarray:
-        if self.config.assignment == "hash":
-            return self._hash_ids(n)
-        return self._proximity_ids(n)
-
-    def _hash_ids(self, n: int) -> np.ndarray:
-        ring = self.config.ring_size
-        taken = set()
-        ids = np.zeros(n, dtype=np.int64)
-        for node in range(n):
-            candidate = _digest(self.config.seed, "id", node) % ring
-            while candidate in taken:
-                candidate = (candidate + 1) % ring
-            taken.add(candidate)
-            ids[node] = candidate
-        return ids
-
     def _proximity_ids(self, n: int) -> np.ndarray:
         """Locality-preserving ids: a nearest-neighbour tour over the
         distance matrix, spread evenly around the ring.

@@ -35,7 +35,7 @@ from ..obs import (
     set_flight_recorder,
 )
 from ..obs.slo import SloEngine
-from ..workload import PublicationEvent
+from ..workload import PublicationEvent, join_rectangle
 from .report import DegradationReport
 from .schedule import FaultSchedule
 
@@ -260,23 +260,6 @@ class ChaosRunner:
         run.clear()
 
     # ------------------------------------------------------------------
-    def price(self, events: Sequence[PublicationEvent]) -> np.ndarray:
-        """Plan costs of ``events`` on the broker's *current* state.
-
-        Pure pricing — no stats are recorded, no rebuilds triggered.
-        Used by the recovery property: after a balanced schedule plus a
-        final rebuild, these costs must be byte-identical to a broker
-        that never saw a fault.
-        """
-        if self.broker is None:
-            raise RuntimeError("run() must complete before price()")
-        plans = self.broker._matcher.match_batch(
-            [event.point for event in events]
-        )
-        return self.broker._dispatcher.plan_costs(
-            [event.publisher for event in events], plans
-        )
-
     def sample_publications(self) -> List[Tuple[float, PublicationEvent]]:
         """The seeded (time, publication) stream this runner replays."""
         rng = np.random.default_rng(self.seed + 1)
@@ -338,19 +321,7 @@ class ChaosRunner:
             broker.unsubscribe(handle)
             broker.notify_change(now, weight=1)
         elif event.kind == "sub_join":
-            rectangle = self._random_rectangle()
+            rectangle = join_rectangle(self.scenario.space, self._join_rng)
             handle = broker.subscribe(event.node, rectangle)
             self._live_handles.append(handle)
             broker.notify_change(now, weight=1)
-
-    def _random_rectangle(self):
-        """A subscription rectangle drawn from the runner's join RNG."""
-        from ..geometry import Rectangle
-
-        rng = self._join_rng
-        los, his = [], []
-        for dim in self.scenario.space.dimensions:
-            lo = float(rng.uniform(dim.lo - 1, dim.hi - 1))
-            los.append(lo)
-            his.append(lo + float(rng.uniform(1.0, (dim.hi - dim.lo) / 2 + 1)))
-        return Rectangle.from_bounds(los, his)

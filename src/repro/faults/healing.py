@@ -191,12 +191,6 @@ class HealingComparison:
     runs: List[BackendRun]
     fixed: List[FixedGroupReplay] = field(default_factory=list)
 
-    def run_for(self, backend: str) -> BackendRun:
-        for run in self.runs:
-            if run.backend == backend:
-                return run
-        raise KeyError(backend)
-
     def fixed_for(self, backend: str) -> FixedGroupReplay:
         for replay in self.fixed:
             if replay.backend == backend:

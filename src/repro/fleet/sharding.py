@@ -147,10 +147,6 @@ class ShardMap:
             return shards, int(np.argmax(mass))
         return shards, int(np.argmax(counts))
 
-    def shard_cell_counts(self) -> np.ndarray:
-        """Owned grid cells per shard (balance diagnostics)."""
-        return np.bincount(self.cell_to_shard, minlength=self.n_shards)
-
     # ------------------------------------------------------------------
     def as_dict(self) -> dict:
         """Reconstruction parameters (the map itself is derived)."""

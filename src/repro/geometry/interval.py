@@ -98,12 +98,6 @@ class Interval:
     def __contains__(self, x: float) -> bool:
         return self.contains(x)
 
-    def contains_interval(self, other: "Interval") -> bool:
-        """True when ``other`` is a subset of this interval."""
-        if other.is_empty:
-            return True
-        return self.lo <= other.lo and other.hi <= self.hi
-
     def overlaps(self, other: "Interval") -> bool:
         """True when the two half-open intervals share at least one point."""
         if self.is_empty or other.is_empty:
@@ -117,14 +111,6 @@ class Interval:
         """Intersection; half-open intervals intersect to half-open ones."""
         return Interval.make(max(self.lo, other.lo), min(self.hi, other.hi))
 
-    def hull(self, other: "Interval") -> "Interval":
-        """Smallest interval containing both (the convex hull)."""
-        if self.is_empty:
-            return other
-        if other.is_empty:
-            return self
-        return Interval.make(min(self.lo, other.lo), max(self.hi, other.hi))
-
     def clip(self, lo: float, hi: float) -> "Interval":
         """Intersect with the bounded domain ``(lo, hi]``."""
         return self.intersect(Interval.make(lo, hi))
@@ -135,14 +121,6 @@ class Interval:
         if self.is_empty:
             return 0.0
         return self.hi - self.lo
-
-    def midpoint(self) -> float:
-        """Centre of a bounded, non-empty interval."""
-        if self.is_empty:
-            raise ValueError("empty interval has no midpoint")
-        if not self.bounded:
-            raise ValueError("unbounded interval has no midpoint")
-        return 0.5 * (self.lo + self.hi)
 
     # ------------------------------------------------------------------
     # grid support

@@ -81,38 +81,10 @@ class Rectangle:
     def __contains__(self, point: Sequence[float]) -> bool:
         return self.contains(point)
 
-    def contains_rectangle(self, other: "Rectangle") -> bool:
-        """True when ``other`` is entirely inside this rectangle."""
-        self._check_dims(other)
-        if other.is_empty:
-            return True
-        return all(
-            a.contains_interval(b) for a, b in zip(self.sides, other.sides)
-        )
-
     def overlaps(self, other: "Rectangle") -> bool:
         """True when the rectangles share at least one point."""
         self._check_dims(other)
         return all(a.overlaps(b) for a, b in zip(self.sides, other.sides))
-
-    # ------------------------------------------------------------------
-    # algebra
-    # ------------------------------------------------------------------
-    def intersect(self, other: "Rectangle") -> "Rectangle":
-        """Intersection of two rectangles (possibly empty)."""
-        self._check_dims(other)
-        return Rectangle(
-            tuple(a.intersect(b) for a, b in zip(self.sides, other.sides))
-        )
-
-    def hull(self, other: "Rectangle") -> "Rectangle":
-        """Smallest aligned rectangle covering both."""
-        self._check_dims(other)
-        if self.is_empty:
-            return other
-        if other.is_empty:
-            return self
-        return Rectangle(tuple(a.hull(b) for a, b in zip(self.sides, other.sides)))
 
     # ------------------------------------------------------------------
     # misc

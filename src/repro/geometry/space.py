@@ -89,16 +89,6 @@ class EventSpace:
     # ------------------------------------------------------------------
     # cell indexing
     # ------------------------------------------------------------------
-    def cell_coords(self, index: int) -> Tuple[int, ...]:
-        """Per-dimension cell coordinates of a flat index."""
-        if not 0 <= index < self.n_cells:
-            raise IndexError(f"cell index {index} out of range")
-        coords = []
-        for stride in self._strides:
-            coords.append(index // int(stride))
-            index %= int(stride)
-        return tuple(coords)
-
     def locate_batch(self, points: Sequence[Sequence[float]]) -> np.ndarray:
         """Flat cell indices of many points at once (-1 when outside).
 
@@ -123,20 +113,6 @@ class EventSpace:
         flat = coords @ self._strides
         flat[~inside] = -1
         return flat
-
-    def cell_rectangle(self, index: int) -> Rectangle:
-        """The half-open unit rectangle of a grid cell."""
-        coords = self.cell_coords(index)
-        sides = tuple(
-            Interval.make(dim.lo + c - 1.0, dim.lo + float(c))
-            for dim, c in zip(self.dimensions, coords)
-        )
-        return Rectangle(sides)
-
-    def cell_value(self, index: int) -> Tuple[int, ...]:
-        """The lattice point (attribute values) identified with a cell."""
-        coords = self.cell_coords(index)
-        return tuple(dim.lo + c for dim, c in zip(self.dimensions, coords))
 
     # ------------------------------------------------------------------
     # rectangle <-> grid

@@ -1,11 +1,8 @@
 """Event-to-group matching algorithms (section 4.6).
 
-Three matchers share the interface ``match_batch(points) ->
+Two matchers share the interface ``match_batch(points) ->
 [DeliveryPlan]``, one plan per event of the batch:
 
-* :class:`BruteForceMatcher` — no multicast groups at all; every event is
-  unicast to the interested subscribers.  Doubles as the ground-truth
-  oracle for the others.
 * :class:`GridMatcher` — Figure 5: locate the grid cell of the event; if
   the cell carries a multicast group and the proportion of its members
   that are interested exceeds a threshold, multicast to the group (plus
@@ -24,12 +21,10 @@ import numpy as np
 
 from ..clustering import Clustering, NoLossResult
 from ..obs import get_registry, get_tracer
-from ..workload import SubscriptionSet
+from ..workload import SubscriptionSet, as_points, stab_run
 from .plan import DeliveryPlan
-from .rtree import RTree
 
 __all__ = [
-    "BruteForceMatcher",
     "GridMatcher",
     "NoLossMatcher",
     "threshold_plan",
@@ -101,40 +96,6 @@ def threshold_plan(
         group_members=[members],
         unicast_subscribers=interested[~in_group],
     )
-
-
-class BruteForceMatcher:
-    """Unicast-only matching; also the correctness oracle."""
-
-    def __init__(self, subscriptions: SubscriptionSet) -> None:
-        self.subscriptions = subscriptions
-
-    def match_batch(
-        self,
-        points: Sequence[Sequence[float]],
-        interested: Optional[Sequence[np.ndarray]] = None,
-    ) -> List[DeliveryPlan]:
-        """Plans for many events at once.
-
-        ``interested`` may supply the per-event interest sets (e.g. the
-        experiment context's precomputed
-        :meth:`~repro.workload.SubscriptionSet.batch_interested_subscribers`
-        output) to skip recomputing them.
-        """
-        with get_tracer().span(
-            "matching.match_batch",
-            matcher="brute-force",
-            n_events=len(points),
-        ):
-            if interested is None:
-                interested = self.subscriptions.batch_interested_subscribers(
-                    points
-                )
-            _record_match_metrics("brute-force", len(points), 0)
-            return [
-                DeliveryPlan(interested=ids, unicast_subscribers=ids)
-                for ids in interested
-            ]
 
 
 class GridMatcher:
@@ -280,17 +241,17 @@ class NoLossMatcher:
     ) -> None:
         self.result = result
         self.subscriptions = subscriptions
-        self._rtree: Optional[RTree] = None
-        if len(result) > 0:
-            self._rtree = RTree.from_bounds(result.los, result.his)
+        # each region owns itself, so a point's first hit is the
+        # heaviest region containing it
+        self._region_ids = np.arange(len(result), dtype=np.int64)
 
     def match_batch(
         self,
         points: Sequence[Sequence[float]],
         interested: Optional[Sequence[np.ndarray]] = None,
     ) -> List[DeliveryPlan]:
-        """Plans for many events at once (shared interest pass; region
-        stabbing stays per event — the R-tree makes it cheap)."""
+        """Plans for many events at once: one interest pass and one
+        :meth:`regions_of` stab for the whole run."""
         with get_tracer().span(
             "matching.match_batch", matcher="no-loss", n_events=len(points)
         ) as span:
@@ -299,13 +260,26 @@ class NoLossMatcher:
                     points
                 )
             plans = [
-                self._assemble(ids, self._locate(point))
-                for ids, point in zip(interested, points)
+                self._assemble(ids, region)
+                for ids, region in zip(interested, self.regions_of(points))
             ]
             n_multicast = sum(1 for p in plans if p.uses_multicast)
             span.set("n_multicast", n_multicast)
             _record_match_metrics("no-loss", len(plans), n_multicast)
             return plans
+
+    def regions_of(self, points: Sequence[Sequence[float]]) -> List[int]:
+        """Per point, the heaviest retained region containing it, or
+        ``-1``.  Regions are stored in decreasing weight order, so that
+        is the smallest ``r`` with ``lo_r < x <= hi_r``: the first id of
+        the point's :func:`~repro.workload.stab_run` over the region
+        rows."""
+        pts = as_points(points, self.subscriptions.space.n_dims)
+        hits = stab_run(
+            pts, self.result.los, self.result.his, self._region_ids,
+            len(self._region_ids),
+        )
+        return [int(ids[0]) if len(ids) else -1 for ids in hits]
 
     def _assemble(self, interested: np.ndarray, region: int) -> DeliveryPlan:
         if region < 0:
@@ -321,11 +295,3 @@ class NoLossMatcher:
             group_members=[members],
             unicast_subscribers=uncovered,
         )
-
-    def _locate(self, point: Sequence[float]) -> int:
-        """Heaviest group region containing the point (regions are stored
-        in decreasing weight order, so the smallest stabbed index wins)."""
-        if self._rtree is None:
-            return -1
-        hits = self._rtree.stab(point)
-        return int(hits[0]) if len(hits) else -1

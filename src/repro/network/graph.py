@@ -333,19 +333,6 @@ class Graph:
     def n_edges(self) -> int:
         return self._n_edges
 
-    def has_edge(self, u: int, v: int) -> bool:
-        self._check_node(u)
-        self._check_node(v)
-        return v in self._adj[u]
-
-    def edge_cost(self, u: int, v: int) -> float:
-        self._check_node(u)
-        self._check_node(v)
-        try:
-            return self._adj[u][v]
-        except KeyError:
-            raise KeyError(f"no edge between {u} and {v}") from None
-
     def neighbors(self, u: int) -> Iterator[Tuple[int, float]]:
         """Iterate ``(neighbor, cost)`` pairs of node ``u``."""
         self._check_node(u)
@@ -361,9 +348,6 @@ class Graph:
             for v, cost in self._adj[u].items():
                 if u < v:
                     yield u, v, cost
-
-    def total_edge_cost(self) -> float:
-        return sum(cost for _, _, cost in self.edges())
 
     # ------------------------------------------------------------------
     # algorithms

@@ -29,7 +29,7 @@ overlay's live ring, the dispatcher's sparse-mode core) compares
 from __future__ import annotations
 
 import math
-from typing import Dict, FrozenSet, Iterable, List, Optional, Tuple
+from typing import Dict, FrozenSet, Optional, Tuple
 
 import numpy as np
 
@@ -98,15 +98,6 @@ class RoutingTables:
         return self._dist_matrix
 
     # ------------------------------------------------------------------
-    def precompute(self, sources: Iterable[int]) -> None:
-        """Eagerly build shortest-path trees for the given sources."""
-        for source in sources:
-            self.shortest_paths(source)
-
-    def cached_sources(self) -> List[int]:
-        """Sources whose shortest-path trees are already built."""
-        return sorted(self._sp)
-
     # ------------------------------------------------------------------
     # fault injection
     # ------------------------------------------------------------------

@@ -139,9 +139,6 @@ class RunManifest:
             {"name": name, "seconds": float(seconds), **extra}
         )
 
-    def total_phase_seconds(self) -> float:
-        return sum(float(p["seconds"]) for p in self.phases)
-
     def as_dict(self) -> Dict:
         return {
             "created": self.created,

@@ -35,7 +35,6 @@ from .soak import (
     SoakConfig,
     finalize_equivalence,
     generate_stream,
-    run_rebuild_per_churn_baseline,
     run_soak,
 )
 
@@ -57,5 +56,4 @@ __all__ = [
     "generate_stream",
     "run_soak",
     "finalize_equivalence",
-    "run_rebuild_per_churn_baseline",
 ]

@@ -261,6 +261,9 @@ class BrokerService:
                 1.0, 5.0,
             ),
         )
+        #: the histogram's child per stream, bound on the stream's first
+        #: served event (no label lookup per event, no zero-count child)
+        self._latency_children: Dict[str, object] = {}
         self._flight = get_flight_recorder()
         #: publications served but not yet handed to the broker (the
         #: current run; see :meth:`_serve`), each with the bookkeeping
@@ -479,7 +482,11 @@ class BrokerService:
                 )
             self._result.latencies[event.stream].append(latency)
             self._result.n_processed[event.stream] += 1
-            self._latency_hist.observe(latency, stream=event.stream)
+            child = self._latency_children.get(event.stream)
+            if child is None:
+                child = self._latency_hist.labels(stream=event.stream)
+                self._latency_children[event.stream] = child
+            child.observe(latency)
             self._release_stalled(name, completion)
 
     def _next_entry(self) -> Optional[Tuple[str, BoundedQueue]]:

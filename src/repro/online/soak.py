@@ -14,30 +14,24 @@ incrementally maintained broker.  Everything runs on a virtual clock,
 so the run's ``deterministic_report()`` is byte-identical across runs
 of the same seed.
 
-Two companion entry points back the acceptance gates:
-
-* :func:`finalize_equivalence` — after a soak, the end-state
-  subscription set is refit twice on identical hyper-cells: once warm
-  (inheriting the incrementally maintained grouping) and once cold.
-  The ratio bounds how far incremental maintenance + drift-triggered
-  warm refits drifted from what a batch refit would produce.
-* :func:`run_rebuild_per_churn_baseline` — the offline strawman that
-  re-clusters after every churn event, replayed over the *same* stream;
-  its fit count and final waste anchor the ≥5×-fewer-fits claim.
+:func:`finalize_equivalence` backs the acceptance gate: after a soak,
+the end-state subscription set is refit twice on identical hyper-cells:
+once warm (inheriting the incrementally maintained grouping) and once
+cold.  The ratio bounds how far incremental maintenance +
+drift-triggered warm refits drifted from what a batch refit would
+produce.
 """
 
 from __future__ import annotations
 
-import time
 from dataclasses import dataclass, replace
 from typing import Dict, List, Optional, Sequence, Tuple
 
 import numpy as np
 
 from ..broker import BrokerConfig, ContentBroker
-from ..geometry import Rectangle
 from ..network import TransitStubParams
-from ..sim.scenario import build_preliminary_scenario
+from ..workload import join_rectangle
 from .queues import POLICIES, QueueConfig
 from .service import (
     FLEET_POLICIES,
@@ -52,7 +46,6 @@ __all__ = [
     "generate_stream",
     "run_soak",
     "finalize_equivalence",
-    "run_rebuild_per_churn_baseline",
 ]
 
 
@@ -163,16 +156,6 @@ class SoakConfig:
 
 
 # ----------------------------------------------------------------------
-def _random_rectangle(space, rng: np.random.Generator) -> Rectangle:
-    """A join rectangle drawn like the chaos runner's (same idiom)."""
-    los, his = [], []
-    for dim in space.dimensions:
-        lo = float(rng.uniform(dim.lo - 1, dim.hi - 1))
-        los.append(lo)
-        his.append(lo + float(rng.uniform(1.0, (dim.hi - dim.lo) / 2 + 1)))
-    return Rectangle.from_bounds(los, his)
-
-
 def generate_stream(
     config: SoakConfig, scenario
 ) -> List[StreamEvent]:
@@ -197,7 +180,7 @@ def generate_stream(
             if join_or_leave[i]:
                 payload = ChurnJoin(
                     node=int(join_rng.integers(0, n_nodes)),
-                    rectangle=_random_rectangle(scenario.space, join_rng),
+                    rectangle=join_rectangle(scenario.space, join_rng),
                 )
             else:
                 payload = ChurnLeave(
@@ -249,65 +232,3 @@ def finalize_equivalence(broker: ContentBroker) -> Tuple[float, float]:
     broker.rebuild(full=True)
     cold = broker.clustering.total_expected_waste()
     return float(warm), float(cold)
-
-
-def run_rebuild_per_churn_baseline(config: SoakConfig) -> Dict:
-    """The offline strawman: a full pipeline rebuild after every churn.
-
-    Replays the *same* seeded stream (publications priced, churn applied
-    eagerly with an immediate rebuild) and reports its fit count and
-    final expected waste — the anchor for the online runtime's
-    ≥N×-fewer-fits claim.
-    """
-    scenario = build_preliminary_scenario(
-        n_nodes=config.n_nodes,
-        n_subscriptions=config.n_subscriptions,
-        seed=config.seed,
-    )
-    broker = ContentBroker(
-        scenario.routing,
-        scenario.space,
-        scenario.cell_pmf,
-        config=config.broker_config(config.n_groups),
-    )
-    subs = scenario.subscriptions
-    live_handles = [
-        broker.subscribe(int(node), rectangle)
-        for node, rectangle in zip(
-            subs.subscriber_nodes, subs.rectangles()
-        )
-    ]
-    broker.rebuild()
-    leave_rng_fallback = 0  # keep flake-free symmetry with the service
-    fits = 1  # the initial build
-    events = generate_stream(config, scenario)
-    start = time.perf_counter()
-    for event in sorted(events, key=lambda e: e.time):
-        payload = event.payload
-        if isinstance(payload, ChurnJoin):
-            handle = broker.subscribe(payload.node, payload.rectangle)
-            live_handles.append(handle)
-            broker.rebuild()
-            fits += 1
-        elif isinstance(payload, ChurnLeave):
-            if not live_handles:
-                leave_rng_fallback += 1
-                continue
-            handle = live_handles.pop(payload.index % len(live_handles))
-            broker.unsubscribe(handle)
-            broker.rebuild()
-            fits += 1
-        elif isinstance(payload, Publish):
-            broker.publish_batch([payload.point], [payload.publisher])
-    wall = time.perf_counter() - start
-    waste = (
-        broker.clustering.total_expected_waste()
-        if broker.clustering is not None
-        else 0.0
-    )
-    return {
-        "fits": fits,
-        "final_waste": float(waste),
-        "wall_seconds": wall,
-        "n_events": len(events),
-    }

@@ -26,7 +26,7 @@ from ..clustering import (
 )
 from ..delivery import SCHEMES, Dispatcher
 from ..grid import CellSet, build_cell_set
-from ..matching import BruteForceMatcher, GridMatcher, NoLossMatcher
+from ..matching import GridMatcher, NoLossMatcher
 from ..obs import RunManifest, get_tracer
 from ..workload import PublicationEvent
 from .metrics import CostSummary
@@ -257,15 +257,3 @@ class ExperimentContext:
                 )
                 for scheme in schemes
             ]
-
-    def run_unicast_baseline(self, scheme: str = "dense") -> AlgorithmResult:
-        """The 0 %-improvement baseline (brute-force matcher)."""
-        matcher = BruteForceMatcher(self.scenario.subscriptions)
-        return AlgorithmResult(
-            algorithm="unicast",
-            scheme=scheme,
-            n_groups=0,
-            summary=self.evaluate_matcher(matcher, scheme),
-            fit_seconds=0.0,
-            n_cells=0,
-        )

@@ -171,7 +171,7 @@ class SweepCell:
     """
 
     index: int
-    kind: str = "grid"  # "grid" | "noloss" | "unicast"
+    kind: str = "grid"  # "grid" | "noloss"
     algorithm: str = "kmeans"
     n_groups: int = 0
     schemes: Tuple[str, ...] = ("dense",)
@@ -284,10 +284,6 @@ def _execute_cell(
             rng=rng,
             **dict(cell.options),
         )
-    if cell.kind == "unicast":
-        return [
-            context.run_unicast_baseline(scheme) for scheme in cell.schemes
-        ]
     raise ValueError(f"unknown cell kind {cell.kind!r}")
 
 

@@ -24,6 +24,9 @@ from .subscriptions import (
     PreliminarySubscriptionModel,
     Subscription,
     SubscriptionSet,
+    as_points,
+    join_rectangle,
+    stab_run,
 )
 
 __all__ = [
@@ -46,4 +49,7 @@ __all__ = [
     "PreliminarySubscriptionModel",
     "Subscription",
     "SubscriptionSet",
+    "as_points",
+    "join_rectangle",
+    "stab_run",
 ]

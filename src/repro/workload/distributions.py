@@ -112,24 +112,6 @@ class ParetoLength:
             return float(capped)
         return capped
 
-    def truncated_mean(self) -> float:
-        """Exact mean of the capped law (for tests and documentation).
-
-        ``E[min(X, m)] = E[X; X < m] + m * P(X >= m)`` with
-        ``P(X >= m) = (c/m)^a``.
-        """
-        import math
-
-        c, a, m = self.scale, self.shape, self.max_length
-        if m == c:
-            return c
-        tail = (c / m) ** a
-        if a == 1.0:
-            body = c * math.log(m / c)
-        else:
-            body = (a * c / (a - 1.0)) * (1.0 - (c / m) ** (a - 1.0))
-        return body + m * tail
-
 
 class GaussianMixture1D:
     """A one-dimensional mixture of normal components.

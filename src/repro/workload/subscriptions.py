@@ -34,6 +34,9 @@ from .spaces import evaluation_space, preliminary_space
 __all__ = [
     "Subscription",
     "SubscriptionSet",
+    "as_points",
+    "join_rectangle",
+    "stab_run",
     "PreliminarySubscriptionModel",
     "EvaluationSubscriptionModel",
 ]
@@ -191,12 +194,6 @@ class SubscriptionSet:
         self._alive[subscriber] = False
         self._n_alive -= 1
 
-    def active_subscriptions(self) -> List[Subscription]:
-        """The live subscriptions (in id order, departed ones dropped)."""
-        return [
-            s for s in self._subscriptions if self._alive[s.subscriber]
-        ]
-
     def compact(self) -> Tuple["SubscriptionSet", np.ndarray]:
         """A fresh set with dense 0..n-1 ids, plus the old→new id map.
 
@@ -228,9 +225,6 @@ class SubscriptionSet:
         """Subscriber id of every subscription row."""
         return self._owners
 
-    def node_of(self, subscriber: int) -> int:
-        return int(self._node_of[subscriber])
-
     def bounds(self) -> Tuple[np.ndarray, np.ndarray]:
         """``(los, his)`` matrices of the subscription rectangles."""
         return self._los, self._his
@@ -257,15 +251,6 @@ class SubscriptionSet:
             return np.empty(0, dtype=np.int64)
         return np.unique(self._node_of[np.asarray(subscribers, dtype=np.int64)])
 
-    def _as_points(self, points: Sequence[Sequence[float]]) -> np.ndarray:
-        """``points`` as an ``(E, n_dims)`` float64 array, checked."""
-        pts = np.asarray(points, dtype=np.float64)
-        if pts.size == 0:
-            pts = pts.reshape(0, self.space.n_dims)
-        if pts.ndim != 2 or pts.shape[1] != self.space.n_dims:
-            raise ValueError("points must be an (E, n_dims) array-like")
-        return pts
-
     def match_run(
         self, points: Sequence[Sequence[float]], grid: Optional[tuple] = None
     ):
@@ -274,47 +259,87 @@ class SubscriptionSet:
         such kernel (see :meth:`repro.kernels.native.NativeBackend.
         match_run` for ``grid`` and the result)."""
         return get_backend().match_run(
-            self._as_points(points), self._los, self._his, self._owners,
-            grid,
+            as_points(points, self.space.n_dims), self._los, self._his,
+            self._owners, grid,
         )
 
     def batch_interested_subscribers(
         self, points: Sequence[Sequence[float]]
     ) -> List[np.ndarray]:
-        """Interested subscribers for many events in one pass.
-
-        The native backend scans the bound rows once per event in
-        :meth:`match_run` and returns views of one buffer.  The numpy
-        reference broadcasts one ``(E, 1, N)`` point array against the
-        ``(k, N)`` bound matrices, lists every (event, row) hit in event
-        order with one ``np.nonzero`` and cuts it per event.  When every
-        subscriber owns one row, in id order, the owners are already
-        sorted and unique per event; otherwise one ``np.unique`` over
-        ``event * n_subscribers + owner`` sorts and deduplicates them.
+        """Interested subscribers for many events in one pass: the
+        :func:`stab_run` of the points against the subscription rows.
         Equivalent to calling :meth:`interested_subscribers` per point.
         """
-        pts = self._as_points(points)
-        if len(pts) == 0:
-            return []
-        run = self.match_run(pts)
-        if run is not None:
-            bounds, ids = run[0].tolist(), run[2]
-            return [
-                ids[bounds[2 * e]:bounds[2 * e + 1]] for e in range(len(pts))
-            ]
-        # (E, k): subscription j matches event e
-        hits = np.all(
-            (self._los[None, :, :] < pts[:, None, :])
-            & (pts[:, None, :] <= self._his[None, :, :]),
-            axis=2,
+        return stab_run(
+            as_points(points, self.space.n_dims),
+            self._los, self._his, self._owners, self.n_subscribers,
         )
-        events, rows = np.nonzero(hits)
-        owners = self._owners[rows]
-        if len(owners) > 1 and not (np.diff(self._owners) > 0).all():
-            keys = np.unique(events * self.n_subscribers + owners)
-            events, owners = np.divmod(keys, self.n_subscribers)
-        bounds = np.searchsorted(events, np.arange(1, len(pts)))
-        return np.split(owners, bounds)
+
+
+def as_points(points: Sequence[Sequence[float]], n_dims: int) -> np.ndarray:
+    """``points`` as an ``(E, n_dims)`` float64 array, checked."""
+    pts = np.asarray(points, dtype=np.float64)
+    if pts.size == 0:
+        pts = pts.reshape(0, n_dims)
+    if pts.ndim != 2 or pts.shape[1] != n_dims:
+        raise ValueError("points must be an (E, n_dims) array-like")
+    return pts
+
+
+def stab_run(
+    points: np.ndarray,
+    los: np.ndarray,
+    his: np.ndarray,
+    owners: np.ndarray,
+    n_owners: int,
+) -> List[np.ndarray]:
+    """The point test of section 4.6 for a run of points: per point of
+    the ``(E, N)`` array, the sorted unique owners (ids below
+    ``n_owners``) of the ``(k, N)`` bound rows with ``lo < x <= hi``.
+
+    The native backend scans the rows once per point in one
+    ``match_run`` call and returns views of one buffer.  The numpy
+    reference broadcasts the ``(E, 1, N)`` points against the bound
+    rows, lists every (point, row) hit in point order with one
+    ``np.nonzero`` and cuts it per point.  When the owners increase
+    along the rows they are already sorted and unique per point;
+    otherwise one ``np.unique`` over ``point * n_owners + owner`` sorts
+    and deduplicates them.
+    """
+    if len(points) == 0:
+        return []
+    run = get_backend().match_run(points, los, his, owners)
+    if run is not None:
+        bounds, ids = run[0].tolist(), run[2]
+        return [
+            ids[bounds[2 * e]:bounds[2 * e + 1]] for e in range(len(points))
+        ]
+    # (E, k): row j contains point e
+    hits = np.all(
+        (los[None, :, :] < points[:, None, :])
+        & (points[:, None, :] <= his[None, :, :]),
+        axis=2,
+    )
+    events, rows = np.nonzero(hits)
+    found = owners[rows]
+    if len(found) > 1 and not (np.diff(owners) > 0).all():
+        keys = np.unique(events * n_owners + found)
+        events, found = np.divmod(keys, n_owners)
+    bounds = np.searchsorted(events, np.arange(1, len(points)))
+    return np.split(found, bounds)
+
+
+def join_rectangle(space: EventSpace, rng: np.random.Generator) -> Rectangle:
+    """A joining subscriber's rectangle: per dimension a lower end
+    uniform in ``[lo - 1, hi - 1)`` and a length uniform in ``[1, (hi -
+    lo) / 2 + 1)``, drawn dimension by dimension from ``rng``.  The
+    chaos runner's joins and the runtime stream's joins both use it."""
+    los, his = [], []
+    for dim in space.dimensions:
+        lo = float(rng.uniform(dim.lo - 1, dim.hi - 1))
+        los.append(lo)
+        his.append(lo + float(rng.uniform(1.0, (dim.hi - dim.lo) / 2 + 1)))
+    return Rectangle.from_bounds(los, his)
 
 
 def _room_for(buffers: Tuple[np.ndarray, ...], index: int):

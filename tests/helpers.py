@@ -4,6 +4,7 @@ import numpy as np
 
 from repro.broker import DeliveryReceipt
 from repro.geometry import Interval, Rectangle
+from repro.matching import DeliveryPlan
 from repro.workload import Subscription, SubscriptionSet
 
 
@@ -98,6 +99,126 @@ def wasted_deliveries(plan):
 def missed_subscribers(plan):
     """Reference: interested subscribers the plan fails to reach."""
     return np.setdiff1d(np.asarray(plan.interested), plan.covered_subscribers())
+
+
+class BruteForceMatcher:
+    """Oracle matcher: no multicast groups, every event is unicast to
+    its interested subscribers (the 0 % improvement baseline)."""
+
+    def __init__(self, subscriptions):
+        self.subscriptions = subscriptions
+
+    def match_batch(self, points, interested=None):
+        if interested is None:
+            interested = self.subscriptions.batch_interested_subscribers(
+                points
+            )
+        return [
+            DeliveryPlan(interested=ids, unicast_subscribers=ids)
+            for ids in interested
+        ]
+
+
+def noloss_match(result, point):
+    """Oracle of the Figure 6 selection rule: the index of the heaviest
+    retained No-Loss region containing the point, or -1 (regions are
+    stored in decreasing weight order, so the first hit wins)."""
+    x = np.asarray(point, dtype=np.float64)
+    hits = np.nonzero(np.all((result.los < x) & (x <= result.his), axis=1))[0]
+    return int(hits[0]) if len(hits) else -1
+
+
+def region_rectangle(result, region):
+    """One retained No-Loss region as a ``Rectangle``."""
+    return Rectangle.from_bounds(result.los[region], result.his[region])
+
+
+def contains_interval(outer, inner):
+    """Oracle: ``inner`` is a subset of ``outer`` (half-open sides; the
+    empty interval lies inside everything)."""
+    if inner.is_empty:
+        return True
+    return outer.lo <= inner.lo and inner.hi <= outer.hi
+
+
+def contains_rectangle(outer, inner):
+    """Oracle: ``inner`` lies entirely inside ``outer`` (an empty
+    rectangle lies inside everything)."""
+    if inner.dimensions != outer.dimensions:
+        raise ValueError("dimension mismatch")
+    if inner.is_empty:
+        return True
+    return all(
+        contains_interval(a, b) for a, b in zip(outer.sides, inner.sides)
+    )
+
+
+def cell_coords(space, index):
+    """Per-dimension cell coordinates of a flat cell index (row-major)."""
+    if not 0 <= index < space.n_cells:
+        raise IndexError(f"cell index {index} out of range")
+    return tuple(int(c) for c in np.unravel_index(index, space.shape))
+
+
+def cell_value(space, index):
+    """The lattice point (attribute values) identified with a cell."""
+    return tuple(
+        dim.lo + c
+        for dim, c in zip(space.dimensions, cell_coords(space, index))
+    )
+
+
+def cell_rectangle(space, index):
+    """The half-open unit rectangle of one grid cell."""
+    return Rectangle(tuple(
+        Interval.make(dim.lo + c - 1.0, dim.lo + float(c))
+        for dim, c in zip(space.dimensions, cell_coords(space, index))
+    ))
+
+
+def edge_cost(graph, u, v):
+    """Cost of the live edge ``{u, v}`` (``KeyError`` when absent)."""
+    costs = dict(graph.neighbors(u))
+    if v not in costs:
+        raise KeyError(f"no edge between {u} and {v}")
+    return costs[v]
+
+
+def has_edge(graph, u, v):
+    """True when the live edge ``{u, v}`` exists."""
+    return any(w == v for w, _ in graph.neighbors(u))
+
+
+def cached_sources(routing):
+    """Sources whose shortest-path trees ``routing`` has built."""
+    return sorted(routing._sp)
+
+
+def pareto_truncated_mean(dist):
+    """Exact mean of a capped ``ParetoLength`` law:
+    ``E[min(X, m)] = E[X; X < m] + m * P(X >= m)`` with
+    ``P(X >= m) = (c/m)^a``."""
+    import math
+
+    c, a, m = dist.scale, dist.shape, dist.max_length
+    if m == c:
+        return c
+    tail = (c / m) ** a
+    if a == 1.0:
+        body = c * math.log(m / c)
+    else:
+        body = (a * c / (a - 1.0)) * (1.0 - (c / m) ** (a - 1.0))
+    return body + m * tail
+
+
+def chaos_price(runner, events):
+    """Plan costs of ``events`` on a finished chaos run's broker, as it
+    stands: pure pricing, no stats recorded, no rebuilds triggered."""
+    broker = runner.broker
+    plans = broker._matcher.match_batch([event.point for event in events])
+    return broker._dispatcher.plan_costs(
+        [event.publisher for event in events], plans
+    )
 
 
 def match_one(matcher, point):

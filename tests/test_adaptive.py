@@ -95,23 +95,25 @@ class TestDecision:
     def test_savings_accounting(self, setup):
         policy = AdaptiveDeliveryPolicy(setup)
         decision = decide(policy, 0, plan_for([0, 1, 2, 3]))
-        assert decision.savings_vs_unicast == pytest.approx(10.0 - 4.0)
+        saving = decision.candidate_costs["unicast"] - decision.cost
+        assert saving == pytest.approx(10.0 - 4.0)
 
     def test_mode_rates(self, setup):
         policy = AdaptiveDeliveryPolicy(setup)
         decide(policy, 0, plan_for([0]))
         decide(policy, 0, plan_for([0, 1, 2, 3]))
-        rates = policy.mode_rates()
-        assert rates["unicast"] == pytest.approx(0.5)
-        assert rates["broadcast"] == pytest.approx(0.5)
-        assert sum(rates.values()) == pytest.approx(1.0)
+        assert policy.mode_counts == {
+            "unicast": 1,
+            "multicast": 0,
+            "broadcast": 1,
+        }
 
     def test_empty_rates(self, setup):
         policy = AdaptiveDeliveryPolicy(setup)
-        assert policy.mode_rates() == {
-            "unicast": 0.0,
-            "multicast": 0.0,
-            "broadcast": 0.0,
+        assert policy.mode_counts == {
+            "unicast": 0,
+            "multicast": 0,
+            "broadcast": 0,
         }
 
 

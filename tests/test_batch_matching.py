@@ -10,10 +10,10 @@ import pytest
 
 from repro.clustering import ForgyKMeansClustering, NoLossAlgorithm
 from repro.grid import build_cell_set
-from repro.matching import BruteForceMatcher, GridMatcher, NoLossMatcher
+from repro.matching import GridMatcher, NoLossMatcher
 from repro.sim import build_evaluation_scenario
 
-from tests.helpers import match_one, wasted_deliveries
+from tests.helpers import BruteForceMatcher, match_one, wasted_deliveries
 
 
 @pytest.fixture(scope="module")

@@ -241,12 +241,6 @@ class TestDeliveryStats:
         record_one(stats, 0, 0, 0, False, 0, 0)
         assert stats.improvement_percentage == 0.0
 
-    def test_multicast_rate_ignores_empty_events(self):
-        stats = DeliveryStats()
-        record_one(stats, 1, 1, 1, True, 3, 0)
-        record_one(stats, 0, 0, 0, False, 0, 0)
-        assert stats.multicast_rate == 1.0
-
 
 class TestGroupChurn:
     def test_membership_churn_counter(self, broker_env):

@@ -21,6 +21,7 @@ from repro.workload import Subscription, SubscriptionSet
 
 from tests.helpers import (
     build_membership_matrix,
+    cell_value,
     locate,
     make_subscription_set,
     packed_rows,
@@ -56,7 +57,7 @@ class TestMembershipMatrix:
         matrix = build_membership_matrix(space, subs)
         assert matrix.shape == (space.n_cells, 3)
         for cell in range(space.n_cells):
-            point = space.cell_value(cell)
+            point = cell_value(space, cell)
             expected = set(subs.interested_subscribers(point))
             assert set(np.nonzero(matrix[cell])[0]) == expected
 
@@ -84,7 +85,7 @@ class TestMembershipMatrix:
             ],
         )
         matrix = build_membership_matrix(space, subs)
-        covered = {space.cell_value(c) for c in np.nonzero(matrix[:, 0])[0]}
+        covered = {cell_value(space, c) for c in np.nonzero(matrix[:, 0])[0]}
         assert covered == {(0, 0), (4, 4)}
 
 

@@ -30,6 +30,8 @@ from repro.network import (
 )
 from repro.obs import get_registry
 
+from tests.helpers import has_edge
+
 SMALL_PARAMS = TransitStubParams(
     n_transit_blocks=3,
     transit_nodes_per_block=2,
@@ -103,14 +105,6 @@ class TestPastryOverlay:
         pairwise = matrix[np.triu_indices(n, k=1)].mean()
         assert ring < 0.5 * pairwise
 
-    def test_hash_assignment_supported(self, routing):
-        overlay = PastryOverlay(
-            routing, OverlayConfig(assignment="hash")
-        )
-        again = PastryOverlay(routing, OverlayConfig(assignment="hash"))
-        assert np.array_equal(overlay.ids, again.ids)
-        assert len(set(int(i) for i in overlay.ids)) == routing.graph.n_nodes
-
     def test_routes_converge_on_owner(self, routing):
         overlay = PastryOverlay(routing)
         universe = overlay.universe_for(0)
@@ -162,7 +156,7 @@ class TestRendezvousTrees:
         delivery.group_cost(0, self.MEMBERS)
         (tree,) = delivery._trees.values()
         for child, parent in tree.parent.items():
-            assert topology.graph.has_edge(child, parent)
+            assert has_edge(topology.graph, child, parent)
 
     def test_every_member_chain_reaches_root(self, routing):
         delivery = RendezvousDelivery(routing)

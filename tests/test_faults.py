@@ -27,7 +27,13 @@ from repro.network import Graph, RoutingTables, TransitStubGenerator, TransitStu
 from repro.obs import get_registry
 from repro.sim.scenario import build_evaluation_scenario
 
-from tests.helpers import record_one
+from tests.helpers import (
+    cached_sources,
+    chaos_price,
+    edge_cost,
+    has_edge,
+    record_one,
+)
 
 # ----------------------------------------------------------------------
 # fixtures: everything fault tests touch is mutated in place, so all
@@ -225,10 +231,10 @@ class TestGraphFaults:
         version = g.version
         cost = g.remove_edge(0, 1)
         assert cost == 1.0
-        assert not g.has_edge(0, 1)
+        assert not has_edge(g, 0, 1)
         assert g.version > version
         g.restore_edge(0, 1, cost)
-        assert g.edge_cost(0, 1) == 1.0
+        assert edge_cost(g, 0, 1) == 1.0
         assert g.n_edges == 4
 
     def test_remove_missing_edge_raises(self):
@@ -246,7 +252,7 @@ class TestGraphFaults:
         g.restore_node(2)
         assert g.failed_nodes == frozenset()
         assert g.n_edges == 4
-        assert g.edge_cost(2, 3) == 1.0
+        assert edge_cost(g, 2, 3) == 1.0
 
     def test_add_edge_to_down_node_rejected(self):
         g = self.make_triangle()
@@ -263,9 +269,9 @@ class TestGraphFaults:
             g.remove_node(2)
             assert g.n_edges == 0
             g.restore_node(first)
-            assert not g.has_edge(1, 2)
+            assert not has_edge(g, 1, 2)
             g.restore_node(second)
-            assert g.edge_cost(1, 2) == 2.0
+            assert edge_cost(g, 1, 2) == 2.0
             assert g.n_edges == 4
 
     def test_link_fault_on_down_node_stays_removed_after_recovery(self):
@@ -274,18 +280,18 @@ class TestGraphFaults:
         cost = g.remove_edge(2, 3)  # fails while stashed
         assert cost == 1.0
         g.restore_node(2)
-        assert not g.has_edge(2, 3)
+        assert not has_edge(g, 2, 3)
         g.restore_edge(2, 3, cost)
-        assert g.edge_cost(2, 3) == 1.0
+        assert edge_cost(g, 2, 3) == 1.0
 
     def test_restore_edge_parks_on_down_endpoint(self):
         g = self.make_triangle()
         g.remove_edge(1, 2)
         g.remove_node(2)
         g.restore_edge(1, 2, 2.0)  # endpoint 2 still down: parked
-        assert not g.has_edge(1, 2)
+        assert not has_edge(g, 1, 2)
         g.restore_node(2)
-        assert g.edge_cost(1, 2) == 2.0
+        assert edge_cost(g, 1, 2) == 2.0
 
 
 # ----------------------------------------------------------------------
@@ -297,7 +303,8 @@ class TestRoutingFaults:
     def test_fail_link_invalidates_only_trees_using_it(self, routing):
         graph = routing.graph
         n = graph.n_nodes
-        routing.precompute(range(n))
+        for source in range(n):
+            routing.shortest_paths(source)
         u, v, _ = next(graph.edges())
         users = {
             s
@@ -306,7 +313,7 @@ class TestRoutingFaults:
             or routing.shortest_paths(s).pred[u] == v
         }
         cost = routing.fail_link(u, v)
-        survivors = set(routing.cached_sources())
+        survivors = set(cached_sources(routing))
         assert survivors == set(range(n)) - users
         assert routing.down_links == {(min(u, v), max(u, v)): cost}
 
@@ -357,7 +364,7 @@ class TestRoutingFaults:
         routing.heal_node(victim)
         # the node is back, but the separately-failed link must not be
         assert victim not in routing.failed_nodes
-        assert not graph.has_edge(victim, neighbor)
+        assert not has_edge(graph, victim, neighbor)
         key = (min(victim, neighbor), max(victim, neighbor))
         assert routing.down_links == {key: link_cost}
 
@@ -415,18 +422,18 @@ class TestRebuildScheduler:
         scheduler.note_change(0.0)
         assert scheduler.due(0.0)
         scheduler.fired(0.0)
-        assert scheduler.current_backoff == 1.0
+        assert scheduler._backoff == 1.0
         # a second rebuild hot on the first escalates the gate
         scheduler.note_change(1.0)
         assert not scheduler.due(0.5)
         assert scheduler.due(1.0)
         scheduler.fired(1.0)
-        assert scheduler.current_backoff == 2.0
+        assert scheduler._backoff == 2.0
         scheduler.note_change(2.0)
         assert not scheduler.due(2.0)  # gated until 1.0 + 2.0
         assert scheduler.due(3.0)
         scheduler.fired(3.0)
-        assert scheduler.current_backoff == 4.0
+        assert scheduler._backoff == 4.0
 
     def test_backoff_caps_and_resets_after_quiet_spell(self):
         scheduler = RebuildScheduler(
@@ -438,12 +445,12 @@ class TestRebuildScheduler:
             now = max(now, scheduler.not_before)
             assert scheduler.due(now)
             scheduler.fired(now)
-        assert scheduler.current_backoff == 5.0  # capped
+        assert scheduler._backoff == 5.0  # capped
         # quiet longer than backoff_max resets to base
         quiet = now + 100.0
         scheduler.note_change(quiet)
         scheduler.fired(quiet)
-        assert scheduler.current_backoff == 1.0
+        assert scheduler._backoff == 1.0
 
     def test_validation(self):
         with pytest.raises(ValueError):
@@ -819,7 +826,7 @@ def baseline_costs():
     )
     runner.run()
     events = scenario.sample_events(25, np.random.default_rng(99))
-    return events, runner.price(events)
+    return events, chaos_price(runner, events)
 
 
 class TestConservationProperty:
@@ -898,7 +905,7 @@ class TestRecoveryIdentityProperty:
         )
         runner.run()
         events, reference = baseline_costs
-        recovered = runner.price(events)
+        recovered = chaos_price(runner, events)
         assert np.array_equal(recovered, reference)
 
 

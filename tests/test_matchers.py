@@ -6,24 +6,22 @@ import pytest
 from repro.clustering import ForgyKMeansClustering, NoLossAlgorithm
 from repro.geometry import Dimension, EventSpace
 from repro.grid import build_cell_set
-from repro.matching import (
-    BruteForceMatcher,
-    DeliveryPlan,
-    GridMatcher,
-    NoLossMatcher,
-)
+from repro.matching import DeliveryPlan, GridMatcher, NoLossMatcher
 
 from tests.helpers import (
+    BruteForceMatcher,
+    cell_value,
     make_subscription_set,
     match_one,
     missed_subscribers,
+    noloss_match,
     wasted_deliveries,
 )
 
 
 def cell_points(space):
     """The lattice point of every grid cell, in flat cell order."""
-    return [space.cell_value(cell) for cell in range(space.n_cells)]
+    return [cell_value(space, cell) for cell in range(space.n_cells)]
 
 
 @pytest.fixture(scope="module")
@@ -197,13 +195,13 @@ class TestNoLossMatcher:
             plan.audit()
             assert wasted_deliveries(plan) == 0
 
-    def test_rtree_and_linear_paths_agree(self, space, subs, result):
-        """The matcher's R-tree stab picks the region the linear scan
-        ``NoLossResult.match`` picks (the heaviest containing one)."""
+    def test_run_stab_and_linear_scan_agree(self, space, subs, result):
+        """The matcher's one-call run stab picks the region the per-point
+        linear scan ``noloss_match`` picks (the heaviest containing one)."""
         points = cell_points(space)
         plans = NoLossMatcher(result, subs).match_batch(points)
         for point, plan in zip(points, plans):
-            region = result.match(point)
+            region = noloss_match(result, point)
             if region < 0:
                 assert plan.group_ids == []
                 continue

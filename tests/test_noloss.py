@@ -5,13 +5,19 @@ import pytest
 
 from repro.clustering import LatticeBlockMass, NoLossAlgorithm, noloss
 from repro.geometry import Dimension, EventSpace, Interval, Rectangle
+from repro.matching import NoLossMatcher
 
 from tests.helpers import (
     block_mass,
+    cell_rectangle,
+    cell_value,
+    contains_rectangle,
     locate,
     make_subscription_set,
+    noloss_match,
     noloss_score_reference,
     rectangle_mass,
+    region_rectangle,
 )
 
 
@@ -56,7 +62,7 @@ class TestLatticeBlockMass:
             expected = sum(
                 uniform_pmf[c]
                 for c in range(space.n_cells)
-                if rect.contains_rectangle(space.cell_rectangle(c))
+                if contains_rectangle(rect, cell_rectangle(space, c))
             )
             assert block_mass(mass, rect) == pytest.approx(expected)
 
@@ -125,8 +131,8 @@ class TestNoLossAlgorithm:
         interested in every event the region can contain."""
         result = self.fit(subs, uniform_pmf, 10)
         for cell in range(space.n_cells):
-            point = space.cell_value(cell)
-            region = result.match(point)
+            point = cell_value(space, cell)
+            region = noloss_match(result, point)
             if region < 0:
                 continue
             group = result.group_members[int(result.group_of[region])]
@@ -154,7 +160,7 @@ class TestNoLossAlgorithm:
         result = self.fit(subs, uniform_pmf, 10)
         mass = LatticeBlockMass(space, uniform_pmf)
         for r in range(len(result)):
-            expected = block_mass(mass, result.rectangle(r)) * len(
+            expected = block_mass(mass, region_rectangle(result, r)) * len(
                 result.members[r]
             )
             assert result.weights[r] == pytest.approx(expected)
@@ -180,10 +186,11 @@ class TestNoLossAlgorithm:
     def test_match_prefers_heaviest(self, subs, uniform_pmf):
         result = self.fit(subs, uniform_pmf, 10)
         point = (3, 3)
-        region = result.match(point)
+        (region,) = NoLossMatcher(result, subs).regions_of([point])
+        assert region == noloss_match(result, point)
         if region >= 0:
             for r in range(region):
-                assert not result.rectangle(r).contains(point)
+                assert not region_rectangle(result, r).contains(point)
 
     def test_intersections_found(self, space, subs, uniform_pmf):
         """The algorithm discovers regions richer than any single
@@ -207,7 +214,7 @@ class TestNoLossAlgorithm:
         outside = np.zeros(space.n_cells)
         outside[locate(space, (7, 0))] = 1.0
         covered = any(
-            subs.interested_subscribers(space.cell_value(c)).size
+            subs.interested_subscribers(cell_value(space, c)).size
             and outside[c] > 0
             for c in range(space.n_cells)
         )

@@ -411,7 +411,7 @@ class TestClusterMaintainer:
         # repricing after churn matches a dispatcher built from scratch
         receipt = publish_one(broker, point, 0)
         fresh = Dispatcher(
-            online_env["routing"], broker.live_subscriptions,
+            online_env["routing"], broker._subscriptions,
             broker.config.scheme,
         )
         plan = match_one(broker._matcher, point)

@@ -14,10 +14,18 @@ from repro.clustering import (
     waste_to_clusters,
 )
 from repro.geometry import Dimension, EventSpace, Interval, Rectangle
-from repro.matching import RTree
 from repro.network import Graph, UnionFind
 
-from tests.helpers import block_mass, locate, match_one, wasted_deliveries
+from tests.helpers import (
+    block_mass,
+    cell_rectangle,
+    cell_value,
+    contains_interval,
+    contains_rectangle,
+    locate,
+    match_one,
+    wasted_deliveries,
+)
 
 # ----------------------------------------------------------------------
 # strategies
@@ -42,11 +50,6 @@ def intervals(draw):
 
 
 @st.composite
-def rectangles(draw, dims=2):
-    return Rectangle(tuple(draw(intervals()) for _ in range(dims)))
-
-
-@st.composite
 def points(draw, dims=2):
     return tuple(draw(finite) for _ in range(dims))
 
@@ -64,16 +67,11 @@ class TestIntervalProperties:
     def test_intersection_membership(self, a, b, x):
         assert a.intersect(b).contains(x) == (a.contains(x) and b.contains(x))
 
-    @given(intervals(), intervals(), finite)
-    def test_hull_contains_members(self, a, b, x):
-        if a.contains(x) or b.contains(x):
-            assert a.hull(b).contains(x)
-
     @given(intervals(), intervals())
     def test_intersection_inside_both(self, a, b):
         inter = a.intersect(b)
-        assert a.contains_interval(inter)
-        assert b.contains_interval(inter)
+        assert contains_interval(a, inter)
+        assert contains_interval(b, inter)
 
     @given(intervals(), intervals())
     def test_overlap_iff_nonempty_intersection(self, a, b):
@@ -92,29 +90,6 @@ class TestIntervalProperties:
             )
         ]
         assert got == expected
-
-
-class TestRectangleProperties:
-    @given(rectangles(), rectangles(), points())
-    def test_intersection_membership(self, a, b, p):
-        assert a.intersect(b).contains(p) == (a.contains(p) and b.contains(p))
-
-    @given(rectangles(), rectangles())
-    def test_intersection_inside_both(self, a, b):
-        inter = a.intersect(b)
-        assert a.contains_rectangle(inter)
-        assert b.contains_rectangle(inter)
-
-    @given(rectangles(), rectangles())
-    def test_hull_contains_both(self, a, b):
-        hull = a.hull(b)
-        assert hull.contains_rectangle(a)
-        assert hull.contains_rectangle(b)
-
-    @given(rectangles(), points())
-    def test_containment_transitive_through_hull(self, a, p):
-        if a.contains(p):
-            assert a.hull(a).contains(p)
 
 
 class TestUnionFindProperties:
@@ -219,20 +194,6 @@ def bounded_rectangles(draw, dims=2, span=10):
     return Rectangle(tuple(sides))
 
 
-class TestRTreeProperties:
-    @settings(max_examples=40, deadline=None)
-    @given(
-        st.lists(bounded_rectangles(), min_size=1, max_size=40),
-        st.lists(points(), min_size=1, max_size=10),
-    )
-    def test_stab_matches_bruteforce(self, rects, pts):
-        rects = [r for r in rects if not r.is_empty] or [Rectangle.full(2)]
-        tree = RTree(rects, leaf_capacity=4)
-        for p in pts:
-            expected = [i for i, r in enumerate(rects) if r.contains(p)]
-            assert list(tree.stab(p)) == expected
-
-
 class TestBlockMassProperties:
     @settings(max_examples=40, deadline=None)
     @given(bounded_rectangles(span=6), st.integers(min_value=0, max_value=9999))
@@ -245,7 +206,7 @@ class TestBlockMassProperties:
         expected = sum(
             pmf[c]
             for c in range(space.n_cells)
-            if rect.contains_rectangle(space.cell_rectangle(c))
+            if contains_rectangle(rect, cell_rectangle(space, c))
         )
         assert block_mass(mass, rect) == pytest.approx(expected, abs=1e-9)
 
@@ -255,7 +216,11 @@ class TestBlockMassProperties:
         space = EventSpace([Dimension("x", 0, 5), Dimension("y", 0, 5)])
         pmf = np.full(space.n_cells, 1.0 / space.n_cells)
         mass = LatticeBlockMass(space, pmf)
-        hull = a.hull(b)
+        # the smallest rectangle covering both contains a
+        (a_los, a_his), (b_los, b_his) = a.bounds(), b.bounds()
+        hull = Rectangle.from_bounds(
+            np.minimum(a_los, b_los), np.maximum(a_his, b_his)
+        )
         assert block_mass(mass, hull) >= block_mass(mass, a) - 1e-12
 
 
@@ -268,7 +233,7 @@ class TestSpaceProperties:
         containing = [
             c
             for c in range(space.n_cells)
-            if space.cell_rectangle(c).contains(p)
+            if cell_rectangle(space, c).contains(p)
         ]
         if located == -1:
             assert containing == []
@@ -283,7 +248,7 @@ class TestSpaceProperties:
         expected = [
             c
             for c in range(space.n_cells)
-            if space.cell_rectangle(c).overlaps(rect)
+            if cell_rectangle(space, c).overlaps(rect)
         ]
         assert got == expected
 
@@ -373,7 +338,7 @@ class TestPipelineProperties:
         clustering = ForgyKMeansClustering().fit(cells, k)
         matcher = GridMatcher(clustering, subs)
         for cell in range(space.n_cells):
-            plan = match_one(matcher, space.cell_value(cell))
+            plan = match_one(matcher, cell_value(space, cell))
             plan.audit()
             if plan.uses_multicast:
                 overlap = np.intersect1d(
@@ -399,7 +364,7 @@ class TestPipelineProperties:
             return  # workload has no positive-weight region: vacuous
         matcher = NoLossMatcher(result, subs)
         for cell in range(space.n_cells):
-            plan = match_one(matcher, space.cell_value(cell))
+            plan = match_one(matcher, cell_value(space, cell))
             plan.audit()
             assert wasted_deliveries(plan) == 0
 

@@ -19,6 +19,8 @@ from repro.sim import (
     run_table_row,
 )
 
+from tests.helpers import BruteForceMatcher
+
 SMALL_PARAMS = TransitStubParams(
     n_transit_blocks=3,
     transit_nodes_per_block=2,
@@ -79,9 +81,11 @@ class TestExperimentContext:
         assert len(eval_ctx.cells(50)) <= 50
 
     def test_unicast_baseline_is_zero_improvement(self, eval_ctx):
-        result = eval_ctx.run_unicast_baseline()
-        assert result.improvement == pytest.approx(0.0, abs=1e-6)
-        assert result.summary.wasted_deliveries == 0.0
+        summary = eval_ctx.evaluate_matcher(
+            BruteForceMatcher(eval_ctx.scenario.subscriptions), "dense"
+        )
+        assert summary.improvement == pytest.approx(0.0, abs=1e-6)
+        assert summary.wasted_deliveries == 0.0
 
     @pytest.mark.parametrize("name", ["kmeans", "forgy", "mst", "pairs"])
     def test_grid_algorithm_cost_bounds(self, eval_ctx, name):

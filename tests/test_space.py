@@ -5,7 +5,7 @@ import pytest
 
 from repro.geometry import Dimension, EventSpace, Interval, Rectangle
 
-from tests.helpers import locate
+from tests.helpers import cell_coords, cell_rectangle, cell_value, locate
 
 
 def cell_of(dimension, x):
@@ -62,17 +62,17 @@ class TestEventSpace:
     def test_flat_index_roundtrip(self, tiny_space):
         """Each cell's lattice point locates back to its flat index."""
         indices = np.arange(tiny_space.n_cells)
-        points = [tiny_space.cell_value(index) for index in indices]
+        points = [cell_value(tiny_space, index) for index in indices]
         np.testing.assert_array_equal(tiny_space.locate_batch(points), indices)
 
     def test_flat_index_matches_numpy(self, tiny_space):
         for coords in [(0, 0), (1, 2), (4, 4), (3, 0)]:
             index = int(np.ravel_multi_index(coords, tiny_space.shape))
-            assert tiny_space.cell_coords(index) == coords
+            assert cell_coords(tiny_space, index) == coords
 
     def test_index_bounds_checked(self, tiny_space):
         with pytest.raises(IndexError):
-            tiny_space.cell_coords(25)
+            cell_coords(tiny_space, 25)
         with pytest.raises(ValueError):
             tiny_space.locate_batch([(0,)])
 
@@ -80,7 +80,7 @@ class TestEventSpace:
         for x in range(5):
             for y in range(5):
                 index = locate(tiny_space, (x, y))
-                assert tiny_space.cell_value(index) == (x, y)
+                assert cell_value(tiny_space, index) == (x, y)
 
     def test_locate_outside(self, tiny_space):
         assert locate(tiny_space, (-2, 0)) == -1
@@ -88,8 +88,8 @@ class TestEventSpace:
 
     def test_cell_rectangle_contains_its_value(self, tiny_space):
         for index in range(tiny_space.n_cells):
-            rect = tiny_space.cell_rectangle(index)
-            assert rect.contains(tiny_space.cell_value(index))
+            rect = cell_rectangle(tiny_space, index)
+            assert rect.contains(cell_value(tiny_space, index))
 
     def test_cell_rectangles_partition_space(self, tiny_space):
         """Every in-domain point belongs to exactly one cell rectangle."""
@@ -98,7 +98,7 @@ class TestEventSpace:
             hits = [
                 i
                 for i in range(tiny_space.n_cells)
-                if tiny_space.cell_rectangle(i).contains(p)
+                if cell_rectangle(tiny_space, i).contains(p)
             ]
             assert len(hits) == 1
             assert hits[0] == locate(tiny_space, p)
@@ -111,7 +111,7 @@ class TestEventSpace:
         # (0,2] x (0,2] covers lattice values {1,2} x {1,2}
         rect = Rectangle((Interval.make(0, 2), Interval.make(0, 2)))
         cells = sorted(tiny_space.cells_in_rectangle(rect))
-        values = {tiny_space.cell_value(c) for c in cells}
+        values = {cell_value(tiny_space, c) for c in cells}
         assert values == {(1, 1), (1, 2), (2, 1), (2, 2)}
 
     def test_cells_overlapping_outside(self, tiny_space):
@@ -139,6 +139,6 @@ class TestEventSpace:
         expected = [
             i
             for i in range(tiny_space.n_cells)
-            if tiny_space.cell_rectangle(i).overlaps(rect)
+            if cell_rectangle(tiny_space, i).overlaps(rect)
         ]
         assert sorted(tiny_space.cells_in_rectangle(rect)) == expected

@@ -231,7 +231,8 @@ class TestEvaluationModel:
         centers = {0: [], 1: [], 2: []}
         for sub in subs.subscriptions:
             block = small_topology.transit_block[sub.node]
-            centers[block].append(sub.rectangle.sides[1].midpoint())
+            side = sub.rectangle.sides[1]
+            centers[block].append(0.5 * (side.lo + side.hi))
         for block, mean in zip(range(3), (3.0, 10.0, 17.0)):
             assert np.mean(centers[block]) == pytest.approx(mean, abs=0.5)
 
