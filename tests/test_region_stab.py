@@ -16,7 +16,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from repro.clustering import NoLossResult
-from repro.geometry import Dimension, EventSpace
+from repro.geometry import Dimension, EventSpace, Interval, Rectangle
 from repro.kernels import available_backends, set_backend
 from repro.kernels import backends as _backends
 from repro.matching import NoLossMatcher
@@ -52,6 +52,22 @@ def matcher_for(los, his, dims=2):
     return NoLossMatcher(result, subs)
 
 
+def first_rectangle(rects, point):
+    """The same rule stated on ``Rectangle.contains``: the first
+    rectangle that holds the point, or -1."""
+    return next((i for i, r in enumerate(rects) if r.contains(point)), -1)
+
+
+def matcher_for_rectangles(rects):
+    """A No-Loss matcher whose regions are the given rectangles."""
+    bounds = [r.bounds() for r in rects]
+    return matcher_for(
+        [lo for lo, _ in bounds],
+        [hi for _, hi in bounds],
+        dims=rects[0].dimensions,
+    )
+
+
 def on_each_backend(check):
     """Run ``check(backend)`` under every usable kernel backend."""
     try:
@@ -83,6 +99,16 @@ def region_rows(draw, dims=2):
     return los, his
 
 
+@st.composite
+def bounded_rectangles(draw, dims=2, span=10):
+    sides = []
+    for _ in range(dims):
+        lo = round(draw(st.floats(min_value=-1, max_value=span)), 3)
+        width = round(draw(st.floats(min_value=0.0, max_value=span)), 3)
+        sides.append(Interval.make(lo, lo + width))
+    return Rectangle(tuple(sides))
+
+
 class TestRegionStabProperties:
     @settings(max_examples=60, deadline=None)
     @given(region_rows(), st.lists(st.tuples(coords, coords), max_size=16))
@@ -101,6 +127,27 @@ class TestRegionStabProperties:
 
         on_each_backend(check)
 
+    @settings(max_examples=40, deadline=None)
+    @given(
+        st.lists(bounded_rectangles(), min_size=1, max_size=40),
+        st.lists(
+            st.tuples(
+                st.floats(min_value=-2, max_value=22),
+                st.floats(min_value=-2, max_value=22),
+            ),
+            min_size=1,
+            max_size=10,
+        ),
+    )
+    def test_matches_rectangle_contains(self, rects, points):
+        expected = [first_rectangle(rects, p) for p in points]
+        matcher = matcher_for_rectangles(rects)
+
+        def check(backend):
+            assert matcher.regions_of(points) == expected, backend
+
+        on_each_backend(check)
+
 
 class TestRegionStab:
     def test_half_open_semantics(self):
@@ -109,6 +156,27 @@ class TestRegionStab:
         def check(backend):
             # closed upper faces, open lower faces
             assert matcher.regions_of([(2, 2), (0, 1), (1, 0)]) == [0, -1, -1]
+
+        on_each_backend(check)
+
+    def test_single_one_dimensional_region(self):
+        matcher = matcher_for([[0]], [[5]], dims=1)
+
+        def check(backend):
+            assert matcher.regions_of([(3,), (5,), (0,), (6,)]) == [
+                0,
+                0,
+                -1,
+                -1,
+            ]
+
+        on_each_backend(check)
+
+    def test_point_outside_every_region(self):
+        matcher = matcher_for([[0, 0]], [[1, 1]])
+
+        def check(backend):
+            assert matcher.regions_of([(50, 50)]) == [-1]
 
         on_each_backend(check)
 
@@ -164,6 +232,22 @@ class TestRegionStab:
         matcher = matcher_for(lo, his, dims=3)
         points = rng.uniform(-2, 22, size=(200, 3))
         expected = [noloss_match(matcher.result, p) for p in points]
+        assert sum(r >= 0 for r in expected) > 0
+
+        def check(backend):
+            assert matcher.regions_of(points) == expected, backend
+
+        on_each_backend(check)
+
+    def test_many_regions_match_rectangle_contains(self, rng):
+        """1000 overlapping 2-d regions: the run stab picks the first
+        rectangle that ``Rectangle.contains`` says holds each point."""
+        lo = rng.uniform(-1, 10, size=(1000, 2))
+        hi = lo + rng.uniform(0.1, 5, size=(1000, 2))
+        rects = [Rectangle.from_bounds(a, b) for a, b in zip(lo, hi)]
+        matcher = matcher_for_rectangles(rects)
+        points = [tuple(p) for p in rng.uniform(0, 10, size=(50, 2))]
+        expected = [first_rectangle(rects, p) for p in points]
         assert sum(r >= 0 for r in expected) > 0
 
         def check(backend):
