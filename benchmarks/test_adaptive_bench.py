@@ -24,10 +24,9 @@ def decide_run(policy, publishers, plans):
     """Price a run of matched events through the policy's dispatcher
     and decide it: ``(plan costs, decisions)``."""
     priced = policy.dispatcher.price_run(
-        publishers, interested=[plan.interested for plan in plans],
-        plans=plans,
+        publishers, interested=plans.interested, plans=plans,
     )
-    unicast, _, plan_cost, broadcast = priced.T.tolist()
+    unicast, _, plan_cost, broadcast = priced.T
     return plan_cost, policy.decide(plans, unicast, plan_cost, broadcast)
 
 
@@ -54,10 +53,13 @@ def test_adaptive_delivery(benchmark, eval_ctx):
         plan_costs, decisions = decide_run(
             policy, [event.publisher for event in eval_ctx.events], plans
         )
-        for plan_cost, decision in zip(plan_costs, decisions):
+        for plan_cost, cost, unicast in zip(
+            plan_costs.tolist(), decisions.cost.tolist(),
+            decisions.unicast.tolist(),
+        ):
             fixed_cost += plan_cost
-            adaptive_cost += decision.cost
-            unicast_cost += decision.candidate_costs["unicast"]
+            adaptive_cost += cost
+            unicast_cost += unicast
         n = len(eval_ctx.events)
         return {
             "fixed": fixed_cost / n,

@@ -4,7 +4,7 @@ accounting."""
 
 from .broker import BrokerConfig, ContentBroker, DeliveryReceipt
 from .rebuild import RebuildScheduler
-from .stats import DeliveryStats
+from .stats import DeliveryStats, ReceiptRun
 
 __all__ = [
     "BrokerConfig",
@@ -12,4 +12,5 @@ __all__ = [
     "DeliveryReceipt",
     "DeliveryStats",
     "RebuildScheduler",
+    "ReceiptRun",
 ]

@@ -22,17 +22,17 @@ from typing import Dict, List, Optional, Sequence, Tuple
 import numpy as np
 
 from ..clustering import ForgyKMeansClustering, KMeansClustering
-from ..delivery import AdaptiveDeliveryPolicy, Dispatcher
+from ..delivery import MODES, AdaptiveDeliveryPolicy, Dispatcher
 from ..geometry import EventSpace, Rectangle
 from ..grid import CellSet, build_cell_set
-from ..matching import DeliveryPlan, GridMatcher
+from ..matching import DeliveryPlan, GridMatcher, PlanRun
 from ..network import RoutingTables, unicast_cost
 from ..obs import get_flight_recorder, get_tracer
 from ..workload import Subscription, SubscriptionSet
 from .rebuild import RebuildScheduler
-from .stats import DeliveryReceipt, DeliveryStats
+from .stats import DeliveryReceipt, DeliveryStats, ReceiptRun
 
-__all__ = ["BrokerConfig", "DeliveryReceipt", "ContentBroker"]
+__all__ = ["BrokerConfig", "DeliveryReceipt", "ContentBroker", "ReceiptRun"]
 
 #: the interested set of an event published to an empty broker
 _NO_INTEREST = np.empty(0, dtype=np.int64)
@@ -464,15 +464,16 @@ class ContentBroker:
         points: Sequence[Sequence[float]],
         publishers: Sequence[int],
         events: Optional[Sequence[Tuple[int, float]]] = None,
-    ) -> List[DeliveryReceipt]:
+    ) -> ReceiptRun:
         """Match, deliver and price a run of events on a fixed state.
 
         The run must see no subscription change, rebuild or topology
         change between its events; then one ``match_batch`` answers all
-        of them and each event is priced exactly as alone.  Receipts
-        come back and :attr:`stats` folds them in event order, so every
-        running float sum is the one a per-event loop would produce.
-        ``last_interested`` holds each event's interested internal ids.
+        of them and each event is priced exactly as alone.  The
+        receipts come back as columns and :attr:`stats` folds them in
+        event order, so every running float sum is the one a per-event
+        loop would produce.  ``last_interested`` holds each event's
+        interested internal ids.
 
         When the network currently has failed nodes or links, delivery
         degrades gracefully: groups whose multicast tree traverses a
@@ -487,9 +488,7 @@ class ContentBroker:
             raise ValueError("points / publishers length mismatch")
         if not self._active:
             self.last_interested = [_NO_INTEREST] * len(points)
-            receipts = [
-                DeliveryReceipt(0, False, 0.0, 0.0, 0.0, 0) for _ in points
-            ]
+            receipts = ReceiptRun.idle(len(points))
             self.stats.record_run(receipts)
             return receipts
         flight = get_flight_recorder()
@@ -498,22 +497,22 @@ class ContentBroker:
         # rebuild belongs to the run's first event
         with flight.event(*events[0]) if scoped else nullcontext():
             self._ensure_fresh()
-            plans = self._matcher.match_batch(points)
-            self.last_interested = [plan.interested for plan in plans]
+            run = self._matcher.match_batch(points)
+            self.last_interested = run.interested
             if self.routing.failed_nodes or self.routing.down_links:
                 receipts = []
-                for index, (plan, publisher) in enumerate(
-                    zip(plans, publishers)
-                ):
+                for index, publisher in enumerate(publishers):
                     if scoped:
                         flight.current_event, flight.now = events[index]
+                    plan = run[index]
                     self._record_match(flight, plan)
                     receipts.append(
                         self._deliver_degraded(plan, int(publisher))
                     )
+                receipts = ReceiptRun.of(receipts)
             else:
                 receipts = self._deliver_run(
-                    plans, publishers, events if scoped else None
+                    run, publishers, events if scoped else None
                 )
         self.stats.record_run(receipts)
         return receipts
@@ -532,82 +531,96 @@ class ContentBroker:
 
     def _deliver_run(
         self,
-        plans: Sequence[DeliveryPlan],
+        run: PlanRun,
         publishers: Sequence[int],
         events: Optional[Sequence[Tuple[int, float]]],
-    ) -> List[DeliveryReceipt]:
+    ) -> ReceiptRun:
         """Price a run of matched events over an intact network.
 
-        One :meth:`Dispatcher.price_run` prices every event's unicast
-        and ideal references, plan cost and broadcast cost; the
-        adaptive policy then decides the whole run.
+        One :meth:`Dispatcher.price_audited` prices every event's
+        unicast and ideal references, plan cost and broadcast cost and
+        audits every plan; the adaptive policy then decides the whole
+        run, column by column.
         """
-        with get_tracer().span("delivery.price_run", n_events=len(plans)):
-            priced = self._dispatcher.price_run(
-                publishers,
-                interested=self.last_interested,
-                plans=plans,
+        with get_tracer().span("delivery.price_run", n_events=len(run)):
+            priced, wasted = self._dispatcher.price_audited(
+                publishers, interested=run.interested, plans=run,
             )
-        unicast, ideal, plan_cost, broadcast = priced.T.tolist()
+        unicast, ideal, plan_cost, broadcast = priced.T
+        n_interested = run.n_interested()
         if self._policy is not None:
             decisions = self._policy.decide(
-                plans, unicast, plan_cost, broadcast
+                run, unicast, plan_cost, broadcast
             )
-        n_active = self._subscriptions.n_active_subscribers
+            cost = decisions.cost
+            mode = decisions.mode
+            modes = MODES
+            used_multicast = mode == 1
+            # a broadcast reaches every live subscriber; unicast wastes
+            # nothing
+            n_active = self._subscriptions.n_active_subscribers
+            wasted = np.where(
+                mode == 2, n_active - n_interested,
+                np.where(mode == 0, 0, wasted),
+            )
+        else:
+            cost = plan_cost
+            mode = np.zeros(len(run), dtype=np.int64)
+            modes = ("plan",)
+            used_multicast = run.groups >= 0
+        receipts = ReceiptRun(
+            n_interested, used_multicast, cost, unicast, ideal, wasted,
+            mode, modes,
+        )
         flight = get_flight_recorder()
-        receipts = []
-        for index, plan in enumerate(plans):
+        if flight.active:
+            self._record_run(flight, run, receipts, events)
+        return receipts
+
+    @staticmethod
+    def _record_run(flight, run, receipts, events) -> None:
+        """Each event's ``match``, ``dispatch``, ``deliver`` and
+        ``unicast`` flight stages, in event order."""
+        buf = flight.buf
+        columns = zip(
+            run.groups.tolist(), receipts.n_interested.tolist(),
+            run.n_unicast().tolist(), receipts.mode.tolist(),
+            receipts.cost.tolist(), receipts.used_multicast.tolist(),
+            receipts.wasted.tolist(),
+        )
+        for index, (group, n_interested, legs, mode, cost, used,
+                    wasted) in enumerate(columns):
             if events is not None:
                 flight.current_event, flight.now = events[index]
-            self._record_match(flight, plan)
-            wasted = plan.audit()
-            n_interested = len(plan.interested)
-            if self._policy is not None:
-                decision = decisions[index]
-                cost = decision.cost
-                mode = decision.mode
-                used_multicast = mode == "multicast"
-                if mode == "broadcast":
-                    wasted = n_active - n_interested
-                elif mode == "unicast":
-                    wasted = 0
-            else:
-                cost = plan_cost[index]
-                mode = "plan"
-                used_multicast = plan.uses_multicast
-            if flight.active:
-                eid = flight.current_event
-                t_now = flight.now
-                buf = flight.buf
-                buf.append((
-                    eid, "dispatch", t_now,
-                    "mode", mode, "cost", float(cost),
-                    "multicast", bool(used_multicast),
-                ))
-                # healthy path: every group's tree is intact, so one
-                # aggregate delivery record suffices
-                buf.append((
-                    eid, "deliver", t_now,
-                    "outcome", "delivered",
-                    "groups", len(plan.group_members),
-                    "wasted", int(wasted),
-                ))
-                if len(plan.unicast_subscribers):
-                    buf.append((
-                        eid, "unicast", t_now,
-                        "legs", len(plan.unicast_subscribers),
-                        "fallback", False,
-                    ))
-            receipts.append(DeliveryReceipt(
-                n_interested=n_interested,
-                used_multicast=used_multicast,
-                cost=cost,
-                unicast_cost=unicast[index],
-                ideal_cost=ideal[index],
-                wasted_deliveries=wasted,
-                mode=mode,
+            # raw-append protocol: see FlightRecorder.buf
+            eid = flight.current_event
+            t_now = flight.now
+            groups = int(group >= 0)
+            buf.append((
+                eid, "match", t_now,
+                "interested", n_interested,
+                "groups", groups,
+                "unicast_legs", legs,
             ))
-        return receipts
+            buf.append((
+                eid, "dispatch", t_now,
+                "mode", receipts.modes[mode], "cost", cost,
+                "multicast", used,
+            ))
+            # healthy path: every group's tree is intact, so one
+            # aggregate delivery record suffices
+            buf.append((
+                eid, "deliver", t_now,
+                "outcome", "delivered",
+                "groups", groups,
+                "wasted", wasted,
+            ))
+            if legs:
+                buf.append((
+                    eid, "unicast", t_now,
+                    "legs", legs,
+                    "fallback", False,
+                ))
 
     def _deliver_degraded(
         self, plan: DeliveryPlan, publisher: int
@@ -742,7 +755,9 @@ class ContentBroker:
         outcome = (
             "degraded" if (degraded_groups or n_lost) else "delivered"
         )
-        used_multicast = len(plan.group_members) > degraded_groups
+        used_multicast = (
+            plan.uses_multicast and len(plan.group_members) > degraded_groups
+        )
         if flight.active:
             flight.stage(
                 "dispatch", mode="fault", cost=float(total),

@@ -2,14 +2,22 @@
 models (unicast / broadcast / dense-mode multicast / application-level
 multicast)."""
 
-from .adaptive import AdaptiveDecision, AdaptiveDeliveryPolicy
-from .dispatcher import BACKENDS, SCHEMES, Dispatcher, resolve_backend
+from .adaptive import MODES, AdaptiveDeliveryPolicy, DecisionRun
+from .dispatcher import (
+    BACKENDS,
+    SCHEMES,
+    Dispatcher,
+    RouteTable,
+    resolve_backend,
+)
 
 __all__ = [
     "BACKENDS",
     "SCHEMES",
     "Dispatcher",
+    "RouteTable",
     "resolve_backend",
-    "AdaptiveDecision",
     "AdaptiveDeliveryPolicy",
+    "DecisionRun",
+    "MODES",
 ]

@@ -12,33 +12,34 @@ filtered out as necessary"), and execute the cheapest.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
-from typing import Dict, List, Sequence
+from typing import Dict, NamedTuple, Sequence
 
-from ..matching import DeliveryPlan
+import numpy as np
+
+from ..matching import DeliveryPlan, PlanRun
 from ..obs import get_registry
 from .dispatcher import Dispatcher
 
-__all__ = ["AdaptiveDecision", "AdaptiveDeliveryPolicy"]
+__all__ = ["AdaptiveDeliveryPolicy", "DecisionRun", "MODES"]
+
+#: the modes, in the order the first-minimum rule prefers them on ties
+MODES = ("unicast", "multicast", "broadcast")
 
 
-@dataclass(frozen=True)
-class AdaptiveDecision:
-    """Outcome of the per-event mode selection."""
+class DecisionRun(NamedTuple):
+    """A run's decisions as columns: per event the chosen ``mode`` (an
+    index into :data:`MODES`) and its ``cost``, and the candidates it
+    was chosen from: the ``unicast`` cost, the plan's ``multicast``
+    cost (a candidate where ``uses_multicast``) and the penalised
+    ``broadcast`` cost (a candidate where ``has_interest``)."""
 
-    mode: str  # "unicast" | "multicast" | "broadcast"
-    cost: float
-    candidate_costs: Dict[str, float]
-
-    @property
-    def realized_gap(self) -> float:
-        """Cost the fixed policy (execute the matcher's plan) would have
-        paid beyond the adaptive choice.  Zero when the plan was already
-        the cheapest mode."""
-        realized = self.candidate_costs.get(
-            "multicast", self.candidate_costs["unicast"]
-        )
-        return realized - self.cost
+    mode: np.ndarray
+    cost: np.ndarray
+    unicast: np.ndarray
+    multicast: np.ndarray
+    broadcast: np.ndarray
+    uses_multicast: np.ndarray
+    has_interest: np.ndarray
 
 
 class AdaptiveDeliveryPolicy:
@@ -59,19 +60,13 @@ class AdaptiveDeliveryPolicy:
         self.dispatcher = dispatcher
         self.broadcast_penalty = broadcast_penalty
         #: per-mode selection counts, for reporting
-        self.mode_counts: Dict[str, int] = {
-            "unicast": 0,
-            "multicast": 0,
-            "broadcast": 0,
-        }
+        self.mode_counts: Dict[str, int] = {mode: 0 for mode in MODES}
         # instruments bound once: decide() runs on every publish run
         registry = get_registry()
         counter = registry.counter(
             "delivery_mode_total", "adaptive per-event mode decisions"
         )
-        self._mode_children = {
-            mode: counter.labels(mode=mode) for mode in self.mode_counts
-        }
+        self._mode_children = [counter.labels(mode=mode) for mode in MODES]
         self._gap_hist = registry.histogram(
             "delivery_mode_cost_gap",
             "cost the matcher's fixed plan would have paid beyond the "
@@ -87,38 +82,50 @@ class AdaptiveDeliveryPolicy:
         unicast: Sequence[float],
         plan_cost: Sequence[float],
         broadcast: Sequence[float],
-    ) -> List[AdaptiveDecision]:
+    ) -> DecisionRun:
         """Pick the cheapest of {unicast, plan-multicast, broadcast} for
-        each event of a run.
+        each event of a run, as a column comparison.
 
+        ``plans`` is a :class:`PlanRun` or a sequence of plans;
         ``unicast``, ``plan_cost`` and ``broadcast`` are the events'
         priced costs (the columns of :meth:`Dispatcher.price_run`).
-        ``delivery_mode_total`` is incremented once per mode of the
-        run; the cost-gap histogram observes each event in order.
+        Multicast is a candidate when the plan uses a group, broadcast
+        (times the penalty) when anyone is interested; ties go to the
+        first of unicast, multicast, broadcast.  ``delivery_mode_total``
+        is incremented once per mode of the run; the cost-gap histogram
+        observes each event in order.
         """
-        decisions = []
-        tally: Dict[str, int] = {}
-        penalty = self.broadcast_penalty
-        observe = self._gap_hist.observe
-        for plan, uni, multi, flood in zip(
-            plans, unicast, plan_cost, broadcast
-        ):
-            candidates: Dict[str, float] = {"unicast": uni}
-            if plan.uses_multicast:
-                candidates["multicast"] = multi
-            if len(plan.interested):
-                candidates["broadcast"] = flood * penalty
-            mode = min(candidates, key=candidates.get)
-            tally[mode] = tally.get(mode, 0) + 1
-            decision = AdaptiveDecision(
-                mode=mode,
-                cost=candidates[mode],
-                candidate_costs=candidates,
+        if isinstance(plans, PlanRun):
+            bounds = plans.bounds
+            uses_multicast = plans.groups >= 0
+            has_interest = bounds[1::2] > bounds[0:-1:2]
+        else:
+            uses_multicast = np.array(
+                [plan.uses_multicast for plan in plans], dtype=bool
             )
-            observe(decision.realized_gap)
-            decisions.append(decision)
-        for mode, n in tally.items():
-            self.mode_counts[mode] += n
-            self._mode_children[mode].inc(n)
-        return decisions
-
+            has_interest = np.array(
+                [len(plan.interested) > 0 for plan in plans], dtype=bool
+            )
+        unicast = np.asarray(unicast, dtype=np.float64)
+        multicast = np.asarray(plan_cost, dtype=np.float64)
+        flood = np.asarray(broadcast, dtype=np.float64)
+        if self.broadcast_penalty != 1.0:
+            flood = flood * self.broadcast_penalty
+        # a later candidate wins only when strictly cheaper
+        fixed = np.where(uses_multicast, multicast, unicast)
+        to_multicast = fixed < unicast
+        cost = np.where(to_multicast, multicast, unicast)
+        to_flood = has_interest & (flood < cost)
+        np.copyto(cost, flood, where=to_flood)
+        mode = np.where(to_flood, 2, to_multicast)
+        # the cost the fixed policy (the matcher's plan) would have paid
+        # beyond the choice
+        self._gap_hist.observe_many(fixed - cost)
+        for code, n in enumerate(np.bincount(mode, minlength=3).tolist()):
+            if n:
+                self.mode_counts[MODES[code]] += n
+                self._mode_children[code].inc(n)
+        return DecisionRun(
+            mode, cost, unicast, multicast, flood, uses_multicast,
+            has_interest,
+        )

@@ -24,12 +24,13 @@ coverage.
 
 from __future__ import annotations
 
-from typing import List, Optional, Sequence
+import os
+from typing import Dict, List, Optional, Sequence
 
 import numpy as np
 
 from ..kernels import get_backend
-from ..matching import DeliveryPlan
+from ..matching import DeliveryPlan, PlanRun
 from ..network import (
     RoutingTables,
     application_multicast_cost,
@@ -44,7 +45,9 @@ from ..network import (
 from ..obs import get_tracer
 from ..workload import SubscriptionSet
 
-__all__ = ["Dispatcher", "SCHEMES", "BACKENDS", "resolve_backend"]
+__all__ = [
+    "Dispatcher", "RouteTable", "SCHEMES", "BACKENDS", "resolve_backend",
+]
 
 SCHEMES = ("dense", "alm", "sparse", "overlay")
 
@@ -73,6 +76,80 @@ def resolve_backend(name: str) -> str:
         raise ValueError(
             f"unknown multicast backend {name!r}; valid backends: {valid}"
         ) from None
+
+
+class RouteTable:
+    """The shortest-path rows ``price_dense`` reads, staged once per
+    routing version.
+
+    Row ``r`` holds one publisher's ``(dist, pred, edge)`` tree arrays,
+    as the routing tables cache them, with their addresses, and its
+    full tree cost (the broadcast).  A publisher is staged the first
+    time it is priced, so its Dijkstra runs then, as before; no row is
+    copied.  A fail or heal bumps the topology version and the next
+    call restages from the routing tables.
+    """
+
+    def __init__(self, routing: RoutingTables) -> None:
+        self.routing = routing
+        self.n = routing.graph.n_nodes
+        self._version: Optional[tuple] = None
+        self._clear()
+
+    def _clear(self) -> None:
+        self.row_of: Dict[int, int] = {}
+        #: per row the (dist, pred, edge) arrays, kept referenced while
+        #: their addresses are staged
+        self.trees: List[tuple] = []
+        self._grow(16)
+
+    def _grow(self, capacity: int) -> None:
+        n_rows = len(self.trees)
+        old = (self.sources, self.addresses, self.broadcast) if n_rows else ()
+        self.sources = np.zeros(capacity, dtype=np.int64)
+        self.addresses = np.zeros((capacity, 3), dtype=np.int64)
+        self.broadcast = np.zeros(capacity, dtype=np.float64)
+        for new, before in zip(
+            (self.sources, self.addresses, self.broadcast), old
+        ):
+            new[:n_rows] = before[:n_rows]
+
+    @property
+    def n_rows(self) -> int:
+        return len(self.trees)
+
+    def rows(self, publishers: Sequence[int]) -> List[int]:
+        """The row of each publisher, staging the ones not yet seen."""
+        # addresses hold only in the process that read them, so a copy
+        # sent to a worker restages too
+        version = (self.routing.topology_version, os.getpid())
+        if version != self._version:
+            self._clear()
+            self._version = version
+        row_of = self.row_of
+        rows = [row_of.get(publisher) for publisher in publishers]
+        if None in rows:
+            for e, publisher in enumerate(publishers):
+                if rows[e] is None:
+                    rows[e] = self._stage(int(publisher))
+        return rows
+
+    def _stage(self, publisher: int) -> int:
+        row = self.row_of.get(publisher)
+        if row is not None:
+            return row
+        sp = self.routing.shortest_paths(publisher)
+        tree = (*sp.arrays(), sp.edge_costs())
+        if any(len(array) != self.n for array in tree):
+            raise ValueError("a tree row needs one entry per node")
+        row = self.row_of[publisher] = len(self.trees)
+        if row == len(self.sources):
+            self._grow(2 * row)
+        self.trees.append(tree)
+        self.sources[row] = publisher
+        self.addresses[row] = [array.ctypes.data for array in tree]
+        self.broadcast[row] = sp.tree_cost()
+        return row
 
 
 class Dispatcher:
@@ -105,6 +182,7 @@ class Dispatcher:
         self._core_given = core is not None
         self._core_version: Optional[int] = None
         self._overlay_delivery = None
+        self._routes: Optional[RouteTable] = None
 
     @property
     def core(self) -> int:
@@ -160,16 +238,37 @@ class Dispatcher:
         plans: Optional[Sequence[DeliveryPlan]] = None,
     ) -> np.ndarray:
         """Price a run of events: ``(E, 4)`` float64 columns unicast
-        reference, ideal reference, plan cost and broadcast cost.
+        reference, ideal reference, plan cost and broadcast cost
+        (:meth:`price_audited` without the audit)."""
+        return self.price_audited(publishers, interested, plans, False)[0]
 
-        The references and the broadcast cost are priced when
-        ``interested`` (each event's interested ids) is given, the plan
-        costs when ``plans`` is; the other columns read zero.  Every
-        value equals its per-event method bit for bit, and an
-        unreachable node raises the error the per-event pricing raises
-        first.  Under the dense scheme the kernel backend prices the
-        whole run in one call (``price_dense``); otherwise, or when the
-        backend has no such kernel, each event is priced in python.
+    def price_audited(
+        self,
+        publishers: Sequence[int],
+        interested: Optional[Sequence[Sequence[int]]] = None,
+        plans: Optional[Sequence[DeliveryPlan]] = None,
+        audit: bool = True,
+    ):
+        """Price a run of events: ``(costs, wasted)``.
+
+        ``costs`` is ``(E, 4)`` float64 columns unicast reference,
+        ideal reference, plan cost and broadcast cost; the references
+        and the broadcast cost are priced when ``interested`` (each
+        event's interested ids) is given, the plan costs when ``plans``
+        is; the other columns read zero.  ``wasted`` is each plan's
+        :meth:`DeliveryPlan.audit` count (zero without plans), and a
+        plan that misses an interested subscriber raises the audit's
+        ``AssertionError``.  Every value equals its per-event method bit
+        for bit, and an unreachable node raises the error the per-event
+        pricing raises first.  With ``audit`` off no plan is audited
+        and ``wasted`` reads zero.
+
+        ``plans`` is a :class:`PlanRun` or a sequence of plans; a run
+        carries its own interest sets, so with a run ``interested`` is
+        ``None`` or the run's :attr:`PlanRun.interested`.  Under the
+        dense scheme a run (or interest sets alone) is priced in one
+        kernel call (``price_dense``); otherwise, or when the backend
+        has no such kernel, each event is priced in python.
         """
         n_events = len(publishers)
         for given in (interested, plans):
@@ -177,49 +276,43 @@ class Dispatcher:
                 raise ValueError("one interest set / plan per publisher")
         priced = None
         if self.scheme == "dense" and n_events:
-            priced = self._price_dense(publishers, interested, plans)
+            run = None
+            if plans is None:
+                if interested is not None:
+                    run = PlanRun.of_interest(interested)
+            elif isinstance(plans, PlanRun) and (
+                interested is None or interested is plans.interested
+            ):
+                run = plans
+            if run is not None:
+                priced = self._price_dense(
+                    publishers, run, interested is not None,
+                    plans is not None, audit,
+                )
         if priced is None:
-            priced = self._price_events(publishers, interested, plans)
+            priced = self._price_events(publishers, interested, plans, audit)
         return priced
 
-    def _price_dense(self, publishers, interested, plans):
+    def _price_dense(self, publishers, run, references, plans, audit):
         """The run as one ``price_dense`` kernel call (``None`` when the
-        backend prices in python).  The shortest-path rows come from
-        the routing tables' cache, one per distinct publisher."""
-        row_of = {}
-        trees = []
-        event_rows = []
-        for publisher in publishers:
-            publisher = int(publisher)
-            row = row_of.get(publisher)
-            if row is None:
-                row = row_of[publisher] = len(trees)
-                sp = self.routing.shortest_paths(publisher)
-                dist, pred = sp.arrays()
-                trees.append((publisher, dist, pred, sp.edge_costs()))
-            event_rows.append(row)
-        lists = []
-        counts = []
-        for e in range(len(publishers)):
-            count = 0
-            if interested is not None:
-                lists.append(interested[e])
-                count = 1
-            if plans is not None:
-                plan = plans[e]
-                lists.extend(plan.group_members)
-                lists.append(plan.unicast_subscribers)
-                count += len(plan.group_members) + 1
-            counts.append(count)
+        backend prices in python), over the staged route table."""
+        if self._routes is None:
+            self._routes = RouteTable(self.routing)
+        routes = self._routes
         return get_backend().price_dense(
-            trees, event_rows, self.subscriptions.subscriber_nodes,
-            lists, counts, interested is not None, plans is not None,
+            routes, routes.rows(publishers),
+            self.subscriptions.subscriber_nodes, run, references, plans,
+            audit,
         )
 
-    def _price_events(self, publishers, interested, plans):
-        """The per-event python pricing: the reference
-        :meth:`price_run` matches."""
+    def _price_events(self, publishers, interested, plans, audit):
+        """The per-event python pricing and audit: the reference
+        :meth:`price_audited` matches.  Pricing errors come first:
+        every event is priced before an audit may raise."""
         priced = np.zeros((len(publishers), 4), dtype=np.float64)
+        wasted = np.zeros(len(publishers), dtype=np.int64)
+        if plans is not None:
+            plans = [plans[e] for e in range(len(publishers))]
         for e, publisher in enumerate(publishers):
             publisher = int(publisher)
             row = priced[e]
@@ -230,18 +323,10 @@ class Dispatcher:
                 row[1] = self.ideal_reference(publisher, ids, nodes)
                 row[3] = self.broadcast_reference(publisher)
             if plans is not None:
-                plan = plans[e]
-                if (
-                    interested is not None
-                    and not plan.group_members
-                    and plan.unicast_subscribers is interested[e]
-                ):
-                    # a pure-unicast plan reusing the interest array
-                    # costs exactly its unicast reference
-                    row[2] = row[0]
-                else:
-                    row[2] = self.plan_cost(publisher, plan)
-        return priced
+                row[2] = self.plan_cost(publisher, plans[e])
+        if plans is not None and audit:
+            wasted[:] = [plan.audit() for plan in plans]
+        return priced, wasted
 
     # ------------------------------------------------------------------
     def group_cost(self, publisher: int, nodes: np.ndarray) -> float:

@@ -215,23 +215,32 @@ def cell_set_from_membership(
     if max_cells is not None and max_cells < 1:
         raise ValueError("max_cells must be at least 1")
     # merge identical membership rows into hyper-cells
-    nonempty, first_idx, hyper, sizes = _group_rows(packed)
+    nonempty, first_idx, hyper, sizes = _seen_groups(packed)
     if len(nonempty) == 0:
         raise ValueError("no grid cell is covered by any subscription")
     n_hyper = len(first_idx)
     first_cells = nonempty[first_idx]
     probs = np.bincount(hyper, weights=cell_pmf[nonempty], minlength=n_hyper)
 
-    # cut to the most popular first (CellSet.popularity, stable ties), so
-    # only the kept hyper-cells get rows, cell lists and map entries
+    # hyper-cells in the byte order of their rows; with a cut, the most
+    # popular first (CellSet.popularity, ties in byte order), and only
+    # the keys up to the max_cells-th smallest are ranked at all
     if max_cells is not None and max_cells < n_hyper:
-        keep = _most_popular(-(probs * sizes), max_cells)
-        first_cells, probs = first_cells[keep], probs[keep]
-        new_of_old = np.full(n_hyper, -1, dtype=np.int64)
-        new_of_old[keep] = np.arange(max_cells)
-        hyper = new_of_old[hyper]
-        kept = hyper >= 0
-        hyper, nonempty = hyper[kept], nonempty[kept]
+        keys = -(probs * sizes)
+        kth = np.partition(keys, max_cells - 1)[max_cells - 1]
+        candidates = np.flatnonzero(keys <= kth)
+        candidates = candidates[_byte_order(packed, first_cells[candidates])]
+        keep = candidates[
+            np.argsort(keys[candidates], kind="stable")[:max_cells]
+        ]
+    else:
+        keep = _byte_order(packed, first_cells)
+    first_cells, probs = first_cells[keep], probs[keep]
+    new_of_old = np.full(n_hyper, -1, dtype=np.int64)
+    new_of_old[keep] = np.arange(len(keep))
+    hyper = new_of_old[hyper]
+    kept = hyper >= 0
+    hyper, nonempty = hyper[kept], nonempty[kept]
 
     order = np.argsort(hyper, kind="stable")
     boundaries = np.flatnonzero(np.diff(hyper[order])) + 1
@@ -246,34 +255,25 @@ def cell_set_from_membership(
     )
 
 
-def _most_popular(keys: np.ndarray, n: int) -> np.ndarray:
-    """``np.argsort(keys, kind="stable")[:n]`` without sorting every
-    key: only the keys up to the ``n``-th smallest can be among the
-    first ``n``, and a stable sort of those, taken in index order, puts
-    them in the full sort's order."""
-    kth = np.partition(keys, n - 1)[n - 1]
-    candidates = np.flatnonzero(keys <= kth)
-    return candidates[np.argsort(keys[candidates], kind="stable")[:n]]
-
-
 def _unpack(packed: np.ndarray, n_columns: int) -> np.ndarray:
     """Boolean ``(rows, n_columns)`` matrix of packed membership rows."""
     return np.unpackbits(packed, axis=1, count=n_columns).view(bool)
 
 
-def _group_rows(
+def _seen_groups(
     packed: np.ndarray,
 ) -> Tuple[np.ndarray, np.ndarray, np.ndarray, np.ndarray]:
     """``(nonempty, first_idx, inverse, sizes)`` of packed membership
-    rows.
+    rows, the groups of equal rows numbered in order of first
+    occurrence.
 
     ``nonempty`` are the rows with a set bit, ascending; over those
-    rows, ``first_idx`` and ``inverse`` are ``np.unique(axis=0,
-    return_index=True, return_inverse=True)``: groups in the
-    lexicographic order of their bytes, each group's first occurrence.
-    ``sizes`` is each group's bit count.  The active backend's
-    ``group_rows`` kernel does it in one pass; the numpy reference sorts
-    big-endian words with one ``lexsort``.
+    rows, ``first_idx`` (ascending) and ``inverse`` are the groups of
+    ``np.unique(axis=0, return_index=True, return_inverse=True)``, and
+    ``sizes`` each group's bit count.  The active backend's
+    ``group_rows`` kernel does it in one hashing pass; the numpy
+    reference sorts big-endian words with one ``lexsort`` and
+    renumbers.  :func:`_byte_order` ranks the groups a caller keeps.
     """
     grouped = get_backend().group_rows(packed)
     if grouped is not None:
@@ -284,7 +284,23 @@ def _group_rows(
         return nonempty, empty, empty, empty
     words = _big_endian_words(packed[nonempty])
     first_idx, inverse = _group_equal_rows(words)
-    return nonempty, first_idx, inverse, popcount_rows(words[first_idx])
+    seen = np.argsort(first_idx)
+    number = np.empty_like(seen)
+    number[seen] = np.arange(len(seen))
+    return (
+        nonempty, first_idx[seen], number[inverse],
+        popcount_rows(words[first_idx[seen]]),
+    )
+
+
+def _byte_order(packed: np.ndarray, rows: np.ndarray) -> np.ndarray:
+    """The order of distinct packed rows ``packed[rows]`` by their bytes
+    (``np.unique``'s lexicographic order): the active backend's
+    ``sort_rows`` kernel, or one ``lexsort`` of big-endian words."""
+    order = get_backend().sort_rows(packed, rows)
+    if order is not None:
+        return order
+    return np.lexsort(_big_endian_words(packed[rows]).T[::-1])
 
 
 def _big_endian_words(packed: np.ndarray) -> np.ndarray:

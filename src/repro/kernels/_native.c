@@ -25,7 +25,8 @@
  * -ffp-contract=off matters: a fused multiply-add would skip the
  * intermediate rounding numpy performs and break bit-equality.
  *
- * The hyper-cell build (repro_rasterise_boxes, repro_group_rows) does
+ * The hyper-cell build (repro_rasterise_boxes, repro_group_rows,
+ * repro_sort_rows) does
  * no float arithmetic: it ORs bits and compares bytes, and its outputs
  * equal the numpy reference's index arrays element for element.
  *
@@ -916,40 +917,51 @@ static int tree_walk(
     return 0;
 }
 
-/* Dense-mode pricing of a run of events in one call: per event the
- * unicast and ideal references and the broadcast cost (flag 1) and the
- * plan cost (flag 2), each equal bit for bit to Dispatcher's per-event
- * python pricing (unicast_reference, ideal_reference,
- * broadcast_reference, plan_cost).
+/* Dense-mode pricing of a matched run of events in one call: per
+ * event the unicast and ideal references and the broadcast cost (flag
+ * 1), the plan cost (flag 2) and the plan's wasted deliveries (flag 4,
+ * with 2), each
+ * equal to Dispatcher's per-event python pricing (unicast_reference,
+ * ideal_reference, broadcast_reference, plan_cost) and to
+ * DeliveryPlan.audit.
  *
- *   sources (R,) int64, dist / edge (R, n) float64, pred (R, n) int64:
- *       the shortest-path tree rows of the run's publishers (edge[v] =
- *       dist[v] - dist[pred[v]], 0 at the root and unreachable nodes)
+ *   sources (R,) int64, trees (R, 3) int64, broadcast (R,) float64:
+ *       the shortest-path trees staged for the routing version, row r
+ *       the addresses of its dist (n,) float64, pred (n,) int64 and
+ *       edge (n,) float64 arrays (edge[v] = dist[v] - dist[pred[v]], 0
+ *       at the root and unreachable nodes), and its full tree cost
  *   event_rows (E,) int64: the row of each event's publisher
  *   sub_nodes (n_subs,) int64: node of each subscriber id
- *   event_ptr (E+1,) int64 into the lists (event_ptr[0] = 0),
- *   list_ptr (L+1,) int64 into ids (list_ptr[0] = 0): per event its
- *   subscriber-id lists — the interested ids (flag 1), then each
- *   multicast group's members and the unicast subscribers (flag 2)
+ *   bounds (2E+1,), groups (E,), ids: the run form (matching.PlanRun):
+ *       event e's interested ids are ids[bounds[2e], bounds[2e+1]),
+ *       groups[e] its group or -1, and with a group its unicast ids
+ *       ids[bounds[2e+1], bounds[2e+2]); without one the interested
+ *       ids go unicast
+ *   masks (n_groups rows of mask_stride bytes, mask_width columns):
+ *       group g's members are the ids s with masks[g][s] set
  *   out (E, 4) float64: unicast, ideal, plan, broadcast
- *   err (2,) int64 out: on failure the kind (0: unicast leg, 1: tree)
- *   and the unreachable node
+ *   wasted (E,) int64 (flag 4): covered subscribers not interested
+ *   err (3,) int64 out: on a pricing failure the kind (0: unicast leg,
+ *   1: tree) and the unreachable node; err[2] the first event whose
+ *   plan misses an interested subscriber, or -1
  *
  * Events are priced in order, and within one event in the order the
  * python path prices them, so the first unreachable node reported is
  * the one the python path raises on.  Returns -1 on success, the
- * failing event's index, -2 when scratch allocation fails, or -3 when
- * an index is out of range (nothing is priced then). */
+ * failing event's index, -2 when scratch allocation fails, -3 when an
+ * index is out of range (nothing is priced then), or -4 when every
+ * cost was priced but a plan is incomplete (err[2]). */
 EXPORT int64_t repro_price_dense(
-    int64_t n, const int64_t *sources, const double *dist,
-    const int64_t *pred, const double *edge, int64_t n_rows,
-    const int64_t *event_rows, int64_t n_events,
-    const int64_t *sub_nodes, int64_t n_subs, const int64_t *event_ptr,
-    const int64_t *list_ptr, int64_t n_lists, const int64_t *ids,
-    int64_t flags, double *out, int64_t *err)
+    int64_t n, const int64_t *sources, const int64_t *trees,
+    const double *broadcast, int64_t n_rows, const int64_t *event_rows,
+    int64_t n_events,
+    const int64_t *sub_nodes, int64_t n_subs, const int64_t *bounds,
+    const int64_t *groups, const int64_t *ids, int64_t n_ids,
+    const uint8_t *masks, int64_t mask_stride, int64_t mask_width,
+    int64_t n_groups, int64_t flags, double *out, int64_t *wasted,
+    int64_t *err)
 {
     /* every index the walk follows must be in range */
-    int64_t need = (flags & 1) + ((flags & 2) >> 1);
     for (int64_t r = 0; r < n_rows; ++r) {
         if (sources[r] < 0 || sources[r] >= n) {
             return -3;
@@ -960,14 +972,19 @@ EXPORT int64_t repro_price_dense(
             return -3;
         }
     }
+    if (bounds[0] < 0 || bounds[2 * n_events] > n_ids
+        || mask_width > n_subs) {
+        return -3;
+    }
     for (int64_t e = 0; e < n_events; ++e) {
         if (event_rows[e] < 0 || event_rows[e] >= n_rows
-            || event_ptr[e + 1] < event_ptr[e] + need
-            || event_ptr[e + 1] > n_lists) {
+            || groups[e] < -1 || groups[e] >= n_groups
+            || bounds[2 * e + 1] < bounds[2 * e]
+            || bounds[2 * e + 2] < bounds[2 * e + 1]) {
             return -3;
         }
     }
-    for (int64_t i = 0; i < list_ptr[n_lists]; ++i) {
+    for (int64_t i = 0; i < bounds[2 * n_events]; ++i) {
         if (ids[i] < 0 || ids[i] >= n_subs) {
             return -3;
         }
@@ -979,9 +996,11 @@ EXPORT int64_t repro_price_dense(
     s.seen = calloc((size_t)(4 * n), sizeof(int64_t));
     s.nodes = malloc((size_t)(3 * n + 1) * sizeof(int64_t));
     s.vals = malloc((size_t)(n + 1) * sizeof(double));
-    double *broadcast = malloc((size_t)(n_rows + 1) * sizeof(double));
+    /* audit: the subscribers a plan covers, by stamp */
+    int64_t *held = calloc((size_t)(n_subs + 1), sizeof(int64_t));
     int64_t status = -1;
-    if (!s.seen || !s.nodes || !s.vals || !broadcast) {
+    err[2] = -1;
+    if (!s.seen || !s.nodes || !s.vals || !held) {
         status = -2;
         goto done;
     }
@@ -991,38 +1010,20 @@ EXPORT int64_t repro_price_dense(
     s.level = s.nodes + n;
     s.next = s.nodes + 2 * n;
 
-    if (flags & 1) {
-        /* broadcast_cost: np.sum of dist[v] - dist[pred[v]] over the
-         * reachable non-root nodes, ascending */
-        for (int64_t r = 0; r < n_rows; ++r) {
-            const double *d = dist + r * n;
-            const int64_t *p = pred + r * n;
-            int64_t k = 0;
-            for (int64_t v = 0; v < n; ++v) {
-                int64_t q = p[v];
-                if (v != sources[r] && isfinite(d[v]) && q >= 0 && q < n) {
-                    s.vals[k++] = d[v] - d[q];
-                }
-            }
-            broadcast[r] = np_sum(s.vals, k);
-        }
-    }
-
     for (int64_t e = 0; e < n_events; ++e) {
         int64_t r = event_rows[e];
         int64_t source = sources[r];
-        const double *d = dist + r * n;
-        const int64_t *p = pred + r * n;
-        const double *ed = edge + r * n;
-        int64_t first = event_ptr[e];
-        int64_t last = event_ptr[e + 1];
+        const double *d = (const double *)(uintptr_t)trees[3 * r];
+        const int64_t *p = (const int64_t *)(uintptr_t)trees[3 * r + 1];
+        const double *ed = (const double *)(uintptr_t)trees[3 * r + 2];
+        const int64_t *interested = ids + bounds[2 * e];
+        int64_t n_interested = bounds[2 * e + 1] - bounds[2 * e];
+        int64_t g = groups[e];
         double *o = out + 4 * e;
         int64_t count;
         o[0] = o[1] = o[2] = o[3] = 0.0;
         if (flags & 1) {
-            count = nodes_of(
-                &s, ids + list_ptr[first],
-                list_ptr[first + 1] - list_ptr[first], sub_nodes);
+            count = nodes_of(&s, interested, n_interested, sub_nodes);
             if (unicast_sum(&s, d, s.nodes, count, &o[0], &err[1])) {
                 err[0] = 0;
                 status = e;
@@ -1035,54 +1036,104 @@ EXPORT int64_t repro_price_dense(
                 goto done;
             }
             o[3] = broadcast[r];
-            first += 1;
         }
-        if (flags & 2) {
-            int64_t cover = ++s.stamp;
-            double total = 0.0;
-            double leg;
-            for (int64_t g = first; g < last - 1; ++g) {
-                count = nodes_of(
-                    &s, ids + list_ptr[g], list_ptr[g + 1] - list_ptr[g],
-                    sub_nodes);
-                if (tree_walk(&s, source, d, p, ed, s.nodes, count,
-                              &leg, &err[1])) {
-                    err[0] = 1;
-                    status = e;
-                    goto done;
-                }
-                total += leg;
-                for (int64_t i = 0; i < count; ++i) {
-                    s.covered[s.nodes[i]] = cover;
-                }
+        if (!(flags & 2)) {
+            continue;
+        }
+        wasted[e] = 0;
+        if (g < 0) {
+            /* unicast only: the unicast reference's legs */
+            if (flags & 1) {
+                o[2] = o[0];
+                continue;
             }
-            count = nodes_of(
-                &s, ids + list_ptr[last - 1],
-                list_ptr[last] - list_ptr[last - 1], sub_nodes);
-            if (last - 1 > first) {
-                /* drop nodes a group already reaches (order kept) */
-                int64_t k = 0;
-                for (int64_t i = 0; i < count; ++i) {
-                    if (s.covered[s.nodes[i]] != cover) {
-                        s.nodes[k++] = s.nodes[i];
-                    }
-                }
-                count = k;
-            }
-            if (unicast_sum(&s, d, s.nodes, count, &leg, &err[1])) {
+            count = nodes_of(&s, interested, n_interested, sub_nodes);
+            if (unicast_sum(&s, d, s.nodes, count, &o[2], &err[1])) {
                 err[0] = 0;
                 status = e;
                 goto done;
             }
-            total += leg;
-            o[2] = total;
+            continue;
         }
+        const uint8_t *row = masks + g * mask_stride;
+        const int64_t *unicast = ids + bounds[2 * e + 1];
+        int64_t n_unicast = bounds[2 * e + 2] - bounds[2 * e + 1];
+        int64_t cover = ++s.stamp;
+        double total = 0.0;
+        double leg;
+        /* the group's nodes: its members, ascending, as nodes_of
+         * would take them from the member list */
+        int64_t n_members = 0;
+        int64_t stamp = ++s.stamp;
+        count = 0;
+        for (int64_t i = 0; i < mask_width; ++i) {
+            if (row[i]) {
+                int64_t v = sub_nodes[i];
+                ++n_members;
+                if (s.seen[v] != stamp) {
+                    s.seen[v] = stamp;
+                    s.nodes[count++] = v;
+                }
+            }
+        }
+        sort_marked(s.nodes, count, s.seen, stamp, s.n);
+        if (tree_walk(&s, source, d, p, ed, s.nodes, count, &leg,
+                      &err[1])) {
+            err[0] = 1;
+            status = e;
+            goto done;
+        }
+        total += leg;
+        for (int64_t i = 0; i < count; ++i) {
+            s.covered[s.nodes[i]] = cover;
+        }
+        /* drop nodes the group already reaches (order kept) */
+        count = nodes_of(&s, unicast, n_unicast, sub_nodes);
+        int64_t k = 0;
+        for (int64_t i = 0; i < count; ++i) {
+            if (s.covered[s.nodes[i]] != cover) {
+                s.nodes[k++] = s.nodes[i];
+            }
+        }
+        if (unicast_sum(&s, d, s.nodes, k, &leg, &err[1])) {
+            err[0] = 0;
+            status = e;
+            goto done;
+        }
+        o[2] = total + leg;
+        if (!(flags & 4)) {
+            continue;
+        }
+        /* DeliveryPlan.audit: the covered subscribers (members and
+         * unicast ids, once each) must hold every interested one */
+        int64_t held_stamp = e + 1;
+        int64_t n_covered = n_members;
+        for (int64_t i = 0; i < n_unicast; ++i) {
+            int64_t v = unicast[i];
+            if (held[v] != held_stamp && !(v < mask_width && row[v])) {
+                ++n_covered;
+            }
+            held[v] = held_stamp;
+        }
+        for (int64_t i = 0; i < n_interested; ++i) {
+            int64_t v = interested[i];
+            if (held[v] != held_stamp && !(v < mask_width && row[v])) {
+                if (err[2] < 0) {
+                    err[2] = e;
+                }
+                break;
+            }
+        }
+        wasted[e] = n_covered - n_interested;
+    }
+    if (err[2] >= 0) {
+        status = -4;
     }
 done:
     free(s.seen);
     free(s.nodes);
     free(s.vals);
-    free(broadcast);
+    free(held);
     return status;
 }
 
@@ -1165,7 +1216,7 @@ static inline uint64_t row_hash(const uint8_t *row, int64_t b, int64_t *bits)
     return h;
 }
 
-/* Sort group ids by their rows' bytes (memcmp order); the rows are
+/* Sort ids by their rows' bytes (memcmp order); the rows are
  * distinct, so stability does not matter.  A plain top-down merge
  * sort, with the rows passed in rather than held in a global. */
 static void sort_rows(
@@ -1213,26 +1264,26 @@ static void sort_rows(
     memcpy(ids, tmp, (size_t)n * sizeof *ids);
 }
 
-/* Group equal packed rows: np.unique(rows[nonempty], axis=0,
- * return_index=True, return_inverse=True) in one pass, with the
- * all-zero rows dropped on the way.
+/* Group equal packed rows in one pass, with the all-zero rows
+ * dropped on the way: the groups of np.unique(rows[nonempty], axis=0,
+ * return_index=True, return_inverse=True), numbered in order of first
+ * occurrence instead of by their bytes (repro_sort_rows ranks the
+ * ones a caller keeps).
  *
  *   rows      (n, b) packed membership rows
  *   nonempty  out (n,): the rows with a set bit, ascending; the first
  *             *n_nonempty entries are written
  *   first     out (n,): per group, the position in nonempty of its
- *             first occurrence
+ *             first occurrence (ascending)
  *   inverse   out (n,): per nonempty row, its group
  *   sizes     out (n,): per group, the set bits of its row
  *
  * The rows are hashed in row order, so a group is found first at its
- * smallest row (np.unique's return_index); a row equal to the previous
- * non-empty row (neighbouring grid cells often are) joins its group
- * without a probe.  Table slots hold the hash's top half as a tag, so
- * a probe compares row bytes only on a tag match.  Groups are then
- * ranked by memcmp of their bytes, which is np.unique's lexicographic
- * order of uint8 rows.  Returns the number of groups, or -2 when the
- * scratch allocation fails. */
+ * smallest row; a row equal to the previous non-empty row
+ * (neighbouring grid cells often are) joins its group without a
+ * probe.  Table slots hold the hash's top half as a tag, so a probe
+ * compares row bytes only on a tag match.  Returns the number of
+ * groups, or -2 when the scratch allocation fails. */
 typedef struct {
     uint32_t tag;
     int32_t group;  /* -1: empty slot */
@@ -1250,11 +1301,8 @@ EXPORT int64_t repro_group_rows(
     uint64_t mask = (uint64_t)cap - 1;
     group_slot *table = malloc((size_t)cap * sizeof *table);
     int64_t *row_of = malloc((size_t)(n + 1) * sizeof *row_of);
-    int64_t *pos_of = malloc((size_t)(n + 1) * sizeof *pos_of);
-    int64_t *order = malloc((size_t)(n + 1) * sizeof *order);
-    int64_t *tmp = malloc((size_t)(n + 1) * sizeof *tmp);
     int64_t n_groups = -2;
-    if (!table || !row_of || !pos_of || !order || !tmp) {
+    if (!table || !row_of) {
         goto done;
     }
     for (int64_t s = 0; s < cap; ++s) {
@@ -1288,7 +1336,7 @@ EXPORT int64_t repro_group_rows(
                 table[slot].tag = tag;
                 table[slot].group = (int32_t)g;
                 row_of[g] = i;
-                pos_of[g] = pos;
+                first[g] = pos;
                 sizes[g] = bits;
                 break;
             }
@@ -1303,29 +1351,30 @@ EXPORT int64_t repro_group_rows(
         prev_group = g;
     }
     *n_nonempty = count;
-    for (int64_t g = 0; g < n_groups; ++g) {
-        order[g] = g;
-    }
-    sort_rows(order, tmp, n_groups, rows, b, row_of);
-    /* rank of each first-seen group id, reusing tmp; sizes follow the
-     * groups into rank order through row_of, which the sort no longer
-     * needs */
-    for (int64_t r = 0; r < n_groups; ++r) {
-        first[r] = pos_of[order[r]];
-        tmp[order[r]] = r;
-        row_of[r] = sizes[order[r]];
-    }
-    memcpy(sizes, row_of, (size_t)n_groups * sizeof *sizes);
-    for (int64_t pos = 0; pos < count; ++pos) {
-        inverse[pos] = tmp[inverse[pos]];
-    }
 done:
     free(table);
     free(row_of);
-    free(pos_of);
-    free(order);
-    free(tmp);
     return n_groups;
+}
+
+/* The memcmp order of n distinct packed rows (row_ids (n,) into rows,
+ * b bytes each), which is np.unique's lexicographic order of uint8
+ * rows: order (n,) out, positions into row_ids.  Returns 0, or -2
+ * when the scratch allocation fails. */
+EXPORT int64_t repro_sort_rows(
+    const uint8_t *rows, int64_t b, const int64_t *row_ids, int64_t n,
+    int64_t *order)
+{
+    int64_t *tmp = malloc((size_t)(n + 1) * sizeof *tmp);
+    if (!tmp) {
+        return -2;
+    }
+    for (int64_t i = 0; i < n; ++i) {
+        order[i] = i;
+    }
+    sort_rows(order, tmp, n, rows, b, row_ids);
+    free(tmp);
+    return 0;
 }
 
 /* Ascending int64 order for qsort (equal values are interchangeable,

@@ -14,8 +14,8 @@ kernels over packed bitsets (:mod:`repro.kernels.bitset`):
     ``pairwise_fit``, the K-means fits' ``nearest_seeds``,
     ``group_state``, MacQueen ``kmeans_sweeps`` and Forgy
     ``forgy_sweeps`` kernels, the batched dense-mode ``price_dense``
-    pricing, the hyper-cell build's ``rasterise_boxes`` and
-    ``group_rows``, the publish run's ``match_run`` (interest sets,
+    pricing, the hyper-cell build's ``rasterise_boxes``, ``group_rows``
+    and ``sort_rows``, the publish run's ``match_run`` (interest sets,
     grid cell, group and the Figure 5 rule) and No-Loss's
     ``containing_run``.
 
@@ -170,10 +170,15 @@ class NumpyBackend:
         with ``lexsort``."""
         return None
 
+    def sort_rows(self, packed, rows):
+        """No row sort in numpy — the grid ``lexsort``s the rows'
+        words."""
+        return None
+
     def match_run(self, *args):
         """No one-call run matching in numpy — callers broadcast the
-        point test and build each plan with
-        :func:`repro.matching.threshold_plan`."""
+        point test and build the run with
+        :meth:`repro.matching.PlanRun.assemble`."""
         return None
 
     def containing_run(self, *args):

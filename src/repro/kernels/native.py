@@ -34,8 +34,11 @@ __all__ = ["NativeBackend", "load_native_backend"]
 
 _SOURCE = Path(__file__).with_name("_native.c")
 
+_addressof = ctypes.addressof
+_c_char = ctypes.c_char
+
 #: bump to invalidate cached shared libraries on wrapper changes
-_ABI_TAG = "v4"
+_ABI_TAG = "v5"
 
 
 def _cache_dir() -> Path:
@@ -92,8 +95,15 @@ def _build_library() -> Optional[ctypes.CDLL]:
         return None
 
 
-def _ptr(array: np.ndarray) -> ctypes.c_void_p:
-    return ctypes.c_void_p(array.ctypes.data)
+def _ptr(array: np.ndarray) -> int:
+    """The address of an array's first item.  A ctypes view of its
+    buffer reads it in a third of the time ``.ctypes`` takes; arrays
+    that export no writable contiguous buffer (read-only, strided or
+    empty ones) take ``.ctypes``."""
+    try:
+        return _addressof(_c_char.from_buffer(array))
+    except (TypeError, ValueError, BufferError):
+        return array.ctypes.data
 
 
 def _carve(dtype, sizes: Sequence[int]):
@@ -102,7 +112,7 @@ def _carve(dtype, sizes: Sequence[int]):
     (``.ctypes``), so a call with many small inputs stages them in one
     buffer and reads its address once."""
     buffer = np.empty(sum(sizes), dtype=dtype)
-    base = buffer.ctypes.data
+    base = _ptr(buffer)
     views, addresses, start = [], [], 0
     for size in sizes:
         views.append(buffer[start:start + size])
@@ -133,6 +143,19 @@ def _in_place(array: np.ndarray, dtype, shape: Tuple[int, ...]) -> None:
             f"in-place state must be C-contiguous "
             f"{np.dtype(dtype)} of shape {shape}"
         )
+
+
+def _mask_rows(masks: np.ndarray) -> np.ndarray:
+    """Boolean membership rows whose columns lie one byte apart (rows
+    may be strided: a clustering grows its rows in a wider buffer)."""
+    masks = np.asarray(masks)
+    if masks.dtype != np.bool_ or masks.ndim != 2 or (
+        masks.shape[1] > 1 and masks.strides[1] != 1
+    ):
+        masks = np.ascontiguousarray(masks, dtype=np.bool_)
+    if masks.ndim != 2:
+        raise ValueError("membership rows must form a 2-d array")
+    return masks
 
 
 def _per_row(values: np.ndarray, m: int) -> np.ndarray:
@@ -169,6 +192,8 @@ class NativeBackend:
             ptr, i64, i64, ptr, ptr, ptr, ptr, ptr,
         ]
         lib.repro_group_rows.restype = i64
+        lib.repro_sort_rows.argtypes = [ptr, i64, ptr, i64, ptr]
+        lib.repro_sort_rows.restype = i64
         lib.repro_pairwise_fit.argtypes = [
             ptr, i64, i64, ptr, i64, ptr, ptr, ptr, ptr, ptr, ptr, ptr,
         ]
@@ -191,8 +216,8 @@ class NativeBackend:
         ]
         lib.repro_forgy_sweeps.restype = i64
         lib.repro_price_dense.argtypes = [
-            i64, ptr, ptr, ptr, ptr, i64, ptr, i64, ptr, i64, ptr, ptr,
-            i64, ptr, i64, ptr, ptr,
+            i64, ptr, ptr, ptr, i64, ptr, i64, ptr, i64, ptr,
+            ptr, ptr, i64, ptr, i64, i64, i64, i64, ptr, ptr, ptr,
         ]
         lib.repro_price_dense.restype = i64
         lib.repro_match_run.argtypes = [
@@ -203,6 +228,11 @@ class NativeBackend:
         lib.repro_match_run.restype = i64
         #: ids per query of the last run of each kind, to size the next
         self._ids_per_query = {False: 0.0, True: 0.0}
+        #: the cell part of the last grid: (its array objects, their
+        #: staged arguments, the staged arrays)
+        self._grid = None
+        #: the group rows and sizes of the call in progress
+        self._grid_rows = None
 
     # ------------------------------------------------------------------
     def popcount_rows(self, words: np.ndarray) -> np.ndarray:
@@ -320,8 +350,8 @@ class NativeBackend:
         self, packed: np.ndarray
     ) -> Tuple[np.ndarray, np.ndarray, np.ndarray, np.ndarray]:
         """``(nonempty, first_idx, inverse, sizes)`` of packed rows in
-        one hashing pass plus a ``memcmp`` sort of the distinct rows
-        (see :func:`repro.grid.cells._group_rows`)."""
+        one hashing pass, the groups numbered in order of first
+        occurrence (see :func:`repro.grid.cells._seen_groups`)."""
         packed = np.ascontiguousarray(packed, dtype=np.uint8)
         n, b = packed.shape
         (nonempty, first, inverse, sizes, count), at = _carve(
@@ -335,6 +365,21 @@ class NativeBackend:
             nonempty[:n_nonempty], first[:n_groups],
             inverse[:n_nonempty], sizes[:n_groups],
         )
+
+    def sort_rows(self, packed: np.ndarray, rows: np.ndarray) -> np.ndarray:
+        """The ``memcmp`` order of the distinct packed rows
+        ``packed[rows]`` (see :func:`repro.grid.cells._byte_order`)."""
+        packed = np.ascontiguousarray(packed, dtype=np.uint8)
+        rows = np.ascontiguousarray(rows, dtype=np.int64)
+        n, b = packed.shape
+        if len(rows) and not 0 <= rows.min() <= rows.max() < n:
+            raise ValueError("row index out of range")
+        order = np.empty(len(rows), dtype=np.int64)
+        if self._lib.repro_sort_rows(
+            _ptr(packed), b, _ptr(rows), len(rows), _ptr(order)
+        ) < 0:
+            raise MemoryError("sort_rows scratch allocation failed")
+        return order
 
     def pairwise_fit(self, packed: PackedBits, probs: np.ndarray, n_groups: int):
         words = np.ascontiguousarray(packed.words).copy()
@@ -493,85 +538,80 @@ class NativeBackend:
 
     def price_dense(
         self,
-        trees: Sequence[Tuple[int, np.ndarray, np.ndarray, np.ndarray]],
+        table,
         event_rows: Sequence[int],
         subscriber_nodes: np.ndarray,
-        lists: Sequence[Sequence[int]],
-        lists_per_event: Sequence[int],
+        run,
         references: bool,
         plans: bool,
-    ) -> np.ndarray:
-        """Dense-mode costs of a run of events in one call.
+        audit: bool,
+    ):
+        """Dense-mode costs of a matched run of events in one call.
 
-        ``trees`` holds one ``(source, dist, pred, edge)`` shortest-path
-        row per distinct publisher and ``event_rows`` the row of each
-        event.  Each event owns ``lists_per_event[e]`` consecutive
-        subscriber-id lists: its interested ids when ``references``,
-        then, when ``plans``, each multicast group's members and the
-        unicast subscribers.  Returns ``(E, 4)`` float64 columns
-        unicast reference, ideal reference, plan cost and broadcast
-        cost (zero where not asked for).  An unreachable node raises
-        the ``ValueError`` the per-event pricing raises.
+        ``table`` holds the staged shortest-path rows (per row the
+        source, the addresses of its ``(dist, pred, edge)`` arrays of
+        ``table.n`` entries and its broadcast cost; see
+        :class:`repro.delivery.RouteTable`) and ``event_rows`` the row
+        of each event's publisher.  ``run`` is the
+        :class:`repro.matching.PlanRun`, read as it is.  Returns ``(costs, wasted)``: ``(E, 4)`` float64
+        columns unicast reference, ideal reference, plan cost and
+        broadcast cost (the references with ``references``, the plan
+        costs with ``plans``; zero otherwise), and each plan's wasted
+        deliveries (with ``plans`` and ``audit``).  An unreachable node
+        raises the ``ValueError`` the per-event pricing raises, and
+        under ``audit`` a plan that misses an interested subscriber the
+        ``AssertionError`` of :meth:`DeliveryPlan.audit`.
         """
         n_events = len(event_rows)
+        # one buffer: the event rows, the wasted counts, the error slots
+        # and the costs (int64 and float64 share an item size)
+        (rows, wasted, err, costs), at = _carve(
+            np.int64, (n_events, n_events, 3, 4 * n_events)
+        )
+        costs = costs.view(np.float64).reshape(n_events, 4)
+        costs[:] = 0.0
+        wasted[:] = 0
         if n_events == 0:
-            return np.zeros((0, 4), dtype=np.float64)
-        n_rows = len(trees)
-        n = len(trees[0][1]) if trees else 0
-        for _, dist, pred, edge in trees:
-            if not len(dist) == len(pred) == len(edge) == n:
-                raise ValueError("every tree row needs one entry per node")
-        n_lists = len(lists)
-        if (
-            len(lists_per_event) != n_events
-            or sum(lists_per_event) != n_lists
-        ):
-            raise ValueError("list counts do not cover the lists")
-        lengths = np.fromiter(map(len, lists), np.int64, n_lists)
-        n_ids = int(lengths.sum())
-        n_subs = len(subscriber_nodes)
-        size = n_rows * n
-        ints, int_at = _carve(np.int64, (
-            n_rows, size, n_events, n_events + 1, n_lists + 1, n_subs,
-            n_ids, 2,
-        ))
-        sources, pred, rows, event_ptr, list_ptr, sub_nodes, ids, err = ints
-        floats, float_at = _carve(np.float64, (size, size, 4 * n_events))
-        dist, edge, out = floats
-        sources[:] = [tree[0] for tree in trees]
-        np.concatenate([tree[1] for tree in trees], out=dist)
-        np.concatenate([tree[2] for tree in trees], out=pred)
-        np.concatenate([tree[3] for tree in trees], out=edge)
+            return costs, wasted
         rows[:] = event_rows
-        event_ptr[0] = list_ptr[0] = 0
-        np.cumsum(lists_per_event, out=event_ptr[1:])
-        np.cumsum(lengths, out=list_ptr[1:])
-        sub_nodes[:] = subscriber_nodes
-        if n_ids:
-            np.concatenate(lists, out=ids, casting="unsafe")
-        flags = int(references) | 2 * int(plans)
-        (at_sources, at_pred, at_rows, at_event_ptr, at_list_ptr,
-         at_sub_nodes, at_ids, at_err) = int_at
-        at_dist, at_edge, at_out = float_at
+        sub_nodes = np.ascontiguousarray(subscriber_nodes, dtype=np.int64)
+        bounds = np.ascontiguousarray(run.bounds, dtype=np.int64)
+        groups = np.ascontiguousarray(run.groups, dtype=np.int64)
+        ids = np.ascontiguousarray(run.ids, dtype=np.int64)
+        masks = _mask_rows(run.table.masks)
+        if (
+            len(bounds) != 2 * n_events + 1
+            or len(groups) != n_events
+            or len(masks) != len(run.table.lists)
+        ):
+            raise ValueError("price_dense index out of range")
+        at_rows, at_wasted, at_err, at_costs = at
         status = self._lib.repro_price_dense(
-            n, at_sources, at_dist, at_pred, at_edge, n_rows, at_rows,
-            n_events, at_sub_nodes, n_subs, at_event_ptr, at_list_ptr,
-            n_lists, at_ids, flags, at_out, at_err,
+            table.n, _ptr(table.sources), _ptr(table.addresses),
+            _ptr(table.broadcast), table.n_rows, at_rows, n_events,
+            _ptr(sub_nodes), len(sub_nodes), _ptr(bounds), _ptr(groups),
+            _ptr(ids), len(ids), _ptr(masks), masks.strides[0],
+            masks.shape[1], len(masks),
+            int(references) | 2 * int(plans) | 4 * int(audit and plans),
+            at_costs, at_wasted, at_err,
         )
         if status == -3:
             raise ValueError("price_dense index out of range")
         if status == -2:
             raise MemoryError("price_dense scratch allocation failed")
+        if status == -4:
+            run[int(err[2])].audit()
+            raise AssertionError("delivery plan misses interested subscribers")
         if status >= 0:
             # the texts of network.unicast_cost and ShortestPaths.tree_cost
             kind, node = int(err[0]), int(err[1])
-            source = int(sources[rows[status]])
+            source = int(table.sources[rows[status]])
             if kind == 0:
                 raise ValueError(
                     f"node {node} unreachable from publisher {source}"
                 )
             raise ValueError(f"node {node} unreachable from {source}")
-        return out.reshape(n_events, 4)
+        return costs, wasted
 
     def match_run(
         self,
@@ -591,7 +631,7 @@ class NativeBackend:
         threshold)``: each point's cell, hyper-cell and group as
         :meth:`EventSpace.locate_batch` and
         :meth:`Clustering.groups_of_grid_cells` find them, then
-        :func:`repro.matching.threshold_plan`'s rule.  Returns
+        :meth:`repro.matching.PlanRun.assemble`'s rule.  Returns
         ``(bounds, groups, ids, n_fallbacks)``: point ``e``'s sorted
         unique interested ids are ``ids[bounds[2e]:bounds[2e + 1]]``, a
         multicast plan's unicast ids ``ids[bounds[2e + 1]:bounds[2e +
@@ -617,10 +657,10 @@ class NativeBackend:
         return bounds, ids
 
     def _run(self, queries, tops, los, his, owners, grid=None):
-        queries = np.asarray(queries, dtype=np.float64)
-        los = np.asarray(los, dtype=np.float64)
-        his = np.asarray(his, dtype=np.float64)
-        owners = np.asarray(owners, dtype=np.int64)
+        queries = np.ascontiguousarray(queries, dtype=np.float64)
+        los = np.ascontiguousarray(los, dtype=np.float64)
+        his = np.ascontiguousarray(his, dtype=np.float64)
+        owners = np.ascontiguousarray(owners, dtype=np.int64)
         if los.ndim != 2 or his.shape != los.shape or (
             owners.shape != (len(los),)
         ):
@@ -630,71 +670,23 @@ class NativeBackend:
             tops is not None and tops.shape != queries.shape
         ):
             raise ValueError("queries must be an (E, n_dims) array")
-        n = len(queries)
-        floats = [queries, los, his]
+        at_tops = None
         if tops is not None:
-            floats.append(tops)
-        ints = [owners]
+            tops = np.ascontiguousarray(tops, dtype=np.float64)
+            at_tops = _ptr(tops)
+        at_grid = (None,) * 5 + (0, None, 0, None, 0, 0, None, 0, 0.0)
         if grid is not None:
-            (dim_lo, dim_hi, shape, hyper, assignment, masks, sizes,
-             threshold) = grid
-            dim_lo = np.asarray(dim_lo, dtype=np.float64)
-            dim_hi = np.asarray(dim_hi, dtype=np.float64)
-            hyper = np.ascontiguousarray(hyper, dtype=np.int32)
-            assignment = np.asarray(assignment, dtype=np.int64)
-            sizes = np.asarray(sizes, dtype=np.int64)
-            shape = [int(size) for size in shape]
-            strides = [1] * n_dims
-            for d in range(n_dims - 2, -1, -1):
-                strides[d] = strides[d + 1] * shape[d + 1]
-            if (
-                dim_lo.shape != (n_dims,)
-                or dim_hi.shape != (n_dims,)
-                or len(shape) != n_dims
-                or hyper.shape != (math.prod(shape),)
-                or assignment.ndim != 1
-            ):
-                raise ValueError("grid arrays do not fit the space")
-            masks = np.asarray(masks)
-            if masks.dtype != np.bool_ or masks.ndim != 2 or (
-                masks.shape[1] > 1 and masks.strides[1] != 1
-            ):
-                masks = np.ascontiguousarray(masks, dtype=np.bool_)
-            if masks.ndim != 2 or sizes.shape != (len(masks),):
-                raise ValueError("one membership row and size per group")
-            floats += [dim_lo, dim_hi]
-            ints += [shape + strides, assignment, sizes]
-            at_hyper, at_masks = hyper.ctypes.data, masks.ctypes.data
-        n_floats = len(floats)
-        staged = [a.size for a in floats] + [len(a) for a in ints]
+            at_grid = self._staged_grid(grid, n_dims)
+        n = len(queries)
         header = 3 * n + 3
         hint = self._ids_per_query[tops is not None]
         capacity = int(2.0 * hint * n) + 64
+        at_rows = (_ptr(queries), at_tops, n_rows, _ptr(los), _ptr(his),
+                   _ptr(owners))
         for _ in range(2):
-            # one buffer: the inputs, then the output (int64 and float64
-            # share an item size, so float inputs are float views of it)
-            views, at = _carve(np.int64, staged + [header + capacity])
-            for view, values in zip(views, floats):
-                view.view(np.float64)[:] = values.ravel()
-            for view, values in zip(views[n_floats:], ints):
-                view[:] = values
-            out = views[-1]
-            at_queries, at_los, at_his = at[:3]
-            at_tops = at[3] if tops is not None else None
-            at_grid = (None,) * 5 + (0, None, 0, None, 0, 0, None, 0, 0.0)
-            if grid is not None:
-                at_dim_lo, at_dim_hi = at[n_floats - 2:n_floats]
-                at_shape, at_assignment, at_sizes = at[-4:-1]
-                at_strides = at_shape + 8 * n_dims
-                at_grid = (
-                    at_dim_lo, at_dim_hi, at_shape, at_strides, at_hyper,
-                    len(hyper), at_assignment, len(assignment), at_masks,
-                    masks.strides[0], masks.shape[1], at_sizes, len(masks),
-                    float(threshold),
-                )
+            out = np.empty(header + capacity, dtype=np.int64)
             status = self._lib.repro_match_run(
-                n, n_dims, at_queries, at_tops, n_rows, at_los, at_his,
-                at[n_floats], *at_grid, at[-1], capacity,
+                n, n_dims, *at_rows, *at_grid, _ptr(out), capacity,
             )
             if status != 1:
                 break
@@ -711,6 +703,60 @@ class NativeBackend:
             out[2:2 * n + 3], out[2 * n + 3:header],
             out[header:header + n_ids], int(out[1]),
         )
+
+    def _staged_grid(self, grid: tuple, n_dims: int) -> tuple:
+        """``match_run``'s grid arguments, checked.  The cell part
+        (bounds, shape, hyper-cells, assignment) is staged once per set
+        of array objects, which a clustering keeps and never changes in
+        place; the group rows and sizes, which joins and leaves change,
+        are read on every call."""
+        (dim_lo, dim_hi, shape, hyper, assignment, masks, sizes,
+         threshold) = grid
+        key = grid[:5]
+        cached = self._grid
+        if cached is None or any(
+            a is not b for a, b in zip(cached[0], key)
+        ):
+            cached = self._grid = (key,) + self._stage_cells(
+                dim_lo, dim_hi, shape, hyper, assignment, n_dims
+            )
+        masks = _mask_rows(masks)
+        sizes = np.ascontiguousarray(sizes, dtype=np.int64)
+        if sizes.shape != (len(masks),):
+            raise ValueError("one membership row and size per group")
+        self._grid_rows = (masks, sizes)
+        return cached[1] + (
+            _ptr(masks), masks.strides[0], masks.shape[1], _ptr(sizes),
+            len(masks), float(threshold),
+        )
+
+    @staticmethod
+    def _stage_cells(dim_lo, dim_hi, shape, hyper, assignment, n_dims):
+        """The cell part of a grid: its staged arguments, and the
+        arrays they address (kept referenced while in use)."""
+        dim_lo = np.ascontiguousarray(dim_lo, dtype=np.float64)
+        dim_hi = np.ascontiguousarray(dim_hi, dtype=np.float64)
+        hyper = np.ascontiguousarray(hyper, dtype=np.int32)
+        assignment = np.ascontiguousarray(assignment, dtype=np.int64)
+        shape = [int(size) for size in shape]
+        strides = [1] * n_dims
+        for d in range(n_dims - 2, -1, -1):
+            strides[d] = strides[d + 1] * shape[d + 1]
+        if (
+            dim_lo.shape != (n_dims,)
+            or dim_hi.shape != (n_dims,)
+            or len(shape) != n_dims
+            or hyper.shape != (math.prod(shape),)
+            or assignment.ndim != 1
+        ):
+            raise ValueError("grid arrays do not fit the space")
+        shape = np.array(shape, dtype=np.int64)
+        strides = np.array(strides, dtype=np.int64)
+        staged = (
+            _ptr(dim_lo), _ptr(dim_hi), _ptr(shape), _ptr(strides),
+            _ptr(hyper), len(hyper), _ptr(assignment), len(assignment),
+        )
+        return staged, (dim_lo, dim_hi, shape, strides, hyper, assignment)
 
 
 def load_native_backend() -> Optional[NativeBackend]:

@@ -2,10 +2,12 @@
 (Figure 5) and the no-loss matcher (Figure 6)."""
 
 from .matchers import GridMatcher, NoLossMatcher
-from .plan import DeliveryPlan
+from .plan import DeliveryPlan, GroupTable, PlanRun
 
 __all__ = [
     "GridMatcher",
     "NoLossMatcher",
     "DeliveryPlan",
+    "GroupTable",
+    "PlanRun",
 ]

@@ -30,6 +30,7 @@ from .metrics import (
     Gauge,
     Histogram,
     MetricsRegistry,
+    fold_sum,
 )
 from .openmetrics import render_openmetrics
 from .slo import Objective, SloBreach, SloEngine, load_slo_spec
@@ -41,6 +42,7 @@ __all__ = [
     "Histogram",
     "MetricsRegistry",
     "DEFAULT_BUCKETS",
+    "fold_sum",
     "Span",
     "Tracer",
     "aggregate_spans",

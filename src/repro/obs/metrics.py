@@ -20,12 +20,15 @@ import math
 import threading
 from typing import Dict, Iterable, List, Mapping, Optional, Sequence, Tuple
 
+import numpy as np
+
 __all__ = [
     "Counter",
     "Gauge",
     "Histogram",
     "MetricsRegistry",
     "DEFAULT_BUCKETS",
+    "fold_sum",
 ]
 
 #: default histogram bucket upper bounds (seconds-oriented: spans from
@@ -36,6 +39,15 @@ DEFAULT_BUCKETS = (
 )
 
 LabelKey = Tuple[Tuple[str, str], ...]
+
+
+def fold_sum(total: float, values) -> float:
+    """``total`` plus each of ``values`` in order, one float addition
+    at a time: bit for bit the running sum a per-item loop keeps (a
+    numpy reduction would sum pairwise)."""
+    for value in values.tolist() if hasattr(values, "tolist") else values:
+        total += value
+    return total
 
 
 def _label_key(labels: Mapping[str, object]) -> LabelKey:
@@ -53,6 +65,24 @@ class _Instrument:
         self.description = description
         self._lock = threading.Lock()
         self._children: Dict[LabelKey, object] = {}
+        #: children bound by :meth:`child`, by label value
+        self._by_value: Dict[object, object] = {}
+
+    def child(self, label: Optional[str], value: object):
+        """The child whose one ``label`` reads ``value`` (the unlabelled
+        child for ``None``), resolved once.
+
+        A path that increments a labelled instrument once per run would
+        otherwise sort a label key on every run.  The child is created
+        on the first call, as :meth:`labels` would create it, so a
+        snapshot keeps its order; a fresh registry (a pool worker's)
+        has fresh instruments, so nothing stays bound across them.
+        """
+        child = self._by_value.get(value)
+        if child is None:
+            labels = {} if label is None else {label: value}
+            child = self._by_value[value] = self.labels(**labels)
+        return child
 
     def labels(self, **labels: object):
         """The child tracking one label combination (created on demand)."""
@@ -200,11 +230,15 @@ class Gauge(_Instrument):
 class _HistogramChild:
     """Count/sum/min/max plus cumulative bucket counts."""
 
-    __slots__ = ("_lock", "_bounds", "_buckets", "count", "sum", "min", "max")
+    __slots__ = (
+        "_lock", "_bounds", "_edges", "_buckets", "count", "sum", "min",
+        "max",
+    )
 
     def __init__(self, bounds: Sequence[float]) -> None:
         self._lock = threading.Lock()
         self._bounds = tuple(bounds)
+        self._edges = np.array(self._bounds, dtype=np.float64)
         self._buckets = [0] * (len(self._bounds) + 1)  # +inf overflow
         self.count = 0
         self.sum = 0.0
@@ -225,6 +259,26 @@ class _HistogramChild:
                     self._buckets[idx] += 1
                     return
             self._buckets[-1] += 1
+
+    def observe_many(self, values) -> None:
+        """:meth:`observe` each of ``values`` (a float64 array) in order:
+        the same count, sum, min, max and buckets."""
+        if not len(values):
+            return
+        # the first bound at or above each value; NaN lands past the end
+        slots = np.searchsorted(self._edges, values, side="left").tolist()
+        with self._lock:
+            self.count += len(slots)
+            total, low, high = self.sum, self.min, self.max
+            buckets = self._buckets
+            for value, slot in zip(values.tolist(), slots):
+                total += value
+                if value < low:
+                    low = value
+                if value > high:
+                    high = value
+                buckets[slot] += 1
+            self.sum, self.min, self.max = total, low, high
 
     @property
     def mean(self) -> float:
@@ -366,6 +420,21 @@ class MetricsRegistry:
 
     def counter(self, name: str, description: str = "") -> Counter:
         return self._get_or_create(Counter, name, description)
+
+    def counter_child(
+        self,
+        name: str,
+        description: str,
+        label: Optional[str] = None,
+        value: object = None,
+    ) -> _CounterChild:
+        """The child of counter ``name`` whose one ``label`` reads
+        ``value`` (the unlabelled child without a label), resolved once
+        per counter (see :meth:`_Instrument.child`)."""
+        counter = self._instruments.get(name)
+        if counter is None:
+            counter = self.counter(name, description)
+        return counter.child(label, value)
 
     def gauge(self, name: str, description: str = "") -> Gauge:
         return self._get_or_create(Gauge, name, description)

@@ -57,7 +57,7 @@ import numpy as np
 
 from ..broker import ContentBroker
 from ..geometry import Rectangle
-from ..obs import get_flight_recorder, get_registry
+from ..obs import fold_sum, get_flight_recorder, get_registry
 from ..obs.slo import SloEngine
 from .maintainer import ClusterMaintainer
 from .queues import BoundedQueue, QueueConfig
@@ -594,22 +594,21 @@ class BrokerService:
             }
             del buf[mark:]
             chains = []
-            for (_, seq, now, latency, stream, _), receipt in zip(
-                run, receipts
+            for (_, seq, now, latency, stream, _), outcome in zip(
+                run, receipts.outcomes()
             ):
                 chain = staged.get(seq, [])
                 chain.append((
                     seq, "outcome", now,
                     "seconds", latency, "stream", stream,
-                    "outcome", receipt.outcome,
+                    "outcome", outcome,
                 ))
                 chains.append(chain)
             flight.insert([pending[5] for pending in run], chains)
         else:
             receipts = broker.publish_batch(points, publishers)
         result = self._result
-        for receipt in receipts:
-            result.total_cost += float(receipt.cost)
+        result.total_cost = fold_sum(result.total_cost, receipts.cost)
         forward_handles = self.maintainer.forward_handles
         if forward_handles:
             # cross-shard cost accounting: the broker exposes the
@@ -623,12 +622,10 @@ class BrokerService:
                 )
         slo = self.slo
         if slo is not None:
-            for (_, _, now, _, stream, _), receipt in zip(run, receipts):
-                slo.observe(
-                    "lost_rate", now,
-                    receipt.lost_deliveries / max(1, receipt.n_interested),
-                    stream=stream,
-                )
+            for (_, _, now, _, stream, _), rate in zip(
+                run, receipts.lost_rates()
+            ):
+                slo.observe("lost_rate", now, rate, stream=stream)
 
     def _process(self, payload: object, now: float) -> str:
         """Apply one join or leave now; returns its outcome."""

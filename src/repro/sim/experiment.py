@@ -27,7 +27,7 @@ from ..clustering import (
 from ..delivery import SCHEMES, Dispatcher
 from ..grid import CellSet, build_cell_set
 from ..matching import GridMatcher, NoLossMatcher
-from ..obs import RunManifest, get_tracer
+from ..obs import RunManifest, fold_sum, get_tracer
 from ..workload import PublicationEvent
 from .metrics import CostSummary
 from .scenario import Scenario
@@ -134,13 +134,9 @@ class ExperimentContext:
                     self._publishers, interested=self._interested
                 )
                 # fold in event order, as a per-event loop would
-                unicast = broadcast = ideal = 0.0
-                for event_unicast, event_ideal, _, event_broadcast in (
-                    priced.tolist()
-                ):
-                    unicast += event_unicast
-                    broadcast += event_broadcast
-                    ideal += event_ideal
+                unicast, ideal, _, broadcast = (
+                    fold_sum(0.0, column) for column in priced.T
+                )
                 n = len(self._events)
                 self._references[scheme] = (
                     unicast / n,

@@ -26,6 +26,7 @@ from .subscriptions import (
     SubscriptionSet,
     as_points,
     join_rectangle,
+    stab_flat,
     stab_run,
 )
 
@@ -51,5 +52,6 @@ __all__ = [
     "SubscriptionSet",
     "as_points",
     "join_rectangle",
+    "stab_flat",
     "stab_run",
 ]

@@ -295,25 +295,38 @@ def stab_run(
 ) -> List[np.ndarray]:
     """The point test of section 4.6 for a run of points: per point of
     the ``(E, N)`` array, the sorted unique owners (ids below
-    ``n_owners``) of the ``(k, N)`` bound rows with ``lo < x <= hi``.
+    ``n_owners``) of the ``(k, N)`` bound rows with ``lo < x <= hi``
+    (:func:`stab_flat`, cut per point)."""
+    ids, counts = stab_flat(points, los, his, owners, n_owners)
+    if len(counts) == 0:
+        return []
+    return np.split(ids, np.cumsum(counts)[:-1])
+
+
+def stab_flat(
+    points: np.ndarray,
+    los: np.ndarray,
+    his: np.ndarray,
+    owners: np.ndarray,
+    n_owners: int,
+) -> Tuple[np.ndarray, np.ndarray]:
+    """:func:`stab_run`'s owners one point after another, and how many
+    each point has.
 
     The native backend scans the rows once per point in one
-    ``match_run`` call and returns views of one buffer.  The numpy
-    reference broadcasts the ``(E, 1, N)`` points against the bound
-    rows, lists every (point, row) hit in point order with one
-    ``np.nonzero`` and cuts it per point.  When the owners increase
-    along the rows they are already sorted and unique per point;
-    otherwise one ``np.unique`` over ``point * n_owners + owner`` sorts
-    and deduplicates them.
+    ``match_run`` call and returns its id buffer.  The numpy reference
+    broadcasts the ``(E, 1, N)`` points against the bound rows and
+    lists every (point, row) hit in point order with one
+    ``np.nonzero``.  When the owners increase along the rows they are
+    already sorted and unique per point; otherwise one ``np.unique``
+    over ``point * n_owners + owner`` sorts and deduplicates them.
     """
     if len(points) == 0:
-        return []
+        return np.empty(0, dtype=np.int64), np.zeros(0, dtype=np.int64)
     run = get_backend().match_run(points, los, his, owners)
     if run is not None:
-        bounds, ids = run[0].tolist(), run[2]
-        return [
-            ids[bounds[2 * e]:bounds[2 * e + 1]] for e in range(len(points))
-        ]
+        bounds, _, ids, _ = run
+        return ids, bounds[1::2] - bounds[0:-1:2]
     # (E, k): row j contains point e
     hits = np.all(
         (los[None, :, :] < points[:, None, :])
@@ -325,8 +338,7 @@ def stab_run(
     if len(found) > 1 and not (np.diff(owners) > 0).all():
         keys = np.unique(events * n_owners + found)
         events, found = np.divmod(keys, n_owners)
-    bounds = np.searchsorted(events, np.arange(1, len(points)))
-    return np.split(found, bounds)
+    return found, np.bincount(events, minlength=len(points))
 
 
 def join_rectangle(space: EventSpace, rng: np.random.Generator) -> Rectangle:

@@ -1,8 +1,10 @@
 """Shared test helpers."""
 
+from dataclasses import dataclass
+
 import numpy as np
 
-from repro.broker import DeliveryReceipt
+from repro.broker import DeliveryReceipt, ReceiptRun
 from repro.geometry import Interval, Rectangle
 from repro.matching import DeliveryPlan
 from repro.workload import Subscription, SubscriptionSet
@@ -84,11 +86,43 @@ def record_one(
     wasted, **fields,
 ):
     """Fold one publication into ``stats``: a run of one receipt."""
-    stats.record_run([DeliveryReceipt(
+    stats.record_run(ReceiptRun.of([DeliveryReceipt(
         n_interested=n_interested, used_multicast=used_multicast,
         cost=cost, unicast_cost=unicast_cost, ideal_cost=ideal_cost,
         wasted_deliveries=wasted, **fields,
-    )])
+    )]))
+
+
+@dataclass(frozen=True)
+class Decision:
+    """One event of an adaptive :class:`repro.delivery.DecisionRun`."""
+
+    mode: str
+    cost: float
+    candidate_costs: dict
+
+    @property
+    def realized_gap(self) -> float:
+        """Cost the fixed policy (execute the matcher's plan) would have
+        paid beyond the adaptive choice."""
+        realized = self.candidate_costs.get(
+            "multicast", self.candidate_costs["unicast"]
+        )
+        return realized - self.cost
+
+
+def decision_of(decisions, e):
+    """Event ``e`` of a decision run, with the candidates it offered."""
+    from repro.delivery import MODES
+
+    candidates = {"unicast": float(decisions.unicast[e])}
+    if decisions.uses_multicast[e]:
+        candidates["multicast"] = float(decisions.multicast[e])
+    if decisions.has_interest[e]:
+        candidates["broadcast"] = float(decisions.broadcast[e])
+    return Decision(
+        MODES[decisions.mode[e]], float(decisions.cost[e]), candidates
+    )
 
 
 def wasted_deliveries(plan):

@@ -8,7 +8,7 @@ from repro.geometry import Dimension, EventSpace
 from repro.matching import DeliveryPlan
 from repro.network import Graph, RoutingTables
 
-from tests.helpers import make_subscription_set
+from tests.helpers import decision_of, make_subscription_set
 
 
 @pytest.fixture
@@ -46,7 +46,9 @@ def decide(policy, publisher, plan):
     unicast, _, plan_cost, broadcast = policy.dispatcher.price_run(
         [publisher], interested=[plan.interested], plans=[plan]
     )[0]
-    return policy.decide([plan], [unicast], [plan_cost], [broadcast])[0]
+    return decision_of(
+        policy.decide([plan], [unicast], [plan_cost], [broadcast]), 0
+    )
 
 
 class TestDecision:

@@ -14,7 +14,12 @@ from repro.grid import (
     cell_set_from_membership,
     pack_membership,
 )
-from repro.grid.cells import _big_endian_words, _group_equal_rows, _group_rows
+from repro.grid.cells import (
+    _big_endian_words,
+    _byte_order,
+    _group_equal_rows,
+    _seen_groups,
+)
 from repro.kernels import available_backends, set_backend
 from repro.kernels import backends as _backends
 from repro.workload import Subscription, SubscriptionSet
@@ -252,6 +257,32 @@ class TestHyperCellOracle:
     ``top_by_popularity``, field by field and bit for bit, on every
     backend."""
 
+    def test_popularity_ties_keep_byte_order(self):
+        """Equally popular hyper-cells first seen in the reverse of their
+        byte order: the cut keeps the byte-smallest, as the reference's
+        stable sort over lexicographically numbered groups does."""
+        space = EventSpace([Dimension("x", 0, 3)])
+        n_cells = space.n_cells
+        # cell c holds subscriber c alone: packed rows 0x80, 0x40, ...
+        membership = np.zeros((n_cells, n_cells), dtype=bool)
+        membership[np.arange(n_cells), np.arange(n_cells)] = True
+        cell_pmf = np.full(n_cells, 1.0 / n_cells)
+        expected = _reference_cell_set(space, membership, cell_pmf, 2)
+        assert [ids.tolist() for ids in expected.cell_ids] == [
+            [n_cells - 1], [n_cells - 2]
+        ]
+        for _ in _every_backend():
+            got = cell_set_from_membership(
+                space, *packed_rows(membership), cell_pmf, max_cells=2
+            )
+            np.testing.assert_array_equal(got.membership, expected.membership)
+            assert [ids.tolist() for ids in got.cell_ids] == [
+                ids.tolist() for ids in expected.cell_ids
+            ]
+            np.testing.assert_array_equal(
+                got.hypercell_of_cell, expected.hypercell_of_cell
+            )
+
     @settings(max_examples=150, deadline=None)
     @given(
         _membership_inputs(),
@@ -394,6 +425,18 @@ def _packed_row_inputs(draw):
     return packed
 
 
+def _ranked_groups(packed):
+    """The backend's grouping renumbered in the byte order of the
+    groups' rows: ``np.unique``'s numbering."""
+    nonempty, first, inverse, sizes = _seen_groups(packed)
+    seen_first = first[1:] > first[:-1]
+    assert seen_first.all(), "groups must be numbered by first row"
+    order = _byte_order(packed, nonempty[first])
+    rank = np.empty_like(order)
+    rank[order] = np.arange(len(order))
+    return nonempty, first[order], rank[inverse], sizes[order]
+
+
 class TestGroupRows:
     """Every backend's one-pass grouping equals the ``lexsort``
     reference on the non-empty rows, and ``np.unique``; group sizes are
@@ -419,7 +462,7 @@ class TestGroupRows:
             axis=1, dtype=np.int64
         )
         for _ in _every_backend():
-            got = _group_rows(packed)
+            got = _ranked_groups(packed)
             assert len(got) == 4
             for array, want in zip(got, (nonempty, first, inverse, sizes)):
                 assert array.dtype == np.int64

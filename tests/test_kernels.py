@@ -18,7 +18,7 @@ from repro.broker import BrokerConfig, ContentBroker
 from repro.clustering import Clustering, noloss, pairwise_waste_matrix
 from repro.clustering.kmeans import ForgyKMeansClustering, KMeansClustering
 from repro.clustering.pairwise import PairwiseGroupingClustering
-from repro.delivery import Dispatcher
+from repro.delivery import Dispatcher, RouteTable
 from repro.geometry import Dimension, EventSpace, Interval, Rectangle
 from repro.grid import CellSet, build_cell_set, cell_set_from_membership
 from repro.kernels import (
@@ -36,7 +36,7 @@ from repro.kernels import (
     words_for,
 )
 from repro.kernels import backends as _backends
-from repro.matching import DeliveryPlan, GridMatcher
+from repro.matching import DeliveryPlan, GridMatcher, GroupTable, PlanRun
 from repro.network import Graph, RoutingTables
 from repro.online import ClusterMaintainer
 from repro.obs import get_registry
@@ -654,7 +654,10 @@ def _plan(interested, groups=(), unicast=None):
 class TestDensePricing:
     """Every backend's run pricing (``Dispatcher.price_run``) against
     the per-event python pricing and ``np.sum``
-    (NumpyBackend.price_dense is None, so numpy prices each event)."""
+    (NumpyBackend.price_dense is None, so numpy prices each event).
+    Interest sets alone go through the kernel; plans given as a list
+    (several groups each) are priced per event on every backend, and
+    ``tests/test_run_form.py`` holds the kernel's run form to them."""
 
     def test_level_sums_are_numpys_pairwise_sum(self, backend):
         # a star: every interested node is one level below the
@@ -787,24 +790,42 @@ class TestDensePricing:
             pytest.skip("no C compiler")
         native = set_backend("native")
         dispatcher = _dense_dispatcher([(0, 1, 1.0), (1, 2, 1.0)], 3, [1, 2])
-        sp = dispatcher.routing.shortest_paths(0)
-        tree = (0, *sp.arrays(), sp.edge_costs())
+        table = RouteTable(dispatcher.routing)
+        rows = table.rows([0])
         nodes = dispatcher.subscriptions.subscriber_nodes
-        ok = ([tree], [0], nodes, [np.array([0, 1])], [1], True, False)
-        assert native.price_dense(*ok)[0, 0] == 3.0
+        groups = GroupTable.of([np.array([0, 1])], 2)
+
+        def run(ids=(0, 1), group=-1, members=groups):
+            ids = np.array(ids, dtype=np.int64)
+            return PlanRun(
+                np.array([0, len(ids), len(ids)]), np.array([group]), ids,
+                members,
+            )
+
+        def price(run, rows=rows, nodes=nodes, table=table):
+            return native.price_dense(
+                table, rows, nodes, run, True, True, True
+            )
+
+        assert price(run())[0][0, 0] == 3.0
+        assert price(run(group=0))[0][0, 2] == 2.0
+        stray = RouteTable(dispatcher.routing)
+        stray.rows([0])
+        stray.sources[0] = 3
         for bad in (
-            # a subscriber id, an event row, a subscriber node, a tree
-            # source, and too few lists for references plus a plan
-            ([tree], [0], nodes, [np.array([0, 2])], [1], True, False),
-            ([tree], [1], nodes, [np.array([0])], [1], True, False),
-            ([tree], [0], np.array([1, 3]), [np.array([1])], [1], True,
-             False),
-            ([(3, *tree[1:])], [0], nodes, [np.array([1])], [1], True,
-             False),
-            ([tree], [0], nodes, [np.array([1])], [1], True, True),
+            # a subscriber id, a group, a member id, an event row, a
+            # subscriber node and a tree source
+            lambda: price(run(ids=(0, 2))),
+            lambda: price(run(group=1)),
+            lambda: price(run(
+                group=0, members=GroupTable.of([np.array([0, 2])], 3)
+            )),
+            lambda: price(run(), rows=np.array([1])),
+            lambda: price(run(), nodes=np.array([1, 3])),
+            lambda: price(run(), table=stray),
         ):
             with pytest.raises(ValueError, match="out of range"):
-                native.price_dense(*bad)
+                bad()
 
 
 # ----------------------------------------------------------------------
@@ -929,7 +950,7 @@ class TestMatchRun:
     """Every backend's run matching (``GridMatcher.match_batch``,
     ``batch_interested_subscribers``, No-Loss member sets) against the
     numpy reference, field by field (NumpyBackend.match_run is None, so
-    numpy broadcasts and builds each plan with ``threshold_plan``)."""
+    numpy broadcasts and builds the run with ``PlanRun.assemble``)."""
 
     # numpy's locate_batch casts NaN coordinates before masking them
     @pytest.mark.filterwarnings("ignore:invalid value encountered in cast")

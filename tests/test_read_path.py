@@ -360,7 +360,7 @@ class TestBatchedServiceEquivalence:
         singles = [
             publish_one(one.broker, p, q) for p, q in zip(points, publishers)
         ]
-        assert two.broker.publish_batch(points, publishers) == singles
+        assert list(two.broker.publish_batch(points, publishers)) == singles
         assert one.broker.stats.as_dict()["total_cost"] == (
             two.broker.stats.as_dict()["total_cost"]
         )
