@@ -245,6 +245,8 @@ class PlanRun(Sequence):
         return len(self.groups)
 
     def __getitem__(self, e) -> DeliveryPlan:
+        if isinstance(e, slice):
+            return [self[i] for i in range(*e.indices(len(self)))]
         e = _event_index(e, len(self))
         start, mid, stop = self.bounds[2 * e:2 * e + 3].tolist()
         interested = self.ids[start:mid]

@@ -178,6 +178,7 @@ class TestRunForm:
         assert run[3].unicast_subscribers.tolist() == [10]
         unicast_only = run[1]
         assert unicast_only.unicast_subscribers is unicast_only.interested
+        assert [plan.group_ids for plan in run[2:]] == [[], [0]]
         _on_each_backend(lambda _: _assert_run_matches_reference(
             dispatcher, [3, 17, 0, 29], run, 1.0
         ))
