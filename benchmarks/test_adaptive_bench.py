@@ -22,12 +22,15 @@ K = 60
 
 def decide_run(policy, publishers, plans):
     """Price a run of matched events through the policy's dispatcher
-    and decide it: ``(plan costs, decisions)``."""
+    and decide it: ``(unicast costs, plan costs, decisions)``."""
     priced = policy.dispatcher.price_run(
         publishers, interested=plans.interested, plans=plans,
     )
     unicast, _, plan_cost, broadcast = priced.T
-    return plan_cost, policy.decide(plans, unicast, plan_cost, broadcast)
+    return (
+        unicast, plan_cost,
+        policy.decide(plans, unicast, plan_cost, broadcast),
+    )
 
 
 def mode_rates(policy):
@@ -50,12 +53,12 @@ def test_adaptive_delivery(benchmark, eval_ctx):
         policy = AdaptiveDeliveryPolicy(dispatcher)
         fixed_cost = adaptive_cost = unicast_cost = 0.0
         plans = matcher.match_batch([event.point for event in eval_ctx.events])
-        plan_costs, decisions = decide_run(
+        unicast_costs, plan_costs, decisions = decide_run(
             policy, [event.publisher for event in eval_ctx.events], plans
         )
         for plan_cost, cost, unicast in zip(
             plan_costs.tolist(), decisions.cost.tolist(),
-            decisions.unicast.tolist(),
+            unicast_costs.tolist(),
         ):
             fixed_cost += plan_cost
             adaptive_cost += cost

@@ -45,8 +45,8 @@ def test_overlay_within_budget_of_dense_at_equal_k(benchmark, eval_ctx):
         overlay = eval_ctx.dispatcher("overlay")
         plans = matcher.match_batch([event.point for event in events])
         publishers = [event.publisher for event in events]
-        dense_total = float(dense.plan_costs(publishers, plans).sum())
-        overlay_total = float(overlay.plan_costs(publishers, plans).sum())
+        dense_total = float(dense.plan_costs(publishers, plans)[0].sum())
+        overlay_total = float(overlay.plan_costs(publishers, plans)[0].sum())
         unicast_total = sum(
             dense.unicast_reference(event.publisher, plan.interested)
             for event, plan in zip(events, plans)

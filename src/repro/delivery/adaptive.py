@@ -16,7 +16,7 @@ from typing import Dict, NamedTuple, Sequence
 
 import numpy as np
 
-from ..matching import DeliveryPlan, PlanRun
+from ..matching import PlanRun
 from ..obs import get_registry
 from .dispatcher import Dispatcher
 
@@ -28,18 +28,10 @@ MODES = ("unicast", "multicast", "broadcast")
 
 class DecisionRun(NamedTuple):
     """A run's decisions as columns: per event the chosen ``mode`` (an
-    index into :data:`MODES`) and its ``cost``, and the candidates it
-    was chosen from: the ``unicast`` cost, the plan's ``multicast``
-    cost (a candidate where ``uses_multicast``) and the penalised
-    ``broadcast`` cost (a candidate where ``has_interest``)."""
+    index into :data:`MODES`) and its ``cost``."""
 
     mode: np.ndarray
     cost: np.ndarray
-    unicast: np.ndarray
-    multicast: np.ndarray
-    broadcast: np.ndarray
-    uses_multicast: np.ndarray
-    has_interest: np.ndarray
 
 
 class AdaptiveDeliveryPolicy:
@@ -78,7 +70,7 @@ class AdaptiveDeliveryPolicy:
     # ------------------------------------------------------------------
     def decide(
         self,
-        plans: Sequence[DeliveryPlan],
+        plans: PlanRun,
         unicast: Sequence[float],
         plan_cost: Sequence[float],
         broadcast: Sequence[float],
@@ -86,26 +78,18 @@ class AdaptiveDeliveryPolicy:
         """Pick the cheapest of {unicast, plan-multicast, broadcast} for
         each event of a run, as a column comparison.
 
-        ``plans`` is a :class:`PlanRun` or a sequence of plans;
-        ``unicast``, ``plan_cost`` and ``broadcast`` are the events'
-        priced costs (the columns of :meth:`Dispatcher.price_run`).
-        Multicast is a candidate when the plan uses a group, broadcast
-        (times the penalty) when anyone is interested; ties go to the
-        first of unicast, multicast, broadcast.  ``delivery_mode_total``
+        ``plans`` is the run's :class:`PlanRun`; ``unicast``,
+        ``plan_cost`` and ``broadcast`` are its events' priced costs
+        (the columns of :meth:`Dispatcher.price_run`).  Multicast is a
+        candidate when the plan uses a group, broadcast (times the
+        penalty) when anyone is interested; ties go to the first of
+        unicast, multicast, broadcast.  ``delivery_mode_total``
         is incremented once per mode of the run; the cost-gap histogram
         observes each event in order.
         """
-        if isinstance(plans, PlanRun):
-            bounds = plans.bounds
-            uses_multicast = plans.groups >= 0
-            has_interest = bounds[1::2] > bounds[0:-1:2]
-        else:
-            uses_multicast = np.array(
-                [plan.uses_multicast for plan in plans], dtype=bool
-            )
-            has_interest = np.array(
-                [len(plan.interested) > 0 for plan in plans], dtype=bool
-            )
+        bounds = plans.bounds
+        uses_multicast = plans.groups >= 0
+        has_interest = bounds[1::2] > bounds[0:-1:2]
         unicast = np.asarray(unicast, dtype=np.float64)
         multicast = np.asarray(plan_cost, dtype=np.float64)
         flood = np.asarray(broadcast, dtype=np.float64)
@@ -125,7 +109,4 @@ class AdaptiveDeliveryPolicy:
             if n:
                 self.mode_counts[MODES[code]] += n
                 self._mode_children[code].inc(n)
-        return DecisionRun(
-            mode, cost, unicast, multicast, flood, uses_multicast,
-            has_interest,
-        )
+        return DecisionRun(mode, cost)

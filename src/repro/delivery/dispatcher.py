@@ -24,8 +24,8 @@ coverage.
 
 from __future__ import annotations
 
-import os
-from typing import Dict, List, Optional, Sequence
+import weakref
+from typing import Dict, List, Optional, Sequence, Tuple
 
 import numpy as np
 
@@ -87,13 +87,16 @@ class RouteTable:
     full tree cost (the broadcast).  A publisher is staged the first
     time it is priced, so its Dijkstra runs then, as before; no row is
     copied.  A fail or heal bumps the topology version and the next
-    call restages from the routing tables.
+    call restages from the routing tables.  The addresses name this
+    process's arrays, so a table is never pickled: a dispatcher finds
+    its routing's table with :func:`route_table`.
     """
 
     def __init__(self, routing: RoutingTables) -> None:
-        self.routing = routing
+        # a proxy: the table lives as long as its routing, not longer
+        self.routing = weakref.proxy(routing)
         self.n = routing.graph.n_nodes
-        self._version: Optional[tuple] = None
+        self._version: Optional[int] = None
         self._clear()
 
     def _clear(self) -> None:
@@ -120,9 +123,7 @@ class RouteTable:
 
     def rows(self, publishers: Sequence[int]) -> List[int]:
         """The row of each publisher, staging the ones not yet seen."""
-        # addresses hold only in the process that read them, so a copy
-        # sent to a worker restages too
-        version = (self.routing.topology_version, os.getpid())
+        version = self.routing.topology_version
         if version != self._version:
             self._clear()
             self._version = version
@@ -152,6 +153,23 @@ class RouteTable:
         return row
 
 
+#: one route table per routing table, outside every dispatcher's
+#: pickled state: a copy sent to another process, or unpickled in this
+#: one, has routing tables of its own and so stages its own rows, while
+#: a forked child keeps its parent's, whose addresses hold there
+_ROUTE_TABLES: "weakref.WeakKeyDictionary[RoutingTables, RouteTable]" = (
+    weakref.WeakKeyDictionary()
+)
+
+
+def route_table(routing: RoutingTables) -> RouteTable:
+    """The per-routing :class:`RouteTable` (created on first use)."""
+    table = _ROUTE_TABLES.get(routing)
+    if table is None:
+        table = _ROUTE_TABLES[routing] = RouteTable(routing)
+    return table
+
+
 class Dispatcher:
     """Computes delivery costs of plans and of the reference schemes.
 
@@ -159,7 +177,8 @@ class Dispatcher:
     cost is computed from the routing tables as they stand, so topology
     changes and in-place membership churn need no invalidation.  Its only
     state is the lazily elected sparse-mode core and the lazily resolved
-    shared overlay.
+    shared overlay; the dense kernel's staged rows are the routing's
+    :func:`route_table`.
     """
 
     def __init__(
@@ -182,7 +201,6 @@ class Dispatcher:
         self._core_given = core is not None
         self._core_version: Optional[int] = None
         self._overlay_delivery = None
-        self._routes: Optional[RouteTable] = None
 
     @property
     def core(self) -> int:
@@ -217,19 +235,19 @@ class Dispatcher:
 
     def plan_costs(
         self, publishers: Sequence[int], plans: Sequence[DeliveryPlan]
-    ) -> np.ndarray:
-        """Costs of many plans at once (the batch-evaluation entry point),
+    ) -> Tuple[np.ndarray, np.ndarray]:
+        """Costs and audited wasted deliveries of many plans at once
+        (the batch-evaluation entry point; see :meth:`price_audited`),
         traced as one ``delivery.plan_costs`` span."""
         if len(publishers) != len(plans):
             raise ValueError("publishers / plans length mismatch")
         with get_tracer().span(
             "delivery.plan_costs", scheme=self.scheme, n_plans=len(plans)
         ):
+            priced, wasted = self.price_audited(publishers, plans=plans)
             # a contiguous copy of the column, like the array of
             # per-plan costs callers sum
-            return np.ascontiguousarray(
-                self.price_run(publishers, plans=plans)[:, 2]
-            )
+            return np.ascontiguousarray(priced[:, 2]), wasted
 
     def price_run(
         self,
@@ -296,9 +314,7 @@ class Dispatcher:
     def _price_dense(self, publishers, run, references, plans, audit):
         """The run as one ``price_dense`` kernel call (``None`` when the
         backend prices in python), over the staged route table."""
-        if self._routes is None:
-            self._routes = RouteTable(self.routing)
-        routes = self._routes
+        routes = route_table(self.routing)
         return get_backend().price_dense(
             routes, routes.rows(publishers),
             self.subscriptions.subscriber_nodes, run, references, plans,
@@ -309,10 +325,17 @@ class Dispatcher:
         """The per-event python pricing and audit: the reference
         :meth:`price_audited` matches.  Pricing errors come first:
         every event is priced before an audit may raise."""
-        priced = np.zeros((len(publishers), 4), dtype=np.float64)
-        wasted = np.zeros(len(publishers), dtype=np.int64)
+        n_events = len(publishers)
+        priced = np.zeros((n_events, 4), dtype=np.float64)
+        wasted = np.zeros(n_events, dtype=np.int64)
+        # priced with its interest sets, a run's unicast-only plan costs
+        # its unicast reference (0.0 + x == x) and wastes nothing, so
+        # only its group plans are priced and audited
+        grouped = range(n_events)
+        if isinstance(plans, PlanRun) and interested is plans.interested:
+            grouped = np.flatnonzero(plans.groups >= 0).tolist()
         if plans is not None:
-            plans = [plans[e] for e in range(len(publishers))]
+            plans = {e: plans[e] for e in grouped}
         for e, publisher in enumerate(publishers):
             publisher = int(publisher)
             row = priced[e]
@@ -323,9 +346,14 @@ class Dispatcher:
                 row[1] = self.ideal_reference(publisher, ids, nodes)
                 row[3] = self.broadcast_reference(publisher)
             if plans is not None:
-                row[2] = self.plan_cost(publisher, plans[e])
+                plan = plans.get(e)
+                row[2] = (
+                    row[0] if plan is None
+                    else self.plan_cost(publisher, plan)
+                )
         if plans is not None and audit:
-            wasted[:] = [plan.audit() for plan in plans]
+            for e, plan in plans.items():
+                wasted[e] = plan.audit()
         return priced, wasted
 
     # ------------------------------------------------------------------

@@ -937,8 +937,12 @@ static int tree_walk(
  *       groups[e] its group or -1, and with a group its unicast ids
  *       ids[bounds[2e+1], bounds[2e+2]); without one the interested
  *       ids go unicast
+ *   offsets (n_groups+1,), members: the groups' member CSR
+ *       (GroupTable.csr): group g's sorted member ids are
+ *       members[offsets[g], offsets[g+1])
  *   masks (n_groups rows of mask_stride bytes, mask_width columns):
- *       group g's members are the ids s with masks[g][s] set
+ *       the same groups as membership rows, masks[g][s] set when s is
+ *       a member of g (the audit's membership test)
  *   out (E, 4) float64: unicast, ideal, plan, broadcast
  *   wasted (E,) int64 (flag 4): covered subscribers not interested
  *   err (3,) int64 out: on a pricing failure the kind (0: unicast leg,
@@ -957,6 +961,7 @@ EXPORT int64_t repro_price_dense(
     int64_t n_events,
     const int64_t *sub_nodes, int64_t n_subs, const int64_t *bounds,
     const int64_t *groups, const int64_t *ids, int64_t n_ids,
+    const int64_t *offsets, const int64_t *members, int64_t n_members,
     const uint8_t *masks, int64_t mask_stride, int64_t mask_width,
     int64_t n_groups, int64_t flags, double *out, int64_t *wasted,
     int64_t *err)
@@ -973,8 +978,19 @@ EXPORT int64_t repro_price_dense(
         }
     }
     if (bounds[0] < 0 || bounds[2 * n_events] > n_ids
-        || mask_width > n_subs) {
+        || mask_width > n_subs || offsets[0] != 0
+        || offsets[n_groups] > n_members) {
         return -3;
+    }
+    for (int64_t g = 0; g < n_groups; ++g) {
+        if (offsets[g + 1] < offsets[g]) {
+            return -3;
+        }
+    }
+    for (int64_t i = 0; i < offsets[n_groups]; ++i) {
+        if (members[i] < 0 || members[i] >= n_subs) {
+            return -3;
+        }
     }
     for (int64_t e = 0; e < n_events; ++e) {
         if (event_rows[e] < 0 || event_rows[e] >= n_rows
@@ -1061,22 +1077,9 @@ EXPORT int64_t repro_price_dense(
         int64_t cover = ++s.stamp;
         double total = 0.0;
         double leg;
-        /* the group's nodes: its members, ascending, as nodes_of
-         * would take them from the member list */
-        int64_t n_members = 0;
-        int64_t stamp = ++s.stamp;
-        count = 0;
-        for (int64_t i = 0; i < mask_width; ++i) {
-            if (row[i]) {
-                int64_t v = sub_nodes[i];
-                ++n_members;
-                if (s.seen[v] != stamp) {
-                    s.seen[v] = stamp;
-                    s.nodes[count++] = v;
-                }
-            }
-        }
-        sort_marked(s.nodes, count, s.seen, stamp, s.n);
+        /* the group's nodes, from its member list */
+        int64_t n_group = offsets[g + 1] - offsets[g];
+        count = nodes_of(&s, members + offsets[g], n_group, sub_nodes);
         if (tree_walk(&s, source, d, p, ed, s.nodes, count, &leg,
                       &err[1])) {
             err[0] = 1;
@@ -1107,7 +1110,7 @@ EXPORT int64_t repro_price_dense(
         /* DeliveryPlan.audit: the covered subscribers (members and
          * unicast ids, once each) must hold every interested one */
         int64_t held_stamp = e + 1;
-        int64_t n_covered = n_members;
+        int64_t n_covered = n_group;
         for (int64_t i = 0; i < n_unicast; ++i) {
             int64_t v = unicast[i];
             if (held[v] != held_stamp && !(v < mask_width && row[v])) {

@@ -217,7 +217,8 @@ class NativeBackend:
         lib.repro_forgy_sweeps.restype = i64
         lib.repro_price_dense.argtypes = [
             i64, ptr, ptr, ptr, i64, ptr, i64, ptr, i64, ptr,
-            ptr, ptr, i64, ptr, i64, i64, i64, i64, ptr, ptr, ptr,
+            ptr, ptr, i64, ptr, ptr, i64, ptr, i64, i64, i64, i64, ptr,
+            ptr, ptr,
         ]
         lib.repro_price_dense.restype = i64
         lib.repro_match_run.argtypes = [
@@ -553,12 +554,15 @@ class NativeBackend:
         ``table.n`` entries and its broadcast cost; see
         :class:`repro.delivery.RouteTable`) and ``event_rows`` the row
         of each event's publisher.  ``run`` is the
-        :class:`repro.matching.PlanRun`, read as it is.  Returns ``(costs, wasted)``: ``(E, 4)`` float64
-        columns unicast reference, ideal reference, plan cost and
-        broadcast cost (the references with ``references``, the plan
-        costs with ``plans``; zero otherwise), and each plan's wasted
-        deliveries (with ``plans`` and ``audit``).  An unreachable node
-        raises the ``ValueError`` the per-event pricing raises, and
+        :class:`repro.matching.PlanRun`, read as it is: a group's nodes
+        come from its table's member CSR (built once per table), the
+        audit's membership test from its membership rows.  Returns
+        ``(costs, wasted)``: ``(E, 4)`` float64 columns unicast
+        reference, ideal reference, plan cost and broadcast cost (the
+        references with ``references``, the plan costs with ``plans``;
+        zero otherwise), and each plan's wasted deliveries (with
+        ``plans`` and ``audit``).  An unreachable node raises the
+        ``ValueError`` the per-event pricing raises, and
         under ``audit`` a plan that misses an interested subscriber the
         ``AssertionError`` of :meth:`DeliveryPlan.audit`.
         """
@@ -578,11 +582,12 @@ class NativeBackend:
         bounds = np.ascontiguousarray(run.bounds, dtype=np.int64)
         groups = np.ascontiguousarray(run.groups, dtype=np.int64)
         ids = np.ascontiguousarray(run.ids, dtype=np.int64)
+        offsets, members = run.table.csr()
         masks = _mask_rows(run.table.masks)
         if (
             len(bounds) != 2 * n_events + 1
             or len(groups) != n_events
-            or len(masks) != len(run.table.lists)
+            or len(masks) != len(offsets) - 1
         ):
             raise ValueError("price_dense index out of range")
         at_rows, at_wasted, at_err, at_costs = at
@@ -590,7 +595,8 @@ class NativeBackend:
             table.n, _ptr(table.sources), _ptr(table.addresses),
             _ptr(table.broadcast), table.n_rows, at_rows, n_events,
             _ptr(sub_nodes), len(sub_nodes), _ptr(bounds), _ptr(groups),
-            _ptr(ids), len(ids), _ptr(masks), masks.strides[0],
+            _ptr(ids), len(ids), _ptr(offsets), _ptr(members),
+            len(members), _ptr(masks), masks.strides[0],
             masks.shape[1], len(masks),
             int(references) | 2 * int(plans) | 4 * int(audit and plans),
             at_costs, at_wasted, at_err,

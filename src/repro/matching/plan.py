@@ -16,7 +16,7 @@ from __future__ import annotations
 from collections.abc import Sequence
 from dataclasses import dataclass, field
 from operator import index as as_index
-from typing import List, NamedTuple, Optional, Tuple
+from typing import List, Optional, Tuple
 
 import numpy as np
 
@@ -96,15 +96,38 @@ class DeliveryPlan:
         return int(covered.size - interested.size)
 
 
-class GroupTable(NamedTuple):
+class GroupTable:
     """The multicast groups a run's plans name: per group its sorted
     member ids (``lists``) and its boolean membership row (``masks``,
-    ``(groups, subscribers)``), which the kernels scan.  A grid
-    clustering keeps both up to date through joins and leaves, so a
-    run shares them as they stand."""
+    ``(groups, subscribers)``), which the kernels test membership in.
+    A grid clustering keeps both up to date through joins and leaves,
+    so a run shares them as they stand; a matcher makes a new table
+    per clustering version."""
 
-    lists: Sequence
-    masks: np.ndarray
+    __slots__ = ("lists", "masks", "_csr")
+
+    def __init__(self, lists: Sequence, masks: np.ndarray) -> None:
+        self.lists = lists
+        self.masks = masks
+        self._csr: Optional[Tuple[np.ndarray, np.ndarray]] = None
+
+    def csr(self) -> Tuple[np.ndarray, np.ndarray]:
+        """The member lists as one ``(offsets, members)`` pair: group
+        ``g``'s members are ``members[offsets[g]:offsets[g + 1]]``.
+        Built on first use, so once per table."""
+        if self._csr is None:
+            lists = self.lists
+            offsets = np.zeros(len(lists) + 1, dtype=np.int64)
+            np.cumsum(
+                np.fromiter(map(len, lists), np.int64, len(lists)),
+                out=offsets[1:],
+            )
+            members = (
+                np.concatenate(lists).astype(np.int64, copy=False)
+                if len(lists) else np.empty(0, dtype=np.int64)
+            )
+            self._csr = (offsets, members)
+        return self._csr
 
     @classmethod
     def of(cls, lists, width: int) -> "GroupTable":

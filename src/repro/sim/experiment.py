@@ -167,8 +167,8 @@ class ExperimentContext:
                 self._points,
                 interested=self._interested if reuse_interest else None,
             )
-            costs = dispatcher.plan_costs(self._publishers, plans)
-            wasted = float(sum(plan.audit() for plan in plans))
+            costs, wasted = dispatcher.plan_costs(self._publishers, plans)
+            wasted = float(wasted.sum())
             total = float(costs.sum())
             unicast, broadcast, ideal = self.reference_costs(scheme)
             n = len(self._events)

@@ -111,15 +111,19 @@ class Decision:
         return realized - self.cost
 
 
-def decision_of(decisions, e):
-    """Event ``e`` of a decision run, with the candidates it offered."""
+def decision_of(decisions, e, run, priced, penalty=1.0):
+    """Event ``e`` of a decision run, with the candidates it was chosen
+    from, rebuilt from the run and its priced ``(E, 4)`` columns: the
+    unicast cost, the plan cost where the plan has a group and the
+    penalised broadcast cost where anyone is interested."""
     from repro.delivery import MODES
 
-    candidates = {"unicast": float(decisions.unicast[e])}
-    if decisions.uses_multicast[e]:
-        candidates["multicast"] = float(decisions.multicast[e])
-    if decisions.has_interest[e]:
-        candidates["broadcast"] = float(decisions.broadcast[e])
+    unicast, _, plan_cost, broadcast = priced[e].tolist()
+    candidates = {"unicast": unicast}
+    if run.groups[e] >= 0:
+        candidates["multicast"] = plan_cost
+    if len(run.interested[e]):
+        candidates["broadcast"] = broadcast * penalty
     return Decision(
         MODES[decisions.mode[e]], float(decisions.cost[e]), candidates
     )
@@ -252,7 +256,7 @@ def chaos_price(runner, events):
     plans = broker._matcher.match_batch([event.point for event in events])
     return broker._dispatcher.plan_costs(
         [event.publisher for event in events], plans
-    )
+    )[0]
 
 
 def match_one(matcher, point):

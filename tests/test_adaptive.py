@@ -5,7 +5,7 @@ import pytest
 
 from repro.delivery import AdaptiveDeliveryPolicy, Dispatcher
 from repro.geometry import Dimension, EventSpace
-from repro.matching import DeliveryPlan
+from repro.matching import GroupTable, PlanRun
 from repro.network import Graph, RoutingTables
 
 from tests.helpers import decision_of, make_subscription_set
@@ -27,27 +27,28 @@ def setup():
 
 
 def plan_for(interested, members=None):
+    """A one-event run: unicast to ``interested``, or multicast to
+    group 0 of ``members`` plus unicast to the interested non-members."""
     interested = np.asarray(interested, dtype=np.int64)
     if members is None:
-        return DeliveryPlan(
-            interested=interested, unicast_subscribers=interested
-        )
-    members = np.asarray(members, dtype=np.int64)
-    return DeliveryPlan(
-        interested=interested,
-        group_ids=[0],
-        group_members=[members],
-        unicast_subscribers=np.setdiff1d(interested, members),
+        return PlanRun.of_interest([interested])
+    table = GroupTable.of([np.asarray(members, dtype=np.int64)], 4)
+    run, _ = PlanRun.assemble(
+        interested, np.array([len(interested)]), np.array([0]), table
     )
+    return run
 
 
-def decide(policy, publisher, plan):
-    """The policy's decision for one event, priced by its dispatcher."""
-    unicast, _, plan_cost, broadcast = policy.dispatcher.price_run(
-        [publisher], interested=[plan.interested], plans=[plan]
-    )[0]
+def decide(policy, publisher, run):
+    """The policy's decision for a one-event run, priced by its
+    dispatcher."""
+    priced = policy.dispatcher.price_run(
+        [publisher], interested=run.interested, plans=run
+    )
+    unicast, _, plan_cost, broadcast = priced.T
     return decision_of(
-        policy.decide([plan], [unicast], [plan_cost], [broadcast]), 0
+        policy.decide(run, unicast, plan_cost, broadcast), 0, run, priced,
+        policy.broadcast_penalty,
     )
 
 

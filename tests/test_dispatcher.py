@@ -172,9 +172,10 @@ class TestPlanCosts:
         loop = Dispatcher(routing, subs, "dense")
         publishers = [0, 1, 0, 2]
         plans = [_mixed_plan() for _ in publishers]
-        costs = batch.plan_costs(publishers, plans)
+        costs, wasted = batch.plan_costs(publishers, plans)
         expected = [loop.plan_cost(p, pl) for p, pl in zip(publishers, plans)]
         np.testing.assert_allclose(costs, expected)
+        assert wasted.tolist() == [plan.audit() for plan in plans]
 
     def test_plan_costs_length_mismatch(self, line_setup):
         routing, subs = line_setup

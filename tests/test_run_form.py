@@ -9,6 +9,10 @@ over the candidate costs for the adaptive decision, and one receipt at a
 time for the stats totals.
 """
 
+import gc
+import pickle
+import weakref
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -18,6 +22,7 @@ from repro.broker import DeliveryReceipt, DeliveryStats, ReceiptRun
 from repro.clustering import NoLossResult
 from repro.delivery import AdaptiveDeliveryPolicy, Dispatcher
 from repro.delivery.adaptive import MODES
+from repro.delivery.dispatcher import route_table
 from repro.geometry import Dimension, EventSpace
 from repro.kernels import available_backends, set_backend
 from repro.kernels import backends as _backends
@@ -115,7 +120,7 @@ def _assert_run_matches_reference(dispatcher, publishers, run, penalty):
         if len(plan.interested):
             candidates["broadcast"] = float(broadcast[e]) * penalty
         mode = min(candidates, key=candidates.get)
-        decision = decision_of(decisions, e)
+        decision = decision_of(decisions, e, run, priced, penalty)
         assert decision.mode == mode == MODES[decisions.mode[e]]
         assert decision.cost == candidates[mode] == decisions.cost[e]
         assert decision.candidate_costs == candidates
@@ -290,3 +295,41 @@ class TestRunForm:
                 )
 
             _on_each_backend(check)
+
+    def test_pickled_dispatcher_stages_its_own_routes(self):
+        """A copy of a dispatcher that already priced a run stages its
+        own shortest-path rows: it prices the same after the original
+        restaged (a fail and a heal) and was freed, and the original's
+        route table goes with its routing tables."""
+        def check(_):
+            rng = np.random.default_rng(6)
+            original = _dispatcher(rng, 40, 30)
+            run, _ = _random_run(rng, 30, 0.0)
+            while not len(run):
+                run, _ = _random_run(rng, 30, 0.0)
+            publishers = rng.integers(0, 40, len(run)).tolist()
+            want = original.price_audited(
+                publishers, interested=run.interested, plans=run
+            )
+            copy = pickle.loads(pickle.dumps(original))
+            assert route_table(copy.routing).n_rows == 0
+            assert route_table(copy.routing) is not route_table(
+                original.routing
+            )
+            original.routing.fail_node(publishers[0])
+            original.routing.heal_node(publishers[0])
+            original.price_run(publishers, interested=run.interested)
+            staged = weakref.ref(route_table(original.routing))
+            del original
+            gc.collect()
+            assert staged() is None
+            # reuse the freed memory
+            litter = [np.full(40, -1.0) for _ in range(200)]
+            got = copy.price_audited(
+                publishers, interested=run.interested, plans=run
+            )
+            assert got[0].tobytes() == want[0].tobytes()
+            assert got[1].tolist() == want[1].tolist()
+            del litter
+
+        _on_each_backend(check)
